@@ -48,7 +48,7 @@ def assemble_channel(steering: np.ndarray, fading: np.ndarray,
     freq = np.asarray(freq)
     if steering.shape[1] != fading.shape[-1] or freq.shape[1] != fading.shape[-1]:
         raise ValueError("steering/fading/freq path counts disagree")
-    return np.einsum("il,...l,kl->...ik", steering, fading, freq)
+    return (steering * fading[..., None, :]) @ freq.T
 
 
 def channel_covariance(paths: PathSet, geometry: ArrayGeometry, n_subcarriers: int,

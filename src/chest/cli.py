@@ -15,7 +15,7 @@ import numpy as np
 from .config import ConfigBundle, ConfigError, desk_config, load_config, validate_config
 from .experiments import (DEFAULT_ECDF_SNRS, DEFAULT_PILOT_SNRS, ExperimentPlan,
                           emit_csv, emit_ecdf_csv, run_ecdf, run_nmse_sweep,
-                          run_pilot_sweep, run_se_sweep)
+                          run_pilot_sweep, run_se_sweep, validate_plan)
 from .propagation import load_paths_csv
 from .svgplot import LineSeries, render_line_chart
 from .validate import run_validation
@@ -103,6 +103,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def _make_plan(args, bundle: ConfigBundle) -> ExperimentPlan:
+    """The validated plan, method defaults filled in for the plotting code."""
     methods = tuple(args.methods.split(",")) if args.methods else ()
     environment = load_paths_csv(args.paths) if args.paths else None
     extra = {}
@@ -113,8 +114,9 @@ def _make_plan(args, bundle: ConfigBundle) -> ExperimentPlan:
             extra["pilot_snrs"] = _parse_floats(args.snr)
         if args.pilots:
             extra["pilot_counts"] = _parse_ints(args.pilots)
-    return ExperimentPlan(kind=args.command, bundle=bundle, methods=methods,
-                          workers=args.workers, environment=environment, **extra)
+    return validate_plan(ExperimentPlan(kind=args.command, bundle=bundle,
+                                        methods=methods, workers=args.workers,
+                                        environment=environment, **extra))
 
 
 def _nmse_db(records, method):

@@ -219,24 +219,49 @@ def noise_variance_for_snr(snr_db: float, symbol_power: float, beta: float) -> f
 
 # --- JSON loading ---------------------------------------------------------
 
-_TUPLE_FIELDS = {"snr_grid_db", "azimuth_range", "elevation_range"}
 _SECTIONS = {"system": SystemConfig, "scenario": ScenarioConfig, "estimator": EstimatorConfig}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _checked_value(section: str, key: str, value, default):
+    """``value`` if it has the JSON type of the field's default, else ConfigError.
+
+    Integer fields take JSON integers only, float fields any number, tuple
+    fields a list of numbers, and the batch-ML ranks an integer or "auto".
+    """
+    if isinstance(default, tuple):
+        ok = isinstance(value, list) and all(_is_number(v) for v in value)
+        expected = "a list of numbers"
+    elif isinstance(default, int):
+        ok = _is_int(value)
+        expected = "an integer"
+    elif isinstance(default, float):
+        ok = _is_number(value)
+        expected = "a number"
+    else:
+        ok = value == default or _is_int(value)
+        expected = f"an integer or {default!r}"
+    if not ok:
+        raise ConfigError(f"'{section}.{key}' must be {expected}, got {json.dumps(value)}")
+    return tuple(value) if isinstance(default, tuple) else value
+
+
 def _parse_section(cls, payload: dict, section: str):
-    known = {f.name for f in fields(cls)}
-    unknown = set(payload) - known
+    if not isinstance(payload, dict):
+        raise ConfigError(f"'{section}' section must be a JSON object")
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = set(payload) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown key(s) in '{section}' section: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in payload.items():
-        if key in _TUPLE_FIELDS:
-            value = tuple(value)
-        kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad value in '{section}' section: {exc}") from exc
+    return cls(**{key: _checked_value(section, key, value, defaults[key])
+                  for key, value in payload.items()})
 
 
 def load_config(path: str | Path) -> ConfigBundle:

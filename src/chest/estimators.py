@@ -44,7 +44,7 @@ def project_estimate(estimate: ChannelEstimate, projectors: ProjectorPair,
     h = estimate.h
     if projectors.spatial.shape[0] != h.shape[-2] or projectors.temporal.shape[0] != h.shape[-1]:
         raise ValueError("projector dimensions do not match the estimate")
-    projected = np.einsum("ij,...jk,kl->...il", projectors.spatial, h, projectors.temporal)
+    projected = projectors.spatial @ h @ projectors.temporal
     return ChannelEstimate(h=projected, grid="pilot", method=method_tag)
 
 

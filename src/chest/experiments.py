@@ -160,7 +160,12 @@ def build_environment(bundle: ConfigBundle, paths: PathSet | None = None) -> Env
 
 
 def pilot_covariance(env: Environment) -> np.ndarray:
-    """Structural covariance of the vectorized pilot-grid channel."""
+    """Structural covariance of the vectorized pilot-grid channel.
+
+    Dense (n_rx * n_pilots)-square; the sweeps never build it.  It is the
+    reference that the per-path traces of :func:`analytic_nmse` are checked
+    against.
+    """
     return channel_covariance(env.paths, env.geometry,
                               env.bundle.system.n_subcarriers,
                               env.bundle.sample_interval,
@@ -274,7 +279,6 @@ def run_nmse_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
     plan = validate_plan(plan)
     env = build_environment(plan.bundle, plan.environment)
     sysc = plan.bundle.system
-    cov = pilot_covariance(env) if "emdt" in plan.methods else None
     records = []
     for snr_db in sysc.snr_grid_db:
         noise_variance = noise_variance_for_snr(snr_db, sysc.symbol_power, env.beta)
@@ -287,8 +291,9 @@ def run_nmse_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
             nmse = err_energy / chan_energy
             analytic = None
             if method == "emdt":
-                analytic = analytic_nmse(env.projectors, cov, snr_db,
-                                         sysc.symbol_power, noise_variance)
+                analytic = analytic_nmse(env.projectors, env.steering,
+                                         env.freq_pilot, env.paths.amplitude,
+                                         snr_db, sysc.symbol_power, noise_variance)
             records.append(MetricsRecord(method=method, snr_db=float(snr_db),
                                          n_pilots=sysc.n_pilots,
                                          trials=sysc.n_trials, nmse_emp=nmse,

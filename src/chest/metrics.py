@@ -2,8 +2,8 @@
 spectral efficiency, post-combining SNR samples, and ECDF utilities.
 
 The analytic NMSE splits into a subspace floor (energy outside the projector
-pair) and a noise term (noise passed by the projectors), evaluated from the
-structural covariance of the vectorized pilot-grid channel.
+pair) and a noise term (noise passed by the projectors), evaluated path by
+path from the channel's steering and frequency responses.
 """
 from __future__ import annotations
 
@@ -69,32 +69,61 @@ def empirical_nmse(pairs) -> float:
     return num / den
 
 
-def analytic_nmse(projectors: ProjectorPair, covariance: np.ndarray, snr_db: float,
-                  symbol_power: float, noise_variance: float) -> NmseBreakdown:
-    """Closed-form NMSE of the projection estimator under a known covariance.
+def covariance_traces(projectors: ProjectorPair, steering: np.ndarray,
+                      freq_pilot: np.ndarray, amplitude: np.ndarray
+                      ) -> tuple[float, float]:
+    """trace(R) and trace(R Q) of the pilot-grid channel, path by path.
 
-    The noise term is computed both from the projector traces and from the
-    rank shortcut ranks/(n_rx * n_pilots * SNR); the two must agree to 1e-9,
-    which guards the SNR bookkeeping end to end.
+    R = sum_l alpha_l^2 phi_l phi_l^H with phi_l = kron(k_l, a_l) and
+    Q = P_t^T kron P_s, so
+
+        trace(R)   = sum_l alpha_l^2 ||a_l||^2 ||k_l||^2
+        trace(R Q) = sum_l alpha_l^2 (a_l^H P_s a_l) (k_l^H P_t^T k_l)
+
+    without forming the (n_rx * n_pilots)-square R.  ``steering`` is
+    (n_rx, L), ``freq_pilot`` is (n_pilots, L); steering entries need not be
+    unit modulus.
     """
+    a = np.asarray(steering)
+    k = np.asarray(freq_pilot)
+    power = np.asarray(amplitude, dtype=float) ** 2
+    p_s = projectors.spatial
+    p_t = projectors.temporal
+    if a.ndim != 2 or k.ndim != 2 or power.shape != (a.shape[1],) \
+            or k.shape[1] != a.shape[1]:
+        raise ValueError("steering/freq_pilot/amplitude path counts disagree")
+    if a.shape[0] != p_s.shape[0] or k.shape[0] != p_t.shape[0]:
+        raise ValueError("path responses do not match the projector dimensions")
+    energy_s = np.sum(np.abs(a) ** 2, axis=0)
+    energy_t = np.sum(np.abs(k) ** 2, axis=0)
+    kept_s = np.sum(a.conj() * (p_s @ a), axis=0).real
+    kept_t = np.sum(k.conj() * (p_t.T @ k), axis=0).real
+    return (float(np.sum(power * energy_s * energy_t)),
+            float(np.sum(power * kept_s * kept_t)))
+
+
+def analytic_nmse(projectors: ProjectorPair, steering: np.ndarray,
+                  freq_pilot: np.ndarray, amplitude: np.ndarray, snr_db: float,
+                  symbol_power: float, noise_variance: float) -> NmseBreakdown:
+    """Closed-form NMSE of the projection estimator for a known path set.
+
+    The channel statistics enter only through trace(R) and trace(R Q), which
+    :func:`covariance_traces` evaluates per path.  The noise term is computed
+    both from the projector traces and from the rank shortcut
+    ranks/(n_rx * n_pilots * SNR); the two must agree to 1e-9, which guards
+    the SNR bookkeeping end to end.
+    """
+    if noise_variance < 0 or symbol_power <= 0:
+        raise ValueError("need symbol_power > 0 and noise_variance >= 0")
+    tr_r, tr_rq = covariance_traces(projectors, steering, freq_pilot, amplitude)
+    if tr_r <= 0:
+        raise ValueError("covariance trace must be positive")
+    floor = max((tr_r - tr_rq) / tr_r, 0.0)
+
     p_s = projectors.spatial
     p_t = projectors.temporal
     n_rx = p_s.shape[0]
     n_p = p_t.shape[0]
-    cov = np.asarray(covariance)
-    if cov.shape != (n_rx * n_p, n_rx * n_p):
-        raise ValueError("covariance dimension does not match the projectors")
-    if noise_variance < 0 or symbol_power <= 0:
-        raise ValueError("need symbol_power > 0 and noise_variance >= 0")
-
-    tr_r = float(np.trace(cov).real)
-    if tr_r <= 0:
-        raise ValueError("covariance trace must be positive")
-    # trace(R Q) with Q = P_t^T kron P_s and pilot-major vec stacking
-    r4 = cov.reshape(n_p, n_rx, n_p, n_rx)
-    tr_rq = float(np.einsum("aibj,ab,ji->", r4, p_t, p_s).real)
-    floor = max((tr_r - tr_rq) / tr_r, 0.0)
-
     tr_qqh = float((np.trace(p_t @ p_t.conj().T) * np.trace(p_s @ p_s.conj().T)).real)
     noise_trace_form = noise_variance * tr_qqh / (symbol_power * tr_r)
     snr = 10.0 ** (snr_db / 10.0)

@@ -218,4 +218,11 @@ def load_paths_csv(path: str | Path) -> PathSet:
     if not rows:
         raise ConfigError(f"path CSV {path} has no data rows")
     cols = np.array(rows).T
-    return PathSet(elevation=cols[0], azimuth=cols[1], delay=cols[2], amplitude=cols[3])
+    try:
+        paths = PathSet(elevation=cols[0], azimuth=cols[1], delay=cols[2],
+                        amplitude=cols[3])
+    except ValueError as exc:
+        raise ConfigError(f"invalid path CSV {path}: {exc}") from exc
+    if not np.any(paths.amplitude > 0):
+        raise ConfigError(f"path CSV {path} has no path with positive amplitude")
+    return paths

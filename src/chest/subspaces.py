@@ -98,13 +98,21 @@ def bml_subspace(ls_batch: np.ndarray, rank_spatial: int, rank_temporal: int
         raise ValueError(f"rank_spatial must lie in [1, {n_rx}]")
     if not 1 <= rank_temporal <= n_p:
         raise ValueError(f"rank_temporal must lie in [1, {n_p}]")
-    cov_s = np.einsum("mik,mjk->ij", h, h.conj()) / h.shape[0]
-    cov_t = np.einsum("mia,mib->ab", h, h.conj()) / h.shape[0]
+    cov_s, cov_t = _sample_covariances(h)
     basis_s = _top_eigvecs(cov_s, rank_spatial)
     basis_t = _top_eigvecs(cov_t, rank_temporal)
     return make_projectors(SubspacePrior(basis_spatial=basis_s, basis_temporal=basis_t,
                                          rank_spatial=rank_spatial,
                                          rank_temporal=rank_temporal))
+
+
+def _sample_covariances(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R_s = mean_m H_m H_m^H and R_t = mean_m H_m^T conj(H_m), each one matmul
+    over the snapshots laid side by side (spatial) or stacked (temporal)."""
+    n_snap, n_rx, n_p = h.shape
+    x = h.transpose(1, 0, 2).reshape(n_rx, -1)
+    y = h.reshape(-1, n_p)
+    return x @ x.conj().T / n_snap, y.T @ y.conj() / n_snap
 
 
 def _top_eigvecs(cov: np.ndarray, rank: int) -> np.ndarray:

@@ -19,8 +19,7 @@ from .channel import (apply_uplink, assemble_channel, channel_covariance,
                       draw_fading)
 from .config import ConfigBundle, desk_config, noise_variance_for_snr
 from .estimators import denoise_estimate, interpolate_full, ls_estimate
-from .experiments import (ExperimentPlan, build_environment, emit_csv,
-                          pilot_covariance, run_nmse_sweep)
+from .experiments import ExperimentPlan, build_environment, emit_csv, run_nmse_sweep
 from .metrics import analytic_nmse
 from .propagation import ArrayGeometry, PathSet, frequency_response, pulse_response, \
     steering_matrix
@@ -207,9 +206,9 @@ def check_noise_calibration(bundle: ConfigBundle) -> CheckResult:
     """Trace and rank forms of the projected-noise term agree; a full prior
     has zero floor; identity projectors reduce to the 1/SNR law."""
     env = build_environment(bundle)
-    cov = pilot_covariance(env)
+    responses = (env.steering, env.freq_pilot, env.paths.amplitude)
     try:
-        bk = analytic_nmse(env.projectors, cov, 7.0, bundle.system.symbol_power,
+        bk = analytic_nmse(env.projectors, *responses, 7.0, bundle.system.symbol_power,
                            noise_variance_for_snr(7.0, bundle.system.symbol_power,
                                                   env.beta))
     except ValueError as exc:
@@ -217,7 +216,7 @@ def check_noise_calibration(bundle: ConfigBundle) -> CheckResult:
     full_prior = dt_subspace(env.paths, env.geometry, bundle.system.n_subcarriers,
                              bundle.sample_interval, bundle.scenario.pulse_rolloff,
                              env.pilots.indices)
-    full_floor = analytic_nmse(make_projectors(full_prior), cov, 0.0,
+    full_floor = analytic_nmse(make_projectors(full_prior), *responses, 0.0,
                                bundle.system.symbol_power,
                                noise_variance_for_snr(0.0, bundle.system.symbol_power,
                                                       env.beta)).subspace_floor
@@ -225,7 +224,7 @@ def check_noise_calibration(bundle: ConfigBundle) -> CheckResult:
     eye = SubspacePrior(basis_spatial=np.eye(n_rx, dtype=complex),
                         basis_temporal=np.eye(n_p, dtype=complex),
                         rank_spatial=n_rx, rank_temporal=n_p)
-    ls_bk = analytic_nmse(make_projectors(eye), cov, 10.0,
+    ls_bk = analytic_nmse(make_projectors(eye), *responses, 10.0,
                           bundle.system.symbol_power,
                           noise_variance_for_snr(10.0, bundle.system.symbol_power,
                                                  env.beta))

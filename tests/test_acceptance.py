@@ -15,7 +15,7 @@ import pytest
 from chest.config import (desk_config, noise_variance_for_snr, reference_config,
                           validate_config)
 from chest.experiments import (ExperimentPlan, build_environment,
-                               measure_projection_floor, pilot_covariance,
+                               measure_projection_floor,
                                run_ecdf, run_nmse_sweep, run_pilot_sweep,
                                run_se_sweep, _chunk_ranges, _simulate_chunk)
 from chest.metrics import analytic_nmse
@@ -89,10 +89,10 @@ def test_c2_projected_noise_term(desk5, desk5_env, emdt_run, measured_floor, ann
         predicted = r_s * r_t / (sysc.n_rx * sysc.n_pilots * snr)
         dev = 10 * np.log10((rec.nmse_emp - measured_floor) / predicted)
         worst = max(worst, abs(dev))
-    cov = pilot_covariance(env)
     agree = True
     for snr_db in GRID5:
-        bk = analytic_nmse(env.projectors, cov, snr_db, sysc.symbol_power,
+        bk = analytic_nmse(env.projectors, env.steering, env.freq_pilot,
+                           env.paths.amplitude, snr_db, sysc.symbol_power,
                            noise_variance_for_snr(snr_db, sysc.symbol_power,
                                                   env.beta))
         simplified = r_s * r_t / (sysc.n_rx * sysc.n_pilots * 10 ** (snr_db / 10))

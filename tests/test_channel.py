@@ -97,6 +97,18 @@ class TestAssembleChannel:
                     acc += c[l] * a[i, l] * kfl
                 assert h[i, f] == pytest.approx(acc, abs=1e-12)
 
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+    def test_matches_einsum_reference(self, rng, lead):
+        """The broadcast matmul equals the three-operand einsum it replaced for
+        a single symbol and for 1-D and 2-D batches of fading draws."""
+        _, paths, _, a, k = _small_setup(rng)
+        c = paths.amplitude * (rng.normal(size=lead + (3,))
+                               + 1j * rng.normal(size=lead + (3,)))
+        h = assemble_channel(a, c, k)
+        reference = np.einsum("il,...l,kl->...ik", a, c, k)
+        assert h.shape == lead + (4, 8)
+        np.testing.assert_allclose(h, reference, rtol=1e-12, atol=1e-12)
+
     def test_linear_in_fading(self, rng):
         _, paths, _, a, k = _small_setup(rng)
         c1 = draw_fading(paths.amplitude, rng)

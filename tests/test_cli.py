@@ -5,6 +5,7 @@ the experiment subcommands with a deliberately small configuration.
 """
 import csv
 import json
+import re
 import subprocess
 import sys
 
@@ -86,6 +87,25 @@ class TestNmseSweepCommand:
         assert (out / "nmse.csv").exists()
 
 
+class TestDefaultMethods:
+    """Without --methods every default method is run, written and plotted."""
+
+    @pytest.mark.parametrize("command,stem,methods,extra", [
+        ("nmse-sweep", "nmse", ("ls", "denoise", "bml", "emdt"), ("emdt analytic",)),
+        ("se-sweep", "se", ("ideal", "ls", "denoise", "bml", "emdt"), ()),
+    ])
+    def test_one_series_per_default_method(self, tiny_json, tmp_path, command,
+                                           stem, methods, extra):
+        out = tmp_path / "run"
+        proc = run_cli(command, "--config", str(tiny_json), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert {r["method"] for r in read_rows(out / f"{stem}.csv")} == set(methods)
+        svg = (out / f"{stem}.svg").read_text()
+        labels = re.findall(r'<text x="[0-9.]+" y="[0-9.]+">([^<]+)</text>', svg)
+        assert svg.count("<polyline") == len(methods) + len(extra)
+        assert labels == list(methods + extra)
+
+
 class TestExitCodes:
     def test_unknown_config_key_is_config_error(self, tmp_path):
         cfg = tmp_path / "bad.json"
@@ -114,6 +134,36 @@ class TestExitCodes:
         proc = run_cli("nmse-sweep", "--config", str(tiny_json),
                        "--out", str(tmp_path / "o"), "--paths", str(bad))
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("system", "n_rx", "16"),
+        ("system", "n_rx", 16.5),
+        ("system", "n_rx", True),
+        ("system", "n_rx", None),
+        ("system", "n_trials", 2.5),
+    ])
+    def test_mistyped_config_value_is_config_error(self, tmp_path, section, key, value):
+        cfg = tmp_path / "bad.json"
+        payload = dict(TINY)
+        payload[section] = dict(TINY[section], **{key: value})
+        cfg.write_text(json.dumps(payload))
+        proc = run_cli("nmse-sweep", "--config", str(cfg),
+                       "--out", str(tmp_path / "o"))
+        assert proc.returncode == 1, proc.stderr
+        assert f"{section}.{key}" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("rows", [
+        "0.1,-0.4,nan,0.8\n-0.3,0.9,3e-7,0.6\n",
+        "0.1,-0.4,1e-7,0\n-0.3,0.9,3e-7,0\n",
+    ], ids=["nan", "all-zero-amplitude"])
+    def test_invalid_paths_csv_values(self, tiny_json, tmp_path, rows):
+        bad = tmp_path / "paths.csv"
+        bad.write_text("theta_rad,phi_rad,tau_s,alpha\n" + rows)
+        proc = run_cli("nmse-sweep", "--config", str(tiny_json),
+                       "--out", str(tmp_path / "o"), "--paths", str(bad))
+        assert proc.returncode == 1, proc.stderr
+        assert "path CSV" in proc.stderr
 
     def test_blocked_output_directory_is_runtime_error(self, tiny_json, tmp_path):
         blocker = tmp_path / "occupied"

@@ -188,3 +188,9 @@ class TestLoadConfig:
         payload["system"]["n_pilots"] = 33
         with pytest.raises(ConfigError, match="n_pilots"):
             load_config(self._write(tmp_path, payload))
+
+    def test_section_must_be_object(self, tmp_path):
+        payload = self._desk_payload()
+        payload["system"] = 16
+        with pytest.raises(ConfigError, match="'system' section"):
+            load_config(self._write(tmp_path, payload))

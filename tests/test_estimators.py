@@ -81,6 +81,19 @@ class TestProjectEstimate:
             total_out += np.sum(np.abs(project_estimate(est, proj).h) ** 2)
         assert total_out / total_in == pytest.approx(r * r / (n_rx * n_p), rel=0.1)
 
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+    def test_matches_einsum_reference(self, rng, lead):
+        """The matmul pair equals the three-operand einsum it replaced on 2-D,
+        3-D and 4-D batches."""
+        n_rx, n_p = 8, 16
+        proj = _random_projectors(rng, n_rx, n_p, 3, 4)
+        shape = lead + (n_rx, n_p)
+        h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        out = project_estimate(ChannelEstimate(h=h, grid="pilot", method="ls"), proj)
+        reference = np.einsum("ij,...jk,kl->...il", proj.spatial, h, proj.temporal)
+        assert out.h.shape == shape
+        np.testing.assert_allclose(out.h, reference, rtol=1e-12, atol=1e-12)
+
     def test_error_vector_identity(self, rng):
         """The estimation error splits as Qperp h - Q vec(scaled noise)."""
         n_rx, n_p = 6, 8

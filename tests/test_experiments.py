@@ -8,7 +8,7 @@ import pytest
 from chest.config import ConfigError, noise_variance_for_snr, validate_config
 from chest.experiments import (ExperimentPlan, bml_ranks, build_environment,
                                emit_csv, emit_ecdf_csv, measure_projection_floor,
-                               pilot_covariance, run_ecdf, run_nmse_sweep,
+                               run_ecdf, run_nmse_sweep,
                                run_pilot_sweep, run_se_sweep, validate_plan,
                                _chunk_ranges, _nmse_chunk)
 from chest.metrics import analytic_nmse
@@ -131,7 +131,8 @@ class TestProjectionFloor:
     def test_matches_analytic_floor(self, tiny400):
         env = build_environment(tiny400)
         measured = measure_projection_floor(env, 400)
-        analytic = analytic_nmse(env.projectors, pilot_covariance(env), 0.0, 1.0,
+        analytic = analytic_nmse(env.projectors, env.steering, env.freq_pilot,
+                                 env.paths.amplitude, 0.0, 1.0,
                                  noise_variance_for_snr(0.0, 1.0, env.beta))
         assert measured == pytest.approx(analytic.subspace_floor, rel=0.15)
 

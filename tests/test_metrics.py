@@ -6,11 +6,15 @@ from hypothesis import strategies as st
 
 from chest import (analytic_nmse, desk_config, dt_subspace, ecdf,
                    empirical_nmse, genie_spectral_efficiency, make_projectors,
-                   noise_variance_for_snr, post_combining_snr_samples)
+                   noise_variance_for_snr, post_combining_snr_samples,
+                   reference_config)
 from chest.estimators import ChannelEstimate
-from chest.propagation import ArrayGeometry, PathSet
+from chest.propagation import (ArrayGeometry, PathSet, frequency_response,
+                               steering_matrix)
 from chest.subspaces import ProjectorPair
-from chest.channel import channel_covariance
+from chest.channel import average_gain_from_responses
+from chest.experiments import build_environment, pilot_covariance
+from chest.metrics import covariance_traces
 
 
 def _est(h):
@@ -47,6 +51,13 @@ class TestEmpiricalNmse:
             empirical_nmse([(z, z)])
 
 
+def _identity_paths(n_rx, n_p):
+    """Unit paths, one per channel entry, whose covariance is exactly the
+    (n_rx * n_p)-square identity: steering, pilot-grid response, amplitude."""
+    return (np.tile(np.eye(n_rx), (1, n_p)), np.repeat(np.eye(n_p), n_rx, axis=1),
+            np.ones(n_rx * n_p))
+
+
 class TestAnalyticNmse:
     def _projectors(self, r_s, r_t, n_rx, n_p, rng):
         qs, _ = np.linalg.qr(rng.normal(size=(n_rx, r_s)) + 1j * rng.normal(size=(n_rx, r_s)))
@@ -56,8 +67,8 @@ class TestAnalyticNmse:
     def test_reference_noise_term(self, rng):
         """rank-5 priors at the reference dimensions: noise term 25/2048 at 0 dB."""
         proj = self._projectors(5, 5, 64, 32, rng)
-        cov = np.eye(64 * 32, dtype=complex)
-        bk = analytic_nmse(proj, cov, 0.0, 1.0, noise_variance_for_snr(0.0, 1.0, 1.0))
+        bk = analytic_nmse(proj, *_identity_paths(64, 32), 0.0, 1.0,
+                           noise_variance_for_snr(0.0, 1.0, 1.0))
         assert bk.noise_term == pytest.approx(25 / 2048, rel=1e-9)
         assert 10 * np.log10(bk.noise_term) == pytest.approx(-19.13, abs=0.01)
 
@@ -65,8 +76,8 @@ class TestAnalyticNmse:
         n_rx, n_p = 8, 16
         proj = ProjectorPair(spatial=np.eye(n_rx, dtype=complex),
                              temporal=np.eye(n_p, dtype=complex))
-        cov = np.eye(n_rx * n_p, dtype=complex)
-        bk = analytic_nmse(proj, cov, 10.0, 1.0, noise_variance_for_snr(10.0, 1.0, 1.0))
+        bk = analytic_nmse(proj, *_identity_paths(n_rx, n_p), 10.0, 1.0,
+                           noise_variance_for_snr(10.0, 1.0, 1.0))
         assert bk.subspace_floor < 1e-10
         assert bk.noise_term == pytest.approx(0.1, rel=1e-9)
 
@@ -80,22 +91,72 @@ class TestAnalyticNmse:
         idx = np.arange(0, 64, 2)
         prior = dt_subspace(paths, geom, 64, desk.sample_interval, 0.25, idx)
         proj = make_projectors(prior)
-        cov = channel_covariance(paths, geom, 64, desk.sample_interval, 0.25, idx)
-        beta = np.trace(cov).real / (8 * len(idx))
-        bk = analytic_nmse(proj, cov, 0.0, 1.0, noise_variance_for_snr(0.0, 1.0, beta))
+        a = steering_matrix(paths, geom)
+        k = frequency_response(paths, 64, desk.sample_interval, 0.25, idx)
+        beta = average_gain_from_responses(paths.amplitude, k)
+        bk = analytic_nmse(proj, a, k, paths.amplitude, 0.0, 1.0,
+                           noise_variance_for_snr(0.0, 1.0, beta))
         assert bk.subspace_floor < 1e-10
 
     def test_total_is_sum(self, rng):
         proj = self._projectors(3, 4, 8, 16, rng)
-        cov = np.eye(8 * 16, dtype=complex)
-        bk = analytic_nmse(proj, cov, -5.0, 1.0, noise_variance_for_snr(-5.0, 1.0, 1.0))
+        bk = analytic_nmse(proj, *_identity_paths(8, 16), -5.0, 1.0,
+                           noise_variance_for_snr(-5.0, 1.0, 1.0))
         assert bk.total == pytest.approx(bk.subspace_floor + bk.noise_term, rel=1e-12)
         assert bk.subspace_floor >= 0 and bk.noise_term >= 0
 
-    def test_desk_floor_positive(self, desk_env, desk_cov):
-        bk = analytic_nmse(desk_env.projectors, desk_cov, 0.0, 1.0,
+    def test_desk_floor_positive(self, desk_env):
+        bk = analytic_nmse(desk_env.projectors, desk_env.steering, desk_env.freq_pilot,
+                           desk_env.paths.amplitude, 0.0, 1.0,
                            noise_variance_for_snr(0.0, 1.0, desk_env.beta))
         assert 0 < bk.subspace_floor < 1e-2
+
+
+def _dense_traces(projectors, cov):
+    """trace(R) and trace(R (P_t^T kron P_s)) from the dense covariance, as the
+    analytic NMSE computed them before the per-path form."""
+    n_rx, n_p = projectors.spatial.shape[0], projectors.temporal.shape[0]
+    r4 = cov.reshape(n_p, n_rx, n_p, n_rx)
+    tr_rq = np.einsum("aibj,ab,ji->", r4, projectors.temporal, projectors.spatial)
+    return float(np.trace(cov).real), float(tr_rq.real)
+
+
+class TestCovarianceTraces:
+    """The per-path traces against the dense covariance they replace."""
+
+    def _check(self, env, cov):
+        fast = covariance_traces(env.projectors, env.steering, env.freq_pilot,
+                                 env.paths.amplitude)
+        dense = _dense_traces(env.projectors, cov)
+        assert fast == pytest.approx(dense, rel=1e-12)
+        bk = analytic_nmse(env.projectors, env.steering, env.freq_pilot,
+                           env.paths.amplitude, 0.0, 1.0,
+                           noise_variance_for_snr(0.0, 1.0, env.beta))
+        assert bk.subspace_floor == pytest.approx(
+            (dense[0] - dense[1]) / dense[0], rel=1e-6, abs=1e-12)
+
+    def test_desk(self, desk_env, desk_cov):
+        self._check(desk_env, desk_cov)
+
+    def test_reference(self):
+        env = build_environment(reference_config())
+        self._check(env, pilot_covariance(env))
+
+    def test_non_unit_modulus_steering(self, desk_env, desk_cov, rng):
+        """Per-element gains on the array scale R; the traces follow them."""
+        n_rx, n_p = desk_env.steering.shape[0], desk_env.freq_pilot.shape[0]
+        gain = rng.uniform(0.2, 2.0, n_rx)
+        steering = gain[:, None] * desk_env.steering
+        scale = np.tile(gain, n_p)
+        cov = scale[:, None] * desk_cov * scale[None, :]
+        fast = covariance_traces(desk_env.projectors, steering, desk_env.freq_pilot,
+                                 desk_env.paths.amplitude)
+        assert fast == pytest.approx(_dense_traces(desk_env.projectors, cov), rel=1e-12)
+
+    def test_path_count_mismatch_rejected(self, desk_env):
+        with pytest.raises(ValueError, match="path counts"):
+            covariance_traces(desk_env.projectors, desk_env.steering,
+                              desk_env.freq_pilot[:, :-1], desk_env.paths.amplitude)
 
 
 class TestGenieSpectralEfficiency:

@@ -6,7 +6,7 @@ from chest import (assemble_channel, bml_subspace, desk_config, draw_fading,
                    dt_subspace, frequency_response, make_projectors,
                    steering_matrix)
 from chest.propagation import ArrayGeometry, PathSet
-from chest.subspaces import SubspacePrior
+from chest.subspaces import SubspacePrior, _sample_covariances
 
 
 def _paths(delays_us, elev, azim, power=None):
@@ -182,6 +182,18 @@ class TestBmlSubspace:
         out = np.einsum("ij,tjk,kl->til", proj.spatial, probe, proj.temporal)
         ratio = np.sum(np.abs(out) ** 2) / np.sum(np.abs(probe) ** 2)
         assert ratio == pytest.approx(r * r / (n_rx * n_p), rel=0.15)
+
+    def test_sample_covariances_match_einsum_reference(self, rng, desk):
+        """Both one-matmul sample covariances equal the einsums they replaced."""
+        batch = self._batch(rng, desk, n_batch=16, noise=0.1)
+        cov_s, cov_t = _sample_covariances(batch)
+        m = batch.shape[0]
+        np.testing.assert_allclose(
+            cov_s, np.einsum("mik,mjk->ij", batch, batch.conj()) / m,
+            rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            cov_t, np.einsum("mia,mib->ab", batch, batch.conj()) / m,
+            rtol=1e-12, atol=1e-12)
 
     def test_rank_exceeding_dimension_rejected(self, rng, desk):
         batch = self._batch(rng, desk, n_batch=4)
