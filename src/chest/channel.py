@@ -75,28 +75,9 @@ def apply_uplink(h_pilot: np.ndarray, pilots: PilotPattern, noise_variance: floa
     return RxBlock(y=y, pilots=pilots)
 
 
-def simulate_uplink(h_pilot: np.ndarray, pilots: PilotPattern, noise_variance: float,
-                    rng: np.random.Generator) -> RxBlock:
-    """Received pilot block for one symbol (or a batch sharing one stream)."""
-    if h_pilot.shape[-1] != len(pilots):
-        raise ValueError("channel width must match the pilot count")
-    return apply_uplink(h_pilot, pilots, noise_variance,
-                        complex_normal(rng, h_pilot.shape))
-
-
-def average_channel_gain(covariance: np.ndarray) -> float:
-    """beta = trace(R) / dim(R): per-entry average channel power."""
-    cov = np.asarray(covariance)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError("covariance must be square")
-    beta = float(np.trace(cov).real) / cov.shape[0]
-    if beta <= 0:
-        raise ValueError("covariance trace must be positive")
-    return beta
-
-
 def average_gain_from_responses(amplitude: np.ndarray, freq_pilot: np.ndarray) -> float:
-    """Same beta as :func:`average_channel_gain`, without forming R.
+    """beta = trace(R) / dim(R), the per-entry average channel power on the
+    pilot grid, without forming R.
 
     trace(R) = sum_l alpha_l^2 ||k_l||^2 ||a_l||^2 and steering entries are
     unit modulus, so beta = sum_l alpha_l^2 ||k_l||^2 / n_pilots.

@@ -1,13 +1,27 @@
 """Experiment harness: Monte Carlo sweeps over SNR and pilot count, ECDF
 collection, and deterministic CSV emission.
 
-Randomness is organized as per-purpose substreams keyed by (seed, purpose,
-trial), so a trial draws identical fading/noise regardless of chunking,
-worker count, or which SNR point is being evaluated (noise is drawn at unit
-variance and scaled).  Chunks are fixed-size contiguous trial ranges; partial
-results are reduced in chunk order, which makes output byte-identical for any
-parallelism degree.  The batch-ML baseline re-estimates its projectors once
-per chunk from its own warm-up snapshots.
+Every sweep runs one simulate->reduce pipeline.  Trials are split into
+fixed-size contiguous chunks; each chunk is simulated once for the whole SNR
+grid, and the experiment's reducer turns it into per-trial errors, spectral
+efficiencies or post-combining SNR samples at every SNR point.
+
+* Randomness comes from per-purpose substreams keyed by (seed, purpose,
+  trial), or (seed, purpose, block, snapshot) for the batch-ML warm-up, and
+  each is drawn once per chunk.  A trial therefore sees the same fading and
+  unit-variance noise W whatever the chunking, the worker count or the SNR
+  point; noise is scaled, never redrawn.
+* At noise variance sigma^2 the LS estimate is H + sigma * W', with
+  W' = W / x.  ``ls``, ``denoise``, ``emdt`` and full-grid interpolation are
+  linear, so each is applied once per chunk to H and to W' and the estimate
+  at every SNR point is P(H) + sigma * P(W').  The squared error follows from
+  three per-trial sums, ||PH - H||^2 + 2 sigma Re<PH - H, PW'> +
+  sigma^2 ||PW'||^2 (:func:`~chest.metrics.error_energy`).
+* Batch-ML learns its projectors from the warm-up snapshots H_w + sigma W'_w
+  of the chunk's trial block, so it is re-decomposed at each SNR point.
+
+Chunk results are reduced in chunk order, which makes output byte-identical
+for any parallelism degree.  One process pool serves a whole run.
 """
 from __future__ import annotations
 
@@ -19,13 +33,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (apply_uplink, assemble_channel, average_gain_from_responses,
+from .channel import (RxBlock, assemble_channel, average_gain_from_responses,
                       channel_covariance, draw_fading)
 from .config import (ConfigBundle, ConfigError, PilotPattern, build_pilot_pattern,
                      noise_variance_for_snr, validate_config)
 from .estimators import (ChannelEstimate, denoise_estimate, interpolate_full,
                          ls_estimate, project_estimate)
-from .metrics import MetricsRecord, analytic_nmse, ecdf, Ecdf, \
+from .metrics import MetricsRecord, analytic_nmse, ecdf, Ecdf, error_energy, \
     genie_spectral_efficiency, post_combining_snr_samples
 from .propagation import (ArrayGeometry, PathSet, dt_truncate, frequency_response,
                           generate_paths, steering_matrix)
@@ -173,80 +187,141 @@ def pilot_covariance(env: Environment) -> np.ndarray:
                               env.pilots.indices)
 
 
-# --- Per-chunk simulation ---------------------------------------------------
+# --- One pass per chunk -------------------------------------------------------
 
-def _chunk_fading(env: Environment, t0: int, t1: int) -> np.ndarray:
-    return np.stack([draw_fading(env.paths.amplitude, substream(env.seed, FADING, t))
-                     for t in range(t0, t1)])
-
-
-def _chunk_unit_noise(env: Environment, t0: int, t1: int) -> np.ndarray:
+def _draw(env: Environment, fading_keys, noise_keys) -> tuple[np.ndarray, np.ndarray]:
+    """Fading and LS noise at unit noise variance, W' = W / x, one substream
+    per ``(purpose, index...)`` key."""
     shape = (env.bundle.system.n_rx, len(env.pilots))
-    return np.stack([complex_normal(substream(env.seed, NOISE, t), shape)
-                     for t in range(t0, t1)])
+    fading = np.stack([draw_fading(env.paths.amplitude, substream(env.seed, *key))
+                       for key in fading_keys])
+    noise = np.stack([complex_normal(substream(env.seed, *key), shape)
+                      for key in noise_keys])
+    return fading, ls_estimate(RxBlock(y=noise, pilots=env.pilots)).h
 
 
-def _chunk_bml_projectors(env: Environment, noise_variance: float,
-                          block: int) -> ProjectorPair:
-    """Warm-up LS snapshots for one trial block, then sample-covariance bases."""
-    n_batch = env.bundle.estimator.n_batch
-    amp = env.paths.amplitude
-    fading = np.stack([draw_fading(amp, substream(env.seed, WARM_FADING, block, j))
-                       for j in range(n_batch)])
-    shape = (env.bundle.system.n_rx, len(env.pilots))
-    noise = np.stack([complex_normal(substream(env.seed, WARM_NOISE, block, j), shape)
-                      for j in range(n_batch)])
-    h = assemble_channel(env.steering, fading, env.freq_pilot)
-    rx = apply_uplink(h, env.pilots, noise_variance, noise)
-    r_s, r_t = bml_ranks(env)
-    return bml_subspace(ls_estimate(rx).h, r_s, r_t)
+def _apply(env: Environment, method: str, h: np.ndarray,
+           projectors: ProjectorPair) -> np.ndarray:
+    """One linear estimator applied to a pilot-grid array."""
+    if method == "ls":
+        return h
+    est = ChannelEstimate(h=h, grid="pilot", method="ls")
+    if method == "denoise":
+        return denoise_estimate(est, env.bundle.estimator.tau_max, env.bundle.system).h
+    if method in ("emdt", "bml"):
+        return project_estimate(est, projectors, method).h
+    raise ConfigError(f"unknown method {method!r}")
 
 
-def _chunk_estimates(env: Environment, noise_variance: float, t0: int, t1: int,
-                     methods: tuple[str, ...], with_full: bool):
-    """Simulate trials [t0, t1) and estimate with every requested method.
+def _estimate_parts(env: Environment, truth: np.ndarray, noise: np.ndarray,
+                    methods: tuple[str, ...], sigmas: np.ndarray, block: int):
+    """Yield ``(method, snrs, P(H), P(W'))``, one method's pair at a time.
 
-    Returns (truth_pilot, truth_full or None, {method: pilot-grid estimate}).
+    At SNR point ``i`` in ``snrs`` the method's estimate is
+    ``P(H) + sigmas[i] * P(W')``.  The linear methods yield once for the
+    whole grid.  Batch-ML yields once per SNR point: its projectors come from
+    the block's warm-up snapshots ``H_w + sigma * W'_w``.
     """
-    fading = _chunk_fading(env, t0, t1)
-    if with_full:
-        truth_full = assemble_channel(env.steering, fading, env.freq_full)
-        truth_pilot = truth_full[..., env.pilots.indices]
-    else:
-        truth_full = None
-        truth_pilot = assemble_channel(env.steering, fading, env.freq_pilot)
-    rx = apply_uplink(truth_pilot, env.pilots, noise_variance,
-                      _chunk_unit_noise(env, t0, t1))
-    ls = ls_estimate(rx)
-    estimates: dict[str, ChannelEstimate] = {}
     for method in methods:
-        if method == "ls":
-            estimates[method] = ls
-        elif method == "emdt":
-            estimates[method] = project_estimate(ls, env.projectors, "emdt")
-        elif method == "denoise":
-            estimates[method] = denoise_estimate(ls, env.bundle.estimator.tau_max,
-                                                 env.bundle.system)
-        else:
-            raise ConfigError(f"unknown method {method!r}")
-    return truth_pilot, truth_full, estimates
+        if method == "ideal":
+            continue
+        if method != "bml":
+            yield (method, slice(None), _apply(env, method, truth, env.projectors),
+                   _apply(env, method, noise, env.projectors))
+            continue
+        n_batch = env.bundle.estimator.n_batch
+        fading_w, noise_w = _draw(env, [(WARM_FADING, block, j) for j in range(n_batch)],
+                                  [(WARM_NOISE, block, j) for j in range(n_batch)])
+        truth_w = assemble_channel(env.steering, fading_w, env.freq_pilot)
+        r_s, r_t = bml_ranks(env)
+        for i, sigma in enumerate(sigmas):
+            proj = bml_subspace(truth_w + sigma * noise_w, r_s, r_t)
+            yield (method, slice(i, i + 1), _apply(env, method, truth, proj),
+                   _apply(env, method, noise, proj))
 
 
-def _simulate_chunk(env: Environment, noise_variance: float, t0: int, t1: int,
-                    methods: tuple[str, ...], with_full: bool, block_size: int):
-    """Like :func:`_chunk_estimates` but with the batch-ML method included."""
-    wants_bml = "bml" in methods
-    base_methods = tuple(m for m in methods if m not in ("bml", "ideal"))
-    need_ls = wants_bml and "ls" not in base_methods
-    sim_methods = base_methods + (("ls",) if need_ls else ())
-    truth_pilot, truth_full, estimates = _chunk_estimates(
-        env, noise_variance, t0, t1, sim_methods, with_full)
-    if wants_bml:
-        proj = _chunk_bml_projectors(env, noise_variance, t0 // block_size)
-        estimates["bml"] = project_estimate(estimates["ls"], proj, "bml")
-        if need_ls:
-            del estimates["ls"]
-    return truth_pilot, truth_full, estimates
+def _full_grid_estimates(env: Environment, truth_full: np.ndarray, noise: np.ndarray,
+                         methods: tuple[str, ...], sigmas: np.ndarray, block: int):
+    """Yield ``(method, i, full-grid estimate at SNR point i)``; each part is
+    interpolated onto the full grid once, and ``ideal`` is the channel itself."""
+    n_sc = env.bundle.system.n_subcarriers
+    if "ideal" in methods:
+        for i in range(len(sigmas)):
+            yield "ideal", i, truth_full
+    truth = truth_full[..., env.pilots.indices]
+    for method, snrs, ph, pw in _estimate_parts(env, truth, noise, methods, sigmas, block):
+        ph, pw = (interpolate_full(ChannelEstimate(h=x, grid="pilot", method=method),
+                                   env.pilots, n_sc).h for x in (ph, pw))
+        for i in range(len(sigmas))[snrs]:
+            yield method, i, ph + sigmas[i] * pw
+
+
+def _reduce_nmse(env: Environment, fading: np.ndarray, noise: np.ndarray,
+                 methods: tuple[str, ...], noise_variances: np.ndarray, block: int):
+    """Per-trial squared error of each method at every SNR point,
+    ``{method: (n_snr, n_trials)}``, and the per-trial channel energy."""
+    truth = assemble_channel(env.steering, fading, env.freq_pilot)
+    sigmas = np.sqrt(noise_variances)
+    errors = {m: np.empty((len(sigmas), len(truth))) for m in methods}
+    for method, snrs, ph, pw in _estimate_parts(env, truth, noise, methods, sigmas, block):
+        errors[method][snrs] = error_energy(truth, ph, pw, sigmas[snrs])
+    return errors, np.sum(np.abs(truth) ** 2, axis=(-2, -1))
+
+
+def _reduce_pilot(env: Environment, fading: np.ndarray, noise: np.ndarray,
+                  methods: tuple[str, ...], noise_variances: np.ndarray, block: int):
+    """:func:`_reduce_nmse` plus the pilot-grid spectral efficiency of each
+    method at every SNR point, summed over the chunk's trials."""
+    truth = assemble_channel(env.steering, fading, env.freq_pilot)
+    sigmas = np.sqrt(noise_variances)
+    power = env.bundle.system.symbol_power
+    errors = {m: np.empty((len(sigmas), len(truth))) for m in methods}
+    se = {m: np.empty(len(sigmas)) for m in methods}
+    for method, snrs, ph, pw in _estimate_parts(env, truth, noise, methods, sigmas, block):
+        errors[method][snrs] = error_energy(truth, ph, pw, sigmas[snrs])
+        for i in range(len(sigmas))[snrs]:
+            se[method][i] = len(truth) * genie_spectral_efficiency(
+                ph + sigmas[i] * pw, truth, power, noise_variances[i])
+    return errors, np.sum(np.abs(truth) ** 2, axis=(-2, -1)), se
+
+
+def _reduce_se(env: Environment, fading: np.ndarray, noise: np.ndarray,
+               methods: tuple[str, ...], noise_variances: np.ndarray, block: int):
+    """Full-grid spectral efficiency of each method at every SNR point,
+    summed over the chunk's trials."""
+    truth_full = assemble_channel(env.steering, fading, env.freq_full)
+    power = env.bundle.system.symbol_power
+    se = {m: np.empty(len(noise_variances)) for m in methods}
+    for method, i, est in _full_grid_estimates(env, truth_full, noise, methods,
+                                                np.sqrt(noise_variances), block):
+        se[method][i] = len(truth_full) * genie_spectral_efficiency(
+            est, truth_full, power, noise_variances[i])
+    return se
+
+
+def _reduce_ecdf(env: Environment, fading: np.ndarray, noise: np.ndarray,
+                 methods: tuple[str, ...], noise_variances: np.ndarray, block: int):
+    """Per-subcarrier post-combining SNR samples, ``{method: [per SNR point]}``."""
+    truth_full = assemble_channel(env.steering, fading, env.freq_full)
+    power = env.bundle.system.symbol_power
+    samples = {m: [None] * len(noise_variances) for m in methods}
+    for method, i, est in _full_grid_estimates(env, truth_full, noise, methods,
+                                                np.sqrt(noise_variances), block):
+        samples[method][i] = post_combining_snr_samples(est, truth_full, power,
+                                                        noise_variances[i])
+    return samples
+
+
+def _simulate_chunk(env: Environment, reduce, t0: int, t1: int,
+                    methods: tuple[str, ...], noise_variances, block_size: int):
+    """Draw trials [t0, t1) once and ``reduce`` them at every noise variance.
+
+    The chunk's batch-ML warm-up is the one of trial block ``t0 // block_size``.
+    """
+    trials = range(t0, t1)
+    fading, noise = _draw(env, [(FADING, t) for t in trials], [(NOISE, t) for t in trials])
+    return reduce(env, fading, noise, methods,
+                  np.asarray(noise_variances, dtype=float), t0 // block_size)
 
 
 def _chunk_ranges(n_trials: int, block_size: int) -> list[tuple[int, int]]:
@@ -254,41 +329,63 @@ def _chunk_ranges(n_trials: int, block_size: int) -> list[tuple[int, int]]:
             for t0 in range(0, n_trials, block_size)]
 
 
-def _map_chunks(fn, args_list, workers: int):
-    """Apply ``fn`` over chunk argument tuples, preserving chunk order."""
-    if workers <= 1 or len(args_list) <= 1:
-        return [fn(*args) for args in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *args) for args in args_list]
+# Environments of the run, set in each pool worker by its initializer.
+_worker_envs: tuple[Environment, ...] = ()
+
+
+def _init_worker(envs: tuple[Environment, ...]) -> None:
+    global _worker_envs
+    _worker_envs = envs
+
+
+def _worker_chunk(env_index: int, *task):
+    return _simulate_chunk(_worker_envs[env_index], *task)
+
+
+def _map_chunks(envs: tuple[Environment, ...], tasks: list[tuple], workers: int) -> list:
+    """Run ``(env index, reduce, t0, t1, methods, noise variances, block size)``
+    tasks; results come back in task order.  One pool serves the whole run,
+    and the environments reach each worker once, through its initializer."""
+    if workers <= 1 or len(tasks) <= 1:
+        return [_simulate_chunk(envs[k], *task) for k, *task in tasks]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                             initargs=(envs,)) as pool:
+        futures = [pool.submit(_worker_chunk, *task) for task in tasks]
         return [f.result() for f in futures]
 
 
-# --- NMSE sweep -------------------------------------------------------------
+def _sweep(plan: ExperimentPlan, env: Environment, reduce,
+           noise_variances: list[float]) -> list:
+    """Chunk results of one environment over the plan's trials."""
+    tasks = [(0, reduce, t0, t1, plan.methods, noise_variances, plan.block_size)
+             for t0, t1 in _chunk_ranges(env.bundle.system.n_trials, plan.block_size)]
+    return _map_chunks((env,), tasks, plan.workers)
 
-def _nmse_chunk(env: Environment, noise_variance: float, t0: int, t1: int,
-                methods: tuple[str, ...], block_size: int):
-    truth, _, estimates = _simulate_chunk(env, noise_variance, t0, t1, methods,
-                                          with_full=False, block_size=block_size)
-    err = {m: float(np.sum(np.abs(est.h - truth) ** 2))
-           for m, est in estimates.items()}
-    return err, float(np.sum(np.abs(truth) ** 2))
 
+def _pooled_nmse(partials: list, method: str) -> np.ndarray:
+    """sum(error) / sum(channel energy) over all trials, per SNR point."""
+    errors = np.concatenate([p[0][method] for p in partials], axis=1)
+    return errors.sum(axis=1) / np.concatenate([p[1] for p in partials]).sum()
+
+
+def _noise_variances(env: Environment, snrs) -> list[float]:
+    power = env.bundle.system.symbol_power
+    return [noise_variance_for_snr(s, power, env.beta) for s in snrs]
+
+
+# --- Sweeps -------------------------------------------------------------------
 
 def run_nmse_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
     """Empirical NMSE per (method, SNR); analytic breakdown for the twin prior."""
     plan = validate_plan(plan)
     env = build_environment(plan.bundle, plan.environment)
     sysc = plan.bundle.system
+    variances = _noise_variances(env, sysc.snr_grid_db)
+    partials = _sweep(plan, env, _reduce_nmse, variances)
+    nmse = {m: _pooled_nmse(partials, m) for m in plan.methods}
     records = []
-    for snr_db in sysc.snr_grid_db:
-        noise_variance = noise_variance_for_snr(snr_db, sysc.symbol_power, env.beta)
-        args = [(env, noise_variance, t0, t1, plan.methods, plan.block_size)
-                for t0, t1 in _chunk_ranges(sysc.n_trials, plan.block_size)]
-        partials = _map_chunks(_nmse_chunk, args, plan.workers)
-        chan_energy = sum(p[1] for p in partials)
+    for i, (snr_db, noise_variance) in enumerate(zip(sysc.snr_grid_db, variances)):
         for method in plan.methods:
-            err_energy = sum(p[0][method] for p in partials)
-            nmse = err_energy / chan_energy
             analytic = None
             if method == "emdt":
                 analytic = analytic_nmse(env.projectors, env.steering,
@@ -296,7 +393,8 @@ def run_nmse_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
                                          snr_db, sysc.symbol_power, noise_variance)
             records.append(MetricsRecord(method=method, snr_db=float(snr_db),
                                          n_pilots=sysc.n_pilots,
-                                         trials=sysc.n_trials, nmse_emp=nmse,
+                                         trials=sysc.n_trials,
+                                         nmse_emp=float(nmse[method][i]),
                                          nmse_analytic=analytic))
     _check_finite(records)
     return records
@@ -306,35 +404,9 @@ def measure_projection_floor(env: Environment, n_trials: int,
                              block_size: int = 50) -> float:
     """Noiseless twin-projection NMSE over the same fading streams the noisy
     sweeps use; this is the measured subspace floor."""
-    num = 0.0
-    den = 0.0
-    for t0, t1 in _chunk_ranges(n_trials, block_size):
-        truth, _, est = _simulate_chunk(env, 0.0, t0, t1, ("emdt",),
-                                        with_full=False, block_size=block_size)
-        num += float(np.sum(np.abs(est["emdt"].h - truth) ** 2))
-        den += float(np.sum(np.abs(truth) ** 2))
-    return num / den
-
-
-# --- Spectral-efficiency sweep ----------------------------------------------
-
-def _se_chunk(env: Environment, noise_variance: float, t0: int, t1: int,
-              methods: tuple[str, ...], block_size: int):
-    _, truth_full, estimates = _simulate_chunk(
-        env, noise_variance, t0, t1, methods, with_full=True,
-        block_size=block_size)
-    sysc = env.bundle.system
-    out = {}
-    for method in methods:
-        if method == "ideal":
-            est_full = truth_full
-        else:
-            est_full = interpolate_full(estimates[method], env.pilots,
-                                        sysc.n_subcarriers).h
-        se = genie_spectral_efficiency(est_full, truth_full, sysc.symbol_power,
-                                       noise_variance)
-        out[method] = se * (t1 - t0)
-    return out, t1 - t0
+    partials = [_simulate_chunk(env, _reduce_nmse, t0, t1, ("emdt",), (0.0,), block_size)
+                for t0, t1 in _chunk_ranges(n_trials, block_size)]
+    return float(_pooled_nmse(partials, "emdt")[0])
 
 
 def run_se_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
@@ -342,107 +414,58 @@ def run_se_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
     plan = validate_plan(plan)
     env = build_environment(plan.bundle, plan.environment)
     sysc = plan.bundle.system
-    records = []
-    for snr_db in sysc.snr_grid_db:
-        noise_variance = noise_variance_for_snr(snr_db, sysc.symbol_power, env.beta)
-        args = [(env, noise_variance, t0, t1, plan.methods, plan.block_size)
-                for t0, t1 in _chunk_ranges(sysc.n_trials, plan.block_size)]
-        partials = _map_chunks(_se_chunk, args, plan.workers)
-        total = sum(p[1] for p in partials)
-        for method in plan.methods:
-            se = sum(p[0][method] for p in partials) / total
-            records.append(MetricsRecord(method=method, snr_db=float(snr_db),
-                                         n_pilots=sysc.n_pilots, trials=sysc.n_trials,
-                                         spectral_efficiency=se))
+    partials = _sweep(plan, env, _reduce_se, _noise_variances(env, sysc.snr_grid_db))
+    se = {m: sum(p[m] for p in partials) / sysc.n_trials for m in plan.methods}
+    records = [MetricsRecord(method=method, snr_db=float(snr_db),
+                             n_pilots=sysc.n_pilots, trials=sysc.n_trials,
+                             spectral_efficiency=float(se[method][i]))
+               for i, snr_db in enumerate(sysc.snr_grid_db) for method in plan.methods]
     _check_finite(records)
     return records
-
-
-# --- ECDF of post-combining SNR ----------------------------------------------
-
-def _ecdf_chunk(env: Environment, noise_variance: float, t0: int, t1: int,
-                methods: tuple[str, ...], block_size: int):
-    _, truth_full, estimates = _simulate_chunk(
-        env, noise_variance, t0, t1, methods, with_full=True,
-        block_size=block_size)
-    sysc = env.bundle.system
-    out = {}
-    for method in methods:
-        if method == "ideal":
-            est_full = truth_full
-        else:
-            est_full = interpolate_full(estimates[method], env.pilots,
-                                        sysc.n_subcarriers).h
-        out[method] = post_combining_snr_samples(est_full, truth_full,
-                                                 sysc.symbol_power, noise_variance)
-    return out
 
 
 def run_ecdf(plan: ExperimentPlan) -> dict[tuple[str, float], Ecdf]:
     """ECDF of per-subcarrier post-combining SNR at the requested SNR points."""
     plan = validate_plan(plan)
     env = build_environment(plan.bundle, plan.environment)
-    sysc = plan.bundle.system
-    tables: dict[tuple[str, float], Ecdf] = {}
-    for snr_db in plan.snr_points:
-        noise_variance = noise_variance_for_snr(snr_db, sysc.symbol_power, env.beta)
-        args = [(env, noise_variance, t0, t1, plan.methods, plan.block_size)
-                for t0, t1 in _chunk_ranges(sysc.n_trials, plan.block_size)]
-        partials = _map_chunks(_ecdf_chunk, args, plan.workers)
-        for method in plan.methods:
-            samples = np.concatenate([p[method] for p in partials])
-            tables[(method, float(snr_db))] = ecdf(samples)
-    return tables
-
-
-# --- Pilot-count sweep --------------------------------------------------------
-
-def _pilot_chunk(env: Environment, noise_variance: float, t0: int, t1: int,
-                 methods: tuple[str, ...], block_size: int):
-    truth, _, estimates = _simulate_chunk(env, noise_variance, t0, t1, methods,
-                                          with_full=False, block_size=block_size)
-    sysc = env.bundle.system
-    out = {}
-    for method, est in estimates.items():
-        err = float(np.sum(np.abs(est.h - truth) ** 2))
-        se = genie_spectral_efficiency(est.h, truth, sysc.symbol_power,
-                                       noise_variance)
-        out[method] = (err, se * (t1 - t0))
-    return out, float(np.sum(np.abs(truth) ** 2)), t1 - t0
+    partials = _sweep(plan, env, _reduce_ecdf, _noise_variances(env, plan.snr_points))
+    return {(method, snr_db): ecdf(np.concatenate([p[method][i] for p in partials]))
+            for i, snr_db in enumerate(plan.snr_points) for method in plan.methods}
 
 
 def run_pilot_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
     """NMSE and overhead-adjusted SE versus pilot count.
 
     Estimation quality is evaluated on the pilot subcarriers themselves; the
-    spectral efficiency is scaled by the data fraction (1 - N_p/N).
+    spectral efficiency is scaled by the data fraction (1 - N_p/N).  Every
+    (pilot count, chunk) task goes to the same pool.
     """
     plan = validate_plan(plan)
     base = plan.bundle
+    envs = tuple(build_environment(validate_config(replace(base.system, n_pilots=n_p),
+                                                   base.scenario, base.estimator),
+                                   plan.environment)
+                 for n_p in plan.pilot_counts)
+    chunks = _chunk_ranges(base.system.n_trials, plan.block_size)
+    variances = [_noise_variances(env, plan.pilot_snrs) for env in envs]
+    tasks = [(k, _reduce_pilot, t0, t1, plan.methods, variances[k], plan.block_size)
+             for k in range(len(envs)) for t0, t1 in chunks]
+    results = _map_chunks(envs, tasks, plan.workers)
+    n_trials = base.system.n_trials
     records = []
-    for n_p in plan.pilot_counts:
-        system = replace(base.system, n_pilots=n_p)
-        bundle = validate_config(system, base.scenario, base.estimator)
-        env = build_environment(bundle, plan.environment)
-        overhead = 1.0 - n_p / system.n_subcarriers
-        for snr_db in plan.pilot_snrs:
-            noise_variance = noise_variance_for_snr(snr_db, system.symbol_power,
-                                                    env.beta)
-            args = [(env, noise_variance, t0, t1, plan.methods, plan.block_size)
-                    for t0, t1 in _chunk_ranges(system.n_trials, plan.block_size)]
-            partials = _map_chunks(_pilot_chunk, args, plan.workers)
-            chan_energy = sum(p[1] for p in partials)
-            total = sum(p[2] for p in partials)
+    for k, n_p in enumerate(plan.pilot_counts):
+        partials = results[k * len(chunks):(k + 1) * len(chunks)]
+        nmse = {m: _pooled_nmse(partials, m) for m in plan.methods}
+        se = {m: sum(p[2][m] for p in partials) / n_trials for m in plan.methods}
+        overhead = 1.0 - n_p / base.system.n_subcarriers
+        for i, snr_db in enumerate(plan.pilot_snrs):
             for method in plan.methods:
-                err = sum(p[0][method][0] for p in partials)
-                se = sum(p[0][method][1] for p in partials) / total
                 records.append(MetricsRecord(
                     method=method, snr_db=float(snr_db), n_pilots=n_p,
-                    trials=system.n_trials, nmse_emp=err / chan_energy,
-                    spectral_efficiency=se * overhead))
+                    trials=n_trials, nmse_emp=float(nmse[method][i]),
+                    spectral_efficiency=float(se[method][i]) * overhead))
     _check_finite(records)
     return records
-
 
 def _check_finite(records: list[MetricsRecord]) -> None:
     for rec in records:
@@ -483,19 +506,30 @@ def emit_csv(records: list[MetricsRecord], path: str | Path) -> None:
         raise RuntimeError(f"failed to write {path}: {exc}") from exc
 
 
+_ECDF_ROWS_PER_WRITE = 4096
+
+
 def emit_ecdf_csv(tables: dict[tuple[str, float], Ecdf], path: str | Path) -> None:
-    """One row per sample: method, snr_db, sample SNR in dB, cumulative fraction."""
+    """One row per sample: method, snr_db, sample SNR in dB, cumulative fraction.
+
+    The bytes are those of ``csv.writer`` with :func:`_fmt` cells (no cell
+    needs quoting); rows are formatted directly and written in blocks of
+    ``_ECDF_ROWS_PER_WRITE`` so that no table is joined into one string.
+    """
     if not tables:
         raise ValueError("no ECDF tables to write")
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("method", "snr_db", "sample_snr_db", "cum_frac"))
+            fh.write("method,snr_db,sample_snr_db,cum_frac\r\n")
             for (method, snr_db) in sorted(tables):
                 table = tables[(method, snr_db)]
                 with np.errstate(divide="ignore"):
                     snr_samples_db = 10.0 * np.log10(table.thresholds)
-                for q, f in zip(snr_samples_db, table.fractions):
-                    writer.writerow([method, _fmt(snr_db), _fmt(q), _fmt(f)])
+                prefix = f"{method},{_fmt(snr_db)},"
+                for k in range(0, snr_samples_db.size, _ECDF_ROWS_PER_WRITE):
+                    rows = slice(k, k + _ECDF_ROWS_PER_WRITE)
+                    fh.write("".join([f"{prefix}{q:.9g},{f:.9g}\r\n" for q, f in
+                                      zip(snr_samples_db[rows].tolist(),
+                                          table.fractions[rows].tolist())]))
     except OSError as exc:
         raise RuntimeError(f"failed to write {path}: {exc}") from exc

@@ -1,4 +1,4 @@
-"""Estimation quality metrics: empirical and analytic NMSE, genie-aided
+"""Estimation quality metrics: per-trial error energy, analytic NMSE, genie-aided
 spectral efficiency, post-combining SNR samples, and ECDF utilities.
 
 The analytic NMSE splits into a subspace floor (energy outside the projector
@@ -49,24 +49,29 @@ def _as_array(x) -> np.ndarray:
     return x.h if isinstance(x, ChannelEstimate) else np.asarray(x)
 
 
-def empirical_nmse(pairs) -> float:
-    """sum ||est - truth||_F^2 / sum ||truth||_F^2 over an ensemble of pairs."""
-    num = 0.0
-    den = 0.0
-    count = 0
-    for est, truth in pairs:
-        e = _as_array(est)
-        t = _as_array(truth)
-        if e.shape != t.shape:
-            raise ValueError("estimate/truth shapes disagree")
-        num += float(np.sum(np.abs(e - t) ** 2))
-        den += float(np.sum(np.abs(t) ** 2))
-        count += 1
-    if count == 0:
-        raise ValueError("empirical_nmse needs at least one pair")
-    if den <= 0:
-        raise ValueError("ensemble truth energy is zero")
-    return num / den
+def error_energy(truth: np.ndarray, signal: np.ndarray, noise: np.ndarray,
+                 sigmas) -> np.ndarray:
+    """Per-trial ||signal + sigma * noise - truth||_F^2 at every sigma.
+
+    ``signal`` and ``noise`` are a linear estimator's outputs on the channel
+    and on the unit-variance noise, so the estimate at noise level sigma is
+    their weighted sum.  With D = signal - truth the error is
+
+        ||D||^2 + 2 sigma Re<D, noise> + sigma^2 ||noise||^2,
+
+    three per-trial sums shared by every sigma.  Arrays are
+    (..., n_rx, n_sc); the result is (len(sigmas), ...).
+    """
+    truth, signal, noise = (np.asarray(x) for x in (truth, signal, noise))
+    if not truth.shape == signal.shape == noise.shape:
+        raise ValueError("truth/signal/noise shapes disagree")
+    d = signal - truth
+    axes = (-2, -1)
+    bias = np.sum(np.abs(d) ** 2, axis=axes)
+    cross = np.sum(d.real * noise.real + d.imag * noise.imag, axis=axes)
+    spread = np.sum(np.abs(noise) ** 2, axis=axes)
+    s = np.asarray(sigmas, dtype=float).reshape(-1, *([1] * bias.ndim))
+    return bias + 2.0 * s * cross + s * s * spread
 
 
 def covariance_traces(projectors: ProjectorPair, steering: np.ndarray,

@@ -124,15 +124,6 @@ def direction_vector(elevation, azimuth) -> np.ndarray:
                      np.sin(elevation)], axis=-1)
 
 
-def steering_vector(direction: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
-    """Array response exp(j 2 pi / lambda * u_i . v) for a unit direction v."""
-    direction = np.asarray(direction, dtype=float)
-    if direction.shape != (3,):
-        raise ValueError("direction must be a 3-vector")
-    phase = (2.0 * np.pi / geometry.wavelength) * (geometry.positions @ direction)
-    return np.exp(1j * phase)
-
-
 def steering_matrix(paths: PathSet, geometry: ArrayGeometry) -> np.ndarray:
     """Stack steering vectors of all paths into an (n_elements, L) matrix."""
     v = direction_vector(paths.elevation, paths.azimuth)          # (L, 3)

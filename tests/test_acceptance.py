@@ -17,7 +17,8 @@ from chest.config import (desk_config, noise_variance_for_snr, reference_config,
 from chest.experiments import (ExperimentPlan, build_environment,
                                measure_projection_floor,
                                run_ecdf, run_nmse_sweep, run_pilot_sweep,
-                               run_se_sweep, _chunk_ranges, _simulate_chunk)
+                               run_se_sweep, _chunk_ranges, _reduce_nmse,
+                               _simulate_chunk)
 from chest.metrics import analytic_nmse
 
 GRID5 = (-20.0, -10.0, 0.0, 10.0, 20.0)
@@ -160,9 +161,9 @@ def test_c5_floor_ordering_and_batch_size(announce):
         env = build_environment(validate_config(bundle.system, bundle.scenario, est))
         errors = np.empty(n_trials)
         for t0, t1 in _chunk_ranges(n_trials, 50):
-            truth, _, ests = _simulate_chunk(env, nv, t0, t1, ("bml",),
-                                             with_full=False, block_size=50)
-            errors[t0:t1] = np.sum(np.abs(ests["bml"].h - truth) ** 2, axis=(1, 2))
+            chunk_errors, _ = _simulate_chunk(env, _reduce_nmse, t0, t1, ("bml",),
+                                              (nv,), 50)
+            errors[t0:t1] = chunk_errors["bml"][0]
         per_trial[n_batch] = errors
     diff = per_trial[64] - per_trial[256]
     z = diff.mean() / (diff.std(ddof=1) / np.sqrt(n_trials))

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chest import (assemble_channel, average_channel_gain, build_pilot_pattern,
-                   channel_covariance, desk_config, draw_fading,
+from chest import (assemble_channel, average_gain_from_responses, build_pilot_pattern,
+                   channel_covariance, complex_normal, desk_config, draw_fading,
                    frequency_response, generate_paths, pulse_response,
-                   simulate_uplink, steering_matrix)
+                   steering_matrix)
 from chest.channel import apply_uplink
 from chest.config import PilotPattern
 from chest.propagation import ArrayGeometry, PathSet
@@ -192,23 +192,28 @@ class TestChannelCovariance:
         assert total / n == pytest.approx(np.trace(cov).real, rel=0.02)
 
 
+def _uplink(h, pat, noise_variance, rng):
+    """Received pilot block with a fresh unit-variance noise draw."""
+    return apply_uplink(h, pat, noise_variance, complex_normal(rng, h.shape))
+
+
 class TestSimulateUplink:
     def test_noiseless(self, rng):
         pat = build_pilot_pattern(16, 8, 1.0, rng)
         h = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
-        rx = simulate_uplink(h, pat, 0.0, rng)
+        rx = _uplink(h, pat, 0.0, rng)
         np.testing.assert_allclose(rx.y, h @ np.diag(pat.symbols), atol=1e-15)
 
     def test_noise_variance(self, rng):
         pat = build_pilot_pattern(16, 8, 1.0, rng)
         h = np.zeros((64, 8), dtype=complex)
-        rx = simulate_uplink(h, pat, 0.25, rng)
+        rx = _uplink(h, pat, 0.25, rng)
         assert np.mean(np.abs(rx.y) ** 2) == pytest.approx(0.25, rel=0.1)
 
     def test_identity_pilots_additive(self, rng):
         pat = PilotPattern(indices=np.arange(8), symbols=np.ones(8, dtype=complex))
         h = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
-        rx = simulate_uplink(h, pat, 0.0, rng)
+        rx = _uplink(h, pat, 0.0, rng)
         np.testing.assert_allclose(rx.y, h, atol=1e-15)
 
     def test_apply_uplink_consistency(self, rng):
@@ -220,18 +225,33 @@ class TestSimulateUplink:
         np.testing.assert_allclose(rx.y, expected, atol=1e-14)
 
 
+def _gain(paths, n_subcarriers, sample_interval, rolloff, idx, geom=None):
+    """beta from the path responses; with ``geom`` it is also checked against
+    trace(R) / dim(R) of the dense covariance."""
+    k = frequency_response(paths, n_subcarriers, sample_interval, rolloff, idx)
+    beta = average_gain_from_responses(paths.amplitude, k)
+    if geom is not None:
+        cov = channel_covariance(paths, geom, n_subcarriers, sample_interval,
+                                 rolloff, idx)
+        assert beta == pytest.approx(np.trace(cov).real / cov.shape[0], rel=1e-12)
+    return beta
+
+
 class TestAverageGain:
     def test_trace_linearity(self, rng):
-        *_, cov = TestChannelCovariance()._cov_small(rng)
-        assert average_channel_gain(4 * cov) == pytest.approx(4 * average_channel_gain(cov))
+        desk, paths, geom, idx, _ = TestChannelCovariance()._cov_small(rng)
+        doubled = PathSet(elevation=paths.elevation, azimuth=paths.azimuth,
+                          delay=paths.delay, amplitude=2 * paths.amplitude)
+        args = (8, desk.sample_interval, 0.25, idx, geom)
+        assert _gain(doubled, *args) == pytest.approx(4 * _gain(paths, *args))
 
     def test_unit_gain_single_path(self, desk):
         paths = PathSet(elevation=np.array([0.2]), azimuth=np.array([-0.4]),
                         delay=np.array([0.0]), amplitude=np.array([1.0]))
         geom = ArrayGeometry.uniform_linear(4, desk.wavelength)
         idx = np.arange(0, 16, 2)
-        cov = channel_covariance(paths, geom, 16, desk.sample_interval, 0.0, idx)
-        assert average_channel_gain(cov) == pytest.approx(1.0, abs=1e-9)
+        beta = _gain(paths, 16, desk.sample_interval, 0.0, idx, geom)
+        assert beta == pytest.approx(1.0, abs=1e-9)
 
     def test_unit_gain_zero_rolloff_interior_delays(self, desk, make_paths):
         """With a sinc pulse and delays far from the window edges, the average
@@ -241,8 +261,8 @@ class TestAverageGain:
         paths = make_paths(delays_us)
         geom = ArrayGeometry.uniform_linear(4, desk.wavelength)
         idx = np.arange(0, 1024, 32)
-        cov = channel_covariance(paths, geom, 1024, ts, 0.0, idx)
-        assert average_channel_gain(cov) == pytest.approx(1.0, abs=1e-3)
+        beta = _gain(paths, 1024, ts, 0.0, idx, geom)
+        assert beta == pytest.approx(1.0, abs=1e-3)
 
     def test_rolloff_ripple_model(self, desk):
         """Fractional-delay raised-cosine sampling modulates the gain by
@@ -251,8 +271,8 @@ class TestAverageGain:
         paths = generate_paths(desk.scenario, rng)
         geom = ArrayGeometry.uniform_linear(8, desk.wavelength)
         idx = np.arange(0, 64, 2)
-        cov = channel_covariance(paths, geom, 64, desk.sample_interval, 0.25, idx)
+        beta = _gain(paths, 64, desk.sample_interval, 0.25, idx, geom)
         frac = paths.delay / desk.sample_interval
         model = np.sum(paths.amplitude ** 2
                        * (1 - 0.25 / 4 + 0.25 / 4 * np.cos(2 * np.pi * frac)))
-        assert average_channel_gain(cov) == pytest.approx(model, abs=2e-3)
+        assert beta == pytest.approx(model, abs=2e-3)

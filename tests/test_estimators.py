@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chest import (build_pilot_pattern, denoise_estimate, desk_config,
-                   interpolate_full, ls_estimate, project_estimate,
-                   retained_tap_count, simulate_uplink)
+from chest import (apply_uplink, build_pilot_pattern, complex_normal,
+                   denoise_estimate, desk_config, interpolate_full, ls_estimate,
+                   project_estimate, retained_tap_count)
 from chest.config import PilotPattern
 from chest.estimators import ChannelEstimate
 from chest.subspaces import ProjectorPair
@@ -27,7 +27,7 @@ class TestLsEstimate:
     def test_noiseless_exact(self, rng):
         pat = build_pilot_pattern(16, 8, 1.0, rng)
         h = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
-        rx = simulate_uplink(h, pat, 0.0, rng)
+        rx = apply_uplink(h, pat, 0.0, complex_normal(rng, h.shape))
         est = ls_estimate(rx)
         np.testing.assert_allclose(est.h, h, atol=1e-13)
         assert est.grid == "pilot" and est.method == "ls"
@@ -44,7 +44,7 @@ class TestLsEstimate:
         h = np.zeros((16, 32), dtype=complex)
         errs = []
         for _ in range(200):
-            rx = simulate_uplink(h, pat, 0.5, rng)
+            rx = apply_uplink(h, pat, 0.5, complex_normal(rng, h.shape))
             errs.append(np.mean(np.abs(ls_estimate(rx).h) ** 2))
         assert np.mean(errs) == pytest.approx(0.25, rel=0.05)
 

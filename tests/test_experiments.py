@@ -1,17 +1,27 @@
 """Sweep harness: plan validation, record layout, statistical sanity,
-chunk/worker determinism, and CSV emission."""
+chunk/worker determinism, the one-pass pipeline against a per-SNR oracle, and
+CSV emission."""
+import csv
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from chest.config import ConfigError, noise_variance_for_snr, validate_config
+from chest.channel import apply_uplink, assemble_channel, draw_fading
+from chest.config import (ConfigError, desk_config, noise_variance_for_snr,
+                          validate_config)
+from chest.estimators import (ChannelEstimate, denoise_estimate, interpolate_full,
+                              ls_estimate, project_estimate)
 from chest.experiments import (ExperimentPlan, bml_ranks, build_environment,
                                emit_csv, emit_ecdf_csv, measure_projection_floor,
                                run_ecdf, run_nmse_sweep,
                                run_pilot_sweep, run_se_sweep, validate_plan,
-                               _chunk_ranges, _nmse_chunk)
-from chest.metrics import analytic_nmse
+                               _chunk_ranges, _reduce_nmse, _simulate_chunk)
+from chest.metrics import (analytic_nmse, ecdf, genie_spectral_efficiency,
+                           post_combining_snr_samples)
+from chest.streams import (FADING, NOISE, WARM_FADING, WARM_NOISE, complex_normal,
+                           substream)
+from chest.subspaces import bml_subspace
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +214,155 @@ class TestPilotSweep:
         assert max(ls) / min(ls) < 10 ** (0.5 / 10)
 
 
+# --- Per-SNR oracle ------------------------------------------------------------
+
+def _oracle_estimates(env, noise_variance, t0, t1, methods, block_size, full):
+    """Simulate trials [t0, t1) at one noise variance the slow way: receive
+    H x + sigma W, divide out x, then estimate.  Returns (pilot-grid truth,
+    full-grid truth or None, {method: pilot-grid estimate})."""
+    sysc = env.bundle.system
+    shape = (sysc.n_rx, len(env.pilots))
+    trials = range(t0, t1)
+    fading = np.stack([draw_fading(env.paths.amplitude, substream(env.seed, FADING, t))
+                       for t in trials])
+    noise = np.stack([complex_normal(substream(env.seed, NOISE, t), shape) for t in trials])
+    truth_full = assemble_channel(env.steering, fading, env.freq_full) if full else None
+    truth = (truth_full[..., env.pilots.indices] if full
+             else assemble_channel(env.steering, fading, env.freq_pilot))
+    ls = ls_estimate(apply_uplink(truth, env.pilots, noise_variance, noise))
+    estimates = {}
+    for method in methods:
+        if method == "ls":
+            estimates[method] = ls.h
+        elif method == "denoise":
+            estimates[method] = denoise_estimate(ls, env.bundle.estimator.tau_max, sysc).h
+        elif method == "emdt":
+            estimates[method] = project_estimate(ls, env.projectors).h
+        elif method == "bml":
+            block = t0 // block_size
+            warm = range(env.bundle.estimator.n_batch)
+            fading_w = np.stack([draw_fading(env.paths.amplitude,
+                                             substream(env.seed, WARM_FADING, block, j))
+                                 for j in warm])
+            noise_w = np.stack([complex_normal(substream(env.seed, WARM_NOISE, block, j),
+                                               shape) for j in warm])
+            rx_w = apply_uplink(assemble_channel(env.steering, fading_w, env.freq_pilot),
+                                env.pilots, noise_variance, noise_w)
+            proj = bml_subspace(ls_estimate(rx_w).h, *bml_ranks(env))
+            estimates[method] = project_estimate(ls, proj, "bml").h
+    return truth, truth_full, estimates
+
+
+def _oracle(plan):
+    """Per-SNR reference results of a validated plan: {(method, snr, n_pilots):
+    nmse or se, or the sorted post-combining SNR samples for an ECDF}."""
+    base = plan.bundle
+    counts = plan.pilot_counts or (base.system.n_pilots,)
+    snrs = {"ecdf": plan.snr_points, "pilot-sweep": plan.pilot_snrs}.get(
+        plan.kind, base.system.snr_grid_db)
+    full = plan.kind in ("se-sweep", "ecdf")
+    out = {}
+    for n_p in counts:
+        system = replace(base.system, n_pilots=n_p)
+        env = build_environment(validate_config(system, base.scenario, base.estimator))
+        power, n_sc = system.symbol_power, system.n_subcarriers
+        for snr in snrs:
+            nv = noise_variance_for_snr(snr, power, env.beta)
+            err, energy, acc = {}, 0.0, {}
+            for t0, t1 in _chunk_ranges(system.n_trials, plan.block_size):
+                truth, truth_full, est = _oracle_estimates(
+                    env, nv, t0, t1, plan.methods, plan.block_size, full)
+                energy += np.sum(np.abs(truth) ** 2)
+                for method in plan.methods:
+                    if full:
+                        h = truth_full if method == "ideal" else interpolate_full(
+                            ChannelEstimate(est[method], "pilot", method), env.pilots,
+                            n_sc).h
+                        if plan.kind == "ecdf":
+                            value = post_combining_snr_samples(h, truth_full, power, nv)
+                        else:
+                            value = genie_spectral_efficiency(h, truth_full, power, nv) \
+                                * (t1 - t0)
+                    else:
+                        err[method] = err.get(method, 0.0) + np.sum(
+                            np.abs(est[method] - truth) ** 2)
+                        value = genie_spectral_efficiency(est[method], truth, power, nv) \
+                            * (t1 - t0)
+                    acc.setdefault(method, []).append(value)
+            for method in plan.methods:
+                key = (method, float(snr), n_p)
+                if plan.kind == "ecdf":
+                    out[key] = np.sort(np.concatenate(acc[method]))
+                elif plan.kind == "se-sweep":
+                    out[key] = sum(acc[method]) / system.n_trials
+                elif plan.kind == "nmse-sweep":
+                    out[key] = err[method] / energy
+                else:
+                    out[key] = (err[method] / energy, sum(acc[method]) / system.n_trials
+                                * (1.0 - n_p / n_sc))
+    return out
+
+
+@pytest.fixture(scope="module")
+def desk_small():
+    """Desk geometry (16 antennas, 32 pilots, batch-ML warm-up of 64), six
+    trials in two chunks of three."""
+    return desk_config(n_trials=6, snr_grid_db=(-10.0, 5.0, 20.0))
+
+
+class TestOnePassMatchesPerSnrOracle:
+    """The one-pass split P(H) + sigma * P(W') against simulating every SNR
+    point on its own, with every method the sweep accepts and two chunks."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nmse_sweep(self, desk_small, workers):
+        plan = validate_plan(ExperimentPlan(kind="nmse-sweep", bundle=desk_small,
+                                            block_size=3, workers=workers))
+        oracle = _oracle(plan)
+        records = run_nmse_sweep(plan)
+        assert len(records) == len(oracle) == 12
+        for r in records:
+            assert r.nmse_emp == pytest.approx(oracle[(r.method, r.snr_db, r.n_pilots)],
+                                               rel=1e-12)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_se_sweep(self, desk_small, workers):
+        plan = validate_plan(ExperimentPlan(kind="se-sweep", bundle=desk_small,
+                                            block_size=3, workers=workers))
+        oracle = _oracle(plan)
+        records = run_se_sweep(plan)
+        assert len(records) == len(oracle) == 15
+        for r in records:
+            assert r.spectral_efficiency == pytest.approx(
+                oracle[(r.method, r.snr_db, r.n_pilots)], rel=1e-12)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ecdf(self, desk_small, workers):
+        plan = validate_plan(ExperimentPlan(kind="ecdf", bundle=desk_small,
+                                            block_size=3, workers=workers,
+                                            snr_points=(-10.0, 5.0)))
+        oracle = _oracle(plan)
+        tables = run_ecdf(plan)
+        assert len(tables) == len(oracle) == 10
+        for (method, snr), table in tables.items():
+            expected = oracle[(method, snr, desk_small.system.n_pilots)]
+            np.testing.assert_allclose(table.thresholds, expected, rtol=1e-9)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pilot_sweep(self, desk_small, workers):
+        plan = validate_plan(ExperimentPlan(kind="pilot-sweep", bundle=desk_small,
+                                            block_size=3, workers=workers,
+                                            pilot_counts=(2, 8, 32),
+                                            pilot_snrs=(-15.0, 0.0)))
+        oracle = _oracle(plan)
+        records = run_pilot_sweep(plan)
+        assert len(records) == len(oracle) == 12
+        for r in records:
+            nmse, se = oracle[(r.method, r.snr_db, r.n_pilots)]
+            assert r.nmse_emp == pytest.approx(nmse, rel=1e-12)
+            assert r.spectral_efficiency == pytest.approx(se, rel=1e-12)
+
+
 class TestDeterminism:
     def test_rerun_identical(self, tiny):
         plan = ExperimentPlan(kind="nmse-sweep", bundle=tiny, methods=("ls", "emdt"))
@@ -241,12 +400,8 @@ class TestDeterminism:
         """Pooled-ratio NMSE is stable under doubling the trial count."""
         env = build_environment(tiny400)
         nv = noise_variance_for_snr(0.0, 1.0, env.beta)
-        err = np.empty(400)
-        gain = np.empty(400)
-        for t0, t1 in _chunk_ranges(400, 1):
-            per, g = _nmse_chunk(env, nv, t0, t1, ("ls",), 1)
-            err[t0] = per["ls"]
-            gain[t0] = g
+        per, gain = _simulate_chunk(env, _reduce_nmse, 0, 400, ("ls",), (nv,), 400)
+        err = per["ls"][0]
         r200 = err[:200].sum() / gain[:200].sum()
         r400 = err.sum() / gain.sum()
         # delta-method standard error of the pooled ratio at 200 trials
@@ -307,3 +462,31 @@ class TestCsvEmission:
             last_frac[(method, snr)] = frac
         assert len(last_frac) == 4
         assert all(v == "1" for v in last_frac.values())
+
+
+def _csv_writer_reference(tables, path):
+    """ECDF rows through csv.writer, one row at a time."""
+    fmt = "{:.9g}".format
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("method", "snr_db", "sample_snr_db", "cum_frac"))
+        for (method, snr_db) in sorted(tables):
+            table = tables[(method, snr_db)]
+            with np.errstate(divide="ignore"):
+                q_db = 10.0 * np.log10(table.thresholds)
+            for q, f in zip(q_db, table.fractions):
+                writer.writerow([method, fmt(snr_db), fmt(q), fmt(f)])
+
+
+def test_ecdf_csv_matches_csv_writer_bytes(rng, tmp_path):
+    """Blocked f-string rows are byte for byte what csv.writer writes,
+    including a zero sample (-inf dB) and a table longer than one block."""
+    long = np.concatenate([[0.0], rng.exponential(size=9000)])
+    tables = {("emdt", -10.0): ecdf(long),
+              ("ls", 5.0): ecdf([0.0, 0.0, 1e-300, 2.5, 1e12]),
+              ("ideal", 0.5): ecdf([3.0])}
+    emit_ecdf_csv(tables, tmp_path / "fast.csv")
+    _csv_writer_reference(tables, tmp_path / "reference.csv")
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert b"-inf" in fast
+    assert fast == (tmp_path / "reference.csv").read_bytes()

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chest import (analytic_nmse, desk_config, dt_subspace, ecdf,
-                   empirical_nmse, genie_spectral_efficiency, make_projectors,
+                   genie_spectral_efficiency, make_projectors,
                    noise_variance_for_snr, post_combining_snr_samples,
                    reference_config)
 from chest.estimators import ChannelEstimate
@@ -14,7 +14,7 @@ from chest.propagation import (ArrayGeometry, PathSet, frequency_response,
 from chest.subspaces import ProjectorPair
 from chest.channel import average_gain_from_responses
 from chest.experiments import build_environment, pilot_covariance
-from chest.metrics import covariance_traces
+from chest.metrics import covariance_traces, error_energy
 
 
 def _est(h):
@@ -22,33 +22,54 @@ def _est(h):
 
 
 class TestEmpiricalNmse:
+    """Per-trial error energy, the numerator of the pooled empirical NMSE."""
+
     def test_perfect_estimate(self, rng):
         h = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
-        assert empirical_nmse([(h.copy(), h)]) == 0.0
+        assert np.all(error_energy(h, h.copy(), np.zeros_like(h), [0.0, 1.0]) == 0.0)
 
     def test_null_estimator(self, rng):
         h = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
-        assert empirical_nmse([(np.zeros_like(h), h)]) == pytest.approx(1.0)
+        zero = np.zeros_like(h)
+        err = error_energy(h, zero, zero, [0.5])
+        assert err.sum() / np.sum(np.abs(h) ** 2) == pytest.approx(1.0)
 
     def test_doubled_estimate(self, rng):
         h = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
-        assert empirical_nmse([(2 * h, h)]) == pytest.approx(1.0)
+        err = error_energy(h, 2 * h, np.zeros_like(h), [0.0])
+        assert err.sum() / np.sum(np.abs(h) ** 2) == pytest.approx(1.0)
 
-    def test_pools_energy_across_pairs(self, rng):
-        h1 = np.ones((2, 2), dtype=complex)
-        h2 = 3 * np.ones((2, 2), dtype=complex)
+    def test_pools_energy_across_pairs(self):
+        h = np.stack([np.ones((2, 2)), 3 * np.ones((2, 2))]).astype(complex)
+        est = np.stack([2 * h[0], h[1]])
         # errors 4 and 0, channel energies 4 and 36: pooled ratio 0.1
-        val = empirical_nmse([(2 * h1, h1), (h2.copy(), h2)])
-        assert val == pytest.approx(0.1)
+        err = error_energy(h, est, np.zeros_like(h), [0.0])
+        np.testing.assert_allclose(err, [[4.0, 0.0]])
+        assert err.sum() / np.sum(np.abs(h) ** 2) == pytest.approx(0.1)
 
-    def test_empty_rejected(self):
+    def test_matches_direct_error(self, rng):
+        """The three-sum form equals ||signal + sigma * noise - truth||^2 per
+        trial at every sigma."""
+        shape = (5, 4, 8)
+        truth, signal, noise = (rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                                for _ in range(3))
+        sigmas = np.array([0.0, 0.1, 1.0, 30.0])
+        direct = np.array([np.sum(np.abs(signal + s * noise - truth) ** 2, axis=(1, 2))
+                           for s in sigmas])
+        np.testing.assert_allclose(error_energy(truth, signal, noise, sigmas), direct,
+                                   rtol=1e-12)
+
+    def test_shape_mismatch_rejected(self, rng):
+        h = np.zeros((2, 4, 8), dtype=complex)
         with pytest.raises(ValueError):
-            empirical_nmse([])
+            error_energy(h, h[0], h, [1.0])
 
     def test_zero_channel_energy_rejected(self):
-        z = np.zeros((2, 2), dtype=complex)
+        """The pooled NMSE divides by the channel energy; a path set without
+        any is rejected when its average gain is computed."""
+        k = np.ones((8, 2), dtype=complex)
         with pytest.raises(ValueError):
-            empirical_nmse([(z, z)])
+            average_gain_from_responses(np.zeros(2), k)
 
 
 def _identity_paths(n_rx, n_p):

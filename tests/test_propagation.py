@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from chest import (ConfigError, desk_config, direction_vector, dt_truncate,
                    frequency_response, generate_paths, load_paths_csv,
-                   pulse_response, save_paths_csv, steering_matrix,
-                   steering_vector)
+                   pulse_response, save_paths_csv, steering_matrix)
 from chest.propagation import ArrayGeometry, PathSet
 
 
@@ -119,16 +118,22 @@ class TestDirections:
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
 
+def _steering(elevation, azimuth, geom):
+    """Steering vector of one arrival direction, through the path-set route."""
+    path = _paths([0.0], [1.0], elev=[elevation], azim=[azimuth])
+    return steering_matrix(path, geom)[:, 0]
+
+
 class TestSteering:
     def test_endfire_alternation(self):
         """Half-wavelength x-axis array seen from along the axis: phases step by pi."""
         geom = ArrayGeometry.uniform_linear(4, wavelength=0.0107, spacing=0.5)
-        a = steering_vector(direction_vector(0.0, 0.0), geom)
+        a = _steering(0.0, 0.0, geom)
         np.testing.assert_allclose(a, [1, -1, 1, -1], atol=1e-12)
 
     def test_orthogonal_direction_all_ones(self):
         geom = ArrayGeometry.uniform_linear(6, wavelength=0.0107, spacing=0.5)
-        a = steering_vector(direction_vector(0.0, np.pi / 2), geom)
+        a = _steering(0.0, np.pi / 2, geom)
         np.testing.assert_allclose(a, np.ones(6), atol=1e-12)
 
     @given(el=st.floats(min_value=-1.4, max_value=1.4),
@@ -137,13 +142,13 @@ class TestSteering:
     @settings(max_examples=60, deadline=None)
     def test_unit_modulus_and_norm(self, el, az, n):
         geom = ArrayGeometry.uniform_linear(n, wavelength=0.0107)
-        a = steering_vector(direction_vector(el, az), geom)
+        a = _steering(el, az, geom)
         np.testing.assert_allclose(np.abs(a), 1.0, atol=1e-12)
         assert np.linalg.norm(a) ** 2 == pytest.approx(n)
 
     def test_first_element_reference(self):
         geom = ArrayGeometry.uniform_linear(8, wavelength=0.02)
-        a = steering_vector(direction_vector(0.4, -1.0), geom)
+        a = _steering(0.4, -1.0, geom)
         assert a[0] == pytest.approx(1.0)
 
     def test_duplicate_angles_rank_one(self):
