@@ -38,14 +38,16 @@ def ls_estimate(rx: RxBlock) -> ChannelEstimate:
 
 def project_estimate(estimate: ChannelEstimate, projectors: ProjectorPair,
                      method_tag: str = "emdt") -> ChannelEstimate:
-    """Left/right subspace projection of a pilot-grid estimate."""
+    """Left/right subspace projection of a pilot-grid estimate,
+    U_s ((U_s^H H) conj(U_t)) U_t^T, without forming either dense projector."""
     if estimate.grid != "pilot":
         raise ValueError("projection expects a pilot-grid estimate")
     h = estimate.h
-    if projectors.spatial.shape[0] != h.shape[-2] or projectors.temporal.shape[0] != h.shape[-1]:
+    u_s, u_t = projectors.basis_spatial, projectors.basis_temporal
+    if u_s.shape[0] != h.shape[-2] or u_t.shape[0] != h.shape[-1]:
         raise ValueError("projector dimensions do not match the estimate")
-    projected = projectors.spatial @ h @ projectors.temporal
-    return ChannelEstimate(h=projected, grid="pilot", method=method_tag)
+    core = (u_s.conj().T @ h) @ u_t.conj()
+    return ChannelEstimate(h=u_s @ core @ u_t.T, grid="pilot", method=method_tag)
 
 
 def retained_tap_count(tau_max: float, sample_interval: float, n_subcarriers: int,

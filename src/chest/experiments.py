@@ -18,7 +18,10 @@ efficiencies or post-combining SNR samples at every SNR point.
   three per-trial sums, ||PH - H||^2 + 2 sigma Re<PH - H, PW'> +
   sigma^2 ||PW'||^2 (:func:`~chest.metrics.error_energy`).
 * Batch-ML learns its projectors from the warm-up snapshots H_w + sigma W'_w
-  of the chunk's trial block, so it is re-decomposed at each SNR point.
+  of the chunk's trial block, so it is re-decomposed at each SNR point.  The
+  sample covariances of those snapshots are quadratic in sigma; their Gram
+  matrices are taken once per block (:class:`~chest.subspaces.SnapshotGrams`)
+  and only the two small ``eigh`` calls repeat per SNR point.
 
 Chunk results are reduced in chunk order, which makes output byte-identical
 for any parallelism degree.  One process pool serves a whole run.
@@ -45,7 +48,8 @@ from .propagation import (ArrayGeometry, PathSet, dt_truncate, frequency_respons
                           generate_paths, steering_matrix)
 from .streams import (FADING, NOISE, PATHS, PILOTS, WARM_FADING, WARM_NOISE,
                       complex_normal, substream)
-from .subspaces import ProjectorPair, bml_subspace, dt_subspace, make_projectors
+from .subspaces import (ProjectorPair, SnapshotGrams, bml_subspace, dt_subspace,
+                        make_projectors)
 
 EXPERIMENT_KINDS = ("nmse-sweep", "se-sweep", "ecdf", "pilot-sweep")
 NMSE_METHODS = ("ls", "denoise", "bml", "emdt")
@@ -220,7 +224,8 @@ def _estimate_parts(env: Environment, truth: np.ndarray, noise: np.ndarray,
     At SNR point ``i`` in ``snrs`` the method's estimate is
     ``P(H) + sigmas[i] * P(W')``.  The linear methods yield once for the
     whole grid.  Batch-ML yields once per SNR point: its projectors come from
-    the block's warm-up snapshots ``H_w + sigma * W'_w``.
+    the block's warm-up snapshots ``H_w + sigma * W'_w``, whose sample
+    covariances follow from Gram matrices taken once per block.
     """
     for method in methods:
         if method == "ideal":
@@ -232,10 +237,11 @@ def _estimate_parts(env: Environment, truth: np.ndarray, noise: np.ndarray,
         n_batch = env.bundle.estimator.n_batch
         fading_w, noise_w = _draw(env, [(WARM_FADING, block, j) for j in range(n_batch)],
                                   [(WARM_NOISE, block, j) for j in range(n_batch)])
-        truth_w = assemble_channel(env.steering, fading_w, env.freq_pilot)
+        grams = SnapshotGrams.of(assemble_channel(env.steering, fading_w, env.freq_pilot),
+                                 noise_w)
         r_s, r_t = bml_ranks(env)
         for i, sigma in enumerate(sigmas):
-            proj = bml_subspace(truth_w + sigma * noise_w, r_s, r_t)
+            proj = bml_subspace(grams.covariances(sigma), r_s, r_t)
             yield (method, slice(i, i + 1), _apply(env, method, truth, proj),
                    _apply(env, method, noise, proj))
 
@@ -515,21 +521,30 @@ def emit_ecdf_csv(tables: dict[tuple[str, float], Ecdf], path: str | Path) -> No
     The bytes are those of ``csv.writer`` with :func:`_fmt` cells (no cell
     needs quoting); rows are formatted directly and written in blocks of
     ``_ECDF_ROWS_PER_WRITE`` so that no table is joined into one string.
+    Tables of equal sample count share their cumulative fractions, so the
+    ``cum_frac`` cells are formatted once and reused while the fractions stay
+    equal.  They are kept as one newline-joined string per block: a list of
+    cell strings would raise the peak memory by about 2 MB at 32 000 rows.
     """
     if not tables:
         raise ValueError("no ECDF tables to write")
+    rows = _ECDF_ROWS_PER_WRITE
+    fractions, frac_blocks = None, []
     try:
         with open(path, "w", newline="") as fh:
             fh.write("method,snr_db,sample_snr_db,cum_frac\r\n")
             for (method, snr_db) in sorted(tables):
                 table = tables[(method, snr_db)]
+                if fractions is None or not np.array_equal(fractions, table.fractions):
+                    fractions = table.fractions
+                    frac_blocks = ["\n".join([f"{f:.9g}" for f in fractions[k:k + rows].tolist()])
+                                   for k in range(0, fractions.size, rows)]
                 with np.errstate(divide="ignore"):
                     snr_samples_db = 10.0 * np.log10(table.thresholds)
                 prefix = f"{method},{_fmt(snr_db)},"
-                for k in range(0, snr_samples_db.size, _ECDF_ROWS_PER_WRITE):
-                    rows = slice(k, k + _ECDF_ROWS_PER_WRITE)
-                    fh.write("".join([f"{prefix}{q:.9g},{f:.9g}\r\n" for q, f in
-                                      zip(snr_samples_db[rows].tolist(),
-                                          table.fractions[rows].tolist())]))
+                for k, fracs in zip(range(0, snr_samples_db.size, rows), frac_blocks):
+                    fh.write("".join([f"{prefix}{q:.9g},{f}\r\n" for q, f in
+                                      zip(snr_samples_db[k:k + rows].tolist(),
+                                          fracs.split("\n"))]))
     except OSError as exc:
         raise RuntimeError(f"failed to write {path}: {exc}") from exc

@@ -80,29 +80,29 @@ def covariance_traces(projectors: ProjectorPair, steering: np.ndarray,
     """trace(R) and trace(R Q) of the pilot-grid channel, path by path.
 
     R = sum_l alpha_l^2 phi_l phi_l^H with phi_l = kron(k_l, a_l) and
-    Q = P_t^T kron P_s, so
+    Q = P_t^T kron P_s, with P_s = U_s U_s^H and P_t^T = U_t U_t^H, so
 
         trace(R)   = sum_l alpha_l^2 ||a_l||^2 ||k_l||^2
-        trace(R Q) = sum_l alpha_l^2 (a_l^H P_s a_l) (k_l^H P_t^T k_l)
+        trace(R Q) = sum_l alpha_l^2 ||U_s^H a_l||^2 ||U_t^H k_l||^2
 
-    without forming the (n_rx * n_pilots)-square R.  ``steering`` is
-    (n_rx, L), ``freq_pilot`` is (n_pilots, L); steering entries need not be
-    unit modulus.
+    without forming the (n_rx * n_pilots)-square R or either projector.
+    ``steering`` is (n_rx, L), ``freq_pilot`` is (n_pilots, L); steering
+    entries need not be unit modulus.
     """
     a = np.asarray(steering)
     k = np.asarray(freq_pilot)
     power = np.asarray(amplitude, dtype=float) ** 2
-    p_s = projectors.spatial
-    p_t = projectors.temporal
+    u_s = projectors.basis_spatial
+    u_t = projectors.basis_temporal
     if a.ndim != 2 or k.ndim != 2 or power.shape != (a.shape[1],) \
             or k.shape[1] != a.shape[1]:
         raise ValueError("steering/freq_pilot/amplitude path counts disagree")
-    if a.shape[0] != p_s.shape[0] or k.shape[0] != p_t.shape[0]:
+    if a.shape[0] != u_s.shape[0] or k.shape[0] != u_t.shape[0]:
         raise ValueError("path responses do not match the projector dimensions")
     energy_s = np.sum(np.abs(a) ** 2, axis=0)
     energy_t = np.sum(np.abs(k) ** 2, axis=0)
-    kept_s = np.sum(a.conj() * (p_s @ a), axis=0).real
-    kept_t = np.sum(k.conj() * (p_t.T @ k), axis=0).real
+    kept_s = np.sum(np.abs(u_s.conj().T @ a) ** 2, axis=0)
+    kept_t = np.sum(np.abs(u_t.conj().T @ k) ** 2, axis=0)
     return (float(np.sum(power * energy_s * energy_t)),
             float(np.sum(power * kept_s * kept_t)))
 
@@ -114,9 +114,9 @@ def analytic_nmse(projectors: ProjectorPair, steering: np.ndarray,
 
     The channel statistics enter only through trace(R) and trace(R Q), which
     :func:`covariance_traces` evaluates per path.  The noise term is computed
-    both from the projector traces and from the rank shortcut
-    ranks/(n_rx * n_pilots * SNR); the two must agree to 1e-9, which guards
-    the SNR bookkeeping end to end.
+    both from tr(Q Q^H) = ||U_s^H U_s||_F^2 ||U_t^H U_t||_F^2 and from the
+    rank shortcut ranks/(n_rx * n_pilots * SNR); the two must agree to 1e-9,
+    which guards the SNR bookkeeping end to end.
     """
     if noise_variance < 0 or symbol_power <= 0:
         raise ValueError("need symbol_power > 0 and noise_variance >= 0")
@@ -125,11 +125,12 @@ def analytic_nmse(projectors: ProjectorPair, steering: np.ndarray,
         raise ValueError("covariance trace must be positive")
     floor = max((tr_r - tr_rq) / tr_r, 0.0)
 
-    p_s = projectors.spatial
-    p_t = projectors.temporal
-    n_rx = p_s.shape[0]
-    n_p = p_t.shape[0]
-    tr_qqh = float((np.trace(p_t @ p_t.conj().T) * np.trace(p_s @ p_s.conj().T)).real)
+    u_s = projectors.basis_spatial
+    u_t = projectors.basis_temporal
+    n_rx = u_s.shape[0]
+    n_p = u_t.shape[0]
+    tr_qqh = float(np.sum(np.abs(u_s.conj().T @ u_s) ** 2)
+                   * np.sum(np.abs(u_t.conj().T @ u_t) ** 2))
     noise_trace_form = noise_variance * tr_qqh / (symbol_power * tr_r)
     snr = 10.0 ** (snr_db / 10.0)
     noise_simplified = (projectors.rank_spatial * projectors.rank_temporal

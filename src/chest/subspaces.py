@@ -1,19 +1,24 @@
-"""Subspace priors and projection operators.
+"""Subspace priors and low-rank projection.
 
 The twin prior takes the truncated path set, forms its steering matrix and
 pilot-grid frequency response, and extracts orthonormal bases by SVD.  The
 batch-ML alternative estimates the same bases from sample covariances of LS
-snapshots.  Either way the result is a pair of projectors: a spatial one
-applied from the left and a temporal one applied from the right,
+snapshots.  Either way the result is a :class:`ProjectorPair` holding the two
+bases, a spatial U_s (n_rx x r_s) and a temporal U_t (n_pilots x r_t).  They
+stand for the projectors
 
-    spatial  = U_s U_s^H,      temporal = conj(U_t) U_t^T,
+    P_s = U_s U_s^H  (applied from the left),   P_t = conj(U_t) U_t^T  (right),
 
 where the conjugation on the temporal side makes right-multiplication project
-rows onto span(U_t).
+rows onto span(U_t).  The dense n x n matrices are never formed: a pilot-grid
+array H is projected as U_s ((U_s^H H) conj(U_t)) U_t^T, which costs
+O(n_rx n_pilots r) instead of O(n_rx n_pilots (n_rx + n_pilots)), and the
+ranks are the basis widths.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,18 +37,19 @@ class SubspacePrior:
 
 @dataclass(frozen=True, eq=False)
 class ProjectorPair:
-    """Left (spatial) and right (temporal) projection matrices."""
+    """Checked orthonormal bases of the left (spatial) and right (temporal)
+    projections; see the module docstring for how they are applied."""
 
-    spatial: np.ndarray
-    temporal: np.ndarray
+    basis_spatial: np.ndarray    # U_s, (n_rx, rank_spatial)
+    basis_temporal: np.ndarray   # U_t, (n_pilots, rank_temporal)
 
     @property
     def rank_spatial(self) -> int:
-        return int(round(float(np.trace(self.spatial).real)))
+        return self.basis_spatial.shape[1]
 
     @property
     def rank_temporal(self) -> int:
-        return int(round(float(np.trace(self.temporal).real)))
+        return self.basis_temporal.shape[1]
 
 
 def _span_basis(matrix: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
@@ -78,41 +84,97 @@ def make_projectors(prior: SubspacePrior) -> ProjectorPair:
     """Projector pair from an orthonormal prior; rejects non-orthonormal bases."""
     _check_orthonormal(prior.basis_spatial, "spatial")
     _check_orthonormal(prior.basis_temporal, "temporal")
-    spatial = prior.basis_spatial @ prior.basis_spatial.conj().T
-    temporal = prior.basis_temporal.conj() @ prior.basis_temporal.T
-    return ProjectorPair(spatial=spatial, temporal=temporal)
+    return ProjectorPair(basis_spatial=prior.basis_spatial,
+                         basis_temporal=prior.basis_temporal)
 
 
-def bml_subspace(ls_batch: np.ndarray, rank_spatial: int, rank_temporal: int
-                 ) -> ProjectorPair:
+class SampleCovariances(NamedTuple):
+    """Spatial R_s = mean_m H_m H_m^H and temporal R_t = mean_m H_m^T conj(H_m)
+    of a batch of snapshots."""
+
+    spatial: np.ndarray     # (n_rx, n_rx)
+    temporal: np.ndarray    # (n_pilots, n_pilots)
+
+
+def bml_subspace(ls_batch: np.ndarray | SampleCovariances, rank_spatial: int,
+                 rank_temporal: int) -> ProjectorPair:
     """Projectors learned from a batch of LS snapshots.
 
-    Sample covariances R_s = mean(H H^H) and R_t = mean(H^T conj(H)); the
-    bases are the leading eigenvectors of each.
+    ``ls_batch`` is (n_snapshots, n_rx, n_pilots), or its
+    :class:`SampleCovariances` when those are already known (see
+    :class:`SnapshotGrams`).  The bases are the leading eigenvectors of the
+    spatial and the temporal sample covariance.
     """
-    h = np.asarray(ls_batch)
-    if h.ndim != 3 or h.shape[0] < 1:
-        raise ValueError("ls_batch must be (n_snapshots, n_rx, n_pilots)")
-    n_rx, n_p = h.shape[1], h.shape[2]
+    if isinstance(ls_batch, SampleCovariances):
+        cov = ls_batch
+    else:
+        h = np.asarray(ls_batch)
+        if h.ndim != 3 or h.shape[0] < 1:
+            raise ValueError("ls_batch must be (n_snapshots, n_rx, n_pilots)")
+        cov = _sample_covariances(h)
+    n_rx, n_p = cov.spatial.shape[0], cov.temporal.shape[0]
     if not 1 <= rank_spatial <= n_rx:
         raise ValueError(f"rank_spatial must lie in [1, {n_rx}]")
     if not 1 <= rank_temporal <= n_p:
         raise ValueError(f"rank_temporal must lie in [1, {n_p}]")
-    cov_s, cov_t = _sample_covariances(h)
-    basis_s = _top_eigvecs(cov_s, rank_spatial)
-    basis_t = _top_eigvecs(cov_t, rank_temporal)
+    basis_s = _top_eigvecs(cov.spatial, rank_spatial)
+    basis_t = _top_eigvecs(cov.temporal, rank_temporal)
     return make_projectors(SubspacePrior(basis_spatial=basis_s, basis_temporal=basis_t,
                                          rank_spatial=rank_spatial,
                                          rank_temporal=rank_temporal))
 
 
-def _sample_covariances(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """R_s = mean_m H_m H_m^H and R_t = mean_m H_m^T conj(H_m), each one matmul
-    over the snapshots laid side by side (spatial) or stacked (temporal)."""
-    n_snap, n_rx, n_p = h.shape
-    x = h.transpose(1, 0, 2).reshape(n_rx, -1)
-    y = h.reshape(-1, n_p)
-    return x @ x.conj().T / n_snap, y.T @ y.conj() / n_snap
+def _spatial_rows(h: np.ndarray) -> np.ndarray:
+    """Snapshots laid side by side, (n_rx, n_snapshots * n_pilots)."""
+    return h.transpose(1, 0, 2).reshape(h.shape[1], -1)
+
+
+def _temporal_rows(h: np.ndarray) -> np.ndarray:
+    """Snapshots stacked, (n_snapshots * n_rx, n_pilots)."""
+    return h.reshape(-1, h.shape[2])
+
+
+def _sample_covariances(h: np.ndarray) -> SampleCovariances:
+    """Both sample covariances, one matmul each."""
+    x, y = _spatial_rows(h), _temporal_rows(h)
+    return SampleCovariances(x @ x.conj().T / len(h), y.T @ y.conj() / len(h))
+
+
+@dataclass(frozen=True, eq=False)
+class SnapshotGrams:
+    """Gram matrices of snapshot batches T + sigma N, grouped by power of sigma.
+
+    With X the spatial rows of a batch, (X_T + sigma X_N)(X_T + sigma X_N)^H
+    = G_TT + sigma (G_TN + G_TN^H) + sigma^2 G_NN, and likewise on the
+    temporal side, so the sample covariances at every noise level follow from
+    six Gram products taken once.  ``spatial`` and ``temporal`` each hold
+    (G_TT, G_TN + G_TN^H, G_NN).
+    """
+
+    spatial: tuple[np.ndarray, np.ndarray, np.ndarray]
+    temporal: tuple[np.ndarray, np.ndarray, np.ndarray]
+    n_snapshots: int
+
+    @classmethod
+    def of(cls, truth: np.ndarray, noise: np.ndarray) -> "SnapshotGrams":
+        """Grams of the (n_snapshots, n_rx, n_pilots) batches T and N."""
+        if truth.ndim != 3 or truth.shape != noise.shape:
+            raise ValueError("truth and noise must be equal (n_snapshots, n_rx, "
+                             "n_pilots) batches")
+
+        def grams(t, n):
+            cross = t @ n.conj().T
+            return t @ t.conj().T, cross + cross.conj().T, n @ n.conj().T
+
+        x_t, x_n = _spatial_rows(truth), _spatial_rows(noise)
+        y_t, y_n = _temporal_rows(truth).T, _temporal_rows(noise).T
+        return cls(grams(x_t, x_n), grams(y_t, y_n), len(truth))
+
+    def covariances(self, sigma: float) -> SampleCovariances:
+        """Sample covariances of the batch T + sigma N."""
+        def at(g):
+            return (g[0] + sigma * g[1] + sigma * sigma * g[2]) / self.n_snapshots
+        return SampleCovariances(at(self.spatial), at(self.temporal))
 
 
 def _top_eigvecs(cov: np.ndarray, rank: int) -> np.ndarray:

@@ -24,7 +24,8 @@ from .metrics import analytic_nmse
 from .propagation import ArrayGeometry, PathSet, frequency_response, pulse_response, \
     steering_matrix
 from .streams import complex_normal, substream
-from .subspaces import SubspacePrior, bml_subspace, dt_subspace, make_projectors
+from .subspaces import (ProjectorPair, SubspacePrior, bml_subspace, dt_subspace,
+                        make_projectors)
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,13 @@ class CheckResult:
 def _vec(h: np.ndarray) -> np.ndarray:
     """Pilot-major vectorization: index = pilot * n_rx + rx."""
     return h.T.reshape(-1)
+
+
+def _dense(proj: ProjectorPair) -> tuple[np.ndarray, np.ndarray]:
+    """The dense projectors P_s = U_s U_s^H and P_t = conj(U_t) U_t^T that a
+    pair's bases stand for; the checks below hold them against the algebra."""
+    u_s, u_t = proj.basis_spatial, proj.basis_temporal
+    return u_s @ u_s.conj().T, u_t.conj() @ u_t.T
 
 
 def _small_paths(rng: np.random.Generator, n: int, delay_spread: float) -> PathSet:
@@ -61,7 +69,7 @@ def check_projectors(bundle: ConfigBundle) -> CheckResult:
     rx = apply_uplink(h, env.pilots, nv, complex_normal(rng_n, h.shape))
     pairs.append(("bml", bml_subspace(ls_estimate(rx).h, 5, 5)))
     for _, proj in pairs:
-        for p in (proj.spatial, proj.temporal):
+        for p in _dense(proj):
             worst = max(worst, float(np.abs(p @ p - p).max()),
                         float(np.abs(p - p.conj().T).max()))
     ok = worst < 1e-10
@@ -72,7 +80,7 @@ def check_projectors(bundle: ConfigBundle) -> CheckResult:
 def check_vec_kron(bundle: ConfigBundle) -> CheckResult:
     """vec(P_s H P_t) must equal (P_t^T kron P_s) vec(H)."""
     env = build_environment(bundle)
-    p_s, p_t = env.projectors.spatial, env.projectors.temporal
+    p_s, p_t = _dense(env.projectors)
     rng = substream(bundle.system.seed, 902)
     h = complex_normal(rng, (p_s.shape[0], p_t.shape[0]))
     lhs = _vec(p_s @ h @ p_t)
@@ -85,7 +93,8 @@ def check_vec_kron(bundle: ConfigBundle) -> CheckResult:
 def check_q_trace(bundle: ConfigBundle) -> CheckResult:
     """Tr{Q Q^H} = Tr{Q} = rank_s * rank_t for Q = P_t^T kron P_s."""
     env = build_environment(bundle)
-    q = np.kron(env.projectors.temporal.T, env.projectors.spatial)
+    p_s, p_t = _dense(env.projectors)
+    q = np.kron(p_t.T, p_s)
     tr_q = float(np.trace(q).real)
     tr_qq = float(np.trace(q @ q.conj().T).real)
     expect = env.projectors.rank_spatial * env.projectors.rank_temporal
@@ -251,7 +260,7 @@ def check_pulse(bundle: ConfigBundle) -> CheckResult:
 def check_error_decomposition(bundle: ConfigBundle) -> CheckResult:
     """Projection error splits exactly into floor and noise parts per trial."""
     env = build_environment(bundle)
-    p_s, p_t = env.projectors.spatial, env.projectors.temporal
+    p_s, p_t = _dense(env.projectors)
     rng = substream(bundle.system.seed, 907)
     worst = 0.0
     for _ in range(16):

@@ -20,7 +20,13 @@ def _vec(h):
 def _random_projectors(rng, n_rx, n_p, r_s, r_t):
     qs, _ = np.linalg.qr(rng.normal(size=(n_rx, r_s)) + 1j * rng.normal(size=(n_rx, r_s)))
     qt, _ = np.linalg.qr(rng.normal(size=(n_p, r_t)) + 1j * rng.normal(size=(n_p, r_t)))
-    return ProjectorPair(spatial=qs @ qs.conj().T, temporal=qt @ qt.conj().T)
+    return ProjectorPair(basis_spatial=qs, basis_temporal=qt)
+
+
+def _dense(proj):
+    """The dense projectors the bases stand for: U_s U_s^H and conj(U_t) U_t^T."""
+    u_s, u_t = proj.basis_spatial, proj.basis_temporal
+    return u_s @ u_s.conj().T, u_t.conj() @ u_t.T
 
 
 class TestLsEstimate:
@@ -59,8 +65,8 @@ class TestProjectEstimate:
         np.testing.assert_allclose(twice.h, once.h, atol=1e-10)
 
     def test_identity_projectors_no_op(self, rng):
-        proj = ProjectorPair(spatial=np.eye(8, dtype=complex),
-                             temporal=np.eye(16, dtype=complex))
+        proj = ProjectorPair(basis_spatial=np.eye(8, dtype=complex),
+                             basis_temporal=np.eye(16, dtype=complex))
         h = rng.normal(size=(8, 16)) + 1j * rng.normal(size=(8, 16))
         est = ChannelEstimate(h=h, grid="pilot", method="ls")
         np.testing.assert_allclose(project_estimate(est, proj).h, h, atol=1e-13)
@@ -83,14 +89,15 @@ class TestProjectEstimate:
 
     @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
     def test_matches_einsum_reference(self, rng, lead):
-        """The matmul pair equals the three-operand einsum it replaced on 2-D,
-        3-D and 4-D batches."""
+        """The low-rank product equals the dense three-operand einsum
+        P_s H P_t it replaced on 2-D, 3-D and 4-D batches."""
         n_rx, n_p = 8, 16
         proj = _random_projectors(rng, n_rx, n_p, 3, 4)
         shape = lead + (n_rx, n_p)
         h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         out = project_estimate(ChannelEstimate(h=h, grid="pilot", method="ls"), proj)
-        reference = np.einsum("ij,...jk,kl->...il", proj.spatial, h, proj.temporal)
+        p_s, p_t = _dense(proj)
+        reference = np.einsum("ij,...jk,kl->...il", p_s, h, p_t)
         assert out.h.shape == shape
         np.testing.assert_allclose(out.h, reference, rtol=1e-12, atol=1e-12)
 
@@ -104,7 +111,8 @@ class TestProjectEstimate:
         y = h @ np.diag(pat.symbols) + w
         ls = ls_estimate(RxBlock(y=y, pilots=pat))
         out = project_estimate(ls, proj)
-        q = np.kron(proj.temporal.T, proj.spatial)
+        p_s, p_t = _dense(proj)
+        q = np.kron(p_t.T, p_s)
         scaled_noise = w @ np.diag(1 / pat.symbols)
         expected = (np.eye(q.shape[0]) - q) @ _vec(h) - q @ _vec(scaled_noise)
         np.testing.assert_allclose(_vec(h - out.h), expected, atol=1e-10)

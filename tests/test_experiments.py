@@ -2,12 +2,14 @@
 chunk/worker determinism, the one-pass pipeline against a per-SNR oracle, and
 CSV emission."""
 import csv
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from chest.channel import apply_uplink, assemble_channel, draw_fading
+from chest.cli import _build_parser, _load_bundle
 from chest.config import (ConfigError, desk_config, noise_variance_for_snr,
                           validate_config)
 from chest.estimators import (ChannelEstimate, denoise_estimate, interpolate_full,
@@ -17,7 +19,7 @@ from chest.experiments import (ExperimentPlan, bml_ranks, build_environment,
                                run_ecdf, run_nmse_sweep,
                                run_pilot_sweep, run_se_sweep, validate_plan,
                                _chunk_ranges, _reduce_nmse, _simulate_chunk)
-from chest.metrics import (analytic_nmse, ecdf, genie_spectral_efficiency,
+from chest.metrics import (Ecdf, analytic_nmse, ecdf, genie_spectral_efficiency,
                            post_combining_snr_samples)
 from chest.streams import (FADING, NOISE, WARM_FADING, WARM_NOISE, complex_normal,
                            substream)
@@ -152,6 +154,23 @@ class TestProjectionFloor:
 
     def test_auto_bml_ranks_track_twin(self, tiny_env):
         assert bml_ranks(tiny_env) == (3, 3)
+
+
+def test_full_scale_environment_holds_low_rank_projectors(tmp_path):
+    """The largest ``pilot-sweep --full-scale`` environment (64 antennas, 2048
+    pilots) keeps n x r bases, never a dense 2048-square projector (64 MB),
+    so the whole environment a pool worker receives stays small."""
+    args = _build_parser().parse_args(["pilot-sweep", "--full-scale",
+                                       "--out", str(tmp_path)])
+    bundle = _load_bundle(args)
+    n_sc = bundle.system.n_subcarriers
+    assert n_sc == 2048
+    env = build_environment(validate_config(replace(bundle.system, n_pilots=n_sc),
+                                            bundle.scenario, bundle.estimator))
+    r = bundle.scenario.n_dt_paths
+    assert env.projectors.basis_spatial.shape == (64, r)
+    assert env.projectors.basis_temporal.shape == (n_sc, r)
+    assert len(pickle.dumps(env)) < 4e6
 
 
 class TestSeSweep:
@@ -480,9 +499,17 @@ def _csv_writer_reference(tables, path):
 
 def test_ecdf_csv_matches_csv_writer_bytes(rng, tmp_path):
     """Blocked f-string rows are byte for byte what csv.writer writes,
-    including a zero sample (-inf dB) and a table longer than one block."""
+    including a zero sample (-inf dB), a table longer than one block, and
+    the reuse of formatted cumulative fractions: two tables of equal size
+    (reused), then a hand-built one of that size with other fractions, then
+    tables of other sizes (all formatted afresh)."""
     long = np.concatenate([[0.0], rng.exponential(size=9000)])
-    tables = {("emdt", -10.0): ecdf(long),
+    other = ecdf(rng.exponential(size=9001))
+    tables = {("bml", -10.0): ecdf(long),
+              ("bml", 5.0): other,
+              ("denoise", 0.0): Ecdf(thresholds=other.thresholds,
+                                     fractions=other.fractions ** 2),
+              ("emdt", -10.0): ecdf(long),
               ("ls", 5.0): ecdf([0.0, 0.0, 1e-300, 2.5, 1e12]),
               ("ideal", 0.5): ecdf([3.0])}
     emit_ecdf_csv(tables, tmp_path / "fast.csv")

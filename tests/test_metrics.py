@@ -83,7 +83,7 @@ class TestAnalyticNmse:
     def _projectors(self, r_s, r_t, n_rx, n_p, rng):
         qs, _ = np.linalg.qr(rng.normal(size=(n_rx, r_s)) + 1j * rng.normal(size=(n_rx, r_s)))
         qt, _ = np.linalg.qr(rng.normal(size=(n_p, r_t)) + 1j * rng.normal(size=(n_p, r_t)))
-        return ProjectorPair(spatial=qs @ qs.conj().T, temporal=qt @ qt.conj().T)
+        return ProjectorPair(basis_spatial=qs, basis_temporal=qt)
 
     def test_reference_noise_term(self, rng):
         """rank-5 priors at the reference dimensions: noise term 25/2048 at 0 dB."""
@@ -95,8 +95,8 @@ class TestAnalyticNmse:
 
     def test_identity_projectors_ls_limit(self, rng):
         n_rx, n_p = 8, 16
-        proj = ProjectorPair(spatial=np.eye(n_rx, dtype=complex),
-                             temporal=np.eye(n_p, dtype=complex))
+        proj = ProjectorPair(basis_spatial=np.eye(n_rx, dtype=complex),
+                             basis_temporal=np.eye(n_p, dtype=complex))
         bk = analytic_nmse(proj, *_identity_paths(n_rx, n_p), 10.0, 1.0,
                            noise_variance_for_snr(10.0, 1.0, 1.0))
         assert bk.subspace_floor < 1e-10
@@ -134,11 +134,14 @@ class TestAnalyticNmse:
 
 
 def _dense_traces(projectors, cov):
-    """trace(R) and trace(R (P_t^T kron P_s)) from the dense covariance, as the
-    analytic NMSE computed them before the per-path form."""
-    n_rx, n_p = projectors.spatial.shape[0], projectors.temporal.shape[0]
+    """trace(R) and trace(R (P_t^T kron P_s)) from the dense covariance and the
+    dense projectors P_s = U_s U_s^H, P_t = conj(U_t) U_t^T, as the analytic
+    NMSE computed them before the per-path form."""
+    u_s, u_t = projectors.basis_spatial, projectors.basis_temporal
+    p_s, p_t = u_s @ u_s.conj().T, u_t.conj() @ u_t.T
+    n_rx, n_p = p_s.shape[0], p_t.shape[0]
     r4 = cov.reshape(n_p, n_rx, n_p, n_rx)
-    tr_rq = np.einsum("aibj,ab,ji->", r4, projectors.temporal, projectors.spatial)
+    tr_rq = np.einsum("aibj,ab,ji->", r4, p_t, p_s)
     return float(np.trace(cov).real), float(tr_rq.real)
 
 

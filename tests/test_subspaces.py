@@ -5,8 +5,11 @@ import pytest
 from chest import (assemble_channel, bml_subspace, desk_config, draw_fading,
                    dt_subspace, frequency_response, make_projectors,
                    steering_matrix)
+from chest.config import reference_config
+from chest.experiments import _draw, _noise_variances, bml_ranks, build_environment
 from chest.propagation import ArrayGeometry, PathSet
-from chest.subspaces import SubspacePrior, _sample_covariances
+from chest.streams import WARM_FADING, WARM_NOISE
+from chest.subspaces import SnapshotGrams, SubspacePrior, _sample_covariances
 
 
 def _paths(delays_us, elev, azim, power=None):
@@ -15,6 +18,12 @@ def _paths(delays_us, elev, azim, power=None):
     p = np.full(n, 1.0 / n) if power is None else np.asarray(power, float)
     return PathSet(elevation=np.asarray(elev, float), azimuth=np.asarray(azim, float),
                    delay=delays, amplitude=np.sqrt(p))
+
+
+def _dense(proj):
+    """The dense projectors the bases stand for: U_s U_s^H and conj(U_t) U_t^T."""
+    u_s, u_t = proj.basis_spatial, proj.basis_temporal
+    return u_s @ u_s.conj().T, u_t.conj() @ u_t.T
 
 
 @pytest.fixture
@@ -73,23 +82,23 @@ class TestMakeProjectors:
     def test_idempotent_and_hermitian(self, setup):
         _, _, prior = self._prior(setup)
         proj = make_projectors(prior)
-        for m in (proj.spatial, proj.temporal):
+        for m in _dense(proj):
             np.testing.assert_allclose(m @ m, m, atol=1e-10)
             np.testing.assert_allclose(m, m.conj().T, atol=1e-10)
 
     def test_trace_equals_rank(self, setup):
         _, _, prior = self._prior(setup)
-        proj = make_projectors(prior)
-        assert np.trace(proj.spatial).real == pytest.approx(prior.rank_spatial, abs=1e-8)
-        assert np.trace(proj.temporal).real == pytest.approx(prior.rank_temporal, abs=1e-8)
+        p_s, p_t = _dense(make_projectors(prior))
+        assert np.trace(p_s).real == pytest.approx(prior.rank_spatial, abs=1e-8)
+        assert np.trace(p_t).real == pytest.approx(prior.rank_temporal, abs=1e-8)
 
     def test_full_rank_basis_gives_identity(self):
         prior = SubspacePrior(basis_spatial=np.eye(4, dtype=complex),
                               basis_temporal=np.eye(6, dtype=complex),
                               rank_spatial=4, rank_temporal=6)
-        proj = make_projectors(prior)
-        np.testing.assert_allclose(proj.spatial, np.eye(4), atol=1e-12)
-        np.testing.assert_allclose(proj.temporal, np.eye(6), atol=1e-12)
+        p_s, p_t = _dense(make_projectors(prior))
+        np.testing.assert_allclose(p_s, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(p_t, np.eye(6), atol=1e-12)
 
     def test_rejects_non_orthonormal(self):
         bad = SubspacePrior(basis_spatial=np.ones((4, 2), dtype=complex),
@@ -106,38 +115,36 @@ class TestMakeProjectors:
                                 basis_temporal=prior.basis_temporal,
                                 rank_spatial=prior.rank_spatial,
                                 rank_temporal=prior.rank_temporal)
-        np.testing.assert_allclose(make_projectors(rotated).spatial,
-                                   make_projectors(prior).spatial, atol=1e-10)
+        np.testing.assert_allclose(_dense(make_projectors(rotated))[0],
+                                   _dense(make_projectors(prior))[0], atol=1e-10)
 
     def test_twin_channel_invariant(self, rng, desk, setup):
         """A channel built from only the twin paths lies inside both subspaces."""
         p = _paths([0.05, 0.18, 0.33], [-0.5, 0.1, 0.6], [-1.0, 0.3, 1.1])
         geom, idx, prior = setup(p)
-        proj = make_projectors(prior)
+        p_s, p_t = _dense(make_projectors(prior))
         a = steering_matrix(p, geom)
         k = frequency_response(p, 64, desk.sample_interval, 0.25, pilot_indices=idx)
         h = assemble_channel(a, draw_fading(p.amplitude, rng), k)
-        np.testing.assert_allclose(proj.spatial @ h @ proj.temporal, h, atol=1e-8)
+        np.testing.assert_allclose(p_s @ h @ p_t, h, atol=1e-8)
 
     def test_subspace_nesting(self, desk, setup):
         small = _paths([0.05, 0.18], [-0.5, 0.1], [-1.0, 0.3])
         big = _paths([0.05, 0.18, 0.33], [-0.5, 0.1, 0.6], [-1.0, 0.3, 1.1])
         _, _, prior_small = setup(small)
         _, _, prior_big = setup(big)
-        p_small = make_projectors(prior_small)
-        p_big = make_projectors(prior_big)
-        np.testing.assert_allclose(p_big.spatial @ p_small.spatial,
-                                   p_small.spatial, atol=1e-8)
-        np.testing.assert_allclose(p_big.temporal @ p_small.temporal,
-                                   p_small.temporal, atol=1e-8)
+        s_small, t_small = _dense(make_projectors(prior_small))
+        s_big, t_big = _dense(make_projectors(prior_big))
+        np.testing.assert_allclose(s_big @ s_small, s_small, atol=1e-8)
+        np.testing.assert_allclose(t_big @ t_small, t_small, atol=1e-8)
 
 
 class TestKroneckerTrace:
     def test_q_trace_property(self, setup):
         p = _paths([0.05, 0.18, 0.33], [-0.5, 0.1, 0.6], [-1.0, 0.3, 1.1])
         _, _, prior = setup(p)
-        proj = make_projectors(prior)
-        q = np.kron(proj.temporal.T, proj.spatial)
+        p_s, p_t = _dense(make_projectors(prior))
+        q = np.kron(p_t.T, p_s)
         r = prior.rank_spatial * prior.rank_temporal
         assert np.trace(q).real == pytest.approx(r, abs=1e-6)
         assert np.trace(q @ q.conj().T).real == pytest.approx(r, abs=1e-6)
@@ -159,9 +166,9 @@ class TestBmlSubspace:
 
     def test_noiseless_batch_preserved(self, rng, desk):
         batch = self._batch(rng, desk, n_batch=12)
-        proj = bml_subspace(batch, 3, 3)
+        p_s, p_t = _dense(bml_subspace(batch, 3, 3))
         for h in batch:
-            np.testing.assert_allclose(proj.spatial @ h @ proj.temporal, h, atol=1e-8)
+            np.testing.assert_allclose(p_s @ h @ p_t, h, atol=1e-8)
 
     def test_single_snapshot_rank_one(self, rng, desk):
         p = _paths([0.1], [0.3], [0.4])
@@ -172,14 +179,14 @@ class TestBmlSubspace:
         h = assemble_channel(a, np.array([1.2 - 0.4j]), k)
         proj = bml_subspace(h[None], 1, 1)
         u = a[:, 0] / np.linalg.norm(a[:, 0])
-        np.testing.assert_allclose(proj.spatial, np.outer(u, u.conj()), atol=1e-10)
+        np.testing.assert_allclose(_dense(proj)[0], np.outer(u, u.conj()), atol=1e-10)
 
     def test_pure_noise_energy_ratio(self, rng):
         n_rx, n_p, r = 16, 32, 5
         batch = (rng.normal(size=(64, n_rx, n_p)) + 1j * rng.normal(size=(64, n_rx, n_p)))
-        proj = bml_subspace(batch, r, r)
+        p_s, p_t = _dense(bml_subspace(batch, r, r))
         probe = (rng.normal(size=(400, n_rx, n_p)) + 1j * rng.normal(size=(400, n_rx, n_p)))
-        out = np.einsum("ij,tjk,kl->til", proj.spatial, probe, proj.temporal)
+        out = np.einsum("ij,tjk,kl->til", p_s, probe, p_t)
         ratio = np.sum(np.abs(out) ** 2) / np.sum(np.abs(probe) ** 2)
         assert ratio == pytest.approx(r * r / (n_rx * n_p), rel=0.15)
 
@@ -205,6 +212,37 @@ class TestBmlSubspace:
     def test_projector_properties_from_noisy_batch(self, rng, desk):
         batch = self._batch(rng, desk, n_batch=32, noise=0.1)
         proj = bml_subspace(batch, 3, 3)
-        for m in (proj.spatial, proj.temporal):
+        for m in _dense(proj):
             np.testing.assert_allclose(m @ m, m, atol=1e-10)
             np.testing.assert_allclose(m, m.conj().T, atol=1e-10)
+
+
+class TestSnapshotGrams:
+    """Batch-ML covariances from per-block Gram matrices, as the sweeps learn
+    them, against rebuilding the warm-up snapshots at every noise level."""
+
+    def test_matches_direct_snapshots_on_reference_grid(self):
+        env = build_environment(reference_config())
+        warm = range(env.bundle.estimator.n_batch)
+        fading_w, noise_w = _draw(env, [(WARM_FADING, 0, j) for j in warm],
+                                  [(WARM_NOISE, 0, j) for j in warm])
+        truth_w = assemble_channel(env.steering, fading_w, env.freq_pilot)
+        grams = SnapshotGrams.of(truth_w, noise_w)
+        sigmas = np.sqrt(_noise_variances(env, env.bundle.system.snr_grid_db))
+        for sigma in (0.0, *sigmas):
+            fast = _dense(bml_subspace(grams.covariances(sigma), *bml_ranks(env)))
+            direct = _dense(bml_subspace(truth_w + sigma * noise_w, *bml_ranks(env)))
+            for f, d in zip(fast, direct):
+                np.testing.assert_allclose(f, d, rtol=0, atol=1e-10)
+
+    def test_covariances_match_sample_covariances(self, rng):
+        truth, noise = (rng.normal(size=(7, 5, 9)) + 1j * rng.normal(size=(7, 5, 9))
+                        for _ in range(2))
+        cov = SnapshotGrams.of(truth, noise).covariances(0.3)
+        ref = _sample_covariances(truth + 0.3 * noise)
+        np.testing.assert_allclose(cov.spatial, ref.spatial, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(cov.temporal, ref.temporal, rtol=1e-12, atol=1e-12)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            SnapshotGrams.of(np.zeros((4, 3, 2)), np.zeros((4, 3, 3)))
