@@ -16,9 +16,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from chest.config import desk_config, noise_variance_for_snr, validate_config
-from chest.experiments import (ExperimentPlan, build_environment,
-                               run_nmse_sweep)
+from chest.config import desk_config, validate_config
+from chest.experiments import ExperimentPlan, run_nmse_sweep
 
 BATCH_SIZES = (16, 32, 64, 128, 256, 512)
 SNR_DB = 30.0

@@ -4,40 +4,37 @@ from .config import (ConfigBundle, ConfigError, EstimatorConfig, PilotPattern,
                      ScenarioConfig, SystemConfig, build_pilot_pattern, desk_config,
                      load_config, noise_variance_for_snr, reference_config,
                      validate_config)
-from .channel import (RxBlock, apply_uplink, assemble_channel,
-                      average_gain_from_responses, channel_covariance, draw_fading)
-from .estimators import (ChannelEstimate, denoise_estimate, interpolate_full,
-                         ls_estimate, project_estimate, retained_tap_count)
+from .channel import (apply_uplink, assemble_channel, average_gain_from_responses,
+                      channel_covariance, draw_fading)
+from .estimators import (denoise_estimate, interpolate_full, ls_estimate,
+                         project_estimate, retained_tap_count)
 from .experiments import (Environment, ExperimentPlan, build_environment, emit_csv,
-                          emit_ecdf_csv, measure_projection_floor, pilot_covariance,
-                          run_ecdf, run_nmse_sweep, run_pilot_sweep, run_se_sweep,
-                          validate_plan)
+                          emit_ecdf_csv, measure_projection_floor, run_ecdf,
+                          run_nmse_sweep, run_pilot_sweep, run_se_sweep, validate_plan)
 from .metrics import (Ecdf, MetricsRecord, NmseBreakdown, analytic_nmse, ecdf,
                       genie_spectral_efficiency, post_combining_snr_samples)
 from .propagation import (ArrayGeometry, PathSet, direction_vector, dt_truncate,
                           frequency_response, generate_paths, load_paths_csv,
                           pulse_response, save_paths_csv, steering_matrix)
 from .streams import complex_normal, substream
-from .subspaces import (ProjectorPair, SubspacePrior, bml_subspace, dt_subspace,
-                        make_projectors)
+from .subspaces import ProjectorPair, bml_subspace, dt_subspace
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrayGeometry", "ChannelEstimate", "ConfigBundle", "ConfigError", "Ecdf",
-    "Environment", "EstimatorConfig", "ExperimentPlan", "MetricsRecord",
-    "NmseBreakdown", "PathSet", "PilotPattern", "ProjectorPair", "RxBlock",
-    "ScenarioConfig", "SubspacePrior", "SystemConfig", "analytic_nmse",
-    "apply_uplink", "assemble_channel",
+    "ArrayGeometry", "ConfigBundle", "ConfigError", "Ecdf", "Environment",
+    "EstimatorConfig", "ExperimentPlan", "MetricsRecord", "NmseBreakdown",
+    "PathSet", "PilotPattern", "ProjectorPair", "ScenarioConfig", "SystemConfig",
+    "analytic_nmse", "apply_uplink", "assemble_channel",
     "average_gain_from_responses", "bml_subspace", "build_environment",
-    "build_pilot_pattern", "channel_covariance", "complex_normal", "denoise_estimate",
-    "desk_config", "direction_vector", "draw_fading", "dt_subspace", "dt_truncate",
-    "ecdf", "emit_csv", "emit_ecdf_csv", "frequency_response",
-    "generate_paths", "genie_spectral_efficiency", "interpolate_full", "load_config",
-    "load_paths_csv", "ls_estimate", "make_projectors", "measure_projection_floor",
-    "noise_variance_for_snr", "pilot_covariance", "post_combining_snr_samples",
-    "project_estimate", "pulse_response", "reference_config", "retained_tap_count",
-    "run_ecdf", "run_nmse_sweep", "run_pilot_sweep", "run_se_sweep", "save_paths_csv",
-    "steering_matrix", "substream",
-    "validate_config", "validate_plan",
+    "build_pilot_pattern", "channel_covariance", "complex_normal",
+    "denoise_estimate", "desk_config", "direction_vector", "draw_fading",
+    "dt_subspace", "dt_truncate", "ecdf", "emit_csv", "emit_ecdf_csv",
+    "frequency_response", "generate_paths", "genie_spectral_efficiency",
+    "interpolate_full", "load_config", "load_paths_csv", "ls_estimate",
+    "measure_projection_floor", "noise_variance_for_snr",
+    "post_combining_snr_samples", "project_estimate", "pulse_response",
+    "reference_config", "retained_tap_count", "run_ecdf", "run_nmse_sweep",
+    "run_pilot_sweep", "run_se_sweep", "save_paths_csv", "steering_matrix",
+    "substream", "validate_config", "validate_plan",
 ]

@@ -6,25 +6,11 @@ leading batch axis holds independent symbols/trials.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .config import PilotPattern
 from .propagation import ArrayGeometry, PathSet, frequency_response, steering_matrix
 from .streams import complex_normal
-
-
-@dataclass(frozen=True, eq=False)
-class RxBlock:
-    """Received pilot-subcarrier block together with the pilots that produced it."""
-
-    y: np.ndarray            # (..., n_rx, n_pilots)
-    pilots: PilotPattern
-
-    def __post_init__(self):
-        if self.y.shape[-1] != len(self.pilots):
-            raise ValueError("RxBlock width must match the pilot count")
 
 
 def draw_fading(amplitude: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -67,12 +53,12 @@ def channel_covariance(paths: PathSet, geometry: ArrayGeometry, n_subcarriers: i
 
 
 def apply_uplink(h_pilot: np.ndarray, pilots: PilotPattern, noise_variance: float,
-                 unit_noise: np.ndarray) -> RxBlock:
-    """Y = H diag(x) + W with W = sqrt(noise_variance) * unit_noise."""
+                 unit_noise: np.ndarray) -> np.ndarray:
+    """The received pilot block Y = H diag(x) + W, with
+    W = sqrt(noise_variance) * unit_noise."""
     if noise_variance < 0:
         raise ValueError("noise_variance must be non-negative")
-    y = h_pilot * pilots.symbols + np.sqrt(noise_variance) * unit_noise
-    return RxBlock(y=y, pilots=pilots)
+    return h_pilot * pilots.symbols + np.sqrt(noise_variance) * unit_noise
 
 
 def average_gain_from_responses(amplitude: np.ndarray, freq_pilot: np.ndarray) -> float:

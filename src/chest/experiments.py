@@ -29,27 +29,24 @@ for any parallelism degree.  One process pool serves a whole run.
 from __future__ import annotations
 
 import csv
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .channel import (RxBlock, assemble_channel, average_gain_from_responses,
-                      channel_covariance, draw_fading)
+from .channel import assemble_channel, average_gain_from_responses, draw_fading
 from .config import (ConfigBundle, ConfigError, PilotPattern, build_pilot_pattern,
                      noise_variance_for_snr, validate_config)
-from .estimators import (ChannelEstimate, denoise_estimate, interpolate_full,
-                         ls_estimate, project_estimate)
+from .estimators import (denoise_estimate, interpolate_full, ls_estimate,
+                         project_estimate)
 from .metrics import MetricsRecord, analytic_nmse, ecdf, Ecdf, error_energy, \
     genie_spectral_efficiency, post_combining_snr_samples
 from .propagation import (ArrayGeometry, PathSet, dt_truncate, frequency_response,
                           generate_paths, steering_matrix)
 from .streams import (FADING, NOISE, PATHS, PILOTS, WARM_FADING, WARM_NOISE,
                       complex_normal, substream)
-from .subspaces import (ProjectorPair, SnapshotGrams, bml_subspace, dt_subspace,
-                        make_projectors)
+from .subspaces import ProjectorPair, SnapshotGrams, bml_subspace, dt_subspace
 
 EXPERIMENT_KINDS = ("nmse-sweep", "se-sweep", "ecdf", "pilot-sweep")
 NMSE_METHODS = ("ls", "denoise", "bml", "emdt")
@@ -125,7 +122,6 @@ class Environment:
 
     bundle: ConfigBundle
     paths: PathSet
-    twin_paths: PathSet
     geometry: ArrayGeometry
     pilots: PilotPattern
     steering: np.ndarray       # (n_rx, L)
@@ -166,29 +162,13 @@ def build_environment(bundle: ConfigBundle, paths: PathSet | None = None) -> Env
     freq_full = frequency_response(paths, sysc.n_subcarriers, bundle.sample_interval,
                                    scen.pulse_rolloff)
     freq_pilot = freq_full[pilots.indices]
-    prior = dt_subspace(twin, geometry, sysc.n_subcarriers, bundle.sample_interval,
-                        scen.pulse_rolloff, pilots.indices,
-                        tol=estc.svd_rank_tolerance)
-    projectors = make_projectors(prior)
+    projectors = dt_subspace(twin, geometry, sysc.n_subcarriers, bundle.sample_interval,
+                             scen.pulse_rolloff, pilots.indices,
+                             tol=estc.svd_rank_tolerance)
     beta = average_gain_from_responses(paths.amplitude, freq_pilot)
-    return Environment(bundle=bundle, paths=paths, twin_paths=twin,
-                       geometry=geometry, pilots=pilots, steering=steering,
-                       freq_full=freq_full, freq_pilot=freq_pilot,
+    return Environment(bundle=bundle, paths=paths, geometry=geometry, pilots=pilots,
+                       steering=steering, freq_full=freq_full, freq_pilot=freq_pilot,
                        projectors=projectors, beta=beta)
-
-
-def pilot_covariance(env: Environment) -> np.ndarray:
-    """Structural covariance of the vectorized pilot-grid channel.
-
-    Dense (n_rx * n_pilots)-square; the sweeps never build it.  It is the
-    reference that the per-path traces of :func:`analytic_nmse` are checked
-    against.
-    """
-    return channel_covariance(env.paths, env.geometry,
-                              env.bundle.system.n_subcarriers,
-                              env.bundle.sample_interval,
-                              env.bundle.scenario.pulse_rolloff,
-                              env.pilots.indices)
 
 
 # --- One pass per chunk -------------------------------------------------------
@@ -201,7 +181,7 @@ def _draw(env: Environment, fading_keys, noise_keys) -> tuple[np.ndarray, np.nda
                        for key in fading_keys])
     noise = np.stack([complex_normal(substream(env.seed, *key), shape)
                       for key in noise_keys])
-    return fading, ls_estimate(RxBlock(y=noise, pilots=env.pilots)).h
+    return fading, ls_estimate(noise, env.pilots)
 
 
 def _apply(env: Environment, method: str, h: np.ndarray,
@@ -209,11 +189,10 @@ def _apply(env: Environment, method: str, h: np.ndarray,
     """One linear estimator applied to a pilot-grid array."""
     if method == "ls":
         return h
-    est = ChannelEstimate(h=h, grid="pilot", method="ls")
     if method == "denoise":
-        return denoise_estimate(est, env.bundle.estimator.tau_max, env.bundle.system).h
+        return denoise_estimate(h, env.bundle.estimator.tau_max, env.bundle.system)
     if method in ("emdt", "bml"):
-        return project_estimate(est, projectors, method).h
+        return project_estimate(h, projectors)
     raise ConfigError(f"unknown method {method!r}")
 
 
@@ -256,8 +235,7 @@ def _full_grid_estimates(env: Environment, truth_full: np.ndarray, noise: np.nda
             yield "ideal", i, truth_full
     truth = truth_full[..., env.pilots.indices]
     for method, snrs, ph, pw in _estimate_parts(env, truth, noise, methods, sigmas, block):
-        ph, pw = (interpolate_full(ChannelEstimate(h=x, grid="pilot", method=method),
-                                   env.pilots, n_sc).h for x in (ph, pw))
+        ph, pw = (interpolate_full(x, env.pilots, n_sc) for x in (ph, pw))
         for i in range(len(sigmas))[snrs]:
             yield method, i, ph + sigmas[i] * pw
 
@@ -402,7 +380,6 @@ def run_nmse_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
                                          trials=sysc.n_trials,
                                          nmse_emp=float(nmse[method][i]),
                                          nmse_analytic=analytic))
-    _check_finite(records)
     return records
 
 
@@ -422,12 +399,10 @@ def run_se_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
     sysc = plan.bundle.system
     partials = _sweep(plan, env, _reduce_se, _noise_variances(env, sysc.snr_grid_db))
     se = {m: sum(p[m] for p in partials) / sysc.n_trials for m in plan.methods}
-    records = [MetricsRecord(method=method, snr_db=float(snr_db),
-                             n_pilots=sysc.n_pilots, trials=sysc.n_trials,
-                             spectral_efficiency=float(se[method][i]))
-               for i, snr_db in enumerate(sysc.snr_grid_db) for method in plan.methods]
-    _check_finite(records)
-    return records
+    return [MetricsRecord(method=method, snr_db=float(snr_db),
+                          n_pilots=sysc.n_pilots, trials=sysc.n_trials,
+                          spectral_efficiency=float(se[method][i]))
+            for i, snr_db in enumerate(sysc.snr_grid_db) for method in plan.methods]
 
 
 def run_ecdf(plan: ExperimentPlan) -> dict[tuple[str, float], Ecdf]:
@@ -470,14 +445,7 @@ def run_pilot_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
                     method=method, snr_db=float(snr_db), n_pilots=n_p,
                     trials=n_trials, nmse_emp=float(nmse[method][i]),
                     spectral_efficiency=float(se[method][i]) * overhead))
-    _check_finite(records)
     return records
-
-def _check_finite(records: list[MetricsRecord]) -> None:
-    for rec in records:
-        for v in (rec.nmse_emp, rec.spectral_efficiency):
-            if v is not None and not math.isfinite(v):
-                raise RuntimeError(f"non-finite metric in record {rec}")
 
 
 # --- CSV emission -------------------------------------------------------------

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import ChannelEstimate
 from .subspaces import ProjectorPair
 
 
@@ -43,10 +42,6 @@ class MetricsRecord:
         for v in (self.nmse_emp, self.spectral_efficiency):
             if v is not None and (not math.isfinite(v) or v < 0):
                 raise ValueError("metrics must be finite and non-negative")
-
-
-def _as_array(x) -> np.ndarray:
-    return x.h if isinstance(x, ChannelEstimate) else np.asarray(x)
 
 
 def error_energy(truth: np.ndarray, signal: np.ndarray, noise: np.ndarray,
@@ -161,18 +156,16 @@ def _post_combining_snr(est_h: np.ndarray, truth_h: np.ndarray, symbol_power: fl
     return symbol_power * gain / noise_variance
 
 
-def post_combining_snr_samples(estimate, truth, symbol_power: float,
-                               noise_variance: float) -> np.ndarray:
+def post_combining_snr_samples(estimate: np.ndarray, truth: np.ndarray,
+                               symbol_power: float, noise_variance: float) -> np.ndarray:
     """Flattened per-subcarrier post-combining SNRs over a batch."""
-    return _post_combining_snr(_as_array(estimate), _as_array(truth), symbol_power,
-                               noise_variance).ravel()
+    return _post_combining_snr(estimate, truth, symbol_power, noise_variance).ravel()
 
 
-def genie_spectral_efficiency(estimate, truth, symbol_power: float,
-                              noise_variance: float) -> float:
+def genie_spectral_efficiency(estimate: np.ndarray, truth: np.ndarray,
+                              symbol_power: float, noise_variance: float) -> float:
     """Mean over subcarriers (and any batch axis) of log2(1 + post-combining SNR)."""
-    snr = _post_combining_snr(_as_array(estimate), _as_array(truth), symbol_power,
-                              noise_variance)
+    snr = _post_combining_snr(estimate, truth, symbol_power, noise_variance)
     return float(np.mean(np.log2(1.0 + snr)))
 
 

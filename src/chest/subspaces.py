@@ -13,7 +13,9 @@ where the conjugation on the temporal side makes right-multiplication project
 rows onto span(U_t).  The dense n x n matrices are never formed: a pilot-grid
 array H is projected as U_s ((U_s^H H) conj(U_t)) U_t^T, which costs
 O(n_rx n_pilots r) instead of O(n_rx n_pilots (n_rx + n_pilots)), and the
-ranks are the basis widths.
+ranks are the basis widths.  A pair checks on construction that both bases
+are orthonormal, so every pair, twin, batch-ML or hand-built, is checked
+once, where it is built.
 """
 from __future__ import annotations
 
@@ -26,22 +28,17 @@ from .propagation import ArrayGeometry, PathSet, frequency_response, steering_ma
 
 
 @dataclass(frozen=True, eq=False)
-class SubspacePrior:
-    """Orthonormal spatial/temporal bases with their ranks."""
-
-    basis_spatial: np.ndarray    # (n_rx, rank_spatial)
-    basis_temporal: np.ndarray   # (n_pilots, rank_temporal)
-    rank_spatial: int
-    rank_temporal: int
-
-
-@dataclass(frozen=True, eq=False)
 class ProjectorPair:
-    """Checked orthonormal bases of the left (spatial) and right (temporal)
-    projections; see the module docstring for how they are applied."""
+    """Orthonormal bases of the left (spatial) and right (temporal)
+    projections, checked on construction; see the module docstring for how
+    they are applied."""
 
     basis_spatial: np.ndarray    # U_s, (n_rx, rank_spatial)
     basis_temporal: np.ndarray   # U_t, (n_pilots, rank_temporal)
+
+    def __post_init__(self):
+        _check_orthonormal(self.basis_spatial, "spatial")
+        _check_orthonormal(self.basis_temporal, "temporal")
 
     @property
     def rank_spatial(self) -> int:
@@ -52,40 +49,29 @@ class ProjectorPair:
         return self.basis_temporal.shape[1]
 
 
-def _span_basis(matrix: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
-    """Orthonormal basis of the column span at a relative singular-value cut."""
-    u, s, _ = np.linalg.svd(matrix, full_matrices=False)
-    if s.size == 0 or s[0] <= 0:
-        raise ValueError("matrix has no non-trivial column span")
-    rank = int(np.sum(s > tol * s[0]))
-    return u[:, :rank], rank
-
-
-def dt_subspace(twin_paths: PathSet, geometry: ArrayGeometry, n_subcarriers: int,
-                sample_interval: float, rolloff: float, pilot_indices: np.ndarray,
-                tol: float = 1e-8) -> SubspacePrior:
-    """Spatial/temporal bases spanned by the twin's known paths."""
-    a = steering_matrix(twin_paths, geometry)
-    k = frequency_response(twin_paths, n_subcarriers, sample_interval, rolloff,
-                           pilot_indices)
-    basis_s, rank_s = _span_basis(a, tol)
-    basis_t, rank_t = _span_basis(k, tol)
-    return SubspacePrior(basis_spatial=basis_s, basis_temporal=basis_t,
-                         rank_spatial=rank_s, rank_temporal=rank_t)
-
-
 def _check_orthonormal(basis: np.ndarray, name: str, tol: float = 1e-10) -> None:
     gram = basis.conj().T @ basis
     if not np.allclose(gram, np.eye(basis.shape[1]), atol=tol):
         raise ValueError(f"{name} basis is not orthonormal within {tol}")
 
 
-def make_projectors(prior: SubspacePrior) -> ProjectorPair:
-    """Projector pair from an orthonormal prior; rejects non-orthonormal bases."""
-    _check_orthonormal(prior.basis_spatial, "spatial")
-    _check_orthonormal(prior.basis_temporal, "temporal")
-    return ProjectorPair(basis_spatial=prior.basis_spatial,
-                         basis_temporal=prior.basis_temporal)
+def _span_basis(matrix: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal basis of the column span at a relative singular-value cut."""
+    u, s, _ = np.linalg.svd(matrix, full_matrices=False)
+    if s.size == 0 or s[0] <= 0:
+        raise ValueError("matrix has no non-trivial column span")
+    return u[:, :int(np.sum(s > tol * s[0]))]
+
+
+def dt_subspace(twin_paths: PathSet, geometry: ArrayGeometry, n_subcarriers: int,
+                sample_interval: float, rolloff: float, pilot_indices: np.ndarray,
+                tol: float = 1e-8) -> ProjectorPair:
+    """Projector pair spanned by the twin's known paths."""
+    a = steering_matrix(twin_paths, geometry)
+    k = frequency_response(twin_paths, n_subcarriers, sample_interval, rolloff,
+                           pilot_indices)
+    return ProjectorPair(basis_spatial=_span_basis(a, tol),
+                         basis_temporal=_span_basis(k, tol))
 
 
 class SampleCovariances(NamedTuple):
@@ -117,11 +103,8 @@ def bml_subspace(ls_batch: np.ndarray | SampleCovariances, rank_spatial: int,
         raise ValueError(f"rank_spatial must lie in [1, {n_rx}]")
     if not 1 <= rank_temporal <= n_p:
         raise ValueError(f"rank_temporal must lie in [1, {n_p}]")
-    basis_s = _top_eigvecs(cov.spatial, rank_spatial)
-    basis_t = _top_eigvecs(cov.temporal, rank_temporal)
-    return make_projectors(SubspacePrior(basis_spatial=basis_s, basis_temporal=basis_t,
-                                         rank_spatial=rank_spatial,
-                                         rank_temporal=rank_temporal))
+    return ProjectorPair(basis_spatial=_top_eigvecs(cov.spatial, rank_spatial),
+                         basis_temporal=_top_eigvecs(cov.temporal, rank_temporal))
 
 
 def _spatial_rows(h: np.ndarray) -> np.ndarray:

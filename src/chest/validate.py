@@ -24,8 +24,7 @@ from .metrics import analytic_nmse
 from .propagation import ArrayGeometry, PathSet, frequency_response, pulse_response, \
     steering_matrix
 from .streams import complex_normal, substream
-from .subspaces import (ProjectorPair, SubspacePrior, bml_subspace, dt_subspace,
-                        make_projectors)
+from .subspaces import ProjectorPair, bml_subspace, dt_subspace
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,7 @@ def check_projectors(bundle: ConfigBundle) -> CheckResult:
     h = assemble_channel(env.steering, fading, env.freq_pilot)
     nv = noise_variance_for_snr(10.0, bundle.system.symbol_power, env.beta)
     rx = apply_uplink(h, env.pilots, nv, complex_normal(rng_n, h.shape))
-    pairs.append(("bml", bml_subspace(ls_estimate(rx).h, 5, 5)))
+    pairs.append(("bml", bml_subspace(ls_estimate(rx, env.pilots), 5, 5)))
     for _, proj in pairs:
         for p in _dense(proj):
             worst = max(worst, float(np.abs(p @ p - p).max()),
@@ -167,25 +166,25 @@ def check_denoiser(bundle: ConfigBundle) -> CheckResult:
     env = build_environment(bundle)
     sysc = bundle.system
     rng = substream(sysc.seed, 906)
-    noisy = ls_estimate(apply_uplink(
-        assemble_channel(env.steering, draw_fading(env.paths.amplitude, rng),
-                         env.freq_pilot),
-        env.pilots, 0.1, complex_normal(rng, (sysc.n_rx, len(env.pilots)))))
+    h = assemble_channel(env.steering, draw_fading(env.paths.amplitude, rng),
+                         env.freq_pilot)
+    noisy = ls_estimate(apply_uplink(h, env.pilots, 0.1, complex_normal(rng, h.shape)),
+                        env.pilots)
     once = denoise_estimate(noisy, bundle.estimator.tau_max, sysc)
     twice = denoise_estimate(once, bundle.estimator.tau_max, sysc)
-    idem = float(np.abs(twice.h - once.h).max())
-    shrinks = np.linalg.norm(once.h) <= np.linalg.norm(noisy.h) + 1e-12
+    idem = float(np.abs(twice - once).max())
+    shrinks = np.linalg.norm(once) <= np.linalg.norm(noisy) + 1e-12
     # a pure in-window tap is untouched; a pure out-of-window tap is removed
     n_p = len(env.pilots)
     cir = np.zeros((sysc.n_rx, n_p), dtype=complex)
     cir[:, 1] = 1.0
-    inside = replace(noisy, h=np.fft.fft(cir, axis=-1))
-    keep_err = float(np.abs(denoise_estimate(inside, bundle.estimator.tau_max, sysc).h
-                            - inside.h).max())
+    inside = np.fft.fft(cir, axis=-1)
+    keep_err = float(np.abs(denoise_estimate(inside, bundle.estimator.tau_max, sysc)
+                            - inside).max())
     cir[:, 1] = 0.0
     cir[:, n_p - 2] = 1.0
-    outside = replace(noisy, h=np.fft.fft(cir, axis=-1))
-    kill = float(np.abs(denoise_estimate(outside, bundle.estimator.tau_max, sysc).h).max())
+    outside = np.fft.fft(cir, axis=-1)
+    kill = float(np.abs(denoise_estimate(outside, bundle.estimator.tau_max, sysc)).max())
     ok = idem < 1e-10 and shrinks and keep_err < 1e-10 and kill < 1e-10
     return CheckResult("denoiser-projection", ok,
                        f"idempotency {idem:.2e}, norm non-increasing {shrinks}, "
@@ -225,15 +224,14 @@ def check_noise_calibration(bundle: ConfigBundle) -> CheckResult:
     full_prior = dt_subspace(env.paths, env.geometry, bundle.system.n_subcarriers,
                              bundle.sample_interval, bundle.scenario.pulse_rolloff,
                              env.pilots.indices)
-    full_floor = analytic_nmse(make_projectors(full_prior), *responses, 0.0,
+    full_floor = analytic_nmse(full_prior, *responses, 0.0,
                                bundle.system.symbol_power,
                                noise_variance_for_snr(0.0, bundle.system.symbol_power,
                                                       env.beta)).subspace_floor
     n_rx, n_p = bundle.system.n_rx, len(env.pilots)
-    eye = SubspacePrior(basis_spatial=np.eye(n_rx, dtype=complex),
-                        basis_temporal=np.eye(n_p, dtype=complex),
-                        rank_spatial=n_rx, rank_temporal=n_p)
-    ls_bk = analytic_nmse(make_projectors(eye), *responses, 10.0,
+    eye = ProjectorPair(basis_spatial=np.eye(n_rx, dtype=complex),
+                        basis_temporal=np.eye(n_p, dtype=complex))
+    ls_bk = analytic_nmse(eye, *responses, 10.0,
                           bundle.system.symbol_power,
                           noise_variance_for_snr(10.0, bundle.system.symbol_power,
                                                  env.beta))
@@ -282,10 +280,10 @@ def check_interpolation(bundle: ConfigBundle) -> CheckResult:
     rng = substream(bundle.system.seed, 908)
     h = assemble_channel(env.steering, draw_fading(env.paths.amplitude, rng),
                          env.freq_pilot)
-    est = ls_estimate(apply_uplink(h, env.pilots, 0.05,
-                                   complex_normal(rng, h.shape)))
+    est = ls_estimate(apply_uplink(h, env.pilots, 0.05, complex_normal(rng, h.shape)),
+                      env.pilots)
     full = interpolate_full(est, env.pilots, bundle.system.n_subcarriers)
-    err = float(np.abs(full.h[..., env.pilots.indices] - est.h).max())
+    err = float(np.abs(full[..., env.pilots.indices] - est).max())
     return CheckResult("interpolation-pilot-exact", err < 1e-12,
                        f"max pilot-position deviation {err:.2e}")
 

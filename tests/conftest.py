@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chest import (build_environment, desk_config, pilot_covariance,
+from chest import (build_environment, channel_covariance, desk_config,
                    validate_config)
 from chest.propagation import PathSet
 
@@ -27,7 +27,11 @@ def desk_env(desk):
 
 @pytest.fixture(scope="session")
 def desk_cov(desk_env):
-    return pilot_covariance(desk_env)
+    return channel_covariance(desk_env.paths, desk_env.geometry,
+                              desk_env.bundle.system.n_subcarriers,
+                              desk_env.bundle.sample_interval,
+                              desk_env.bundle.scenario.pulse_rolloff,
+                              desk_env.pilots.indices)
 
 
 @pytest.fixture(scope="session")

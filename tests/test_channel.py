@@ -202,19 +202,19 @@ class TestSimulateUplink:
         pat = build_pilot_pattern(16, 8, 1.0, rng)
         h = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
         rx = _uplink(h, pat, 0.0, rng)
-        np.testing.assert_allclose(rx.y, h @ np.diag(pat.symbols), atol=1e-15)
+        np.testing.assert_allclose(rx, h @ np.diag(pat.symbols), atol=1e-15)
 
     def test_noise_variance(self, rng):
         pat = build_pilot_pattern(16, 8, 1.0, rng)
         h = np.zeros((64, 8), dtype=complex)
         rx = _uplink(h, pat, 0.25, rng)
-        assert np.mean(np.abs(rx.y) ** 2) == pytest.approx(0.25, rel=0.1)
+        assert np.mean(np.abs(rx) ** 2) == pytest.approx(0.25, rel=0.1)
 
     def test_identity_pilots_additive(self, rng):
         pat = PilotPattern(indices=np.arange(8), symbols=np.ones(8, dtype=complex))
         h = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
         rx = _uplink(h, pat, 0.0, rng)
-        np.testing.assert_allclose(rx.y, h, atol=1e-15)
+        np.testing.assert_allclose(rx, h, atol=1e-15)
 
     def test_apply_uplink_consistency(self, rng):
         pat = build_pilot_pattern(16, 8, 1.0, rng)
@@ -222,7 +222,7 @@ class TestSimulateUplink:
         unit = rng.normal(size=(2, 4, 8)) + 1j * rng.normal(size=(2, 4, 8))
         rx = apply_uplink(h, pat, 0.09, unit)
         expected = h @ np.diag(pat.symbols) + 0.3 * unit
-        np.testing.assert_allclose(rx.y, expected, atol=1e-14)
+        np.testing.assert_allclose(rx, expected, atol=1e-14)
 
 
 def _gain(paths, n_subcarriers, sample_interval, rolloff, idx, geom=None):

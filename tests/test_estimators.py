@@ -8,9 +8,7 @@ from chest import (apply_uplink, build_pilot_pattern, complex_normal,
                    denoise_estimate, desk_config, interpolate_full, ls_estimate,
                    project_estimate, retained_tap_count)
 from chest.config import PilotPattern
-from chest.estimators import ChannelEstimate
 from chest.subspaces import ProjectorPair
-from chest.channel import RxBlock
 
 
 def _vec(h):
@@ -34,15 +32,22 @@ class TestLsEstimate:
         pat = build_pilot_pattern(16, 8, 1.0, rng)
         h = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
         rx = apply_uplink(h, pat, 0.0, complex_normal(rng, h.shape))
-        est = ls_estimate(rx)
-        np.testing.assert_allclose(est.h, h, atol=1e-13)
-        assert est.grid == "pilot" and est.method == "ls"
+        est = ls_estimate(rx, pat)
+        np.testing.assert_allclose(est, h, atol=1e-13)
 
     def test_identity_pilots_pass_through(self, rng):
         pat = PilotPattern(indices=np.arange(8), symbols=np.ones(8, dtype=complex))
         y = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
-        est = ls_estimate(RxBlock(y=y, pilots=pat))
-        np.testing.assert_array_equal(est.h, y)
+        est = ls_estimate(y, pat)
+        np.testing.assert_array_equal(est, y)
+
+    @pytest.mark.parametrize("width", [1, 7])
+    def test_width_mismatch_rejected(self, rng, width):
+        """The received block must have one column per pilot; a single column
+        would otherwise broadcast against the pilot symbols."""
+        pat = build_pilot_pattern(16, 8, 1.0, rng)
+        with pytest.raises(ValueError):
+            ls_estimate(np.zeros((4, width), dtype=complex), pat)
 
     def test_white_error_law(self, rng):
         """LS error is diag(x)^-1 W: per-entry variance noise/power."""
@@ -51,30 +56,23 @@ class TestLsEstimate:
         errs = []
         for _ in range(200):
             rx = apply_uplink(h, pat, 0.5, complex_normal(rng, h.shape))
-            errs.append(np.mean(np.abs(ls_estimate(rx).h) ** 2))
+            errs.append(np.mean(np.abs(ls_estimate(rx, pat)) ** 2))
         assert np.mean(errs) == pytest.approx(0.25, rel=0.05)
 
 
 class TestProjectEstimate:
     def test_idempotent(self, rng):
         proj = _random_projectors(rng, 8, 16, 3, 4)
-        est = ChannelEstimate(h=rng.normal(size=(8, 16)) + 1j * rng.normal(size=(8, 16)),
-                              grid="pilot", method="ls")
+        est = rng.normal(size=(8, 16)) + 1j * rng.normal(size=(8, 16))
         once = project_estimate(est, proj)
         twice = project_estimate(once, proj)
-        np.testing.assert_allclose(twice.h, once.h, atol=1e-10)
+        np.testing.assert_allclose(twice, once, atol=1e-10)
 
     def test_identity_projectors_no_op(self, rng):
         proj = ProjectorPair(basis_spatial=np.eye(8, dtype=complex),
                              basis_temporal=np.eye(16, dtype=complex))
         h = rng.normal(size=(8, 16)) + 1j * rng.normal(size=(8, 16))
-        est = ChannelEstimate(h=h, grid="pilot", method="ls")
-        np.testing.assert_allclose(project_estimate(est, proj).h, h, atol=1e-13)
-
-    def test_method_tag(self, rng):
-        proj = _random_projectors(rng, 4, 8, 2, 2)
-        est = ChannelEstimate(h=np.zeros((4, 8), dtype=complex), grid="pilot", method="ls")
-        assert project_estimate(est, proj, method_tag="bml").method == "bml"
+        np.testing.assert_allclose(project_estimate(h, proj), h, atol=1e-13)
 
     def test_pure_noise_energy_ratio(self, rng):
         n_rx, n_p, r = 64, 32, 5
@@ -82,9 +80,8 @@ class TestProjectEstimate:
         total_in = total_out = 0.0
         for _ in range(50):
             h = rng.normal(size=(n_rx, n_p)) + 1j * rng.normal(size=(n_rx, n_p))
-            est = ChannelEstimate(h=h, grid="pilot", method="ls")
             total_in += np.sum(np.abs(h) ** 2)
-            total_out += np.sum(np.abs(project_estimate(est, proj).h) ** 2)
+            total_out += np.sum(np.abs(project_estimate(h, proj)) ** 2)
         assert total_out / total_in == pytest.approx(r * r / (n_rx * n_p), rel=0.1)
 
     @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
@@ -95,11 +92,11 @@ class TestProjectEstimate:
         proj = _random_projectors(rng, n_rx, n_p, 3, 4)
         shape = lead + (n_rx, n_p)
         h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        out = project_estimate(ChannelEstimate(h=h, grid="pilot", method="ls"), proj)
+        out = project_estimate(h, proj)
         p_s, p_t = _dense(proj)
         reference = np.einsum("ij,...jk,kl->...il", p_s, h, p_t)
-        assert out.h.shape == shape
-        np.testing.assert_allclose(out.h, reference, rtol=1e-12, atol=1e-12)
+        assert out.shape == shape
+        np.testing.assert_allclose(out, reference, rtol=1e-12, atol=1e-12)
 
     def test_error_vector_identity(self, rng):
         """The estimation error splits as Qperp h - Q vec(scaled noise)."""
@@ -109,19 +106,18 @@ class TestProjectEstimate:
         h = rng.normal(size=(n_rx, n_p)) + 1j * rng.normal(size=(n_rx, n_p))
         w = rng.normal(size=(n_rx, n_p)) + 1j * rng.normal(size=(n_rx, n_p))
         y = h @ np.diag(pat.symbols) + w
-        ls = ls_estimate(RxBlock(y=y, pilots=pat))
+        ls = ls_estimate(y, pat)
         out = project_estimate(ls, proj)
         p_s, p_t = _dense(proj)
         q = np.kron(p_t.T, p_s)
         scaled_noise = w @ np.diag(1 / pat.symbols)
         expected = (np.eye(q.shape[0]) - q) @ _vec(h) - q @ _vec(scaled_noise)
-        np.testing.assert_allclose(_vec(h - out.h), expected, atol=1e-10)
+        np.testing.assert_allclose(_vec(h - out), expected, atol=1e-10)
 
 
 class TestDenoise:
     def _estimate(self, rng, n_rx=4, n_p=32):
-        h = rng.normal(size=(n_rx, n_p)) + 1j * rng.normal(size=(n_rx, n_p))
-        return ChannelEstimate(h=h, grid="pilot", method="ls")
+        return rng.normal(size=(n_rx, n_p)) + 1j * rng.normal(size=(n_rx, n_p))
 
     def test_retained_tap_count_defaults(self, desk):
         k = retained_tap_count(desk.estimator.tau_max, desk.sample_interval,
@@ -135,30 +131,28 @@ class TestDenoise:
     def test_full_window_is_identity(self, rng, desk):
         est = self._estimate(rng)
         out = denoise_estimate(est, 2.1e-6, desk.system)
-        np.testing.assert_allclose(out.h, est.h, atol=1e-10)
+        np.testing.assert_allclose(out, est, atol=1e-10)
 
     def test_in_window_taps_preserved(self, rng, desk):
         """A channel whose pilot-grid CIR lives on early integer taps passes through."""
         taps = np.zeros((4, 32), dtype=complex)
         taps[:, :6] = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
         h = np.fft.fft(taps, axis=1)
-        est = ChannelEstimate(h=h, grid="pilot", method="ls")
-        out = denoise_estimate(est, desk.estimator.tau_max, desk.system)
-        np.testing.assert_allclose(out.h, h, atol=1e-8)
+        out = denoise_estimate(h, desk.estimator.tau_max, desk.system)
+        np.testing.assert_allclose(out, h, atol=1e-8)
 
     def test_out_of_window_taps_removed(self, rng, desk):
         taps = np.zeros((4, 32), dtype=complex)
         taps[:, 20] = 1.0
         h = np.fft.fft(taps, axis=1)
-        est = ChannelEstimate(h=h, grid="pilot", method="ls")
-        out = denoise_estimate(est, desk.estimator.tau_max, desk.system)
-        np.testing.assert_allclose(out.h, 0.0, atol=1e-10)
+        out = denoise_estimate(h, desk.estimator.tau_max, desk.system)
+        np.testing.assert_allclose(out, 0.0, atol=1e-10)
 
     def test_idempotent(self, rng, desk):
         est = self._estimate(rng)
         once = denoise_estimate(est, 0.5e-6, desk.system)
         twice = denoise_estimate(once, 0.5e-6, desk.system)
-        np.testing.assert_allclose(twice.h, once.h, atol=1e-10)
+        np.testing.assert_allclose(twice, once, atol=1e-10)
 
     @given(seed=st.integers(0, 2 ** 16))
     @settings(max_examples=25, deadline=None)
@@ -166,19 +160,17 @@ class TestDenoise:
         desk = desk_config()
         r = np.random.default_rng(seed)
         h = r.normal(size=(4, 32)) + 1j * r.normal(size=(4, 32))
-        est = ChannelEstimate(h=h, grid="pilot", method="ls")
-        out = denoise_estimate(est, desk.estimator.tau_max, desk.system)
-        assert np.sum(np.abs(out.h) ** 2) <= np.sum(np.abs(h) ** 2) + 1e-9
+        out = denoise_estimate(h, desk.estimator.tau_max, desk.system)
+        assert np.sum(np.abs(out) ** 2) <= np.sum(np.abs(h) ** 2) + 1e-9
 
     def test_pure_noise_energy_fraction(self, desk):
         r = np.random.default_rng(42)
         total_in = total_out = 0.0
         for _ in range(300):
             h = r.normal(size=(4, 32)) + 1j * r.normal(size=(4, 32))
-            est = ChannelEstimate(h=h, grid="pilot", method="ls")
             total_in += np.sum(np.abs(h) ** 2)
-            total_out += np.sum(np.abs(denoise_estimate(est, desk.estimator.tau_max,
-                                                        desk.system).h) ** 2)
+            total_out += np.sum(np.abs(denoise_estimate(h, desk.estimator.tau_max,
+                                                        desk.system)) ** 2)
         assert total_out / total_in == pytest.approx(8 / 32, rel=0.05)
 
     def test_rejects_nonpositive_tau(self, rng, desk):
@@ -189,38 +181,36 @@ class TestDenoise:
 class TestInterpolateFull:
     def test_constant_channel_exact(self, rng):
         pat = build_pilot_pattern(64, 16, 1.0, rng)
-        est = ChannelEstimate(h=np.full((4, 16), 2.0 - 1.0j), grid="pilot", method="ls")
-        out = interpolate_full(est, pat, 64)
-        assert out.grid == "full" and out.h.shape == (4, 64)
-        np.testing.assert_allclose(out.h, 2.0 - 1.0j, atol=1e-12)
+        out = interpolate_full(np.full((4, 16), 2.0 - 1.0j), pat, 64)
+        assert out.shape == (4, 64)
+        np.testing.assert_allclose(out, 2.0 - 1.0j, atol=1e-12)
 
     def test_affine_exact_between_pilots(self, rng):
         pat = build_pilot_pattern(64, 16, 1.0, rng)
         slope = 0.3 - 0.1j
         full = slope * np.arange(64)[None, :] + (1 + 1j)
-        est = ChannelEstimate(h=full[:, pat.indices].copy(), grid="pilot", method="ls")
-        out = interpolate_full(ChannelEstimate(h=est.h, grid="pilot", method="ls"), pat, 64)
-        np.testing.assert_allclose(out.h[:, :pat.indices[-1] + 1],
+        out = interpolate_full(full[:, pat.indices].copy(), pat, 64)
+        np.testing.assert_allclose(out[:, :pat.indices[-1] + 1],
                                    full[:1, :pat.indices[-1] + 1], atol=1e-12)
 
     def test_exact_at_pilot_positions(self, rng):
         pat = build_pilot_pattern(64, 8, 1.0, rng)
         h = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
-        out = interpolate_full(ChannelEstimate(h=h, grid="pilot", method="ls"), pat, 64)
-        np.testing.assert_allclose(out.h[:, pat.indices], h, atol=1e-13)
+        out = interpolate_full(h, pat, 64)
+        np.testing.assert_allclose(out[:, pat.indices], h, atol=1e-13)
 
     def test_hold_beyond_last_pilot(self, rng):
         pat = build_pilot_pattern(64, 8, 1.0, rng)
         h = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
-        out = interpolate_full(ChannelEstimate(h=h, grid="pilot", method="ls"), pat, 64)
+        out = interpolate_full(h, pat, 64)
         for col in range(pat.indices[-1], 64):
-            np.testing.assert_allclose(out.h[:, col], h[:, -1], atol=1e-13)
+            np.testing.assert_allclose(out[:, col], h[:, -1], atol=1e-13)
 
     def test_full_piloting_identity(self, rng):
         pat = build_pilot_pattern(32, 32, 1.0, rng)
         h = rng.normal(size=(2, 32)) + 1j * rng.normal(size=(2, 32))
-        out = interpolate_full(ChannelEstimate(h=h, grid="pilot", method="ls"), pat, 32)
-        np.testing.assert_allclose(out.h, h, atol=1e-14)
+        out = interpolate_full(h, pat, 32)
+        np.testing.assert_allclose(out, h, atol=1e-14)
 
 
 class TestLinearity:
@@ -237,10 +227,10 @@ class TestLinearity:
         alpha = complex(r.normal(), r.normal())
 
         def run(y):
-            ls = ls_estimate(RxBlock(y=y, pilots=pat))
-            return (ls.h,
-                    project_estimate(ls, proj).h,
-                    denoise_estimate(ls, desk.estimator.tau_max, desk.system).h)
+            ls = ls_estimate(y, pat)
+            return (ls,
+                    project_estimate(ls, proj),
+                    denoise_estimate(ls, desk.estimator.tau_max, desk.system))
 
         outs1, outs2 = run(y1), run(y2)
         combo = run(y1 + alpha * y2)

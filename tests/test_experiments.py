@@ -12,8 +12,8 @@ from chest.channel import apply_uplink, assemble_channel, draw_fading
 from chest.cli import _build_parser, _load_bundle
 from chest.config import (ConfigError, desk_config, noise_variance_for_snr,
                           validate_config)
-from chest.estimators import (ChannelEstimate, denoise_estimate, interpolate_full,
-                              ls_estimate, project_estimate)
+from chest.estimators import (denoise_estimate, interpolate_full, ls_estimate,
+                              project_estimate)
 from chest.experiments import (ExperimentPlan, bml_ranks, build_environment,
                                emit_csv, emit_ecdf_csv, measure_projection_floor,
                                run_ecdf, run_nmse_sweep,
@@ -248,15 +248,15 @@ def _oracle_estimates(env, noise_variance, t0, t1, methods, block_size, full):
     truth_full = assemble_channel(env.steering, fading, env.freq_full) if full else None
     truth = (truth_full[..., env.pilots.indices] if full
              else assemble_channel(env.steering, fading, env.freq_pilot))
-    ls = ls_estimate(apply_uplink(truth, env.pilots, noise_variance, noise))
+    ls = ls_estimate(apply_uplink(truth, env.pilots, noise_variance, noise), env.pilots)
     estimates = {}
     for method in methods:
         if method == "ls":
-            estimates[method] = ls.h
+            estimates[method] = ls
         elif method == "denoise":
-            estimates[method] = denoise_estimate(ls, env.bundle.estimator.tau_max, sysc).h
+            estimates[method] = denoise_estimate(ls, env.bundle.estimator.tau_max, sysc)
         elif method == "emdt":
-            estimates[method] = project_estimate(ls, env.projectors).h
+            estimates[method] = project_estimate(ls, env.projectors)
         elif method == "bml":
             block = t0 // block_size
             warm = range(env.bundle.estimator.n_batch)
@@ -267,8 +267,8 @@ def _oracle_estimates(env, noise_variance, t0, t1, methods, block_size, full):
                                                shape) for j in warm])
             rx_w = apply_uplink(assemble_channel(env.steering, fading_w, env.freq_pilot),
                                 env.pilots, noise_variance, noise_w)
-            proj = bml_subspace(ls_estimate(rx_w).h, *bml_ranks(env))
-            estimates[method] = project_estimate(ls, proj, "bml").h
+            proj = bml_subspace(ls_estimate(rx_w, env.pilots), *bml_ranks(env))
+            estimates[method] = project_estimate(ls, proj)
     return truth, truth_full, estimates
 
 
@@ -295,8 +295,7 @@ def _oracle(plan):
                 for method in plan.methods:
                     if full:
                         h = truth_full if method == "ideal" else interpolate_full(
-                            ChannelEstimate(est[method], "pilot", method), env.pilots,
-                            n_sc).h
+                            est[method], env.pilots, n_sc)
                         if plan.kind == "ecdf":
                             value = post_combining_snr_samples(h, truth_full, power, nv)
                         else:

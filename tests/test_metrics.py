@@ -4,21 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chest import (analytic_nmse, desk_config, dt_subspace, ecdf,
-                   genie_spectral_efficiency, make_projectors,
-                   noise_variance_for_snr, post_combining_snr_samples,
-                   reference_config)
-from chest.estimators import ChannelEstimate
+from chest import (analytic_nmse, channel_covariance, dt_subspace, ecdf,
+                   genie_spectral_efficiency, noise_variance_for_snr,
+                   post_combining_snr_samples, reference_config)
 from chest.propagation import (ArrayGeometry, PathSet, frequency_response,
                                steering_matrix)
 from chest.subspaces import ProjectorPair
 from chest.channel import average_gain_from_responses
-from chest.experiments import build_environment, pilot_covariance
-from chest.metrics import covariance_traces, error_energy
+from chest.experiments import build_environment
+from chest.metrics import MetricsRecord, covariance_traces, error_energy
 
 
 def _est(h):
-    return ChannelEstimate(h=np.asarray(h, dtype=complex), grid="full", method="ls")
+    return np.asarray(h, dtype=complex)
 
 
 class TestEmpiricalNmse:
@@ -110,8 +108,7 @@ class TestAnalyticNmse:
                         amplitude=np.full(4, 0.5))
         geom = ArrayGeometry.uniform_linear(8, desk.wavelength)
         idx = np.arange(0, 64, 2)
-        prior = dt_subspace(paths, geom, 64, desk.sample_interval, 0.25, idx)
-        proj = make_projectors(prior)
+        proj = dt_subspace(paths, geom, 64, desk.sample_interval, 0.25, idx)
         a = steering_matrix(paths, geom)
         k = frequency_response(paths, 64, desk.sample_interval, 0.25, idx)
         beta = average_gain_from_responses(paths.amplitude, k)
@@ -164,7 +161,11 @@ class TestCovarianceTraces:
 
     def test_reference(self):
         env = build_environment(reference_config())
-        self._check(env, pilot_covariance(env))
+        self._check(env, channel_covariance(env.paths, env.geometry,
+                                            env.bundle.system.n_subcarriers,
+                                            env.bundle.sample_interval,
+                                            env.bundle.scenario.pulse_rolloff,
+                                            env.pilots.indices))
 
     def test_non_unit_modulus_steering(self, desk_env, desk_cov, rng):
         """Per-element gains on the array scale R; the traces follow them."""
@@ -266,6 +267,11 @@ class TestEcdf:
         with pytest.raises(ValueError):
             ecdf([])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            ecdf([1.0, bad])
+
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=60))
     @settings(max_examples=40, deadline=None)
     def test_terminal_value_and_monotonicity(self, xs):
@@ -273,3 +279,26 @@ class TestEcdf:
         assert e.fractions[-1] == pytest.approx(1.0)
         assert np.all(np.diff(e.fractions) > 0)
         assert np.all(np.diff(e.thresholds) >= 0)
+
+
+class TestMetricsRecord:
+    """Every sweep result row is built here, so this is the output guard on
+    the NMSE and spectral-efficiency values the CSVs carry."""
+
+    def _record(self, **fields):
+        return MetricsRecord(**{"method": "ls", "snr_db": 0.0, "n_pilots": 8,
+                                "trials": 4, **fields})
+
+    def test_valid_record(self):
+        rec = self._record(nmse_emp=0.5, spectral_efficiency=0.0)
+        assert rec.nmse_emp == 0.5 and rec.spectral_efficiency == 0.0
+
+    @pytest.mark.parametrize("field", ["nmse_emp", "spectral_efficiency"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-12])
+    def test_non_finite_or_negative_rejected(self, field, bad):
+        with pytest.raises(ValueError):
+            self._record(**{field: bad})
+
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ValueError):
+            self._record(trials=0, nmse_emp=0.5)

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chest import (ConfigError, desk_config, direction_vector, dt_truncate,
-                   frequency_response, generate_paths, load_paths_csv,
-                   pulse_response, save_paths_csv, steering_matrix)
+from chest import (ConfigError, direction_vector, dt_truncate, frequency_response,
+                   generate_paths, load_paths_csv, pulse_response, save_paths_csv,
+                   steering_matrix)
 from chest.propagation import ArrayGeometry, PathSet
 
 

@@ -2,14 +2,13 @@
 import numpy as np
 import pytest
 
-from chest import (assemble_channel, bml_subspace, desk_config, draw_fading,
-                   dt_subspace, frequency_response, make_projectors,
-                   steering_matrix)
+from chest import (ProjectorPair, assemble_channel, bml_subspace, draw_fading,
+                   dt_subspace, frequency_response, steering_matrix)
 from chest.config import reference_config
 from chest.experiments import _draw, _noise_variances, bml_ranks, build_environment
 from chest.propagation import ArrayGeometry, PathSet
 from chest.streams import WARM_FADING, WARM_NOISE
-from chest.subspaces import SnapshotGrams, SubspacePrior, _sample_covariances
+from chest.subspaces import SnapshotGrams, _sample_covariances
 
 
 def _paths(delays_us, elev, azim, power=None):
@@ -81,48 +80,41 @@ class TestMakeProjectors:
 
     def test_idempotent_and_hermitian(self, setup):
         _, _, prior = self._prior(setup)
-        proj = make_projectors(prior)
-        for m in _dense(proj):
+        for m in _dense(prior):
             np.testing.assert_allclose(m @ m, m, atol=1e-10)
             np.testing.assert_allclose(m, m.conj().T, atol=1e-10)
 
     def test_trace_equals_rank(self, setup):
         _, _, prior = self._prior(setup)
-        p_s, p_t = _dense(make_projectors(prior))
+        p_s, p_t = _dense(prior)
         assert np.trace(p_s).real == pytest.approx(prior.rank_spatial, abs=1e-8)
         assert np.trace(p_t).real == pytest.approx(prior.rank_temporal, abs=1e-8)
 
     def test_full_rank_basis_gives_identity(self):
-        prior = SubspacePrior(basis_spatial=np.eye(4, dtype=complex),
-                              basis_temporal=np.eye(6, dtype=complex),
-                              rank_spatial=4, rank_temporal=6)
-        p_s, p_t = _dense(make_projectors(prior))
+        prior = ProjectorPair(basis_spatial=np.eye(4, dtype=complex),
+                              basis_temporal=np.eye(6, dtype=complex))
+        p_s, p_t = _dense(prior)
         np.testing.assert_allclose(p_s, np.eye(4), atol=1e-12)
         np.testing.assert_allclose(p_t, np.eye(6), atol=1e-12)
 
     def test_rejects_non_orthonormal(self):
-        bad = SubspacePrior(basis_spatial=np.ones((4, 2), dtype=complex),
-                            basis_temporal=np.eye(6, dtype=complex),
-                            rank_spatial=2, rank_temporal=6)
         with pytest.raises(ValueError):
-            make_projectors(bad)
+            ProjectorPair(basis_spatial=np.ones((4, 2), dtype=complex),
+                          basis_temporal=np.eye(6, dtype=complex))
 
     def test_basis_rotation_invariance(self, rng, setup):
         _, _, prior = self._prior(setup)
         q, _ = np.linalg.qr(rng.normal(size=(prior.rank_spatial,) * 2)
                             + 1j * rng.normal(size=(prior.rank_spatial,) * 2))
-        rotated = SubspacePrior(basis_spatial=prior.basis_spatial @ q,
-                                basis_temporal=prior.basis_temporal,
-                                rank_spatial=prior.rank_spatial,
-                                rank_temporal=prior.rank_temporal)
-        np.testing.assert_allclose(_dense(make_projectors(rotated))[0],
-                                   _dense(make_projectors(prior))[0], atol=1e-10)
+        rotated = ProjectorPair(basis_spatial=prior.basis_spatial @ q,
+                                basis_temporal=prior.basis_temporal)
+        np.testing.assert_allclose(_dense(rotated)[0], _dense(prior)[0], atol=1e-10)
 
     def test_twin_channel_invariant(self, rng, desk, setup):
         """A channel built from only the twin paths lies inside both subspaces."""
         p = _paths([0.05, 0.18, 0.33], [-0.5, 0.1, 0.6], [-1.0, 0.3, 1.1])
         geom, idx, prior = setup(p)
-        p_s, p_t = _dense(make_projectors(prior))
+        p_s, p_t = _dense(prior)
         a = steering_matrix(p, geom)
         k = frequency_response(p, 64, desk.sample_interval, 0.25, pilot_indices=idx)
         h = assemble_channel(a, draw_fading(p.amplitude, rng), k)
@@ -133,8 +125,8 @@ class TestMakeProjectors:
         big = _paths([0.05, 0.18, 0.33], [-0.5, 0.1, 0.6], [-1.0, 0.3, 1.1])
         _, _, prior_small = setup(small)
         _, _, prior_big = setup(big)
-        s_small, t_small = _dense(make_projectors(prior_small))
-        s_big, t_big = _dense(make_projectors(prior_big))
+        s_small, t_small = _dense(prior_small)
+        s_big, t_big = _dense(prior_big)
         np.testing.assert_allclose(s_big @ s_small, s_small, atol=1e-8)
         np.testing.assert_allclose(t_big @ t_small, t_small, atol=1e-8)
 
@@ -143,7 +135,7 @@ class TestKroneckerTrace:
     def test_q_trace_property(self, setup):
         p = _paths([0.05, 0.18, 0.33], [-0.5, 0.1, 0.6], [-1.0, 0.3, 1.1])
         _, _, prior = setup(p)
-        p_s, p_t = _dense(make_projectors(prior))
+        p_s, p_t = _dense(prior)
         q = np.kron(p_t.T, p_s)
         r = prior.rank_spatial * prior.rank_temporal
         assert np.trace(q).real == pytest.approx(r, abs=1e-6)
