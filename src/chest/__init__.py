@@ -6,8 +6,7 @@ from .config import (ConfigBundle, ConfigError, EstimatorConfig, PilotPattern,
                      validate_config)
 from .channel import (apply_uplink, assemble_channel, average_gain_from_responses,
                       channel_covariance, draw_fading)
-from .estimators import (denoise_estimate, interpolate_full, ls_estimate,
-                         project_estimate, retained_tap_count)
+from .estimators import interpolate_full, ls_estimate, project_estimate
 from .experiments import (Environment, ExperimentPlan, build_environment, emit_csv,
                           emit_ecdf_csv, measure_projection_floor, run_ecdf,
                           run_nmse_sweep, run_pilot_sweep, run_se_sweep, validate_plan)
@@ -17,7 +16,7 @@ from .propagation import (ArrayGeometry, PathSet, direction_vector, dt_truncate,
                           frequency_response, generate_paths, load_paths_csv,
                           pulse_response, save_paths_csv, steering_matrix)
 from .streams import complex_normal, substream
-from .subspaces import ProjectorPair, bml_subspace, dt_subspace
+from .subspaces import ProjectorPair, bml_subspace, denoise_subspace, dt_subspace
 
 __version__ = "0.1.0"
 
@@ -28,13 +27,13 @@ __all__ = [
     "analytic_nmse", "apply_uplink", "assemble_channel",
     "average_gain_from_responses", "bml_subspace", "build_environment",
     "build_pilot_pattern", "channel_covariance", "complex_normal",
-    "denoise_estimate", "desk_config", "direction_vector", "draw_fading",
+    "denoise_subspace", "desk_config", "direction_vector", "draw_fading",
     "dt_subspace", "dt_truncate", "ecdf", "emit_csv", "emit_ecdf_csv",
     "frequency_response", "generate_paths", "genie_spectral_efficiency",
     "interpolate_full", "load_config", "load_paths_csv", "ls_estimate",
     "measure_projection_floor", "noise_variance_for_snr",
     "post_combining_snr_samples", "project_estimate", "pulse_response",
-    "reference_config", "retained_tap_count", "run_ecdf", "run_nmse_sweep",
+    "reference_config", "run_ecdf", "run_nmse_sweep",
     "run_pilot_sweep", "run_se_sweep", "save_paths_csv", "steering_matrix",
     "substream", "validate_config", "validate_plan",
 ]

@@ -2,16 +2,17 @@
 
 Every estimator is a linear map on plain complex arrays: it takes a
 pilot-grid array shaped (..., n_rx, n_pilots), with any leading trial axes,
-and returns an array of the same leading shape.  Only
-:func:`interpolate_full` changes the grid, to (..., n_rx, n_subcarriers).
+and returns an array of the same leading shape.  LS divides out the pilots;
+every other pilot-grid estimator (twin, batch-ML, delay-domain denoising)
+is :func:`project_estimate` with that prior's
+:class:`~chest.subspaces.ProjectorPair`.  Only :func:`interpolate_full`
+changes the grid, to (..., n_rx, n_subcarriers).
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .config import PilotPattern, SystemConfig
+from .config import PilotPattern
 from .subspaces import ProjectorPair
 
 
@@ -31,31 +32,6 @@ def project_estimate(h: np.ndarray, projectors: ProjectorPair) -> np.ndarray:
         raise ValueError("projector dimensions do not match the estimate")
     core = (u_s.conj().T @ h) @ u_t.conj()
     return u_s @ core @ u_t.T
-
-
-def retained_tap_count(tau_max: float, sample_interval: float, n_subcarriers: int,
-                       n_pilots: int) -> int:
-    """Number of leading pilot-grid CIR taps inside the delay window.
-
-    Pilot-grid taps are spaced T_s * N / N_p apart; taps whose delay exceeds
-    tau_max are zeroed, and no negative-delay (wrapped) taps are retained.
-    """
-    spacing = sample_interval * n_subcarriers / n_pilots
-    return min(n_pilots, math.ceil(tau_max / spacing))
-
-
-def denoise_estimate(h: np.ndarray, tau_max: float, system: SystemConfig) -> np.ndarray:
-    """Prune the pilot-grid impulse response beyond a maximum delay.
-
-    Per antenna row: N_p-point IDFT, zero every tap past the window, DFT back.
-    """
-    if tau_max <= 0:
-        raise ValueError("tau_max must be positive")
-    k_tau = retained_tap_count(tau_max, system.sample_interval,
-                               system.n_subcarriers, h.shape[-1])
-    cir = np.fft.ifft(h, axis=-1)
-    cir[..., k_tau:] = 0.0
-    return np.fft.fft(cir, axis=-1)
 
 
 def interpolate_full(h: np.ndarray, pilots: PilotPattern,

@@ -12,11 +12,15 @@ efficiencies or post-combining SNR samples at every SNR point.
   unit-variance noise W whatever the chunking, the worker count or the SNR
   point; noise is scaled, never redrawn.
 * At noise variance sigma^2 the LS estimate is H + sigma * W', with
-  W' = W / x.  ``ls``, ``denoise``, ``emdt`` and full-grid interpolation are
-  linear, so each is applied once per chunk to H and to W' and the estimate
-  at every SNR point is P(H) + sigma * P(W').  The squared error follows from
-  three per-trial sums, ||PH - H||^2 + 2 sigma Re<PH - H, PW'> +
-  sigma^2 ||PW'||^2 (:func:`~chest.metrics.error_energy`).
+  W' = W / x.  Every pilot-grid method projects it by a
+  :class:`~chest.subspaces.ProjectorPair` P: the twin's for ``emdt``, the
+  delay window's for ``denoise`` and the one learned from the warm-up for
+  ``bml``; ``ls`` is the identity, which is skipped.  Projection and
+  full-grid interpolation are linear, so each is applied once per chunk to H
+  and to W', and the estimate at every SNR point is P(H) + sigma * P(W').
+  The squared error follows from three per-trial sums,
+  ||PH - H||^2 + 2 sigma Re<PH - H, PW'> + sigma^2 ||PW'||^2
+  (:func:`~chest.metrics.error_energy`).
 * Batch-ML learns its projectors from the warm-up snapshots H_w + sigma W'_w
   of the chunk's trial block, so it is re-decomposed at each SNR point.  The
   sample covariances of those snapshots are quadratic in sigma; their Gram
@@ -38,15 +42,15 @@ import numpy as np
 from .channel import assemble_channel, average_gain_from_responses, draw_fading
 from .config import (ConfigBundle, ConfigError, PilotPattern, build_pilot_pattern,
                      noise_variance_for_snr, validate_config)
-from .estimators import (denoise_estimate, interpolate_full, ls_estimate,
-                         project_estimate)
+from .estimators import interpolate_full, ls_estimate, project_estimate
 from .metrics import MetricsRecord, analytic_nmse, ecdf, Ecdf, error_energy, \
     genie_spectral_efficiency, post_combining_snr_samples
 from .propagation import (ArrayGeometry, PathSet, dt_truncate, frequency_response,
                           generate_paths, steering_matrix)
 from .streams import (FADING, NOISE, PATHS, PILOTS, WARM_FADING, WARM_NOISE,
                       complex_normal, substream)
-from .subspaces import ProjectorPair, SnapshotGrams, bml_subspace, dt_subspace
+from .subspaces import (ProjectorPair, SnapshotGrams, bml_subspace, denoise_subspace,
+                        dt_subspace)
 
 EXPERIMENT_KINDS = ("nmse-sweep", "se-sweep", "ecdf", "pilot-sweep")
 NMSE_METHODS = ("ls", "denoise", "bml", "emdt")
@@ -90,8 +94,6 @@ def validate_plan(plan: ExperimentPlan) -> ExperimentPlan:
     plan = replace(plan, methods=tuple(methods))
     if plan.kind == "ecdf":
         snrs = plan.snr_points or DEFAULT_ECDF_SNRS
-        if not snrs:
-            raise ConfigError("ecdf needs at least one SNR point")
         plan = replace(plan, snr_points=tuple(float(s) for s in snrs))
     if plan.kind == "pilot-sweep":
         counts = plan.pilot_counts or _default_pilot_counts(plan.bundle.system.n_subcarriers)
@@ -184,45 +186,39 @@ def _draw(env: Environment, fading_keys, noise_keys) -> tuple[np.ndarray, np.nda
     return fading, ls_estimate(noise, env.pilots)
 
 
-def _apply(env: Environment, method: str, h: np.ndarray,
-           projectors: ProjectorPair) -> np.ndarray:
-    """One linear estimator applied to a pilot-grid array."""
-    if method == "ls":
-        return h
-    if method == "denoise":
-        return denoise_estimate(h, env.bundle.estimator.tau_max, env.bundle.system)
-    if method in ("emdt", "bml"):
-        return project_estimate(h, projectors)
-    raise ConfigError(f"unknown method {method!r}")
-
-
 def _estimate_parts(env: Environment, truth: np.ndarray, noise: np.ndarray,
                     methods: tuple[str, ...], sigmas: np.ndarray, block: int):
-    """Yield ``(method, snrs, P(H), P(W'))``, one method's pair at a time.
+    """Yield ``(method, snrs, P(H), P(W'))``, one method at a time.
 
     At SNR point ``i`` in ``snrs`` the method's estimate is
-    ``P(H) + sigmas[i] * P(W')``.  The linear methods yield once for the
-    whole grid.  Batch-ML yields once per SNR point: its projectors come from
-    the block's warm-up snapshots ``H_w + sigma * W'_w``, whose sample
-    covariances follow from Gram matrices taken once per block.
+    ``P(H) + sigmas[i] * P(W')``.  ``ls`` (the identity), the twin pair and
+    the delay window yield once for the whole grid; the window is built here,
+    as a full-scale window basis is too large to keep in every environment.
+    Batch-ML yields once per SNR point: its pair comes from the block's
+    warm-up snapshots ``H_w + sigma * W'_w``, whose sample covariances follow
+    from Gram matrices taken once per block.
     """
     for method in methods:
-        if method == "ideal":
-            continue
-        if method != "bml":
-            yield (method, slice(None), _apply(env, method, truth, env.projectors),
-                   _apply(env, method, noise, env.projectors))
-            continue
-        n_batch = env.bundle.estimator.n_batch
-        fading_w, noise_w = _draw(env, [(WARM_FADING, block, j) for j in range(n_batch)],
-                                  [(WARM_NOISE, block, j) for j in range(n_batch)])
-        grams = SnapshotGrams.of(assemble_channel(env.steering, fading_w, env.freq_pilot),
-                                 noise_w)
-        r_s, r_t = bml_ranks(env)
-        for i, sigma in enumerate(sigmas):
-            proj = bml_subspace(grams.covariances(sigma), r_s, r_t)
-            yield (method, slice(i, i + 1), _apply(env, method, truth, proj),
-                   _apply(env, method, noise, proj))
+        if method == "ls":
+            yield method, slice(None), truth, noise
+        elif method in ("emdt", "denoise"):
+            proj = env.projectors if method == "emdt" else denoise_subspace(
+                env.bundle.system, env.bundle.estimator.tau_max)
+            yield (method, slice(None), project_estimate(truth, proj),
+                   project_estimate(noise, proj))
+        elif method == "bml":
+            n_batch = env.bundle.estimator.n_batch
+            fading_w, noise_w = _draw(env, [(WARM_FADING, block, j) for j in range(n_batch)],
+                                      [(WARM_NOISE, block, j) for j in range(n_batch)])
+            grams = SnapshotGrams.of(assemble_channel(env.steering, fading_w,
+                                                      env.freq_pilot), noise_w)
+            r_s, r_t = bml_ranks(env)
+            for i, sigma in enumerate(sigmas):
+                proj = bml_subspace(grams.covariances(sigma), r_s, r_t)
+                yield (method, slice(i, i + 1), project_estimate(truth, proj),
+                       project_estimate(noise, proj))
+        elif method != "ideal":
+            raise ConfigError(f"unknown method {method!r}")
 
 
 def _full_grid_estimates(env: Environment, truth_full: np.ndarray, noise: np.ndarray,

@@ -3,9 +3,10 @@
 The twin prior takes the truncated path set, forms its steering matrix and
 pilot-grid frequency response, and extracts orthonormal bases by SVD.  The
 batch-ML alternative estimates the same bases from sample covariances of LS
-snapshots.  Either way the result is a :class:`ProjectorPair` holding the two
-bases, a spatial U_s (n_rx x r_s) and a temporal U_t (n_pilots x r_t).  They
-stand for the projectors
+snapshots, and the delay-domain denoiser keeps every antenna and the leading
+DFT columns.  Each prior is a :class:`ProjectorPair` holding the two bases, a
+spatial U_s (n_rx x r_s) and a temporal U_t (n_pilots x r_t).  They stand for
+the projectors
 
     P_s = U_s U_s^H  (applied from the left),   P_t = conj(U_t) U_t^T  (right),
 
@@ -14,16 +15,18 @@ rows onto span(U_t).  The dense n x n matrices are never formed: a pilot-grid
 array H is projected as U_s ((U_s^H H) conj(U_t)) U_t^T, which costs
 O(n_rx n_pilots r) instead of O(n_rx n_pilots (n_rx + n_pilots)), and the
 ranks are the basis widths.  A pair checks on construction that both bases
-are orthonormal, so every pair, twin, batch-ML or hand-built, is checked
-once, where it is built.
+are orthonormal, so every pair, whatever built it, is checked once, where it
+is built.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .config import SystemConfig
 from .propagation import ArrayGeometry, PathSet, frequency_response, steering_matrix
 
 
@@ -72,6 +75,25 @@ def dt_subspace(twin_paths: PathSet, geometry: ArrayGeometry, n_subcarriers: int
                            pilot_indices)
     return ProjectorPair(basis_spatial=_span_basis(a, tol),
                          basis_temporal=_span_basis(k, tol))
+
+
+def denoise_subspace(system: SystemConfig, tau_max: float) -> ProjectorPair:
+    """Delay-window pair on the system's pilot grid: all n_rx antennas, and the
+    first k_tau = min(N_p, ceil(tau_max / spacing)) taps at spacing T_s N / N_p.
+
+    U_t is the first k_tau columns of the N_p-point DFT matrix,
+    F[n, k] = exp(-2 pi i n k / N_p), over sqrt(N_p): projecting a pilot-grid
+    row takes its IDFT, zeroes every tap past the window, negative-delay
+    (wrapped) taps included, and takes the DFT back.
+    """
+    if tau_max <= 0:
+        raise ValueError("tau_max must be positive")
+    n_p = system.n_pilots
+    spacing = system.sample_interval * system.n_subcarriers / n_p
+    k_tau = min(n_p, math.ceil(tau_max / spacing))
+    phase = np.outer(np.arange(n_p), np.arange(k_tau)) % n_p
+    return ProjectorPair(basis_spatial=np.eye(system.n_rx, dtype=complex),
+                         basis_temporal=np.exp(-2j * np.pi / n_p * phase) / math.sqrt(n_p))
 
 
 class SampleCovariances(NamedTuple):

@@ -18,13 +18,13 @@ import numpy as np
 from .channel import (apply_uplink, assemble_channel, channel_covariance,
                       draw_fading)
 from .config import ConfigBundle, desk_config, noise_variance_for_snr
-from .estimators import denoise_estimate, interpolate_full, ls_estimate
+from .estimators import interpolate_full, ls_estimate, project_estimate
 from .experiments import ExperimentPlan, build_environment, emit_csv, run_nmse_sweep
 from .metrics import analytic_nmse
 from .propagation import ArrayGeometry, PathSet, frequency_response, pulse_response, \
     steering_matrix
 from .streams import complex_normal, substream
-from .subspaces import ProjectorPair, bml_subspace, dt_subspace
+from .subspaces import ProjectorPair, bml_subspace, denoise_subspace, dt_subspace
 
 
 @dataclass(frozen=True)
@@ -161,17 +161,18 @@ def check_fading_moments(bundle: ConfigBundle) -> CheckResult:
 
 
 def check_denoiser(bundle: ConfigBundle) -> CheckResult:
-    """Delay-window pruning is an idempotent norm-non-increasing projection
-    that passes in-window taps through exactly."""
+    """The delay-window pair projects idempotently, never increases the norm,
+    and passes in-window taps through exactly."""
     env = build_environment(bundle)
     sysc = bundle.system
+    window = denoise_subspace(sysc, bundle.estimator.tau_max)
     rng = substream(sysc.seed, 906)
     h = assemble_channel(env.steering, draw_fading(env.paths.amplitude, rng),
                          env.freq_pilot)
     noisy = ls_estimate(apply_uplink(h, env.pilots, 0.1, complex_normal(rng, h.shape)),
                         env.pilots)
-    once = denoise_estimate(noisy, bundle.estimator.tau_max, sysc)
-    twice = denoise_estimate(once, bundle.estimator.tau_max, sysc)
+    once = project_estimate(noisy, window)
+    twice = project_estimate(once, window)
     idem = float(np.abs(twice - once).max())
     shrinks = np.linalg.norm(once) <= np.linalg.norm(noisy) + 1e-12
     # a pure in-window tap is untouched; a pure out-of-window tap is removed
@@ -179,12 +180,11 @@ def check_denoiser(bundle: ConfigBundle) -> CheckResult:
     cir = np.zeros((sysc.n_rx, n_p), dtype=complex)
     cir[:, 1] = 1.0
     inside = np.fft.fft(cir, axis=-1)
-    keep_err = float(np.abs(denoise_estimate(inside, bundle.estimator.tau_max, sysc)
-                            - inside).max())
+    keep_err = float(np.abs(project_estimate(inside, window) - inside).max())
     cir[:, 1] = 0.0
     cir[:, n_p - 2] = 1.0
     outside = np.fft.fft(cir, axis=-1)
-    kill = float(np.abs(denoise_estimate(outside, bundle.estimator.tau_max, sysc)).max())
+    kill = float(np.abs(project_estimate(outside, window)).max())
     ok = idem < 1e-10 and shrinks and keep_err < 1e-10 and kill < 1e-10
     return CheckResult("denoiser-projection", ok,
                        f"idempotency {idem:.2e}, norm non-increasing {shrinks}, "

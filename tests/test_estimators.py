@@ -1,12 +1,15 @@
 """LS, projection, delay-domain denoising, and full-grid interpolation."""
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chest import (apply_uplink, build_pilot_pattern, complex_normal,
-                   denoise_estimate, desk_config, interpolate_full, ls_estimate,
-                   project_estimate, retained_tap_count)
+                   denoise_subspace, desk_config, interpolate_full, ls_estimate,
+                   project_estimate)
 from chest.config import PilotPattern
 from chest.subspaces import ProjectorPair
 
@@ -115,22 +118,43 @@ class TestProjectEstimate:
         np.testing.assert_allclose(_vec(h - out), expected, atol=1e-10)
 
 
+def _fft_denoise(h, tau_max, system):
+    """Reference delay-window denoiser: per antenna row, N_p-point IDFT, zero
+    every tap past the window (k_tau = min(N_p, ceil(tau_max / spacing)) at
+    pilot-grid tap spacing T_s N / N_p, no wrapped taps kept), DFT back."""
+    n_p = h.shape[-1]
+    spacing = system.sample_interval * system.n_subcarriers / n_p
+    k_tau = min(n_p, math.ceil(tau_max / spacing))
+    cir = np.fft.ifft(h, axis=-1)
+    cir[..., k_tau:] = 0.0
+    return np.fft.fft(cir, axis=-1)
+
+
+def _window(h, tau_max, system):
+    """The delay-window pair sized for the pilot-grid array ``h``."""
+    return denoise_subspace(replace(system, n_rx=h.shape[-2], n_pilots=h.shape[-1]),
+                            tau_max)
+
+
+def _denoise(h, tau_max, system):
+    return project_estimate(h, _window(h, tau_max, system))
+
+
 class TestDenoise:
     def _estimate(self, rng, n_rx=4, n_p=32):
         return rng.normal(size=(n_rx, n_p)) + 1j * rng.normal(size=(n_rx, n_p))
 
     def test_retained_tap_count_defaults(self, desk):
-        k = retained_tap_count(desk.estimator.tau_max, desk.sample_interval,
-                               desk.system.n_subcarriers, desk.system.n_pilots)
-        assert k == 8
+        assert denoise_subspace(desk.system, desk.estimator.tau_max).rank_temporal == 8
 
     def test_retained_tap_count_saturates(self, desk):
-        k = retained_tap_count(1.0, desk.sample_interval, 64, 32)
-        assert k == 32
+        window = denoise_subspace(replace(desk.system, n_rx=4, n_subcarriers=64,
+                                          n_pilots=32), 1.0)
+        assert window.rank_temporal == 32
 
     def test_full_window_is_identity(self, rng, desk):
         est = self._estimate(rng)
-        out = denoise_estimate(est, 2.1e-6, desk.system)
+        out = _denoise(est, 2.1e-6, desk.system)
         np.testing.assert_allclose(out, est, atol=1e-10)
 
     def test_in_window_taps_preserved(self, rng, desk):
@@ -138,20 +162,20 @@ class TestDenoise:
         taps = np.zeros((4, 32), dtype=complex)
         taps[:, :6] = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
         h = np.fft.fft(taps, axis=1)
-        out = denoise_estimate(h, desk.estimator.tau_max, desk.system)
+        out = _denoise(h, desk.estimator.tau_max, desk.system)
         np.testing.assert_allclose(out, h, atol=1e-8)
 
     def test_out_of_window_taps_removed(self, rng, desk):
         taps = np.zeros((4, 32), dtype=complex)
         taps[:, 20] = 1.0
         h = np.fft.fft(taps, axis=1)
-        out = denoise_estimate(h, desk.estimator.tau_max, desk.system)
+        out = _denoise(h, desk.estimator.tau_max, desk.system)
         np.testing.assert_allclose(out, 0.0, atol=1e-10)
 
     def test_idempotent(self, rng, desk):
         est = self._estimate(rng)
-        once = denoise_estimate(est, 0.5e-6, desk.system)
-        twice = denoise_estimate(once, 0.5e-6, desk.system)
+        once = _denoise(est, 0.5e-6, desk.system)
+        twice = _denoise(once, 0.5e-6, desk.system)
         np.testing.assert_allclose(twice, once, atol=1e-10)
 
     @given(seed=st.integers(0, 2 ** 16))
@@ -160,7 +184,7 @@ class TestDenoise:
         desk = desk_config()
         r = np.random.default_rng(seed)
         h = r.normal(size=(4, 32)) + 1j * r.normal(size=(4, 32))
-        out = denoise_estimate(h, desk.estimator.tau_max, desk.system)
+        out = _denoise(h, desk.estimator.tau_max, desk.system)
         assert np.sum(np.abs(out) ** 2) <= np.sum(np.abs(h) ** 2) + 1e-9
 
     def test_pure_noise_energy_fraction(self, desk):
@@ -169,13 +193,31 @@ class TestDenoise:
         for _ in range(300):
             h = r.normal(size=(4, 32)) + 1j * r.normal(size=(4, 32))
             total_in += np.sum(np.abs(h) ** 2)
-            total_out += np.sum(np.abs(denoise_estimate(h, desk.estimator.tau_max,
-                                                        desk.system)) ** 2)
+            total_out += np.sum(np.abs(_denoise(h, desk.estimator.tau_max,
+                                                desk.system)) ** 2)
         assert total_out / total_in == pytest.approx(8 / 32, rel=0.05)
 
     def test_rejects_nonpositive_tau(self, rng, desk):
         with pytest.raises(ValueError):
-            denoise_estimate(self._estimate(rng), 0.0, desk.system)
+            _denoise(self._estimate(rng), 0.0, desk.system)
+
+    # (n_rx, n_subcarriers, n_pilots) of configs/desk.json,
+    # configs/reference.json and bench/c8.json
+    @pytest.mark.parametrize("n_rx, n_sc, n_p", [(16, 64, 32), (64, 64, 32),
+                                                 (16, 256, 32)])
+    @pytest.mark.parametrize("lead", [(), (2, 3)])
+    @pytest.mark.parametrize("tau_max, k_tau", [(0.5e-6, 8), (1e-12, 1),
+                                                (1.0, None)])  # None: all N_p taps
+    def test_matches_fft_oracle(self, rng, desk, n_rx, n_sc, n_p, lead, tau_max, k_tau):
+        """Projecting by the delay-window pair is the IDFT-prune-DFT denoiser."""
+        system = replace(desk.system, n_rx=n_rx, n_subcarriers=n_sc, n_pilots=n_p)
+        shape = lead + (n_rx, n_p)
+        h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert _window(h, tau_max, system).rank_temporal == (k_tau or n_p)
+        out = _denoise(h, tau_max, system)
+        reference = _fft_denoise(h, tau_max, system)
+        assert out.shape == shape
+        assert np.linalg.norm(out - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
 class TestInterpolateFull:
@@ -230,7 +272,7 @@ class TestLinearity:
             ls = ls_estimate(y, pat)
             return (ls,
                     project_estimate(ls, proj),
-                    denoise_estimate(ls, desk.estimator.tau_max, desk.system))
+                    _denoise(ls, desk.estimator.tau_max, desk.system))
 
         outs1, outs2 = run(y1), run(y2)
         combo = run(y1 + alpha * y2)

@@ -12,18 +12,18 @@ from chest.channel import apply_uplink, assemble_channel, draw_fading
 from chest.cli import _build_parser, _load_bundle
 from chest.config import (ConfigError, desk_config, noise_variance_for_snr,
                           validate_config)
-from chest.estimators import (denoise_estimate, interpolate_full, ls_estimate,
-                              project_estimate)
+from chest.estimators import interpolate_full, ls_estimate, project_estimate
 from chest.experiments import (ExperimentPlan, bml_ranks, build_environment,
                                emit_csv, emit_ecdf_csv, measure_projection_floor,
                                run_ecdf, run_nmse_sweep,
                                run_pilot_sweep, run_se_sweep, validate_plan,
-                               _chunk_ranges, _reduce_nmse, _simulate_chunk)
+                               _chunk_ranges, _pooled_nmse, _reduce_nmse,
+                               _simulate_chunk)
 from chest.metrics import (Ecdf, analytic_nmse, ecdf, genie_spectral_efficiency,
                            post_combining_snr_samples)
 from chest.streams import (FADING, NOISE, WARM_FADING, WARM_NOISE, complex_normal,
                            substream)
-from chest.subspaces import bml_subspace
+from chest.subspaces import bml_subspace, denoise_subspace
 
 
 @pytest.fixture(scope="module")
@@ -140,10 +140,24 @@ class TestNmseSweep:
 
 
 class TestProjectionFloor:
-    def test_matches_analytic_floor(self, tiny400):
-        env = build_environment(tiny400)
-        measured = measure_projection_floor(env, 400)
-        analytic = analytic_nmse(env.projectors, env.steering, env.freq_pilot,
+    @pytest.mark.parametrize("method", ["emdt", "denoise"])
+    def test_matches_analytic_floor(self, tiny400, method):
+        """The noiseless NMSE of a pair's estimator matches its closed-form
+        subspace floor.  ``denoise`` runs on the desk geometry with a 0.2 us
+        delay spread, where its floor is about 2.7e-3; at the default 0.9 us
+        it is about 1, which any value near 1 would match."""
+        if method == "emdt":
+            env = build_environment(tiny400)
+            measured, pair = measure_projection_floor(env, 400), env.projectors
+        else:
+            desk = desk_config(n_trials=400)
+            env = build_environment(validate_config(
+                desk.system, replace(desk.scenario, delay_spread=0.2e-6), desk.estimator))
+            measured = float(_pooled_nmse(
+                [_simulate_chunk(env, _reduce_nmse, t0, t1, ("denoise",), (0.0,), 50)
+                 for t0, t1 in _chunk_ranges(400, 50)], "denoise")[0])
+            pair = denoise_subspace(env.bundle.system, env.bundle.estimator.tau_max)
+        analytic = analytic_nmse(pair, env.steering, env.freq_pilot,
                                  env.paths.amplitude, 0.0, 1.0,
                                  noise_variance_for_snr(0.0, 1.0, env.beta))
         assert measured == pytest.approx(analytic.subspace_floor, rel=0.15)
@@ -254,7 +268,8 @@ def _oracle_estimates(env, noise_variance, t0, t1, methods, block_size, full):
         if method == "ls":
             estimates[method] = ls
         elif method == "denoise":
-            estimates[method] = denoise_estimate(ls, env.bundle.estimator.tau_max, sysc)
+            estimates[method] = project_estimate(
+                ls, denoise_subspace(sysc, env.bundle.estimator.tau_max))
         elif method == "emdt":
             estimates[method] = project_estimate(ls, env.projectors)
         elif method == "bml":
