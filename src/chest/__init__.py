@@ -10,8 +10,7 @@ from .estimators import interpolate_full, ls_estimate, project_estimate
 from .experiments import (Environment, ExperimentPlan, build_environment, emit_csv,
                           emit_ecdf_csv, measure_projection_floor, run_ecdf,
                           run_nmse_sweep, run_pilot_sweep, run_se_sweep, validate_plan)
-from .metrics import (Ecdf, MetricsRecord, NmseBreakdown, analytic_nmse, ecdf,
-                      genie_spectral_efficiency, post_combining_snr_samples)
+from .metrics import Ecdf, MetricsRecord, NmseBreakdown, analytic_nmse, ecdf
 from .propagation import (ArrayGeometry, PathSet, direction_vector, dt_truncate,
                           frequency_response, generate_paths, load_paths_csv,
                           pulse_response, save_paths_csv, steering_matrix)
@@ -29,10 +28,10 @@ __all__ = [
     "build_pilot_pattern", "channel_covariance", "complex_normal",
     "denoise_subspace", "desk_config", "direction_vector", "draw_fading",
     "dt_subspace", "dt_truncate", "ecdf", "emit_csv", "emit_ecdf_csv",
-    "frequency_response", "generate_paths", "genie_spectral_efficiency",
+    "frequency_response", "generate_paths",
     "interpolate_full", "load_config", "load_paths_csv", "ls_estimate",
     "measure_projection_floor", "noise_variance_for_snr",
-    "post_combining_snr_samples", "project_estimate", "pulse_response",
+    "project_estimate", "pulse_response",
     "reference_config", "run_ecdf", "run_nmse_sweep",
     "run_pilot_sweep", "run_se_sweep", "save_paths_csv", "steering_matrix",
     "substream", "validate_config", "validate_plan",

@@ -6,7 +6,9 @@ and returns an array of the same leading shape.  LS divides out the pilots;
 every other pilot-grid estimator (twin, batch-ML, delay-domain denoising)
 is :func:`project_estimate` with that prior's
 :class:`~chest.subspaces.ProjectorPair`.  Only :func:`interpolate_full`
-changes the grid, to (..., n_rx, n_subcarriers).
+changes the grid, to (..., n_rx, n_subcarriers); it is the right-product by
+the real :func:`interpolation_matrix`, which the sweeps fold into a method's
+temporal basis instead.
 """
 from __future__ import annotations
 
@@ -34,20 +36,31 @@ def project_estimate(h: np.ndarray, projectors: ProjectorPair) -> np.ndarray:
     return u_s @ core @ u_t.T
 
 
-def interpolate_full(h: np.ndarray, pilots: PilotPattern,
-                     n_subcarriers: int) -> np.ndarray:
-    """Linear interpolation (per real/imaginary part) onto the full grid.
+def interpolation_matrix(pilots: PilotPattern, n_subcarriers: int) -> np.ndarray:
+    """Real (n_pilots, n_subcarriers) matrix M of linear interpolation onto
+    the full grid, so that ``h @ M`` interpolates every row of ``h``.
 
-    Values beyond the last pilot hold that pilot's value; with a single pilot
-    the estimate extends as a constant.
+    Column j weights the two pilots around subcarrier j; beyond the last
+    pilot it holds that pilot's value, and with a single pilot every column
+    is that pilot.
     """
-    if h.shape[-1] != len(pilots):
-        raise ValueError("estimate width must match the pilot count")
     idx = pilots.indices
+    m = np.zeros((idx.size, n_subcarriers))
     if idx.size == 1:
-        return np.repeat(h, n_subcarriers, axis=-1)
+        m[0] = 1.0
+        return m
     grid = np.arange(n_subcarriers)
     left = np.clip(np.searchsorted(idx, grid, side="right") - 1, 0, idx.size - 2)
-    weight = (grid - idx[left]) / (idx[left + 1] - idx[left])
-    weight = np.clip(weight, 0.0, 1.0)      # hold beyond the last pilot
-    return h[..., left] * (1.0 - weight) + h[..., left + 1] * weight
+    weight = np.clip((grid - idx[left]) / (idx[left + 1] - idx[left]), 0.0, 1.0)
+    m[left, grid] = 1.0 - weight
+    m[left + 1, grid] = weight
+    return m
+
+
+def interpolate_full(h: np.ndarray, pilots: PilotPattern,
+                     n_subcarriers: int) -> np.ndarray:
+    """Linear interpolation (per real/imaginary part) onto the full grid,
+    ``h @ interpolation_matrix(pilots, n_subcarriers)``."""
+    if h.shape[-1] != len(pilots):
+        raise ValueError("estimate width must match the pilot count")
+    return h @ interpolation_matrix(pilots, n_subcarriers)

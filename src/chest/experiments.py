@@ -12,20 +12,33 @@ efficiencies or post-combining SNR samples at every SNR point.
   unit-variance noise W whatever the chunking, the worker count or the SNR
   point; noise is scaled, never redrawn.
 * At noise variance sigma^2 the LS estimate is H + sigma * W', with
-  W' = W / x.  Every pilot-grid method projects it by a
-  :class:`~chest.subspaces.ProjectorPair` P: the twin's for ``emdt``, the
-  delay window's for ``denoise`` and the one learned from the warm-up for
-  ``bml``; ``ls`` is the identity, which is skipped.  Projection and
-  full-grid interpolation are linear, so each is applied once per chunk to H
-  and to W', and the estimate at every SNR point is P(H) + sigma * P(W').
-  The squared error follows from three per-trial sums,
-  ||PH - H||^2 + 2 sigma Re<PH - H, PW'> + sigma^2 ||PW'||^2
-  (:func:`~chest.metrics.error_energy`).
+  W' = W / x.  Every pilot-grid method projects it by its bases: the twin's
+  pair for ``emdt``, the delay window for ``denoise`` and the pair learned
+  from the warm-up for ``bml``; ``ls`` is the identity.  An identity side is
+  never multiplied out (``ls`` has none, ``denoise`` no spatial side).  The
+  estimate at every SNR point is P(H) + sigma * P(W'), and it is never
+  formed: each method's subspace coordinates core(X) = (U_s^H X) conj(U_t)
+  are taken once per chunk from H and from W', and every metric follows from
+  a few per-trial or per-column sums of them.
+* NMSE: P is an orthogonal projector, so the error is
+  ||PH - H||^2 + sigma^2 ||core(W')||^2.  The first sum is taken directly;
+  ||H||^2 - ||core(H)||^2 would cancel when the twin holds nearly all the
+  energy.
+* SE, ECDF and pilot SE: on subcarrier k the estimate is a_k + sigma b_k, so
+  the post-combining SNR at every sigma follows from five per-column sums
+  (:class:`~chest.metrics.CombiningStats`) taken in the spatial coordinates
+  U_s^H H, or in the n_rx antenna coordinates for ``ls`` and ``denoise``.
+  Full-grid interpolation is the right-multiplication by a real
+  (n_pilots, n_subcarriers) matrix M, so it is folded into the temporal basis
+  as V = U_t^T M: the estimate's coordinates on the full grid are core(H) V
+  and core(W') V (``ls`` takes H M and W' M), and no estimate is formed and
+  then interpolated.
 * Batch-ML learns its projectors from the warm-up snapshots H_w + sigma W'_w
   of the chunk's trial block, so it is re-decomposed at each SNR point.  The
   sample covariances of those snapshots are quadratic in sigma; their Gram
   matrices are taken once per block (:class:`~chest.subspaces.SnapshotGrams`)
-  and only the two small ``eigh`` calls repeat per SNR point.
+  and only the two small ``eigh`` calls and its coordinates repeat per SNR
+  point.
 
 Chunk results are reduced in chunk order, which makes output byte-identical
 for any parallelism degree.  One process pool serves a whole run.
@@ -36,15 +49,16 @@ import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .channel import assemble_channel, average_gain_from_responses, draw_fading
 from .config import (ConfigBundle, ConfigError, PilotPattern, build_pilot_pattern,
                      noise_variance_for_snr, validate_config)
-from .estimators import interpolate_full, ls_estimate, project_estimate
-from .metrics import MetricsRecord, analytic_nmse, ecdf, Ecdf, error_energy, \
-    genie_spectral_efficiency, post_combining_snr_samples
+from .estimators import interpolation_matrix, ls_estimate
+from .metrics import (CombiningStats, Ecdf, MetricsRecord, analytic_nmse, ecdf,
+                      post_combining_snr)
 from .propagation import (ArrayGeometry, PathSet, dt_truncate, frequency_response,
                           generate_paths, steering_matrix)
 from .streams import (FADING, NOISE, PATHS, PILOTS, WARM_FADING, WARM_NOISE,
@@ -186,26 +200,62 @@ def _draw(env: Environment, fading_keys, noise_keys) -> tuple[np.ndarray, np.nda
     return fading, ls_estimate(noise, env.pilots)
 
 
-def _estimate_parts(env: Environment, truth: np.ndarray, noise: np.ndarray,
-                    methods: tuple[str, ...], sigmas: np.ndarray, block: int):
-    """Yield ``(method, snrs, P(H), P(W'))``, one method at a time.
+class _Bases(NamedTuple):
+    """A method's bases in the reducers.  ``None`` stands for a side the
+    method keeps whole, the identity, which is never multiplied out: both
+    sides of ``ls`` and the spatial side of ``denoise``."""
 
-    At SNR point ``i`` in ``snrs`` the method's estimate is
-    ``P(H) + sigmas[i] * P(W')``.  ``ls`` (the identity), the twin pair and
-    the delay window yield once for the whole grid; the window is built here,
-    as a full-scale window basis is too large to keep in every environment.
-    Batch-ML yields once per SNR point: its pair comes from the block's
-    warm-up snapshots ``H_w + sigma * W'_w``, whose sample covariances follow
-    from Gram matrices taken once per block.
+    spatial: np.ndarray | None    # U_s, (n_rx, r_s)
+    temporal: np.ndarray | None   # U_t, (n_pilots, r_t)
+
+    def coords(self, x: np.ndarray) -> np.ndarray:
+        """Spatial coordinates U_s^H X of (..., n_rx, n) arrays."""
+        return x if self.spatial is None else self.spatial.conj().T @ x
+
+    def core(self, x: np.ndarray) -> np.ndarray:
+        """Subspace coordinates (U_s^H X) conj(U_t) of pilot-grid arrays."""
+        c = self.coords(x)
+        return c if self.temporal is None else c @ self.temporal.conj()
+
+    def synthesis(self, grid: np.ndarray | None) -> np.ndarray | None:
+        """Rows that take core coordinates onto a grid: U_t^T M, with M the
+        interpolation matrix, or None on the pilot grid (``grid`` None)
+        without a temporal basis."""
+        if self.temporal is None:
+            return grid
+        return self.temporal.T if grid is None else self.temporal.T @ grid
+
+    def project(self, core: np.ndarray) -> np.ndarray:
+        """The projection U_s core U_t^T of a pilot-grid array, from its core."""
+        px = core if self.spatial is None else self.spatial @ core
+        return px if self.temporal is None else px @ self.temporal.T
+
+
+def _energy(x: np.ndarray) -> np.ndarray:
+    return np.sum(np.abs(x) ** 2, axis=(-2, -1))
+
+
+def _method_bases(env: Environment, methods: tuple[str, ...], sigmas: np.ndarray,
+                  block: int):
+    """Yield ``(method, snrs, bases)``, one method at a time.
+
+    The method's estimate at SNR point ``i`` in ``snrs`` is
+    ``P(H) + sigmas[i] * P(W')``, with P the projection by ``bases``.  ``ls``,
+    the twin pair and the delay window yield once for the whole grid; the
+    window is built here, as a full-scale window basis is too large to keep
+    in every environment.  Batch-ML yields once per SNR point: its pair comes
+    from the block's warm-up snapshots ``H_w + sigma * W'_w``, whose sample
+    covariances follow from Gram matrices taken once per block.
     """
     for method in methods:
         if method == "ls":
-            yield method, slice(None), truth, noise
-        elif method in ("emdt", "denoise"):
-            proj = env.projectors if method == "emdt" else denoise_subspace(
-                env.bundle.system, env.bundle.estimator.tau_max)
-            yield (method, slice(None), project_estimate(truth, proj),
-                   project_estimate(noise, proj))
+            yield method, slice(None), _Bases(None, None)
+        elif method == "emdt":
+            proj = env.projectors
+            yield method, slice(None), _Bases(proj.basis_spatial, proj.basis_temporal)
+        elif method == "denoise":
+            window = denoise_subspace(env.bundle.system, env.bundle.estimator.tau_max)
+            yield method, slice(None), _Bases(None, window.basis_temporal)
         elif method == "bml":
             n_batch = env.bundle.estimator.n_batch
             fading_w, noise_w = _draw(env, [(WARM_FADING, block, j) for j in range(n_batch)],
@@ -215,25 +265,63 @@ def _estimate_parts(env: Environment, truth: np.ndarray, noise: np.ndarray,
             r_s, r_t = bml_ranks(env)
             for i, sigma in enumerate(sigmas):
                 proj = bml_subspace(grams.covariances(sigma), r_s, r_t)
-                yield (method, slice(i, i + 1), project_estimate(truth, proj),
-                       project_estimate(noise, proj))
+                yield (method, slice(i, i + 1),
+                       _Bases(proj.basis_spatial, proj.basis_temporal))
         elif method != "ideal":
             raise ConfigError(f"unknown method {method!r}")
 
 
-def _full_grid_estimates(env: Environment, truth_full: np.ndarray, noise: np.ndarray,
-                         methods: tuple[str, ...], sigmas: np.ndarray, block: int):
-    """Yield ``(method, i, full-grid estimate at SNR point i)``; each part is
-    interpolated onto the full grid once, and ``ideal`` is the channel itself."""
-    n_sc = env.bundle.system.n_subcarriers
+def _error_energy(bases: _Bases, truth: np.ndarray, core_h: np.ndarray,
+                  core_w: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """Per-trial squared error at every sigma, (len(sigmas), n_trials).
+
+    P is an orthogonal projector, so PH - H is orthogonal to PW' and the error
+    is ||PH - H||^2 + sigma^2 ||PW'||^2, where ||PW'|| is the norm of its core.
+    The first term is taken directly, once per pair: ||H||^2 - ||core(H)||^2
+    cancels catastrophically when the pair holds nearly all of H.
+    """
+    s = sigmas[:, None]
+    if bases.spatial is None and bases.temporal is None:
+        return s * s * _energy(core_w)
+    residual = bases.project(core_h)
+    residual -= truth
+    return _energy(residual) + s * s * _energy(core_w)
+
+
+def _combining_snrs(bases: _Bases, core_h: np.ndarray, core_w: np.ndarray,
+                    truth: np.ndarray, grid: np.ndarray | None, sigmas: np.ndarray,
+                    power: float, noise_variances: np.ndarray) -> np.ndarray:
+    """Post-combining SNRs, (len(sigmas), n_trials, n_sc), of the estimates
+    ``P(H) + sigma P(W')`` taken onto the grid of ``truth``: the full grid
+    through the interpolation matrix ``grid``, or the pilot grid (None).
+
+    Every sum lives in the spatial coordinates of the method's basis, and
+    interpolation is folded into the temporal side, so no (n_rx, n_sc)
+    estimate is formed unless the method keeps every antenna.
+    """
+    rows = bases.synthesis(grid)
+    a, b = (c if rows is None else c @ rows for c in (core_h, core_w))
+    stats = CombiningStats.of(a, b, bases.coords(truth))
+    return post_combining_snr(stats, sigmas, power, noise_variances)
+
+
+def _full_grid_snrs(env: Environment, fading: np.ndarray, noise: np.ndarray,
+                    methods: tuple[str, ...], noise_variances: np.ndarray, block: int):
+    """Yield ``(method, snrs, full-grid post-combining SNRs)``; ``ideal``
+    combines on the channel itself."""
+    truth_full = assemble_channel(env.steering, fading, env.freq_full)
+    power = env.bundle.system.symbol_power
+    sigmas = np.sqrt(noise_variances)
     if "ideal" in methods:
-        for i in range(len(sigmas)):
-            yield "ideal", i, truth_full
+        yield "ideal", slice(None), post_combining_snr(
+            CombiningStats.of(truth_full, None, truth_full), sigmas, power,
+            noise_variances)
     truth = truth_full[..., env.pilots.indices]
-    for method, snrs, ph, pw in _estimate_parts(env, truth, noise, methods, sigmas, block):
-        ph, pw = (interpolate_full(x, env.pilots, n_sc) for x in (ph, pw))
-        for i in range(len(sigmas))[snrs]:
-            yield method, i, ph + sigmas[i] * pw
+    grid = interpolation_matrix(env.pilots, env.bundle.system.n_subcarriers)
+    for method, snrs, bases in _method_bases(env, methods, sigmas, block):
+        yield method, snrs, _combining_snrs(bases, bases.core(truth), bases.core(noise),
+                                            truth_full, grid, sigmas[snrs], power,
+                                            noise_variances[snrs])
 
 
 def _reduce_nmse(env: Environment, fading: np.ndarray, noise: np.ndarray,
@@ -243,9 +331,10 @@ def _reduce_nmse(env: Environment, fading: np.ndarray, noise: np.ndarray,
     truth = assemble_channel(env.steering, fading, env.freq_pilot)
     sigmas = np.sqrt(noise_variances)
     errors = {m: np.empty((len(sigmas), len(truth))) for m in methods}
-    for method, snrs, ph, pw in _estimate_parts(env, truth, noise, methods, sigmas, block):
-        errors[method][snrs] = error_energy(truth, ph, pw, sigmas[snrs])
-    return errors, np.sum(np.abs(truth) ** 2, axis=(-2, -1))
+    for method, snrs, bases in _method_bases(env, methods, sigmas, block):
+        errors[method][snrs] = _error_energy(bases, truth, bases.core(truth),
+                                             bases.core(noise), sigmas[snrs])
+    return errors, _energy(truth)
 
 
 def _reduce_pilot(env: Environment, fading: np.ndarray, noise: np.ndarray,
@@ -257,38 +346,33 @@ def _reduce_pilot(env: Environment, fading: np.ndarray, noise: np.ndarray,
     power = env.bundle.system.symbol_power
     errors = {m: np.empty((len(sigmas), len(truth))) for m in methods}
     se = {m: np.empty(len(sigmas)) for m in methods}
-    for method, snrs, ph, pw in _estimate_parts(env, truth, noise, methods, sigmas, block):
-        errors[method][snrs] = error_energy(truth, ph, pw, sigmas[snrs])
-        for i in range(len(sigmas))[snrs]:
-            se[method][i] = len(truth) * genie_spectral_efficiency(
-                ph + sigmas[i] * pw, truth, power, noise_variances[i])
-    return errors, np.sum(np.abs(truth) ** 2, axis=(-2, -1)), se
+    for method, snrs, bases in _method_bases(env, methods, sigmas, block):
+        core_h, core_w = bases.core(truth), bases.core(noise)
+        errors[method][snrs] = _error_energy(bases, truth, core_h, core_w, sigmas[snrs])
+        snr = _combining_snrs(bases, core_h, core_w, truth, None, sigmas[snrs], power,
+                              noise_variances[snrs])
+        se[method][snrs] = len(truth) * np.mean(np.log2(1.0 + snr), axis=(1, 2))
+    return errors, _energy(truth), se
 
 
 def _reduce_se(env: Environment, fading: np.ndarray, noise: np.ndarray,
                methods: tuple[str, ...], noise_variances: np.ndarray, block: int):
     """Full-grid spectral efficiency of each method at every SNR point,
     summed over the chunk's trials."""
-    truth_full = assemble_channel(env.steering, fading, env.freq_full)
-    power = env.bundle.system.symbol_power
     se = {m: np.empty(len(noise_variances)) for m in methods}
-    for method, i, est in _full_grid_estimates(env, truth_full, noise, methods,
-                                                np.sqrt(noise_variances), block):
-        se[method][i] = len(truth_full) * genie_spectral_efficiency(
-            est, truth_full, power, noise_variances[i])
+    for method, snrs, snr in _full_grid_snrs(env, fading, noise, methods,
+                                             noise_variances, block):
+        se[method][snrs] = len(fading) * np.mean(np.log2(1.0 + snr), axis=(1, 2))
     return se
 
 
 def _reduce_ecdf(env: Environment, fading: np.ndarray, noise: np.ndarray,
                  methods: tuple[str, ...], noise_variances: np.ndarray, block: int):
     """Per-subcarrier post-combining SNR samples, ``{method: [per SNR point]}``."""
-    truth_full = assemble_channel(env.steering, fading, env.freq_full)
-    power = env.bundle.system.symbol_power
     samples = {m: [None] * len(noise_variances) for m in methods}
-    for method, i, est in _full_grid_estimates(env, truth_full, noise, methods,
-                                                np.sqrt(noise_variances), block):
-        samples[method][i] = post_combining_snr_samples(est, truth_full, power,
-                                                        noise_variances[i])
+    for method, snrs, snr in _full_grid_snrs(env, fading, noise, methods,
+                                             noise_variances, block):
+        samples[method][snrs] = [x.ravel() for x in snr]
     return samples
 
 
@@ -483,9 +567,11 @@ def emit_ecdf_csv(tables: dict[tuple[str, float], Ecdf], path: str | Path) -> No
     """One row per sample: method, snr_db, sample SNR in dB, cumulative fraction.
 
     The bytes are those of ``csv.writer`` with :func:`_fmt` cells (no cell
-    needs quoting); rows are formatted directly and written in blocks of
-    ``_ECDF_ROWS_PER_WRITE`` so that no table is joined into one string.
-    Tables of equal sample count share their cumulative fractions, so the
+    needs quoting; ``%.9g`` is the conversion of ``:.9g``, ``-inf`` included).
+    Each block of ``_ECDF_ROWS_PER_WRITE`` rows is formatted by one ``%``
+    template over the block's interleaved sample and ``cum_frac`` cells, and
+    written on its own, so that no table is joined into one string.  Tables
+    of equal sample count share their cumulative fractions, so the
     ``cum_frac`` cells are formatted once and reused while the fractions stay
     equal.  They are kept as one newline-joined string per block: a list of
     cell strings would raise the peak memory by about 2 MB at 32 000 rows.
@@ -505,10 +591,12 @@ def emit_ecdf_csv(tables: dict[tuple[str, float], Ecdf], path: str | Path) -> No
                                    for k in range(0, fractions.size, rows)]
                 with np.errstate(divide="ignore"):
                     snr_samples_db = 10.0 * np.log10(table.thresholds)
-                prefix = f"{method},{_fmt(snr_db)},"
-                for k, fracs in zip(range(0, snr_samples_db.size, rows), frac_blocks):
-                    fh.write("".join([f"{prefix}{q:.9g},{f}\r\n" for q, f in
-                                      zip(snr_samples_db[k:k + rows].tolist(),
-                                          fracs.split("\n"))]))
+                row = f"{method},{_fmt(snr_db)},".replace("%", "%%") + "%.9g,%s\r\n"
+                for k, frac_block in zip(range(0, snr_samples_db.size, rows), frac_blocks):
+                    fracs = frac_block.split("\n")
+                    cells = [None] * (2 * len(fracs))
+                    cells[::2] = snr_samples_db[k:k + rows].tolist()
+                    cells[1::2] = fracs
+                    fh.write(row * len(fracs) % tuple(cells))
     except OSError as exc:
         raise RuntimeError(f"failed to write {path}: {exc}") from exc

@@ -1,14 +1,20 @@
-"""Estimation quality metrics: per-trial error energy, analytic NMSE, genie-aided
-spectral efficiency, post-combining SNR samples, and ECDF utilities.
+"""Estimation quality metrics: analytic NMSE, post-combining SNR from
+per-column statistics, and ECDF utilities.
 
 The analytic NMSE splits into a subspace floor (energy outside the projector
 pair) and a noise term (noise passed by the projectors), evaluated path by
 path from the channel's steering and frequency responses.
+
+The post-combining SNR of a linear estimate a + sigma b needs only five sums
+per subcarrier, :class:`CombiningStats`, so one set of sums serves every
+noise level sigma, and the sums may be taken in any orthonormal coordinates
+that hold a and b (the sweeps take them in a projector's subspace).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,31 +48,6 @@ class MetricsRecord:
         for v in (self.nmse_emp, self.spectral_efficiency):
             if v is not None and (not math.isfinite(v) or v < 0):
                 raise ValueError("metrics must be finite and non-negative")
-
-
-def error_energy(truth: np.ndarray, signal: np.ndarray, noise: np.ndarray,
-                 sigmas) -> np.ndarray:
-    """Per-trial ||signal + sigma * noise - truth||_F^2 at every sigma.
-
-    ``signal`` and ``noise`` are a linear estimator's outputs on the channel
-    and on the unit-variance noise, so the estimate at noise level sigma is
-    their weighted sum.  With D = signal - truth the error is
-
-        ||D||^2 + 2 sigma Re<D, noise> + sigma^2 ||noise||^2,
-
-    three per-trial sums shared by every sigma.  Arrays are
-    (..., n_rx, n_sc); the result is (len(sigmas), ...).
-    """
-    truth, signal, noise = (np.asarray(x) for x in (truth, signal, noise))
-    if not truth.shape == signal.shape == noise.shape:
-        raise ValueError("truth/signal/noise shapes disagree")
-    d = signal - truth
-    axes = (-2, -1)
-    bias = np.sum(np.abs(d) ** 2, axis=axes)
-    cross = np.sum(d.real * noise.real + d.imag * noise.imag, axis=axes)
-    spread = np.sum(np.abs(noise) ** 2, axis=axes)
-    s = np.asarray(sigmas, dtype=float).reshape(-1, *([1] * bias.ndim))
-    return bias + 2.0 * s * cross + s * s * spread
 
 
 def covariance_traces(projectors: ProjectorPair, steering: np.ndarray,
@@ -138,35 +119,53 @@ def analytic_nmse(projectors: ProjectorPair, steering: np.ndarray,
                          noise_term=noise_trace_form)
 
 
-def _post_combining_snr(est_h: np.ndarray, truth_h: np.ndarray, symbol_power: float,
-                        noise_variance: float) -> np.ndarray:
-    """Per-subcarrier SNR after matched combining on the estimate.
+class CombiningStats(NamedTuple):
+    """Per-column sums of a linear estimate ``a + sigma b`` against the
+    channel ``h``; each is an array over the batch and subcarrier axes."""
+
+    ah: np.ndarray   # a^H h
+    bh: np.ndarray   # b^H h
+    aa: np.ndarray   # ||a||^2
+    ab: np.ndarray   # Re a^H b
+    bb: np.ndarray   # ||b||^2
+
+    @classmethod
+    def of(cls, a: np.ndarray, b: np.ndarray | None, h: np.ndarray) -> "CombiningStats":
+        """Sums over the column axis (-2) of (..., dim, n_sc) arrays given in
+        one orthonormal coordinate system; ``b`` None is a noiseless estimate."""
+        if a.shape != h.shape or (b is not None and b.shape != h.shape):
+            raise ValueError("estimate/truth shapes disagree")
+        ah = np.einsum("...ik,...ik->...k", a.conj(), h)
+        aa = np.sum(np.abs(a) ** 2, axis=-2)
+        if b is None:
+            zero = np.zeros_like(aa)
+            return cls(ah, zero, aa, zero, zero)
+        return cls(ah, np.einsum("...ik,...ik->...k", b.conj(), h), aa,
+                   np.sum(a.real * b.real + a.imag * b.imag, axis=-2),
+                   np.sum(np.abs(b) ** 2, axis=-2))
+
+
+def post_combining_snr(stats: CombiningStats, sigmas, symbol_power: float,
+                       noise_variances) -> np.ndarray:
+    """Per-subcarrier SNR after matched combining on the estimate
+    ``a + sigma b``, at every ``(sigma, noise variance)`` pair.
 
     The combiner is the normalized conjugate of the estimated per-subcarrier
-    channel; the decision-stage channel knowledge is exact.  Zero estimates
-    yield zero SNR.
+    channel and the decision-stage channel knowledge is exact, so the gain is
+    |a^H h + sigma b^H h|^2 / (||a||^2 + 2 sigma Re a^H b + sigma^2 ||b||^2).
+    Zero estimates yield zero SNR.  The result has a leading axis over the
+    pairs, then the axes of ``stats``.
     """
-    if noise_variance <= 0 or symbol_power <= 0:
+    sigmas = np.asarray(sigmas, dtype=float)
+    noise_variances = np.asarray(noise_variances, dtype=float)
+    if symbol_power <= 0 or np.any(noise_variances <= 0):
         raise ValueError("need symbol_power > 0 and noise_variance > 0")
-    if est_h.shape != truth_h.shape:
-        raise ValueError("estimate/truth shapes disagree")
-    num = np.abs(np.einsum("...ik,...ik->...k", est_h.conj(), truth_h)) ** 2
-    den = np.sum(np.abs(est_h) ** 2, axis=-2)
+    shape = (-1,) + (1,) * stats.aa.ndim
+    s, nv = sigmas.reshape(shape), noise_variances.reshape(shape)
+    num = np.abs(stats.ah + s * stats.bh) ** 2
+    den = stats.aa + 2.0 * s * stats.ab + s * s * stats.bb
     gain = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return symbol_power * gain / noise_variance
-
-
-def post_combining_snr_samples(estimate: np.ndarray, truth: np.ndarray,
-                               symbol_power: float, noise_variance: float) -> np.ndarray:
-    """Flattened per-subcarrier post-combining SNRs over a batch."""
-    return _post_combining_snr(estimate, truth, symbol_power, noise_variance).ravel()
-
-
-def genie_spectral_efficiency(estimate: np.ndarray, truth: np.ndarray,
-                              symbol_power: float, noise_variance: float) -> float:
-    """Mean over subcarriers (and any batch axis) of log2(1 + post-combining SNR)."""
-    snr = _post_combining_snr(estimate, truth, symbol_power, noise_variance)
-    return float(np.mean(np.log2(1.0 + snr)))
+    return symbol_power * gain / nv
 
 
 @dataclass(frozen=True, eq=False)

@@ -64,3 +64,23 @@ def make_paths():
                        delay=delays, amplitude=np.sqrt(powers))
 
     return _make
+
+
+def _gather_interpolate(h, pilots, n_subcarriers):
+    """Linear interpolation onto the full grid by gathering the two pilots
+    around each subcarrier; beyond the last pilot its value is held, and a
+    single pilot extends as a constant."""
+    idx = pilots.indices
+    if idx.size == 1:
+        return np.repeat(h, n_subcarriers, axis=-1)
+    grid = np.arange(n_subcarriers)
+    left = np.clip(np.searchsorted(idx, grid, side="right") - 1, 0, idx.size - 2)
+    weight = np.clip((grid - idx[left]) / (idx[left + 1] - idx[left]), 0.0, 1.0)
+    return h[..., left] * (1.0 - weight) + h[..., left + 1] * weight
+
+
+@pytest.fixture(scope="session")
+def gather_interpolate():
+    """The gather form of full-grid interpolation, an oracle for the
+    interpolation matrix."""
+    return _gather_interpolate

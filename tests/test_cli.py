@@ -75,6 +75,23 @@ class TestNmseSweepCommand:
                 "--methods", "ls,emdt", "--workers", "2")
         assert (a / "nmse.csv").read_bytes() == (b / "nmse.csv").read_bytes()
 
+    @pytest.mark.parametrize("command,stem,extra", [
+        ("ecdf", "ecdf", ("--snr=-10,5",)),
+        ("se-sweep", "se", ()),
+        ("pilot-sweep", "pilot", ("--pilots", "2,8", "--snr=-15,0")),
+    ])
+    def test_worker_count_is_invisible_in_every_csv(self, tiny_json, tmp_path,
+                                                    command, stem, extra):
+        """110 trials make three chunks of 50, so two workers share them."""
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            proc = run_cli(command, "--config", str(tiny_json), "--out", str(out),
+                           "--trials", "110", "--workers", workers, *extra)
+            assert proc.returncode == 0, proc.stderr
+            outs.append((out / f"{stem}.csv").read_bytes())
+        assert outs[0] == outs[1]
+
     def test_path_csv_import(self, tiny_json, tmp_path):
         paths = tmp_path / "paths.csv"
         paths.write_text("theta_rad,phi_rad,tau_s,alpha\n"

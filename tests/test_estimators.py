@@ -11,6 +11,7 @@ from chest import (apply_uplink, build_pilot_pattern, complex_normal,
                    denoise_subspace, desk_config, interpolate_full, ls_estimate,
                    project_estimate)
 from chest.config import PilotPattern
+from chest.estimators import interpolation_matrix
 from chest.subspaces import ProjectorPair
 
 
@@ -253,6 +254,31 @@ class TestInterpolateFull:
         h = rng.normal(size=(2, 32)) + 1j * rng.normal(size=(2, 32))
         out = interpolate_full(h, pat, 32)
         np.testing.assert_allclose(out, h, atol=1e-14)
+
+
+class TestInterpolationMatrix:
+    @pytest.mark.parametrize("n_sc,n_p", [(64, 16), (64, 32), (64, 64), (32, 2), (64, 1)])
+    def test_matches_gather_formula(self, rng, gather_interpolate, n_sc, n_p):
+        pat = build_pilot_pattern(n_sc, n_p, 1.0, rng)
+        h = rng.normal(size=(3, 2, n_p)) + 1j * rng.normal(size=(3, 2, n_p))
+        m = interpolation_matrix(pat, n_sc)
+        assert m.shape == (n_p, n_sc) and m.dtype == float
+        np.testing.assert_allclose(h @ m, gather_interpolate(h, pat, n_sc),
+                                   rtol=0, atol=1e-14)
+
+    def test_single_pilot_is_constant(self, rng):
+        pat = build_pilot_pattern(16, 1, 1.0, rng)
+        np.testing.assert_array_equal(interpolation_matrix(pat, 16), np.ones((1, 16)))
+
+    def test_holds_beyond_last_pilot(self, rng):
+        pat = build_pilot_pattern(64, 8, 1.0, rng)
+        m = interpolation_matrix(pat, 64)
+        hold = np.zeros(8)
+        hold[-1] = 1.0
+        for col in range(pat.indices[-1], 64):
+            np.testing.assert_array_equal(m[:, col], hold)
+        assert np.all(m >= 0)
+        np.testing.assert_allclose(m.sum(axis=0), 1.0, rtol=0, atol=1e-15)
 
 
 class TestLinearity:

@@ -13,17 +13,17 @@ from chest.cli import _build_parser, _load_bundle
 from chest.config import (ConfigError, desk_config, noise_variance_for_snr,
                           validate_config)
 from chest.estimators import interpolate_full, ls_estimate, project_estimate
-from chest.experiments import (ExperimentPlan, bml_ranks, build_environment,
-                               emit_csv, emit_ecdf_csv, measure_projection_floor,
-                               run_ecdf, run_nmse_sweep,
+from chest.experiments import (NMSE_METHODS, SE_METHODS, ExperimentPlan, bml_ranks,
+                               build_environment, emit_csv, emit_ecdf_csv,
+                               measure_projection_floor, run_ecdf, run_nmse_sweep,
                                run_pilot_sweep, run_se_sweep, validate_plan,
-                               _chunk_ranges, _pooled_nmse, _reduce_nmse,
+                               _chunk_ranges, _draw, _noise_variances, _pooled_nmse,
+                               _reduce_ecdf, _reduce_nmse, _reduce_pilot, _reduce_se,
                                _simulate_chunk)
-from chest.metrics import (Ecdf, analytic_nmse, ecdf, genie_spectral_efficiency,
-                           post_combining_snr_samples)
+from chest.metrics import Ecdf, analytic_nmse, ecdf
 from chest.streams import (FADING, NOISE, WARM_FADING, WARM_NOISE, complex_normal,
                            substream)
-from chest.subspaces import bml_subspace, denoise_subspace
+from chest.subspaces import SnapshotGrams, bml_subspace, denoise_subspace
 
 
 @pytest.fixture(scope="module")
@@ -249,6 +249,44 @@ class TestPilotSweep:
 
 # --- Per-SNR oracle ------------------------------------------------------------
 
+def _post_combining_snr(est_h, truth_h, symbol_power, noise_variance):
+    """Per-subcarrier SNR after matched combining on a formed estimate,
+    (..., n_rx, n_sc) -> (..., n_sc); zero estimate columns give 0."""
+    num = np.abs(np.einsum("...ik,...ik->...k", est_h.conj(), truth_h)) ** 2
+    den = np.sum(np.abs(est_h) ** 2, axis=-2)
+    gain = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+    return symbol_power * gain / noise_variance
+
+
+def _genie_se(est_h, truth_h, symbol_power, noise_variance):
+    """Mean of log2(1 + post-combining SNR) over every axis."""
+    return float(np.mean(np.log2(1.0 + _post_combining_snr(est_h, truth_h, symbol_power,
+                                                           noise_variance))))
+
+
+def _oracle_pair(env, method, noise_variance, block):
+    """The method's projector pair at one noise variance, the batch-ML one
+    learned from its block's warm-up snapshots received at that noise level;
+    None for ``ls``."""
+    sysc = env.bundle.system
+    if method == "denoise":
+        return denoise_subspace(sysc, env.bundle.estimator.tau_max)
+    if method == "emdt":
+        return env.projectors
+    if method == "bml":
+        shape = (sysc.n_rx, len(env.pilots))
+        warm = range(env.bundle.estimator.n_batch)
+        fading_w = np.stack([draw_fading(env.paths.amplitude,
+                                         substream(env.seed, WARM_FADING, block, j))
+                             for j in warm])
+        noise_w = np.stack([complex_normal(substream(env.seed, WARM_NOISE, block, j),
+                                           shape) for j in warm])
+        rx_w = apply_uplink(assemble_channel(env.steering, fading_w, env.freq_pilot),
+                            env.pilots, noise_variance, noise_w)
+        return bml_subspace(ls_estimate(rx_w, env.pilots), *bml_ranks(env))
+    return None
+
+
 def _oracle_estimates(env, noise_variance, t0, t1, methods, block_size, full):
     """Simulate trials [t0, t1) at one noise variance the slow way: receive
     H x + sigma W, divide out x, then estimate.  Returns (pilot-grid truth,
@@ -265,25 +303,9 @@ def _oracle_estimates(env, noise_variance, t0, t1, methods, block_size, full):
     ls = ls_estimate(apply_uplink(truth, env.pilots, noise_variance, noise), env.pilots)
     estimates = {}
     for method in methods:
-        if method == "ls":
-            estimates[method] = ls
-        elif method == "denoise":
-            estimates[method] = project_estimate(
-                ls, denoise_subspace(sysc, env.bundle.estimator.tau_max))
-        elif method == "emdt":
-            estimates[method] = project_estimate(ls, env.projectors)
-        elif method == "bml":
-            block = t0 // block_size
-            warm = range(env.bundle.estimator.n_batch)
-            fading_w = np.stack([draw_fading(env.paths.amplitude,
-                                             substream(env.seed, WARM_FADING, block, j))
-                                 for j in warm])
-            noise_w = np.stack([complex_normal(substream(env.seed, WARM_NOISE, block, j),
-                                               shape) for j in warm])
-            rx_w = apply_uplink(assemble_channel(env.steering, fading_w, env.freq_pilot),
-                                env.pilots, noise_variance, noise_w)
-            proj = bml_subspace(ls_estimate(rx_w, env.pilots), *bml_ranks(env))
-            estimates[method] = project_estimate(ls, proj)
+        if method != "ideal":
+            pair = _oracle_pair(env, method, noise_variance, t0 // block_size)
+            estimates[method] = ls if pair is None else project_estimate(ls, pair)
     return truth, truth_full, estimates
 
 
@@ -312,15 +334,13 @@ def _oracle(plan):
                         h = truth_full if method == "ideal" else interpolate_full(
                             est[method], env.pilots, n_sc)
                         if plan.kind == "ecdf":
-                            value = post_combining_snr_samples(h, truth_full, power, nv)
+                            value = _post_combining_snr(h, truth_full, power, nv).ravel()
                         else:
-                            value = genie_spectral_efficiency(h, truth_full, power, nv) \
-                                * (t1 - t0)
+                            value = _genie_se(h, truth_full, power, nv) * (t1 - t0)
                     else:
                         err[method] = err.get(method, 0.0) + np.sum(
                             np.abs(est[method] - truth) ** 2)
-                        value = genie_spectral_efficiency(est[method], truth, power, nv) \
-                            * (t1 - t0)
+                        value = _genie_se(est[method], truth, power, nv) * (t1 - t0)
                     acc.setdefault(method, []).append(value)
             for method in plan.methods:
                 key = (method, float(snr), n_p)
@@ -394,6 +414,124 @@ class TestOnePassMatchesPerSnrOracle:
             nmse, se = oracle[(r.method, r.snr_db, r.n_pilots)]
             assert r.nmse_emp == pytest.approx(nmse, rel=1e-12)
             assert r.spectral_efficiency == pytest.approx(se, rel=1e-12)
+
+
+# --- Per-column statistics against formed estimates ------------------------------
+
+STATS_SNRS = (-20.0, -5.0, 10.0, 40.0)
+
+
+@pytest.fixture(scope="module", params=["desk", "zero-floor"])
+def stats_env(request):
+    """The desk environment, and one whose twin knows every path
+    (``n_dt_paths == n_paths``), so that its projection floor is zero."""
+    bundle = desk_config(n_trials=4)
+    if request.param == "zero-floor":
+        bundle = validate_config(bundle.system,
+                                 replace(bundle.scenario, n_paths=5, n_dt_paths=5),
+                                 bundle.estimator)
+    return build_environment(bundle)
+
+
+def _chunk_inputs(env, n_trials):
+    """Fading and LS noise W' of trials [0, n_trials), trial 0 zeroed so that
+    every estimate of it, and every subcarrier, has zero energy."""
+    fading, noise = _draw(env, [(FADING, t) for t in range(n_trials)],
+                          [(NOISE, t) for t in range(n_trials)])
+    fading[0] = 0.0
+    noise[0] = 0.0
+    return fading, noise
+
+
+def _formed(env, fading, noise, method, noise_variance, interpolate):
+    """Per-trial squared error and the pilot- and full-grid post-combining
+    SNRs of the method's estimate P(H + sigma W'), formed in full and
+    interpolated by the gather formula (``ideal`` combines on the channel).
+    Batch-ML learns its pair from the warm-up Grams as the sweep does, since
+    at high SNR the learned basis is sensitive to how its covariance is
+    rounded; ``TestSnapshotGrams`` holds the two ways to each other."""
+    power = env.bundle.system.symbol_power
+    truth_full = assemble_channel(env.steering, fading, env.freq_full)
+    if method == "ideal":
+        return None, None, _post_combining_snr(truth_full, truth_full, power,
+                                               noise_variance)
+    truth = assemble_channel(env.steering, fading, env.freq_pilot)
+    ls = truth + np.sqrt(noise_variance) * noise
+    if method == "bml":
+        n_batch = env.bundle.estimator.n_batch
+        fading_w, noise_w = _draw(env, [(WARM_FADING, 0, j) for j in range(n_batch)],
+                                  [(WARM_NOISE, 0, j) for j in range(n_batch)])
+        grams = SnapshotGrams.of(assemble_channel(env.steering, fading_w, env.freq_pilot),
+                                 noise_w)
+        pair = bml_subspace(grams.covariances(np.sqrt(noise_variance)), *bml_ranks(env))
+    else:
+        pair = _oracle_pair(env, method, noise_variance, 0)
+    est = ls if pair is None else project_estimate(ls, pair)
+    full = interpolate(est, env.pilots, env.bundle.system.n_subcarriers)
+    return (np.sum(np.abs(est - truth) ** 2, axis=(-2, -1)),
+            _post_combining_snr(est, truth, power, noise_variance),
+            _post_combining_snr(full, truth_full, power, noise_variance))
+
+
+class TestStatisticsMatchFormedEstimates:
+    """The reducers take errors from the orthogonal split and SNRs from
+    per-column sums in subspace coordinates, with interpolation folded into
+    the temporal basis; here every method's estimate is formed in full at
+    every SNR point instead."""
+
+    def test_every_method_at_every_snr_point(self, stats_env, gather_interpolate):
+        env = stats_env
+        fading, noise = _chunk_inputs(env, 4)
+        nv = np.array(_noise_variances(env, STATS_SNRS))
+        errors, energy = _reduce_nmse(env, fading, noise, NMSE_METHODS, nv, 0)
+        pilot_errors, _, pilot_se = _reduce_pilot(env, fading, noise, NMSE_METHODS, nv, 0)
+        samples = _reduce_ecdf(env, fading, noise, SE_METHODS, nv, 0)
+        se = _reduce_se(env, fading, noise, SE_METHODS, nv, 0)
+        n_sc = env.bundle.system.n_subcarriers
+        for i, noise_variance in enumerate(nv):
+            for method in SE_METHODS:
+                error, pilot, full = _formed(env, fading, noise, method, noise_variance,
+                                             gather_interpolate)
+                np.testing.assert_allclose(samples[method][i], full.ravel(), rtol=1e-12)
+                assert np.all(samples[method][i][:n_sc] == 0.0)
+                assert se[method][i] == pytest.approx(
+                    len(fading) * np.mean(np.log2(1.0 + full)), rel=1e-12)
+                if method == "ideal":
+                    continue
+                np.testing.assert_allclose(errors[method][i], error, rtol=1e-12)
+                np.testing.assert_allclose(pilot_errors[method][i], error, rtol=1e-12)
+                assert pilot_se[method][i] == pytest.approx(
+                    len(fading) * np.mean(np.log2(1.0 + pilot)), rel=1e-12)
+        assert energy[0] == 0.0 and np.all(energy[1:] > 0)
+
+    def test_zero_energy_columns_written_as_minus_inf(self, stats_env, tmp_path):
+        env = stats_env
+        fading, noise = _chunk_inputs(env, 2)
+        nv = np.array(_noise_variances(env, (0.0,)))
+        samples = _reduce_ecdf(env, fading, noise, SE_METHODS, nv, 0)
+        emit_ecdf_csv({(m, 0.0): ecdf(samples[m][0]) for m in SE_METHODS},
+                      tmp_path / "ecdf.csv")
+        with open(tmp_path / "ecdf.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        n_sc = env.bundle.system.n_subcarriers
+        for method in SE_METHODS:
+            cells = [r["sample_snr_db"] for r in rows if r["method"] == method]
+            assert cells[:n_sc] == ["-inf"] * n_sc
+            assert "-inf" not in cells[n_sc:]
+
+    def test_projection_floor_is_taken_directly(self, stats_env):
+        """At sigma 0 the error is ||PH - H||^2 alone.  With a complete twin it
+        is rounding noise far below ||H||^2 - ||core(H)||^2 would give."""
+        env = stats_env
+        fading, noise = _chunk_inputs(env, 4)
+        errors, energy = _reduce_nmse(env, fading, noise, ("emdt",), np.array([0.0]), 0)
+        truth = assemble_channel(env.steering, fading, env.freq_pilot)
+        direct = np.sum(np.abs(project_estimate(truth, env.projectors) - truth) ** 2,
+                        axis=(-2, -1))
+        np.testing.assert_allclose(errors["emdt"][0], direct, rtol=1e-12,
+                                   atol=1e-24 * energy.max())
+        if env.bundle.scenario.n_dt_paths == env.bundle.scenario.n_paths:
+            assert np.all(errors["emdt"][0] <= 1e-20 * energy)
 
 
 class TestDeterminism:

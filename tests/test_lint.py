@@ -6,8 +6,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 # Package __init__ modules import names to re-export them, so they are exempt.
-MODULES = sorted(p for p in [*(ROOT / "src" / "chest").glob("*.py"),
-                             *(ROOT / "scripts").glob("*.py")]
+MODULES = sorted(p for p in (ROOT / "src" / "chest").glob("*.py")
                  if p.name != "__init__.py")
 
 

@@ -5,18 +5,49 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chest import (analytic_nmse, channel_covariance, dt_subspace, ecdf,
-                   genie_spectral_efficiency, noise_variance_for_snr,
-                   post_combining_snr_samples, reference_config)
+                   noise_variance_for_snr, reference_config)
 from chest.propagation import (ArrayGeometry, PathSet, frequency_response,
                                steering_matrix)
 from chest.subspaces import ProjectorPair
 from chest.channel import average_gain_from_responses
 from chest.experiments import build_environment
-from chest.metrics import MetricsRecord, covariance_traces, error_energy
+from chest.metrics import (CombiningStats, MetricsRecord, covariance_traces,
+                           post_combining_snr)
 
 
 def _est(h):
     return np.asarray(h, dtype=complex)
+
+
+def error_energy(truth, signal, noise, sigmas):
+    """Per-trial ||signal + sigma * noise - truth||_F^2 at every sigma from
+    three per-trial sums, ||D||^2 + 2 sigma Re<D, noise> + sigma^2 ||noise||^2
+    with D = signal - truth; (len(sigmas), ...).  This general form holds for
+    any linear estimator; the sweeps use the orthogonal-projector form, whose
+    cross term is zero, and are held to this one in test_experiments.py."""
+    truth, signal, noise = (np.asarray(x) for x in (truth, signal, noise))
+    if not truth.shape == signal.shape == noise.shape:
+        raise ValueError("truth/signal/noise shapes disagree")
+    d = signal - truth
+    axes = (-2, -1)
+    bias = np.sum(np.abs(d) ** 2, axis=axes)
+    cross = np.sum(d.real * noise.real + d.imag * noise.imag, axis=axes)
+    spread = np.sum(np.abs(noise) ** 2, axis=axes)
+    s = np.asarray(sigmas, dtype=float).reshape(-1, *([1] * bias.ndim))
+    return bias + 2.0 * s * cross + s * s * spread
+
+
+def post_combining_snr_samples(estimate, truth, symbol_power, noise_variance):
+    """Flattened post-combining SNRs of a formed estimate, through the
+    per-column sums with no noise part."""
+    return post_combining_snr(CombiningStats.of(estimate, None, truth), [0.0],
+                              symbol_power, [noise_variance]).ravel()
+
+
+def genie_spectral_efficiency(estimate, truth, symbol_power, noise_variance):
+    """Mean over subcarriers of log2(1 + post-combining SNR)."""
+    return float(np.mean(np.log2(1.0 + post_combining_snr_samples(
+        estimate, truth, symbol_power, noise_variance))))
 
 
 class TestEmpiricalNmse:
@@ -240,6 +271,50 @@ class TestPostCombiningSnr:
             s = hat[:, k] / np.linalg.norm(hat[:, k])
             expected = 1.5 * np.abs(s.conj() @ h[:, k]) ** 2 / 0.7
             assert samples[k] == pytest.approx(expected, rel=1e-12)
+
+
+class TestCombiningStats:
+    def _parts(self, rng, shape=(3, 6, 10)):
+        return [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(3)]
+
+    def test_every_sigma_matches_formed_estimate(self, rng):
+        a, b, h = self._parts(rng)
+        sigmas, nvs = np.array([0.0, 0.3, 2.0]), np.array([0.5, 1.0, 4.0])
+        snr = post_combining_snr(CombiningStats.of(a, b, h), sigmas, 1.5, nvs)
+        assert snr.shape == (3, 3, 10)
+        for i, (sigma, nv) in enumerate(zip(sigmas, nvs)):
+            est = a + sigma * b
+            num = np.abs(np.sum(est.conj() * h, axis=-2)) ** 2
+            den = np.sum(np.abs(est) ** 2, axis=-2)
+            np.testing.assert_allclose(snr[i], 1.5 * num / den / nv, rtol=1e-12)
+
+    def test_invariant_under_orthonormal_coordinates(self, rng):
+        """For a and b in span(U), the sums of U^H a, U^H b, U^H h are those of
+        a, b, h: the sweeps take them in r_s coordinates."""
+        u, _ = np.linalg.qr(rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))
+        c_a, c_b, _ = self._parts(rng, (3, 2, 10))
+        _, _, h = self._parts(rng)
+        full = CombiningStats.of(u @ c_a, u @ c_b, h)
+        sub = CombiningStats.of(c_a, c_b, u.conj().T @ h)
+        for x, y in zip(full, sub):
+            np.testing.assert_allclose(x, y, rtol=1e-12)
+
+    def test_zero_estimate_gives_zero_snr(self, rng):
+        a, b, h = self._parts(rng)
+        a[:, :, 4] = 0.0
+        b[:, :, 4] = 0.0
+        snr = post_combining_snr(CombiningStats.of(a, b, h), [0.0, 1.0], 1.0, [1.0, 1.0])
+        assert np.all(snr[:, :, 4] == 0.0) and np.all(snr[:, :, :4] > 0)
+
+    def test_rejects_bad_input(self, rng):
+        a, b, h = self._parts(rng)
+        with pytest.raises(ValueError, match="shapes"):
+            CombiningStats.of(a, b[..., :-1], h)
+        stats = CombiningStats.of(a, b, h)
+        with pytest.raises(ValueError):
+            post_combining_snr(stats, [1.0], 1.0, [0.0])
+        with pytest.raises(ValueError):
+            post_combining_snr(stats, [1.0], 0.0, [1.0])
 
 
 class TestEcdf:
