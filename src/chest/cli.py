@@ -18,7 +18,6 @@ from .experiments import (DEFAULT_ECDF_SNRS, DEFAULT_PILOT_SNRS, ExperimentPlan,
                           run_pilot_sweep, run_se_sweep, validate_plan)
 from .propagation import load_paths_csv
 from .svgplot import LineSeries, render_line_chart
-from .validate import run_validation
 
 FULL_SCALE_RX = 64
 FULL_SCALE_SUBCARRIERS = 2048   # pilot-sweep only; keeps CP duration via N/2
@@ -203,6 +202,8 @@ def _run_pilot(plan: ExperimentPlan, out: Path) -> None:
 
 
 def _run_validate(args) -> int:
+    # Imported here: no sweep needs the invariant suite.
+    from .validate import run_validation
     bundle = _load_bundle(args)
     results = run_validation(bundle)
     failed = 0

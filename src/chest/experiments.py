@@ -8,7 +8,8 @@ efficiencies or post-combining SNR samples at every SNR point.
 
 * Randomness comes from per-purpose substreams keyed by (seed, purpose,
   trial), or (seed, purpose, block, snapshot) for the batch-ML warm-up, and
-  each is drawn once per chunk.  A trial therefore sees the same fading and
+  each is drawn once per chunk, the keys of one purpose in one batch
+  (:func:`~chest.streams.complex_normals`).  A trial therefore sees the same fading and
   unit-variance noise W whatever the chunking, the worker count or the SNR
   point; noise is scaled, never redrawn.
 * At noise variance sigma^2 the LS estimate is H + sigma * W', with
@@ -53,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import assemble_channel, average_gain_from_responses, draw_fading
+from .channel import assemble_channel, average_gain_from_responses
 from .config import (ConfigBundle, ConfigError, PilotPattern, build_pilot_pattern,
                      noise_variance_for_snr, validate_config)
 from .estimators import interpolation_matrix, ls_estimate
@@ -62,7 +63,7 @@ from .metrics import (CombiningStats, Ecdf, MetricsRecord, analytic_nmse, ecdf,
 from .propagation import (ArrayGeometry, PathSet, dt_truncate, frequency_response,
                           generate_paths, steering_matrix)
 from .streams import (FADING, NOISE, PATHS, PILOTS, WARM_FADING, WARM_NOISE,
-                      complex_normal, substream)
+                      complex_normals, substream)
 from .subspaces import (ProjectorPair, SnapshotGrams, bml_subspace, denoise_subspace,
                         dt_subspace)
 
@@ -191,12 +192,11 @@ def build_environment(bundle: ConfigBundle, paths: PathSet | None = None) -> Env
 
 def _draw(env: Environment, fading_keys, noise_keys) -> tuple[np.ndarray, np.ndarray]:
     """Fading and LS noise at unit noise variance, W' = W / x, one substream
-    per ``(purpose, index...)`` key."""
+    per ``(purpose, index...)`` key, the keys of each drawn in one batch."""
+    amplitude = env.paths.amplitude
     shape = (env.bundle.system.n_rx, len(env.pilots))
-    fading = np.stack([draw_fading(env.paths.amplitude, substream(env.seed, *key))
-                       for key in fading_keys])
-    noise = np.stack([complex_normal(substream(env.seed, *key), shape)
-                      for key in noise_keys])
+    fading = amplitude * complex_normals(env.seed, fading_keys, amplitude.shape)
+    noise = complex_normals(env.seed, noise_keys, shape)
     return fading, ls_estimate(noise, env.pilots)
 
 
@@ -569,12 +569,13 @@ def emit_ecdf_csv(tables: dict[tuple[str, float], Ecdf], path: str | Path) -> No
     The bytes are those of ``csv.writer`` with :func:`_fmt` cells (no cell
     needs quoting; ``%.9g`` is the conversion of ``:.9g``, ``-inf`` included).
     Each block of ``_ECDF_ROWS_PER_WRITE`` rows is formatted by one ``%``
-    template over the block's interleaved sample and ``cum_frac`` cells, and
-    written on its own, so that no table is joined into one string.  Tables
-    of equal sample count share their cumulative fractions, so the
-    ``cum_frac`` cells are formatted once and reused while the fractions stay
-    equal.  They are kept as one newline-joined string per block: a list of
-    cell strings would raise the peak memory by about 2 MB at 32 000 rows.
+    template over the block's sample cells, and written on its own, so that
+    no table is joined into one string.  Tables of equal sample count share
+    their cumulative fractions, so the ``cum_frac`` cells are formatted once
+    and reused while the fractions stay equal.  They are kept as one string
+    per block, ``",f1\\r\\n,f2\\r\\n...,fn"``, into which each table's row
+    prefix is spliced: a list of cell strings would raise the peak memory by
+    about 2 MB at 32 000 rows.
     """
     if not tables:
         raise ValueError("no ECDF tables to write")
@@ -587,16 +588,14 @@ def emit_ecdf_csv(tables: dict[tuple[str, float], Ecdf], path: str | Path) -> No
                 table = tables[(method, snr_db)]
                 if fractions is None or not np.array_equal(fractions, table.fractions):
                     fractions = table.fractions
-                    frac_blocks = ["\n".join([f"{f:.9g}" for f in fractions[k:k + rows].tolist()])
+                    frac_blocks = ["," + "\r\n,".join([f"{f:.9g}" for f in
+                                                       fractions[k:k + rows].tolist()])
                                    for k in range(0, fractions.size, rows)]
                 with np.errstate(divide="ignore"):
                     snr_samples_db = 10.0 * np.log10(table.thresholds)
-                row = f"{method},{_fmt(snr_db)},".replace("%", "%%") + "%.9g,%s\r\n"
+                cell = f"{method},{_fmt(snr_db)},".replace("%", "%%") + "%.9g"
                 for k, frac_block in zip(range(0, snr_samples_db.size, rows), frac_blocks):
-                    fracs = frac_block.split("\n")
-                    cells = [None] * (2 * len(fracs))
-                    cells[::2] = snr_samples_db[k:k + rows].tolist()
-                    cells[1::2] = fracs
-                    fh.write(row * len(fracs) % tuple(cells))
+                    template = cell + frac_block.replace("\r\n", "\r\n" + cell) + "\r\n"
+                    fh.write(template % tuple(snr_samples_db[k:k + rows].tolist()))
     except OSError as exc:
         raise RuntimeError(f"failed to write {path}: {exc}") from exc

@@ -232,3 +232,12 @@ class TestOtherCommands:
         proc = run_cli("pilot-sweep", "--config", str(tiny_json),
                        "--out", str(tmp_path / "o"), "--pilots", "3")
         assert proc.returncode == 1
+
+
+def test_importing_cli_leaves_validate_unloaded():
+    """The invariant suite is imported only by `chest validate`."""
+    code = "import sys, chest.cli; print('chest.validate' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
