@@ -106,10 +106,10 @@ def _make_plan(args, bundle: ConfigBundle) -> ExperimentPlan:
     methods = tuple(args.methods.split(",")) if args.methods else ()
     environment = load_paths_csv(args.paths) if args.paths else None
     extra = {}
-    if args.command == "ecdf" and args.snr:
+    if args.command == "ecdf" and args.snr is not None:
         extra["snr_points"] = _parse_floats(args.snr)
     if args.command == "pilot-sweep":
-        if args.snr:
+        if args.snr is not None:
             extra["pilot_snrs"] = _parse_floats(args.snr)
         if args.pilots:
             extra["pilot_counts"] = _parse_ints(args.pilots)

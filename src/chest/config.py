@@ -156,6 +156,8 @@ def validate_config(system: SystemConfig,
     _require(len(system.snr_grid_db) > 0, "snr_grid_db must be non-empty")
     _require(all(math.isfinite(s) for s in system.snr_grid_db),
              "snr_grid_db entries must be finite")
+    _require(len(set(system.snr_grid_db)) == len(system.snr_grid_db),
+             f"snr_grid_db repeats an entry: {list(system.snr_grid_db)}")
     _require(system.n_trials >= 1, "n_trials must be >= 1")
     _require(0 <= system.seed < 2 ** 63, "seed must be a non-negative 64-bit integer")
 

@@ -8,10 +8,23 @@ efficiencies or post-combining SNR samples at every SNR point.
 
 * Randomness comes from per-purpose substreams keyed by (seed, purpose,
   trial), or (seed, purpose, block, snapshot) for the batch-ML warm-up, and
-  each is drawn once per chunk, the keys of one purpose in one batch
-  (:func:`~chest.streams.complex_normals`).  A trial therefore sees the same fading and
-  unit-variance noise W whatever the chunking, the worker count or the SNR
-  point; noise is scaled, never redrawn.
+  each is drawn once, the keys of one slice (below) in one batch
+  (:func:`~chest.streams.complex_normals`).  A trial therefore sees the same
+  fading and unit-variance noise W whatever the chunking, the slicing, the
+  worker count or the SNR point; noise is scaled, never redrawn.
+* Slices bound a chunk's working set.  A chunk takes each method's bases
+  once, then draws and reduces its trials a slice at a time, and a slice
+  holds as many trials as fit ``_SLICE_BYTES`` (1.25 MiB) in their H and W',
+  two complex (n_rx, n_pilots) arrays per trial, one trial at least.  The
+  reducers return per-trial results (errors, channel energies, per-subcarrier
+  log2(1 + SNR), post-combining SNR samples), so the slices' results are
+  joined, never re-summed, and the chunk's sums are those of one pass, bit
+  for bit.  The batch-ML warm-up is drawn in slices of snapshots under the
+  same budget, less its Gram matrices, and its Grams are summed over them.
+  The slice sizes follow from the array sizes alone: desk-sized chunks (50
+  trials of 16 x 32) and warm-ups (64 snapshots) take one pass, a reference
+  warm-up (64 x 32 per snapshot) takes 12 snapshots at a time, and a
+  full-scale pilot grid (64 x 2048) one trial.
 * At noise variance sigma^2 the LS estimate is H + sigma * W', with
   W' = W / x.  Every pilot-grid method projects it by its bases: the twin's
   pair for ``emdt``, the delay window for ``denoise`` and the pair learned
@@ -37,9 +50,9 @@ efficiencies or post-combining SNR samples at every SNR point.
 * Batch-ML learns its projectors from the warm-up snapshots H_w + sigma W'_w
   of the chunk's trial block, so it is re-decomposed at each SNR point.  The
   sample covariances of those snapshots are quadratic in sigma; their Gram
-  matrices are taken once per block (:class:`~chest.subspaces.SnapshotGrams`)
+  matrices are taken once per chunk (:class:`~chest.subspaces.SnapshotGrams`)
   and only the two small ``eigh`` calls and its coordinates repeat per SNR
-  point.
+  point and slice.
 
 Chunk results are reduced in chunk order, which makes output byte-identical
 for any parallelism degree.  One process pool serves a whole run.
@@ -50,14 +63,14 @@ import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .channel import assemble_channel, average_gain_from_responses
 from .config import (ConfigBundle, ConfigError, PilotPattern, build_pilot_pattern,
                      noise_variance_for_snr, validate_config)
-from .estimators import interpolation_matrix, ls_estimate
+from .estimators import interpolation_matrix
 from .metrics import (CombiningStats, Ecdf, MetricsRecord, analytic_nmse, ecdf,
                       post_combining_snr)
 from .propagation import (ArrayGeometry, PathSet, dt_truncate, frequency_response,
@@ -106,11 +119,14 @@ def validate_plan(plan: ExperimentPlan) -> ExperimentPlan:
     if bad:
         raise ConfigError(f"methods {sorted(bad)} not valid for {plan.kind} "
                           f"(allowed: {allowed})")
+    _require_distinct("methods", methods)
     plan = replace(plan, methods=tuple(methods))
     if plan.kind == "ecdf":
         snrs = plan.snr_points or DEFAULT_ECDF_SNRS
         plan = replace(plan, snr_points=tuple(float(s) for s in snrs))
+        _require_distinct("ecdf SNR points", plan.snr_points)
     if plan.kind == "pilot-sweep":
+        _require_distinct("pilot-sweep SNR points", plan.pilot_snrs)
         counts = plan.pilot_counts or _default_pilot_counts(plan.bundle.system.n_subcarriers)
         n = plan.bundle.system.n_subcarriers
         for c in counts:
@@ -120,6 +136,13 @@ def validate_plan(plan: ExperimentPlan) -> ExperimentPlan:
             raise ConfigError("pilot-sweep needs at least one SNR point")
         plan = replace(plan, pilot_counts=tuple(sorted(set(int(c) for c in counts))))
     return plan
+
+
+def _require_distinct(name: str, values) -> None:
+    """Each value is one row group of the output, so a repeat would write its
+    rows twice, or, for ECDF tables keyed by SNR, drop a table."""
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{name} repeat an entry: {list(values)}")
 
 
 def _default_pilot_counts(n_subcarriers: int) -> tuple[int, ...]:
@@ -197,7 +220,41 @@ def _draw(env: Environment, fading_keys, noise_keys) -> tuple[np.ndarray, np.nda
     shape = (env.bundle.system.n_rx, len(env.pilots))
     fading = amplitude * complex_normals(env.seed, fading_keys, amplitude.shape)
     noise = complex_normals(env.seed, noise_keys, shape)
-    return fading, ls_estimate(noise, env.pilots)
+    noise /= env.pilots.symbols    # W' in W's buffer: no second noise array
+    return fading, noise
+
+
+# Bytes one slice of trials or of batch-ML warm-up snapshots may take: two
+# complex (n_rx, n_pilots) arrays per item (H and W', or T and N), and for the
+# warm-up its Gram matrices besides.  Desk-sized chunks (50 trials of 16 x 32)
+# and warm-ups (64 snapshots) fit one slice, as splitting them would only cost
+# time; a reference warm-up (64 x 32) takes 12 snapshots at a time and so never
+# holds as much as one whole warm-up array.
+_SLICE_BYTES = 5 << 18    # 1.25 MiB
+
+
+def _slices(items: range, env: Environment, kept: int = 0) -> list[range]:
+    """``items``, trials or warm-up snapshots, cut into consecutive slices
+    whose arrays fit ``_SLICE_BYTES`` less the ``kept`` bytes; a slice holds
+    one item at least."""
+    item_bytes = 2 * np.dtype(complex).itemsize * env.bundle.system.n_rx * len(env.pilots)
+    step = max(1, (_SLICE_BYTES - kept) // item_bytes)
+    return [items[i:i + step] for i in range(0, len(items), step)]
+
+
+def _warm_up_grams(env: Environment, block: int) -> SnapshotGrams:
+    """Gram matrices of trial block ``block``'s batch-ML warm-up snapshots,
+    summed over slices: one slice of snapshots is drawn at a time, and a
+    slice keeps the Gram sums and its own Grams besides."""
+    def batch(snapshots):
+        fading, noise = _draw(env, [(WARM_FADING, block, j) for j in snapshots],
+                              [(WARM_NOISE, block, j) for j in snapshots])
+        return assemble_channel(env.steering, fading, env.freq_pilot), noise
+    n_rx, n_p = env.bundle.system.n_rx, len(env.pilots)
+    gram_bytes = 2 * 3 * np.dtype(complex).itemsize * (n_rx * n_rx + n_p * n_p)
+    warm = range(env.bundle.estimator.n_batch)
+    return SnapshotGrams.summed(batch(snapshots)
+                                for snapshots in _slices(warm, env, gram_bytes))
 
 
 class _Bases(NamedTuple):
@@ -235,40 +292,42 @@ def _energy(x: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(x) ** 2, axis=(-2, -1))
 
 
-def _method_bases(env: Environment, methods: tuple[str, ...], sigmas: np.ndarray,
-                  block: int):
-    """Yield ``(method, snrs, bases)``, one method at a time.
+def _method_bases(env: Environment, methods: tuple[str, ...],
+                  noise_variances: np.ndarray, block: int) -> list:
+    """``(method, snrs, bases)`` for every method, taken once per chunk.
 
     The method's estimate at SNR point ``i`` in ``snrs`` is
-    ``P(H) + sigmas[i] * P(W')``, with P the projection by ``bases``.  ``ls``,
-    the twin pair and the delay window yield once for the whole grid; the
-    window is built here, as a full-scale window basis is too large to keep
-    in every environment.  Batch-ML yields once per SNR point: its pair comes
-    from the block's warm-up snapshots ``H_w + sigma * W'_w``, whose sample
-    covariances follow from Gram matrices taken once per block.
+    ``P(H) + sigma_i * P(W')``, with P the projection by ``bases``.  ``ls``,
+    the twin pair and the delay window hold for the whole grid; the window is
+    built here, as a full-scale window basis is too large to keep in every
+    environment.  Batch-ML has one pair per SNR point: it comes from the
+    block's warm-up snapshots ``H_w + sigma * W'_w``, whose sample covariances
+    follow from Gram matrices taken once per block.  ``ideal`` has no bases
+    (None): it combines on the channel itself.
     """
+    out = []
     for method in methods:
-        if method == "ls":
-            yield method, slice(None), _Bases(None, None)
+        if method == "ideal":
+            out.append((method, slice(None), None))
+        elif method == "ls":
+            out.append((method, slice(None), _Bases(None, None)))
         elif method == "emdt":
             proj = env.projectors
-            yield method, slice(None), _Bases(proj.basis_spatial, proj.basis_temporal)
+            out.append((method, slice(None), _Bases(proj.basis_spatial,
+                                                    proj.basis_temporal)))
         elif method == "denoise":
             window = denoise_subspace(env.bundle.system, env.bundle.estimator.tau_max)
-            yield method, slice(None), _Bases(None, window.basis_temporal)
+            out.append((method, slice(None), _Bases(None, window.basis_temporal)))
         elif method == "bml":
-            n_batch = env.bundle.estimator.n_batch
-            fading_w, noise_w = _draw(env, [(WARM_FADING, block, j) for j in range(n_batch)],
-                                      [(WARM_NOISE, block, j) for j in range(n_batch)])
-            grams = SnapshotGrams.of(assemble_channel(env.steering, fading_w,
-                                                      env.freq_pilot), noise_w)
+            grams = _warm_up_grams(env, block)
             r_s, r_t = bml_ranks(env)
-            for i, sigma in enumerate(sigmas):
+            for i, sigma in enumerate(np.sqrt(noise_variances)):
                 proj = bml_subspace(grams.covariances(sigma), r_s, r_t)
-                yield (method, slice(i, i + 1),
-                       _Bases(proj.basis_spatial, proj.basis_temporal))
-        elif method != "ideal":
+                out.append((method, slice(i, i + 1),
+                            _Bases(proj.basis_spatial, proj.basis_temporal)))
+        else:
             raise ConfigError(f"unknown method {method!r}")
+    return out
 
 
 def _error_energy(bases: _Bases, truth: np.ndarray, core_h: np.ndarray,
@@ -306,86 +365,137 @@ def _combining_snrs(bases: _Bases, core_h: np.ndarray, core_w: np.ndarray,
 
 
 def _full_grid_snrs(env: Environment, fading: np.ndarray, noise: np.ndarray,
-                    methods: tuple[str, ...], noise_variances: np.ndarray, block: int):
-    """Yield ``(method, snrs, full-grid post-combining SNRs)``; ``ideal``
-    combines on the channel itself."""
+                    bases: list, noise_variances: np.ndarray):
+    """Yield ``(method, snrs, full-grid post-combining SNRs)`` for every entry
+    of ``bases``; ``ideal`` combines on the channel itself."""
     truth_full = assemble_channel(env.steering, fading, env.freq_full)
-    power = env.bundle.system.symbol_power
-    sigmas = np.sqrt(noise_variances)
-    if "ideal" in methods:
-        yield "ideal", slice(None), post_combining_snr(
-            CombiningStats.of(truth_full, None, truth_full), sigmas, power,
-            noise_variances)
     truth = truth_full[..., env.pilots.indices]
     grid = interpolation_matrix(env.pilots, env.bundle.system.n_subcarriers)
-    for method, snrs, bases in _method_bases(env, methods, sigmas, block):
-        yield method, snrs, _combining_snrs(bases, bases.core(truth), bases.core(noise),
-                                            truth_full, grid, sigmas[snrs], power,
-                                            noise_variances[snrs])
+    power = env.bundle.system.symbol_power
+    sigmas = np.sqrt(noise_variances)
+    for method, snrs, b in bases:
+        if b is None:
+            stats = CombiningStats.of(truth_full, None, truth_full)
+            yield method, snrs, post_combining_snr(stats, sigmas[snrs], power,
+                                                   noise_variances[snrs])
+        else:
+            yield method, snrs, _combining_snrs(b, b.core(truth), b.core(noise),
+                                                truth_full, grid, sigmas[snrs], power,
+                                                noise_variances[snrs])
 
 
-def _reduce_nmse(env: Environment, fading: np.ndarray, noise: np.ndarray,
-                 methods: tuple[str, ...], noise_variances: np.ndarray, block: int):
+def _nmse_slice(env: Environment, fading: np.ndarray, noise: np.ndarray,
+                bases: list, noise_variances: np.ndarray):
     """Per-trial squared error of each method at every SNR point,
     ``{method: (n_snr, n_trials)}``, and the per-trial channel energy."""
     truth = assemble_channel(env.steering, fading, env.freq_pilot)
     sigmas = np.sqrt(noise_variances)
-    errors = {m: np.empty((len(sigmas), len(truth))) for m in methods}
-    for method, snrs, bases in _method_bases(env, methods, sigmas, block):
-        errors[method][snrs] = _error_energy(bases, truth, bases.core(truth),
-                                             bases.core(noise), sigmas[snrs])
+    errors = {m: np.empty((len(sigmas), len(truth))) for m, _, _ in bases}
+    for method, snrs, b in bases:
+        errors[method][snrs] = _error_energy(b, truth, b.core(truth), b.core(noise),
+                                             sigmas[snrs])
     return errors, _energy(truth)
 
 
-def _reduce_pilot(env: Environment, fading: np.ndarray, noise: np.ndarray,
-                  methods: tuple[str, ...], noise_variances: np.ndarray, block: int):
-    """:func:`_reduce_nmse` plus the pilot-grid spectral efficiency of each
-    method at every SNR point, summed over the chunk's trials."""
+def _pilot_slice(env: Environment, fading: np.ndarray, noise: np.ndarray,
+                 bases: list, noise_variances: np.ndarray):
+    """:func:`_nmse_slice` plus each method's per-subcarrier
+    ``log2(1 + SNR)`` on the pilot grid, ``{method: (n_snr, n_trials, n_pilots)}``."""
     truth = assemble_channel(env.steering, fading, env.freq_pilot)
     sigmas = np.sqrt(noise_variances)
     power = env.bundle.system.symbol_power
-    errors = {m: np.empty((len(sigmas), len(truth))) for m in methods}
-    se = {m: np.empty(len(sigmas)) for m in methods}
-    for method, snrs, bases in _method_bases(env, methods, sigmas, block):
-        core_h, core_w = bases.core(truth), bases.core(noise)
-        errors[method][snrs] = _error_energy(bases, truth, core_h, core_w, sigmas[snrs])
-        snr = _combining_snrs(bases, core_h, core_w, truth, None, sigmas[snrs], power,
+    errors = {m: np.empty((len(sigmas), len(truth))) for m, _, _ in bases}
+    rates = {m: np.empty((len(sigmas), len(truth), truth.shape[-1]))
+             for m, _, _ in bases}
+    for method, snrs, b in bases:
+        core_h, core_w = b.core(truth), b.core(noise)
+        errors[method][snrs] = _error_energy(b, truth, core_h, core_w, sigmas[snrs])
+        snr = _combining_snrs(b, core_h, core_w, truth, None, sigmas[snrs], power,
                               noise_variances[snrs])
-        se[method][snrs] = len(truth) * np.mean(np.log2(1.0 + snr), axis=(1, 2))
-    return errors, _energy(truth), se
+        rates[method][snrs] = np.log2(1.0 + snr)
+    return errors, _energy(truth), rates
 
 
-def _reduce_se(env: Environment, fading: np.ndarray, noise: np.ndarray,
-               methods: tuple[str, ...], noise_variances: np.ndarray, block: int):
-    """Full-grid spectral efficiency of each method at every SNR point,
-    summed over the chunk's trials."""
-    se = {m: np.empty(len(noise_variances)) for m in methods}
-    for method, snrs, snr in _full_grid_snrs(env, fading, noise, methods,
-                                             noise_variances, block):
-        se[method][snrs] = len(fading) * np.mean(np.log2(1.0 + snr), axis=(1, 2))
-    return se
-
-
-def _reduce_ecdf(env: Environment, fading: np.ndarray, noise: np.ndarray,
-                 methods: tuple[str, ...], noise_variances: np.ndarray, block: int):
-    """Per-subcarrier post-combining SNR samples, ``{method: [per SNR point]}``."""
-    samples = {m: [None] * len(noise_variances) for m in methods}
-    for method, snrs, snr in _full_grid_snrs(env, fading, noise, methods,
-                                             noise_variances, block):
-        samples[method][snrs] = [x.ravel() for x in snr]
+def _ecdf_slice(env: Environment, fading: np.ndarray, noise: np.ndarray,
+                bases: list, noise_variances: np.ndarray):
+    """Per-subcarrier post-combining SNR samples on the full grid,
+    ``{method: (n_snr, n_trials, n_subcarriers)}``."""
+    shape = (len(noise_variances), len(fading), env.bundle.system.n_subcarriers)
+    samples = {m: np.empty(shape) for m, _, _ in bases}
+    for method, snrs, snr in _full_grid_snrs(env, fading, noise, bases, noise_variances):
+        samples[method][snrs] = snr
     return samples
 
 
-def _simulate_chunk(env: Environment, reduce, t0: int, t1: int,
-                    methods: tuple[str, ...], noise_variances, block_size: int):
-    """Draw trials [t0, t1) once and ``reduce`` them at every noise variance.
+def _se_slice(env: Environment, fading: np.ndarray, noise: np.ndarray,
+              bases: list, noise_variances: np.ndarray):
+    """Each method's per-subcarrier ``log2(1 + SNR)`` on the full grid,
+    ``{method: (n_snr, n_trials, n_subcarriers)}``."""
+    samples = _ecdf_slice(env, fading, noise, bases, noise_variances)
+    return {m: np.log2(1.0 + x) for m, x in samples.items()}
 
-    The chunk's batch-ML warm-up is the one of trial block ``t0 // block_size``.
+
+def _join(parts: list):
+    """Per-trial results of consecutive trial slices laid end to end: arrays
+    are joined on their trial axis, axis 0 of per-trial vectors and axis 1
+    of (n_snr, n_trials, ...) arrays."""
+    first = parts[0]
+    if isinstance(first, tuple):
+        return tuple(_join(list(p)) for p in zip(*parts))
+    if isinstance(first, dict):
+        return {k: _join([p[k] for p in parts]) for k in first}
+    if len(parts) == 1:
+        return first
+    return np.concatenate(parts, axis=min(first.ndim - 1, 1))
+
+
+def _rate_sums(rates: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Spectral efficiency summed over a chunk's trials at every SNR point:
+    the trial count times the mean ``log2(1 + SNR)`` over trials and
+    subcarriers."""
+    return {m: x.shape[1] * np.mean(x, axis=(1, 2)) for m, x in rates.items()}
+
+
+def _pilot_sums(result):
+    errors, energy, rates = result
+    return errors, energy, _rate_sums(rates)
+
+
+def _as_is(result):
+    return result
+
+
+class _Reduction(NamedTuple):
+    """How a sweep reduces a chunk: ``per_slice`` maps one slice of trials to
+    per-trial results, and ``finish`` maps the slices' results, joined on the
+    trial axis, to the chunk's result."""
+
+    per_slice: Callable
+    finish: Callable = _as_is
+
+
+_reduce_nmse = _Reduction(_nmse_slice)
+_reduce_pilot = _Reduction(_pilot_slice, _pilot_sums)
+_reduce_se = _Reduction(_se_slice, _rate_sums)
+_reduce_ecdf = _Reduction(_ecdf_slice)
+
+
+def _simulate_chunk(env: Environment, reduce: _Reduction, t0: int, t1: int,
+                    methods: tuple[str, ...], noise_variances, block_size: int):
+    """Draw trials [t0, t1) once and reduce them at every noise variance.
+
+    Each method's bases are taken once for the chunk; its batch-ML warm-up is
+    the one of trial block ``t0 // block_size``.  The trials are drawn and
+    reduced a slice at a time (:func:`_slices`), so the chunk never holds
+    more than one slice's H and W'; every slice's per-trial results are kept.
     """
-    trials = range(t0, t1)
-    fading, noise = _draw(env, [(FADING, t) for t in trials], [(NOISE, t) for t in trials])
-    return reduce(env, fading, noise, methods,
-                  np.asarray(noise_variances, dtype=float), t0 // block_size)
+    noise_variances = np.asarray(noise_variances, dtype=float)
+    bases = _method_bases(env, methods, noise_variances, t0 // block_size)
+    parts = [reduce.per_slice(env, *_draw(env, [(FADING, t) for t in trials],
+                                          [(NOISE, t) for t in trials]),
+                              bases, noise_variances)
+             for trials in _slices(range(t0, t1), env)]
+    return reduce.finish(_join(parts))
 
 
 def _chunk_ranges(n_trials: int, block_size: int) -> list[tuple[int, int]]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -145,6 +145,13 @@ def _sample_covariances(h: np.ndarray) -> SampleCovariances:
     return SampleCovariances(x @ x.conj().T / len(h), y.T @ y.conj() / len(h))
 
 
+def _grams(t: np.ndarray, n: np.ndarray):
+    """(T T^H, T N^H + N T^H, N N^H) of two equal row sets, one conjugate
+    copy held at a time."""
+    cross = t @ n.conj().T
+    return t @ t.conj().T, cross + cross.conj().T, n @ n.conj().T
+
+
 @dataclass(frozen=True, eq=False)
 class SnapshotGrams:
     """Gram matrices of snapshot batches T + sigma N, grouped by power of sigma.
@@ -153,7 +160,8 @@ class SnapshotGrams:
     = G_TT + sigma (G_TN + G_TN^H) + sigma^2 G_NN, and likewise on the
     temporal side, so the sample covariances at every noise level follow from
     six Gram products taken once.  ``spatial`` and ``temporal`` each hold
-    (G_TT, G_TN + G_TN^H, G_NN).
+    (G_TT, G_TN + G_TN^H, G_NN).  Grams of batches laid end to end are the
+    sums of their Grams, so a long batch can be taken in slices.
     """
 
     spatial: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -163,17 +171,41 @@ class SnapshotGrams:
     @classmethod
     def of(cls, truth: np.ndarray, noise: np.ndarray) -> "SnapshotGrams":
         """Grams of the (n_snapshots, n_rx, n_pilots) batches T and N."""
-        if truth.ndim != 3 or truth.shape != noise.shape:
-            raise ValueError("truth and noise must be equal (n_snapshots, n_rx, "
-                             "n_pilots) batches")
+        return cls.summed([(truth, noise)])
 
-        def grams(t, n):
-            cross = t @ n.conj().T
-            return t @ t.conj().T, cross + cross.conj().T, n @ n.conj().T
+    @classmethod
+    def summed(cls, batches: Iterable[tuple[np.ndarray, np.ndarray]]) -> "SnapshotGrams":
+        """Grams of the ``(truth, noise)`` batches laid end to end, taken batch
+        by batch and summed in order; one batch gives exactly :meth:`of`.
 
-        x_t, x_n = _spatial_rows(truth), _spatial_rows(noise)
-        y_t, y_n = _temporal_rows(truth).T, _temporal_rows(noise).T
-        return cls(grams(x_t, x_n), grams(y_t, y_n), len(truth))
+        The temporal rows are views of a batch and the spatial rows copies;
+        each copy replaces the batch it is taken from, and a batch's Grams are
+        added into the sums at once.  A batch that nothing else holds, as one
+        a generator makes afresh, is therefore held with at most one
+        batch-sized copy: three batch-sized arrays, plus two sets of Grams.
+        """
+        sums, count = None, 0
+        for truth, noise in batches:
+            if truth.ndim != 3 or truth.shape != noise.shape:
+                raise ValueError("truth and noise must be equal (n_snapshots, n_rx, "
+                                 "n_pilots) batches")
+            count += len(truth)
+            temporal = _grams(_temporal_rows(truth).T, _temporal_rows(noise).T)
+            rows_t = _spatial_rows(truth)
+            del truth
+            rows_n = _spatial_rows(noise)
+            del noise
+            grams = _grams(rows_t, rows_n) + temporal
+            del rows_t, rows_n, temporal
+            if sums is None:
+                sums = grams
+            else:
+                for total, part in zip(sums, grams):
+                    total += part
+            del grams
+        if sums is None:
+            raise ValueError("no snapshot batches")
+        return cls(sums[:3], sums[3:], count)
 
     def covariances(self, sigma: float) -> SampleCovariances:
         """Sample covariances of the batch T + sigma N."""

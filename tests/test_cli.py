@@ -5,6 +5,7 @@ the experiment subcommands with a deliberately small configuration.
 """
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -182,6 +183,32 @@ class TestExitCodes:
         assert proc.returncode == 1, proc.stderr
         assert "path CSV" in proc.stderr
 
+    @pytest.mark.parametrize("argv,message", [
+        (("nmse-sweep", "--methods", "ls,ls"), "methods repeat"),
+        (("pilot-sweep", "--snr=0,0"), "SNR points repeat"),
+        (("ecdf", "--snr=-10,-10"), "SNR points repeat"),
+        (("ecdf", "--snr=-10,-10.0"), "SNR points repeat"),
+        (("ecdf", "--snr="), "expected comma-separated numbers"),
+        (("pilot-sweep", "--snr="), "expected comma-separated numbers"),
+    ])
+    def test_repeated_or_empty_lists_are_config_errors(self, tiny_json, tmp_path,
+                                                       argv, message):
+        """A repeated method or SNR point would write its rows twice (an ECDF
+        would silently lose a table), and an empty --snr= list is no list."""
+        proc = run_cli(*argv, "--config", str(tiny_json), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 1, proc.stderr
+        assert message in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_snr_grid_entry_is_config_error(self, tmp_path):
+        cfg = tmp_path / "repeat.json"
+        cfg.write_text(json.dumps(dict(TINY, system=dict(TINY["system"],
+                                                         snr_grid_db=[0.0, 5.0, 0.0]))))
+        proc = run_cli("nmse-sweep", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 1, proc.stderr
+        assert "snr_grid_db repeats" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_blocked_output_directory_is_runtime_error(self, tiny_json, tmp_path):
         blocker = tmp_path / "occupied"
         blocker.write_text("not a directory")
@@ -241,3 +268,17 @@ def test_importing_cli_leaves_validate_unloaded():
                          timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+def test_full_scale_pilot_sweep_peaks_under_150_mb(tmp_path):
+    """The full-scale pilot sweep at 2048 pilots (64 x 2048 per trial) stays
+    under 150 MB resident: its chunks hold one slice of trials at a time."""
+    proc = subprocess.Popen(CMD + ["pilot-sweep", "--full-scale", "--pilots", "2048",
+                                   "--trials", "16", "--out", str(tmp_path)],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    _, status, usage = os.wait4(proc.pid, 0)
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert os.waitstatus_to_exitcode(status) == 0, stderr
+    assert (tmp_path / "pilot.csv").is_file()
+    assert usage.ru_maxrss / 1024 < 150, f"peak RSS {usage.ru_maxrss / 1024:.1f} MB"

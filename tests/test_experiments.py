@@ -3,6 +3,7 @@ chunk/worker determinism, the one-pass pipeline against a per-SNR oracle, and
 CSV emission."""
 import csv
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,16 +11,18 @@ import pytest
 
 from chest.channel import apply_uplink, assemble_channel, draw_fading
 from chest.cli import _build_parser, _load_bundle
+from chest import experiments
 from chest.config import (ConfigError, desk_config, noise_variance_for_snr,
-                          validate_config)
+                          reference_config, validate_config)
 from chest.estimators import interpolate_full, ls_estimate, project_estimate
-from chest.experiments import (NMSE_METHODS, SE_METHODS, ExperimentPlan, bml_ranks,
+from chest.experiments import (DEFAULT_PILOT_SNRS, NMSE_METHODS, PILOT_SWEEP_METHODS,
+                               SE_METHODS, ExperimentPlan, bml_ranks,
                                build_environment, emit_csv, emit_ecdf_csv,
                                measure_projection_floor, run_ecdf, run_nmse_sweep,
                                run_pilot_sweep, run_se_sweep, validate_plan,
-                               _chunk_ranges, _draw, _noise_variances, _pooled_nmse,
-                               _reduce_ecdf, _reduce_nmse, _reduce_pilot, _reduce_se,
-                               _simulate_chunk)
+                               _chunk_ranges, _draw, _ecdf_slice, _method_bases,
+                               _nmse_slice, _noise_variances, _pilot_slice,
+                               _pooled_nmse, _reduce_nmse, _se_slice, _simulate_chunk)
 from chest.metrics import Ecdf, analytic_nmse, ecdf
 from chest.streams import (FADING, NOISE, WARM_FADING, WARM_NOISE, complex_normal,
                            substream)
@@ -483,32 +486,33 @@ class TestStatisticsMatchFormedEstimates:
         env = stats_env
         fading, noise = _chunk_inputs(env, 4)
         nv = np.array(_noise_variances(env, STATS_SNRS))
-        errors, energy = _reduce_nmse(env, fading, noise, NMSE_METHODS, nv, 0)
-        pilot_errors, _, pilot_se = _reduce_pilot(env, fading, noise, NMSE_METHODS, nv, 0)
-        samples = _reduce_ecdf(env, fading, noise, SE_METHODS, nv, 0)
-        se = _reduce_se(env, fading, noise, SE_METHODS, nv, 0)
-        n_sc = env.bundle.system.n_subcarriers
+        pilot_bases = _method_bases(env, NMSE_METHODS, nv, 0)
+        full_bases = _method_bases(env, SE_METHODS, nv, 0)
+        errors, energy = _nmse_slice(env, fading, noise, pilot_bases, nv)
+        pilot_errors, _, pilot_rates = _pilot_slice(env, fading, noise, pilot_bases, nv)
+        samples = _ecdf_slice(env, fading, noise, full_bases, nv)
+        rates = _se_slice(env, fading, noise, full_bases, nv)
         for i, noise_variance in enumerate(nv):
             for method in SE_METHODS:
                 error, pilot, full = _formed(env, fading, noise, method, noise_variance,
                                              gather_interpolate)
-                np.testing.assert_allclose(samples[method][i], full.ravel(), rtol=1e-12)
-                assert np.all(samples[method][i][:n_sc] == 0.0)
-                assert se[method][i] == pytest.approx(
-                    len(fading) * np.mean(np.log2(1.0 + full)), rel=1e-12)
+                np.testing.assert_allclose(samples[method][i], full, rtol=1e-12)
+                assert np.all(samples[method][i][0] == 0.0)
+                np.testing.assert_allclose(rates[method][i], np.log2(1.0 + full),
+                                           rtol=1e-12)
                 if method == "ideal":
                     continue
                 np.testing.assert_allclose(errors[method][i], error, rtol=1e-12)
                 np.testing.assert_allclose(pilot_errors[method][i], error, rtol=1e-12)
-                assert pilot_se[method][i] == pytest.approx(
-                    len(fading) * np.mean(np.log2(1.0 + pilot)), rel=1e-12)
+                np.testing.assert_allclose(pilot_rates[method][i], np.log2(1.0 + pilot),
+                                           rtol=1e-12)
         assert energy[0] == 0.0 and np.all(energy[1:] > 0)
 
     def test_zero_energy_columns_written_as_minus_inf(self, stats_env, tmp_path):
         env = stats_env
         fading, noise = _chunk_inputs(env, 2)
         nv = np.array(_noise_variances(env, (0.0,)))
-        samples = _reduce_ecdf(env, fading, noise, SE_METHODS, nv, 0)
+        samples = _ecdf_slice(env, fading, noise, _method_bases(env, SE_METHODS, nv, 0), nv)
         emit_ecdf_csv({(m, 0.0): ecdf(samples[m][0]) for m in SE_METHODS},
                       tmp_path / "ecdf.csv")
         with open(tmp_path / "ecdf.csv", newline="") as fh:
@@ -524,7 +528,9 @@ class TestStatisticsMatchFormedEstimates:
         is rounding noise far below ||H||^2 - ||core(H)||^2 would give."""
         env = stats_env
         fading, noise = _chunk_inputs(env, 4)
-        errors, energy = _reduce_nmse(env, fading, noise, ("emdt",), np.array([0.0]), 0)
+        nv = np.array([0.0])
+        errors, energy = _nmse_slice(env, fading, noise,
+                                     _method_bases(env, ("emdt",), nv, 0), nv)
         truth = assemble_channel(env.steering, fading, env.freq_pilot)
         direct = np.sum(np.abs(project_estimate(truth, env.projectors) - truth) ** 2,
                         axis=(-2, -1))
@@ -579,6 +585,99 @@ class TestDeterminism:
         infl = (err[:200] - r200 * gain[:200]) / gain[:200].mean()
         se200 = infl.std(ddof=1) / np.sqrt(200)
         assert abs(r400 - r200) < 3 * se200
+
+
+# --- Trial and warm-up slices ---------------------------------------------------
+
+def _one_pass_grams(env, block):
+    """The batch-ML warm-up Grams of a block taken over the whole batch."""
+    warm = range(env.bundle.estimator.n_batch)
+    fading_w, noise_w = _draw(env, [(WARM_FADING, block, j) for j in warm],
+                              [(WARM_NOISE, block, j) for j in warm])
+    return SnapshotGrams.of(assemble_channel(env.steering, fading_w, env.freq_pilot),
+                            noise_w)
+
+
+def _sweep_outputs(bundle, workers):
+    """Every sweep's output on ``bundle`` with all its methods, batch-ML
+    included, in comparable form."""
+    def plan(kind, **extra):
+        return ExperimentPlan(kind=kind, bundle=bundle, block_size=3, workers=workers,
+                              **extra)
+    tables = run_ecdf(plan("ecdf", snr_points=(-10.0, 5.0)))
+    return (run_nmse_sweep(plan("nmse-sweep")), run_se_sweep(plan("se-sweep")),
+            run_pilot_sweep(plan("pilot-sweep", pilot_counts=(2, 8, 32),
+                                 pilot_snrs=(-15.0, 0.0))),
+            {key: table.thresholds.tolist() for key, table in tables.items()})
+
+
+class TestSlices:
+    """Chunks are drawn and reduced in slices that fit a byte budget; the
+    batch-ML warm-up is summed over slices of snapshots."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_trial_slices_match_one_pass(self, desk_small, monkeypatch, workers):
+        """With a budget of one trial and one snapshot every sweep's output
+        equals the one-pass run's bit for bit.  Per-trial results are joined,
+        never re-summed, so slicing trials changes no bit.  Slicing the warm-up
+        does change the order the Grams are summed in (the next test holds
+        them to the one-pass Grams), so both runs here learn batch-ML from the
+        one-pass Grams.  Pool workers are forked and inherit the patches."""
+        monkeypatch.setattr(experiments, "_warm_up_grams", _one_pass_grams)
+        one_pass = _sweep_outputs(desk_small, workers)
+        monkeypatch.setattr(experiments, "_SLICE_BYTES", 1)
+        assert experiments._slices(range(3), build_environment(desk_small)) == \
+            [range(0, 1), range(1, 2), range(2, 3)]
+        assert _sweep_outputs(desk_small, workers) == one_pass
+
+    def test_sliced_warm_up_grams_match_one_pass(self, monkeypatch):
+        env = build_environment(reference_config())
+        whole = _one_pass_grams(env, 1)
+        monkeypatch.setattr(experiments, "_SLICE_BYTES", 1)
+        sliced = experiments._warm_up_grams(env, 1)
+        assert sliced.n_snapshots == whole.n_snapshots == env.bundle.estimator.n_batch
+        for got, want in zip(sliced.spatial + sliced.temporal,
+                             whole.spatial + whole.temporal):
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+
+    def test_reference_warm_up_holds_less_than_one_batch(self):
+        """The warm-up of the reference config (64 snapshots of 64 x 32) never
+        holds as much as one whole (n_batch, n_rx, n_pilots) complex array."""
+        env = build_environment(reference_config())
+        shape = (env.bundle.estimator.n_batch, env.bundle.system.n_rx, len(env.pilots))
+        peak = _traced_peak(lambda: experiments._warm_up_grams(env, 0))
+        assert peak < np.prod(shape) * np.dtype(complex).itemsize
+
+    @pytest.mark.parametrize("reduce", ["_reduce_nmse", "_reduce_pilot"])
+    def test_full_scale_chunk_peak_does_not_grow_with_trials(self, reduce):
+        """At the full-scale pilot grid (64 antennas, 2048 pilots) a 50-trial
+        chunk peaks within 10 % of an 8-trial one.  The pilot sweep keeps each
+        trial's per-subcarrier log2(1 + SNR) for its exact sums; the 42 more
+        trials' worth of those is allowed on top."""
+        desk = desk_config()
+        system = replace(desk.system, n_rx=64, n_subcarriers=2048, n_pilots=2048,
+                         cp_length=desk.system.cp_length * 32)
+        env = build_environment(validate_config(system, desk.scenario, desk.estimator))
+        nv = _noise_variances(env, DEFAULT_PILOT_SNRS)
+        methods = PILOT_SWEEP_METHODS
+        peaks = {n: _traced_peak(lambda: _simulate_chunk(
+            env, getattr(experiments, reduce), 0, n, methods, nv, 50)) for n in (8, 50)}
+        kept = 0
+        if reduce == "_reduce_pilot":
+            kept = (50 - 8) * len(methods) * len(nv) * len(env.pilots) * 8
+        assert peaks[50] <= 1.1 * peaks[8] + kept
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 class TestCsvEmission:
