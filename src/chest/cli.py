@@ -103,7 +103,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 def _make_plan(args, bundle: ConfigBundle) -> ExperimentPlan:
     """The validated plan, method defaults filled in for the plotting code."""
-    methods = tuple(args.methods.split(",")) if args.methods else ()
+    methods = tuple(args.methods.split(",")) if args.methods is not None else ()
     environment = load_paths_csv(args.paths) if args.paths else None
     extra = {}
     if args.command == "ecdf" and args.snr is not None:
@@ -111,7 +111,7 @@ def _make_plan(args, bundle: ConfigBundle) -> ExperimentPlan:
     if args.command == "pilot-sweep":
         if args.snr is not None:
             extra["pilot_snrs"] = _parse_floats(args.snr)
-        if args.pilots:
+        if args.pilots is not None:
             extra["pilot_counts"] = _parse_ints(args.pilots)
     return validate_plan(ExperimentPlan(kind=args.command, bundle=bundle,
                                         methods=methods, workers=args.workers,

@@ -190,11 +190,15 @@ class TestExitCodes:
         (("ecdf", "--snr=-10,-10.0"), "SNR points repeat"),
         (("ecdf", "--snr="), "expected comma-separated numbers"),
         (("pilot-sweep", "--snr="), "expected comma-separated numbers"),
+        (("nmse-sweep", "--methods="), "methods [''] not valid"),
+        (("ecdf", "--methods="), "methods [''] not valid"),
+        (("pilot-sweep", "--pilots="), "expected comma-separated integers"),
     ])
     def test_repeated_or_empty_lists_are_config_errors(self, tiny_json, tmp_path,
                                                        argv, message):
         """A repeated method or SNR point would write its rows twice (an ECDF
-        would silently lose a table), and an empty --snr= list is no list."""
+        would silently lose a table), and an empty --snr=, --methods= or
+        --pilots= list is no list, not a request for the defaults."""
         proc = run_cli(*argv, "--config", str(tiny_json), "--out", str(tmp_path / "o"))
         assert proc.returncode == 1, proc.stderr
         assert message in proc.stderr

@@ -2,6 +2,7 @@
 chunk/worker determinism, the one-pass pipeline against a per-SNR oracle, and
 CSV emission."""
 import csv
+import multiprocessing
 import pickle
 import tracemalloc
 from dataclasses import replace
@@ -220,6 +221,99 @@ class TestEcdf:
         tables = run_ecdf(ExperimentPlan(kind="ecdf", bundle=tiny,
                                          methods=("ideal",), snr_points=(3.0,)))
         assert set(tables) == {("ideal", 3.0)}
+
+
+def _draw_silencing_trial_4(env, fading_keys, noise_keys):
+    """``_draw`` with trial 4's fading and noise zeroed, so that every one of
+    its post-combining SNR samples is 0."""
+    fading, noise = _draw(env, fading_keys, noise_keys)
+    for row, key in enumerate(fading_keys):
+        if key == (FADING, 4):
+            fading[row] = 0.0
+            noise[row] = 0.0
+    return fading, noise
+
+
+def _draw_failing_at_trial_6(env, fading_keys, noise_keys):
+    if (FADING, 6) in fading_keys:
+        raise RuntimeError("injected chunk failure")
+    return _draw(env, fading_keys, noise_keys)
+
+
+class TestEcdfSampleBuffers:
+    """``run_ecdf`` folds each chunk's samples into one buffer per table as the
+    results arrive: the tables are those of the concatenated chunk results,
+    the run holds about one copy of its samples, and no pool outlives it."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_tables_equal_concatenated_chunks(self, monkeypatch, workers):
+        """Seven trials in chunks of three (the last chunk holds one), with
+        trial 4 silenced so that zero samples sort first.  Pool workers are
+        forked and inherit the patch."""
+        monkeypatch.setattr(experiments, "_draw", _draw_silencing_trial_4)
+        bundle = desk_config(n_trials=7)
+        plan = validate_plan(ExperimentPlan(kind="ecdf", bundle=bundle, block_size=3,
+                                            workers=workers, snr_points=(-10.0, 5.0)))
+        env = build_environment(bundle)
+        nv = _noise_variances(env, plan.snr_points)
+        assert _chunk_ranges(7, 3) == [(0, 3), (3, 6), (6, 7)]
+        partials = [_simulate_chunk(env, experiments._reduce_ecdf, t0, t1, plan.methods,
+                                    nv, 3) for t0, t1 in _chunk_ranges(7, 3)]
+        tables = run_ecdf(plan)
+        assert list(tables) == [(m, s) for s in plan.snr_points for m in plan.methods]
+        n_zero = bundle.system.n_subcarriers
+        for i, snr_db in enumerate(plan.snr_points):
+            for method in plan.methods:
+                want = ecdf(np.concatenate([p[method][i] for p in partials]))
+                got = tables[(method, snr_db)]
+                np.testing.assert_array_equal(got.thresholds, want.thresholds)
+                np.testing.assert_array_equal(got.fractions, want.fractions)
+                assert np.all(got.thresholds[:n_zero] == 0.0)
+                assert got.thresholds[n_zero] > 0.0
+
+    def test_equal_size_tables_share_read_only_fractions(self, tiny):
+        tables = list(run_ecdf(ExperimentPlan(kind="ecdf", bundle=tiny)).values())
+        shared = tables[0].fractions
+        assert all(t.fractions is shared for t in tables)
+        assert not shared.flags.writeable
+        np.testing.assert_array_equal(shared, np.arange(1, 193) / 192)
+
+    def test_run_holds_one_copy_of_its_samples(self):
+        """Desk ECDF at 2000 trials on one worker: the traced peak stays within
+        1.5 copies of its samples (10.24 MB).  Keeping every chunk result, a
+        sorted copy and a fractions array per table would hold three."""
+        bundle = desk_config(n_trials=2000)
+        plan = validate_plan(ExperimentPlan(kind="ecdf", bundle=bundle))
+        one_copy = (len(plan.snr_points) * len(plan.methods) * bundle.system.n_trials
+                    * bundle.system.n_subcarriers * np.dtype(float).itemsize)
+        assert one_copy == 10_240_000
+        tracemalloc.start()
+        try:
+            tables = run_ecdf(plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tables) == 10
+        assert peak <= 1.5 * one_copy, f"traced peak {peak / 1e6:.2f} MB"
+
+    def test_failed_chunk_surfaces_and_leaves_no_pool(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_draw", _draw_failing_at_trial_6)
+        plan = ExperimentPlan(kind="ecdf", bundle=desk_config(n_trials=9), block_size=3,
+                              workers=2)
+        with pytest.raises(RuntimeError, match="injected chunk failure"):
+            run_ecdf(plan)
+        assert multiprocessing.active_children() == []
+
+    def test_closed_generator_leaves_no_pool(self):
+        env = build_environment(desk_config(n_trials=12))
+        nv = _noise_variances(env, (0.0,))
+        tasks = [(0, experiments._reduce_ecdf, t0, t1, ("ls",), nv, 3)
+                 for t0, t1 in _chunk_ranges(12, 3)]
+        results = experiments._map_chunks((env,), tasks, 2)
+        first = next(results)
+        assert first["ls"].shape == (1, 3, env.bundle.system.n_subcarriers)
+        results.close()
+        assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="module")
@@ -750,7 +844,8 @@ def _csv_writer_reference(tables, path):
 
 def test_ecdf_csv_matches_csv_writer_bytes(rng, tmp_path):
     """Blocked f-string rows are byte for byte what csv.writer writes,
-    including a zero sample (-inf dB), a table longer than one block, and
+    including a zero sample (-inf dB), 9001-row tables over nine 1024-row
+    blocks (the last one short, each taken to dB on its own), and
     the reuse of formatted cumulative fractions: two tables of equal size
     (reused), then a hand-built one of that size with other fractions, then
     tables of other sizes (all formatted afresh)."""
@@ -763,6 +858,7 @@ def test_ecdf_csv_matches_csv_writer_bytes(rng, tmp_path):
               ("emdt", -10.0): ecdf(long),
               ("ls", 5.0): ecdf([0.0, 0.0, 1e-300, 2.5, 1e12]),
               ("ideal", 0.5): ecdf([3.0])}
+    assert -(-long.size // experiments._ECDF_ROWS_PER_WRITE) == 9
     emit_ecdf_csv(tables, tmp_path / "fast.csv")
     _csv_writer_reference(tables, tmp_path / "reference.csv")
     fast = (tmp_path / "fast.csv").read_bytes()

@@ -347,6 +347,22 @@ class TestEcdf:
         with pytest.raises(ValueError):
             ecdf([1.0, bad])
 
+    def test_equal_sizes_share_read_only_fractions(self):
+        a, b = ecdf([3.0, 1.0, 2.0]), ecdf(np.zeros((3, 1)))
+        assert a.fractions is b.fractions
+        np.testing.assert_array_equal(a.fractions, np.arange(1, 4) / 3)
+        with pytest.raises(ValueError, match="read-only"):
+            a.fractions[0] = 0.5
+        c = ecdf([1.0, 2.0])
+        np.testing.assert_array_equal(c.fractions, [0.5, 1.0])
+        np.testing.assert_array_equal(ecdf([9.0, 8.0, 7.0]).fractions, a.fractions)
+
+    def test_sorts_a_copy(self):
+        samples = np.array([[3.0, 1.0], [2.0, 0.0]])
+        e = ecdf(samples)
+        np.testing.assert_array_equal(e.thresholds, [0.0, 1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(samples, [[3.0, 1.0], [2.0, 0.0]])
+
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=60))
     @settings(max_examples=40, deadline=None)
     def test_terminal_value_and_monotonicity(self, xs):
