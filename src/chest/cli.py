@@ -29,20 +29,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="OFDM uplink channel-estimation experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_out: bool = True):
+    def common(p: argparse.ArgumentParser, sweep: bool = True):
         p.add_argument("--config", type=Path, default=None,
                        help="JSON config file (default: built-in desk config)")
-        if with_out:
-            p.add_argument("--out", type=Path, required=True,
-                           help="output directory for CSV and SVG artifacts")
-        p.add_argument("--trials", type=int, default=None,
-                       help="override the configured Monte Carlo trial count")
         p.add_argument("--seed", type=int, default=None,
                        help="override the configured seed")
         p.add_argument("--full-scale", action="store_true",
                        help="run at the large dimensions (64 antennas; pilot "
                             "sweeps also widen to 2048 subcarriers); "
                             "several minutes instead of seconds")
+        if not sweep:
+            p.set_defaults(trials=None)
+            return
+        p.add_argument("--out", type=Path, required=True,
+                       help="output directory for CSV and SVG artifacts")
+        p.add_argument("--trials", type=int, default=None,
+                       help="override the configured Monte Carlo trial count")
         p.add_argument("--paths", type=Path, default=None,
                        help="CSV path set to use instead of drawing one")
         p.add_argument("--methods", type=str, default=None,
@@ -67,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="comma-separated pilot counts (default: powers of two)")
 
     v = sub.add_parser("validate", help="run the invariant suite")
-    common(v, with_out=False)
+    common(v, sweep=False)
     return parser
 
 

@@ -4,18 +4,18 @@ Every estimator is a linear map on plain complex arrays: it takes a
 pilot-grid array shaped (..., n_rx, n_pilots), with any leading trial axes,
 and returns an array of the same leading shape.  LS divides out the pilots;
 every other pilot-grid estimator (twin, batch-ML, delay-domain denoising)
-is :func:`project_estimate` with that prior's
-:class:`~chest.subspaces.ProjectorPair`.  Only :func:`interpolate_full`
-changes the grid, to (..., n_rx, n_subcarriers); it is the right-product by
-the real :func:`interpolation_matrix`, which the sweeps fold into a method's
-temporal basis instead.
+projects the LS estimate by that prior's
+:class:`~chest.subspaces.ProjectorPair`, ``pair.project(pair.core(h))``.
+Only :func:`interpolate_full` changes the grid, to (..., n_rx,
+n_subcarriers); it is the right-product by the real
+:func:`interpolation_matrix`, which the sweeps fold into a method's temporal
+basis instead.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .config import PilotPattern
-from .subspaces import ProjectorPair
 
 
 def ls_estimate(y: np.ndarray, pilots: PilotPattern) -> np.ndarray:
@@ -24,16 +24,6 @@ def ls_estimate(y: np.ndarray, pilots: PilotPattern) -> np.ndarray:
     if y.shape[-1] != len(pilots):
         raise ValueError("received block width must match the pilot count")
     return y / pilots.symbols
-
-
-def project_estimate(h: np.ndarray, projectors: ProjectorPair) -> np.ndarray:
-    """Left/right subspace projection of a pilot-grid estimate,
-    U_s ((U_s^H H) conj(U_t)) U_t^T, without forming either dense projector."""
-    u_s, u_t = projectors.basis_spatial, projectors.basis_temporal
-    if u_s.shape[0] != h.shape[-2] or u_t.shape[0] != h.shape[-1]:
-        raise ValueError("projector dimensions do not match the estimate")
-    core = (u_s.conj().T @ h) @ u_t.conj()
-    return u_s @ core @ u_t.T
 
 
 def interpolation_matrix(pilots: PilotPattern, n_subcarriers: int) -> np.ndarray:

@@ -28,9 +28,10 @@ efficiencies or post-combining SNR samples at every SNR point.
   time, a reference warm-up (64 x 32 per snapshot) 12 snapshots at a time,
   and a full-scale pilot grid (64 x 2048) one trial.
 * At noise variance sigma^2 the LS estimate is H + sigma * W', with
-  W' = W / x.  Every pilot-grid method projects it by its bases: the twin's
-  pair for ``emdt``, the delay window for ``denoise`` and the pair learned
-  from the warm-up for ``bml``; ``ls`` is the identity.  An identity side is
+  W' = W / x.  Every pilot-grid method projects it by its
+  :class:`~chest.subspaces.ProjectorPair`: the twin's pair for ``emdt``, the
+  delay window for ``denoise``, the pair learned from the warm-up for
+  ``bml``, and for ``ls`` the pair of two identity sides.  An identity side is
   never multiplied out (``ls`` has none, ``denoise`` no spatial side).  The
   estimate at every SNR point is P(H) + sigma * P(W'), and it is never
   formed: each method's subspace coordinates core(X) = (U_s^H X) conj(U_t)
@@ -273,37 +274,6 @@ def _warm_up_grams(env: Environment, block: int) -> SnapshotGrams:
                                 for snapshots in _slices(warm, env, gram_bytes))
 
 
-class _Bases(NamedTuple):
-    """A method's bases in the reducers.  ``None`` stands for a side the
-    method keeps whole, the identity, which is never multiplied out: both
-    sides of ``ls`` and the spatial side of ``denoise``."""
-
-    spatial: np.ndarray | None    # U_s, (n_rx, r_s)
-    temporal: np.ndarray | None   # U_t, (n_pilots, r_t)
-
-    def coords(self, x: np.ndarray) -> np.ndarray:
-        """Spatial coordinates U_s^H X of (..., n_rx, n) arrays."""
-        return x if self.spatial is None else self.spatial.conj().T @ x
-
-    def core(self, x: np.ndarray) -> np.ndarray:
-        """Subspace coordinates (U_s^H X) conj(U_t) of pilot-grid arrays."""
-        c = self.coords(x)
-        return c if self.temporal is None else c @ self.temporal.conj()
-
-    def synthesis(self, grid: np.ndarray | None) -> np.ndarray | None:
-        """Rows that take core coordinates onto a grid: U_t^T M, with M the
-        interpolation matrix, or None on the pilot grid (``grid`` None)
-        without a temporal basis."""
-        if self.temporal is None:
-            return grid
-        return self.temporal.T if grid is None else self.temporal.T @ grid
-
-    def project(self, core: np.ndarray) -> np.ndarray:
-        """The projection U_s core U_t^T of a pilot-grid array, from its core."""
-        px = core if self.spatial is None else self.spatial @ core
-        return px if self.temporal is None else px @ self.temporal.T
-
-
 def _energy(x: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(x) ** 2, axis=(-2, -1))
 
@@ -326,27 +296,24 @@ def _method_bases(env: Environment, methods: tuple[str, ...],
         if method == "ideal":
             out.append((method, slice(None), None))
         elif method == "ls":
-            out.append((method, slice(None), _Bases(None, None)))
+            out.append((method, slice(None), ProjectorPair(None, None)))
         elif method == "emdt":
-            proj = env.projectors
-            out.append((method, slice(None), _Bases(proj.basis_spatial,
-                                                    proj.basis_temporal)))
+            out.append((method, slice(None), env.projectors))
         elif method == "denoise":
-            window = denoise_subspace(env.bundle.system, env.bundle.estimator.tau_max)
-            out.append((method, slice(None), _Bases(None, window.basis_temporal)))
+            out.append((method, slice(None),
+                        denoise_subspace(env.bundle.system, env.bundle.estimator.tau_max)))
         elif method == "bml":
             grams = _warm_up_grams(env, block)
             r_s, r_t = bml_ranks(env)
             for i, sigma in enumerate(np.sqrt(noise_variances)):
-                proj = bml_subspace(grams.covariances(sigma), r_s, r_t)
                 out.append((method, slice(i, i + 1),
-                            _Bases(proj.basis_spatial, proj.basis_temporal)))
+                            bml_subspace(grams.covariances(sigma), r_s, r_t)))
         else:
             raise ConfigError(f"unknown method {method!r}")
     return out
 
 
-def _error_energy(bases: _Bases, truth: np.ndarray, core_h: np.ndarray,
+def _error_energy(bases: ProjectorPair, truth: np.ndarray, core_h: np.ndarray,
                   core_w: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """Per-trial squared error at every sigma, (len(sigmas), n_trials).
 
@@ -356,14 +323,15 @@ def _error_energy(bases: _Bases, truth: np.ndarray, core_h: np.ndarray,
     cancels catastrophically when the pair holds nearly all of H.
     """
     s = sigmas[:, None]
-    if bases.spatial is None and bases.temporal is None:
+    if bases.basis_spatial is None and bases.basis_temporal is None:
+        # core(H) is H itself here, which the in-place residual would zero
         return s * s * _energy(core_w)
     residual = bases.project(core_h)
     residual -= truth
     return _energy(residual) + s * s * _energy(core_w)
 
 
-def _combining_snrs(bases: _Bases, core_h: np.ndarray, core_w: np.ndarray,
+def _combining_snrs(bases: ProjectorPair, core_h: np.ndarray, core_w: np.ndarray,
                     truth: np.ndarray, grid: np.ndarray | None, sigmas: np.ndarray,
                     power: float, noise_variances: np.ndarray) -> np.ndarray:
     """Post-combining SNRs, (len(sigmas), n_trials, n_sc), of the estimates

@@ -62,9 +62,10 @@ def covariance_traces(projectors: ProjectorPair, steering: np.ndarray,
         trace(R)   = sum_l alpha_l^2 ||a_l||^2 ||k_l||^2
         trace(R Q) = sum_l alpha_l^2 ||U_s^H a_l||^2 ||U_t^H k_l||^2
 
-    without forming the (n_rx * n_pilots)-square R or either projector.
-    ``steering`` is (n_rx, L), ``freq_pilot`` is (n_pilots, L); steering
-    entries need not be unit modulus.
+    without forming the (n_rx * n_pilots)-square R or either projector; an
+    identity side keeps the full energy.  ``steering`` is (n_rx, L),
+    ``freq_pilot`` is (n_pilots, L); steering entries need not be unit
+    modulus.
     """
     a = np.asarray(steering)
     k = np.asarray(freq_pilot)
@@ -74,14 +75,23 @@ def covariance_traces(projectors: ProjectorPair, steering: np.ndarray,
     if a.ndim != 2 or k.ndim != 2 or power.shape != (a.shape[1],) \
             or k.shape[1] != a.shape[1]:
         raise ValueError("steering/freq_pilot/amplitude path counts disagree")
-    if a.shape[0] != u_s.shape[0] or k.shape[0] != u_t.shape[0]:
+    if (u_s is not None and a.shape[0] != u_s.shape[0]) \
+            or (u_t is not None and k.shape[0] != u_t.shape[0]):
         raise ValueError("path responses do not match the projector dimensions")
     energy_s = np.sum(np.abs(a) ** 2, axis=0)
     energy_t = np.sum(np.abs(k) ** 2, axis=0)
-    kept_s = np.sum(np.abs(u_s.conj().T @ a) ** 2, axis=0)
-    kept_t = np.sum(np.abs(u_t.conj().T @ k) ** 2, axis=0)
+    kept_s = energy_s if u_s is None else np.sum(np.abs(u_s.conj().T @ a) ** 2, axis=0)
+    kept_t = energy_t if u_t is None else np.sum(np.abs(u_t.conj().T @ k) ** 2, axis=0)
     return (float(np.sum(power * energy_s * energy_t)),
             float(np.sum(power * kept_s * kept_t)))
+
+
+def _side(basis: np.ndarray | None, dim: int) -> tuple[int, float]:
+    """Rank and ||U^H U||_F^2 of one side of a pair; the identity on ``dim``
+    coordinates has both equal to ``dim``."""
+    if basis is None:
+        return dim, dim
+    return basis.shape[1], np.sum(np.abs(basis.conj().T @ basis) ** 2)
 
 
 def analytic_nmse(projectors: ProjectorPair, steering: np.ndarray,
@@ -93,7 +103,8 @@ def analytic_nmse(projectors: ProjectorPair, steering: np.ndarray,
     :func:`covariance_traces` evaluates per path.  The noise term is computed
     both from tr(Q Q^H) = ||U_s^H U_s||_F^2 ||U_t^H U_t||_F^2 and from the
     rank shortcut ranks/(n_rx * n_pilots * SNR); the two must agree to 1e-9,
-    which guards the SNR bookkeeping end to end.
+    which guards the SNR bookkeeping end to end.  An identity side has the
+    rank and the tr(Q Q^H) factor of the response dimension it meets.
     """
     if noise_variance < 0 or symbol_power <= 0:
         raise ValueError("need symbol_power > 0 and noise_variance >= 0")
@@ -102,16 +113,13 @@ def analytic_nmse(projectors: ProjectorPair, steering: np.ndarray,
         raise ValueError("covariance trace must be positive")
     floor = max((tr_r - tr_rq) / tr_r, 0.0)
 
-    u_s = projectors.basis_spatial
-    u_t = projectors.basis_temporal
-    n_rx = u_s.shape[0]
-    n_p = u_t.shape[0]
-    tr_qqh = float(np.sum(np.abs(u_s.conj().T @ u_s) ** 2)
-                   * np.sum(np.abs(u_t.conj().T @ u_t) ** 2))
+    n_rx, n_p = np.shape(steering)[0], np.shape(freq_pilot)[0]
+    rank_s, gram_s = _side(projectors.basis_spatial, n_rx)
+    rank_t, gram_t = _side(projectors.basis_temporal, n_p)
+    tr_qqh = float(gram_s * gram_t)
     noise_trace_form = noise_variance * tr_qqh / (symbol_power * tr_r)
     snr = 10.0 ** (snr_db / 10.0)
-    noise_simplified = (projectors.rank_spatial * projectors.rank_temporal
-                        / (n_rx * n_p * snr))
+    noise_simplified = rank_s * rank_t / (n_rx * n_p * snr)
     if not np.isclose(noise_trace_form, noise_simplified, rtol=1e-9, atol=1e-9):
         raise ValueError(
             f"noise-term forms disagree: trace {noise_trace_form:.12e} vs "

@@ -11,12 +11,15 @@ the projectors
     P_s = U_s U_s^H  (applied from the left),   P_t = conj(U_t) U_t^T  (right),
 
 where the conjugation on the temporal side makes right-multiplication project
-rows onto span(U_t).  The dense n x n matrices are never formed: a pilot-grid
-array H is projected as U_s ((U_s^H H) conj(U_t)) U_t^T, which costs
-O(n_rx n_pilots r) instead of O(n_rx n_pilots (n_rx + n_pilots)), and the
-ranks are the basis widths.  A pair checks on construction that both bases
-are orthonormal, so every pair, whatever built it, is checked once, where it
-is built.
+rows onto span(U_t).  Either basis may be None, the identity: the delay
+window keeps every antenna, and LS is the pair with no basis at all.  No
+dense n x n matrix, identity or projector, is formed: a pilot-grid array H is
+projected as U_s ((U_s^H H) conj(U_t)) U_t^T, an identity side skipped, which
+costs O(n_rx n_pilots r) instead of O(n_rx n_pilots (n_rx + n_pilots)).  A
+side's rank is its basis width (``rank_spatial``, ``rank_temporal``), or, for
+the identity (rank None), the dimension of the array it meets.  A pair checks
+on construction that each basis it holds is orthonormal, so every pair,
+whatever built it, is checked once, where it is built.
 """
 from __future__ import annotations
 
@@ -33,23 +36,50 @@ from .propagation import ArrayGeometry, PathSet, frequency_response, steering_ma
 @dataclass(frozen=True, eq=False)
 class ProjectorPair:
     """Orthonormal bases of the left (spatial) and right (temporal)
-    projections, checked on construction; see the module docstring for how
-    they are applied."""
+    projections, checked on construction; None is the identity.  See the
+    module docstring for how they are applied."""
 
-    basis_spatial: np.ndarray    # U_s, (n_rx, rank_spatial)
-    basis_temporal: np.ndarray   # U_t, (n_pilots, rank_temporal)
+    basis_spatial: np.ndarray | None    # U_s, (n_rx, rank_spatial)
+    basis_temporal: np.ndarray | None   # U_t, (n_pilots, rank_temporal)
 
     def __post_init__(self):
-        _check_orthonormal(self.basis_spatial, "spatial")
-        _check_orthonormal(self.basis_temporal, "temporal")
+        if self.basis_spatial is not None:
+            _check_orthonormal(self.basis_spatial, "spatial")
+        if self.basis_temporal is not None:
+            _check_orthonormal(self.basis_temporal, "temporal")
 
     @property
-    def rank_spatial(self) -> int:
-        return self.basis_spatial.shape[1]
+    def rank_spatial(self) -> int | None:
+        return None if self.basis_spatial is None else self.basis_spatial.shape[1]
 
     @property
-    def rank_temporal(self) -> int:
-        return self.basis_temporal.shape[1]
+    def rank_temporal(self) -> int | None:
+        return None if self.basis_temporal is None else self.basis_temporal.shape[1]
+
+    def coords(self, x: np.ndarray) -> np.ndarray:
+        """Spatial coordinates U_s^H X of (..., n_rx, n) arrays."""
+        return x if self.basis_spatial is None else self.basis_spatial.conj().T @ x
+
+    def core(self, x: np.ndarray) -> np.ndarray:
+        """Subspace coordinates (U_s^H X) conj(U_t) of pilot-grid arrays.  An
+        identity side passes its input through: ``core`` of the all-identity
+        pair is ``x`` itself, not a copy."""
+        c = self.coords(x)
+        return c if self.basis_temporal is None else c @ self.basis_temporal.conj()
+
+    def synthesis(self, grid: np.ndarray | None) -> np.ndarray | None:
+        """Rows that take core coordinates onto a grid: U_t^T M, with M the
+        interpolation matrix, or None on the pilot grid (``grid`` None)
+        without a temporal basis."""
+        if self.basis_temporal is None:
+            return grid
+        return self.basis_temporal.T if grid is None else self.basis_temporal.T @ grid
+
+    def project(self, core: np.ndarray) -> np.ndarray:
+        """The projection U_s core U_t^T of a pilot-grid array, from its core:
+        ``pair.project(pair.core(h))`` is the estimate P_s H P_t."""
+        px = core if self.basis_spatial is None else self.basis_spatial @ core
+        return px if self.basis_temporal is None else px @ self.basis_temporal.T
 
 
 def _check_orthonormal(basis: np.ndarray, name: str, tol: float = 1e-10) -> None:
@@ -78,8 +108,9 @@ def dt_subspace(twin_paths: PathSet, geometry: ArrayGeometry, n_subcarriers: int
 
 
 def denoise_subspace(system: SystemConfig, tau_max: float) -> ProjectorPair:
-    """Delay-window pair on the system's pilot grid: all n_rx antennas, and the
-    first k_tau = min(N_p, ceil(tau_max / spacing)) taps at spacing T_s N / N_p.
+    """Delay-window pair on the system's pilot grid: the identity on the
+    antennas, and the first k_tau = min(N_p, ceil(tau_max / spacing)) taps at
+    spacing T_s N / N_p.
 
     U_t is the first k_tau columns of the N_p-point DFT matrix,
     F[n, k] = exp(-2 pi i n k / N_p), over sqrt(N_p): projecting a pilot-grid
@@ -92,7 +123,7 @@ def denoise_subspace(system: SystemConfig, tau_max: float) -> ProjectorPair:
     spacing = system.sample_interval * system.n_subcarriers / n_p
     k_tau = min(n_p, math.ceil(tau_max / spacing))
     phase = np.outer(np.arange(n_p), np.arange(k_tau)) % n_p
-    return ProjectorPair(basis_spatial=np.eye(system.n_rx, dtype=complex),
+    return ProjectorPair(basis_spatial=None,
                          basis_temporal=np.exp(-2j * np.pi / n_p * phase) / math.sqrt(n_p))
 
 
@@ -169,14 +200,9 @@ class SnapshotGrams:
     n_snapshots: int
 
     @classmethod
-    def of(cls, truth: np.ndarray, noise: np.ndarray) -> "SnapshotGrams":
-        """Grams of the (n_snapshots, n_rx, n_pilots) batches T and N."""
-        return cls.summed([(truth, noise)])
-
-    @classmethod
     def summed(cls, batches: Iterable[tuple[np.ndarray, np.ndarray]]) -> "SnapshotGrams":
         """Grams of the ``(truth, noise)`` batches laid end to end, taken batch
-        by batch and summed in order; one batch gives exactly :meth:`of`.
+        by batch and summed in order.
 
         The temporal rows are views of a batch and the spatial rows copies;
         each copy replaces the batch it is taken from, and a batch's Grams are

@@ -18,7 +18,7 @@ import numpy as np
 from .channel import (apply_uplink, assemble_channel, channel_covariance,
                       draw_fading)
 from .config import ConfigBundle, desk_config, noise_variance_for_snr
-from .estimators import interpolate_full, ls_estimate, project_estimate
+from .estimators import interpolate_full, ls_estimate
 from .experiments import ExperimentPlan, build_environment, emit_csv, run_nmse_sweep
 from .metrics import analytic_nmse
 from .propagation import ArrayGeometry, PathSet, frequency_response, pulse_response, \
@@ -172,8 +172,8 @@ def check_denoiser(bundle: ConfigBundle) -> CheckResult:
                          env.freq_pilot)
     noisy = ls_estimate(apply_uplink(h, env.pilots, 0.1, complex_normal(rng, h.shape)),
                         env.pilots)
-    once = project_estimate(noisy, window)
-    twice = project_estimate(once, window)
+    once = window.project(window.core(noisy))
+    twice = window.project(window.core(once))
     idem = float(np.abs(twice - once).max())
     shrinks = np.linalg.norm(once) <= np.linalg.norm(noisy) + 1e-12
     # a pure in-window tap is untouched; a pure out-of-window tap is removed
@@ -181,11 +181,11 @@ def check_denoiser(bundle: ConfigBundle) -> CheckResult:
     cir = np.zeros((sysc.n_rx, n_p), dtype=complex)
     cir[:, 1] = 1.0
     inside = np.fft.fft(cir, axis=-1)
-    keep_err = float(np.abs(project_estimate(inside, window) - inside).max())
+    keep_err = float(np.abs(window.project(window.core(inside)) - inside).max())
     cir[:, 1] = 0.0
     cir[:, n_p - 2] = 1.0
     outside = np.fft.fft(cir, axis=-1)
-    kill = float(np.abs(project_estimate(outside, window)).max())
+    kill = float(np.abs(window.project(window.core(outside))).max())
     ok = idem < 1e-10 and shrinks and keep_err < 1e-10 and kill < 1e-10
     return CheckResult("denoiser-projection", ok,
                        f"idempotency {idem:.2e}, norm non-increasing {shrinks}, "
@@ -229,10 +229,7 @@ def check_noise_calibration(bundle: ConfigBundle) -> CheckResult:
                                bundle.system.symbol_power,
                                noise_variance_for_snr(0.0, bundle.system.symbol_power,
                                                       env.beta)).subspace_floor
-    n_rx, n_p = bundle.system.n_rx, len(env.pilots)
-    eye = ProjectorPair(basis_spatial=np.eye(n_rx, dtype=complex),
-                        basis_temporal=np.eye(n_p, dtype=complex))
-    ls_bk = analytic_nmse(eye, *responses, 10.0,
+    ls_bk = analytic_nmse(ProjectorPair(None, None), *responses, 10.0,
                           bundle.system.symbol_power,
                           noise_variance_for_snr(10.0, bundle.system.symbol_power,
                                                  env.beta))

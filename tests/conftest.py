@@ -84,3 +84,20 @@ def gather_interpolate():
     """The gather form of full-grid interpolation, an oracle for the
     interpolation matrix."""
     return _gather_interpolate
+
+
+def _dense_projectors(pair, n_rx=None, n_pilots=None):
+    """The dense projectors P_s = U_s U_s^H and P_t = conj(U_t) U_t^T that a
+    pair's bases stand for; an identity side (None) is the identity of the
+    given size."""
+    u_s, u_t = pair.basis_spatial, pair.basis_temporal
+    p_s = np.eye(n_rx) if u_s is None else u_s @ u_s.conj().T
+    p_t = np.eye(n_pilots) if u_t is None else u_t.conj() @ u_t.T
+    return p_s, p_t
+
+
+@pytest.fixture(scope="session")
+def dense_projectors():
+    """The dense form of a projector pair, an oracle for its low-rank
+    products."""
+    return _dense_projectors

@@ -226,6 +226,15 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "usage" in proc.stderr.lower()
 
+    @pytest.mark.parametrize("flag", [["--workers", "2"], ["--trials", "5"],
+                                      ["--methods", "ls"], ["--paths", "x.csv"]])
+    def test_validate_rejects_sweep_flags(self, flag):
+        """`validate` takes --config, --seed and --full-scale only; a sweep
+        flag it would ignore is a usage error."""
+        proc = run_cli("validate", *flag)
+        assert proc.returncode == 2
+        assert "usage" in proc.stderr.lower()
+
 
 class TestOtherCommands:
     def test_se_sweep(self, tiny_json, tmp_path):

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chest import (apply_uplink, build_pilot_pattern, complex_normal,
-                   denoise_subspace, desk_config, interpolate_full, ls_estimate,
-                   project_estimate)
+                   denoise_subspace, desk_config, interpolate_full, ls_estimate)
 from chest.config import PilotPattern
 from chest.estimators import interpolation_matrix
 from chest.subspaces import ProjectorPair
@@ -23,12 +22,6 @@ def _random_projectors(rng, n_rx, n_p, r_s, r_t):
     qs, _ = np.linalg.qr(rng.normal(size=(n_rx, r_s)) + 1j * rng.normal(size=(n_rx, r_s)))
     qt, _ = np.linalg.qr(rng.normal(size=(n_p, r_t)) + 1j * rng.normal(size=(n_p, r_t)))
     return ProjectorPair(basis_spatial=qs, basis_temporal=qt)
-
-
-def _dense(proj):
-    """The dense projectors the bases stand for: U_s U_s^H and conj(U_t) U_t^T."""
-    u_s, u_t = proj.basis_spatial, proj.basis_temporal
-    return u_s @ u_s.conj().T, u_t.conj() @ u_t.T
 
 
 class TestLsEstimate:
@@ -65,18 +58,20 @@ class TestLsEstimate:
 
 
 class TestProjectEstimate:
+    """Projection of an estimate by a pair, ``pair.project(pair.core(h))``."""
+
     def test_idempotent(self, rng):
         proj = _random_projectors(rng, 8, 16, 3, 4)
         est = rng.normal(size=(8, 16)) + 1j * rng.normal(size=(8, 16))
-        once = project_estimate(est, proj)
-        twice = project_estimate(once, proj)
+        once = proj.project(proj.core(est))
+        twice = proj.project(proj.core(once))
         np.testing.assert_allclose(twice, once, atol=1e-10)
 
     def test_identity_projectors_no_op(self, rng):
         proj = ProjectorPair(basis_spatial=np.eye(8, dtype=complex),
                              basis_temporal=np.eye(16, dtype=complex))
         h = rng.normal(size=(8, 16)) + 1j * rng.normal(size=(8, 16))
-        np.testing.assert_allclose(project_estimate(h, proj), h, atol=1e-13)
+        np.testing.assert_allclose(proj.project(proj.core(h)), h, atol=1e-13)
 
     def test_pure_noise_energy_ratio(self, rng):
         n_rx, n_p, r = 64, 32, 5
@@ -85,24 +80,48 @@ class TestProjectEstimate:
         for _ in range(50):
             h = rng.normal(size=(n_rx, n_p)) + 1j * rng.normal(size=(n_rx, n_p))
             total_in += np.sum(np.abs(h) ** 2)
-            total_out += np.sum(np.abs(project_estimate(h, proj)) ** 2)
+            total_out += np.sum(np.abs(proj.project(proj.core(h))) ** 2)
         assert total_out / total_in == pytest.approx(r * r / (n_rx * n_p), rel=0.1)
 
     @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
-    def test_matches_einsum_reference(self, rng, lead):
+    def test_matches_einsum_reference(self, rng, dense_projectors, lead):
         """The low-rank product equals the dense three-operand einsum
         P_s H P_t it replaced on 2-D, 3-D and 4-D batches."""
         n_rx, n_p = 8, 16
         proj = _random_projectors(rng, n_rx, n_p, 3, 4)
         shape = lead + (n_rx, n_p)
         h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        out = project_estimate(h, proj)
-        p_s, p_t = _dense(proj)
+        out = proj.project(proj.core(h))
+        p_s, p_t = dense_projectors(proj)
         reference = np.einsum("ij,...jk,kl->...il", p_s, h, p_t)
         assert out.shape == shape
         np.testing.assert_allclose(out, reference, rtol=1e-12, atol=1e-12)
 
-    def test_error_vector_identity(self, rng):
+    @pytest.mark.parametrize("spatial, temporal", [(False, False), (False, True),
+                                                   (True, False)])
+    @pytest.mark.parametrize("lead", [(), (2, 3)])
+    def test_identity_sides_match_dense(self, rng, dense_projectors, spatial, temporal,
+                                        lead):
+        """A None side is the identity: core and projection equal those of
+        the pair with that side spelled out as np.eye, and the projection
+        equals the dense product."""
+        n_rx, n_p = 6, 10
+        full = _random_projectors(rng, n_rx, n_p, 2, 3)
+        pair = ProjectorPair(full.basis_spatial if spatial else None,
+                             full.basis_temporal if temporal else None)
+        eye = ProjectorPair(pair.basis_spatial if spatial else np.eye(n_rx, dtype=complex),
+                            pair.basis_temporal if temporal else np.eye(n_p, dtype=complex))
+        shape = lead + (n_rx, n_p)
+        h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        core = pair.core(h)
+        np.testing.assert_allclose(core, eye.core(h), rtol=1e-12, atol=1e-12)
+        p_s, p_t = dense_projectors(pair, n_rx, n_p)
+        reference = np.einsum("ij,...jk,kl->...il", p_s, h, p_t)
+        np.testing.assert_allclose(pair.project(core), reference, rtol=1e-12, atol=1e-12)
+        if not spatial and not temporal:
+            assert core is h and pair.project(core) is h
+
+    def test_error_vector_identity(self, rng, dense_projectors):
         """The estimation error splits as Qperp h - Q vec(scaled noise)."""
         n_rx, n_p = 6, 8
         proj = _random_projectors(rng, n_rx, n_p, 2, 3)
@@ -111,8 +130,8 @@ class TestProjectEstimate:
         w = rng.normal(size=(n_rx, n_p)) + 1j * rng.normal(size=(n_rx, n_p))
         y = h @ np.diag(pat.symbols) + w
         ls = ls_estimate(y, pat)
-        out = project_estimate(ls, proj)
-        p_s, p_t = _dense(proj)
+        out = proj.project(proj.core(ls))
+        p_s, p_t = dense_projectors(proj)
         q = np.kron(p_t.T, p_s)
         scaled_noise = w @ np.diag(1 / pat.symbols)
         expected = (np.eye(q.shape[0]) - q) @ _vec(h) - q @ _vec(scaled_noise)
@@ -138,7 +157,8 @@ def _window(h, tau_max, system):
 
 
 def _denoise(h, tau_max, system):
-    return project_estimate(h, _window(h, tau_max, system))
+    window = _window(h, tau_max, system)
+    return window.project(window.core(h))
 
 
 class TestDenoise:
@@ -147,6 +167,10 @@ class TestDenoise:
 
     def test_retained_tap_count_defaults(self, desk):
         assert denoise_subspace(desk.system, desk.estimator.tau_max).rank_temporal == 8
+
+    def test_every_antenna_kept_without_a_basis(self, desk):
+        """The spatial side is the identity, never formed."""
+        assert denoise_subspace(desk.system, desk.estimator.tau_max).basis_spatial is None
 
     def test_retained_tap_count_saturates(self, desk):
         window = denoise_subspace(replace(desk.system, n_rx=4, n_subcarriers=64,
@@ -297,7 +321,7 @@ class TestLinearity:
         def run(y):
             ls = ls_estimate(y, pat)
             return (ls,
-                    project_estimate(ls, proj),
+                    proj.project(proj.core(ls)),
                     _denoise(ls, desk.estimator.tau_max, desk.system))
 
         outs1, outs2 = run(y1), run(y2)

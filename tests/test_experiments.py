@@ -15,7 +15,7 @@ from chest.cli import _build_parser, _load_bundle
 from chest import experiments
 from chest.config import (ConfigError, desk_config, noise_variance_for_snr,
                           reference_config, validate_config)
-from chest.estimators import interpolate_full, ls_estimate, project_estimate
+from chest.estimators import interpolate_full, ls_estimate
 from chest.experiments import (DEFAULT_PILOT_SNRS, NMSE_METHODS, PILOT_SWEEP_METHODS,
                                SE_METHODS, ExperimentPlan, bml_ranks,
                                build_environment, emit_csv, emit_ecdf_csv,
@@ -402,7 +402,7 @@ def _oracle_estimates(env, noise_variance, t0, t1, methods, block_size, full):
     for method in methods:
         if method != "ideal":
             pair = _oracle_pair(env, method, noise_variance, t0 // block_size)
-            estimates[method] = ls if pair is None else project_estimate(ls, pair)
+            estimates[method] = ls if pair is None else pair.project(pair.core(ls))
     return truth, truth_full, estimates
 
 
@@ -558,12 +558,12 @@ def _formed(env, fading, noise, method, noise_variance, interpolate):
         n_batch = env.bundle.estimator.n_batch
         fading_w, noise_w = _draw(env, [(WARM_FADING, 0, j) for j in range(n_batch)],
                                   [(WARM_NOISE, 0, j) for j in range(n_batch)])
-        grams = SnapshotGrams.of(assemble_channel(env.steering, fading_w, env.freq_pilot),
-                                 noise_w)
+        grams = SnapshotGrams.summed(
+            [(assemble_channel(env.steering, fading_w, env.freq_pilot), noise_w)])
         pair = bml_subspace(grams.covariances(np.sqrt(noise_variance)), *bml_ranks(env))
     else:
         pair = _oracle_pair(env, method, noise_variance, 0)
-    est = ls if pair is None else project_estimate(ls, pair)
+    est = ls if pair is None else pair.project(pair.core(ls))
     full = interpolate(est, env.pilots, env.bundle.system.n_subcarriers)
     return (np.sum(np.abs(est - truth) ** 2, axis=(-2, -1)),
             _post_combining_snr(est, truth, power, noise_variance),
@@ -626,8 +626,8 @@ class TestStatisticsMatchFormedEstimates:
         errors, energy = _nmse_slice(env, fading, noise,
                                      _method_bases(env, ("emdt",), nv, 0), nv)
         truth = assemble_channel(env.steering, fading, env.freq_pilot)
-        direct = np.sum(np.abs(project_estimate(truth, env.projectors) - truth) ** 2,
-                        axis=(-2, -1))
+        pair = env.projectors
+        direct = np.sum(np.abs(pair.project(pair.core(truth)) - truth) ** 2, axis=(-2, -1))
         np.testing.assert_allclose(errors["emdt"][0], direct, rtol=1e-12,
                                    atol=1e-24 * energy.max())
         if env.bundle.scenario.n_dt_paths == env.bundle.scenario.n_paths:
@@ -688,8 +688,8 @@ def _one_pass_grams(env, block):
     warm = range(env.bundle.estimator.n_batch)
     fading_w, noise_w = _draw(env, [(WARM_FADING, block, j) for j in warm],
                               [(WARM_NOISE, block, j) for j in warm])
-    return SnapshotGrams.of(assemble_channel(env.steering, fading_w, env.freq_pilot),
-                            noise_w)
+    return SnapshotGrams.summed(
+        [(assemble_channel(env.steering, fading_w, env.freq_pilot), noise_w)])
 
 
 def _sweep_outputs(bundle, workers):

@@ -1,8 +1,11 @@
-"""Static checks on the source tree: no module imports a name it never uses."""
+"""Static checks on the source tree: no module imports a name it never uses,
+and the package exports only names it has, each once."""
 import ast
 from pathlib import Path
 
 import pytest
+
+import chest
 
 ROOT = Path(__file__).resolve().parents[1]
 # Package __init__ modules import names to re-export them, so they are exempt.
@@ -39,3 +42,9 @@ def test_detects_unused_imports():
               "from x import y, z as w\n"
               "print(np.pi, a.b, w)\n")
     assert unused_imports(source) == ["line 2: os", "line 4: y"]
+
+
+def test_every_export_resolves_once():
+    names = chest.__all__
+    assert len(set(names)) == len(names), "a name is exported twice"
+    assert [n for n in names if not hasattr(chest, n)] == []

@@ -161,12 +161,11 @@ class TestAnalyticNmse:
         assert 0 < bk.subspace_floor < 1e-2
 
 
-def _dense_traces(projectors, cov):
+def _dense_traces(dense, cov):
     """trace(R) and trace(R (P_t^T kron P_s)) from the dense covariance and the
-    dense projectors P_s = U_s U_s^H, P_t = conj(U_t) U_t^T, as the analytic
-    NMSE computed them before the per-path form."""
-    u_s, u_t = projectors.basis_spatial, projectors.basis_temporal
-    p_s, p_t = u_s @ u_s.conj().T, u_t.conj() @ u_t.T
+    dense projectors ``(P_s, P_t)``, as the analytic NMSE computed them before
+    the per-path form."""
+    p_s, p_t = dense
     n_rx, n_p = p_s.shape[0], p_t.shape[0]
     r4 = cov.reshape(n_p, n_rx, n_p, n_rx)
     tr_rq = np.einsum("aibj,ab,ji->", r4, p_t, p_s)
@@ -176,10 +175,10 @@ def _dense_traces(projectors, cov):
 class TestCovarianceTraces:
     """The per-path traces against the dense covariance they replace."""
 
-    def _check(self, env, cov):
+    def _check(self, env, cov, dense_projectors):
         fast = covariance_traces(env.projectors, env.steering, env.freq_pilot,
                                  env.paths.amplitude)
-        dense = _dense_traces(env.projectors, cov)
+        dense = _dense_traces(dense_projectors(env.projectors), cov)
         assert fast == pytest.approx(dense, rel=1e-12)
         bk = analytic_nmse(env.projectors, env.steering, env.freq_pilot,
                            env.paths.amplitude, 0.0, 1.0,
@@ -187,18 +186,19 @@ class TestCovarianceTraces:
         assert bk.subspace_floor == pytest.approx(
             (dense[0] - dense[1]) / dense[0], rel=1e-6, abs=1e-12)
 
-    def test_desk(self, desk_env, desk_cov):
-        self._check(desk_env, desk_cov)
+    def test_desk(self, desk_env, desk_cov, dense_projectors):
+        self._check(desk_env, desk_cov, dense_projectors)
 
-    def test_reference(self):
+    def test_reference(self, dense_projectors):
         env = build_environment(reference_config())
         self._check(env, channel_covariance(env.paths, env.geometry,
                                             env.bundle.system.n_subcarriers,
                                             env.bundle.sample_interval,
                                             env.bundle.scenario.pulse_rolloff,
-                                            env.pilots.indices))
+                                            env.pilots.indices),
+                    dense_projectors)
 
-    def test_non_unit_modulus_steering(self, desk_env, desk_cov, rng):
+    def test_non_unit_modulus_steering(self, desk_env, desk_cov, rng, dense_projectors):
         """Per-element gains on the array scale R; the traces follow them."""
         n_rx, n_p = desk_env.steering.shape[0], desk_env.freq_pilot.shape[0]
         gain = rng.uniform(0.2, 2.0, n_rx)
@@ -207,7 +207,33 @@ class TestCovarianceTraces:
         cov = scale[:, None] * desk_cov * scale[None, :]
         fast = covariance_traces(desk_env.projectors, steering, desk_env.freq_pilot,
                                  desk_env.paths.amplitude)
-        assert fast == pytest.approx(_dense_traces(desk_env.projectors, cov), rel=1e-12)
+        assert fast == pytest.approx(
+            _dense_traces(dense_projectors(desk_env.projectors), cov), rel=1e-12)
+
+    @pytest.mark.parametrize("spatial, temporal", [(False, False), (False, True),
+                                                   (True, False)])
+    def test_identity_sides(self, desk_env, desk_cov, dense_projectors, spatial,
+                            temporal):
+        """A None side keeps the full energy and has the rank of the response
+        it meets: traces and analytic NMSE equal those of the pair with that
+        side spelled out as np.eye, and the dense traces."""
+        n_rx, n_p = desk_env.steering.shape[0], desk_env.freq_pilot.shape[0]
+        twin = desk_env.projectors
+        pair = ProjectorPair(twin.basis_spatial if spatial else None,
+                             twin.basis_temporal if temporal else None)
+        eye = ProjectorPair(twin.basis_spatial if spatial else np.eye(n_rx, dtype=complex),
+                            twin.basis_temporal if temporal else np.eye(n_p, dtype=complex))
+        responses = (desk_env.steering, desk_env.freq_pilot, desk_env.paths.amplitude)
+        fast = covariance_traces(pair, *responses)
+        assert fast == pytest.approx(covariance_traces(eye, *responses), rel=1e-12)
+        assert fast == pytest.approx(
+            _dense_traces(dense_projectors(pair, n_rx, n_p), desk_cov), rel=1e-12)
+        nv = noise_variance_for_snr(3.0, 1.0, desk_env.beta)
+        bk = analytic_nmse(pair, *responses, 3.0, 1.0, nv)
+        ref = analytic_nmse(eye, *responses, 3.0, 1.0, nv)
+        assert bk.noise_term == pytest.approx(ref.noise_term, rel=1e-12)
+        assert bk.subspace_floor == pytest.approx(ref.subspace_floor, rel=1e-9,
+                                                  abs=1e-12)
 
     def test_path_count_mismatch_rejected(self, desk_env):
         with pytest.raises(ValueError, match="path counts"):

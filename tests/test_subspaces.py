@@ -19,12 +19,6 @@ def _paths(delays_us, elev, azim, power=None):
                    delay=delays, amplitude=np.sqrt(p))
 
 
-def _dense(proj):
-    """The dense projectors the bases stand for: U_s U_s^H and conj(U_t) U_t^T."""
-    u_s, u_t = proj.basis_spatial, proj.basis_temporal
-    return u_s @ u_s.conj().T, u_t.conj() @ u_t.T
-
-
 @pytest.fixture
 def setup(desk):
     def _build(paths, n_rx=8, n_sc=64, n_p=32):
@@ -78,22 +72,22 @@ class TestMakeProjectors:
         p = _paths([0.05, 0.18, 0.33], [-0.5, 0.1, 0.6], [-1.0, 0.3, 1.1])
         return setup(p)
 
-    def test_idempotent_and_hermitian(self, setup):
+    def test_idempotent_and_hermitian(self, dense_projectors, setup):
         _, _, prior = self._prior(setup)
-        for m in _dense(prior):
+        for m in dense_projectors(prior):
             np.testing.assert_allclose(m @ m, m, atol=1e-10)
             np.testing.assert_allclose(m, m.conj().T, atol=1e-10)
 
-    def test_trace_equals_rank(self, setup):
+    def test_trace_equals_rank(self, dense_projectors, setup):
         _, _, prior = self._prior(setup)
-        p_s, p_t = _dense(prior)
+        p_s, p_t = dense_projectors(prior)
         assert np.trace(p_s).real == pytest.approx(prior.rank_spatial, abs=1e-8)
         assert np.trace(p_t).real == pytest.approx(prior.rank_temporal, abs=1e-8)
 
-    def test_full_rank_basis_gives_identity(self):
+    def test_full_rank_basis_gives_identity(self, dense_projectors):
         prior = ProjectorPair(basis_spatial=np.eye(4, dtype=complex),
                               basis_temporal=np.eye(6, dtype=complex))
-        p_s, p_t = _dense(prior)
+        p_s, p_t = dense_projectors(prior)
         np.testing.assert_allclose(p_s, np.eye(4), atol=1e-12)
         np.testing.assert_allclose(p_t, np.eye(6), atol=1e-12)
 
@@ -102,40 +96,50 @@ class TestMakeProjectors:
             ProjectorPair(basis_spatial=np.ones((4, 2), dtype=complex),
                           basis_temporal=np.eye(6, dtype=complex))
 
-    def test_basis_rotation_invariance(self, rng, setup):
+    def test_rejects_non_orthonormal_beside_identity(self):
+        """A bad basis is rejected on either side when the other side is the
+        identity (None)."""
+        bad = np.ones((4, 2), dtype=complex)
+        with pytest.raises(ValueError, match="spatial"):
+            ProjectorPair(basis_spatial=bad, basis_temporal=None)
+        with pytest.raises(ValueError, match="temporal"):
+            ProjectorPair(basis_spatial=None, basis_temporal=bad)
+
+    def test_basis_rotation_invariance(self, dense_projectors, rng, setup):
         _, _, prior = self._prior(setup)
         q, _ = np.linalg.qr(rng.normal(size=(prior.rank_spatial,) * 2)
                             + 1j * rng.normal(size=(prior.rank_spatial,) * 2))
         rotated = ProjectorPair(basis_spatial=prior.basis_spatial @ q,
                                 basis_temporal=prior.basis_temporal)
-        np.testing.assert_allclose(_dense(rotated)[0], _dense(prior)[0], atol=1e-10)
+        np.testing.assert_allclose(dense_projectors(rotated)[0],
+                                   dense_projectors(prior)[0], atol=1e-10)
 
-    def test_twin_channel_invariant(self, rng, desk, setup):
+    def test_twin_channel_invariant(self, dense_projectors, rng, desk, setup):
         """A channel built from only the twin paths lies inside both subspaces."""
         p = _paths([0.05, 0.18, 0.33], [-0.5, 0.1, 0.6], [-1.0, 0.3, 1.1])
         geom, idx, prior = setup(p)
-        p_s, p_t = _dense(prior)
+        p_s, p_t = dense_projectors(prior)
         a = steering_matrix(p, geom)
         k = frequency_response(p, 64, desk.sample_interval, 0.25, pilot_indices=idx)
         h = assemble_channel(a, draw_fading(p.amplitude, rng), k)
         np.testing.assert_allclose(p_s @ h @ p_t, h, atol=1e-8)
 
-    def test_subspace_nesting(self, desk, setup):
+    def test_subspace_nesting(self, dense_projectors, desk, setup):
         small = _paths([0.05, 0.18], [-0.5, 0.1], [-1.0, 0.3])
         big = _paths([0.05, 0.18, 0.33], [-0.5, 0.1, 0.6], [-1.0, 0.3, 1.1])
         _, _, prior_small = setup(small)
         _, _, prior_big = setup(big)
-        s_small, t_small = _dense(prior_small)
-        s_big, t_big = _dense(prior_big)
+        s_small, t_small = dense_projectors(prior_small)
+        s_big, t_big = dense_projectors(prior_big)
         np.testing.assert_allclose(s_big @ s_small, s_small, atol=1e-8)
         np.testing.assert_allclose(t_big @ t_small, t_small, atol=1e-8)
 
 
 class TestKroneckerTrace:
-    def test_q_trace_property(self, setup):
+    def test_q_trace_property(self, dense_projectors, setup):
         p = _paths([0.05, 0.18, 0.33], [-0.5, 0.1, 0.6], [-1.0, 0.3, 1.1])
         _, _, prior = setup(p)
-        p_s, p_t = _dense(prior)
+        p_s, p_t = dense_projectors(prior)
         q = np.kron(p_t.T, p_s)
         r = prior.rank_spatial * prior.rank_temporal
         assert np.trace(q).real == pytest.approx(r, abs=1e-6)
@@ -156,13 +160,13 @@ class TestBmlSubspace:
         ])
         return batch
 
-    def test_noiseless_batch_preserved(self, rng, desk):
+    def test_noiseless_batch_preserved(self, dense_projectors, rng, desk):
         batch = self._batch(rng, desk, n_batch=12)
-        p_s, p_t = _dense(bml_subspace(batch, 3, 3))
+        p_s, p_t = dense_projectors(bml_subspace(batch, 3, 3))
         for h in batch:
             np.testing.assert_allclose(p_s @ h @ p_t, h, atol=1e-8)
 
-    def test_single_snapshot_rank_one(self, rng, desk):
+    def test_single_snapshot_rank_one(self, dense_projectors, rng, desk):
         p = _paths([0.1], [0.3], [0.4])
         geom = ArrayGeometry.uniform_linear(6, desk.wavelength)
         idx = np.arange(0, 64, 2)
@@ -171,12 +175,13 @@ class TestBmlSubspace:
         h = assemble_channel(a, np.array([1.2 - 0.4j]), k)
         proj = bml_subspace(h[None], 1, 1)
         u = a[:, 0] / np.linalg.norm(a[:, 0])
-        np.testing.assert_allclose(_dense(proj)[0], np.outer(u, u.conj()), atol=1e-10)
+        np.testing.assert_allclose(dense_projectors(proj)[0], np.outer(u, u.conj()),
+                                   atol=1e-10)
 
-    def test_pure_noise_energy_ratio(self, rng):
+    def test_pure_noise_energy_ratio(self, dense_projectors, rng):
         n_rx, n_p, r = 16, 32, 5
         batch = (rng.normal(size=(64, n_rx, n_p)) + 1j * rng.normal(size=(64, n_rx, n_p)))
-        p_s, p_t = _dense(bml_subspace(batch, r, r))
+        p_s, p_t = dense_projectors(bml_subspace(batch, r, r))
         probe = (rng.normal(size=(400, n_rx, n_p)) + 1j * rng.normal(size=(400, n_rx, n_p)))
         out = np.einsum("ij,tjk,kl->til", p_s, probe, p_t)
         ratio = np.sum(np.abs(out) ** 2) / np.sum(np.abs(probe) ** 2)
@@ -201,10 +206,10 @@ class TestBmlSubspace:
         with pytest.raises(ValueError):
             bml_subspace(batch, 3, 33)
 
-    def test_projector_properties_from_noisy_batch(self, rng, desk):
+    def test_projector_properties_from_noisy_batch(self, dense_projectors, rng, desk):
         batch = self._batch(rng, desk, n_batch=32, noise=0.1)
         proj = bml_subspace(batch, 3, 3)
-        for m in _dense(proj):
+        for m in dense_projectors(proj):
             np.testing.assert_allclose(m @ m, m, atol=1e-10)
             np.testing.assert_allclose(m, m.conj().T, atol=1e-10)
 
@@ -213,28 +218,30 @@ class TestSnapshotGrams:
     """Batch-ML covariances from per-block Gram matrices, as the sweeps learn
     them, against rebuilding the warm-up snapshots at every noise level."""
 
-    def test_matches_direct_snapshots_on_reference_grid(self):
+    def test_matches_direct_snapshots_on_reference_grid(self, dense_projectors):
         env = build_environment(reference_config())
         warm = range(env.bundle.estimator.n_batch)
         fading_w, noise_w = _draw(env, [(WARM_FADING, 0, j) for j in warm],
                                   [(WARM_NOISE, 0, j) for j in warm])
         truth_w = assemble_channel(env.steering, fading_w, env.freq_pilot)
-        grams = SnapshotGrams.of(truth_w, noise_w)
+        grams = SnapshotGrams.summed([(truth_w, noise_w)])
         sigmas = np.sqrt(_noise_variances(env, env.bundle.system.snr_grid_db))
         for sigma in (0.0, *sigmas):
-            fast = _dense(bml_subspace(grams.covariances(sigma), *bml_ranks(env)))
-            direct = _dense(bml_subspace(truth_w + sigma * noise_w, *bml_ranks(env)))
+            fast = dense_projectors(bml_subspace(grams.covariances(sigma),
+                                                 *bml_ranks(env)))
+            direct = dense_projectors(bml_subspace(truth_w + sigma * noise_w,
+                                                   *bml_ranks(env)))
             for f, d in zip(fast, direct):
                 np.testing.assert_allclose(f, d, rtol=0, atol=1e-10)
 
     def test_covariances_match_sample_covariances(self, rng):
         truth, noise = (rng.normal(size=(7, 5, 9)) + 1j * rng.normal(size=(7, 5, 9))
                         for _ in range(2))
-        cov = SnapshotGrams.of(truth, noise).covariances(0.3)
+        cov = SnapshotGrams.summed([(truth, noise)]).covariances(0.3)
         ref = _sample_covariances(truth + 0.3 * noise)
         np.testing.assert_allclose(cov.spatial, ref.spatial, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(cov.temporal, ref.temporal, rtol=1e-12, atol=1e-12)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            SnapshotGrams.of(np.zeros((4, 3, 2)), np.zeros((4, 3, 3)))
+            SnapshotGrams.summed([(np.zeros((4, 3, 2)), np.zeros((4, 3, 3)))])
