@@ -13,9 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigBundle, ConfigError, desk_config, load_config, validate_config
-from .experiments import (DEFAULT_ECDF_SNRS, DEFAULT_PILOT_SNRS, ExperimentPlan,
-                          emit_csv, emit_ecdf_csv, run_ecdf, run_nmse_sweep,
-                          run_pilot_sweep, run_se_sweep, validate_plan)
+from .experiments import (KIND_SNRS, ExperimentPlan, emit_csv, emit_ecdf_csv, run_ecdf,
+                          run_nmse_sweep, run_pilot_sweep, run_se_sweep, validate_plan)
 from .propagation import load_paths_csv
 from .svgplot import LineSeries, render_line_chart
 
@@ -55,17 +54,15 @@ def _build_parser() -> argparse.ArgumentParser:
     for kind in ("nmse-sweep", "se-sweep", "ecdf", "pilot-sweep"):
         p = sub.add_parser(kind, help=f"run the {kind} experiment")
         common(p)
-        if kind == "ecdf":
-            p.add_argument("--snr", type=str, default=None,
+        p.set_defaults(snr=None, pilots=None)
+        if kind in KIND_SNRS:
+            snrs = KIND_SNRS[kind]
+            p.add_argument("--snr", type=str,
                            help="comma-separated SNR points in dB; write "
-                                "--snr=-10,5 when the list starts negative "
-                                f"(default {','.join(str(s) for s in DEFAULT_ECDF_SNRS)})")
+                                f"--snr={snrs[0]:g},{snrs[1]:g} when the list starts "
+                                f"negative (default {','.join(str(s) for s in snrs)})")
         if kind == "pilot-sweep":
-            p.add_argument("--snr", type=str, default=None,
-                           help="comma-separated SNR points in dB; write "
-                                "--snr=-15,0 when the list starts negative "
-                                f"(default {','.join(str(s) for s in DEFAULT_PILOT_SNRS)})")
-            p.add_argument("--pilots", type=str, default=None,
+            p.add_argument("--pilots", type=str,
                            help="comma-separated pilot counts (default: powers of two)")
 
     v = sub.add_parser("validate", help="run the invariant suite")
@@ -107,17 +104,11 @@ def _make_plan(args, bundle: ConfigBundle) -> ExperimentPlan:
     """The validated plan, method defaults filled in for the plotting code."""
     methods = tuple(args.methods.split(",")) if args.methods is not None else ()
     environment = load_paths_csv(args.paths) if args.paths else None
-    extra = {}
-    if args.command == "ecdf" and args.snr is not None:
-        extra["snr_points"] = _parse_floats(args.snr)
-    if args.command == "pilot-sweep":
-        if args.snr is not None:
-            extra["pilot_snrs"] = _parse_floats(args.snr)
-        if args.pilots is not None:
-            extra["pilot_counts"] = _parse_ints(args.pilots)
+    snrs = _parse_floats(args.snr) if args.snr is not None else ()
+    counts = _parse_ints(args.pilots) if args.pilots is not None else ()
     return validate_plan(ExperimentPlan(kind=args.command, bundle=bundle,
-                                        methods=methods, workers=args.workers,
-                                        environment=environment, **extra))
+                                        methods=methods, snrs=snrs, pilot_counts=counts,
+                                        workers=args.workers, environment=environment))
 
 
 def _nmse_db(records, method):

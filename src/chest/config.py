@@ -7,8 +7,7 @@ A JSON config file mirrors the three sections::
 
 Unknown sections or keys are rejected so a typo cannot silently fall back to a
 default.  ``validate_config`` checks every invariant and returns an immutable
-bundle with the derived quantities (bandwidth, sample interval, wavelength)
-filled in.
+bundle of the three sections.
 """
 from __future__ import annotations
 
@@ -103,15 +102,12 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class ConfigBundle:
-    """Validated configuration plus derived quantities."""
+    """Validated configuration; derived quantities (bandwidth, sample
+    interval, wavelength) are properties of ``system``."""
 
     system: SystemConfig
     scenario: ScenarioConfig
     estimator: EstimatorConfig
-    bandwidth: float
-    sample_interval: float
-    symbol_duration: float
-    wavelength: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +136,7 @@ class PilotPattern:
 def validate_config(system: SystemConfig,
                     scenario: ScenarioConfig,
                     estimator: EstimatorConfig) -> ConfigBundle:
-    """Check every cross-field invariant; return the derived bundle."""
+    """Check every cross-field invariant; return the validated bundle."""
     n = system.n_subcarriers
     _require(n >= 2 and (n & (n - 1)) == 0,
              f"n_subcarriers must be a power of two >= 2, got {n}")
@@ -188,15 +184,7 @@ def validate_config(system: SystemConfig,
     _require(0 < estimator.svd_rank_tolerance < 1,
              "svd_rank_tolerance must lie in (0, 1)")
 
-    return ConfigBundle(
-        system=system,
-        scenario=scenario,
-        estimator=estimator,
-        bandwidth=system.bandwidth,
-        sample_interval=system.sample_interval,
-        symbol_duration=system.symbol_duration,
-        wavelength=system.wavelength,
-    )
+    return ConfigBundle(system=system, scenario=scenario, estimator=estimator)
 
 
 def build_pilot_pattern(n_subcarriers: int, n_pilots: int, symbol_power: float,

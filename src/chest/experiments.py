@@ -59,12 +59,13 @@ efficiencies or post-combining SNR samples at every SNR point.
 
 One process pool serves a whole run.  Chunk results come back in chunk
 order, each as soon as it and those before it are in, and are folded in that
-order, which makes output byte-identical for any parallelism degree.  The
-ECDF holds one copy of its samples: each (method, SNR point) has one sample
-buffer, every chunk's samples are copied into it as they arrive and the
-chunk result is dropped, and each buffer is released once its table is
-sorted out of it.  Tables of equal size share one read-only array of
-cumulative fractions (:func:`~chest.metrics.ecdf`).
+order, which makes output byte-identical for any parallelism degree.  Every
+sweep goes through one driver, :func:`_sweep`, which builds one environment
+per pilot count (the configured one unless the plan sweeps pilot counts) and
+every chunk task.  The ECDF holds one copy of its samples: each (method, SNR
+point) has one sample buffer, every chunk's samples are copied into it as
+they arrive and the chunk result is dropped, and each buffer is released once
+its table is sorted out of it.
 """
 from __future__ import annotations
 
@@ -99,6 +100,10 @@ DEFAULT_PILOT_SNRS = (-15.0, 0.0, 15.0)
 DEFAULT_ECDF_SNRS = (-10.0, 5.0)
 
 
+# Default SNR points of the kinds that do not sweep the config's snr_grid_db.
+KIND_SNRS = {"ecdf": DEFAULT_ECDF_SNRS, "pilot-sweep": DEFAULT_PILOT_SNRS}
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """What to run: experiment kind, configuration, methods, and overrides."""
@@ -106,16 +111,20 @@ class ExperimentPlan:
     kind: str
     bundle: ConfigBundle
     methods: tuple[str, ...] = ()
-    snr_points: tuple[float, ...] = ()      # ecdf only
+    snrs: tuple[float, ...] = ()            # SNR points in dB; default: the kind's
     pilot_counts: tuple[int, ...] = ()      # pilot-sweep only
-    pilot_snrs: tuple[float, ...] = DEFAULT_PILOT_SNRS
     block_size: int = 50
     workers: int = 1
     environment: PathSet | None = None      # externally supplied path set
 
 
 def validate_plan(plan: ExperimentPlan) -> ExperimentPlan:
-    """Fill method defaults and reject inconsistent plans."""
+    """Fill method, SNR and pilot-count defaults and reject inconsistent plans.
+
+    The SNR points default to the config's ``snr_grid_db`` for the NMSE and
+    SE sweeps and to :data:`KIND_SNRS` for the others.  Validating a
+    validated plan returns it unchanged.
+    """
     if plan.kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind {plan.kind!r}; "
                           f"choose from {EXPERIMENT_KINDS}")
@@ -131,22 +140,20 @@ def validate_plan(plan: ExperimentPlan) -> ExperimentPlan:
         raise ConfigError(f"methods {sorted(bad)} not valid for {plan.kind} "
                           f"(allowed: {allowed})")
     _require_distinct("methods", methods)
-    plan = replace(plan, methods=tuple(methods))
-    if plan.kind == "ecdf":
-        snrs = plan.snr_points or DEFAULT_ECDF_SNRS
-        plan = replace(plan, snr_points=tuple(float(s) for s in snrs))
-        _require_distinct("ecdf SNR points", plan.snr_points)
-    if plan.kind == "pilot-sweep":
-        _require_distinct("pilot-sweep SNR points", plan.pilot_snrs)
-        counts = plan.pilot_counts or _default_pilot_counts(plan.bundle.system.n_subcarriers)
-        n = plan.bundle.system.n_subcarriers
-        for c in counts:
-            if not 1 <= c <= n or n % c != 0:
-                raise ConfigError(f"pilot count {c} must divide n_subcarriers {n}")
-        if not plan.pilot_snrs:
-            raise ConfigError("pilot-sweep needs at least one SNR point")
-        plan = replace(plan, pilot_counts=tuple(sorted(set(int(c) for c in counts))))
-    return plan
+    snrs = tuple(float(s) for s in
+                 plan.snrs or KIND_SNRS.get(plan.kind, plan.bundle.system.snr_grid_db))
+    _require_distinct(f"{plan.kind} SNR points", snrs)
+    plan = replace(plan, methods=tuple(methods), snrs=snrs)
+    if plan.kind != "pilot-sweep":
+        if plan.pilot_counts:
+            raise ConfigError(f"pilot counts apply to pilot-sweep only, not {plan.kind}")
+        return plan
+    n = plan.bundle.system.n_subcarriers
+    counts = plan.pilot_counts or _default_pilot_counts(n)
+    for c in counts:
+        if not 1 <= c <= n or n % c != 0:
+            raise ConfigError(f"pilot count {c} must divide n_subcarriers {n}")
+    return replace(plan, pilot_counts=tuple(sorted(set(int(c) for c in counts))))
 
 
 def _require_distinct(name: str, values) -> None:
@@ -205,15 +212,14 @@ def build_environment(bundle: ConfigBundle, paths: PathSet | None = None) -> Env
         if np.any(paths.delay >= cp_duration):
             raise ConfigError("supplied path delays exceed the CP duration")
     twin = dt_truncate(paths, min(scen.n_dt_paths, len(paths)))
-    geometry = ArrayGeometry.uniform_linear(sysc.n_rx, bundle.wavelength,
-                                            scen.array_spacing)
+    geometry = ArrayGeometry.uniform_linear(sysc.n_rx, sysc.wavelength, scen.array_spacing)
     pilots = build_pilot_pattern(sysc.n_subcarriers, sysc.n_pilots,
                                  sysc.symbol_power, substream(sysc.seed, PILOTS))
     steering = steering_matrix(paths, geometry)
-    freq_full = frequency_response(paths, sysc.n_subcarriers, bundle.sample_interval,
+    freq_full = frequency_response(paths, sysc.n_subcarriers, sysc.sample_interval,
                                    scen.pulse_rolloff)
     freq_pilot = freq_full[pilots.indices]
-    projectors = dt_subspace(twin, geometry, sysc.n_subcarriers, bundle.sample_interval,
+    projectors = dt_subspace(twin, geometry, sysc.n_subcarriers, sysc.sample_interval,
                              scen.pulse_rolloff, pilots.indices,
                              tol=estc.svd_rank_tolerance)
     beta = average_gain_from_responses(paths.amplitude, freq_pilot)
@@ -235,15 +241,11 @@ def _draw(env: Environment, fading_keys, noise_keys) -> tuple[np.ndarray, np.nda
     return fading, noise
 
 
-# Bytes one slice of trials or of batch-ML warm-up snapshots may take: two
-# complex (n_rx, n_pilots) arrays per item (H and W', or T and N), (n_rx,
-# n_subcarriers) for the full-grid reducers, and for the warm-up its Gram
-# matrices besides.  Desk-sized pilot-grid chunks (50 trials of 16 x 32) and
-# warm-ups (64 snapshots) fit one slice, as splitting them would only cost
-# time; a reference warm-up (64 x 32) takes 12 snapshots at a time and so never
-# holds as much as one whole warm-up array.  A desk SE or ECDF chunk takes 40
-# trials at a time: its full-grid channel and estimate coordinates make a
-# whole 50-trial chunk peak near 5 MB.
+# Bytes one slice of trials or of batch-ML warm-up snapshots may take; the
+# slice sizes this gives are listed in the module docstring.  Desk-sized
+# pilot-grid chunks fit one slice, as splitting them would only cost time; a
+# reference warm-up never holds as much as one whole warm-up array, and a
+# whole 50-trial desk SE or ECDF chunk would peak near 5 MB.
 _SLICE_BYTES = 5 << 18    # 1.25 MiB
 
 
@@ -526,13 +528,23 @@ def _map_chunks(envs: tuple[Environment, ...], tasks: list[tuple], workers: int)
         pool.shutdown(cancel_futures=True)
 
 
-def _sweep(plan: ExperimentPlan, env: Environment, reduce,
-           noise_variances: list[float]):
-    """Chunk results of one environment over the plan's trials, yielded in
-    chunk order (:func:`_map_chunks`)."""
-    tasks = [(0, reduce, t0, t1, plan.methods, noise_variances, plan.block_size)
-             for t0, t1 in _chunk_ranges(env.bundle.system.n_trials, plan.block_size)]
-    return _map_chunks((env,), tasks, plan.workers)
+def _sweep(plan: ExperimentPlan, reduce: _Reduction):
+    """The plan's environments, one per pilot count (the configured count
+    unless the plan sweeps pilot counts), and their chunk results at the
+    plan's SNR points: every chunk of the first environment, then of the
+    next, yielded in that order (:func:`_map_chunks`)."""
+    base = plan.bundle
+    envs = tuple(build_environment(validate_config(replace(base.system, n_pilots=n_p),
+                                                   base.scenario, base.estimator),
+                                   plan.environment)
+                 for n_p in plan.pilot_counts or (base.system.n_pilots,))
+    chunks = _chunk_ranges(base.system.n_trials, plan.block_size)
+    tasks = []
+    for k, env in enumerate(envs):
+        variances = _noise_variances(env, plan.snrs)
+        tasks += [(k, reduce, t0, t1, plan.methods, variances, plan.block_size)
+                  for t0, t1 in chunks]
+    return envs, _map_chunks(envs, tasks, plan.workers)
 
 
 def _pooled_nmse(partials: list, method: str) -> np.ndarray:
@@ -551,20 +563,20 @@ def _noise_variances(env: Environment, snrs) -> list[float]:
 def run_nmse_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
     """Empirical NMSE per (method, SNR); analytic breakdown for the twin prior."""
     plan = validate_plan(plan)
-    env = build_environment(plan.bundle, plan.environment)
-    sysc = plan.bundle.system
-    variances = _noise_variances(env, sysc.snr_grid_db)
-    partials = list(_sweep(plan, env, _reduce_nmse, variances))
+    (env,), results = _sweep(plan, _reduce_nmse)
+    partials = list(results)
+    sysc = env.bundle.system
     nmse = {m: _pooled_nmse(partials, m) for m in plan.methods}
     records = []
-    for i, (snr_db, noise_variance) in enumerate(zip(sysc.snr_grid_db, variances)):
+    for i, (snr_db, noise_variance) in enumerate(zip(plan.snrs,
+                                                     _noise_variances(env, plan.snrs))):
         for method in plan.methods:
             analytic = None
             if method == "emdt":
                 analytic = analytic_nmse(env.projectors, env.steering,
                                          env.freq_pilot, env.paths.amplitude,
                                          snr_db, sysc.symbol_power, noise_variance)
-            records.append(MetricsRecord(method=method, snr_db=float(snr_db),
+            records.append(MetricsRecord(method=method, snr_db=snr_db,
                                          n_pilots=sysc.n_pilots,
                                          trials=sysc.n_trials,
                                          nmse_emp=float(nmse[method][i]),
@@ -572,26 +584,24 @@ def run_nmse_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
     return records
 
 
-def measure_projection_floor(env: Environment, n_trials: int,
-                             block_size: int = 50) -> float:
+def measure_projection_floor(env: Environment, n_trials: int) -> float:
     """Noiseless twin-projection NMSE over the same fading streams the noisy
     sweeps use; this is the measured subspace floor."""
-    partials = [_simulate_chunk(env, _reduce_nmse, t0, t1, ("emdt",), (0.0,), block_size)
-                for t0, t1 in _chunk_ranges(n_trials, block_size)]
-    return float(_pooled_nmse(partials, "emdt")[0])
+    result = _simulate_chunk(env, _reduce_nmse, 0, n_trials, ("emdt",), (0.0,), n_trials)
+    return float(_pooled_nmse([result], "emdt")[0])
 
 
 def run_se_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
     """Genie-aided spectral efficiency per (method, SNR) on the full grid."""
     plan = validate_plan(plan)
-    env = build_environment(plan.bundle, plan.environment)
-    sysc = plan.bundle.system
-    partials = list(_sweep(plan, env, _reduce_se, _noise_variances(env, sysc.snr_grid_db)))
+    (env,), results = _sweep(plan, _reduce_se)
+    partials = list(results)
+    sysc = env.bundle.system
     se = {m: sum(p[m] for p in partials) / sysc.n_trials for m in plan.methods}
-    return [MetricsRecord(method=method, snr_db=float(snr_db),
+    return [MetricsRecord(method=method, snr_db=snr_db,
                           n_pilots=sysc.n_pilots, trials=sysc.n_trials,
                           spectral_efficiency=float(se[method][i]))
-            for i, snr_db in enumerate(sysc.snr_grid_db) for method in plan.methods]
+            for i, snr_db in enumerate(plan.snrs) for method in plan.methods]
 
 
 def run_ecdf(plan: ExperimentPlan) -> dict[tuple[str, float], Ecdf]:
@@ -602,15 +612,14 @@ def run_ecdf(plan: ExperimentPlan) -> dict[tuple[str, float], Ecdf]:
     table is sorted, so the run holds about one copy of its samples.
     """
     plan = validate_plan(plan)
-    env = build_environment(plan.bundle, plan.environment)
+    _, results = _sweep(plan, _reduce_ecdf)
     sysc = plan.bundle.system
     samples = {(method, snr_db): np.empty((sysc.n_trials, sysc.n_subcarriers))
-               for snr_db in plan.snr_points for method in plan.methods}
-    chunks = _chunk_ranges(sysc.n_trials, plan.block_size)
-    results = _sweep(plan, env, _reduce_ecdf, _noise_variances(env, plan.snr_points))
+               for snr_db in plan.snrs for method in plan.methods}
     with closing(results):
-        for (t0, t1), result in zip(chunks, results):
-            for i, snr_db in enumerate(plan.snr_points):
+        for (t0, t1), result in zip(_chunk_ranges(sysc.n_trials, plan.block_size),
+                                    results):
+            for i, snr_db in enumerate(plan.snrs):
                 for method in plan.methods:
                     samples[(method, snr_db)][t0:t1] = result[method][i]
     return {key: ecdf(samples.pop(key)) for key in list(samples)}
@@ -624,27 +633,20 @@ def run_pilot_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
     (pilot count, chunk) task goes to the same pool.
     """
     plan = validate_plan(plan)
-    base = plan.bundle
-    envs = tuple(build_environment(validate_config(replace(base.system, n_pilots=n_p),
-                                                   base.scenario, base.estimator),
-                                   plan.environment)
-                 for n_p in plan.pilot_counts)
-    chunks = _chunk_ranges(base.system.n_trials, plan.block_size)
-    variances = [_noise_variances(env, plan.pilot_snrs) for env in envs]
-    tasks = [(k, _reduce_pilot, t0, t1, plan.methods, variances[k], plan.block_size)
-             for k in range(len(envs)) for t0, t1 in chunks]
-    results = list(_map_chunks(envs, tasks, plan.workers))
-    n_trials = base.system.n_trials
+    envs, results = _sweep(plan, _reduce_pilot)
+    results = list(results)
+    n_chunks = len(results) // len(envs)
+    n_trials = plan.bundle.system.n_trials
     records = []
     for k, n_p in enumerate(plan.pilot_counts):
-        partials = results[k * len(chunks):(k + 1) * len(chunks)]
+        partials = results[k * n_chunks:(k + 1) * n_chunks]
         nmse = {m: _pooled_nmse(partials, m) for m in plan.methods}
         se = {m: sum(p[2][m] for p in partials) / n_trials for m in plan.methods}
-        overhead = 1.0 - n_p / base.system.n_subcarriers
-        for i, snr_db in enumerate(plan.pilot_snrs):
+        overhead = 1.0 - n_p / plan.bundle.system.n_subcarriers
+        for i, snr_db in enumerate(plan.snrs):
             for method in plan.methods:
                 records.append(MetricsRecord(
-                    method=method, snr_db=float(snr_db), n_pilots=n_p,
+                    method=method, snr_db=snr_db, n_pilots=n_p,
                     trials=n_trials, nmse_emp=float(nmse[method][i]),
                     spectral_efficiency=float(se[method][i]) * overhead))
     return records
@@ -688,40 +690,39 @@ _ECDF_ROWS_PER_WRITE = 1024
 def emit_ecdf_csv(tables: dict[tuple[str, float], Ecdf], path: str | Path) -> None:
     """One row per sample: method, snr_db, sample SNR in dB, cumulative fraction.
 
+    The k-th smallest of a table's n samples has cumulative fraction k / n.
     The bytes are those of ``csv.writer`` with :func:`_fmt` cells (no cell
     needs quoting; ``%.9g`` is the conversion of ``:.9g``, ``-inf`` included).
     Each block of ``_ECDF_ROWS_PER_WRITE`` (1024) rows takes its samples to dB
     on its own, is formatted by one ``%`` template over the block's sample
     cells, and is written on its own, so that the writer's temporaries are one
     block's, never a table's: no dB copy of a table and no table joined into
-    one string.  On the desk ECDF's 32 000-row tables its traced peak is
-    0.52 MB, against 1.26 MB with 4096-row blocks and a whole table in dB, at
-    the same speed.
-    Tables of equal sample count share their cumulative fractions, so the
-    ``cum_frac`` cells are formatted once and reused while the fractions stay
-    equal.  They are kept as one string per block,
-    ``",f1\\r\\n,f2\\r\\n...,fn"``, into which each table's row prefix is
-    spliced: a list of cell strings would raise the peak memory by about 2 MB
-    at 32 000 rows.
+    one string.
+    The ``cum_frac`` cells depend on the table size alone, so they are
+    formatted once and reused while consecutive tables have the same size.
+    They are kept as one string per block, ``",f1\\r\\n,f2\\r\\n...,fn"``,
+    into which each table's row prefix is spliced: a list of cell strings
+    would raise the peak memory by about 2 MB at 32 000 rows.
     """
     if not tables:
         raise ValueError("no ECDF tables to write")
     rows = _ECDF_ROWS_PER_WRITE
-    fractions, frac_blocks = None, []
+    size, frac_blocks = 0, []
     try:
         with open(path, "w", newline="") as fh:
             fh.write("method,snr_db,sample_snr_db,cum_frac\r\n")
             for (method, snr_db) in sorted(tables):
-                table = tables[(method, snr_db)]
-                if fractions is None or not np.array_equal(fractions, table.fractions):
-                    fractions = table.fractions
-                    frac_blocks = ["," + "\r\n,".join([f"{f:.9g}" for f in
-                                                       fractions[k:k + rows].tolist()])
-                                   for k in range(0, fractions.size, rows)]
+                thresholds = tables[(method, snr_db)].thresholds
+                if thresholds.size != size:
+                    size = thresholds.size
+                    fractions = (np.arange(k + 1, min(k + rows, size) + 1) / size
+                                 for k in range(0, size, rows))
+                    frac_blocks = ["," + "\r\n,".join([f"{f:.9g}" for f in block.tolist()])
+                                   for block in fractions]
                 cell = f"{method},{_fmt(snr_db)},".replace("%", "%%") + "%.9g"
-                for k, frac_block in zip(range(0, table.thresholds.size, rows), frac_blocks):
+                for k, frac_block in zip(range(0, size, rows), frac_blocks):
                     with np.errstate(divide="ignore"):
-                        block_db = 10.0 * np.log10(table.thresholds[k:k + rows])
+                        block_db = 10.0 * np.log10(thresholds[k:k + rows])
                     template = cell + frac_block.replace("\r\n", "\r\n" + cell) + "\r\n"
                     fh.write(template % tuple(block_db.tolist()))
     except OSError as exc:

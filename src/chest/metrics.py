@@ -13,7 +13,6 @@ that hold a and b (the sweeps take them in a projector's subspace).
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -179,10 +178,10 @@ def post_combining_snr(stats: CombiningStats, sigmas, symbol_power: float,
 
 @dataclass(frozen=True, eq=False)
 class Ecdf:
-    """Right-continuous empirical CDF over a sample set."""
+    """Right-continuous empirical CDF over a sample set: the k-th smallest of
+    n samples sits at cumulative fraction k / n."""
 
     thresholds: np.ndarray   # sorted samples
-    fractions: np.ndarray    # cumulative fractions, ending at 1
 
     def evaluate(self, q: float) -> float:
         """P(X <= q)."""
@@ -197,29 +196,11 @@ class Ecdf:
         return float(self.thresholds[k])
 
 
-# The fractions array last handed out, held weakly: tables of one size share
-# it while any of them lives, and nothing keeps it once they are gone.
-_last_fractions = None
-
-
-def _fractions(n: int) -> np.ndarray:
-    """The read-only cumulative fractions 1/n, 2/n, ..., 1, shared by every
-    table of ``n`` samples built while the last such array is alive."""
-    global _last_fractions
-    shared = _last_fractions() if _last_fractions is not None else None
-    if shared is None or shared.size != n:
-        shared = np.arange(1, n + 1) / n
-        shared.flags.writeable = False
-        _last_fractions = weakref.ref(shared)
-    return shared
-
-
 def ecdf(samples) -> Ecdf:
-    """ECDF of ``samples``, flattened and sorted into a new array; tables of
-    equal size share one read-only ``fractions`` array."""
+    """ECDF of ``samples``, flattened and sorted into a new array."""
     arr = np.sort(np.asarray(samples, dtype=float).ravel())
     if arr.size == 0:
         raise ValueError("ecdf needs at least one sample")
     if not np.all(np.isfinite(arr)):
         raise ValueError("ecdf samples must be finite")
-    return Ecdf(thresholds=arr, fractions=_fractions(arr.size))
+    return Ecdf(thresholds=arr)

@@ -107,7 +107,7 @@ def check_assemble(bundle: ConfigBundle) -> CheckResult:
     """Vectorized channel synthesis equals the per-entry triple sum (4x8x3)."""
     rng = substream(bundle.system.seed, 903)
     paths = _small_paths(rng, 3, 0.4e-6)
-    geom = ArrayGeometry.uniform_linear(4, bundle.wavelength)
+    geom = ArrayGeometry.uniform_linear(4, bundle.system.wavelength)
     a = steering_matrix(paths, geom)
     k = frequency_response(paths, 8, 1e-7, 0.25)
     c = draw_fading(paths.amplitude, rng)
@@ -126,7 +126,7 @@ def check_covariance_mc(bundle: ConfigBundle) -> CheckResult:
     """Sample covariance over 1e5 fading draws matches the structural form."""
     rng = substream(bundle.system.seed, 904)
     paths = _small_paths(rng, 6, 0.4e-6)
-    geom = ArrayGeometry.uniform_linear(4, bundle.wavelength)
+    geom = ArrayGeometry.uniform_linear(4, bundle.system.wavelength)
     pilot_idx = np.arange(0, 8, 1)
     cov = channel_covariance(paths, geom, 8, 1e-7, 0.25, pilot_idx)
     a = steering_matrix(paths, geom)
@@ -223,7 +223,7 @@ def check_noise_calibration(bundle: ConfigBundle) -> CheckResult:
     except ValueError as exc:
         return CheckResult("noise-term-calibration", False, str(exc))
     full_prior = dt_subspace(env.paths, env.geometry, bundle.system.n_subcarriers,
-                             bundle.sample_interval, bundle.scenario.pulse_rolloff,
+                             bundle.system.sample_interval, bundle.scenario.pulse_rolloff,
                              env.pilots.indices)
     full_floor = analytic_nmse(full_prior, *responses, 0.0,
                                bundle.system.symbol_power,

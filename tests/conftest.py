@@ -29,7 +29,7 @@ def desk_env(desk):
 def desk_cov(desk_env):
     return channel_covariance(desk_env.paths, desk_env.geometry,
                               desk_env.bundle.system.n_subcarriers,
-                              desk_env.bundle.sample_interval,
+                              desk_env.bundle.system.sample_interval,
                               desk_env.bundle.scenario.pulse_rolloff,
                               desk_env.pilots.indices)
 

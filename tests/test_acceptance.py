@@ -198,7 +198,7 @@ def test_c7_ecdf_first_order_dominance(announce):
     LS at every decile at -10 dB."""
     bundle = desk_config()
     tables = run_ecdf(ExperimentPlan(kind="ecdf", bundle=bundle,
-                                     methods=("ls", "emdt"), snr_points=(-10.0,)))
+                                     methods=("ls", "emdt"), snrs=(-10.0,)))
     deciles = np.arange(0.1, 0.95, 0.1)
     q_ls = np.array([tables[("ls", -10.0)].quantile(p) for p in deciles])
     q_dt = np.array([tables[("emdt", -10.0)].quantile(p) for p in deciles])
@@ -215,7 +215,7 @@ def test_c8_pilot_reduction_wins(announce):
     overhead-adjusted rate than LS achieves at any pilot count."""
     bundle = desk_config(n_subcarriers=256, cp_length=128, n_pilots=32)
     records = run_pilot_sweep(ExperimentPlan(kind="pilot-sweep", bundle=bundle,
-                                             pilot_snrs=(-15.0, 0.0)))
+                                             snrs=(-15.0, 0.0)))
     ok = True
     details = []
     for snr in (-15.0, 0.0):

@@ -26,9 +26,9 @@ def _small_setup(rng, n_rx=4, n_sc=8, n_paths=3, rolloff=0.25):
         delay=rng.uniform(0, 0.2e-6, n_paths),
         amplitude=np.full(n_paths, np.sqrt(1 / n_paths)),
     )
-    geom = ArrayGeometry.uniform_linear(n_rx, desk.wavelength)
+    geom = ArrayGeometry.uniform_linear(n_rx, desk.system.wavelength)
     a = steering_matrix(paths, geom)
-    k = frequency_response(paths, n_sc, desk.sample_interval, rolloff)
+    k = frequency_response(paths, n_sc, desk.system.sample_interval, rolloff)
     return desk, paths, geom, a, k
 
 
@@ -67,9 +67,9 @@ class TestAssembleChannel:
     def test_single_flat_path_rank_one(self, rng, desk):
         paths = PathSet(elevation=np.array([0.3]), azimuth=np.array([0.5]),
                         delay=np.array([0.0]), amplitude=np.array([1.0]))
-        geom = ArrayGeometry.uniform_linear(6, desk.wavelength)
+        geom = ArrayGeometry.uniform_linear(6, desk.system.wavelength)
         a = steering_matrix(paths, geom)
-        k = frequency_response(paths, 16, desk.sample_interval, 0.0)
+        k = frequency_response(paths, 16, desk.system.sample_interval, 0.0)
         h = assemble_channel(a, np.array([1.0 + 0j]), k)
         np.testing.assert_allclose(h, np.tile(a, (1, 16)), atol=1e-12)
 
@@ -84,7 +84,7 @@ class TestAssembleChannel:
         c = draw_fading(paths.amplitude, rng)
         h = assemble_channel(a, c, k)
         assert h.shape == (4, 8)
-        ts = desk.sample_interval
+        ts = desk.system.sample_interval
         for i in range(4):
             for f in range(8):
                 acc = 0j
@@ -137,7 +137,7 @@ class TestChannelCovariance:
     def _cov_small(self, rng):
         desk, paths, geom, _, _ = _small_setup(rng)
         idx = np.arange(0, 8, 2)
-        cov = channel_covariance(paths, geom, 8, desk.sample_interval, 0.25, idx)
+        cov = channel_covariance(paths, geom, 8, desk.system.sample_interval, 0.25, idx)
         return desk, paths, geom, idx, cov
 
     def test_hermitian(self, rng):
@@ -153,16 +153,17 @@ class TestChannelCovariance:
     def test_single_path_trace(self, desk):
         paths = PathSet(elevation=np.array([0.2]), azimuth=np.array([-0.4]),
                         delay=np.array([0.0]), amplitude=np.array([1.0]))
-        geom = ArrayGeometry.uniform_linear(4, desk.wavelength)
+        geom = ArrayGeometry.uniform_linear(4, desk.system.wavelength)
         idx = np.arange(0, 16, 2)
-        cov = channel_covariance(paths, geom, 16, desk.sample_interval, 0.0, idx)
+        cov = channel_covariance(paths, geom, 16, desk.system.sample_interval, 0.0, idx)
         assert np.linalg.matrix_rank(cov) == 1
         assert np.trace(cov).real == pytest.approx(8 * 4, rel=1e-12)
 
     def test_monte_carlo_match(self, rng):
         desk, paths, geom, idx, cov = self._cov_small(rng)
         a = steering_matrix(paths, geom)
-        k = frequency_response(paths, 8, desk.sample_interval, 0.25, pilot_indices=idx)
+        k = frequency_response(paths, 8, desk.system.sample_interval, 0.25,
+                               pilot_indices=idx)
         gen = np.random.default_rng(123)
         acc = np.zeros_like(cov)
         n = 100_000
@@ -180,7 +181,8 @@ class TestChannelCovariance:
     def test_energy_matches_trace(self, rng):
         desk, paths, geom, idx, cov = self._cov_small(rng)
         a = steering_matrix(paths, geom)
-        k = frequency_response(paths, 8, desk.sample_interval, 0.25, pilot_indices=idx)
+        k = frequency_response(paths, 8, desk.system.sample_interval, 0.25,
+                               pilot_indices=idx)
         gen = np.random.default_rng(321)
         total = 0.0
         n = 100_000
@@ -242,15 +244,15 @@ class TestAverageGain:
         desk, paths, geom, idx, _ = TestChannelCovariance()._cov_small(rng)
         doubled = PathSet(elevation=paths.elevation, azimuth=paths.azimuth,
                           delay=paths.delay, amplitude=2 * paths.amplitude)
-        args = (8, desk.sample_interval, 0.25, idx, geom)
+        args = (8, desk.system.sample_interval, 0.25, idx, geom)
         assert _gain(doubled, *args) == pytest.approx(4 * _gain(paths, *args))
 
     def test_unit_gain_single_path(self, desk):
         paths = PathSet(elevation=np.array([0.2]), azimuth=np.array([-0.4]),
                         delay=np.array([0.0]), amplitude=np.array([1.0]))
-        geom = ArrayGeometry.uniform_linear(4, desk.wavelength)
+        geom = ArrayGeometry.uniform_linear(4, desk.system.wavelength)
         idx = np.arange(0, 16, 2)
-        beta = _gain(paths, 16, desk.sample_interval, 0.0, idx, geom)
+        beta = _gain(paths, 16, desk.system.sample_interval, 0.0, idx, geom)
         assert beta == pytest.approx(1.0, abs=1e-9)
 
     def test_unit_gain_zero_rolloff_interior_delays(self, desk, make_paths):
@@ -259,7 +261,7 @@ class TestAverageGain:
         ts = 1 / (1024 * 480e3)
         delays_us = np.linspace(440, 580, 5) * ts * 1e6
         paths = make_paths(delays_us)
-        geom = ArrayGeometry.uniform_linear(4, desk.wavelength)
+        geom = ArrayGeometry.uniform_linear(4, desk.system.wavelength)
         idx = np.arange(0, 1024, 32)
         beta = _gain(paths, 1024, ts, 0.0, idx, geom)
         assert beta == pytest.approx(1.0, abs=1e-3)
@@ -269,10 +271,10 @@ class TestAverageGain:
         1 - b/4 + (b/4) cos(2 pi frac): the desk beta must follow it."""
         rng = np.random.default_rng(desk.system.seed)
         paths = generate_paths(desk.scenario, rng)
-        geom = ArrayGeometry.uniform_linear(8, desk.wavelength)
+        geom = ArrayGeometry.uniform_linear(8, desk.system.wavelength)
         idx = np.arange(0, 64, 2)
-        beta = _gain(paths, 64, desk.sample_interval, 0.25, idx, geom)
-        frac = paths.delay / desk.sample_interval
+        beta = _gain(paths, 64, desk.system.sample_interval, 0.25, idx, geom)
+        frac = paths.delay / desk.system.sample_interval
         model = np.sum(paths.amplitude ** 2
                        * (1 - 0.25 / 4 + 0.25 / 4 * np.cos(2 * np.pi * frac)))
         assert beta == pytest.approx(model, abs=2e-3)

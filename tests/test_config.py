@@ -19,15 +19,16 @@ def _reject(message_part, **system_overrides):
 class TestValidateConfig:
     def test_desk_bandwidth(self, desk):
         # 64 subcarriers at 480 kHz spacing
-        assert desk.bandwidth == pytest.approx(30.72e6)
-        assert desk.sample_interval == pytest.approx(1 / 30.72e6)
+        assert desk.system.bandwidth == pytest.approx(30.72e6)
+        assert desk.system.sample_interval == pytest.approx(1 / 30.72e6)
 
     def test_symbol_duration_includes_cp(self, desk):
         n_total = desk.system.n_subcarriers + desk.system.cp_length
-        assert desk.symbol_duration == pytest.approx(n_total * desk.sample_interval)
+        assert desk.system.symbol_duration == pytest.approx(
+            n_total * desk.system.sample_interval)
 
     def test_wavelength(self, desk):
-        assert desk.wavelength == pytest.approx(299792458.0 / 28e9)
+        assert desk.system.wavelength == pytest.approx(299792458.0 / 28e9)
 
     def test_pilot_count_must_divide(self):
         _reject("n_pilots", n_pilots=33)
@@ -37,7 +38,7 @@ class TestValidateConfig:
 
     def test_delay_spread_boundary_rejected(self, desk):
         # equality with the CP duration is not enough, the bound is strict
-        cp_seconds = desk.system.cp_length * desk.sample_interval
+        cp_seconds = desk.system.cp_length * desk.system.sample_interval
         scen = replace(desk.scenario, delay_spread=cp_seconds)
         with pytest.raises(ConfigError, match="delay_spread"):
             validate_config(desk.system, scen, desk.estimator)
@@ -159,7 +160,7 @@ class TestLoadConfig:
         bundle = load_config(self._write(tmp_path, self._desk_payload()))
         assert bundle.system.n_rx == 16
         assert bundle.scenario.n_paths == 25
-        assert bundle.bandwidth == pytest.approx(30.72e6)
+        assert bundle.system.bandwidth == pytest.approx(30.72e6)
 
     def test_unknown_key_rejected(self, tmp_path):
         payload = self._desk_payload()

@@ -16,7 +16,8 @@ from chest import experiments
 from chest.config import (ConfigError, desk_config, noise_variance_for_snr,
                           reference_config, validate_config)
 from chest.estimators import interpolate_full, ls_estimate
-from chest.experiments import (DEFAULT_PILOT_SNRS, NMSE_METHODS, PILOT_SWEEP_METHODS,
+from chest.experiments import (DEFAULT_ECDF_SNRS, DEFAULT_PILOT_SNRS, EXPERIMENT_KINDS,
+                               NMSE_METHODS, PILOT_SWEEP_METHODS,
                                SE_METHODS, ExperimentPlan, bml_ranks,
                                build_environment, emit_csv, emit_ecdf_csv,
                                measure_projection_floor, run_ecdf, run_nmse_sweep,
@@ -24,7 +25,7 @@ from chest.experiments import (DEFAULT_PILOT_SNRS, NMSE_METHODS, PILOT_SWEEP_MET
                                _chunk_ranges, _draw, _ecdf_slice, _method_bases,
                                _nmse_slice, _noise_variances, _pilot_slice,
                                _pooled_nmse, _reduce_nmse, _se_slice, _simulate_chunk)
-from chest.metrics import Ecdf, analytic_nmse, ecdf
+from chest.metrics import analytic_nmse, ecdf
 from chest.streams import (FADING, NOISE, WARM_FADING, WARM_NOISE, complex_normal,
                            substream)
 from chest.subspaces import SnapshotGrams, bml_subspace, denoise_subspace
@@ -61,8 +62,34 @@ class TestValidatePlan:
         plan = validate_plan(ExperimentPlan(kind="nmse-sweep", bundle=tiny))
         assert plan.methods == ("ls", "denoise", "bml", "emdt")
         plan = validate_plan(ExperimentPlan(kind="ecdf", bundle=tiny))
-        assert plan.snr_points == (-10.0, 5.0)
+        assert plan.snrs == (-10.0, 5.0)
         assert plan.methods == ("ideal", "ls", "denoise", "bml", "emdt")
+
+    @pytest.mark.parametrize("kind, snrs", [
+        ("nmse-sweep", (-20.0, 5.0, 30.0)), ("se-sweep", (-20.0, 5.0, 30.0)),
+        ("ecdf", DEFAULT_ECDF_SNRS), ("pilot-sweep", DEFAULT_PILOT_SNRS)])
+    def test_snrs_default_to_the_kinds(self, tiny, kind, snrs):
+        """NMSE and SE sweep the config's grid, the others their own default;
+        the points are stored as floats, and validation is idempotent."""
+        bundle = validate_config(replace(tiny.system, snr_grid_db=(-20, 5, 30)),
+                                 tiny.scenario, tiny.estimator)
+        plan = validate_plan(ExperimentPlan(kind=kind, bundle=bundle))
+        assert plan.snrs == snrs
+        assert all(type(s) is float for s in plan.snrs)
+        assert validate_plan(plan) == plan
+        given = validate_plan(ExperimentPlan(kind=kind, bundle=bundle, snrs=(3, -1)))
+        assert given.snrs == (3.0, -1.0) and type(given.snrs[0]) is float
+        assert validate_plan(given) == given
+
+    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    def test_repeated_snrs_rejected(self, tiny, kind):
+        with pytest.raises(ConfigError, match="SNR points repeat"):
+            validate_plan(ExperimentPlan(kind=kind, bundle=tiny, snrs=(0.0, 5.0, 0)))
+
+    @pytest.mark.parametrize("kind", ["nmse-sweep", "se-sweep", "ecdf"])
+    def test_pilot_counts_only_on_pilot_sweep(self, tiny, kind):
+        with pytest.raises(ConfigError, match="pilot-sweep only"):
+            validate_plan(ExperimentPlan(kind=kind, bundle=tiny, pilot_counts=(8,)))
 
     def test_pilot_counts_must_divide_grid(self, tiny):
         with pytest.raises(ConfigError, match="divide"):
@@ -79,6 +106,35 @@ class TestValidatePlan:
             validate_plan(ExperimentPlan(kind="ecdf", bundle=tiny, block_size=0))
         with pytest.raises(ConfigError):
             validate_plan(ExperimentPlan(kind="ecdf", bundle=tiny, workers=0))
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_runs_validate_a_validated_plan_again(tiny, kind):
+    """The CLI hands every run_* a validated plan, which it validates again:
+    the output is that of the plan as given."""
+    plan = ExperimentPlan(kind=kind, bundle=tiny, methods=("ls", "emdt"), snrs=(-5, 5))
+    run = {"nmse-sweep": run_nmse_sweep, "se-sweep": run_se_sweep, "ecdf": run_ecdf,
+           "pilot-sweep": run_pilot_sweep}[kind]
+    given, validated = run(plan), run(validate_plan(plan))
+    if kind == "ecdf":
+        assert list(given) == list(validated)
+        for key, table in given.items():
+            np.testing.assert_array_equal(table.thresholds, validated[key].thresholds)
+    else:
+        assert given == validated
+
+
+@pytest.mark.parametrize("kind", ["nmse-sweep", "se-sweep"])
+def test_plan_snrs_sweep_as_the_config_grid(tiny, kind):
+    """An NMSE or SE plan's SNR points give the records of a config whose
+    snr_grid_db holds them."""
+    run = {"nmse-sweep": run_nmse_sweep, "se-sweep": run_se_sweep}[kind]
+    grid = (-5.0, 15.0)
+    by_plan = run(ExperimentPlan(kind=kind, bundle=tiny, snrs=grid))
+    by_config = run(ExperimentPlan(kind=kind, bundle=validate_config(
+        replace(tiny.system, snr_grid_db=grid), tiny.scenario, tiny.estimator)))
+    assert {r.snr_db for r in by_plan} == set(grid)
+    assert by_plan == by_config
 
 
 class TestNmseSweep:
@@ -213,13 +269,13 @@ class TestEcdf:
         for (method, snr), table in tables.items():
             assert method in ("ideal", "ls", "denoise", "bml", "emdt")
             assert snr in (-10.0, 5.0)
-            assert table.fractions[-1] == pytest.approx(1.0)
+            assert table.evaluate(table.thresholds[-1]) == 1.0
             # 12 trials x 16 subcarriers of per-subcarrier samples
             assert table.thresholds.size == 192
 
     def test_custom_snr_points(self, tiny):
         tables = run_ecdf(ExperimentPlan(kind="ecdf", bundle=tiny,
-                                         methods=("ideal",), snr_points=(3.0,)))
+                                         methods=("ideal",), snrs=(3.0,)))
         assert set(tables) == {("ideal", 3.0)}
 
 
@@ -253,38 +309,30 @@ class TestEcdfSampleBuffers:
         monkeypatch.setattr(experiments, "_draw", _draw_silencing_trial_4)
         bundle = desk_config(n_trials=7)
         plan = validate_plan(ExperimentPlan(kind="ecdf", bundle=bundle, block_size=3,
-                                            workers=workers, snr_points=(-10.0, 5.0)))
+                                            workers=workers, snrs=(-10.0, 5.0)))
         env = build_environment(bundle)
-        nv = _noise_variances(env, plan.snr_points)
+        nv = _noise_variances(env, plan.snrs)
         assert _chunk_ranges(7, 3) == [(0, 3), (3, 6), (6, 7)]
         partials = [_simulate_chunk(env, experiments._reduce_ecdf, t0, t1, plan.methods,
                                     nv, 3) for t0, t1 in _chunk_ranges(7, 3)]
         tables = run_ecdf(plan)
-        assert list(tables) == [(m, s) for s in plan.snr_points for m in plan.methods]
+        assert list(tables) == [(m, s) for s in plan.snrs for m in plan.methods]
         n_zero = bundle.system.n_subcarriers
-        for i, snr_db in enumerate(plan.snr_points):
+        for i, snr_db in enumerate(plan.snrs):
             for method in plan.methods:
                 want = ecdf(np.concatenate([p[method][i] for p in partials]))
                 got = tables[(method, snr_db)]
                 np.testing.assert_array_equal(got.thresholds, want.thresholds)
-                np.testing.assert_array_equal(got.fractions, want.fractions)
                 assert np.all(got.thresholds[:n_zero] == 0.0)
                 assert got.thresholds[n_zero] > 0.0
 
-    def test_equal_size_tables_share_read_only_fractions(self, tiny):
-        tables = list(run_ecdf(ExperimentPlan(kind="ecdf", bundle=tiny)).values())
-        shared = tables[0].fractions
-        assert all(t.fractions is shared for t in tables)
-        assert not shared.flags.writeable
-        np.testing.assert_array_equal(shared, np.arange(1, 193) / 192)
-
     def test_run_holds_one_copy_of_its_samples(self):
         """Desk ECDF at 2000 trials on one worker: the traced peak stays within
-        1.5 copies of its samples (10.24 MB).  Keeping every chunk result, a
-        sorted copy and a fractions array per table would hold three."""
+        1.5 copies of its samples (10.24 MB).  Keeping every chunk result and a
+        sorted copy per table would hold two."""
         bundle = desk_config(n_trials=2000)
         plan = validate_plan(ExperimentPlan(kind="ecdf", bundle=bundle))
-        one_copy = (len(plan.snr_points) * len(plan.methods) * bundle.system.n_trials
+        one_copy = (len(plan.snrs) * len(plan.methods) * bundle.system.n_trials
                     * bundle.system.n_subcarriers * np.dtype(float).itemsize)
         assert one_copy == 10_240_000
         tracemalloc.start()
@@ -319,7 +367,7 @@ class TestEcdfSampleBuffers:
 @pytest.fixture(scope="module")
 def pilot_records(tiny400):
     return run_pilot_sweep(ExperimentPlan(
-        kind="pilot-sweep", bundle=tiny400, pilot_snrs=(0.0,)))
+        kind="pilot-sweep", bundle=tiny400, snrs=(0.0,)))
 
 
 class TestPilotSweep:
@@ -411,8 +459,7 @@ def _oracle(plan):
     nmse or se, or the sorted post-combining SNR samples for an ECDF}."""
     base = plan.bundle
     counts = plan.pilot_counts or (base.system.n_pilots,)
-    snrs = {"ecdf": plan.snr_points, "pilot-sweep": plan.pilot_snrs}.get(
-        plan.kind, base.system.snr_grid_db)
+    snrs = plan.snrs
     full = plan.kind in ("se-sweep", "ecdf")
     out = {}
     for n_p in counts:
@@ -490,7 +537,7 @@ class TestOnePassMatchesPerSnrOracle:
     def test_ecdf(self, desk_small, workers):
         plan = validate_plan(ExperimentPlan(kind="ecdf", bundle=desk_small,
                                             block_size=3, workers=workers,
-                                            snr_points=(-10.0, 5.0)))
+                                            snrs=(-10.0, 5.0)))
         oracle = _oracle(plan)
         tables = run_ecdf(plan)
         assert len(tables) == len(oracle) == 10
@@ -503,7 +550,7 @@ class TestOnePassMatchesPerSnrOracle:
         plan = validate_plan(ExperimentPlan(kind="pilot-sweep", bundle=desk_small,
                                             block_size=3, workers=workers,
                                             pilot_counts=(2, 8, 32),
-                                            pilot_snrs=(-15.0, 0.0)))
+                                            snrs=(-15.0, 0.0)))
         oracle = _oracle(plan)
         records = run_pilot_sweep(plan)
         assert len(records) == len(oracle) == 12
@@ -698,10 +745,10 @@ def _sweep_outputs(bundle, workers):
     def plan(kind, **extra):
         return ExperimentPlan(kind=kind, bundle=bundle, block_size=3, workers=workers,
                               **extra)
-    tables = run_ecdf(plan("ecdf", snr_points=(-10.0, 5.0)))
+    tables = run_ecdf(plan("ecdf", snrs=(-10.0, 5.0)))
     return (run_nmse_sweep(plan("nmse-sweep")), run_se_sweep(plan("se-sweep")),
             run_pilot_sweep(plan("pilot-sweep", pilot_counts=(2, 8, 32),
-                                 pilot_snrs=(-15.0, 0.0))),
+                                 snrs=(-15.0, 0.0))),
             {key: table.thresholds.tolist() for key, table in tables.items()})
 
 
@@ -838,26 +885,26 @@ def _csv_writer_reference(tables, path):
             table = tables[(method, snr_db)]
             with np.errstate(divide="ignore"):
                 q_db = 10.0 * np.log10(table.thresholds)
-            for q, f in zip(q_db, table.fractions):
+            fractions = np.arange(1, q_db.size + 1) / q_db.size
+            for q, f in zip(q_db, fractions):
                 writer.writerow([method, fmt(snr_db), fmt(q), fmt(f)])
 
 
 def test_ecdf_csv_matches_csv_writer_bytes(rng, tmp_path):
     """Blocked f-string rows are byte for byte what csv.writer writes,
     including a zero sample (-inf dB), 9001-row tables over nine 1024-row
-    blocks (the last one short, each taken to dB on its own), and
-    the reuse of formatted cumulative fractions: two tables of equal size
-    (reused), then a hand-built one of that size with other fractions, then
-    tables of other sizes (all formatted afresh)."""
+    blocks (the last one short, each taken to dB on its own), and the reuse
+    of formatted cumulative fractions across table sizes A, A, B, A, C in
+    key order: reused for the second A, and formatted afresh at each change
+    of size, the change back to A included."""
     long = np.concatenate([[0.0], rng.exponential(size=9000)])
-    other = ecdf(rng.exponential(size=9001))
     tables = {("bml", -10.0): ecdf(long),
-              ("bml", 5.0): other,
-              ("denoise", 0.0): Ecdf(thresholds=other.thresholds,
-                                     fractions=other.fractions ** 2),
+              ("bml", 5.0): ecdf(rng.exponential(size=9001)),
+              ("denoise", 0.0): ecdf([0.0, 0.0, 1e-300, 2.5, 1e12]),
               ("emdt", -10.0): ecdf(long),
-              ("ls", 5.0): ecdf([0.0, 0.0, 1e-300, 2.5, 1e12]),
               ("ideal", 0.5): ecdf([3.0])}
+    assert [tables[key].thresholds.size for key in sorted(tables)] == [9001, 9001, 5,
+                                                                        9001, 1]
     assert -(-long.size // experiments._ECDF_ROWS_PER_WRITE) == 9
     emit_ecdf_csv(tables, tmp_path / "fast.csv")
     _csv_writer_reference(tables, tmp_path / "reference.csv")

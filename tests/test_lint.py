@@ -1,5 +1,6 @@
 """Static checks on the source tree: no module imports a name it never uses,
-and the package exports only names it has, each once."""
+no module rebinds a module-level name from a function but the pool worker's
+initializer, and the package exports only names it has, each once."""
 import ast
 from pathlib import Path
 
@@ -42,6 +43,45 @@ def test_detects_unused_imports():
               "from x import y, z as w\n"
               "print(np.pi, a.b, w)\n")
     assert unused_imports(source) == ["line 2: os", "line 4: y"]
+
+
+def global_statements(source: str) -> list[str]:
+    """``global`` statements in ``source``, each with its innermost enclosing
+    function, or ``<module>``."""
+    tree = ast.parse(source)
+    owner = {}
+    for func in ast.walk(tree):     # outer functions come first
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Global):
+                    owner[node] = func.name
+    return sorted(f"line {node.lineno}: {owner.get(node, '<module>')}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Global))
+
+
+# A pool worker receives the run's environments once, through its
+# initializer, which keeps them in a module-level name.
+GLOBALS_ALLOWED = {"experiments.py": {"_init_worker"}}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_hidden_module_state(path):
+    """A ``global`` statement keeps process-wide state that a caller cannot
+    see or reset; only the pool worker's initializer may have one."""
+    allowed = GLOBALS_ALLOWED.get(path.name, set())
+    found = global_statements(path.read_text())
+    assert [g for g in found if g.split(": ")[1] not in allowed] == []
+
+
+def test_detects_global_statements():
+    source = ("global a\n"
+              "def f():\n"
+              "    global b\n"
+              "    def g():\n"
+              "        global c\n"
+              "def h():\n"
+              "    return 1\n")
+    assert global_statements(source) == ["line 1: <module>", "line 3: f", "line 5: g"]
 
 
 def test_every_export_resolves_once():

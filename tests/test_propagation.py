@@ -210,11 +210,11 @@ class TestPulse:
 class TestFrequencyResponse:
     def test_zero_delay_is_flat(self, desk):
         p = _paths([0.0], [1.0])
-        k = frequency_response(p, 64, desk.sample_interval, 0.25)
+        k = frequency_response(p, 64, desk.system.sample_interval, 0.25)
         np.testing.assert_allclose(k[:, 0], 1.0, atol=1e-12)
 
     def test_integer_delay_shift_theorem(self, desk):
-        ts = desk.sample_interval
+        ts = desk.system.sample_interval
         p = _paths([5 * ts], [1.0])
         k = frequency_response(p, 64, ts, 0.0)
         expected = np.exp(-2j * np.pi * np.arange(64) * 5 / 64)
@@ -222,7 +222,7 @@ class TestFrequencyResponse:
 
     def test_pilot_restriction_matches_full(self, desk, make_paths):
         p = make_paths([0.1, 0.35, 0.62])
-        ts = desk.sample_interval
+        ts = desk.system.sample_interval
         full = frequency_response(p, 64, ts, 0.25)
         idx = np.arange(0, 64, 2)
         sub = frequency_response(p, 64, ts, 0.25, pilot_indices=idx)
@@ -230,7 +230,7 @@ class TestFrequencyResponse:
 
     def test_shape(self, desk, make_paths):
         p = make_paths([0.1, 0.2, 0.3, 0.4])
-        k = frequency_response(p, 64, desk.sample_interval, 0.25)
+        k = frequency_response(p, 64, desk.system.sample_interval, 0.25)
         assert k.shape == (64, 4)
 
 

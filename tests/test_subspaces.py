@@ -22,9 +22,9 @@ def _paths(delays_us, elev, azim, power=None):
 @pytest.fixture
 def setup(desk):
     def _build(paths, n_rx=8, n_sc=64, n_p=32):
-        geom = ArrayGeometry.uniform_linear(n_rx, desk.wavelength)
+        geom = ArrayGeometry.uniform_linear(n_rx, desk.system.wavelength)
         idx = np.arange(0, n_sc, n_sc // n_p)
-        prior = dt_subspace(paths, geom, n_sc, desk.sample_interval, 0.25, idx)
+        prior = dt_subspace(paths, geom, n_sc, desk.system.sample_interval, 0.25, idx)
         return geom, idx, prior
     return _build
 
@@ -50,9 +50,9 @@ class TestDtSubspace:
         p = _paths([0.02, 0.12, 0.22, 0.32, 0.42],
                    [-0.7, -0.3, 0.1, 0.45, 0.9],
                    [-1.1, -0.5, 0.2, 0.7, 1.3])
-        geom = ArrayGeometry.uniform_linear(64, desk.wavelength)
+        geom = ArrayGeometry.uniform_linear(64, desk.system.wavelength)
         idx = np.arange(0, 64, 2)
-        prior = dt_subspace(p, geom, 64, desk.sample_interval, 0.25, idx)
+        prior = dt_subspace(p, geom, 64, desk.system.sample_interval, 0.25, idx)
         assert prior.rank_spatial == 5 and prior.rank_temporal == 5
 
     def test_orthonormal_bases(self, setup):
@@ -120,7 +120,7 @@ class TestMakeProjectors:
         geom, idx, prior = setup(p)
         p_s, p_t = dense_projectors(prior)
         a = steering_matrix(p, geom)
-        k = frequency_response(p, 64, desk.sample_interval, 0.25, pilot_indices=idx)
+        k = frequency_response(p, 64, desk.system.sample_interval, 0.25, pilot_indices=idx)
         h = assemble_channel(a, draw_fading(p.amplitude, rng), k)
         np.testing.assert_allclose(p_s @ h @ p_t, h, atol=1e-8)
 
@@ -149,10 +149,11 @@ class TestKroneckerTrace:
 class TestBmlSubspace:
     def _batch(self, rng, desk, n_batch, noise=0.0, n_rx=8, n_sc=64, n_p=32):
         p = _paths([0.05, 0.18, 0.33], [-0.5, 0.1, 0.6], [-1.0, 0.3, 1.1])
-        geom = ArrayGeometry.uniform_linear(n_rx, desk.wavelength)
+        geom = ArrayGeometry.uniform_linear(n_rx, desk.system.wavelength)
         idx = np.arange(0, n_sc, n_sc // n_p)
         a = steering_matrix(p, geom)
-        k = frequency_response(p, n_sc, desk.sample_interval, 0.25, pilot_indices=idx)
+        k = frequency_response(p, n_sc, desk.system.sample_interval, 0.25,
+                               pilot_indices=idx)
         batch = np.stack([
             assemble_channel(a, draw_fading(p.amplitude, rng), k)
             + noise * (rng.normal(size=(n_rx, n_p)) + 1j * rng.normal(size=(n_rx, n_p)))
@@ -168,10 +169,10 @@ class TestBmlSubspace:
 
     def test_single_snapshot_rank_one(self, dense_projectors, rng, desk):
         p = _paths([0.1], [0.3], [0.4])
-        geom = ArrayGeometry.uniform_linear(6, desk.wavelength)
+        geom = ArrayGeometry.uniform_linear(6, desk.system.wavelength)
         idx = np.arange(0, 64, 2)
         a = steering_matrix(p, geom)
-        k = frequency_response(p, 64, desk.sample_interval, 0.25, pilot_indices=idx)
+        k = frequency_response(p, 64, desk.system.sample_interval, 0.25, pilot_indices=idx)
         h = assemble_channel(a, np.array([1.2 - 0.4j]), k)
         proj = bml_subspace(h[None], 1, 1)
         u = a[:, 0] / np.linalg.norm(a[:, 0])
