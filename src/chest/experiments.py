@@ -17,10 +17,7 @@ efficiencies or post-combining SNR samples at every SNR point.
   holds as many trials as fit ``_SLICE_BYTES`` (1.25 MiB) in their H and W',
   two complex (n_rx, n_pilots) arrays per trial, or (n_rx, n_subcarriers)
   for SE and ECDF, which reduce on the full grid, one trial at least.  The
-  reducers return per-trial results (errors, channel energies, per-subcarrier
-  log2(1 + SNR), post-combining SNR samples), so the slices' results are
-  joined, never re-summed, and the chunk's sums are those of one pass, bit
-  for bit.  The batch-ML warm-up is drawn in slices of snapshots under the
+  batch-ML warm-up is drawn in slices of snapshots under the
   same budget, less its Gram matrices, and its Grams are summed over them.
   The slice sizes follow from the array sizes alone: desk-sized NMSE and
   pilot chunks (50 trials of 16 x 32) and warm-ups (64 snapshots) take one
@@ -57,15 +54,23 @@ efficiencies or post-combining SNR samples at every SNR point.
   and only the two small ``eigh`` calls and its coordinates repeat per SNR
   point and slice.
 
-One process pool serves a whole run.  Chunk results come back in chunk
-order, each as soon as it and those before it are in, and are folded in that
-order, which makes output byte-identical for any parallelism degree.  Every
-sweep goes through one driver, :func:`_sweep`, which builds one environment
-per pilot count (the configured one unless the plan sweeps pilot counts) and
-every chunk task.  The ECDF holds one copy of its samples: each (method, SNR
-point) has one sample buffer, every chunk's samples are copied into it as
-they arrive and the chunk result is dropped, and each buffer is released once
-its table is sorted out of it.
+Every reducer returns per-trial results, one array per key with the trial on
+axis 0: ``("error", method, i)`` and ``"energy"`` for NMSE, ``("rate",
+method, i)``, the trial's mean log2(1 + SNR) over the pilot or full grid, for
+SE, and ``("snr", method, i)``, (n_trials, n_subcarriers), for the ECDF, at
+SNR point ``i``.  Nothing is summed before every trial is in: a chunk lays its
+slices' rows end to end, and the sweep's sums run over whole per-trial
+arrays, so every output is the same bit for bit whatever the chunking, the
+slicing or the worker count, batch-ML aside, whose warm-up is that of the
+trial block.
+
+One process pool serves a whole run.  Every sweep goes through one driver,
+:func:`_sweep`, which builds one environment per pilot count (the configured
+one unless the plan sweeps pilot counts) and every chunk task, and folds the
+chunk results: they come back in chunk order, each as soon as it and those
+before it are in, and each is copied into rows [t0, t1) of one (n_trials,
+...) array per key and dropped.  The ECDF thus holds one copy of its samples,
+and each sample buffer is released once its table is sorted out of it.
 """
 from __future__ import annotations
 
@@ -74,6 +79,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -142,6 +148,8 @@ def validate_plan(plan: ExperimentPlan) -> ExperimentPlan:
     _require_distinct("methods", methods)
     snrs = tuple(float(s) for s in
                  plan.snrs or KIND_SNRS.get(plan.kind, plan.bundle.system.snr_grid_db))
+    if not all(np.isfinite(snrs)):
+        raise ConfigError(f"{plan.kind} SNR points must be finite: {list(snrs)}")
     _require_distinct(f"{plan.kind} SNR points", snrs)
     plan = replace(plan, methods=tuple(methods), snrs=snrs)
     if plan.kind != "pilot-sweep":
@@ -350,132 +358,88 @@ def _combining_snrs(bases: ProjectorPair, core_h: np.ndarray, core_w: np.ndarray
     return post_combining_snr(stats, sigmas, power, noise_variances)
 
 
-def _full_grid_snrs(env: Environment, fading: np.ndarray, noise: np.ndarray,
-                    bases: list, noise_variances: np.ndarray):
-    """Yield ``(method, snrs, full-grid post-combining SNRs)`` for every entry
-    of ``bases``; ``ideal`` combines on the channel itself."""
+def _rate(snrs: np.ndarray) -> np.ndarray:
+    """Per-trial spectral efficiency: the mean ``log2(1 + SNR)`` over the
+    subcarriers on the last axis."""
+    return np.mean(np.log2(1.0 + snrs), axis=-1)
+
+
+def _nmse_slice(env: Environment, fading: np.ndarray, noise: np.ndarray,
+                bases: list, noise_variances: np.ndarray, rates: bool = False) -> dict:
+    """Each method's per-trial squared error at SNR point ``i``,
+    ``("error", method, i)``, and the per-trial channel energy, ``"energy"``;
+    with ``rates``, also each method's per-trial spectral efficiency on the
+    pilot grid, ``("rate", method, i)``."""
+    truth = assemble_channel(env.steering, fading, env.freq_pilot)
+    sigmas = np.sqrt(noise_variances)
+    power = env.bundle.system.symbol_power
+    out = {"energy": _energy(truth)}
+    for method, snrs, b in bases:
+        points = range(len(sigmas))[snrs]
+        core_h, core_w = b.core(truth), b.core(noise)
+        errors = _error_energy(b, truth, core_h, core_w, sigmas[snrs])
+        out.update(zip([("error", method, i) for i in points], errors))
+        if rates:
+            snr = _combining_snrs(b, core_h, core_w, truth, None, sigmas[snrs], power,
+                                  noise_variances[snrs])
+            out.update(zip([("rate", method, i) for i in points], _rate(snr)))
+    return out
+
+
+def _ecdf_slice(env: Environment, fading: np.ndarray, noise: np.ndarray,
+                bases: list, noise_variances: np.ndarray) -> dict:
+    """Each method's post-combining SNR samples on the full grid at SNR point
+    ``i``, ``("snr", method, i)``, (n_trials, n_subcarriers); ``ideal``
+    combines on the channel itself."""
     truth_full = assemble_channel(env.steering, fading, env.freq_full)
     truth = truth_full[..., env.pilots.indices]
     grid = interpolation_matrix(env.pilots, env.bundle.system.n_subcarriers)
     power = env.bundle.system.symbol_power
     sigmas = np.sqrt(noise_variances)
+    out = {}
     for method, snrs, b in bases:
         if b is None:
             stats = CombiningStats.of(truth_full, None, truth_full)
-            yield method, snrs, post_combining_snr(stats, sigmas[snrs], power,
-                                                   noise_variances[snrs])
+            snr = post_combining_snr(stats, sigmas[snrs], power, noise_variances[snrs])
         else:
-            yield method, snrs, _combining_snrs(b, b.core(truth), b.core(noise),
-                                                truth_full, grid, sigmas[snrs], power,
-                                                noise_variances[snrs])
-
-
-def _nmse_slice(env: Environment, fading: np.ndarray, noise: np.ndarray,
-                bases: list, noise_variances: np.ndarray):
-    """Per-trial squared error of each method at every SNR point,
-    ``{method: (n_snr, n_trials)}``, and the per-trial channel energy."""
-    truth = assemble_channel(env.steering, fading, env.freq_pilot)
-    sigmas = np.sqrt(noise_variances)
-    errors = {m: np.empty((len(sigmas), len(truth))) for m, _, _ in bases}
-    for method, snrs, b in bases:
-        errors[method][snrs] = _error_energy(b, truth, b.core(truth), b.core(noise),
-                                             sigmas[snrs])
-    return errors, _energy(truth)
-
-
-def _pilot_slice(env: Environment, fading: np.ndarray, noise: np.ndarray,
-                 bases: list, noise_variances: np.ndarray):
-    """:func:`_nmse_slice` plus each method's per-subcarrier
-    ``log2(1 + SNR)`` on the pilot grid, ``{method: (n_snr, n_trials, n_pilots)}``."""
-    truth = assemble_channel(env.steering, fading, env.freq_pilot)
-    sigmas = np.sqrt(noise_variances)
-    power = env.bundle.system.symbol_power
-    errors = {m: np.empty((len(sigmas), len(truth))) for m, _, _ in bases}
-    rates = {m: np.empty((len(sigmas), len(truth), truth.shape[-1]))
-             for m, _, _ in bases}
-    for method, snrs, b in bases:
-        core_h, core_w = b.core(truth), b.core(noise)
-        errors[method][snrs] = _error_energy(b, truth, core_h, core_w, sigmas[snrs])
-        snr = _combining_snrs(b, core_h, core_w, truth, None, sigmas[snrs], power,
-                              noise_variances[snrs])
-        rates[method][snrs] = np.log2(1.0 + snr)
-    return errors, _energy(truth), rates
-
-
-def _ecdf_slice(env: Environment, fading: np.ndarray, noise: np.ndarray,
-                bases: list, noise_variances: np.ndarray):
-    """Per-subcarrier post-combining SNR samples on the full grid,
-    ``{method: (n_snr, n_trials, n_subcarriers)}``."""
-    shape = (len(noise_variances), len(fading), env.bundle.system.n_subcarriers)
-    samples = {m: np.empty(shape) for m, _, _ in bases}
-    for method, snrs, snr in _full_grid_snrs(env, fading, noise, bases, noise_variances):
-        samples[method][snrs] = snr
-    return samples
+            snr = _combining_snrs(b, b.core(truth), b.core(noise), truth_full, grid,
+                                  sigmas[snrs], power, noise_variances[snrs])
+        out.update(zip([("snr", method, i) for i in range(len(sigmas))[snrs]], snr))
+    return out
 
 
 def _se_slice(env: Environment, fading: np.ndarray, noise: np.ndarray,
-              bases: list, noise_variances: np.ndarray):
-    """Each method's per-subcarrier ``log2(1 + SNR)`` on the full grid,
-    ``{method: (n_snr, n_trials, n_subcarriers)}``."""
-    samples = _ecdf_slice(env, fading, noise, bases, noise_variances)
-    return {m: np.log2(1.0 + x) for m, x in samples.items()}
-
-
-def _join(parts: list):
-    """Per-trial results of consecutive trial slices laid end to end: arrays
-    are joined on their trial axis, axis 0 of per-trial vectors and axis 1
-    of (n_snr, n_trials, ...) arrays."""
-    first = parts[0]
-    if isinstance(first, tuple):
-        return tuple(_join(list(p)) for p in zip(*parts))
-    if isinstance(first, dict):
-        return {k: _join([p[k] for p in parts]) for k in first}
-    if len(parts) == 1:
-        return first
-    return np.concatenate(parts, axis=min(first.ndim - 1, 1))
-
-
-def _rate_sums(rates: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Spectral efficiency summed over a chunk's trials at every SNR point:
-    the trial count times the mean ``log2(1 + SNR)`` over trials and
-    subcarriers."""
-    return {m: x.shape[1] * np.mean(x, axis=(1, 2)) for m, x in rates.items()}
-
-
-def _pilot_sums(result):
-    errors, energy, rates = result
-    return errors, energy, _rate_sums(rates)
-
-
-def _as_is(result):
-    return result
+              bases: list, noise_variances: np.ndarray) -> dict:
+    """Each method's per-trial spectral efficiency on the full grid at SNR
+    point ``i``, ``("rate", method, i)``."""
+    return {("rate", method, i): _rate(snr) for (_, method, i), snr
+            in _ecdf_slice(env, fading, noise, bases, noise_variances).items()}
 
 
 class _Reduction(NamedTuple):
-    """How a sweep reduces a chunk: ``per_slice`` maps one slice of trials to
-    per-trial results, and ``finish`` maps the slices' results, joined on the
-    trial axis, to the chunk's result."""
+    """How a sweep reduces one slice of trials to per-trial results: a dict of
+    arrays with the trial on axis 0."""
 
     per_slice: Callable
-    finish: Callable = _as_is
     full_grid: bool = False     # per_slice works on the full subcarrier grid
 
 
 _reduce_nmse = _Reduction(_nmse_slice)
-_reduce_pilot = _Reduction(_pilot_slice, _pilot_sums)
-_reduce_se = _Reduction(_se_slice, _rate_sums, full_grid=True)
+_reduce_pilot = _Reduction(partial(_nmse_slice, rates=True))
+_reduce_se = _Reduction(_se_slice, full_grid=True)
 _reduce_ecdf = _Reduction(_ecdf_slice, full_grid=True)
 
 
 def _simulate_chunk(env: Environment, reduce: _Reduction, t0: int, t1: int,
-                    methods: tuple[str, ...], noise_variances, block_size: int):
-    """Draw trials [t0, t1) once and reduce them at every noise variance.
+                    methods: tuple[str, ...], noise_variances, block_size: int) -> dict:
+    """Draw trials [t0, t1) once and reduce them at every noise variance to
+    per-trial results, each array's row ``t - t0`` that of trial ``t``.
 
     Each method's bases are taken once for the chunk; its batch-ML warm-up is
     the one of trial block ``t0 // block_size``.  The trials are drawn and
     reduced a slice at a time (:func:`_slices`, on the full grid's width for
     SE and ECDF), so the chunk never holds more than one slice's H and W';
-    every slice's per-trial results are kept.
+    the slices' rows are laid end to end.
     """
     noise_variances = np.asarray(noise_variances, dtype=float)
     bases = _method_bases(env, methods, noise_variances, t0 // block_size)
@@ -484,7 +448,7 @@ def _simulate_chunk(env: Environment, reduce: _Reduction, t0: int, t1: int,
                                           [(NOISE, t) for t in trials]),
                               bases, noise_variances)
              for trials in _slices(range(t0, t1), env, width=width)]
-    return reduce.finish(_join(parts))
+    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
 
 def _chunk_ranges(n_trials: int, block_size: int) -> list[tuple[int, int]]:
@@ -530,27 +494,37 @@ def _map_chunks(envs: tuple[Environment, ...], tasks: list[tuple], workers: int)
 
 def _sweep(plan: ExperimentPlan, reduce: _Reduction):
     """The plan's environments, one per pilot count (the configured count
-    unless the plan sweeps pilot counts), and their chunk results at the
-    plan's SNR points: every chunk of the first environment, then of the
-    next, yielded in that order (:func:`_map_chunks`)."""
+    unless the plan sweeps pilot counts), and each one's per-trial results at
+    the plan's SNR points: one (n_trials, ...) array per key of the reducer's
+    results.  The arrays are allocated at the environment's first chunk, and
+    every chunk's rows are copied into them as the chunk arrives
+    (:func:`_map_chunks`), so the run holds one copy of its per-trial results
+    and one chunk result at a time."""
     base = plan.bundle
+    n_trials = base.system.n_trials
     envs = tuple(build_environment(validate_config(replace(base.system, n_pilots=n_p),
                                                    base.scenario, base.estimator),
                                    plan.environment)
                  for n_p in plan.pilot_counts or (base.system.n_pilots,))
-    chunks = _chunk_ranges(base.system.n_trials, plan.block_size)
+    chunks = _chunk_ranges(n_trials, plan.block_size)
     tasks = []
     for k, env in enumerate(envs):
         variances = _noise_variances(env, plan.snrs)
         tasks += [(k, reduce, t0, t1, plan.methods, variances, plan.block_size)
                   for t0, t1 in chunks]
-    return envs, _map_chunks(envs, tasks, plan.workers)
+    trials = tuple({} for _ in envs)
+    with closing(_map_chunks(envs, tasks, plan.workers)) as results:
+        for (k, _, t0, t1, *_), result in zip(tasks, results):
+            for key, rows in result.items():
+                if key not in trials[k]:
+                    trials[k][key] = np.empty((n_trials,) + rows.shape[1:])
+                trials[k][key][t0:t1] = rows
+    return envs, trials
 
 
-def _pooled_nmse(partials: list, method: str) -> np.ndarray:
-    """sum(error) / sum(channel energy) over all trials, per SNR point."""
-    errors = np.concatenate([p[0][method] for p in partials], axis=1)
-    return errors.sum(axis=1) / np.concatenate([p[1] for p in partials]).sum()
+def _nmse(trials: dict, method: str, i: int) -> float:
+    """sum(error) / sum(channel energy) over all trials at SNR point ``i``."""
+    return float(trials[("error", method, i)].sum() / trials["energy"].sum())
 
 
 def _noise_variances(env: Environment, snrs) -> list[float]:
@@ -563,10 +537,8 @@ def _noise_variances(env: Environment, snrs) -> list[float]:
 def run_nmse_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
     """Empirical NMSE per (method, SNR); analytic breakdown for the twin prior."""
     plan = validate_plan(plan)
-    (env,), results = _sweep(plan, _reduce_nmse)
-    partials = list(results)
+    (env,), (trials,) = _sweep(plan, _reduce_nmse)
     sysc = env.bundle.system
-    nmse = {m: _pooled_nmse(partials, m) for m in plan.methods}
     records = []
     for i, (snr_db, noise_variance) in enumerate(zip(plan.snrs,
                                                      _noise_variances(env, plan.snrs))):
@@ -579,7 +551,7 @@ def run_nmse_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
             records.append(MetricsRecord(method=method, snr_db=snr_db,
                                          n_pilots=sysc.n_pilots,
                                          trials=sysc.n_trials,
-                                         nmse_emp=float(nmse[method][i]),
+                                         nmse_emp=_nmse(trials, method, i),
                                          nmse_analytic=analytic))
     return records
 
@@ -587,20 +559,18 @@ def run_nmse_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
 def measure_projection_floor(env: Environment, n_trials: int) -> float:
     """Noiseless twin-projection NMSE over the same fading streams the noisy
     sweeps use; this is the measured subspace floor."""
-    result = _simulate_chunk(env, _reduce_nmse, 0, n_trials, ("emdt",), (0.0,), n_trials)
-    return float(_pooled_nmse([result], "emdt")[0])
+    trials = _simulate_chunk(env, _reduce_nmse, 0, n_trials, ("emdt",), (0.0,), n_trials)
+    return _nmse(trials, "emdt", 0)
 
 
 def run_se_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
     """Genie-aided spectral efficiency per (method, SNR) on the full grid."""
     plan = validate_plan(plan)
-    (env,), results = _sweep(plan, _reduce_se)
-    partials = list(results)
-    sysc = env.bundle.system
-    se = {m: sum(p[m] for p in partials) / sysc.n_trials for m in plan.methods}
+    _, (trials,) = _sweep(plan, _reduce_se)
+    sysc = plan.bundle.system
     return [MetricsRecord(method=method, snr_db=snr_db,
                           n_pilots=sysc.n_pilots, trials=sysc.n_trials,
-                          spectral_efficiency=float(se[method][i]))
+                          spectral_efficiency=float(trials[("rate", method, i)].mean()))
             for i, snr_db in enumerate(plan.snrs) for method in plan.methods]
 
 
@@ -608,21 +578,14 @@ def run_ecdf(plan: ExperimentPlan) -> dict[tuple[str, float], Ecdf]:
     """ECDF of per-subcarrier post-combining SNR at the requested SNR points.
 
     Each (method, SNR point) has one (n_trials, n_subcarriers) sample buffer,
-    filled chunk by chunk as the results arrive and released as soon as its
-    table is sorted, so the run holds about one copy of its samples.
+    filled chunk by chunk as the results arrive (:func:`_sweep`) and released
+    as soon as its table is sorted, so the run holds about one copy of its
+    samples.
     """
     plan = validate_plan(plan)
-    _, results = _sweep(plan, _reduce_ecdf)
-    sysc = plan.bundle.system
-    samples = {(method, snr_db): np.empty((sysc.n_trials, sysc.n_subcarriers))
-               for snr_db in plan.snrs for method in plan.methods}
-    with closing(results):
-        for (t0, t1), result in zip(_chunk_ranges(sysc.n_trials, plan.block_size),
-                                    results):
-            for i, snr_db in enumerate(plan.snrs):
-                for method in plan.methods:
-                    samples[(method, snr_db)][t0:t1] = result[method][i]
-    return {key: ecdf(samples.pop(key)) for key in list(samples)}
+    _, (samples,) = _sweep(plan, _reduce_ecdf)
+    return {(method, snr_db): ecdf(samples.pop(("snr", method, i)))
+            for i, snr_db in enumerate(plan.snrs) for method in plan.methods}
 
 
 def run_pilot_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
@@ -633,22 +596,18 @@ def run_pilot_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
     (pilot count, chunk) task goes to the same pool.
     """
     plan = validate_plan(plan)
-    envs, results = _sweep(plan, _reduce_pilot)
-    results = list(results)
-    n_chunks = len(results) // len(envs)
+    _, per_count = _sweep(plan, _reduce_pilot)
     n_trials = plan.bundle.system.n_trials
     records = []
-    for k, n_p in enumerate(plan.pilot_counts):
-        partials = results[k * n_chunks:(k + 1) * n_chunks]
-        nmse = {m: _pooled_nmse(partials, m) for m in plan.methods}
-        se = {m: sum(p[2][m] for p in partials) / n_trials for m in plan.methods}
+    for n_p, trials in zip(plan.pilot_counts, per_count):
         overhead = 1.0 - n_p / plan.bundle.system.n_subcarriers
         for i, snr_db in enumerate(plan.snrs):
             for method in plan.methods:
+                se = float(trials[("rate", method, i)].mean())
                 records.append(MetricsRecord(
                     method=method, snr_db=snr_db, n_pilots=n_p,
-                    trials=n_trials, nmse_emp=float(nmse[method][i]),
-                    spectral_efficiency=float(se[method][i]) * overhead))
+                    trials=n_trials, nmse_emp=_nmse(trials, method, i),
+                    spectral_efficiency=se * overhead))
     return records
 
 

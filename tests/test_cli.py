@@ -204,6 +204,14 @@ class TestExitCodes:
         assert message in proc.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv", [("ecdf", "--snr=nan"), ("ecdf", "--snr=-10,inf"),
+                                      ("pilot-sweep", "--snr=nan")])
+    def test_non_finite_snr_is_config_error(self, tiny_json, tmp_path, argv):
+        proc = run_cli(*argv, "--config", str(tiny_json), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 1, proc.stderr
+        assert "SNR points must be finite" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_repeated_snr_grid_entry_is_config_error(self, tmp_path):
         cfg = tmp_path / "repeat.json"
         cfg.write_text(json.dumps(dict(TINY, system=dict(TINY["system"],

@@ -1,14 +1,16 @@
 """Configuration validation, pilot pattern construction, and SNR mapping."""
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chest import (ConfigError, build_pilot_pattern, desk_config, load_config,
-                   noise_variance_for_snr, validate_config)
+from chest import (ConfigError, ExperimentPlan, build_pilot_pattern, desk_config,
+                   load_config, noise_variance_for_snr, reference_config, validate_config,
+                   validate_plan)
 
 
 def _reject(message_part, **system_overrides):
@@ -195,3 +197,17 @@ class TestLoadConfig:
         payload["system"] = 16
         with pytest.raises(ConfigError, match="'system' section"):
             load_config(self._write(tmp_path, payload))
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+class TestShippedConfigs:
+    def test_desk_and_reference_match_their_presets(self):
+        assert load_config(CONFIGS / "desk.json") == desk_config()
+        assert load_config(CONFIGS / "reference.json") == reference_config()
+
+    def test_pilot_config_loads_and_validates(self):
+        bundle = load_config(CONFIGS / "pilot.json")
+        plan = validate_plan(ExperimentPlan(kind="pilot-sweep", bundle=bundle))
+        assert plan.bundle.system.n_subcarriers == 256

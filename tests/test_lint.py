@@ -1,5 +1,5 @@
-"""Static checks on the source tree: no module imports a name it never uses,
-no module rebinds a module-level name from a function but the pool worker's
+"""Static checks on the source tree: no module or test file imports a name it
+never uses, no module rebinds a module-level name from a function but the pool worker's
 initializer, and the package exports only names it has, each once."""
 import ast
 from pathlib import Path
@@ -12,6 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # Package __init__ modules import names to re-export them, so they are exempt.
 MODULES = sorted(p for p in (ROOT / "src" / "chest").glob("*.py")
                  if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -31,7 +32,7 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
