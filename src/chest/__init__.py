@@ -6,7 +6,7 @@ from .config import (ConfigBundle, ConfigError, EstimatorConfig, PilotPattern,
                      validate_config)
 from .channel import (apply_uplink, assemble_channel, average_gain_from_responses,
                       channel_covariance, draw_fading)
-from .estimators import interpolate_full, ls_estimate
+from .estimators import ls_estimate
 from .experiments import (Environment, ExperimentPlan, build_environment, emit_csv,
                           emit_ecdf_csv, measure_projection_floor, run_ecdf,
                           run_nmse_sweep, run_pilot_sweep, run_se_sweep, validate_plan)
@@ -28,10 +28,9 @@ __all__ = [
     "build_pilot_pattern", "channel_covariance", "complex_normal",
     "denoise_subspace", "desk_config", "direction_vector", "draw_fading",
     "dt_subspace", "dt_truncate", "ecdf", "emit_csv", "emit_ecdf_csv",
-    "frequency_response", "generate_paths",
-    "interpolate_full", "load_config", "load_paths_csv", "ls_estimate",
-    "measure_projection_floor", "noise_variance_for_snr", "pulse_response",
-    "reference_config", "run_ecdf", "run_nmse_sweep",
+    "frequency_response", "generate_paths", "load_config", "load_paths_csv",
+    "ls_estimate", "measure_projection_floor", "noise_variance_for_snr",
+    "pulse_response", "reference_config", "run_ecdf", "run_nmse_sweep",
     "run_pilot_sweep", "run_se_sweep", "save_paths_csv", "steering_matrix",
     "substream", "validate_config", "validate_plan",
 ]

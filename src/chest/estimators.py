@@ -6,10 +6,9 @@ and returns an array of the same leading shape.  LS divides out the pilots;
 every other pilot-grid estimator (twin, batch-ML, delay-domain denoising)
 projects the LS estimate by that prior's
 :class:`~chest.subspaces.ProjectorPair`, ``pair.project(pair.core(h))``.
-Only :func:`interpolate_full` changes the grid, to (..., n_rx,
-n_subcarriers); it is the right-product by the real
-:func:`interpolation_matrix`, which the sweeps fold into a method's temporal
-basis instead.
+Full-grid interpolation is the right-product ``h @ M`` by the real
+:func:`interpolation_matrix` M, which the sweeps fold into a method's
+temporal basis (:meth:`~chest.subspaces.ProjectorPair.synthesis`).
 """
 from __future__ import annotations
 
@@ -46,11 +45,3 @@ def interpolation_matrix(pilots: PilotPattern, n_subcarriers: int) -> np.ndarray
     m[left + 1, grid] = weight
     return m
 
-
-def interpolate_full(h: np.ndarray, pilots: PilotPattern,
-                     n_subcarriers: int) -> np.ndarray:
-    """Linear interpolation (per real/imaginary part) onto the full grid,
-    ``h @ interpolation_matrix(pilots, n_subcarriers)``."""
-    if h.shape[-1] != len(pilots):
-        raise ValueError("estimate width must match the pilot count")
-    return h @ interpolation_matrix(pilots, n_subcarriers)

@@ -87,7 +87,7 @@ import numpy as np
 
 from .channel import assemble_channel, average_gain_from_responses
 from .config import (ConfigBundle, ConfigError, PilotPattern, build_pilot_pattern,
-                     noise_variance_for_snr, validate_config)
+                     noise_variance_for_snr)
 from .estimators import interpolation_matrix
 from .metrics import (CombiningStats, Ecdf, MetricsRecord, analytic_nmse, ecdf,
                       post_combining_snr)
@@ -417,17 +417,18 @@ def _se_slice(env: Environment, fading: np.ndarray, noise: np.ndarray,
 
 
 class _Reduction(NamedTuple):
-    """How a sweep reduces one slice of trials to per-trial results: a dict of
-    arrays with the trial on axis 0."""
+    """How the sweep of plan kind ``kind`` reduces one slice of trials to
+    per-trial results: a dict of arrays with the trial on axis 0."""
 
+    kind: str
     per_slice: Callable
     full_grid: bool = False     # per_slice works on the full subcarrier grid
 
 
-_reduce_nmse = _Reduction(_nmse_slice)
-_reduce_pilot = _Reduction(partial(_nmse_slice, rates=True))
-_reduce_se = _Reduction(_se_slice, full_grid=True)
-_reduce_ecdf = _Reduction(_ecdf_slice, full_grid=True)
+_reduce_nmse = _Reduction("nmse-sweep", _nmse_slice)
+_reduce_pilot = _Reduction("pilot-sweep", partial(_nmse_slice, rates=True))
+_reduce_se = _Reduction("se-sweep", _se_slice, full_grid=True)
+_reduce_ecdf = _Reduction("ecdf", _ecdf_slice, full_grid=True)
 
 
 def _simulate_chunk(env: Environment, reduce: _Reduction, t0: int, t1: int,
@@ -493,19 +494,22 @@ def _map_chunks(envs: tuple[Environment, ...], tasks: list[tuple], workers: int)
 
 
 def _sweep(plan: ExperimentPlan, reduce: _Reduction):
-    """The plan's environments, one per pilot count (the configured count
-    unless the plan sweeps pilot counts), and each one's per-trial results at
-    the plan's SNR points: one (n_trials, ...) array per key of the reducer's
-    results.  The arrays are allocated at the environment's first chunk, and
-    every chunk's rows are copied into them as the chunk arrives
-    (:func:`_map_chunks`), so the run holds one copy of its per-trial results
-    and one chunk result at a time."""
+    """The validated plan (of the reducer's kind only), its environments, one
+    per pilot count (the configured count unless the plan sweeps pilot
+    counts), and each one's per-trial results at the plan's SNR points: one
+    (n_trials, ...) array per key of the reducer's results.  The arrays are
+    allocated at the environment's first chunk, and every chunk's rows are
+    copied into them as the chunk arrives (:func:`_map_chunks`), so the run
+    holds one copy of its per-trial results and one chunk result at a time."""
+    if plan.kind != reduce.kind:
+        raise ConfigError(f"the {reduce.kind} sweep cannot run a {plan.kind} plan")
+    plan = validate_plan(plan)
     base = plan.bundle
     n_trials = base.system.n_trials
-    envs = tuple(build_environment(validate_config(replace(base.system, n_pilots=n_p),
-                                                   base.scenario, base.estimator),
-                                   plan.environment)
-                 for n_p in plan.pilot_counts or (base.system.n_pilots,))
+    # validate_plan checked the counts; bml rank caps do not apply to them
+    counts = plan.pilot_counts or (base.system.n_pilots,)
+    envs = tuple(build_environment(replace(base, system=replace(base.system, n_pilots=n)),
+                                   plan.environment) for n in counts)
     chunks = _chunk_ranges(n_trials, plan.block_size)
     tasks = []
     for k, env in enumerate(envs):
@@ -519,7 +523,7 @@ def _sweep(plan: ExperimentPlan, reduce: _Reduction):
                 if key not in trials[k]:
                     trials[k][key] = np.empty((n_trials,) + rows.shape[1:])
                 trials[k][key][t0:t1] = rows
-    return envs, trials
+    return plan, envs, trials
 
 
 def _nmse(trials: dict, method: str, i: int) -> float:
@@ -536,8 +540,7 @@ def _noise_variances(env: Environment, snrs) -> list[float]:
 
 def run_nmse_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
     """Empirical NMSE per (method, SNR); analytic breakdown for the twin prior."""
-    plan = validate_plan(plan)
-    (env,), (trials,) = _sweep(plan, _reduce_nmse)
+    plan, (env,), (trials,) = _sweep(plan, _reduce_nmse)
     sysc = env.bundle.system
     records = []
     for i, (snr_db, noise_variance) in enumerate(zip(plan.snrs,
@@ -565,8 +568,7 @@ def measure_projection_floor(env: Environment, n_trials: int) -> float:
 
 def run_se_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
     """Genie-aided spectral efficiency per (method, SNR) on the full grid."""
-    plan = validate_plan(plan)
-    _, (trials,) = _sweep(plan, _reduce_se)
+    plan, _, (trials,) = _sweep(plan, _reduce_se)
     sysc = plan.bundle.system
     return [MetricsRecord(method=method, snr_db=snr_db,
                           n_pilots=sysc.n_pilots, trials=sysc.n_trials,
@@ -582,8 +584,7 @@ def run_ecdf(plan: ExperimentPlan) -> dict[tuple[str, float], Ecdf]:
     as soon as its table is sorted, so the run holds about one copy of its
     samples.
     """
-    plan = validate_plan(plan)
-    _, (samples,) = _sweep(plan, _reduce_ecdf)
+    plan, _, (samples,) = _sweep(plan, _reduce_ecdf)
     return {(method, snr_db): ecdf(samples.pop(("snr", method, i)))
             for i, snr_db in enumerate(plan.snrs) for method in plan.methods}
 
@@ -595,8 +596,7 @@ def run_pilot_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
     spectral efficiency is scaled by the data fraction (1 - N_p/N).  Every
     (pilot count, chunk) task goes to the same pool.
     """
-    plan = validate_plan(plan)
-    _, per_count = _sweep(plan, _reduce_pilot)
+    plan, _, per_count = _sweep(plan, _reduce_pilot)
     n_trials = plan.bundle.system.n_trials
     records = []
     for n_p, trials in zip(plan.pilot_counts, per_count):

@@ -33,15 +33,11 @@ class LineSeries:
         object.__setattr__(self, "y", y)
 
 
-def _limits(values: np.ndarray, log: bool) -> tuple[float, float]:
+def _limits(values: np.ndarray) -> tuple[float, float]:
     finite = values[np.isfinite(values)]
-    if log:
-        finite = finite[finite > 0]
     if finite.size == 0:
         raise ValueError("no finite data to plot")
     lo, hi = float(finite.min()), float(finite.max())
-    if log:
-        lo, hi = math.log10(lo), math.log10(hi)
     if hi - lo < 1e-12:
         lo, hi = lo - 0.5, hi + 0.5
     pad = 0.05 * (hi - lo)
@@ -74,15 +70,14 @@ def _fmt_tick(value: float) -> str:
 
 
 def render_line_chart(series: list[LineSeries], path: str | Path, *,
-                      title: str = "", xlabel: str = "", ylabel: str = "",
-                      y_log: bool = False) -> None:
-    """Render the series to an SVG file; y_log plots log10 of positive values."""
+                      title: str = "", xlabel: str = "", ylabel: str = "") -> None:
+    """Render the series to an SVG file."""
     if not series:
         raise ValueError("nothing to plot")
     all_x = np.concatenate([s.x for s in series])
     all_y = np.concatenate([s.y for s in series])
-    x_lo, x_hi = _limits(all_x, log=False)
-    y_lo, y_hi = _limits(all_y, log=y_log)
+    x_lo, x_hi = _limits(all_x)
+    y_lo, y_hi = _limits(all_y)
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
@@ -90,8 +85,7 @@ def render_line_chart(series: list[LineSeries], path: str | Path, *,
         return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(y: float) -> float:
-        v = math.log10(y) if y_log else y
-        return MARGIN_T + (y_hi - v) / (y_hi - y_lo) * plot_h
+        return MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
              f'height="{HEIGHT}" font-family="sans-serif" font-size="12">',
@@ -105,20 +99,17 @@ def render_line_chart(series: list[LineSeries], path: str | Path, *,
         parts.append(f'<text x="{px:.1f}" y="{MARGIN_T + plot_h + 18}" '
                      f'text-anchor="middle">{_fmt_tick(t)}</text>')
     for t in _ticks(y_lo, y_hi):
-        py = MARGIN_T + (y_hi - t) / (y_hi - y_lo) * plot_h
-        label = _fmt_tick(10.0 ** t) if y_log else _fmt_tick(t)
+        py = sy(t)
         parts.append(f'<line x1="{MARGIN_L - 4}" y1="{py:.1f}" x2="{MARGIN_L}" '
                      f'y2="{py:.1f}" stroke="#333"/>')
         parts.append(f'<text x="{MARGIN_L - 8}" y="{py + 4:.1f}" '
-                     f'text-anchor="end">{label}</text>')
+                     f'text-anchor="end">{_fmt_tick(t)}</text>')
         parts.append(f'<line x1="{MARGIN_L}" y1="{py:.1f}" '
                      f'x2="{MARGIN_L + plot_w}" y2="{py:.1f}" '
                      f'stroke="#ddd" stroke-width="0.5"/>')
     for i, s in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         keep = np.isfinite(s.x) & np.isfinite(s.y)
-        if y_log:
-            keep &= s.y > 0
         pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}"
                        for x, y in zip(s.x[keep], s.y[keep]))
         dash = ' stroke-dasharray="6,4"' if s.dashed else ""

@@ -3,11 +3,25 @@
 Each check is independent, fast, and reports one pass/fail line.  Together
 they pin the algebra the estimators rely on: projector structure, the
 vectorization convention, the channel synthesis, noise calibration, and
-deterministic output.
+deterministic output.  The projection checks run the sweeps' own pairs
+(``experiments._method_bases``) and trials (``experiments._draw``) of trial
+block 0 against each side's dense projector, n_rx^2 or n_pilots^2, and
+never form the Kronecker product of the two:
+
+* projector-idempotent-hermitian: each side of the twin, delay-window and
+  batch-ML pairs (from block 0's warm-up Grams) is a projector.
+* projected-noise-trace: Tr{Q} = Tr{Q Q^H} = r_s r_t for Q = P_t^T kron P_s
+  of the same pairs, from per-side traces: tr(A kron B) = tr(A) tr(B).
+* error-orthogonal-split: the per-trial errors ``_nmse_slice`` splits as
+  ||PH - H||^2 + sigma^2 ||core(W')||^2 equal ||P_s (H + sigma W') P_t - H||^2
+  for every NMSE method and SNR point.
+* interpolation-pilot-exact: M and each pair's synthesis rows U_t^T M keep
+  the pilot columns.
+* vec-kronecker-identity: vec(P_s H P_t) = (P_t^T kron P_s) vec(H), vec
+  pilot-major, on a fixed 4 x 8 twin pair, as the convention is size-free.
 """
 from __future__ import annotations
 
-import filecmp
 import math
 import tempfile
 from dataclasses import dataclass, replace
@@ -15,16 +29,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (apply_uplink, assemble_channel, channel_covariance,
-                      draw_fading)
-from .config import ConfigBundle, desk_config, noise_variance_for_snr
-from .estimators import interpolate_full, ls_estimate
-from .experiments import ExperimentPlan, build_environment, emit_csv, run_nmse_sweep
+from .channel import assemble_channel, channel_covariance, draw_fading
+from .config import ConfigBundle, desk_config
+from .estimators import interpolation_matrix
+from .experiments import (NMSE_METHODS, ExperimentPlan, build_environment, emit_csv,
+                          run_nmse_sweep, _draw, _energy, _method_bases,
+                          _nmse_slice, _noise_variances)
 from .metrics import analytic_nmse
 from .propagation import ArrayGeometry, PathSet, frequency_response, pulse_response, \
     steering_matrix
-from .streams import complex_normal, substream
-from .subspaces import ProjectorPair, bml_subspace, denoise_subspace, dt_subspace
+from .streams import FADING, NOISE, complex_normal, substream
+from .subspaces import ProjectorPair, dt_subspace
+
+PAIR_METHODS = ("emdt", "denoise", "bml")     # the sweeps' pairs besides LS
+CHECK_SNR = 10.0    # dB; the point at which a single-point check takes batch-ML
 
 
 @dataclass(frozen=True)
@@ -34,16 +52,25 @@ class CheckResult:
     detail: str
 
 
-def _vec(h: np.ndarray) -> np.ndarray:
-    """Pilot-major vectorization: index = pilot * n_rx + rx."""
-    return h.T.reshape(-1)
+def _dense(pair: ProjectorPair) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The dense P_s = U_s U_s^H and P_t = conj(U_t) U_t^T; None: identity."""
+    u_s, u_t = pair.basis_spatial, pair.basis_temporal
+    return (None if u_s is None else u_s @ u_s.conj().T,
+            None if u_t is None else u_t.conj() @ u_t.T)
 
 
-def _dense(proj: ProjectorPair) -> tuple[np.ndarray, np.ndarray]:
-    """The dense projectors P_s = U_s U_s^H and P_t = conj(U_t) U_t^T that a
-    pair's bases stand for; the checks below hold them against the algebra."""
-    u_s, u_t = proj.basis_spatial, proj.basis_temporal
-    return u_s @ u_s.conj().T, u_t.conj() @ u_t.T
+def _chunk_bases(bundle: ConfigBundle, methods: tuple[str, ...], snrs):
+    """Environment, noise variances and trial block 0's ``_method_bases``."""
+    env = build_environment(bundle)
+    variances = np.asarray(_noise_variances(env, snrs))
+    return env, variances, _method_bases(env, methods, variances, 0)
+
+
+def _draw_trials(env, n_trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fading, pilot-grid H and unit LS noise W' of trials [0, n_trials)."""
+    trials = range(n_trials)
+    fading, noise = _draw(env, [(FADING, t) for t in trials], [(NOISE, t) for t in trials])
+    return fading, assemble_channel(env.steering, fading, env.freq_pilot), noise
 
 
 def _small_paths(rng: np.random.Generator, n: int, delay_spread: float) -> PathSet:
@@ -56,51 +83,46 @@ def _small_paths(rng: np.random.Generator, n: int, delay_spread: float) -> PathS
 
 
 def check_projectors(bundle: ConfigBundle) -> CheckResult:
-    """Idempotency and Hermitianity of the twin and batch-ML projectors."""
-    env = build_environment(bundle)
-    worst = 0.0
-    pairs = [("dt", env.projectors)]
-    rng_f = substream(bundle.system.seed, 900)
-    rng_n = substream(bundle.system.seed, 901)
-    fading = np.stack([draw_fading(env.paths.amplitude, rng_f) for _ in range(32)])
-    h = assemble_channel(env.steering, fading, env.freq_pilot)
-    nv = noise_variance_for_snr(10.0, bundle.system.symbol_power, env.beta)
-    rx = apply_uplink(h, env.pilots, nv, complex_normal(rng_n, h.shape))
-    pairs.append(("bml", bml_subspace(ls_estimate(rx, env.pilots), 5, 5)))
-    for _, proj in pairs:
-        for p in _dense(proj):
-            worst = max(worst, float(np.abs(p @ p - p).max()),
-                        float(np.abs(p - p.conj().T).max()))
-    ok = worst < 1e-10
-    return CheckResult("projector-idempotent-hermitian", ok,
-                       f"max deviation {worst:.2e} (tol 1e-10)")
+    """Idempotency and Hermitianity of each side of a chunk's pairs."""
+    _, _, bases = _chunk_bases(bundle, PAIR_METHODS, (CHECK_SNR,))
+    sides = [p for _, _, pair in bases for p in _dense(pair) if p is not None]
+    worst = max(max(float(np.abs(p @ p - p).max()), float(np.abs(p - p.conj().T).max()))
+                for p in sides)
+    return CheckResult("projector-idempotent-hermitian", worst < 1e-10,
+                       f"max deviation {worst:.2e} over {len(sides)} sides (tol 1e-10)")
 
 
 def check_vec_kron(bundle: ConfigBundle) -> CheckResult:
-    """vec(P_s H P_t) must equal (P_t^T kron P_s) vec(H)."""
-    env = build_environment(bundle)
-    p_s, p_t = _dense(env.projectors)
+    """vec(P_s H P_t) must equal (P_t^T kron P_s) vec(H) (4x8 twin pair)."""
     rng = substream(bundle.system.seed, 902)
-    h = complex_normal(rng, (p_s.shape[0], p_t.shape[0]))
-    lhs = _vec(p_s @ h @ p_t)
-    rhs = np.kron(p_t.T, p_s) @ _vec(h)
+    paths = _small_paths(rng, 3, 0.4e-6)
+    geom = ArrayGeometry.uniform_linear(4, bundle.system.wavelength)
+    p_s, p_t = _dense(dt_subspace(paths, geom, 8, 1e-7, 0.25, np.arange(8)))
+    h = complex_normal(rng, (4, 8))
+    lhs = (p_s @ h @ p_t).T.reshape(-1)     # pilot-major vec
+    rhs = np.kron(p_t.T, p_s) @ h.T.reshape(-1)
     err = float(np.abs(lhs - rhs).max())
     return CheckResult("vec-kronecker-identity", err < 1e-10,
-                       f"max deviation {err:.2e} (tol 1e-10)")
+                       f"max deviation {err:.2e} on 4x8 (tol 1e-10)")
 
 
 def check_q_trace(bundle: ConfigBundle) -> CheckResult:
-    """Tr{Q Q^H} = Tr{Q} = rank_s * rank_t for Q = P_t^T kron P_s."""
-    env = build_environment(bundle)
-    p_s, p_t = _dense(env.projectors)
-    q = np.kron(p_t.T, p_s)
-    tr_q = float(np.trace(q).real)
-    tr_qq = float(np.trace(q @ q.conj().T).real)
-    expect = env.projectors.rank_spatial * env.projectors.rank_temporal
-    err = max(abs(tr_q - expect), abs(tr_qq - expect))
-    return CheckResult("projected-noise-trace", err < 1e-8,
-                       f"Tr{{Q}}={tr_q:.6f}, Tr{{QQ^H}}={tr_qq:.6f}, "
-                       f"expected {expect} (tol 1e-8)")
+    """Tr{Q Q^H} = Tr{Q} = rank_s * rank_t for Q = P_t^T kron P_s of a
+    chunk's pairs, as Tr{Q} = Tr{P_t} Tr{P_s} and Tr{Q Q^H} = Tr{P_t P_t^H}
+    Tr{P_s P_s^H}; an identity side I_n contributes n to both."""
+    env, _, bases = _chunk_bases(bundle, PAIR_METHODS, (CHECK_SNR,))
+    dims = (bundle.system.n_rx, len(env.pilots))
+    worst, ranks = 0.0, []
+    for method, _, pair in bases:
+        tr_q, tr_qq = np.prod([(n, n) if p is None else
+                               (np.trace(p).real, np.trace(p @ p.conj().T).real)
+                               for p, n in zip(_dense(pair), dims)], axis=0)
+        expect = (pair.rank_spatial or dims[0]) * (pair.rank_temporal or dims[1])
+        worst = max(worst, abs(tr_q - expect), abs(tr_qq - expect))
+        ranks.append(f"{method} {expect}")
+    return CheckResult("projected-noise-trace", worst < 1e-8,
+                       f"max deviation {worst:.2e} from r_s r_t ({', '.join(ranks)}) "
+                       f"(tol 1e-8)")
 
 
 def check_assemble(bundle: ConfigBundle) -> CheckResult:
@@ -162,23 +184,18 @@ def check_fading_moments(bundle: ConfigBundle) -> CheckResult:
 
 
 def check_denoiser(bundle: ConfigBundle) -> CheckResult:
-    """The delay-window pair projects idempotently, never increases the norm,
-    and passes in-window taps through exactly."""
-    env = build_environment(bundle)
-    sysc = bundle.system
-    window = denoise_subspace(sysc, bundle.estimator.tau_max)
-    rng = substream(sysc.seed, 906)
-    h = assemble_channel(env.steering, draw_fading(env.paths.amplitude, rng),
-                         env.freq_pilot)
-    noisy = ls_estimate(apply_uplink(h, env.pilots, 0.1, complex_normal(rng, h.shape)),
-                        env.pilots)
+    """A chunk's delay-window pair projects idempotently, never increases the
+    norm, and passes in-window taps through exactly."""
+    env, variances, [(_, _, window)] = _chunk_bases(bundle, ("denoise",), (CHECK_SNR,))
+    _, truth, noise = _draw_trials(env, 1)
+    noisy = truth + math.sqrt(variances[0]) * noise
     once = window.project(window.core(noisy))
     twice = window.project(window.core(once))
     idem = float(np.abs(twice - once).max())
     shrinks = np.linalg.norm(once) <= np.linalg.norm(noisy) + 1e-12
     # a pure in-window tap is untouched; a pure out-of-window tap is removed
     n_p = len(env.pilots)
-    cir = np.zeros((sysc.n_rx, n_p), dtype=complex)
+    cir = np.zeros((bundle.system.n_rx, n_p), dtype=complex)
     cir[:, 1] = 1.0
     inside = np.fft.fft(cir, axis=-1)
     keep_err = float(np.abs(window.project(window.core(inside)) - inside).max())
@@ -194,19 +211,16 @@ def check_denoiser(bundle: ConfigBundle) -> CheckResult:
 
 def check_csv_determinism(bundle: ConfigBundle) -> CheckResult:
     """Identical seeds give byte-identical CSV, for 1 worker and for 2."""
-    system = replace(bundle.system, n_trials=8, snr_grid_db=(0.0, 10.0))
-    small = replace(bundle, system=system)
+    small = replace(bundle, system=replace(bundle.system, n_trials=8))
     outputs = []
     with tempfile.TemporaryDirectory() as tmp:
         for i, workers in enumerate((1, 1, 2)):
-            plan = ExperimentPlan(kind="nmse-sweep", bundle=small,
-                                  methods=("ls", "emdt"), block_size=4,
-                                  workers=workers)
+            plan = ExperimentPlan(kind="nmse-sweep", bundle=small, methods=("ls", "emdt"),
+                                  snrs=(0.0, 10.0), block_size=4, workers=workers)
             path = Path(tmp) / f"run{i}.csv"
             emit_csv(run_nmse_sweep(plan), path)
-            outputs.append(path)
-        same_seed = filecmp.cmp(outputs[0], outputs[1], shallow=False)
-        same_par = filecmp.cmp(outputs[0], outputs[2], shallow=False)
+            outputs.append(path.read_bytes())
+    same_seed, same_par = outputs[0] == outputs[1], outputs[0] == outputs[2]
     return CheckResult("csv-determinism", same_seed and same_par,
                        f"rerun identical: {same_seed}, worker-count invariant: {same_par}")
 
@@ -215,24 +229,20 @@ def check_noise_calibration(bundle: ConfigBundle) -> CheckResult:
     """Trace and rank forms of the projected-noise term agree; a full prior
     has zero floor; identity projectors reduce to the 1/SNR law."""
     env = build_environment(bundle)
+    sysc = bundle.system
     responses = (env.steering, env.freq_pilot, env.paths.amplitude)
+    nv_7, nv_0, nv_10 = _noise_variances(env, (7.0, 0.0, 10.0))
     try:
-        bk = analytic_nmse(env.projectors, *responses, 7.0, bundle.system.symbol_power,
-                           noise_variance_for_snr(7.0, bundle.system.symbol_power,
-                                                  env.beta))
+        analytic_nmse(env.projectors, *responses, 7.0, sysc.symbol_power, nv_7)
     except ValueError as exc:
         return CheckResult("noise-term-calibration", False, str(exc))
-    full_prior = dt_subspace(env.paths, env.geometry, bundle.system.n_subcarriers,
-                             bundle.system.sample_interval, bundle.scenario.pulse_rolloff,
+    full_prior = dt_subspace(env.paths, env.geometry, sysc.n_subcarriers,
+                             sysc.sample_interval, bundle.scenario.pulse_rolloff,
                              env.pilots.indices)
-    full_floor = analytic_nmse(full_prior, *responses, 0.0,
-                               bundle.system.symbol_power,
-                               noise_variance_for_snr(0.0, bundle.system.symbol_power,
-                                                      env.beta)).subspace_floor
+    full_floor = analytic_nmse(full_prior, *responses, 0.0, sysc.symbol_power,
+                               nv_0).subspace_floor
     ls_bk = analytic_nmse(ProjectorPair(None, None), *responses, 10.0,
-                          bundle.system.symbol_power,
-                          noise_variance_for_snr(10.0, bundle.system.symbol_power,
-                                                 env.beta))
+                          sysc.symbol_power, nv_10)
     ls_ok = (abs(ls_bk.noise_term - 0.1) < 1e-9 and ls_bk.subspace_floor < 1e-10)
     ok = full_floor < 1e-10 and ls_ok
     return CheckResult("noise-term-calibration", ok,
@@ -254,36 +264,44 @@ def check_pulse(bundle: ConfigBundle) -> CheckResult:
 
 
 def check_error_decomposition(bundle: ConfigBundle) -> CheckResult:
-    """Projection error splits exactly into floor and noise parts per trial."""
-    env = build_environment(bundle)
-    p_s, p_t = _dense(env.projectors)
-    rng = substream(bundle.system.seed, 907)
+    """The NMSE sweep's split per-trial errors against the direct ones."""
+    env, variances, bases = _chunk_bases(bundle, NMSE_METHODS, bundle.system.snr_grid_db)
+    fading, truth, noise = _draw_trials(env, 16)
+    split = _nmse_slice(env, fading, noise, bases, variances)
     worst = 0.0
-    for _ in range(16):
-        h = assemble_channel(env.steering, draw_fading(env.paths.amplitude, rng),
-                             env.freq_pilot)
-        n = complex_normal(rng, h.shape)
-        est = p_s @ (h + n) @ p_t
-        lhs = np.linalg.norm(est - h) ** 2
-        rhs = (np.linalg.norm(h - p_s @ h @ p_t) ** 2
-               + np.linalg.norm(p_s @ n @ p_t) ** 2)
-        worst = max(worst, abs(lhs - rhs) / rhs)
+    for method, points, pair in bases:
+        p_s, p_t = _dense(pair)
+        for i in range(len(variances))[points]:
+            est = truth + math.sqrt(variances[i]) * noise
+            est = est if p_s is None else p_s @ est
+            est = est if p_t is None else est @ p_t
+            direct = _energy(est - truth)
+            deviation = np.abs(split[("error", method, i)] - direct) / direct
+            worst = max(worst, float(deviation.max()))
     return CheckResult("error-orthogonal-split", worst < 1e-10,
-                       f"max relative deviation {worst:.2e} over 16 draws (tol 1e-10)")
+                       f"max relative deviation {worst:.2e} over 16 trials at "
+                       f"{len(variances)} SNR points (tol 1e-10)")
 
 
 def check_interpolation(bundle: ConfigBundle) -> CheckResult:
-    """Full-grid interpolation reproduces pilot values exactly."""
-    env = build_environment(bundle)
-    rng = substream(bundle.system.seed, 908)
-    h = assemble_channel(env.steering, draw_fading(env.paths.amplitude, rng),
-                         env.freq_pilot)
-    est = ls_estimate(apply_uplink(h, env.pilots, 0.05, complex_normal(rng, h.shape)),
-                      env.pilots)
-    full = interpolate_full(est, env.pilots, bundle.system.n_subcarriers)
-    err = float(np.abs(full[..., env.pilots.indices] - est).max())
+    """Interpolation, by M and folded into each pair's synthesis, keeps pilots."""
+    env, variances, bases = _chunk_bases(bundle, NMSE_METHODS, (CHECK_SNR,))
+    _, truth, noise = _draw_trials(env, 1)
+    est = truth + math.sqrt(variances[0]) * noise
+    grid = interpolation_matrix(env.pilots, bundle.system.n_subcarriers)
+    idx = env.pilots.indices
+    err = float(np.abs((est @ grid)[..., idx] - est).max())
+    for method, _, pair in bases:
+        core = pair.core(est)
+        full, pilot = (core if rows is None else core @ rows
+                       for rows in (pair.synthesis(grid), pair.synthesis(None)))
+        if full.shape[-1] != grid.shape[1]:
+            return CheckResult("interpolation-pilot-exact", False,
+                               f"{method} synthesis misses the full grid")
+        err = max(err, float(np.abs(full[..., idx] - pilot).max()))
     return CheckResult("interpolation-pilot-exact", err < 1e-12,
-                       f"max pilot-position deviation {err:.2e}")
+                       f"max pilot-position deviation {err:.2e} over M and "
+                       f"{len(bases)} methods")
 
 
 ALL_CHECKS = (

@@ -276,6 +276,27 @@ class TestOtherCommands:
         assert (out / "pilot_nmse.svg").exists()
         assert (out / "pilot_se.svg").exists()
 
+    def test_pilot_sweep_ignores_batch_ml_ranks(self, tmp_path):
+        """A pilot sweep runs no batch-ML, so a rank that fits only the
+        configured pilot count neither stops it nor changes its output."""
+        written = []
+        for name, estimator in (("rank", {"bml_rank_temporal": 8}), ("plain", {})):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps({"estimator": estimator}))
+            proc = run_cli("pilot-sweep", "--config", str(cfg), "--trials", "4",
+                           "--out", str(tmp_path / name))
+            assert proc.returncode == 0, proc.stderr
+            written.append((tmp_path / name / "pilot.csv").read_bytes())
+        assert written[0] == written[1]
+
+    def test_batch_ml_rank_above_pilot_count_is_config_error(self, tmp_path):
+        cfg = tmp_path / "rank.json"
+        cfg.write_text(json.dumps({"estimator": {"bml_rank_temporal": 40}}))
+        proc = run_cli("nmse-sweep", "--config", str(cfg), "--trials", "4",
+                       "--out", str(tmp_path / "o"))
+        assert proc.returncode == 1
+        assert "bml_rank_temporal" in proc.stderr
+
     def test_pilot_count_not_dividing_grid(self, tiny_json, tmp_path):
         proc = run_cli("pilot-sweep", "--config", str(tiny_json),
                        "--out", str(tmp_path / "o"), "--pilots", "3")
@@ -303,3 +324,28 @@ def test_full_scale_pilot_sweep_peaks_under_150_mb(tmp_path):
     assert os.waitstatus_to_exitcode(status) == 0, stderr
     assert (tmp_path / "pilot.csv").is_file()
     assert usage.ru_maxrss / 1024 < 150, f"peak RSS {usage.ru_maxrss / 1024:.1f} MB"
+
+
+# Runs its arguments and prints their exit code and wait4 ru_maxrss (kB), then
+# their output.  A child's ru_maxrss starts at the peak of the process that
+# spawned it, as exec records the old address space's high-water mark, so the
+# command is spawned from this small process rather than from the test run.
+WAIT4 = ("import os, subprocess, sys\n"
+         "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)\n"
+         "out = proc.stdout.read().decode()\n"
+         "_, status, usage = os.wait4(proc.pid, 0)\n"
+         "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+         "print(out, end='')\n")
+
+
+def test_full_scale_validate_peaks_under_100_mb():
+    """`chest validate --full-scale` (64 antennas) passes all 12 checks under
+    100 MB resident: its slow paths form each side's dense projector, never
+    the (n_rx n_pilots)-square Kronecker product of the two."""
+    proc = subprocess.run([sys.executable, "-c", WAIT4, *CMD, "validate", "--full-scale"],
+                          capture_output=True, text=True, timeout=180)
+    head, *lines = proc.stdout.splitlines()
+    status, max_rss_kb = map(int, head.split())
+    assert status == 0, proc.stdout + proc.stderr
+    assert lines[-1] == "12/12 checks passed"
+    assert max_rss_kb / 1024 < 100, f"peak RSS {max_rss_kb / 1024:.1f} MB"

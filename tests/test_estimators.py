@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chest import (apply_uplink, build_pilot_pattern, complex_normal,
-                   denoise_subspace, desk_config, interpolate_full, ls_estimate)
+                   denoise_subspace, desk_config, ls_estimate)
 from chest.config import PilotPattern
 from chest.estimators import interpolation_matrix
 from chest.subspaces import ProjectorPair
@@ -246,9 +246,11 @@ class TestDenoise:
 
 
 class TestInterpolateFull:
+    """Full-grid interpolation as the sweeps fold it, ``h @ interpolation_matrix``."""
+
     def test_constant_channel_exact(self, rng):
         pat = build_pilot_pattern(64, 16, 1.0, rng)
-        out = interpolate_full(np.full((4, 16), 2.0 - 1.0j), pat, 64)
+        out = np.full((4, 16), 2.0 - 1.0j) @ interpolation_matrix(pat, 64)
         assert out.shape == (4, 64)
         np.testing.assert_allclose(out, 2.0 - 1.0j, atol=1e-12)
 
@@ -256,27 +258,27 @@ class TestInterpolateFull:
         pat = build_pilot_pattern(64, 16, 1.0, rng)
         slope = 0.3 - 0.1j
         full = slope * np.arange(64)[None, :] + (1 + 1j)
-        out = interpolate_full(full[:, pat.indices].copy(), pat, 64)
+        out = full[:, pat.indices].copy() @ interpolation_matrix(pat, 64)
         np.testing.assert_allclose(out[:, :pat.indices[-1] + 1],
                                    full[:1, :pat.indices[-1] + 1], atol=1e-12)
 
     def test_exact_at_pilot_positions(self, rng):
         pat = build_pilot_pattern(64, 8, 1.0, rng)
         h = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
-        out = interpolate_full(h, pat, 64)
+        out = h @ interpolation_matrix(pat, 64)
         np.testing.assert_allclose(out[:, pat.indices], h, atol=1e-13)
 
     def test_hold_beyond_last_pilot(self, rng):
         pat = build_pilot_pattern(64, 8, 1.0, rng)
         h = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
-        out = interpolate_full(h, pat, 64)
+        out = h @ interpolation_matrix(pat, 64)
         for col in range(pat.indices[-1], 64):
             np.testing.assert_allclose(out[:, col], h[:, -1], atol=1e-13)
 
     def test_full_piloting_identity(self, rng):
         pat = build_pilot_pattern(32, 32, 1.0, rng)
         h = rng.normal(size=(2, 32)) + 1j * rng.normal(size=(2, 32))
-        out = interpolate_full(h, pat, 32)
+        out = h @ interpolation_matrix(pat, 32)
         np.testing.assert_allclose(out, h, atol=1e-14)
 
 

@@ -15,7 +15,7 @@ from chest.cli import _build_parser, _load_bundle
 from chest import experiments
 from chest.config import (ConfigError, desk_config, noise_variance_for_snr,
                           reference_config, validate_config)
-from chest.estimators import interpolate_full, ls_estimate
+from chest.estimators import ls_estimate
 from chest.experiments import (DEFAULT_ECDF_SNRS, DEFAULT_PILOT_SNRS, EXPERIMENT_KINDS,
                                NMSE_METHODS, PILOT_SWEEP_METHODS,
                                SE_METHODS, ExperimentPlan, bml_ranks,
@@ -131,6 +131,18 @@ def test_runs_validate_a_validated_plan_again(tiny, kind):
             np.testing.assert_array_equal(table.thresholds, validated[key].thresholds)
     else:
         assert given == validated
+
+
+@pytest.mark.parametrize("run_kind, plan_kind", [
+    (run, plan) for run in EXPERIMENT_KINDS for plan in EXPERIMENT_KINDS if run != plan])
+def test_runs_reject_another_kinds_plan(tiny, monkeypatch, run_kind, plan_kind):
+    """A run_* given another kind's plan names both kinds in a ConfigError
+    before it builds any environment."""
+    def no_environment(*args, **kwargs):
+        raise AssertionError("an environment was built")
+    monkeypatch.setattr(experiments, "build_environment", no_environment)
+    with pytest.raises(ConfigError, match=f"{run_kind}.*{plan_kind}"):
+        RUNS[run_kind](ExperimentPlan(kind=plan_kind, bundle=tiny))
 
 
 @pytest.mark.parametrize("kind", ["nmse-sweep", "se-sweep"])
@@ -464,9 +476,10 @@ def _oracle_estimates(env, noise_variance, t0, t1, methods, block_size, full):
     return truth, truth_full, estimates
 
 
-def _oracle(plan):
+def _oracle(plan, interpolate=None):
     """Per-SNR reference results of a validated plan: {(method, snr, n_pilots):
-    nmse or se, or the sorted post-combining SNR samples for an ECDF}."""
+    nmse or se, or the sorted post-combining SNR samples for an ECDF}.  SE and
+    ECDF plans take the estimates onto the full grid by ``interpolate``."""
     base = plan.bundle
     counts = plan.pilot_counts or (base.system.n_pilots,)
     snrs = plan.snrs
@@ -485,7 +498,7 @@ def _oracle(plan):
                 energy += np.sum(np.abs(truth) ** 2)
                 for method in plan.methods:
                     if full:
-                        h = truth_full if method == "ideal" else interpolate_full(
+                        h = truth_full if method == "ideal" else interpolate(
                             est[method], env.pilots, n_sc)
                         if plan.kind == "ecdf":
                             value = _post_combining_snr(h, truth_full, power, nv).ravel()
@@ -533,10 +546,10 @@ class TestOnePassMatchesPerSnrOracle:
                                                rel=1e-12)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_se_sweep(self, desk_small, workers):
+    def test_se_sweep(self, desk_small, gather_interpolate, workers):
         plan = validate_plan(ExperimentPlan(kind="se-sweep", bundle=desk_small,
                                             block_size=3, workers=workers))
-        oracle = _oracle(plan)
+        oracle = _oracle(plan, gather_interpolate)
         records = run_se_sweep(plan)
         assert len(records) == len(oracle) == 15
         for r in records:
@@ -544,11 +557,11 @@ class TestOnePassMatchesPerSnrOracle:
                 oracle[(r.method, r.snr_db, r.n_pilots)], rel=1e-12)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_ecdf(self, desk_small, workers):
+    def test_ecdf(self, desk_small, gather_interpolate, workers):
         plan = validate_plan(ExperimentPlan(kind="ecdf", bundle=desk_small,
                                             block_size=3, workers=workers,
                                             snrs=(-10.0, 5.0)))
-        oracle = _oracle(plan)
+        oracle = _oracle(plan, gather_interpolate)
         tables = run_ecdf(plan)
         assert len(tables) == len(oracle) == 10
         for (method, snr), table in tables.items():

@@ -1,6 +1,7 @@
 """Static checks on the source tree: no module or test file imports a name it
 never uses, no module rebinds a module-level name from a function but the pool worker's
-initializer, and the package exports only names it has, each once."""
+initializer, no module forms a dense Kronecker product or identity outside the two
+checks that need one, and the package exports only names it has, each once."""
 import ast
 from pathlib import Path
 
@@ -46,16 +47,22 @@ def test_detects_unused_imports():
     assert unused_imports(source) == ["line 2: os", "line 4: y"]
 
 
-def global_statements(source: str) -> list[str]:
-    """``global`` statements in ``source``, each with its innermost enclosing
-    function, or ``<module>``."""
-    tree = ast.parse(source)
+def _owners(tree: ast.AST) -> dict:
+    """Each node inside a function mapped to its innermost enclosing
+    function's name."""
     owner = {}
     for func in ast.walk(tree):     # outer functions come first
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for node in ast.walk(func):
-                if isinstance(node, ast.Global):
-                    owner[node] = func.name
+                owner[node] = func.name
+    return owner
+
+
+def global_statements(source: str) -> list[str]:
+    """``global`` statements in ``source``, each with its innermost enclosing
+    function, or ``<module>``."""
+    tree = ast.parse(source)
+    owner = _owners(tree)
     return sorted(f"line {node.lineno}: {owner.get(node, '<module>')}"
                   for node in ast.walk(tree) if isinstance(node, ast.Global))
 
@@ -83,6 +90,45 @@ def test_detects_global_statements():
               "def h():\n"
               "    return 1\n")
     assert global_statements(source) == ["line 1: <module>", "line 3: f", "line 5: g"]
+
+
+DENSE = ("kron", "eye")
+
+
+def dense_builders(source: str) -> list[str]:
+    """``np.kron`` and ``np.eye`` in ``source``, each with its innermost
+    enclosing function, or ``<module>``."""
+    tree = ast.parse(source)
+    owner = _owners(tree)
+    return sorted(f"line {node.lineno}: {owner.get(node, '<module>')}: np.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in DENSE
+                  and isinstance(node.value, ast.Name) and node.value.id == "np")
+
+
+# The library forms no dense Kronecker product or identity: the vectorization
+# check holds a small pair against np.kron, and the orthonormality check
+# compares a basis's Gram matrix with the identity.
+DENSE_ALLOWED = {"validate.py": {("check_vec_kron", "np.kron")},
+                 "subspaces.py": {("_check_orthonormal", "np.eye")}}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_dense_kronecker_or_identity(path):
+    allowed = DENSE_ALLOWED.get(path.name, set())
+    found = dense_builders(path.read_text())
+    assert [d for d in found if tuple(d.split(": ")[1:]) not in allowed] == []
+
+
+def test_detects_dense_builders():
+    source = ("import numpy as np\n"
+              "q = np.kron(a, b)\n"
+              "def f():\n"
+              "    return np.eye(3) + other.eye(2)\n"
+              "def g():\n"
+              "    k = np.kron\n")
+    assert dense_builders(source) == ["line 2: <module>: np.kron", "line 4: f: np.eye",
+                                      "line 6: g: np.kron"]
 
 
 def test_every_export_resolves_once():
