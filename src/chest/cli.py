@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigBundle, ConfigError, desk_config, load_config, validate_config
-from .experiments import (KIND_SNRS, ExperimentPlan, emit_csv, emit_ecdf_csv, run_ecdf,
+from .experiments import (SWEEPS, ExperimentPlan, emit_csv, emit_ecdf_csv, run_ecdf,
                           run_nmse_sweep, run_pilot_sweep, run_se_sweep, validate_plan)
 from .propagation import load_paths_csv
 from .svgplot import LineSeries, render_line_chart
@@ -51,17 +51,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=1,
                        help="worker processes (results are identical for any value)")
 
-    for kind in ("nmse-sweep", "se-sweep", "ecdf", "pilot-sweep"):
+    for kind, sweep in SWEEPS.items():
         p = sub.add_parser(kind, help=f"run the {kind} experiment")
         common(p)
         p.set_defaults(snr=None, pilots=None)
-        if kind in KIND_SNRS:
-            snrs = KIND_SNRS[kind]
+        if sweep.snrs:
+            snrs = sweep.snrs
             p.add_argument("--snr", type=str,
                            help="comma-separated SNR points in dB; write "
                                 f"--snr={snrs[0]:g},{snrs[1]:g} when the list starts "
                                 f"negative (default {','.join(str(s) for s in snrs)})")
-        if kind == "pilot-sweep":
+        if sweep.sweeps_pilots:
             p.add_argument("--pilots", type=str,
                            help="comma-separated pilot counts (default: powers of two)")
 
@@ -79,7 +79,7 @@ def _load_bundle(args) -> ConfigBundle:
         system = replace(system, seed=args.seed)
     if args.full_scale:
         system = replace(system, n_rx=FULL_SCALE_RX)
-        if args.command == "pilot-sweep":
+        if args.command in SWEEPS and SWEEPS[args.command].sweeps_pilots:
             scale = FULL_SCALE_SUBCARRIERS // system.n_subcarriers
             system = replace(system, n_subcarriers=FULL_SCALE_SUBCARRIERS,
                              cp_length=system.cp_length * scale)
@@ -106,9 +106,9 @@ def _make_plan(args, bundle: ConfigBundle) -> ExperimentPlan:
     environment = load_paths_csv(args.paths) if args.paths else None
     snrs = _parse_floats(args.snr) if args.snr is not None else ()
     counts = _parse_ints(args.pilots) if args.pilots is not None else ()
-    return validate_plan(ExperimentPlan(kind=args.command, bundle=bundle,
-                                        methods=methods, snrs=snrs, pilot_counts=counts,
-                                        workers=args.workers, environment=environment))
+    return validate_plan(ExperimentPlan(bundle=bundle, methods=methods, snrs=snrs,
+                                        pilot_counts=counts, workers=args.workers,
+                                        environment=environment), args.command)
 
 
 def _nmse_db(records, method):
@@ -194,6 +194,11 @@ def _run_pilot(plan: ExperimentPlan, out: Path) -> None:
           f"pilot_nmse.svg, pilot_se.svg")
 
 
+# Each sweep kind's run and the CSV and SVG files it writes.
+WRITERS = {"nmse-sweep": _run_nmse, "se-sweep": _run_se, "ecdf": _run_ecdf,
+           "pilot-sweep": _run_pilot}
+
+
 def _run_validate(args) -> int:
     # Imported here: no sweep needs the invariant suite.
     from .validate import run_validation
@@ -217,9 +222,7 @@ def main(argv: list[str] | None = None) -> int:
         plan = _make_plan(args, bundle)
         out = args.out
         out.mkdir(parents=True, exist_ok=True)
-        runner = {"nmse-sweep": _run_nmse, "se-sweep": _run_se,
-                  "ecdf": _run_ecdf, "pilot-sweep": _run_pilot}[args.command]
-        runner(plan, out)
+        WRITERS[args.command](plan, out)
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -60,11 +60,6 @@ class SystemConfig:
         return 1.0 / self.bandwidth
 
     @property
-    def symbol_duration(self) -> float:
-        """Symbol length including cyclic prefix."""
-        return (self.n_subcarriers + self.cp_length) * self.sample_interval
-
-    @property
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_freq
 

@@ -6,6 +6,13 @@ fixed-size contiguous chunks; each chunk is simulated once for the whole SNR
 grid, and the experiment's reducer turns it into per-trial errors, spectral
 efficiencies or post-combining SNR samples at every SNR point.
 
+Each sweep kind has one entry in :data:`SWEEPS`, a :class:`Sweep`: the
+methods it allows (all of them by default), its default SNR points (none:
+the config's ``snr_grid_db``), its per-slice reducer, whether that reducer
+works on the full subcarrier grid, and whether the kind sweeps pilot counts.
+A plan carries no kind: each ``run_*`` validates and runs it as its own, and
+the CLI builds its subcommands from the table.
+
 * Randomness comes from per-purpose substreams keyed by (seed, purpose,
   trial), or (seed, purpose, block, snapshot) for the batch-ML warm-up, and
   each is drawn once, the keys of one slice (below) in one batch
@@ -66,7 +73,7 @@ trial block.
 
 One process pool serves a whole run.  Every sweep goes through one driver,
 :func:`_sweep`, which builds one environment per pilot count (the configured
-one unless the plan sweeps pilot counts) and every chunk task, and folds the
+one unless the kind sweeps pilot counts) and every chunk task, and folds the
 chunk results: they come back in chunk order, each as soon as it and those
 before it are in, and each is copied into rows [t0, t1) of one (n_trials,
 ...) array per key and dropped.  The ECDF thus holds one copy of its samples,
@@ -75,7 +82,6 @@ and each sample buffer is released once its table is sorted out of it.
 from __future__ import annotations
 
 import csv
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, replace
@@ -98,23 +104,11 @@ from .streams import (FADING, NOISE, PATHS, PILOTS, WARM_FADING, WARM_NOISE,
 from .subspaces import (ProjectorPair, SnapshotGrams, bml_subspace, denoise_subspace,
                         dt_subspace)
 
-EXPERIMENT_KINDS = ("nmse-sweep", "se-sweep", "ecdf", "pilot-sweep")
-NMSE_METHODS = ("ls", "denoise", "bml", "emdt")
-SE_METHODS = ("ideal", "ls", "denoise", "bml", "emdt")
-PILOT_SWEEP_METHODS = ("ls", "emdt")
-DEFAULT_PILOT_SNRS = (-15.0, 0.0, 15.0)
-DEFAULT_ECDF_SNRS = (-10.0, 5.0)
-
-
-# Default SNR points of the kinds that do not sweep the config's snr_grid_db.
-KIND_SNRS = {"ecdf": DEFAULT_ECDF_SNRS, "pilot-sweep": DEFAULT_PILOT_SNRS}
-
-
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """What to run: experiment kind, configuration, methods, and overrides."""
+    """What to run: configuration, methods, and overrides; the kind is the
+    ``run_*`` that runs it."""
 
-    kind: str
     bundle: ConfigBundle
     methods: tuple[str, ...] = ()
     snrs: tuple[float, ...] = ()            # SNR points in dB; default: the kind's
@@ -124,37 +118,36 @@ class ExperimentPlan:
     environment: PathSet | None = None      # externally supplied path set
 
 
-def validate_plan(plan: ExperimentPlan) -> ExperimentPlan:
-    """Fill method, SNR and pilot-count defaults and reject inconsistent plans.
+def validate_plan(plan: ExperimentPlan, kind: str) -> ExperimentPlan:
+    """Fill method, SNR and pilot-count defaults from the :data:`SWEEPS` entry
+    of ``kind`` and reject inconsistent plans.
 
-    The SNR points default to the config's ``snr_grid_db`` for the NMSE and
-    SE sweeps and to :data:`KIND_SNRS` for the others.  Validating a
-    validated plan returns it unchanged.
+    The SNR points default to the entry's, or to the config's
+    ``snr_grid_db`` where it has none.  Validating a validated plan returns
+    it unchanged.
     """
-    if plan.kind not in EXPERIMENT_KINDS:
-        raise ConfigError(f"unknown experiment kind {plan.kind!r}; "
-                          f"choose from {EXPERIMENT_KINDS}")
+    if kind not in SWEEPS:
+        raise ConfigError(f"unknown experiment kind {kind!r}; choose from {tuple(SWEEPS)}")
+    sweep = SWEEPS[kind]
     if plan.block_size < 1:
         raise ConfigError("block_size must be >= 1")
     if plan.workers < 1:
         raise ConfigError("workers must be >= 1")
-    allowed = {"nmse-sweep": NMSE_METHODS, "se-sweep": SE_METHODS,
-               "ecdf": SE_METHODS, "pilot-sweep": PILOT_SWEEP_METHODS}[plan.kind]
-    methods = plan.methods or allowed
-    bad = set(methods) - set(allowed)
+    methods = plan.methods or sweep.methods
+    bad = set(methods) - set(sweep.methods)
     if bad:
-        raise ConfigError(f"methods {sorted(bad)} not valid for {plan.kind} "
-                          f"(allowed: {allowed})")
+        raise ConfigError(f"methods {sorted(bad)} not valid for {kind} "
+                          f"(allowed: {sweep.methods})")
     _require_distinct("methods", methods)
     snrs = tuple(float(s) for s in
-                 plan.snrs or KIND_SNRS.get(plan.kind, plan.bundle.system.snr_grid_db))
+                 plan.snrs or sweep.snrs or plan.bundle.system.snr_grid_db)
     if not all(np.isfinite(snrs)):
-        raise ConfigError(f"{plan.kind} SNR points must be finite: {list(snrs)}")
-    _require_distinct(f"{plan.kind} SNR points", snrs)
+        raise ConfigError(f"{kind} SNR points must be finite: {list(snrs)}")
+    _require_distinct(f"{kind} SNR points", snrs)
     plan = replace(plan, methods=tuple(methods), snrs=snrs)
-    if plan.kind != "pilot-sweep":
+    if not sweep.sweeps_pilots:
         if plan.pilot_counts:
-            raise ConfigError(f"pilot counts apply to pilot-sweep only, not {plan.kind}")
+            raise ConfigError(f"pilot counts apply to pilot-sweep only, not {kind}")
         return plan
     n = plan.bundle.system.n_subcarriers
     counts = plan.pilot_counts or _default_pilot_counts(n)
@@ -416,22 +409,29 @@ def _se_slice(env: Environment, fading: np.ndarray, noise: np.ndarray,
             in _ecdf_slice(env, fading, noise, bases, noise_variances).items()}
 
 
-class _Reduction(NamedTuple):
-    """How the sweep of plan kind ``kind`` reduces one slice of trials to
-    per-trial results: a dict of arrays with the trial on axis 0."""
+class Sweep(NamedTuple):
+    """Everything that sets one sweep kind apart; :data:`SWEEPS` holds one
+    per kind."""
 
-    kind: str
-    per_slice: Callable
-    full_grid: bool = False     # per_slice works on the full subcarrier grid
-
-
-_reduce_nmse = _Reduction("nmse-sweep", _nmse_slice)
-_reduce_pilot = _Reduction("pilot-sweep", partial(_nmse_slice, rates=True))
-_reduce_se = _Reduction("se-sweep", _se_slice, full_grid=True)
-_reduce_ecdf = _Reduction("ecdf", _ecdf_slice, full_grid=True)
+    methods: tuple[str, ...]     # every method it allows, and its default
+    snrs: tuple[float, ...]      # default SNR points; empty: the config's snr_grid_db
+    per_slice: Callable          # one slice of trials -> per-trial results by key
+    full_grid: bool = False      # per_slice works on the full subcarrier grid
+    sweeps_pilots: bool = False  # one environment per swept pilot count
 
 
-def _simulate_chunk(env: Environment, reduce: _Reduction, t0: int, t1: int,
+SWEEPS: dict[str, Sweep] = {
+    "nmse-sweep": Sweep(("ls", "denoise", "bml", "emdt"), (), _nmse_slice),
+    "se-sweep": Sweep(("ideal", "ls", "denoise", "bml", "emdt"), (), _se_slice,
+                      full_grid=True),
+    "ecdf": Sweep(("ideal", "ls", "denoise", "bml", "emdt"), (-10.0, 5.0), _ecdf_slice,
+                  full_grid=True),
+    "pilot-sweep": Sweep(("ls", "emdt"), (-15.0, 0.0, 15.0),
+                         partial(_nmse_slice, rates=True), sweeps_pilots=True),
+}
+
+
+def _simulate_chunk(env: Environment, sweep: Sweep, t0: int, t1: int,
                     methods: tuple[str, ...], noise_variances, block_size: int) -> dict:
     """Draw trials [t0, t1) once and reduce them at every noise variance to
     per-trial results, each array's row ``t - t0`` that of trial ``t``.
@@ -444,10 +444,10 @@ def _simulate_chunk(env: Environment, reduce: _Reduction, t0: int, t1: int,
     """
     noise_variances = np.asarray(noise_variances, dtype=float)
     bases = _method_bases(env, methods, noise_variances, t0 // block_size)
-    width = env.bundle.system.n_subcarriers if reduce.full_grid else None
-    parts = [reduce.per_slice(env, *_draw(env, [(FADING, t) for t in trials],
-                                          [(NOISE, t) for t in trials]),
-                              bases, noise_variances)
+    width = env.bundle.system.n_subcarriers if sweep.full_grid else None
+    parts = [sweep.per_slice(env, *_draw(env, [(FADING, t) for t in trials],
+                                         [(NOISE, t) for t in trials]),
+                             bases, noise_variances)
              for trials in _slices(range(t0, t1), env, width=width)]
     return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
@@ -466,44 +466,39 @@ def _init_worker(envs: tuple[Environment, ...]) -> None:
     _worker_envs = envs
 
 
-def _worker_chunk(env_index: int, *task):
-    return _simulate_chunk(_worker_envs[env_index], *task)
+def _worker_chunk(task: tuple):
+    k, *args = task
+    return _simulate_chunk(_worker_envs[k], *args)
 
 
 def _map_chunks(envs: tuple[Environment, ...], tasks: list[tuple], workers: int):
-    """Run ``(env index, reduce, t0, t1, methods, noise variances, block size)``
+    """Run ``(env index, sweep, t0, t1, methods, noise variances, block size)``
     tasks and yield their results in task order.  One pool serves the whole
     run, and the environments reach each worker once, through its initializer.
 
-    Each future is dropped as its result is yielded, so a caller that folds
-    the results as they come never holds them all.  The pool is shut down,
-    its queued tasks cancelled, when the generator ends, fails or is closed.
+    The pool's ``map`` drops each future as its result is yielded, so a caller
+    that folds the results as they come never holds them all, and cancels the
+    queued tasks when the generator fails or is closed.
     """
     if workers <= 1 or len(tasks) <= 1:
         for k, *task in tasks:
             yield _simulate_chunk(envs[k], *task)
         return
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                               initargs=(envs,))
-    try:
-        futures = deque(pool.submit(_worker_chunk, *task) for task in tasks)
-        while futures:
-            yield futures.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                             initargs=(envs,)) as pool:
+        yield from pool.map(_worker_chunk, tasks)
 
 
-def _sweep(plan: ExperimentPlan, reduce: _Reduction):
-    """The validated plan (of the reducer's kind only), its environments, one
-    per pilot count (the configured count unless the plan sweeps pilot
-    counts), and each one's per-trial results at the plan's SNR points: one
-    (n_trials, ...) array per key of the reducer's results.  The arrays are
-    allocated at the environment's first chunk, and every chunk's rows are
-    copied into them as the chunk arrives (:func:`_map_chunks`), so the run
-    holds one copy of its per-trial results and one chunk result at a time."""
-    if plan.kind != reduce.kind:
-        raise ConfigError(f"the {reduce.kind} sweep cannot run a {plan.kind} plan")
-    plan = validate_plan(plan)
+def _sweep(plan: ExperimentPlan, kind: str):
+    """The plan validated as ``kind``, its environments, one per pilot count
+    (the configured count unless the kind sweeps pilot counts), and each
+    one's per-trial results at the plan's SNR points: one (n_trials, ...)
+    array per key of the kind's results.  The arrays are allocated at the
+    environment's first chunk, and every chunk's rows are copied into them as
+    the chunk arrives (:func:`_map_chunks`), so the run holds one copy of its
+    per-trial results and one chunk result at a time."""
+    plan = validate_plan(plan, kind)
+    sweep = SWEEPS[kind]
     base = plan.bundle
     n_trials = base.system.n_trials
     # validate_plan checked the counts; bml rank caps do not apply to them
@@ -514,7 +509,7 @@ def _sweep(plan: ExperimentPlan, reduce: _Reduction):
     tasks = []
     for k, env in enumerate(envs):
         variances = _noise_variances(env, plan.snrs)
-        tasks += [(k, reduce, t0, t1, plan.methods, variances, plan.block_size)
+        tasks += [(k, sweep, t0, t1, plan.methods, variances, plan.block_size)
                   for t0, t1 in chunks]
     trials = tuple({} for _ in envs)
     with closing(_map_chunks(envs, tasks, plan.workers)) as results:
@@ -540,7 +535,7 @@ def _noise_variances(env: Environment, snrs) -> list[float]:
 
 def run_nmse_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
     """Empirical NMSE per (method, SNR); analytic breakdown for the twin prior."""
-    plan, (env,), (trials,) = _sweep(plan, _reduce_nmse)
+    plan, (env,), (trials,) = _sweep(plan, "nmse-sweep")
     sysc = env.bundle.system
     records = []
     for i, (snr_db, noise_variance) in enumerate(zip(plan.snrs,
@@ -562,13 +557,14 @@ def run_nmse_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
 def measure_projection_floor(env: Environment, n_trials: int) -> float:
     """Noiseless twin-projection NMSE over the same fading streams the noisy
     sweeps use; this is the measured subspace floor."""
-    trials = _simulate_chunk(env, _reduce_nmse, 0, n_trials, ("emdt",), (0.0,), n_trials)
+    trials = _simulate_chunk(env, SWEEPS["nmse-sweep"], 0, n_trials, ("emdt",), (0.0,),
+                             n_trials)
     return _nmse(trials, "emdt", 0)
 
 
 def run_se_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
     """Genie-aided spectral efficiency per (method, SNR) on the full grid."""
-    plan, _, (trials,) = _sweep(plan, _reduce_se)
+    plan, _, (trials,) = _sweep(plan, "se-sweep")
     sysc = plan.bundle.system
     return [MetricsRecord(method=method, snr_db=snr_db,
                           n_pilots=sysc.n_pilots, trials=sysc.n_trials,
@@ -584,7 +580,7 @@ def run_ecdf(plan: ExperimentPlan) -> dict[tuple[str, float], Ecdf]:
     as soon as its table is sorted, so the run holds about one copy of its
     samples.
     """
-    plan, _, (samples,) = _sweep(plan, _reduce_ecdf)
+    plan, _, (samples,) = _sweep(plan, "ecdf")
     return {(method, snr_db): ecdf(samples.pop(("snr", method, i)))
             for i, snr_db in enumerate(plan.snrs) for method in plan.methods}
 
@@ -596,7 +592,7 @@ def run_pilot_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
     spectral efficiency is scaled by the data fraction (1 - N_p/N).  Every
     (pilot count, chunk) task goes to the same pool.
     """
-    plan, _, per_count = _sweep(plan, _reduce_pilot)
+    plan, _, per_count = _sweep(plan, "pilot-sweep")
     n_trials = plan.bundle.system.n_trials
     records = []
     for n_p, trials in zip(plan.pilot_counts, per_count):

@@ -64,10 +64,6 @@ class ArrayGeometry:
             raise ValueError("wavelength must be positive")
         object.__setattr__(self, "positions", pos)
 
-    @property
-    def n_elements(self) -> int:
-        return int(self.positions.shape[0])
-
     @classmethod
     def uniform_linear(cls, n_elements: int, wavelength: float,
                        spacing: float = 0.5) -> "ArrayGeometry":

@@ -32,7 +32,7 @@ import numpy as np
 from .channel import assemble_channel, channel_covariance, draw_fading
 from .config import ConfigBundle, desk_config
 from .estimators import interpolation_matrix
-from .experiments import (NMSE_METHODS, ExperimentPlan, build_environment, emit_csv,
+from .experiments import (SWEEPS, ExperimentPlan, build_environment, emit_csv,
                           run_nmse_sweep, _draw, _energy, _method_bases,
                           _nmse_slice, _noise_variances)
 from .metrics import analytic_nmse
@@ -153,7 +153,7 @@ def check_covariance_mc(bundle: ConfigBundle) -> CheckResult:
     cov = channel_covariance(paths, geom, 8, 1e-7, 0.25, pilot_idx)
     a = steering_matrix(paths, geom)
     k = frequency_response(paths, 8, 1e-7, 0.25, pilot_idx)
-    n_draws, chunk = 100_000, 10_000
+    n_draws, chunk = 100_000, 1_000
     acc = np.zeros_like(cov)
     for _ in range(n_draws // chunk):
         c = paths.amplitude * complex_normal(rng, (chunk, len(paths)))
@@ -170,13 +170,20 @@ def check_fading_moments(bundle: ConfigBundle) -> CheckResult:
     """Fading is circular with per-path variance amplitude^2."""
     rng = substream(bundle.system.seed, 905)
     amp = np.array([1.0, 0.5, 0.1])
-    # one draw of 200 000 fading vectors: the bits of 200 000 draw_fading calls
-    draws = amp * complex_normal(rng, (200_000, amp.size))
-    mean_err = float(np.abs(draws.mean(axis=0)).max())
-    var_rel = float(np.abs((np.abs(draws) ** 2).mean(axis=0) / amp ** 2 - 1).max())
+    # 200 000 fading vectors, the bits of 200 000 draw_fading calls, in blocks
+    # whose sums of d, |d|^2 and d^2 are added up
+    n_draws, chunk = 200_000, 10_000
+    sums = np.zeros((3, amp.size), dtype=complex)
+    for _ in range(n_draws // chunk):
+        draws = amp * complex_normal(rng, (chunk, amp.size))
+        sums += [draws.sum(axis=0), (np.abs(draws) ** 2).sum(axis=0),
+                 (draws ** 2).sum(axis=0)]
+    mean, power, pseudo_var = sums / n_draws
+    mean_err = float(np.abs(mean).max())
+    var_rel = float(np.abs(power.real / amp ** 2 - 1).max())
     # circularity, normalized per path so weak paths are not held to the
     # strong paths' absolute Monte Carlo noise
-    pseudo = float((np.abs((draws ** 2).mean(axis=0)) / amp ** 2).max())
+    pseudo = float((np.abs(pseudo_var) / amp ** 2).max())
     ok = mean_err < 0.02 and var_rel < 0.02 and pseudo < 0.05
     return CheckResult("fading-moments", ok,
                        f"|mean|<={mean_err:.4f}, var rel err<={var_rel:.4f}, "
@@ -215,7 +222,7 @@ def check_csv_determinism(bundle: ConfigBundle) -> CheckResult:
     outputs = []
     with tempfile.TemporaryDirectory() as tmp:
         for i, workers in enumerate((1, 1, 2)):
-            plan = ExperimentPlan(kind="nmse-sweep", bundle=small, methods=("ls", "emdt"),
+            plan = ExperimentPlan(bundle=small, methods=("ls", "emdt"),
                                   snrs=(0.0, 10.0), block_size=4, workers=workers)
             path = Path(tmp) / f"run{i}.csv"
             emit_csv(run_nmse_sweep(plan), path)
@@ -265,7 +272,8 @@ def check_pulse(bundle: ConfigBundle) -> CheckResult:
 
 def check_error_decomposition(bundle: ConfigBundle) -> CheckResult:
     """The NMSE sweep's split per-trial errors against the direct ones."""
-    env, variances, bases = _chunk_bases(bundle, NMSE_METHODS, bundle.system.snr_grid_db)
+    env, variances, bases = _chunk_bases(bundle, SWEEPS["nmse-sweep"].methods,
+                                         bundle.system.snr_grid_db)
     fading, truth, noise = _draw_trials(env, 16)
     split = _nmse_slice(env, fading, noise, bases, variances)
     worst = 0.0
@@ -285,7 +293,8 @@ def check_error_decomposition(bundle: ConfigBundle) -> CheckResult:
 
 def check_interpolation(bundle: ConfigBundle) -> CheckResult:
     """Interpolation, by M and folded into each pair's synthesis, keeps pilots."""
-    env, variances, bases = _chunk_bases(bundle, NMSE_METHODS, (CHECK_SNR,))
+    env, variances, bases = _chunk_bases(bundle, SWEEPS["nmse-sweep"].methods,
+                                         (CHECK_SNR,))
     _, truth, noise = _draw_trials(env, 1)
     est = truth + math.sqrt(variances[0]) * noise
     grid = interpolation_matrix(env.pilots, bundle.system.n_subcarriers)

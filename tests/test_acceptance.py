@@ -14,11 +14,10 @@ import pytest
 
 from chest.config import (desk_config, noise_variance_for_snr, reference_config,
                           validate_config)
-from chest.experiments import (ExperimentPlan, build_environment,
+from chest.experiments import (SWEEPS, ExperimentPlan, build_environment,
                                measure_projection_floor,
                                run_ecdf, run_nmse_sweep, run_pilot_sweep,
-                               run_se_sweep, _chunk_ranges, _reduce_nmse,
-                               _simulate_chunk)
+                               run_se_sweep, _chunk_ranges, _simulate_chunk)
 from chest.metrics import analytic_nmse
 
 GRID5 = (-20.0, -10.0, 0.0, 10.0, 20.0)
@@ -52,8 +51,7 @@ def desk5_env(desk5):
 
 @pytest.fixture(scope="module")
 def emdt_run(desk5):
-    return run_nmse_sweep(ExperimentPlan(kind="nmse-sweep", bundle=desk5,
-                                         methods=("emdt",)))
+    return run_nmse_sweep(ExperimentPlan(bundle=desk5, methods=("emdt",)))
 
 
 @pytest.fixture(scope="module")
@@ -64,8 +62,7 @@ def measured_floor(desk5_env):
 def test_c1_ls_white_error_law(desk5, announce):
     """LS NMSE equals 1/SNR within 0.3 dB at five SNRs, 500 trials, < 30 s."""
     t0 = time.perf_counter()
-    records = run_nmse_sweep(ExperimentPlan(kind="nmse-sweep", bundle=desk5,
-                                            methods=("ls",)))
+    records = run_nmse_sweep(ExperimentPlan(bundle=desk5, methods=("ls",)))
     elapsed = time.perf_counter() - t0
     devs = {r.snr_db: 10 * np.log10(r.nmse_emp * 10 ** (r.snr_db / 10))
             for r in records}
@@ -108,8 +105,7 @@ def test_c3_subspace_floor(desk5, announce):
     """At +40 dB the empirical NMSE sits on the analytic subspace floor."""
     bundle = validate_config(replace(desk5.system, snr_grid_db=(40.0,)),
                              desk5.scenario, desk5.estimator)
-    records = run_nmse_sweep(ExperimentPlan(kind="nmse-sweep", bundle=bundle,
-                                            methods=("emdt",)))
+    records = run_nmse_sweep(ExperimentPlan(bundle=bundle, methods=("emdt",)))
     rec = records[0]
     floor = rec.nmse_analytic.subspace_floor
     dev = 10 * np.log10(rec.nmse_emp / floor)
@@ -125,8 +121,7 @@ def test_c4_low_snr_projection_gain(announce):
     LS at SNR <= -10 dB is 10*log10(2048/25) = 19.13 dB within 1 dB, < 5 min."""
     t0 = time.perf_counter()
     bundle = reference_config(snr_grid_db=(-20.0, -15.0, -10.0), n_trials=200)
-    records = run_nmse_sweep(ExperimentPlan(kind="nmse-sweep", bundle=bundle,
-                                            methods=("ls", "emdt")))
+    records = run_nmse_sweep(ExperimentPlan(bundle=bundle, methods=("ls", "emdt")))
     elapsed = time.perf_counter() - t0
     env = build_environment(bundle)
     ranks = (env.projectors.rank_spatial, env.projectors.rank_temporal)
@@ -147,7 +142,7 @@ def test_c5_floor_ordering_and_batch_size(announce):
     """At +30 dB the twin projection floors below both baselines, and the
     batch-ML floor drops when its warm-up batch is quadrupled (3-sigma)."""
     bundle = desk_config(snr_grid_db=(30.0,))
-    records = run_nmse_sweep(ExperimentPlan(kind="nmse-sweep", bundle=bundle,
+    records = run_nmse_sweep(ExperimentPlan(bundle=bundle,
                                             methods=("emdt", "bml", "denoise")))
     by = {r.method: r.nmse_emp for r in records}
     ordering = by["emdt"] < by["bml"] and by["emdt"] < by["denoise"]
@@ -161,7 +156,7 @@ def test_c5_floor_ordering_and_batch_size(announce):
         env = build_environment(validate_config(bundle.system, bundle.scenario, est))
         errors = np.empty(n_trials)
         for t0, t1 in _chunk_ranges(n_trials, 50):
-            errors[t0:t1] = _simulate_chunk(env, _reduce_nmse, t0, t1, ("bml",),
+            errors[t0:t1] = _simulate_chunk(env, SWEEPS["nmse-sweep"], t0, t1, ("bml",),
                                             (nv,), 50)[("error", "bml", 0)]
         per_trial[n_batch] = errors
     diff = per_trial[64] - per_trial[256]
@@ -178,8 +173,7 @@ def test_c6_spectral_efficiency_near_ideal(announce):
     """Twin-projection SE lands within 0.2 bit/s/Hz of the ideal-CSI curve at
     -15/-10/-5 dB, with LS strictly below it."""
     bundle = desk_config(snr_grid_db=(-15.0, -10.0, -5.0))
-    records = run_se_sweep(ExperimentPlan(kind="se-sweep", bundle=bundle,
-                                          methods=("ideal", "ls", "emdt")))
+    records = run_se_sweep(ExperimentPlan(bundle=bundle, methods=("ideal", "ls", "emdt")))
     by = {(r.method, r.snr_db): r.spectral_efficiency for r in records}
     gaps = {snr: by[("ideal", snr)] - by[("emdt", snr)]
             for snr in bundle.system.snr_grid_db}
@@ -196,7 +190,7 @@ def test_c7_ecdf_first_order_dominance(announce):
     """The post-combining SNR distribution under the twin projection dominates
     LS at every decile at -10 dB."""
     bundle = desk_config()
-    tables = run_ecdf(ExperimentPlan(kind="ecdf", bundle=bundle,
+    tables = run_ecdf(ExperimentPlan(bundle=bundle,
                                      methods=("ls", "emdt"), snrs=(-10.0,)))
     deciles = np.arange(0.1, 0.95, 0.1)
     q_ls = np.array([tables[("ls", -10.0)].quantile(p) for p in deciles])
@@ -213,8 +207,7 @@ def test_c8_pilot_reduction_wins(announce):
     """On a 256-subcarrier grid, two twin-projected pilots carry more
     overhead-adjusted rate than LS achieves at any pilot count."""
     bundle = desk_config(n_subcarriers=256, cp_length=128, n_pilots=32)
-    records = run_pilot_sweep(ExperimentPlan(kind="pilot-sweep", bundle=bundle,
-                                             snrs=(-15.0, 0.0)))
+    records = run_pilot_sweep(ExperimentPlan(bundle=bundle, snrs=(-15.0, 0.0)))
     ok = True
     details = []
     for snr in (-15.0, 0.0):

@@ -1,16 +1,20 @@
 """CLI behavior through real subprocesses: exit codes, artifacts, overrides.
 
 The `validate` subcommand is exercised by the acceptance suite; here we cover
-the experiment subcommands with a deliberately small configuration.
+the experiment subcommands with a deliberately small configuration, and check
+in process that the parser follows the sweep table.
 """
+import argparse
 import csv
 import json
-import os
 import re
 import subprocess
 import sys
 
 import pytest
+
+from chest.cli import WRITERS, _build_parser, _load_bundle
+from chest.experiments import SWEEPS
 
 CMD = [sys.executable, "-m", "chest"]
 
@@ -303,6 +307,28 @@ class TestOtherCommands:
         assert proc.returncode == 1
 
 
+class TestSubcommandsFollowTheSweepTable:
+    def test_sweep_subcommands_are_the_table_and_the_writers(self):
+        [sub] = [a for a in _build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == [*SWEEPS, "validate"]
+        assert list(WRITERS) == list(SWEEPS)
+
+    @pytest.mark.parametrize("kind", ["ecdf", "pilot-sweep"])
+    def test_snr_help_shows_the_tables_default(self, kind, capsys):
+        with pytest.raises(SystemExit):
+            _build_parser().parse_args([kind, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        default = ",".join(str(s) for s in SWEEPS[kind].snrs)
+        assert f"(default {default})" in text
+
+    def test_validate_full_scale_keeps_the_grid(self):
+        """`validate` has no table entry; only pilot-count sweeps widen the
+        grid to 2048 subcarriers."""
+        bundle = _load_bundle(_build_parser().parse_args(["validate", "--full-scale"]))
+        assert (bundle.system.n_rx, bundle.system.n_subcarriers) == (64, 64)
+
+
 def test_importing_cli_leaves_validate_unloaded():
     """The invariant suite is imported only by `chest validate`."""
     code = "import sys, chest.cli; print('chest.validate' in sys.modules)"
@@ -310,20 +336,6 @@ def test_importing_cli_leaves_validate_unloaded():
                          timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
-
-
-def test_full_scale_pilot_sweep_peaks_under_150_mb(tmp_path):
-    """The full-scale pilot sweep at 2048 pilots (64 x 2048 per trial) stays
-    under 150 MB resident: its chunks hold one slice of trials at a time."""
-    proc = subprocess.Popen(CMD + ["pilot-sweep", "--full-scale", "--pilots", "2048",
-                                   "--trials", "16", "--out", str(tmp_path)],
-                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-    _, status, usage = os.wait4(proc.pid, 0)
-    stderr = proc.stderr.read().decode()
-    proc.stderr.close()
-    assert os.waitstatus_to_exitcode(status) == 0, stderr
-    assert (tmp_path / "pilot.csv").is_file()
-    assert usage.ru_maxrss / 1024 < 150, f"peak RSS {usage.ru_maxrss / 1024:.1f} MB"
 
 
 # Runs its arguments and prints their exit code and wait4 ru_maxrss (kB), then
@@ -338,14 +350,32 @@ WAIT4 = ("import os, subprocess, sys\n"
          "print(out, end='')\n")
 
 
+def run_cli_peak(*argv, timeout=180):
+    """Run the CLI through the WAIT4 launcher: its exit status, peak resident
+    MB, stdout lines and stderr."""
+    proc = subprocess.run([sys.executable, "-c", WAIT4, *CMD, *argv],
+                          capture_output=True, text=True, timeout=timeout)
+    head, *lines = proc.stdout.splitlines()
+    status, max_rss_kb = map(int, head.split())
+    return status, max_rss_kb / 1024, lines, proc.stderr
+
+
+def test_full_scale_pilot_sweep_peaks_under_100_mb(tmp_path):
+    """The full-scale pilot sweep at 2048 pilots (64 x 2048 per trial) stays
+    under 100 MB resident: its chunks hold one slice of trials at a time."""
+    status, peak_mb, _, stderr = run_cli_peak(
+        "pilot-sweep", "--full-scale", "--pilots", "2048", "--trials", "16",
+        "--out", str(tmp_path))
+    assert status == 0, stderr
+    assert (tmp_path / "pilot.csv").is_file()
+    assert peak_mb < 100, f"peak RSS {peak_mb:.1f} MB"
+
+
 def test_full_scale_validate_peaks_under_100_mb():
     """`chest validate --full-scale` (64 antennas) passes all 12 checks under
     100 MB resident: its slow paths form each side's dense projector, never
     the (n_rx n_pilots)-square Kronecker product of the two."""
-    proc = subprocess.run([sys.executable, "-c", WAIT4, *CMD, "validate", "--full-scale"],
-                          capture_output=True, text=True, timeout=180)
-    head, *lines = proc.stdout.splitlines()
-    status, max_rss_kb = map(int, head.split())
-    assert status == 0, proc.stdout + proc.stderr
+    status, peak_mb, lines, stderr = run_cli_peak("validate", "--full-scale")
+    assert status == 0, "\n".join(lines) + stderr
     assert lines[-1] == "12/12 checks passed"
-    assert max_rss_kb / 1024 < 100, f"peak RSS {max_rss_kb / 1024:.1f} MB"
+    assert peak_mb < 100, f"peak RSS {peak_mb:.1f} MB"

@@ -24,11 +24,6 @@ class TestValidateConfig:
         assert desk.system.bandwidth == pytest.approx(30.72e6)
         assert desk.system.sample_interval == pytest.approx(1 / 30.72e6)
 
-    def test_symbol_duration_includes_cp(self, desk):
-        n_total = desk.system.n_subcarriers + desk.system.cp_length
-        assert desk.system.symbol_duration == pytest.approx(
-            n_total * desk.system.sample_interval)
-
     def test_wavelength(self, desk):
         assert desk.system.wavelength == pytest.approx(299792458.0 / 28e9)
 
@@ -209,5 +204,5 @@ class TestShippedConfigs:
 
     def test_pilot_config_loads_and_validates(self):
         bundle = load_config(CONFIGS / "pilot.json")
-        plan = validate_plan(ExperimentPlan(kind="pilot-sweep", bundle=bundle))
+        plan = validate_plan(ExperimentPlan(bundle=bundle), "pilot-sweep")
         assert plan.bundle.system.n_subcarriers == 256

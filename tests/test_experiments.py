@@ -16,15 +16,13 @@ from chest import experiments
 from chest.config import (ConfigError, desk_config, noise_variance_for_snr,
                           reference_config, validate_config)
 from chest.estimators import ls_estimate
-from chest.experiments import (DEFAULT_ECDF_SNRS, DEFAULT_PILOT_SNRS, EXPERIMENT_KINDS,
-                               NMSE_METHODS, PILOT_SWEEP_METHODS,
-                               SE_METHODS, ExperimentPlan, bml_ranks,
+from chest.experiments import (SWEEPS, ExperimentPlan, bml_ranks,
                                build_environment, emit_csv, emit_ecdf_csv,
                                measure_projection_floor, run_ecdf, run_nmse_sweep,
                                run_pilot_sweep, run_se_sweep, validate_plan,
                                _chunk_ranges, _draw, _ecdf_slice, _method_bases,
-                               _nmse_slice, _noise_variances, _reduce_nmse,
-                               _se_slice, _simulate_chunk)
+                               _nmse_slice, _noise_variances, _se_slice,
+                               _simulate_chunk)
 from chest.metrics import analytic_nmse, ecdf
 from chest.streams import (FADING, NOISE, WARM_FADING, WARM_NOISE, complex_normal,
                            substream)
@@ -49,82 +47,80 @@ def tiny_env(tiny):
 
 @pytest.fixture(scope="module")
 def tiny400_nmse(tiny400):
-    return run_nmse_sweep(ExperimentPlan(kind="nmse-sweep", bundle=tiny400))
+    return run_nmse_sweep(ExperimentPlan(bundle=tiny400))
 
 
 class TestValidatePlan:
     def test_unknown_kind(self, tiny):
         with pytest.raises(ConfigError, match="kind"):
-            validate_plan(ExperimentPlan(kind="latency", bundle=tiny))
+            validate_plan(ExperimentPlan(bundle=tiny), "latency")
 
     def test_method_not_valid_for_kind(self, tiny):
         with pytest.raises(ConfigError, match="methods"):
-            validate_plan(ExperimentPlan(kind="nmse-sweep", bundle=tiny,
-                                         methods=("ideal",)))
+            validate_plan(ExperimentPlan(bundle=tiny, methods=("ideal",)), "nmse-sweep")
 
     def test_defaults_filled(self, tiny):
-        plan = validate_plan(ExperimentPlan(kind="nmse-sweep", bundle=tiny))
+        plan = validate_plan(ExperimentPlan(bundle=tiny), "nmse-sweep")
         assert plan.methods == ("ls", "denoise", "bml", "emdt")
-        plan = validate_plan(ExperimentPlan(kind="ecdf", bundle=tiny))
+        plan = validate_plan(ExperimentPlan(bundle=tiny), "ecdf")
         assert plan.snrs == (-10.0, 5.0)
         assert plan.methods == ("ideal", "ls", "denoise", "bml", "emdt")
 
     @pytest.mark.parametrize("kind, snrs", [
         ("nmse-sweep", (-20.0, 5.0, 30.0)), ("se-sweep", (-20.0, 5.0, 30.0)),
-        ("ecdf", DEFAULT_ECDF_SNRS), ("pilot-sweep", DEFAULT_PILOT_SNRS)])
+        ("ecdf", SWEEPS["ecdf"].snrs), ("pilot-sweep", SWEEPS["pilot-sweep"].snrs)])
     def test_snrs_default_to_the_kinds(self, tiny, kind, snrs):
         """NMSE and SE sweep the config's grid, the others their own default;
         the points are stored as floats, and validation is idempotent."""
         bundle = validate_config(replace(tiny.system, snr_grid_db=(-20, 5, 30)),
                                  tiny.scenario, tiny.estimator)
-        plan = validate_plan(ExperimentPlan(kind=kind, bundle=bundle))
+        plan = validate_plan(ExperimentPlan(bundle=bundle), kind)
         assert plan.snrs == snrs
         assert all(type(s) is float for s in plan.snrs)
-        assert validate_plan(plan) == plan
-        given = validate_plan(ExperimentPlan(kind=kind, bundle=bundle, snrs=(3, -1)))
+        assert validate_plan(plan, kind) == plan
+        given = validate_plan(ExperimentPlan(bundle=bundle, snrs=(3, -1)), kind)
         assert given.snrs == (3.0, -1.0) and type(given.snrs[0]) is float
-        assert validate_plan(given) == given
+        assert validate_plan(given, kind) == given
 
-    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    @pytest.mark.parametrize("kind", SWEEPS)
     def test_repeated_snrs_rejected(self, tiny, kind):
         with pytest.raises(ConfigError, match="SNR points repeat"):
-            validate_plan(ExperimentPlan(kind=kind, bundle=tiny, snrs=(0.0, 5.0, 0)))
+            validate_plan(ExperimentPlan(bundle=tiny, snrs=(0.0, 5.0, 0)), kind)
 
-    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    @pytest.mark.parametrize("kind", SWEEPS)
     @pytest.mark.parametrize("point", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_snrs_rejected(self, tiny, kind, point):
         """A non-finite point fails here, before any environment is built."""
         with pytest.raises(ConfigError, match="SNR points must be finite"):
-            validate_plan(ExperimentPlan(kind=kind, bundle=tiny, snrs=(0.0, point)))
+            validate_plan(ExperimentPlan(bundle=tiny, snrs=(0.0, point)), kind)
 
     @pytest.mark.parametrize("kind", ["nmse-sweep", "se-sweep", "ecdf"])
     def test_pilot_counts_only_on_pilot_sweep(self, tiny, kind):
         with pytest.raises(ConfigError, match="pilot-sweep only"):
-            validate_plan(ExperimentPlan(kind=kind, bundle=tiny, pilot_counts=(8,)))
+            validate_plan(ExperimentPlan(bundle=tiny, pilot_counts=(8,)), kind)
 
     def test_pilot_counts_must_divide_grid(self, tiny):
         with pytest.raises(ConfigError, match="divide"):
-            validate_plan(ExperimentPlan(kind="pilot-sweep", bundle=tiny,
-                                         pilot_counts=(3,)))
+            validate_plan(ExperimentPlan(bundle=tiny, pilot_counts=(3,)), "pilot-sweep")
 
     def test_pilot_counts_sorted_unique(self, tiny):
-        plan = validate_plan(ExperimentPlan(kind="pilot-sweep", bundle=tiny,
-                                            pilot_counts=(8, 2, 8)))
+        plan = validate_plan(ExperimentPlan(bundle=tiny, pilot_counts=(8, 2, 8)),
+                             "pilot-sweep")
         assert plan.pilot_counts == (2, 8)
 
     def test_bad_parallelism(self, tiny):
         with pytest.raises(ConfigError):
-            validate_plan(ExperimentPlan(kind="ecdf", bundle=tiny, block_size=0))
+            validate_plan(ExperimentPlan(bundle=tiny, block_size=0), "ecdf")
         with pytest.raises(ConfigError):
-            validate_plan(ExperimentPlan(kind="ecdf", bundle=tiny, workers=0))
+            validate_plan(ExperimentPlan(bundle=tiny, workers=0), "ecdf")
 
 
-@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+@pytest.mark.parametrize("kind", SWEEPS)
 def test_runs_validate_a_validated_plan_again(tiny, kind):
     """The CLI hands every run_* a validated plan, which it validates again:
     the output is that of the plan as given."""
-    plan = ExperimentPlan(kind=kind, bundle=tiny, methods=("ls", "emdt"), snrs=(-5, 5))
-    given, validated = RUNS[kind](plan), RUNS[kind](validate_plan(plan))
+    plan = ExperimentPlan(bundle=tiny, methods=("ls", "emdt"), snrs=(-5, 5))
+    given, validated = RUNS[kind](plan), RUNS[kind](validate_plan(plan, kind))
     if kind == "ecdf":
         assert list(given) == list(validated)
         for key, table in given.items():
@@ -133,26 +129,14 @@ def test_runs_validate_a_validated_plan_again(tiny, kind):
         assert given == validated
 
 
-@pytest.mark.parametrize("run_kind, plan_kind", [
-    (run, plan) for run in EXPERIMENT_KINDS for plan in EXPERIMENT_KINDS if run != plan])
-def test_runs_reject_another_kinds_plan(tiny, monkeypatch, run_kind, plan_kind):
-    """A run_* given another kind's plan names both kinds in a ConfigError
-    before it builds any environment."""
-    def no_environment(*args, **kwargs):
-        raise AssertionError("an environment was built")
-    monkeypatch.setattr(experiments, "build_environment", no_environment)
-    with pytest.raises(ConfigError, match=f"{run_kind}.*{plan_kind}"):
-        RUNS[run_kind](ExperimentPlan(kind=plan_kind, bundle=tiny))
-
-
 @pytest.mark.parametrize("kind", ["nmse-sweep", "se-sweep"])
 def test_plan_snrs_sweep_as_the_config_grid(tiny, kind):
     """An NMSE or SE plan's SNR points give the records of a config whose
     snr_grid_db holds them."""
     run = RUNS[kind]
     grid = (-5.0, 15.0)
-    by_plan = run(ExperimentPlan(kind=kind, bundle=tiny, snrs=grid))
-    by_config = run(ExperimentPlan(kind=kind, bundle=validate_config(
+    by_plan = run(ExperimentPlan(bundle=tiny, snrs=grid))
+    by_config = run(ExperimentPlan(bundle=validate_config(
         replace(tiny.system, snr_grid_db=grid), tiny.scenario, tiny.estimator)))
     assert {r.snr_db for r in by_plan} == set(grid)
     assert by_plan == by_config
@@ -160,7 +144,7 @@ def test_plan_snrs_sweep_as_the_config_grid(tiny, kind):
 
 class TestNmseSweep:
     def test_record_layout(self, tiny):
-        records = run_nmse_sweep(ExperimentPlan(kind="nmse-sweep", bundle=tiny))
+        records = run_nmse_sweep(ExperimentPlan(bundle=tiny))
         assert len(records) == 12  # 3 SNRs x 4 methods
         assert {r.method for r in records} == {"ls", "denoise", "bml", "emdt"}
         assert {r.snr_db for r in records} == {-10.0, 0.0, 10.0}
@@ -201,13 +185,12 @@ class TestNmseSweep:
     def test_extreme_snr_is_stable(self, tiny):
         bundle = validate_config(replace(tiny.system, snr_grid_db=(200.0,)),
                                  tiny.scenario, tiny.estimator)
-        records = run_nmse_sweep(ExperimentPlan(kind="nmse-sweep", bundle=bundle,
-                                                methods=("ls",)))
+        records = run_nmse_sweep(ExperimentPlan(bundle=bundle, methods=("ls",)))
         assert records[0].nmse_emp < 1e-6
 
     def test_supplied_path_set_changes_results(self, tiny, make_paths):
         paths = make_paths([0.05, 0.2, 0.35, 0.5], powers=[0.4, 0.3, 0.2, 0.1])
-        plan = ExperimentPlan(kind="nmse-sweep", bundle=tiny, methods=("emdt",),
+        plan = ExperimentPlan(bundle=tiny, methods=("emdt",),
                               environment=paths)
         custom = run_nmse_sweep(plan)
         default = run_nmse_sweep(replace(plan, environment=None))
@@ -216,8 +199,7 @@ class TestNmseSweep:
     def test_supplied_paths_must_fit_cp(self, tiny, make_paths):
         late = make_paths([0.1, 2.0])  # 2 us exceeds the tiny CP duration
         with pytest.raises(ConfigError, match="CP"):
-            run_nmse_sweep(ExperimentPlan(kind="nmse-sweep", bundle=tiny,
-                                          methods=("ls",), environment=late))
+            run_nmse_sweep(ExperimentPlan(bundle=tiny, methods=("ls",), environment=late))
 
 
 class TestProjectionFloor:
@@ -234,8 +216,8 @@ class TestProjectionFloor:
             desk = desk_config(n_trials=400)
             env = build_environment(validate_config(
                 desk.system, replace(desk.scenario, delay_spread=0.2e-6), desk.estimator))
-            chunks = [_simulate_chunk(env, _reduce_nmse, t0, t1, ("denoise",), (0.0,), 50)
-                      for t0, t1 in _chunk_ranges(400, 50)]
+            chunks = [_simulate_chunk(env, SWEEPS["nmse-sweep"], t0, t1, ("denoise",),
+                                      (0.0,), 50) for t0, t1 in _chunk_ranges(400, 50)]
             measured = (np.concatenate([c[("error", "denoise", 0)] for c in chunks]).sum()
                         / np.concatenate([c["energy"] for c in chunks]).sum())
             pair = denoise_subspace(env.bundle.system, env.bundle.estimator.tau_max)
@@ -271,7 +253,7 @@ def test_full_scale_environment_holds_low_rank_projectors(tmp_path):
 
 class TestSeSweep:
     def test_ideal_bounds_every_method(self, tiny400):
-        records = run_se_sweep(ExperimentPlan(kind="se-sweep", bundle=tiny400))
+        records = run_se_sweep(ExperimentPlan(bundle=tiny400))
         assert len(records) == 15  # 3 SNRs x 5 methods
         by = {(r.method, r.snr_db): r.spectral_efficiency for r in records}
         for snr in (-10.0, 0.0, 10.0):
@@ -286,7 +268,7 @@ class TestSeSweep:
 
 class TestEcdf:
     def test_table_layout(self, tiny):
-        tables = run_ecdf(ExperimentPlan(kind="ecdf", bundle=tiny))
+        tables = run_ecdf(ExperimentPlan(bundle=tiny))
         assert len(tables) == 10  # 2 SNR points x 5 methods
         for (method, snr), table in tables.items():
             assert method in ("ideal", "ls", "denoise", "bml", "emdt")
@@ -296,8 +278,7 @@ class TestEcdf:
             assert table.thresholds.size == 192
 
     def test_custom_snr_points(self, tiny):
-        tables = run_ecdf(ExperimentPlan(kind="ecdf", bundle=tiny,
-                                         methods=("ideal",), snrs=(3.0,)))
+        tables = run_ecdf(ExperimentPlan(bundle=tiny, methods=("ideal",), snrs=(3.0,)))
         assert set(tables) == {("ideal", 3.0)}
 
 
@@ -330,13 +311,13 @@ class TestEcdfSampleBuffers:
         forked and inherit the patch."""
         monkeypatch.setattr(experiments, "_draw", _draw_silencing_trial_4)
         bundle = desk_config(n_trials=7)
-        plan = validate_plan(ExperimentPlan(kind="ecdf", bundle=bundle, block_size=3,
-                                            workers=workers, snrs=(-10.0, 5.0)))
+        plan = validate_plan(ExperimentPlan(bundle=bundle, block_size=3,
+                                            workers=workers, snrs=(-10.0, 5.0)), "ecdf")
         env = build_environment(bundle)
         nv = _noise_variances(env, plan.snrs)
         assert _chunk_ranges(7, 3) == [(0, 3), (3, 6), (6, 7)]
-        partials = [_simulate_chunk(env, experiments._reduce_ecdf, t0, t1, plan.methods,
-                                    nv, 3) for t0, t1 in _chunk_ranges(7, 3)]
+        partials = [_simulate_chunk(env, SWEEPS["ecdf"], t0, t1, plan.methods, nv, 3)
+                    for t0, t1 in _chunk_ranges(7, 3)]
         tables = run_ecdf(plan)
         assert list(tables) == [(m, s) for s in plan.snrs for m in plan.methods]
         n_zero = bundle.system.n_subcarriers
@@ -353,7 +334,7 @@ class TestEcdfSampleBuffers:
         1.5 copies of its samples (10.24 MB).  Keeping every chunk result and a
         sorted copy per table would hold two."""
         bundle = desk_config(n_trials=2000)
-        plan = validate_plan(ExperimentPlan(kind="ecdf", bundle=bundle))
+        plan = validate_plan(ExperimentPlan(bundle=bundle), "ecdf")
         one_copy = (len(plan.snrs) * len(plan.methods) * bundle.system.n_trials
                     * bundle.system.n_subcarriers * np.dtype(float).itemsize)
         assert one_copy == 10_240_000
@@ -368,7 +349,7 @@ class TestEcdfSampleBuffers:
 
     def test_failed_chunk_surfaces_and_leaves_no_pool(self, monkeypatch):
         monkeypatch.setattr(experiments, "_draw", _draw_failing_at_trial_6)
-        plan = ExperimentPlan(kind="ecdf", bundle=desk_config(n_trials=9), block_size=3,
+        plan = ExperimentPlan(bundle=desk_config(n_trials=9), block_size=3,
                               workers=2)
         with pytest.raises(RuntimeError, match="injected chunk failure"):
             run_ecdf(plan)
@@ -377,7 +358,7 @@ class TestEcdfSampleBuffers:
     def test_closed_generator_leaves_no_pool(self):
         env = build_environment(desk_config(n_trials=12))
         nv = _noise_variances(env, (0.0,))
-        tasks = [(0, experiments._reduce_ecdf, t0, t1, ("ls",), nv, 3)
+        tasks = [(0, SWEEPS["ecdf"], t0, t1, ("ls",), nv, 3)
                  for t0, t1 in _chunk_ranges(12, 3)]
         results = experiments._map_chunks((env,), tasks, 2)
         first = next(results)
@@ -388,8 +369,7 @@ class TestEcdfSampleBuffers:
 
 @pytest.fixture(scope="module")
 def pilot_records(tiny400):
-    return run_pilot_sweep(ExperimentPlan(
-        kind="pilot-sweep", bundle=tiny400, snrs=(0.0,)))
+    return run_pilot_sweep(ExperimentPlan(bundle=tiny400, snrs=(0.0,)))
 
 
 class TestPilotSweep:
@@ -476,14 +456,15 @@ def _oracle_estimates(env, noise_variance, t0, t1, methods, block_size, full):
     return truth, truth_full, estimates
 
 
-def _oracle(plan, interpolate=None):
-    """Per-SNR reference results of a validated plan: {(method, snr, n_pilots):
-    nmse or se, or the sorted post-combining SNR samples for an ECDF}.  SE and
-    ECDF plans take the estimates onto the full grid by ``interpolate``."""
+def _oracle(plan, kind, interpolate=None):
+    """Per-SNR reference results of a plan validated as ``kind``: {(method,
+    snr, n_pilots): nmse or se, or the sorted post-combining SNR samples for an
+    ECDF}.  SE and ECDF plans take the estimates onto the full grid by
+    ``interpolate``."""
     base = plan.bundle
     counts = plan.pilot_counts or (base.system.n_pilots,)
     snrs = plan.snrs
-    full = plan.kind in ("se-sweep", "ecdf")
+    full = kind in ("se-sweep", "ecdf")
     out = {}
     for n_p in counts:
         system = replace(base.system, n_pilots=n_p)
@@ -500,7 +481,7 @@ def _oracle(plan, interpolate=None):
                     if full:
                         h = truth_full if method == "ideal" else interpolate(
                             est[method], env.pilots, n_sc)
-                        if plan.kind == "ecdf":
+                        if kind == "ecdf":
                             value = _post_combining_snr(h, truth_full, power, nv).ravel()
                         else:
                             value = _genie_se(h, truth_full, power, nv) * (t1 - t0)
@@ -511,11 +492,11 @@ def _oracle(plan, interpolate=None):
                     acc.setdefault(method, []).append(value)
             for method in plan.methods:
                 key = (method, float(snr), n_p)
-                if plan.kind == "ecdf":
+                if kind == "ecdf":
                     out[key] = np.sort(np.concatenate(acc[method]))
-                elif plan.kind == "se-sweep":
+                elif kind == "se-sweep":
                     out[key] = sum(acc[method]) / system.n_trials
-                elif plan.kind == "nmse-sweep":
+                elif kind == "nmse-sweep":
                     out[key] = err[method] / energy
                 else:
                     out[key] = (err[method] / energy, sum(acc[method]) / system.n_trials
@@ -536,9 +517,9 @@ class TestOnePassMatchesPerSnrOracle:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_nmse_sweep(self, desk_small, workers):
-        plan = validate_plan(ExperimentPlan(kind="nmse-sweep", bundle=desk_small,
-                                            block_size=3, workers=workers))
-        oracle = _oracle(plan)
+        plan = validate_plan(ExperimentPlan(bundle=desk_small, block_size=3,
+                                            workers=workers), "nmse-sweep")
+        oracle = _oracle(plan, "nmse-sweep")
         records = run_nmse_sweep(plan)
         assert len(records) == len(oracle) == 12
         for r in records:
@@ -547,9 +528,9 @@ class TestOnePassMatchesPerSnrOracle:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_se_sweep(self, desk_small, gather_interpolate, workers):
-        plan = validate_plan(ExperimentPlan(kind="se-sweep", bundle=desk_small,
-                                            block_size=3, workers=workers))
-        oracle = _oracle(plan, gather_interpolate)
+        plan = validate_plan(ExperimentPlan(bundle=desk_small, block_size=3,
+                                            workers=workers), "se-sweep")
+        oracle = _oracle(plan, "se-sweep", gather_interpolate)
         records = run_se_sweep(plan)
         assert len(records) == len(oracle) == 15
         for r in records:
@@ -558,10 +539,10 @@ class TestOnePassMatchesPerSnrOracle:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_ecdf(self, desk_small, gather_interpolate, workers):
-        plan = validate_plan(ExperimentPlan(kind="ecdf", bundle=desk_small,
+        plan = validate_plan(ExperimentPlan(bundle=desk_small,
                                             block_size=3, workers=workers,
-                                            snrs=(-10.0, 5.0)))
-        oracle = _oracle(plan, gather_interpolate)
+                                            snrs=(-10.0, 5.0)), "ecdf")
+        oracle = _oracle(plan, "ecdf", gather_interpolate)
         tables = run_ecdf(plan)
         assert len(tables) == len(oracle) == 10
         for (method, snr), table in tables.items():
@@ -570,11 +551,11 @@ class TestOnePassMatchesPerSnrOracle:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pilot_sweep(self, desk_small, workers):
-        plan = validate_plan(ExperimentPlan(kind="pilot-sweep", bundle=desk_small,
+        plan = validate_plan(ExperimentPlan(bundle=desk_small,
                                             block_size=3, workers=workers,
                                             pilot_counts=(2, 8, 32),
-                                            snrs=(-15.0, 0.0)))
-        oracle = _oracle(plan)
+                                            snrs=(-15.0, 0.0)), "pilot-sweep")
+        oracle = _oracle(plan, "pilot-sweep")
         records = run_pilot_sweep(plan)
         assert len(records) == len(oracle) == 12
         for r in records:
@@ -650,14 +631,14 @@ class TestStatisticsMatchFormedEstimates:
         env = stats_env
         fading, noise = _chunk_inputs(env, 4)
         nv = np.array(_noise_variances(env, STATS_SNRS))
-        pilot_bases = _method_bases(env, NMSE_METHODS, nv, 0)
-        full_bases = _method_bases(env, SE_METHODS, nv, 0)
+        pilot_bases = _method_bases(env, SWEEPS["nmse-sweep"].methods, nv, 0)
+        full_bases = _method_bases(env, SWEEPS["se-sweep"].methods, nv, 0)
         nmse = _nmse_slice(env, fading, noise, pilot_bases, nv)
         pilot = _nmse_slice(env, fading, noise, pilot_bases, nv, rates=True)
         samples = _ecdf_slice(env, fading, noise, full_bases, nv)
         rates = _se_slice(env, fading, noise, full_bases, nv)
         for i, noise_variance in enumerate(nv):
-            for method in SE_METHODS:
+            for method in SWEEPS["se-sweep"].methods:
                 error, pilot_snr, full = _formed(env, fading, noise, method,
                                                  noise_variance, gather_interpolate)
                 np.testing.assert_allclose(samples[("snr", method, i)], full, rtol=1e-12)
@@ -680,13 +661,14 @@ class TestStatisticsMatchFormedEstimates:
         env = stats_env
         fading, noise = _chunk_inputs(env, 2)
         nv = np.array(_noise_variances(env, (0.0,)))
-        samples = _ecdf_slice(env, fading, noise, _method_bases(env, SE_METHODS, nv, 0), nv)
-        emit_ecdf_csv({(m, 0.0): ecdf(samples[("snr", m, 0)]) for m in SE_METHODS},
+        methods = SWEEPS["ecdf"].methods
+        samples = _ecdf_slice(env, fading, noise, _method_bases(env, methods, nv, 0), nv)
+        emit_ecdf_csv({(m, 0.0): ecdf(samples[("snr", m, 0)]) for m in methods},
                       tmp_path / "ecdf.csv")
         with open(tmp_path / "ecdf.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         n_sc = env.bundle.system.n_subcarriers
-        for method in SE_METHODS:
+        for method in methods:
             cells = [r["sample_snr_db"] for r in rows if r["method"] == method]
             assert cells[:n_sc] == ["-inf"] * n_sc
             assert "-inf" not in cells[n_sc:]
@@ -709,36 +691,34 @@ class TestStatisticsMatchFormedEstimates:
 
 class TestDeterminism:
     def test_rerun_identical(self, tiny):
-        plan = ExperimentPlan(kind="nmse-sweep", bundle=tiny, methods=("ls", "emdt"))
+        plan = ExperimentPlan(bundle=tiny, methods=("ls", "emdt"))
         assert run_nmse_sweep(plan) == run_nmse_sweep(plan)
 
     def test_seed_changes_results(self, tiny):
         other = validate_config(replace(tiny.system, seed=99), tiny.scenario,
                                 tiny.estimator)
-        a = run_nmse_sweep(ExperimentPlan(kind="nmse-sweep", bundle=tiny,
-                                          methods=("ls",)))
-        b = run_nmse_sweep(ExperimentPlan(kind="nmse-sweep", bundle=other,
-                                          methods=("ls",)))
+        a = run_nmse_sweep(ExperimentPlan(bundle=tiny, methods=("ls",)))
+        b = run_nmse_sweep(ExperimentPlan(bundle=other, methods=("ls",)))
         assert a[0].nmse_emp != b[0].nmse_emp
 
     def test_worker_count_does_not_change_csv(self, tiny, tmp_path):
-        base = ExperimentPlan(kind="nmse-sweep", bundle=tiny, block_size=5)
+        base = ExperimentPlan(bundle=tiny, block_size=5)
         emit_csv(run_nmse_sweep(base), tmp_path / "w1.csv")
         emit_csv(run_nmse_sweep(replace(base, workers=2)), tmp_path / "w2.csv")
         assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
 
-    @pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+    @pytest.mark.parametrize("kind", SWEEPS)
     def test_block_size_changes_no_output(self, kind):
         """Chunk boundaries never change which random numbers a trial sees,
         and nothing is summed before every trial is in, so every sweep's
         output is the same bit for bit at any block size.  (Batch-ML is
         excluded: its warm-up is deliberately tied to the trial block.)"""
         bundle = desk_config(n_trials=24)
-        methods = validate_plan(ExperimentPlan(kind=kind, bundle=bundle)).methods
+        methods = validate_plan(ExperimentPlan(bundle=bundle), kind).methods
         extra = {"pilot_counts": (2, 8, 32)} if kind == "pilot-sweep" else {}
 
         def output(block_size):
-            plan = ExperimentPlan(kind=kind, bundle=bundle, block_size=block_size,
+            plan = ExperimentPlan(bundle=bundle, block_size=block_size,
                                   methods=tuple(m for m in methods if m != "bml"), **extra)
             if kind == "ecdf":
                 return {key: table.thresholds.tolist()
@@ -750,7 +730,7 @@ class TestDeterminism:
         """Pooled-ratio NMSE is stable under doubling the trial count."""
         env = build_environment(tiny400)
         nv = noise_variance_for_snr(0.0, 1.0, env.beta)
-        result = _simulate_chunk(env, _reduce_nmse, 0, 400, ("ls",), (nv,), 400)
+        result = _simulate_chunk(env, SWEEPS["nmse-sweep"], 0, 400, ("ls",), (nv,), 400)
         err, gain = result[("error", "ls", 0)], result["energy"]
         r200 = err[:200].sum() / gain[:200].sum()
         r400 = err.sum() / gain.sum()
@@ -774,13 +754,11 @@ def _one_pass_grams(env, block):
 def _sweep_outputs(bundle, workers):
     """Every sweep's output on ``bundle`` with all its methods, batch-ML
     included, in comparable form."""
-    def plan(kind, **extra):
-        return ExperimentPlan(kind=kind, bundle=bundle, block_size=3, workers=workers,
-                              **extra)
-    tables = run_ecdf(plan("ecdf", snrs=(-10.0, 5.0)))
-    return (run_nmse_sweep(plan("nmse-sweep")), run_se_sweep(plan("se-sweep")),
-            run_pilot_sweep(plan("pilot-sweep", pilot_counts=(2, 8, 32),
-                                 snrs=(-15.0, 0.0))),
+    def plan(**extra):
+        return ExperimentPlan(bundle=bundle, block_size=3, workers=workers, **extra)
+    tables = run_ecdf(plan(snrs=(-10.0, 5.0)))
+    return (run_nmse_sweep(plan()), run_se_sweep(plan()),
+            run_pilot_sweep(plan(pilot_counts=(2, 8, 32), snrs=(-15.0, 0.0))),
             {key: table.thresholds.tolist() for key, table in tables.items()})
 
 
@@ -822,8 +800,8 @@ class TestSlices:
         peak = _traced_peak(lambda: experiments._warm_up_grams(env, 0))
         assert peak < np.prod(shape) * np.dtype(complex).itemsize
 
-    @pytest.mark.parametrize("reduce", ["_reduce_nmse", "_reduce_pilot"])
-    def test_full_scale_chunk_peak_does_not_grow_with_trials(self, reduce):
+    @pytest.mark.parametrize("kind", ["nmse-sweep", "pilot-sweep"])
+    def test_full_scale_chunk_peak_does_not_grow_with_trials(self, kind):
         """At the full-scale pilot grid (64 antennas, 2048 pilots) a 50-trial
         chunk peaks within 10 % of an 8-trial one: a chunk keeps a few numbers
         per trial, never a trial's per-subcarrier values."""
@@ -831,10 +809,10 @@ class TestSlices:
         system = replace(desk.system, n_rx=64, n_subcarriers=2048, n_pilots=2048,
                          cp_length=desk.system.cp_length * 32)
         env = build_environment(validate_config(system, desk.scenario, desk.estimator))
-        nv = _noise_variances(env, DEFAULT_PILOT_SNRS)
-        methods = PILOT_SWEEP_METHODS
+        nv = _noise_variances(env, SWEEPS["pilot-sweep"].snrs)
+        methods = SWEEPS["pilot-sweep"].methods
         peaks = {n: _traced_peak(lambda: _simulate_chunk(
-            env, getattr(experiments, reduce), 0, n, methods, nv, 50)) for n in (8, 50)}
+            env, SWEEPS[kind], 0, n, methods, nv, 50)) for n in (8, 50)}
         assert peaks[50] <= 1.1 * peaks[8]
 
 
@@ -851,7 +829,7 @@ def _traced_peak(fn) -> int:
 
 class TestCsvEmission:
     def test_schema_and_row_count(self, tiny, tmp_path):
-        records = run_nmse_sweep(ExperimentPlan(kind="nmse-sweep", bundle=tiny))
+        records = run_nmse_sweep(ExperimentPlan(bundle=tiny))
         out = tmp_path / "nmse.csv"
         emit_csv(records, out)
         lines = out.read_text().splitlines()
@@ -862,7 +840,7 @@ class TestCsvEmission:
         assert methods == sorted(methods)  # bml, denoise, emdt, ls blocks
 
     def test_na_fields_are_empty(self, tiny, tmp_path):
-        records = run_nmse_sweep(ExperimentPlan(kind="nmse-sweep", bundle=tiny))
+        records = run_nmse_sweep(ExperimentPlan(bundle=tiny))
         out = tmp_path / "nmse.csv"
         emit_csv(records, out)
         for ln in out.read_text().splitlines()[1:]:
@@ -874,8 +852,7 @@ class TestCsvEmission:
             assert cells[6] == ""  # no SE column in an NMSE sweep
 
     def test_se_rows_fill_se_column(self, tiny, tmp_path):
-        records = run_se_sweep(ExperimentPlan(kind="se-sweep", bundle=tiny,
-                                              methods=("ideal", "ls")))
+        records = run_se_sweep(ExperimentPlan(bundle=tiny, methods=("ideal", "ls")))
         out = tmp_path / "se.csv"
         emit_csv(records, out)
         for ln in out.read_text().splitlines()[1:]:
@@ -889,8 +866,7 @@ class TestCsvEmission:
         assert not out.exists()
 
     def test_ecdf_csv_groups_end_at_one(self, tiny, tmp_path):
-        tables = run_ecdf(ExperimentPlan(kind="ecdf", bundle=tiny,
-                                         methods=("ls", "ideal")))
+        tables = run_ecdf(ExperimentPlan(bundle=tiny, methods=("ls", "ideal")))
         out = tmp_path / "ecdf.csv"
         emit_ecdf_csv(tables, out)
         lines = out.read_text().splitlines()

@@ -1,8 +1,14 @@
-"""The invariant suite: its checks in their order, and faults in the sweeps'
-own code that its projection checks report."""
+"""The invariant suite: its checks in their order, faults in the sweeps'
+own code that its projection checks report, and the memory its Monte Carlo
+checks take."""
+import tracemalloc
+
+import pytest
+
 from chest import experiments
 from chest.subspaces import ProjectorPair
-from chest.validate import check_error_decomposition, check_interpolation, run_validation
+from chest.validate import (check_covariance_mc, check_error_decomposition,
+                            check_fading_moments, check_interpolation, run_validation)
 
 CHECK_NAMES = [
     "projector-idempotent-hermitian", "vec-kronecker-identity", "projected-noise-trace",
@@ -38,3 +44,19 @@ def test_interpolation_fails_when_synthesis_ignores_the_grid(tiny, monkeypatch):
                         lambda self, grid: synthesis(self, None))
     result = check_interpolation(tiny)
     assert not result.passed, result.detail
+
+
+@pytest.mark.parametrize("check", [check_covariance_mc, check_fading_moments],
+                         ids=lambda check: check.__name__)
+def test_monte_carlo_check_peaks_under_4_mib(desk, check):
+    """The Monte Carlo checks sum their 10^5 and 2 x 10^5 draws block by
+    block, so neither holds its samples at once (each held them all, 19.4 and
+    18.4 MiB on the desk bundle)."""
+    tracemalloc.start()
+    try:
+        result = check(desk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed, result.detail
+    assert peak < 4 << 20, f"traced peak {peak / 2**20:.1f} MiB"
