@@ -2,8 +2,7 @@
 and experiment CLI."""
 from .config import (ConfigBundle, ConfigError, EstimatorConfig, PilotPattern,
                      ScenarioConfig, SystemConfig, build_pilot_pattern, desk_config,
-                     load_config, noise_variance_for_snr, reference_config,
-                     validate_config)
+                     load_config, noise_variance_for_snr, validate_config)
 from .channel import (apply_uplink, assemble_channel, average_gain_from_responses,
                       channel_covariance, draw_fading)
 from .estimators import ls_estimate
@@ -30,7 +29,7 @@ __all__ = [
     "dt_subspace", "dt_truncate", "ecdf", "emit_csv", "emit_ecdf_csv",
     "frequency_response", "generate_paths", "load_config", "load_paths_csv",
     "ls_estimate", "measure_projection_floor", "noise_variance_for_snr",
-    "pulse_response", "reference_config", "run_ecdf", "run_nmse_sweep",
+    "pulse_response", "run_ecdf", "run_nmse_sweep",
     "run_pilot_sweep", "run_se_sweep", "save_paths_csv", "steering_matrix",
     "substream", "validate_config", "validate_plan",
 ]

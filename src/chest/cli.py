@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +18,6 @@ from .experiments import (SWEEPS, ExperimentPlan, emit_csv, emit_ecdf_csv, run_e
                           run_nmse_sweep, run_pilot_sweep, run_se_sweep, validate_plan)
 from .propagation import load_paths_csv
 from .svgplot import LineSeries, render_line_chart
-
-FULL_SCALE_RX = 64
-FULL_SCALE_SUBCARRIERS = 2048   # pilot-sweep only; keeps CP duration via N/2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,10 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="JSON config file (default: built-in desk config)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the configured seed")
-        p.add_argument("--full-scale", action="store_true",
-                       help="run at the large dimensions (64 antennas; pilot "
-                            "sweeps also widen to 2048 subcarriers); "
-                            "several minutes instead of seconds")
         if not sweep:
             p.set_defaults(trials=None)
             return
@@ -77,61 +71,46 @@ def _load_bundle(args) -> ConfigBundle:
         system = replace(system, n_trials=args.trials)
     if args.seed is not None:
         system = replace(system, seed=args.seed)
-    if args.full_scale:
-        system = replace(system, n_rx=FULL_SCALE_RX)
-        if args.command in SWEEPS and SWEEPS[args.command].sweeps_pilots:
-            scale = FULL_SCALE_SUBCARRIERS // system.n_subcarriers
-            system = replace(system, n_subcarriers=FULL_SCALE_SUBCARRIERS,
-                             cp_length=system.cp_length * scale)
     return validate_config(system, bundle.scenario, bundle.estimator)
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
+def _parse_list(text: str | None, type, what: str) -> tuple:
+    """A comma-separated option as a tuple of ``type``; unset: empty."""
+    if text is None:
+        return ()
     try:
-        return tuple(float(v) for v in text.split(","))
+        return tuple(type(v) for v in text.split(","))
     except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
-
-
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
+        raise ConfigError(f"expected comma-separated {what}, got {text!r}") from exc
 
 
 def _make_plan(args, bundle: ConfigBundle) -> ExperimentPlan:
     """The validated plan, method defaults filled in for the plotting code."""
-    methods = tuple(args.methods.split(",")) if args.methods is not None else ()
     environment = load_paths_csv(args.paths) if args.paths else None
-    snrs = _parse_floats(args.snr) if args.snr is not None else ()
-    counts = _parse_ints(args.pilots) if args.pilots is not None else ()
-    return validate_plan(ExperimentPlan(bundle=bundle, methods=methods, snrs=snrs,
-                                        pilot_counts=counts, workers=args.workers,
-                                        environment=environment), args.command)
+    return validate_plan(ExperimentPlan(
+        bundle=bundle, methods=_parse_list(args.methods, str, "methods"),
+        snrs=_parse_list(args.snr, float, "numbers"),
+        pilot_counts=_parse_list(args.pilots, int, "integers"),
+        workers=args.workers, environment=environment), args.command)
 
 
-def _nmse_db(records, method):
-    pts = sorted((r.snr_db, r.nmse_emp) for r in records if r.method == method)
-    x = np.array([p[0] for p in pts])
-    y = 10 * np.log10(np.maximum([p[1] for p in pts], 1e-300))
-    return x, y
+def _curves(records, keys, y, key=attrgetter("method"), x=attrgetter("snr_db")):
+    """``(k, x, y)`` for each ``k`` in ``keys``: the ``x`` and ``y`` values of
+    the records whose ``key`` is ``k``, as arrays sorted by x."""
+    for k in keys:
+        pts = sorted((x(r), y(r)) for r in records if key(r) == k)
+        yield k, np.array([p[0] for p in pts]), np.array([p[1] for p in pts])
 
 
 def _run_nmse(plan: ExperimentPlan, out: Path) -> None:
     records = run_nmse_sweep(plan)
     emit_csv(records, out / "nmse.csv")
-    series = []
-    for method in plan.methods:
-        x, y = _nmse_db(records, method)
-        series.append(LineSeries(label=method, x=x, y=y))
-    emdt = [r for r in records if r.method == "emdt" and r.nmse_analytic]
-    if emdt:
-        x = np.array([r.snr_db for r in sorted(emdt, key=lambda r: r.snr_db)])
-        tot = np.array([r.nmse_analytic.total
-                        for r in sorted(emdt, key=lambda r: r.snr_db)])
-        series.append(LineSeries(label="emdt analytic", x=x,
-                                 y=10 * np.log10(tot), dashed=True))
+    series = [LineSeries(label=m, x=x, y=10 * np.log10(np.maximum(y, 1e-300)))
+              for m, x, y in _curves(records, plan.methods, attrgetter("nmse_emp"))]
+    analytic = [r for r in records if r.nmse_analytic is not None]
+    overlaid = [m for m in plan.methods if any(r.method == m for r in analytic)]
+    series += [LineSeries(label=f"{m} analytic", x=x, y=10 * np.log10(y), dashed=True)
+               for m, x, y in _curves(analytic, overlaid, attrgetter("nmse_analytic.total"))]
     render_line_chart(series, out / "nmse.svg", title="Channel estimation NMSE",
                       xlabel="SNR (dB)", ylabel="NMSE (dB)")
     print(f"wrote {out / 'nmse.csv'} ({len(records)} records) and nmse.svg")
@@ -140,14 +119,9 @@ def _run_nmse(plan: ExperimentPlan, out: Path) -> None:
 def _run_se(plan: ExperimentPlan, out: Path) -> None:
     records = run_se_sweep(plan)
     emit_csv(records, out / "se.csv")
-    series = []
-    for method in plan.methods:
-        pts = sorted((r.snr_db, r.spectral_efficiency)
-                     for r in records if r.method == method)
-        series.append(LineSeries(label=method,
-                                 x=np.array([p[0] for p in pts]),
-                                 y=np.array([p[1] for p in pts]),
-                                 dashed=(method == "ideal")))
+    series = [LineSeries(label=m, x=x, y=y, dashed=(m == "ideal"))
+              for m, x, y in _curves(records, plan.methods,
+                                     attrgetter("spectral_efficiency"))]
     render_line_chart(series, out / "se.svg", title="Genie-aided spectral efficiency",
                       xlabel="SNR (dB)", ylabel="SE (bit/s/Hz)")
     print(f"wrote {out / 'se.csv'} ({len(records)} records) and se.svg")
@@ -175,15 +149,12 @@ def _run_pilot(plan: ExperimentPlan, out: Path) -> None:
     emit_csv(records, out / "pilot.csv")
     nmse_series, se_series = [], []
     keys = sorted({(r.method, r.snr_db) for r in records})
-    for method, snr_db in keys:
-        pts = sorted((r.n_pilots, r.nmse_emp, r.spectral_efficiency)
-                     for r in records if r.method == method and r.snr_db == snr_db)
-        x = np.log2([p[0] for p in pts])
-        label = f"{method} @ {snr_db:g} dB"
-        nmse_series.append(LineSeries(
-            label=label, x=x, y=10 * np.log10([p[1] for p in pts])))
-        se_series.append(LineSeries(label=label, x=x,
-                                    y=np.array([p[2] for p in pts])))
+    for (method, snr_db), x, y in _curves(
+            records, keys, attrgetter("nmse_emp", "spectral_efficiency"),
+            key=attrgetter("method", "snr_db"), x=attrgetter("n_pilots")):
+        label, x = f"{method} @ {snr_db:g} dB", np.log2(x)
+        nmse_series.append(LineSeries(label=label, x=x, y=10 * np.log10(y[:, 0])))
+        se_series.append(LineSeries(label=label, x=x, y=y[:, 1]))
     render_line_chart(nmse_series, out / "pilot_nmse.svg",
                       title="Pilot-grid NMSE vs pilot count",
                       xlabel="log2(pilot count)", ylabel="NMSE (dB)")

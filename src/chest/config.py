@@ -275,9 +275,3 @@ def desk_config(**system_overrides) -> ConfigBundle:
     system_overrides.setdefault("n_rx", 16)
     system = SystemConfig(**system_overrides)
     return validate_config(system, ScenarioConfig(), EstimatorConfig())
-
-
-def reference_config(**system_overrides) -> ConfigBundle:
-    """Full-array defaults (64 antennas, 64 subcarriers, 32 pilots)."""
-    system = SystemConfig(**system_overrides)
-    return validate_config(system, ScenarioConfig(), EstimatorConfig())

@@ -431,10 +431,11 @@ SWEEPS: dict[str, Sweep] = {
 }
 
 
-def _simulate_chunk(env: Environment, sweep: Sweep, t0: int, t1: int,
+def _simulate_chunk(env: Environment, kind: str, t0: int, t1: int,
                     methods: tuple[str, ...], noise_variances, block_size: int) -> dict:
     """Draw trials [t0, t1) once and reduce them at every noise variance to
-    per-trial results, each array's row ``t - t0`` that of trial ``t``.
+    the sweep ``kind``'s per-trial results, each array's row ``t - t0`` that
+    of trial ``t``.
 
     Each method's bases are taken once for the chunk; its batch-ML warm-up is
     the one of trial block ``t0 // block_size``.  The trials are drawn and
@@ -442,6 +443,7 @@ def _simulate_chunk(env: Environment, sweep: Sweep, t0: int, t1: int,
     SE and ECDF), so the chunk never holds more than one slice's H and W';
     the slices' rows are laid end to end.
     """
+    sweep = SWEEPS[kind]
     noise_variances = np.asarray(noise_variances, dtype=float)
     bases = _method_bases(env, methods, noise_variances, t0 // block_size)
     width = env.bundle.system.n_subcarriers if sweep.full_grid else None
@@ -472,7 +474,7 @@ def _worker_chunk(task: tuple):
 
 
 def _map_chunks(envs: tuple[Environment, ...], tasks: list[tuple], workers: int):
-    """Run ``(env index, sweep, t0, t1, methods, noise variances, block size)``
+    """Run ``(env index, kind, t0, t1, methods, noise variances, block size)``
     tasks and yield their results in task order.  One pool serves the whole
     run, and the environments reach each worker once, through its initializer.
 
@@ -498,7 +500,6 @@ def _sweep(plan: ExperimentPlan, kind: str):
     the chunk arrives (:func:`_map_chunks`), so the run holds one copy of its
     per-trial results and one chunk result at a time."""
     plan = validate_plan(plan, kind)
-    sweep = SWEEPS[kind]
     base = plan.bundle
     n_trials = base.system.n_trials
     # validate_plan checked the counts; bml rank caps do not apply to them
@@ -509,7 +510,7 @@ def _sweep(plan: ExperimentPlan, kind: str):
     tasks = []
     for k, env in enumerate(envs):
         variances = _noise_variances(env, plan.snrs)
-        tasks += [(k, sweep, t0, t1, plan.methods, variances, plan.block_size)
+        tasks += [(k, kind, t0, t1, plan.methods, variances, plan.block_size)
                   for t0, t1 in chunks]
     trials = tuple({} for _ in envs)
     with closing(_map_chunks(envs, tasks, plan.workers)) as results:
@@ -557,8 +558,7 @@ def run_nmse_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
 def measure_projection_floor(env: Environment, n_trials: int) -> float:
     """Noiseless twin-projection NMSE over the same fading streams the noisy
     sweeps use; this is the measured subspace floor."""
-    trials = _simulate_chunk(env, SWEEPS["nmse-sweep"], 0, n_trials, ("emdt",), (0.0,),
-                             n_trials)
+    trials = _simulate_chunk(env, "nmse-sweep", 0, n_trials, ("emdt",), (0.0,), n_trials)
     return _nmse(trials, "emdt", 0)
 
 

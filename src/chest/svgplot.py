@@ -70,7 +70,7 @@ def _fmt_tick(value: float) -> str:
 
 
 def render_line_chart(series: list[LineSeries], path: str | Path, *,
-                      title: str = "", xlabel: str = "", ylabel: str = "") -> None:
+                      title: str, xlabel: str, ylabel: str) -> None:
     """Render the series to an SVG file."""
     if not series:
         raise ValueError("nothing to plot")
@@ -120,16 +120,13 @@ def render_line_chart(series: list[LineSeries], path: str | Path, *,
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 24}" y2="{ly - 4}" '
                      f'stroke="{color}" stroke-width="1.8"{dash}/>')
         parts.append(f'<text x="{lx + 30}" y="{ly}">{s.label}</text>')
-    if title:
-        parts.append(f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-                     f'font-size="15">{title}</text>')
-    if xlabel:
-        parts.append(f'<text x="{MARGIN_L + plot_w / 2:.0f}" y="{HEIGHT - 10}" '
-                     f'text-anchor="middle">{xlabel}</text>')
-    if ylabel:
-        parts.append(f'<text x="18" y="{MARGIN_T + plot_h / 2:.0f}" '
-                     f'text-anchor="middle" transform="rotate(-90 18 '
-                     f'{MARGIN_T + plot_h / 2:.0f})">{ylabel}</text>')
+    parts.append(f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
+                 f'font-size="15">{title}</text>')
+    parts.append(f'<text x="{MARGIN_L + plot_w / 2:.0f}" y="{HEIGHT - 10}" '
+                 f'text-anchor="middle">{xlabel}</text>')
+    parts.append(f'<text x="18" y="{MARGIN_T + plot_h / 2:.0f}" '
+                 f'text-anchor="middle" transform="rotate(-90 18 '
+                 f'{MARGIN_T + plot_h / 2:.0f})">{ylabel}</text>')
     parts.append("</svg>")
     try:
         Path(path).write_text("\n".join(parts) + "\n")

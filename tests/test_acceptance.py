@@ -12,9 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chest.config import (desk_config, noise_variance_for_snr, reference_config,
-                          validate_config)
-from chest.experiments import (SWEEPS, ExperimentPlan, build_environment,
+from chest.config import desk_config, noise_variance_for_snr, validate_config
+from chest.experiments import (ExperimentPlan, build_environment,
                                measure_projection_floor,
                                run_ecdf, run_nmse_sweep, run_pilot_sweep,
                                run_se_sweep, _chunk_ranges, _simulate_chunk)
@@ -120,7 +119,7 @@ def test_c4_low_snr_projection_gain(announce):
     """With 64 antennas, 32 pilots, and rank-5 priors the projection gain over
     LS at SNR <= -10 dB is 10*log10(2048/25) = 19.13 dB within 1 dB, < 5 min."""
     t0 = time.perf_counter()
-    bundle = reference_config(snr_grid_db=(-20.0, -15.0, -10.0), n_trials=200)
+    bundle = desk_config(n_rx=64, snr_grid_db=(-20.0, -15.0, -10.0), n_trials=200)
     records = run_nmse_sweep(ExperimentPlan(bundle=bundle, methods=("ls", "emdt")))
     elapsed = time.perf_counter() - t0
     env = build_environment(bundle)
@@ -156,7 +155,7 @@ def test_c5_floor_ordering_and_batch_size(announce):
         env = build_environment(validate_config(bundle.system, bundle.scenario, est))
         errors = np.empty(n_trials)
         for t0, t1 in _chunk_ranges(n_trials, 50):
-            errors[t0:t1] = _simulate_chunk(env, SWEEPS["nmse-sweep"], t0, t1, ("bml",),
+            errors[t0:t1] = _simulate_chunk(env, "nmse-sweep", t0, t1, ("bml",),
                                             (nv,), 50)[("error", "bml", 0)]
         per_trial[n_batch] = errors
     diff = per_trial[64] - per_trial[256]

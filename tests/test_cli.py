@@ -8,15 +8,19 @@ import argparse
 import csv
 import json
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from chest.cli import WRITERS, _build_parser, _load_bundle
+from chest.cli import WRITERS, _build_parser
+from chest.config import load_config
 from chest.experiments import SWEEPS
 
 CMD = [sys.executable, "-m", "chest"]
+ROOT = Path(__file__).resolve().parents[1]
 
 TINY = {
     "system": {"n_rx": 4, "n_subcarriers": 16, "cp_length": 8, "n_pilots": 8,
@@ -241,8 +245,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag", [["--workers", "2"], ["--trials", "5"],
                                       ["--methods", "ls"], ["--paths", "x.csv"]])
     def test_validate_rejects_sweep_flags(self, flag):
-        """`validate` takes --config, --seed and --full-scale only; a sweep
-        flag it would ignore is a usage error."""
+        """`validate` takes --config and --seed only; a sweep flag it would
+        ignore is a usage error."""
         proc = run_cli("validate", *flag)
         assert proc.returncode == 2
         assert "usage" in proc.stderr.lower()
@@ -322,11 +326,23 @@ class TestSubcommandsFollowTheSweepTable:
         default = ",".join(str(s) for s in SWEEPS[kind].snrs)
         assert f"(default {default})" in text
 
-    def test_validate_full_scale_keeps_the_grid(self):
-        """`validate` has no table entry; only pilot-count sweeps widen the
-        grid to 2048 subcarriers."""
-        bundle = _load_bundle(_build_parser().parse_args(["validate", "--full-scale"]))
-        assert (bundle.system.n_rx, bundle.system.n_subcarriers) == (64, 64)
+
+class TestReadme:
+    def test_every_readme_command_parses_and_loads_its_config(self):
+        """Every `chest ...` line of the README's sh blocks is a valid command
+        line, and every config file it names loads."""
+        text = (ROOT / "README.md").read_text()
+        commands = []
+        for block in re.findall(r"```sh\n(.*?)```", text, re.S):
+            for line in block.splitlines():
+                argv = shlex.split(line, comments=True)
+                if argv[:1] == ["chest"]:
+                    commands.append(argv[1:])
+        assert len(commands) >= 5
+        for argv in commands:
+            args = _build_parser().parse_args(argv)
+            if args.config is not None:
+                load_config(ROOT / args.config)
 
 
 def test_importing_cli_leaves_validate_unloaded():
@@ -364,18 +380,19 @@ def test_full_scale_pilot_sweep_peaks_under_100_mb(tmp_path):
     """The full-scale pilot sweep at 2048 pilots (64 x 2048 per trial) stays
     under 100 MB resident: its chunks hold one slice of trials at a time."""
     status, peak_mb, _, stderr = run_cli_peak(
-        "pilot-sweep", "--full-scale", "--pilots", "2048", "--trials", "16",
-        "--out", str(tmp_path))
+        "pilot-sweep", "--config", str(ROOT / "configs" / "full-scale.json"),
+        "--pilots", "2048", "--trials", "16", "--out", str(tmp_path))
     assert status == 0, stderr
     assert (tmp_path / "pilot.csv").is_file()
     assert peak_mb < 100, f"peak RSS {peak_mb:.1f} MB"
 
 
 def test_full_scale_validate_peaks_under_100_mb():
-    """`chest validate --full-scale` (64 antennas) passes all 12 checks under
-    100 MB resident: its slow paths form each side's dense projector, never
-    the (n_rx n_pilots)-square Kronecker product of the two."""
-    status, peak_mb, lines, stderr = run_cli_peak("validate", "--full-scale")
+    """`chest validate` on the reference config (64 antennas) passes all 12
+    checks under 100 MB resident: its slow paths form each side's dense
+    projector, never the (n_rx n_pilots)-square Kronecker product of the two."""
+    status, peak_mb, lines, stderr = run_cli_peak(
+        "validate", "--config", str(ROOT / "configs" / "reference.json"))
     assert status == 0, "\n".join(lines) + stderr
     assert lines[-1] == "12/12 checks passed"
     assert peak_mb < 100, f"peak RSS {peak_mb:.1f} MB"

@@ -1,6 +1,6 @@
 """Configuration validation, pilot pattern construction, and SNR mapping."""
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chest import (ConfigError, ExperimentPlan, build_pilot_pattern, desk_config,
-                   load_config, noise_variance_for_snr, reference_config, validate_config,
+                   load_config, noise_variance_for_snr, validate_config,
                    validate_plan)
+from chest.config import _SECTIONS
+from chest.experiments import SWEEPS
 
 
 def _reject(message_part, **system_overrides):
@@ -200,7 +202,22 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 class TestShippedConfigs:
     def test_desk_and_reference_match_their_presets(self):
         assert load_config(CONFIGS / "desk.json") == desk_config()
-        assert load_config(CONFIGS / "reference.json") == reference_config()
+        assert load_config(CONFIGS / "reference.json") == desk_config(n_rx=64)
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.name)
+    def test_every_config_spells_out_every_field_and_runs_every_sweep(self, path):
+        payload = json.loads(path.read_text())
+        assert {name: set(section) for name, section in payload.items()} == \
+            {name: {f.name for f in fields(cls)} for name, cls in _SECTIONS.items()}
+        bundle = load_config(path)
+        for kind in SWEEPS:
+            validate_plan(ExperimentPlan(bundle=bundle), kind)
+
+    def test_full_scale_is_the_reference_array_on_2048_subcarriers(self):
+        desk = desk_config()
+        system = replace(desk.system, n_rx=64, n_subcarriers=2048, cp_length=1024)
+        assert load_config(CONFIGS / "full-scale.json") == \
+            validate_config(system, desk.scenario, desk.estimator)
 
     def test_pilot_config_loads_and_validates(self):
         bundle = load_config(CONFIGS / "pilot.json")

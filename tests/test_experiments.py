@@ -6,15 +6,15 @@ import multiprocessing
 import pickle
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chest.channel import apply_uplink, assemble_channel, draw_fading
-from chest.cli import _build_parser, _load_bundle
 from chest import experiments
-from chest.config import (ConfigError, desk_config, noise_variance_for_snr,
-                          reference_config, validate_config)
+from chest.config import (ConfigError, desk_config, load_config, noise_variance_for_snr,
+                          validate_config)
 from chest.estimators import ls_estimate
 from chest.experiments import (SWEEPS, ExperimentPlan, bml_ranks,
                                build_environment, emit_csv, emit_ecdf_csv,
@@ -31,6 +31,7 @@ from chest.subspaces import SnapshotGrams, bml_subspace, denoise_subspace
 
 RUNS = {"nmse-sweep": run_nmse_sweep, "se-sweep": run_se_sweep, "ecdf": run_ecdf,
         "pilot-sweep": run_pilot_sweep}
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -216,7 +217,7 @@ class TestProjectionFloor:
             desk = desk_config(n_trials=400)
             env = build_environment(validate_config(
                 desk.system, replace(desk.scenario, delay_spread=0.2e-6), desk.estimator))
-            chunks = [_simulate_chunk(env, SWEEPS["nmse-sweep"], t0, t1, ("denoise",),
+            chunks = [_simulate_chunk(env, "nmse-sweep", t0, t1, ("denoise",),
                                       (0.0,), 50) for t0, t1 in _chunk_ranges(400, 50)]
             measured = (np.concatenate([c[("error", "denoise", 0)] for c in chunks]).sum()
                         / np.concatenate([c["energy"] for c in chunks]).sum())
@@ -234,13 +235,12 @@ class TestProjectionFloor:
         assert bml_ranks(tiny_env) == (3, 3)
 
 
-def test_full_scale_environment_holds_low_rank_projectors(tmp_path):
-    """The largest ``pilot-sweep --full-scale`` environment (64 antennas, 2048
-    pilots) keeps n x r bases, never a dense 2048-square projector (64 MB),
-    so the whole environment a pool worker receives stays small."""
-    args = _build_parser().parse_args(["pilot-sweep", "--full-scale",
-                                       "--out", str(tmp_path)])
-    bundle = _load_bundle(args)
+def test_full_scale_environment_holds_low_rank_projectors():
+    """The largest environment of a pilot sweep on ``configs/full-scale.json``
+    (64 antennas, 2048 pilots) keeps n x r bases, never a dense 2048-square
+    projector (64 MB), so the whole environment a pool worker receives stays
+    small."""
+    bundle = load_config(CONFIGS / "full-scale.json")
     n_sc = bundle.system.n_subcarriers
     assert n_sc == 2048
     env = build_environment(validate_config(replace(bundle.system, n_pilots=n_sc),
@@ -316,7 +316,7 @@ class TestEcdfSampleBuffers:
         env = build_environment(bundle)
         nv = _noise_variances(env, plan.snrs)
         assert _chunk_ranges(7, 3) == [(0, 3), (3, 6), (6, 7)]
-        partials = [_simulate_chunk(env, SWEEPS["ecdf"], t0, t1, plan.methods, nv, 3)
+        partials = [_simulate_chunk(env, "ecdf", t0, t1, plan.methods, nv, 3)
                     for t0, t1 in _chunk_ranges(7, 3)]
         tables = run_ecdf(plan)
         assert list(tables) == [(m, s) for s in plan.snrs for m in plan.methods]
@@ -358,7 +358,7 @@ class TestEcdfSampleBuffers:
     def test_closed_generator_leaves_no_pool(self):
         env = build_environment(desk_config(n_trials=12))
         nv = _noise_variances(env, (0.0,))
-        tasks = [(0, SWEEPS["ecdf"], t0, t1, ("ls",), nv, 3)
+        tasks = [(0, "ecdf", t0, t1, ("ls",), nv, 3)
                  for t0, t1 in _chunk_ranges(12, 3)]
         results = experiments._map_chunks((env,), tasks, 2)
         first = next(results)
@@ -730,7 +730,7 @@ class TestDeterminism:
         """Pooled-ratio NMSE is stable under doubling the trial count."""
         env = build_environment(tiny400)
         nv = noise_variance_for_snr(0.0, 1.0, env.beta)
-        result = _simulate_chunk(env, SWEEPS["nmse-sweep"], 0, 400, ("ls",), (nv,), 400)
+        result = _simulate_chunk(env, "nmse-sweep", 0, 400, ("ls",), (nv,), 400)
         err, gain = result[("error", "ls", 0)], result["energy"]
         r200 = err[:200].sum() / gain[:200].sum()
         r400 = err.sum() / gain.sum()
@@ -782,7 +782,7 @@ class TestSlices:
         assert _sweep_outputs(desk_small, workers) == one_pass
 
     def test_sliced_warm_up_grams_match_one_pass(self, monkeypatch):
-        env = build_environment(reference_config())
+        env = build_environment(desk_config(n_rx=64))
         whole = _one_pass_grams(env, 1)
         monkeypatch.setattr(experiments, "_SLICE_BYTES", 1)
         sliced = experiments._warm_up_grams(env, 1)
@@ -795,7 +795,7 @@ class TestSlices:
     def test_reference_warm_up_holds_less_than_one_batch(self):
         """The warm-up of the reference config (64 snapshots of 64 x 32) never
         holds as much as one whole (n_batch, n_rx, n_pilots) complex array."""
-        env = build_environment(reference_config())
+        env = build_environment(desk_config(n_rx=64))
         shape = (env.bundle.estimator.n_batch, env.bundle.system.n_rx, len(env.pilots))
         peak = _traced_peak(lambda: experiments._warm_up_grams(env, 0))
         assert peak < np.prod(shape) * np.dtype(complex).itemsize
@@ -812,7 +812,7 @@ class TestSlices:
         nv = _noise_variances(env, SWEEPS["pilot-sweep"].snrs)
         methods = SWEEPS["pilot-sweep"].methods
         peaks = {n: _traced_peak(lambda: _simulate_chunk(
-            env, SWEEPS[kind], 0, n, methods, nv, 50)) for n in (8, 50)}
+            env, kind, 0, n, methods, nv, 50)) for n in (8, 50)}
         assert peaks[50] <= 1.1 * peaks[8]
 
 

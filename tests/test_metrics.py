@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chest import (analytic_nmse, channel_covariance, dt_subspace, ecdf,
-                   noise_variance_for_snr, reference_config)
+                   noise_variance_for_snr, desk_config)
 from chest.propagation import (ArrayGeometry, PathSet, frequency_response,
                                steering_matrix)
 from chest.subspaces import ProjectorPair
@@ -190,7 +190,7 @@ class TestCovarianceTraces:
         self._check(desk_env, desk_cov, dense_projectors)
 
     def test_reference(self, dense_projectors):
-        env = build_environment(reference_config())
+        env = build_environment(desk_config(n_rx=64))
         self._check(env, channel_covariance(env.paths, env.geometry,
                                             env.bundle.system.n_subcarriers,
                                             env.bundle.system.sample_interval,

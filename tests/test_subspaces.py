@@ -4,7 +4,7 @@ import pytest
 
 from chest import (ProjectorPair, assemble_channel, bml_subspace, draw_fading,
                    dt_subspace, frequency_response, steering_matrix)
-from chest.config import reference_config
+from chest.config import desk_config
 from chest.experiments import _draw, _noise_variances, bml_ranks, build_environment
 from chest.propagation import ArrayGeometry, PathSet
 from chest.streams import WARM_FADING, WARM_NOISE
@@ -220,7 +220,7 @@ class TestSnapshotGrams:
     them, against rebuilding the warm-up snapshots at every noise level."""
 
     def test_matches_direct_snapshots_on_reference_grid(self, dense_projectors):
-        env = build_environment(reference_config())
+        env = build_environment(desk_config(n_rx=64))
         warm = range(env.bundle.estimator.n_batch)
         fading_w, noise_w = _draw(env, [(WARM_FADING, 0, j) for j in warm],
                                   [(WARM_NOISE, 0, j) for j in warm])
