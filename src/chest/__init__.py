@@ -10,22 +10,22 @@ from .experiments import (Environment, ExperimentPlan, build_environment, emit_c
                           emit_ecdf_csv, measure_projection_floor, run_ecdf,
                           run_nmse_sweep, run_pilot_sweep, run_se_sweep, validate_plan)
 from .metrics import Ecdf, MetricsRecord, NmseBreakdown, analytic_nmse, ecdf
-from .propagation import (ArrayGeometry, PathSet, direction_vector, dt_truncate,
-                          frequency_response, generate_paths, load_paths_csv,
-                          pulse_response, save_paths_csv, steering_matrix)
+from .propagation import (PathSet, dt_truncate, frequency_response, generate_paths,
+                          load_paths_csv, pulse_response, save_paths_csv,
+                          steering_matrix)
 from .streams import complex_normal, substream
 from .subspaces import ProjectorPair, bml_subspace, denoise_subspace, dt_subspace
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrayGeometry", "ConfigBundle", "ConfigError", "Ecdf", "Environment",
+    "ConfigBundle", "ConfigError", "Ecdf", "Environment",
     "EstimatorConfig", "ExperimentPlan", "MetricsRecord", "NmseBreakdown",
     "PathSet", "PilotPattern", "ProjectorPair", "ScenarioConfig", "SystemConfig",
     "analytic_nmse", "apply_uplink", "assemble_channel",
     "average_gain_from_responses", "bml_subspace", "build_environment",
     "build_pilot_pattern", "channel_covariance", "complex_normal",
-    "denoise_subspace", "desk_config", "direction_vector", "draw_fading",
+    "denoise_subspace", "desk_config", "draw_fading",
     "dt_subspace", "dt_truncate", "ecdf", "emit_csv", "emit_ecdf_csv",
     "frequency_response", "generate_paths", "load_config", "load_paths_csv",
     "ls_estimate", "measure_projection_floor", "noise_variance_for_snr",

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import PilotPattern
-from .propagation import ArrayGeometry, PathSet, frequency_response, steering_matrix
+from .propagation import PathSet, frequency_response, steering_matrix
 from .streams import complex_normal
 
 
@@ -37,7 +37,7 @@ def assemble_channel(steering: np.ndarray, fading: np.ndarray,
     return (steering * fading[..., None, :]) @ freq.T
 
 
-def channel_covariance(paths: PathSet, geometry: ArrayGeometry, n_subcarriers: int,
+def channel_covariance(paths: PathSet, n_rx: int, spacing: float, n_subcarriers: int,
                        sample_interval: float, rolloff: float,
                        pilot_indices: np.ndarray) -> np.ndarray:
     """Covariance of the vectorized pilot-grid channel.
@@ -45,7 +45,7 @@ def channel_covariance(paths: PathSet, geometry: ArrayGeometry, n_subcarriers: i
     With vec stacking columns (pilot-major), R = Phi diag(alpha^2) Phi^H where
     column l of Phi is kron(k_l, a_l).
     """
-    a = steering_matrix(paths, geometry)                                  # (n_rx, L)
+    a = steering_matrix(paths, n_rx, spacing)                             # (n_rx, L)
     k = frequency_response(paths, n_subcarriers, sample_interval, rolloff,
                            pilot_indices)                                 # (n_p, L)
     phi = (k[:, None, :] * a[None, :, :]).reshape(-1, len(paths))

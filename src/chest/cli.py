@@ -74,23 +74,24 @@ def _load_bundle(args) -> ConfigBundle:
     return validate_config(system, bundle.scenario, bundle.estimator)
 
 
-def _parse_list(text: str | None, type, what: str) -> tuple:
-    """A comma-separated option as a tuple of ``type``; unset: empty."""
+def _parse_list(text: str | None, type, flag: str, what: str) -> tuple:
+    """The comma-separated option ``flag`` as a tuple of ``type``; unset:
+    empty."""
     if text is None:
         return ()
     try:
         return tuple(type(v) for v in text.split(","))
     except ValueError as exc:
-        raise ConfigError(f"expected comma-separated {what}, got {text!r}") from exc
+        raise ConfigError(f"{flag}: expected comma-separated {what}, got {text!r}") from exc
 
 
 def _make_plan(args, bundle: ConfigBundle) -> ExperimentPlan:
     """The validated plan, method defaults filled in for the plotting code."""
     environment = load_paths_csv(args.paths) if args.paths else None
     return validate_plan(ExperimentPlan(
-        bundle=bundle, methods=_parse_list(args.methods, str, "methods"),
-        snrs=_parse_list(args.snr, float, "numbers"),
-        pilot_counts=_parse_list(args.pilots, int, "integers"),
+        bundle=bundle, methods=_parse_list(args.methods, str, "--methods", "methods"),
+        snrs=_parse_list(args.snr, float, "--snr", "numbers"),
+        pilot_counts=_parse_list(args.pilots, int, "--pilots", "integers"),
         workers=args.workers, environment=environment), args.command)
 
 

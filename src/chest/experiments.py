@@ -93,12 +93,12 @@ import numpy as np
 
 from .channel import assemble_channel, average_gain_from_responses
 from .config import (ConfigBundle, ConfigError, PilotPattern, build_pilot_pattern,
-                     noise_variance_for_snr)
+                     check_snr_points, noise_variance_for_snr)
 from .estimators import interpolation_matrix
 from .metrics import (CombiningStats, Ecdf, MetricsRecord, analytic_nmse, ecdf,
                       post_combining_snr)
-from .propagation import (ArrayGeometry, PathSet, dt_truncate, frequency_response,
-                          generate_paths, steering_matrix)
+from .propagation import (PathSet, dt_truncate, frequency_response, generate_paths,
+                          steering_matrix)
 from .streams import (FADING, NOISE, PATHS, PILOTS, WARM_FADING, WARM_NOISE,
                       complex_normals, substream)
 from .subspaces import (ProjectorPair, SnapshotGrams, bml_subspace, denoise_subspace,
@@ -141,8 +141,7 @@ def validate_plan(plan: ExperimentPlan, kind: str) -> ExperimentPlan:
     _require_distinct("methods", methods)
     snrs = tuple(float(s) for s in
                  plan.snrs or sweep.snrs or plan.bundle.system.snr_grid_db)
-    if not all(np.isfinite(snrs)):
-        raise ConfigError(f"{kind} SNR points must be finite: {list(snrs)}")
+    check_snr_points(f"{kind} SNR points", snrs)
     _require_distinct(f"{kind} SNR points", snrs)
     plan = replace(plan, methods=tuple(methods), snrs=snrs)
     if not sweep.sweeps_pilots:
@@ -181,7 +180,6 @@ class Environment:
 
     bundle: ConfigBundle
     paths: PathSet
-    geometry: ArrayGeometry
     pilots: PilotPattern
     steering: np.ndarray       # (n_rx, L)
     freq_full: np.ndarray      # (N, L)
@@ -213,18 +211,17 @@ def build_environment(bundle: ConfigBundle, paths: PathSet | None = None) -> Env
         if np.any(paths.delay >= cp_duration):
             raise ConfigError("supplied path delays exceed the CP duration")
     twin = dt_truncate(paths, min(scen.n_dt_paths, len(paths)))
-    geometry = ArrayGeometry.uniform_linear(sysc.n_rx, sysc.wavelength, scen.array_spacing)
     pilots = build_pilot_pattern(sysc.n_subcarriers, sysc.n_pilots,
-                                 sysc.symbol_power, substream(sysc.seed, PILOTS))
-    steering = steering_matrix(paths, geometry)
+                                 substream(sysc.seed, PILOTS))
+    steering = steering_matrix(paths, sysc.n_rx, scen.array_spacing)
     freq_full = frequency_response(paths, sysc.n_subcarriers, sysc.sample_interval,
                                    scen.pulse_rolloff)
     freq_pilot = freq_full[pilots.indices]
-    projectors = dt_subspace(twin, geometry, sysc.n_subcarriers, sysc.sample_interval,
-                             scen.pulse_rolloff, pilots.indices,
+    projectors = dt_subspace(twin, sysc.n_rx, scen.array_spacing, sysc.n_subcarriers,
+                             sysc.sample_interval, scen.pulse_rolloff, pilots.indices,
                              tol=estc.svd_rank_tolerance)
     beta = average_gain_from_responses(paths.amplitude, freq_pilot)
-    return Environment(bundle=bundle, paths=paths, geometry=geometry, pilots=pilots,
+    return Environment(bundle=bundle, paths=paths, pilots=pilots,
                        steering=steering, freq_full=freq_full, freq_pilot=freq_pilot,
                        projectors=projectors, beta=beta)
 
@@ -336,7 +333,7 @@ def _error_energy(bases: ProjectorPair, truth: np.ndarray, core_h: np.ndarray,
 
 def _combining_snrs(bases: ProjectorPair, core_h: np.ndarray, core_w: np.ndarray,
                     truth: np.ndarray, grid: np.ndarray | None, sigmas: np.ndarray,
-                    power: float, noise_variances: np.ndarray) -> np.ndarray:
+                    noise_variances: np.ndarray) -> np.ndarray:
     """Post-combining SNRs, (len(sigmas), n_trials, n_sc), of the estimates
     ``P(H) + sigma P(W')`` taken onto the grid of ``truth``: the full grid
     through the interpolation matrix ``grid``, or the pilot grid (None).
@@ -348,7 +345,7 @@ def _combining_snrs(bases: ProjectorPair, core_h: np.ndarray, core_w: np.ndarray
     rows = bases.synthesis(grid)
     a, b = (c if rows is None else c @ rows for c in (core_h, core_w))
     stats = CombiningStats.of(a, b, bases.coords(truth))
-    return post_combining_snr(stats, sigmas, power, noise_variances)
+    return post_combining_snr(stats, sigmas, noise_variances)
 
 
 def _rate(snrs: np.ndarray) -> np.ndarray:
@@ -365,7 +362,6 @@ def _nmse_slice(env: Environment, fading: np.ndarray, noise: np.ndarray,
     pilot grid, ``("rate", method, i)``."""
     truth = assemble_channel(env.steering, fading, env.freq_pilot)
     sigmas = np.sqrt(noise_variances)
-    power = env.bundle.system.symbol_power
     out = {"energy": _energy(truth)}
     for method, snrs, b in bases:
         points = range(len(sigmas))[snrs]
@@ -373,7 +369,7 @@ def _nmse_slice(env: Environment, fading: np.ndarray, noise: np.ndarray,
         errors = _error_energy(b, truth, core_h, core_w, sigmas[snrs])
         out.update(zip([("error", method, i) for i in points], errors))
         if rates:
-            snr = _combining_snrs(b, core_h, core_w, truth, None, sigmas[snrs], power,
+            snr = _combining_snrs(b, core_h, core_w, truth, None, sigmas[snrs],
                                   noise_variances[snrs])
             out.update(zip([("rate", method, i) for i in points], _rate(snr)))
     return out
@@ -387,16 +383,15 @@ def _ecdf_slice(env: Environment, fading: np.ndarray, noise: np.ndarray,
     truth_full = assemble_channel(env.steering, fading, env.freq_full)
     truth = truth_full[..., env.pilots.indices]
     grid = interpolation_matrix(env.pilots, env.bundle.system.n_subcarriers)
-    power = env.bundle.system.symbol_power
     sigmas = np.sqrt(noise_variances)
     out = {}
     for method, snrs, b in bases:
         if b is None:
             stats = CombiningStats.of(truth_full, None, truth_full)
-            snr = post_combining_snr(stats, sigmas[snrs], power, noise_variances[snrs])
+            snr = post_combining_snr(stats, sigmas[snrs], noise_variances[snrs])
         else:
             snr = _combining_snrs(b, b.core(truth), b.core(noise), truth_full, grid,
-                                  sigmas[snrs], power, noise_variances[snrs])
+                                  sigmas[snrs], noise_variances[snrs])
         out.update(zip([("snr", method, i) for i in range(len(sigmas))[snrs]], snr))
     return out
 
@@ -528,8 +523,7 @@ def _nmse(trials: dict, method: str, i: int) -> float:
 
 
 def _noise_variances(env: Environment, snrs) -> list[float]:
-    power = env.bundle.system.symbol_power
-    return [noise_variance_for_snr(s, power, env.beta) for s in snrs]
+    return [noise_variance_for_snr(s, env.beta) for s in snrs]
 
 
 # --- Sweeps -------------------------------------------------------------------
@@ -546,7 +540,7 @@ def run_nmse_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
             if method == "emdt":
                 analytic = analytic_nmse(env.projectors, env.steering,
                                          env.freq_pilot, env.paths.amplitude,
-                                         snr_db, sysc.symbol_power, noise_variance)
+                                         snr_db, noise_variance)
             records.append(MetricsRecord(method=method, snr_db=snr_db,
                                          n_pilots=sysc.n_pilots,
                                          trials=sysc.n_trials,

@@ -95,7 +95,7 @@ def _side(basis: np.ndarray | None, dim: int) -> tuple[int, float]:
 
 def analytic_nmse(projectors: ProjectorPair, steering: np.ndarray,
                   freq_pilot: np.ndarray, amplitude: np.ndarray, snr_db: float,
-                  symbol_power: float, noise_variance: float) -> NmseBreakdown:
+                  noise_variance: float) -> NmseBreakdown:
     """Closed-form NMSE of the projection estimator for a known path set.
 
     The channel statistics enter only through trace(R) and trace(R Q), which
@@ -104,9 +104,10 @@ def analytic_nmse(projectors: ProjectorPair, steering: np.ndarray,
     rank shortcut ranks/(n_rx * n_pilots * SNR); the two must agree to 1e-9,
     which guards the SNR bookkeeping end to end.  An identity side has the
     rank and the tr(Q Q^H) factor of the response dimension it meets.
+    Pilots have unit power.
     """
-    if noise_variance < 0 or symbol_power <= 0:
-        raise ValueError("need symbol_power > 0 and noise_variance >= 0")
+    if noise_variance < 0:
+        raise ValueError("need noise_variance >= 0")
     tr_r, tr_rq = covariance_traces(projectors, steering, freq_pilot, amplitude)
     if tr_r <= 0:
         raise ValueError("covariance trace must be positive")
@@ -116,7 +117,7 @@ def analytic_nmse(projectors: ProjectorPair, steering: np.ndarray,
     rank_s, gram_s = _side(projectors.basis_spatial, n_rx)
     rank_t, gram_t = _side(projectors.basis_temporal, n_p)
     tr_qqh = float(gram_s * gram_t)
-    noise_trace_form = noise_variance * tr_qqh / (symbol_power * tr_r)
+    noise_trace_form = noise_variance * tr_qqh / tr_r
     snr = 10.0 ** (snr_db / 10.0)
     noise_simplified = rank_s * rank_t / (n_rx * n_p * snr)
     if not np.isclose(noise_trace_form, noise_simplified, rtol=1e-9, atol=1e-9):
@@ -153,27 +154,26 @@ class CombiningStats(NamedTuple):
                    np.sum(np.abs(b) ** 2, axis=-2))
 
 
-def post_combining_snr(stats: CombiningStats, sigmas, symbol_power: float,
-                       noise_variances) -> np.ndarray:
+def post_combining_snr(stats: CombiningStats, sigmas, noise_variances) -> np.ndarray:
     """Per-subcarrier SNR after matched combining on the estimate
     ``a + sigma b``, at every ``(sigma, noise variance)`` pair.
 
     The combiner is the normalized conjugate of the estimated per-subcarrier
     channel and the decision-stage channel knowledge is exact, so the gain is
     |a^H h + sigma b^H h|^2 / (||a||^2 + 2 sigma Re a^H b + sigma^2 ||b||^2).
-    Zero estimates yield zero SNR.  The result has a leading axis over the
-    pairs, then the axes of ``stats``.
+    Zero estimates yield zero SNR, and pilots and data have unit power.  The
+    result has a leading axis over the pairs, then the axes of ``stats``.
     """
     sigmas = np.asarray(sigmas, dtype=float)
     noise_variances = np.asarray(noise_variances, dtype=float)
-    if symbol_power <= 0 or np.any(noise_variances <= 0):
-        raise ValueError("need symbol_power > 0 and noise_variance > 0")
+    if np.any(noise_variances <= 0):
+        raise ValueError("need noise_variance > 0")
     shape = (-1,) + (1,) * stats.aa.ndim
     s, nv = sigmas.reshape(shape), noise_variances.reshape(shape)
     num = np.abs(stats.ah + s * stats.bh) ** 2
     den = stats.aa + 2.0 * s * stats.ab + s * s * stats.bb
     gain = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return symbol_power * gain / nv
+    return gain / nv
 
 
 @dataclass(frozen=True, eq=False)

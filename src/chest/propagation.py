@@ -2,9 +2,11 @@
 
 A propagation environment is a set of discrete paths, each with an arrival
 direction (elevation, azimuth), a delay, and a mean amplitude.  The receive
-array maps directions to steering vectors; the pulse-shaped delay taps map
-delays to per-subcarrier frequency responses.  A truncated copy of the path
-set (the strongest few paths) plays the role of the twin's prior knowledge.
+array, a uniform linear array on the x axis, maps directions to steering
+vectors; its element spacing is given in wavelengths, so the phases need no
+carrier frequency.  The pulse-shaped delay taps map delays to per-subcarrier
+frequency responses.  A truncated copy of the path set (the strongest few
+paths) plays the role of the twin's prior knowledge.
 """
 from __future__ import annotations
 
@@ -49,36 +51,6 @@ class PathSet:
         return int(self.delay.size)
 
 
-@dataclass(frozen=True, eq=False)
-class ArrayGeometry:
-    """Receive array element positions (meters) and operating wavelength."""
-
-    positions: np.ndarray   # (n_elements, 3)
-    wavelength: float
-
-    def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] < 1:
-            raise ValueError("positions must be an (n_elements, 3) array")
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be positive")
-        object.__setattr__(self, "positions", pos)
-
-    @classmethod
-    def uniform_linear(cls, n_elements: int, wavelength: float,
-                       spacing: float = 0.5) -> "ArrayGeometry":
-        """Uniform linear array along x, element 0 at the origin.
-
-        ``spacing`` is the element separation in wavelengths.
-        """
-        if n_elements < 1:
-            raise ValueError("n_elements must be >= 1")
-        x = np.arange(n_elements) * spacing * wavelength
-        positions = np.zeros((n_elements, 3))
-        positions[:, 0] = x
-        return cls(positions=positions, wavelength=wavelength)
-
-
 def generate_paths(scenario: ScenarioConfig, rng: np.random.Generator) -> PathSet:
     """Draw a random environment from the scenario's distributions.
 
@@ -111,20 +83,13 @@ def dt_truncate(paths: PathSet, n_keep: int) -> PathSet:
                    delay=paths.delay[keep], amplitude=paths.amplitude[keep])
 
 
-def direction_vector(elevation, azimuth) -> np.ndarray:
-    """Unit direction of arrival; broadcasts over array inputs (last axis 3)."""
-    elevation = np.asarray(elevation, dtype=float)
-    azimuth = np.asarray(azimuth, dtype=float)
-    return np.stack([np.cos(azimuth) * np.cos(elevation),
-                     np.sin(azimuth) * np.cos(elevation),
-                     np.sin(elevation)], axis=-1)
-
-
-def steering_matrix(paths: PathSet, geometry: ArrayGeometry) -> np.ndarray:
-    """Stack steering vectors of all paths into an (n_elements, L) matrix."""
-    v = direction_vector(paths.elevation, paths.azimuth)          # (L, 3)
-    phase = (2.0 * np.pi / geometry.wavelength) * (geometry.positions @ v.T)
-    return np.exp(1j * phase)
+def steering_matrix(paths: PathSet, n_rx: int, spacing: float) -> np.ndarray:
+    """Steering vectors of all paths, (n_rx, L), of a uniform linear array on
+    the x axis with element 0 at the origin and ``spacing`` wavelengths
+    between elements: element n sees path l at phase
+    2 pi spacing n cos(azimuth_l) cos(elevation_l)."""
+    cosine = np.cos(paths.azimuth) * np.cos(paths.elevation)         # (L,)
+    return np.exp(2j * np.pi * spacing * np.outer(np.arange(n_rx), cosine))
 
 
 def pulse_response(nu, delay_norm, rolloff: float) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .config import SystemConfig
-from .propagation import ArrayGeometry, PathSet, frequency_response, steering_matrix
+from .propagation import PathSet, frequency_response, steering_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,11 +96,12 @@ def _span_basis(matrix: np.ndarray, tol: float) -> np.ndarray:
     return u[:, :int(np.sum(s > tol * s[0]))]
 
 
-def dt_subspace(twin_paths: PathSet, geometry: ArrayGeometry, n_subcarriers: int,
+def dt_subspace(twin_paths: PathSet, n_rx: int, spacing: float, n_subcarriers: int,
                 sample_interval: float, rolloff: float, pilot_indices: np.ndarray,
                 tol: float = 1e-8) -> ProjectorPair:
-    """Projector pair spanned by the twin's known paths."""
-    a = steering_matrix(twin_paths, geometry)
+    """Projector pair spanned by the twin's known paths on an ``n_rx``-element
+    array of ``spacing`` wavelengths (:func:`~chest.propagation.steering_matrix`)."""
+    a = steering_matrix(twin_paths, n_rx, spacing)
     k = frequency_response(twin_paths, n_subcarriers, sample_interval, rolloff,
                            pilot_indices)
     return ProjectorPair(basis_spatial=_span_basis(a, tol),

@@ -36,13 +36,13 @@ from .experiments import (SWEEPS, ExperimentPlan, build_environment, emit_csv,
                           run_nmse_sweep, _draw, _energy, _method_bases,
                           _nmse_slice, _noise_variances)
 from .metrics import analytic_nmse
-from .propagation import ArrayGeometry, PathSet, frequency_response, pulse_response, \
-    steering_matrix
+from .propagation import PathSet, frequency_response, pulse_response, steering_matrix
 from .streams import FADING, NOISE, complex_normal, substream
 from .subspaces import ProjectorPair, dt_subspace
 
 PAIR_METHODS = ("emdt", "denoise", "bml")     # the sweeps' pairs besides LS
 CHECK_SNR = 10.0    # dB; the point at which a single-point check takes batch-ML
+SPACING = 0.5       # wavelengths; element spacing of the fixed 4-antenna instances
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,7 @@ def check_vec_kron(bundle: ConfigBundle) -> CheckResult:
     """vec(P_s H P_t) must equal (P_t^T kron P_s) vec(H) (4x8 twin pair)."""
     rng = substream(bundle.system.seed, 902)
     paths = _small_paths(rng, 3, 0.4e-6)
-    geom = ArrayGeometry.uniform_linear(4, bundle.system.wavelength)
-    p_s, p_t = _dense(dt_subspace(paths, geom, 8, 1e-7, 0.25, np.arange(8)))
+    p_s, p_t = _dense(dt_subspace(paths, 4, SPACING, 8, 1e-7, 0.25, np.arange(8)))
     h = complex_normal(rng, (4, 8))
     lhs = (p_s @ h @ p_t).T.reshape(-1)     # pilot-major vec
     rhs = np.kron(p_t.T, p_s) @ h.T.reshape(-1)
@@ -129,8 +128,7 @@ def check_assemble(bundle: ConfigBundle) -> CheckResult:
     """Vectorized channel synthesis equals the per-entry triple sum (4x8x3)."""
     rng = substream(bundle.system.seed, 903)
     paths = _small_paths(rng, 3, 0.4e-6)
-    geom = ArrayGeometry.uniform_linear(4, bundle.system.wavelength)
-    a = steering_matrix(paths, geom)
+    a = steering_matrix(paths, 4, SPACING)
     k = frequency_response(paths, 8, 1e-7, 0.25)
     c = draw_fading(paths.amplitude, rng)
     h = assemble_channel(a, c, k)
@@ -148,10 +146,9 @@ def check_covariance_mc(bundle: ConfigBundle) -> CheckResult:
     """Sample covariance over 1e5 fading draws matches the structural form."""
     rng = substream(bundle.system.seed, 904)
     paths = _small_paths(rng, 6, 0.4e-6)
-    geom = ArrayGeometry.uniform_linear(4, bundle.system.wavelength)
     pilot_idx = np.arange(0, 8, 1)
-    cov = channel_covariance(paths, geom, 8, 1e-7, 0.25, pilot_idx)
-    a = steering_matrix(paths, geom)
+    cov = channel_covariance(paths, 4, SPACING, 8, 1e-7, 0.25, pilot_idx)
+    a = steering_matrix(paths, 4, SPACING)
     k = frequency_response(paths, 8, 1e-7, 0.25, pilot_idx)
     n_draws, chunk = 100_000, 1_000
     acc = np.zeros_like(cov)
@@ -192,7 +189,9 @@ def check_fading_moments(bundle: ConfigBundle) -> CheckResult:
 
 def check_denoiser(bundle: ConfigBundle) -> CheckResult:
     """A chunk's delay-window pair projects idempotently, never increases the
-    norm, and passes in-window taps through exactly."""
+    norm, passes the first and last tap of the configured window through
+    exactly, and removes the first tap past it and the wrapped negative-delay
+    tap N_p - 1, when the window leaves them out."""
     env, variances, [(_, _, window)] = _chunk_bases(bundle, ("denoise",), (CHECK_SNR,))
     _, truth, noise = _draw_trials(env, 1)
     noisy = truth + math.sqrt(variances[0]) * noise
@@ -200,20 +199,26 @@ def check_denoiser(bundle: ConfigBundle) -> CheckResult:
     twice = window.project(window.core(once))
     idem = float(np.abs(twice - once).max())
     shrinks = np.linalg.norm(once) <= np.linalg.norm(noisy) + 1e-12
-    # a pure in-window tap is untouched; a pure out-of-window tap is removed
-    n_p = len(env.pilots)
-    cir = np.zeros((bundle.system.n_rx, n_p), dtype=complex)
-    cir[:, 1] = 1.0
-    inside = np.fft.fft(cir, axis=-1)
-    keep_err = float(np.abs(window.project(window.core(inside)) - inside).max())
-    cir[:, 1] = 0.0
-    cir[:, n_p - 2] = 1.0
-    outside = np.fft.fft(cir, axis=-1)
-    kill = float(np.abs(window.project(window.core(outside))).max())
+    # the window the config asks for: k_tau taps at spacing T_s N / N_p
+    sysc, n_p = bundle.system, len(env.pilots)
+    tap = sysc.sample_interval * sysc.n_subcarriers / n_p
+    k_tau = min(n_p, math.ceil(bundle.estimator.tau_max / tap))
+
+    def response(taps):
+        """Pure delay taps on every antenna, and their projection."""
+        cir = np.zeros((sysc.n_rx, n_p), dtype=complex)
+        cir[:, list(taps)] = 1.0
+        h = np.fft.fft(cir, axis=-1)
+        return h, window.project(window.core(h))
+
+    inside, kept = response({0, k_tau - 1})
+    keep_err = float(np.abs(kept - inside).max())
+    kill = float(np.abs(response({k_tau, n_p - 1})[1]).max()) if k_tau < n_p else 0.0
     ok = idem < 1e-10 and shrinks and keep_err < 1e-10 and kill < 1e-10
     return CheckResult("denoiser-projection", ok,
                        f"idempotency {idem:.2e}, norm non-increasing {shrinks}, "
-                       f"in-window passthrough {keep_err:.2e}, out-window {kill:.2e}")
+                       f"{k_tau}-tap window passthrough {keep_err:.2e}, "
+                       f"out-window {kill:.2e}")
 
 
 def check_csv_determinism(bundle: ConfigBundle) -> CheckResult:
@@ -240,16 +245,14 @@ def check_noise_calibration(bundle: ConfigBundle) -> CheckResult:
     responses = (env.steering, env.freq_pilot, env.paths.amplitude)
     nv_7, nv_0, nv_10 = _noise_variances(env, (7.0, 0.0, 10.0))
     try:
-        analytic_nmse(env.projectors, *responses, 7.0, sysc.symbol_power, nv_7)
+        analytic_nmse(env.projectors, *responses, 7.0, nv_7)
     except ValueError as exc:
         return CheckResult("noise-term-calibration", False, str(exc))
-    full_prior = dt_subspace(env.paths, env.geometry, sysc.n_subcarriers,
-                             sysc.sample_interval, bundle.scenario.pulse_rolloff,
-                             env.pilots.indices)
-    full_floor = analytic_nmse(full_prior, *responses, 0.0, sysc.symbol_power,
-                               nv_0).subspace_floor
-    ls_bk = analytic_nmse(ProjectorPair(None, None), *responses, 10.0,
-                          sysc.symbol_power, nv_10)
+    full_prior = dt_subspace(env.paths, sysc.n_rx, bundle.scenario.array_spacing,
+                             sysc.n_subcarriers, sysc.sample_interval,
+                             bundle.scenario.pulse_rolloff, env.pilots.indices)
+    full_floor = analytic_nmse(full_prior, *responses, 0.0, nv_0).subspace_floor
+    ls_bk = analytic_nmse(ProjectorPair(None, None), *responses, 10.0, nv_10)
     ls_ok = (abs(ls_bk.noise_term - 0.1) < 1e-9 and ls_bk.subspace_floor < 1e-10)
     ok = full_floor < 1e-10 and ls_ok
     return CheckResult("noise-term-calibration", ok,
@@ -284,7 +287,11 @@ def check_error_decomposition(bundle: ConfigBundle) -> CheckResult:
             est = est if p_s is None else p_s @ est
             est = est if p_t is None else est @ p_t
             direct = _energy(est - truth)
-            deviation = np.abs(split[("error", method, i)] - direct) / direct
+            # relative to the error, or to the channel energy where the error
+            # is smaller: forming H + sigma W' rounds away all of sigma W'
+            # below eps |H|, so there the direct error is rounding itself
+            scale = np.maximum(direct, _energy(truth))
+            deviation = np.abs(split[("error", method, i)] - direct) / scale
             worst = max(worst, float(deviation.max()))
     return CheckResult("error-orthogonal-split", worst < 1e-10,
                        f"max relative deviation {worst:.2e} over 16 trials at "

@@ -89,9 +89,8 @@ def test_c2_projected_noise_term(desk5, desk5_env, emdt_run, measured_floor, ann
     agree = True
     for snr_db in GRID5:
         bk = analytic_nmse(env.projectors, env.steering, env.freq_pilot,
-                           env.paths.amplitude, snr_db, sysc.symbol_power,
-                           noise_variance_for_snr(snr_db, sysc.symbol_power,
-                                                  env.beta))
+                           env.paths.amplitude, snr_db,
+                           noise_variance_for_snr(snr_db, env.beta))
         simplified = r_s * r_t / (sysc.n_rx * sysc.n_pilots * 10 ** (snr_db / 10))
         agree = agree and np.isclose(bk.noise_term, simplified, rtol=1e-9)
     ok = worst < 0.5 and agree
@@ -147,8 +146,7 @@ def test_c5_floor_ordering_and_batch_size(announce):
     ordering = by["emdt"] < by["bml"] and by["emdt"] < by["denoise"]
 
     n_trials = bundle.system.n_trials
-    nv = noise_variance_for_snr(30.0, bundle.system.symbol_power,
-                                build_environment(bundle).beta)
+    nv = noise_variance_for_snr(30.0, build_environment(bundle).beta)
     per_trial = {}
     for n_batch in (64, 256):
         est = replace(bundle.estimator, n_batch=n_batch)

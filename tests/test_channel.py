@@ -10,7 +10,7 @@ from chest import (assemble_channel, average_gain_from_responses, build_pilot_pa
                    steering_matrix)
 from chest.channel import apply_uplink
 from chest.config import PilotPattern
-from chest.propagation import ArrayGeometry, PathSet
+from chest.propagation import PathSet
 
 
 def _vec(h):
@@ -26,10 +26,10 @@ def _small_setup(rng, n_rx=4, n_sc=8, n_paths=3, rolloff=0.25):
         delay=rng.uniform(0, 0.2e-6, n_paths),
         amplitude=np.full(n_paths, np.sqrt(1 / n_paths)),
     )
-    geom = ArrayGeometry.uniform_linear(n_rx, desk.system.wavelength)
-    a = steering_matrix(paths, geom)
+    ula = (n_rx, 0.5)
+    a = steering_matrix(paths, *ula)
     k = frequency_response(paths, n_sc, desk.system.sample_interval, rolloff)
-    return desk, paths, geom, a, k
+    return desk, paths, ula, a, k
 
 
 class TestDrawFading:
@@ -67,8 +67,7 @@ class TestAssembleChannel:
     def test_single_flat_path_rank_one(self, rng, desk):
         paths = PathSet(elevation=np.array([0.3]), azimuth=np.array([0.5]),
                         delay=np.array([0.0]), amplitude=np.array([1.0]))
-        geom = ArrayGeometry.uniform_linear(6, desk.system.wavelength)
-        a = steering_matrix(paths, geom)
+        a = steering_matrix(paths, 6, 0.5)
         k = frequency_response(paths, 16, desk.system.sample_interval, 0.0)
         h = assemble_channel(a, np.array([1.0 + 0j]), k)
         np.testing.assert_allclose(h, np.tile(a, (1, 16)), atol=1e-12)
@@ -80,7 +79,7 @@ class TestAssembleChannel:
 
     def test_brute_force_small_instance(self, rng):
         """Entry-wise triple sum with an explicit DFT must match the fast path."""
-        desk, paths, geom, a, k = _small_setup(rng)
+        desk, paths, ula, a, k = _small_setup(rng)
         c = draw_fading(paths.amplitude, rng)
         h = assemble_channel(a, c, k)
         assert h.shape == (4, 8)
@@ -135,10 +134,10 @@ class TestVecIdentity:
 
 class TestChannelCovariance:
     def _cov_small(self, rng):
-        desk, paths, geom, _, _ = _small_setup(rng)
+        desk, paths, ula, _, _ = _small_setup(rng)
         idx = np.arange(0, 8, 2)
-        cov = channel_covariance(paths, geom, 8, desk.system.sample_interval, 0.25, idx)
-        return desk, paths, geom, idx, cov
+        cov = channel_covariance(paths, *ula, 8, desk.system.sample_interval, 0.25, idx)
+        return desk, paths, ula, idx, cov
 
     def test_hermitian(self, rng):
         *_, cov = self._cov_small(rng)
@@ -153,15 +152,14 @@ class TestChannelCovariance:
     def test_single_path_trace(self, desk):
         paths = PathSet(elevation=np.array([0.2]), azimuth=np.array([-0.4]),
                         delay=np.array([0.0]), amplitude=np.array([1.0]))
-        geom = ArrayGeometry.uniform_linear(4, desk.system.wavelength)
         idx = np.arange(0, 16, 2)
-        cov = channel_covariance(paths, geom, 16, desk.system.sample_interval, 0.0, idx)
+        cov = channel_covariance(paths, 4, 0.5, 16, desk.system.sample_interval, 0.0, idx)
         assert np.linalg.matrix_rank(cov) == 1
         assert np.trace(cov).real == pytest.approx(8 * 4, rel=1e-12)
 
     def test_monte_carlo_match(self, rng):
-        desk, paths, geom, idx, cov = self._cov_small(rng)
-        a = steering_matrix(paths, geom)
+        desk, paths, ula, idx, cov = self._cov_small(rng)
+        a = steering_matrix(paths, *ula)
         k = frequency_response(paths, 8, desk.system.sample_interval, 0.25,
                                pilot_indices=idx)
         gen = np.random.default_rng(123)
@@ -179,8 +177,8 @@ class TestChannelCovariance:
         assert rel < 0.02
 
     def test_energy_matches_trace(self, rng):
-        desk, paths, geom, idx, cov = self._cov_small(rng)
-        a = steering_matrix(paths, geom)
+        desk, paths, ula, idx, cov = self._cov_small(rng)
+        a = steering_matrix(paths, *ula)
         k = frequency_response(paths, 8, desk.system.sample_interval, 0.25,
                                pilot_indices=idx)
         gen = np.random.default_rng(321)
@@ -201,13 +199,13 @@ def _uplink(h, pat, noise_variance, rng):
 
 class TestSimulateUplink:
     def test_noiseless(self, rng):
-        pat = build_pilot_pattern(16, 8, 1.0, rng)
+        pat = build_pilot_pattern(16, 8, rng)
         h = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
         rx = _uplink(h, pat, 0.0, rng)
         np.testing.assert_allclose(rx, h @ np.diag(pat.symbols), atol=1e-15)
 
     def test_noise_variance(self, rng):
-        pat = build_pilot_pattern(16, 8, 1.0, rng)
+        pat = build_pilot_pattern(16, 8, rng)
         h = np.zeros((64, 8), dtype=complex)
         rx = _uplink(h, pat, 0.25, rng)
         assert np.mean(np.abs(rx) ** 2) == pytest.approx(0.25, rel=0.1)
@@ -219,7 +217,7 @@ class TestSimulateUplink:
         np.testing.assert_allclose(rx, h, atol=1e-15)
 
     def test_apply_uplink_consistency(self, rng):
-        pat = build_pilot_pattern(16, 8, 1.0, rng)
+        pat = build_pilot_pattern(16, 8, rng)
         h = rng.normal(size=(2, 4, 8)) + 1j * rng.normal(size=(2, 4, 8))
         unit = rng.normal(size=(2, 4, 8)) + 1j * rng.normal(size=(2, 4, 8))
         rx = apply_uplink(h, pat, 0.09, unit)
@@ -227,13 +225,13 @@ class TestSimulateUplink:
         np.testing.assert_allclose(rx, expected, atol=1e-14)
 
 
-def _gain(paths, n_subcarriers, sample_interval, rolloff, idx, geom=None):
-    """beta from the path responses; with ``geom`` it is also checked against
+def _gain(paths, n_subcarriers, sample_interval, rolloff, idx, ula=None):
+    """beta from the path responses; with ``ula`` it is also checked against
     trace(R) / dim(R) of the dense covariance."""
     k = frequency_response(paths, n_subcarriers, sample_interval, rolloff, idx)
     beta = average_gain_from_responses(paths.amplitude, k)
-    if geom is not None:
-        cov = channel_covariance(paths, geom, n_subcarriers, sample_interval,
+    if ula is not None:
+        cov = channel_covariance(paths, *ula, n_subcarriers, sample_interval,
                                  rolloff, idx)
         assert beta == pytest.approx(np.trace(cov).real / cov.shape[0], rel=1e-12)
     return beta
@@ -241,18 +239,18 @@ def _gain(paths, n_subcarriers, sample_interval, rolloff, idx, geom=None):
 
 class TestAverageGain:
     def test_trace_linearity(self, rng):
-        desk, paths, geom, idx, _ = TestChannelCovariance()._cov_small(rng)
+        desk, paths, ula, idx, _ = TestChannelCovariance()._cov_small(rng)
         doubled = PathSet(elevation=paths.elevation, azimuth=paths.azimuth,
                           delay=paths.delay, amplitude=2 * paths.amplitude)
-        args = (8, desk.system.sample_interval, 0.25, idx, geom)
+        args = (8, desk.system.sample_interval, 0.25, idx, ula)
         assert _gain(doubled, *args) == pytest.approx(4 * _gain(paths, *args))
 
     def test_unit_gain_single_path(self, desk):
         paths = PathSet(elevation=np.array([0.2]), azimuth=np.array([-0.4]),
                         delay=np.array([0.0]), amplitude=np.array([1.0]))
-        geom = ArrayGeometry.uniform_linear(4, desk.system.wavelength)
+        ula = (4, 0.5)
         idx = np.arange(0, 16, 2)
-        beta = _gain(paths, 16, desk.system.sample_interval, 0.0, idx, geom)
+        beta = _gain(paths, 16, desk.system.sample_interval, 0.0, idx, ula)
         assert beta == pytest.approx(1.0, abs=1e-9)
 
     def test_unit_gain_zero_rolloff_interior_delays(self, desk, make_paths):
@@ -261,9 +259,9 @@ class TestAverageGain:
         ts = 1 / (1024 * 480e3)
         delays_us = np.linspace(440, 580, 5) * ts * 1e6
         paths = make_paths(delays_us)
-        geom = ArrayGeometry.uniform_linear(4, desk.system.wavelength)
+        ula = (4, 0.5)
         idx = np.arange(0, 1024, 32)
-        beta = _gain(paths, 1024, ts, 0.0, idx, geom)
+        beta = _gain(paths, 1024, ts, 0.0, idx, ula)
         assert beta == pytest.approx(1.0, abs=1e-3)
 
     def test_rolloff_ripple_model(self, desk):
@@ -271,9 +269,9 @@ class TestAverageGain:
         1 - b/4 + (b/4) cos(2 pi frac): the desk beta must follow it."""
         rng = np.random.default_rng(desk.system.seed)
         paths = generate_paths(desk.scenario, rng)
-        geom = ArrayGeometry.uniform_linear(8, desk.system.wavelength)
+        ula = (8, 0.5)
         idx = np.arange(0, 64, 2)
-        beta = _gain(paths, 64, desk.system.sample_interval, 0.25, idx, geom)
+        beta = _gain(paths, 64, desk.system.sample_interval, 0.25, idx, ula)
         frac = paths.delay / desk.system.sample_interval
         model = np.sum(paths.amplitude ** 2
                        * (1 - 0.25 / 4 + 0.25 / 4 * np.cos(2 * np.pi * frac)))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from chest import (ConfigError, ExperimentPlan, build_pilot_pattern, desk_config,
                    load_config, noise_variance_for_snr, validate_config,
                    validate_plan)
+from chest import cli
 from chest.config import _SECTIONS
 from chest.experiments import SWEEPS
 
@@ -25,9 +26,6 @@ class TestValidateConfig:
         # 64 subcarriers at 480 kHz spacing
         assert desk.system.bandwidth == pytest.approx(30.72e6)
         assert desk.system.sample_interval == pytest.approx(1 / 30.72e6)
-
-    def test_wavelength(self, desk):
-        assert desk.system.wavelength == pytest.approx(299792458.0 / 28e9)
 
     def test_pilot_count_must_divide(self):
         _reject("n_pilots", n_pilots=33)
@@ -57,8 +55,22 @@ class TestValidateConfig:
         with pytest.raises(ConfigError, match="bml_rank_spatial"):
             validate_config(desk.system, desk.scenario, est)
 
-    def test_nonpositive_symbol_power(self):
-        _reject("symbol_power", symbol_power=0.0)
+    def test_nonpositive_symbol_power(self, tmp_path):
+        """The retired key sets nothing, but a config file that names it must
+        still give it a positive number."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"system": {"symbol_power": 0.0}}))
+        with pytest.raises(ConfigError, match="symbol_power"):
+            load_config(path)
+
+    @pytest.mark.parametrize("snr", [-1000.5, 1000.5, 4000.0, -3085.0])
+    def test_snr_grid_within_1000_db(self, snr):
+        with pytest.raises(ConfigError, match=f"snr_grid_db entries .* got {snr!r}"):
+            desk_config(snr_grid_db=(0.0, snr))
+
+    def test_snr_grid_edges_accepted(self):
+        assert desk_config(snr_grid_db=(-1000.0, 1000.0)).system.snr_grid_db == \
+            (-1000.0, 1000.0)
 
     def test_trials_at_least_one(self):
         _reject("n_trials", n_trials=0)
@@ -75,24 +87,25 @@ class TestValidateConfig:
 
 class TestPilotPattern:
     def test_desk_indices(self, rng):
-        pat = build_pilot_pattern(64, 32, 1.0, rng)
+        pat = build_pilot_pattern(64, 32, rng)
         assert pat.indices.tolist() == list(range(0, 64, 2))
 
     def test_full_grid(self, rng):
-        pat = build_pilot_pattern(64, 64, 1.0, rng)
+        pat = build_pilot_pattern(64, 64, rng)
         assert pat.indices.tolist() == list(range(64))
 
     def test_symbol_power_exact(self, rng):
-        pat = build_pilot_pattern(64, 16, 2.0, rng)
-        np.testing.assert_allclose(np.abs(pat.symbols) ** 2, 2.0, rtol=0, atol=1e-15)
+        """Pilots have unit power, exactly."""
+        pat = build_pilot_pattern(64, 16, rng)
+        assert np.all(np.abs(pat.symbols) ** 2 == 1.0)
 
     def test_four_point_constellation(self, rng):
-        pat = build_pilot_pattern(256, 256, 1.0, rng)
+        pat = build_pilot_pattern(256, 256, rng)
         assert len(set(np.round(pat.symbols, 12))) == 4
 
     def test_divisibility_enforced(self, rng):
         with pytest.raises(ConfigError):
-            build_pilot_pattern(64, 24, 1.0, rng)
+            build_pilot_pattern(64, 24, rng)
 
     @given(log_n=st.integers(min_value=1, max_value=8), data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -100,7 +113,7 @@ class TestPilotPattern:
         """Pilot gaps are all equal to n_subcarriers / n_pilots."""
         n = 2 ** log_n
         n_p = 2 ** data.draw(st.integers(min_value=0, max_value=log_n))
-        pat = build_pilot_pattern(n, n_p, 1.0, np.random.default_rng(0))
+        pat = build_pilot_pattern(n, n_p, np.random.default_rng(0))
         assert pat.indices[0] == 0
         if n_p > 1:
             gaps = np.diff(pat.indices)
@@ -108,25 +121,24 @@ class TestPilotPattern:
 
 
 class TestNoiseVariance:
-    @pytest.mark.parametrize("snr_db,power,beta,expected", [
-        (0.0, 1.0, 1.0, 1.0),
-        (10.0, 1.0, 1.0, 0.1),
-        (0.0, 2.0, 0.5, 1.0),
+    @pytest.mark.parametrize("snr_db,beta,expected", [
+        (0.0, 1.0, 1.0),
+        (10.0, 1.0, 0.1),
+        (0.0, 0.5, 0.5),
     ])
-    def test_examples(self, snr_db, power, beta, expected):
-        assert noise_variance_for_snr(snr_db, power, beta) == pytest.approx(expected)
+    def test_examples(self, snr_db, beta, expected):
+        assert noise_variance_for_snr(snr_db, beta) == pytest.approx(expected)
 
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(ConfigError):
-            noise_variance_for_snr(0.0, 1.0, 0.0)
+            noise_variance_for_snr(0.0, 0.0)
 
     @given(snr_db=st.floats(min_value=-60, max_value=60),
-           power=st.floats(min_value=1e-3, max_value=1e3),
            beta=st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=80, deadline=None)
-    def test_round_trip(self, snr_db, power, beta):
-        sigma2 = noise_variance_for_snr(snr_db, power, beta)
-        assert 10 * np.log10(power * beta / sigma2) == pytest.approx(snr_db, abs=1e-9)
+    def test_round_trip(self, snr_db, beta):
+        sigma2 = noise_variance_for_snr(snr_db, beta)
+        assert 10 * np.log10(beta / sigma2) == pytest.approx(snr_db, abs=1e-9)
 
 
 class TestLoadConfig:
@@ -140,7 +152,6 @@ class TestLoadConfig:
         return {
             "system": {"n_subcarriers": 64, "cp_length": 32, "n_rx": 16,
                        "n_pilots": 32, "subcarrier_spacing": 480e3,
-                       "carrier_freq": 28e9, "symbol_power": 1.0,
                        "snr_grid_db": list(desk.system.snr_grid_db),
                        "n_trials": 100, "seed": desk.system.seed},
             "scenario": {"n_paths": 25, "n_dt_paths": 5,
@@ -223,3 +234,39 @@ class TestShippedConfigs:
         bundle = load_config(CONFIGS / "pilot.json")
         plan = validate_plan(ExperimentPlan(bundle=bundle), "pilot-sweep")
         assert plan.bundle.system.n_subcarriers == 256
+
+
+BENCH_CONFIG = CONFIGS.parent / "bench" / "c8.json"
+RETIRED = ("carrier_freq", "symbol_power")
+
+
+class TestConfigCompatibility:
+    """Every config file the repo ships or the benchmark reads loads, and the
+    retired system keys, which set nothing, are still checked and dropped."""
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")) + [BENCH_CONFIG],
+                             ids=lambda p: f"{p.parent.name}/{p.name}")
+    def test_loads(self, path):
+        bundle = load_config(path)
+        assert not any(hasattr(bundle.system, key) for key in RETIRED)
+
+    def test_bench_c8_loads_equal_to_the_pilot_config(self):
+        assert set(RETIRED) <= set(json.loads(BENCH_CONFIG.read_text())["system"])
+        assert load_config(BENCH_CONFIG) == load_config(CONFIGS / "pilot.json")
+
+    def test_retired_keys_change_nothing(self, tmp_path):
+        payload = json.loads((CONFIGS / "desk.json").read_text())
+        without = tmp_path / "without.json"
+        without.write_text(json.dumps(payload))
+        payload["system"].update(carrier_freq=3.5e9, symbol_power=4.0)
+        named = tmp_path / "named.json"
+        named.write_text(json.dumps(payload))
+        assert load_config(named) == load_config(without)
+
+    @pytest.mark.parametrize("key", RETIRED)
+    @pytest.mark.parametrize("value", [0, -1, "1", True], ids=json.dumps)
+    def test_retired_key_must_be_positive_number(self, key, value, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"system": {key: value}}))
+        assert cli.main(["validate", "--config", str(path)]) == 1
+        assert f"'system.{key}' must be a positive number" in capsys.readouterr().err

@@ -26,7 +26,7 @@ def _random_projectors(rng, n_rx, n_p, r_s, r_t):
 
 class TestLsEstimate:
     def test_noiseless_exact(self, rng):
-        pat = build_pilot_pattern(16, 8, 1.0, rng)
+        pat = build_pilot_pattern(16, 8, rng)
         h = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
         rx = apply_uplink(h, pat, 0.0, complex_normal(rng, h.shape))
         est = ls_estimate(rx, pat)
@@ -42,13 +42,15 @@ class TestLsEstimate:
     def test_width_mismatch_rejected(self, rng, width):
         """The received block must have one column per pilot; a single column
         would otherwise broadcast against the pilot symbols."""
-        pat = build_pilot_pattern(16, 8, 1.0, rng)
+        pat = build_pilot_pattern(16, 8, rng)
         with pytest.raises(ValueError):
             ls_estimate(np.zeros((4, width), dtype=complex), pat)
 
     def test_white_error_law(self, rng):
-        """LS error is diag(x)^-1 W: per-entry variance noise/power."""
-        pat = build_pilot_pattern(64, 32, 2.0, rng)
+        """LS error is diag(x)^-1 W: per-entry variance noise/power, here
+        with pilots of power 2."""
+        unit = build_pilot_pattern(64, 32, rng)
+        pat = PilotPattern(indices=unit.indices, symbols=np.sqrt(2.0) * unit.symbols)
         h = np.zeros((16, 32), dtype=complex)
         errs = []
         for _ in range(200):
@@ -125,7 +127,7 @@ class TestProjectEstimate:
         """The estimation error splits as Qperp h - Q vec(scaled noise)."""
         n_rx, n_p = 6, 8
         proj = _random_projectors(rng, n_rx, n_p, 2, 3)
-        pat = build_pilot_pattern(16, n_p, 1.0, rng)
+        pat = build_pilot_pattern(16, n_p, rng)
         h = rng.normal(size=(n_rx, n_p)) + 1j * rng.normal(size=(n_rx, n_p))
         w = rng.normal(size=(n_rx, n_p)) + 1j * rng.normal(size=(n_rx, n_p))
         y = h @ np.diag(pat.symbols) + w
@@ -249,13 +251,13 @@ class TestInterpolateFull:
     """Full-grid interpolation as the sweeps fold it, ``h @ interpolation_matrix``."""
 
     def test_constant_channel_exact(self, rng):
-        pat = build_pilot_pattern(64, 16, 1.0, rng)
+        pat = build_pilot_pattern(64, 16, rng)
         out = np.full((4, 16), 2.0 - 1.0j) @ interpolation_matrix(pat, 64)
         assert out.shape == (4, 64)
         np.testing.assert_allclose(out, 2.0 - 1.0j, atol=1e-12)
 
     def test_affine_exact_between_pilots(self, rng):
-        pat = build_pilot_pattern(64, 16, 1.0, rng)
+        pat = build_pilot_pattern(64, 16, rng)
         slope = 0.3 - 0.1j
         full = slope * np.arange(64)[None, :] + (1 + 1j)
         out = full[:, pat.indices].copy() @ interpolation_matrix(pat, 64)
@@ -263,20 +265,20 @@ class TestInterpolateFull:
                                    full[:1, :pat.indices[-1] + 1], atol=1e-12)
 
     def test_exact_at_pilot_positions(self, rng):
-        pat = build_pilot_pattern(64, 8, 1.0, rng)
+        pat = build_pilot_pattern(64, 8, rng)
         h = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
         out = h @ interpolation_matrix(pat, 64)
         np.testing.assert_allclose(out[:, pat.indices], h, atol=1e-13)
 
     def test_hold_beyond_last_pilot(self, rng):
-        pat = build_pilot_pattern(64, 8, 1.0, rng)
+        pat = build_pilot_pattern(64, 8, rng)
         h = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
         out = h @ interpolation_matrix(pat, 64)
         for col in range(pat.indices[-1], 64):
             np.testing.assert_allclose(out[:, col], h[:, -1], atol=1e-13)
 
     def test_full_piloting_identity(self, rng):
-        pat = build_pilot_pattern(32, 32, 1.0, rng)
+        pat = build_pilot_pattern(32, 32, rng)
         h = rng.normal(size=(2, 32)) + 1j * rng.normal(size=(2, 32))
         out = h @ interpolation_matrix(pat, 32)
         np.testing.assert_allclose(out, h, atol=1e-14)
@@ -285,7 +287,7 @@ class TestInterpolateFull:
 class TestInterpolationMatrix:
     @pytest.mark.parametrize("n_sc,n_p", [(64, 16), (64, 32), (64, 64), (32, 2), (64, 1)])
     def test_matches_gather_formula(self, rng, gather_interpolate, n_sc, n_p):
-        pat = build_pilot_pattern(n_sc, n_p, 1.0, rng)
+        pat = build_pilot_pattern(n_sc, n_p, rng)
         h = rng.normal(size=(3, 2, n_p)) + 1j * rng.normal(size=(3, 2, n_p))
         m = interpolation_matrix(pat, n_sc)
         assert m.shape == (n_p, n_sc) and m.dtype == float
@@ -293,11 +295,11 @@ class TestInterpolationMatrix:
                                    rtol=0, atol=1e-14)
 
     def test_single_pilot_is_constant(self, rng):
-        pat = build_pilot_pattern(16, 1, 1.0, rng)
+        pat = build_pilot_pattern(16, 1, rng)
         np.testing.assert_array_equal(interpolation_matrix(pat, 16), np.ones((1, 16)))
 
     def test_holds_beyond_last_pilot(self, rng):
-        pat = build_pilot_pattern(64, 8, 1.0, rng)
+        pat = build_pilot_pattern(64, 8, rng)
         m = interpolation_matrix(pat, 64)
         hold = np.zeros(8)
         hold[-1] = 1.0
@@ -314,7 +316,7 @@ class TestLinearity:
         """All pilot-grid estimators commute with linear combinations of Y."""
         r = np.random.default_rng(seed)
         desk = desk_config()
-        pat = build_pilot_pattern(64, 32, 1.0, r)
+        pat = build_pilot_pattern(64, 32, r)
         proj = _random_projectors(r, 4, 32, 2, 3)
         y1 = r.normal(size=(4, 32)) + 1j * r.normal(size=(4, 32))
         y2 = r.normal(size=(4, 32)) + 1j * r.normal(size=(4, 32))

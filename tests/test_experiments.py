@@ -95,6 +95,17 @@ class TestValidatePlan:
         with pytest.raises(ConfigError, match="SNR points must be finite"):
             validate_plan(ExperimentPlan(bundle=tiny, snrs=(0.0, point)), kind)
 
+    @pytest.mark.parametrize("kind", SWEEPS)
+    @pytest.mark.parametrize("point", [1000.5, -1000.5, 4000.0, -3085.0])
+    def test_snrs_beyond_1000_db_rejected(self, tiny, kind, point):
+        """Beyond +-1000 dB the noise variance over- or underflows."""
+        with pytest.raises(ConfigError, match=f"within \\+-1000 dB, got {point!r}"):
+            validate_plan(ExperimentPlan(bundle=tiny, snrs=(0.0, point)), kind)
+
+    def test_snrs_at_1000_db_accepted(self, tiny):
+        plan = validate_plan(ExperimentPlan(bundle=tiny, snrs=(-1000.0, 1000.0)), "ecdf")
+        assert plan.snrs == (-1000.0, 1000.0)
+
     @pytest.mark.parametrize("kind", ["nmse-sweep", "se-sweep", "ecdf"])
     def test_pilot_counts_only_on_pilot_sweep(self, tiny, kind):
         with pytest.raises(ConfigError, match="pilot-sweep only"):
@@ -168,7 +179,7 @@ class TestNmseSweep:
         between SNR points equals the noise-variance ratio to float precision."""
         ls = {r.snr_db: r.nmse_emp for r in tiny400_nmse if r.method == "ls"}
         env = build_environment(tiny400)
-        nv = {s: noise_variance_for_snr(s, 1.0, env.beta) for s in ls}
+        nv = {s: noise_variance_for_snr(s, env.beta) for s in ls}
         assert ls[-10.0] / ls[10.0] == pytest.approx(nv[-10.0] / nv[10.0],
                                                      rel=1e-12)
 
@@ -223,8 +234,8 @@ class TestProjectionFloor:
                         / np.concatenate([c["energy"] for c in chunks]).sum())
             pair = denoise_subspace(env.bundle.system, env.bundle.estimator.tau_max)
         analytic = analytic_nmse(pair, env.steering, env.freq_pilot,
-                                 env.paths.amplitude, 0.0, 1.0,
-                                 noise_variance_for_snr(0.0, 1.0, env.beta))
+                                 env.paths.amplitude, 0.0,
+                                 noise_variance_for_snr(0.0, env.beta))
         assert measured == pytest.approx(analytic.subspace_floor, rel=0.15)
 
     def test_deterministic(self, tiny_env):
@@ -396,18 +407,18 @@ class TestPilotSweep:
 
 # --- Per-SNR oracle ------------------------------------------------------------
 
-def _post_combining_snr(est_h, truth_h, symbol_power, noise_variance):
+def _post_combining_snr(est_h, truth_h, noise_variance):
     """Per-subcarrier SNR after matched combining on a formed estimate,
     (..., n_rx, n_sc) -> (..., n_sc); zero estimate columns give 0."""
     num = np.abs(np.einsum("...ik,...ik->...k", est_h.conj(), truth_h)) ** 2
     den = np.sum(np.abs(est_h) ** 2, axis=-2)
     gain = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-    return symbol_power * gain / noise_variance
+    return gain / noise_variance
 
 
-def _genie_se(est_h, truth_h, symbol_power, noise_variance):
+def _genie_se(est_h, truth_h, noise_variance):
     """Mean of log2(1 + post-combining SNR) over every axis."""
-    return float(np.mean(np.log2(1.0 + _post_combining_snr(est_h, truth_h, symbol_power,
+    return float(np.mean(np.log2(1.0 + _post_combining_snr(est_h, truth_h,
                                                            noise_variance))))
 
 
@@ -469,9 +480,9 @@ def _oracle(plan, kind, interpolate=None):
     for n_p in counts:
         system = replace(base.system, n_pilots=n_p)
         env = build_environment(validate_config(system, base.scenario, base.estimator))
-        power, n_sc = system.symbol_power, system.n_subcarriers
+        n_sc = system.n_subcarriers
         for snr in snrs:
-            nv = noise_variance_for_snr(snr, power, env.beta)
+            nv = noise_variance_for_snr(snr, env.beta)
             err, energy, acc = {}, 0.0, {}
             for t0, t1 in _chunk_ranges(system.n_trials, plan.block_size):
                 truth, truth_full, est = _oracle_estimates(
@@ -482,13 +493,13 @@ def _oracle(plan, kind, interpolate=None):
                         h = truth_full if method == "ideal" else interpolate(
                             est[method], env.pilots, n_sc)
                         if kind == "ecdf":
-                            value = _post_combining_snr(h, truth_full, power, nv).ravel()
+                            value = _post_combining_snr(h, truth_full, nv).ravel()
                         else:
-                            value = _genie_se(h, truth_full, power, nv) * (t1 - t0)
+                            value = _genie_se(h, truth_full, nv) * (t1 - t0)
                     else:
                         err[method] = err.get(method, 0.0) + np.sum(
                             np.abs(est[method] - truth) ** 2)
-                        value = _genie_se(est[method], truth, power, nv) * (t1 - t0)
+                        value = _genie_se(est[method], truth, nv) * (t1 - t0)
                     acc.setdefault(method, []).append(value)
             for method in plan.methods:
                 key = (method, float(snr), n_p)
@@ -598,11 +609,9 @@ def _formed(env, fading, noise, method, noise_variance, interpolate):
     Batch-ML learns its pair from the warm-up Grams as the sweep does, since
     at high SNR the learned basis is sensitive to how its covariance is
     rounded; ``TestSnapshotGrams`` holds the two ways to each other."""
-    power = env.bundle.system.symbol_power
     truth_full = assemble_channel(env.steering, fading, env.freq_full)
     if method == "ideal":
-        return None, None, _post_combining_snr(truth_full, truth_full, power,
-                                               noise_variance)
+        return None, None, _post_combining_snr(truth_full, truth_full, noise_variance)
     truth = assemble_channel(env.steering, fading, env.freq_pilot)
     ls = truth + np.sqrt(noise_variance) * noise
     if method == "bml":
@@ -617,8 +626,8 @@ def _formed(env, fading, noise, method, noise_variance, interpolate):
     est = ls if pair is None else pair.project(pair.core(ls))
     full = interpolate(est, env.pilots, env.bundle.system.n_subcarriers)
     return (np.sum(np.abs(est - truth) ** 2, axis=(-2, -1)),
-            _post_combining_snr(est, truth, power, noise_variance),
-            _post_combining_snr(full, truth_full, power, noise_variance))
+            _post_combining_snr(est, truth, noise_variance),
+            _post_combining_snr(full, truth_full, noise_variance))
 
 
 class TestStatisticsMatchFormedEstimates:
@@ -729,7 +738,7 @@ class TestDeterminism:
     def test_doubling_trials_moves_less_than_3_se(self, tiny400):
         """Pooled-ratio NMSE is stable under doubling the trial count."""
         env = build_environment(tiny400)
-        nv = noise_variance_for_snr(0.0, 1.0, env.beta)
+        nv = noise_variance_for_snr(0.0, env.beta)
         result = _simulate_chunk(env, "nmse-sweep", 0, 400, ("ls",), (nv,), 400)
         err, gain = result[("error", "ls", 0)], result["energy"]
         r200 = err[:200].sum() / gain[:200].sum()

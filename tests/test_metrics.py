@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from chest import (analytic_nmse, channel_covariance, dt_subspace, ecdf,
                    noise_variance_for_snr, desk_config)
-from chest.propagation import (ArrayGeometry, PathSet, frequency_response,
-                               steering_matrix)
+from chest.propagation import PathSet, frequency_response, steering_matrix
 from chest.subspaces import ProjectorPair
 from chest.channel import average_gain_from_responses
 from chest.experiments import build_environment
@@ -37,17 +36,17 @@ def error_energy(truth, signal, noise, sigmas):
     return bias + 2.0 * s * cross + s * s * spread
 
 
-def post_combining_snr_samples(estimate, truth, symbol_power, noise_variance):
+def post_combining_snr_samples(estimate, truth, noise_variance):
     """Flattened post-combining SNRs of a formed estimate, through the
     per-column sums with no noise part."""
     return post_combining_snr(CombiningStats.of(estimate, None, truth), [0.0],
-                              symbol_power, [noise_variance]).ravel()
+                              [noise_variance]).ravel()
 
 
-def genie_spectral_efficiency(estimate, truth, symbol_power, noise_variance):
+def genie_spectral_efficiency(estimate, truth, noise_variance):
     """Mean over subcarriers of log2(1 + post-combining SNR)."""
     return float(np.mean(np.log2(1.0 + post_combining_snr_samples(
-        estimate, truth, symbol_power, noise_variance))))
+        estimate, truth, noise_variance))))
 
 
 class TestEmpiricalNmse:
@@ -117,8 +116,8 @@ class TestAnalyticNmse:
     def test_reference_noise_term(self, rng):
         """rank-5 priors at the reference dimensions: noise term 25/2048 at 0 dB."""
         proj = self._projectors(5, 5, 64, 32, rng)
-        bk = analytic_nmse(proj, *_identity_paths(64, 32), 0.0, 1.0,
-                           noise_variance_for_snr(0.0, 1.0, 1.0))
+        bk = analytic_nmse(proj, *_identity_paths(64, 32), 0.0,
+                           noise_variance_for_snr(0.0, 1.0))
         assert bk.noise_term == pytest.approx(25 / 2048, rel=1e-9)
         assert 10 * np.log10(bk.noise_term) == pytest.approx(-19.13, abs=0.01)
 
@@ -126,8 +125,8 @@ class TestAnalyticNmse:
         n_rx, n_p = 8, 16
         proj = ProjectorPair(basis_spatial=np.eye(n_rx, dtype=complex),
                              basis_temporal=np.eye(n_p, dtype=complex))
-        bk = analytic_nmse(proj, *_identity_paths(n_rx, n_p), 10.0, 1.0,
-                           noise_variance_for_snr(10.0, 1.0, 1.0))
+        bk = analytic_nmse(proj, *_identity_paths(n_rx, n_p), 10.0,
+                           noise_variance_for_snr(10.0, 1.0))
         assert bk.subspace_floor < 1e-10
         assert bk.noise_term == pytest.approx(0.1, rel=1e-9)
 
@@ -137,27 +136,27 @@ class TestAnalyticNmse:
                         azimuth=rng.uniform(-1.0, 1.0, 4),
                         delay=rng.uniform(0, 0.3e-6, 4),
                         amplitude=np.full(4, 0.5))
-        geom = ArrayGeometry.uniform_linear(8, desk.system.wavelength)
+        ula = (8, 0.5)
         idx = np.arange(0, 64, 2)
-        proj = dt_subspace(paths, geom, 64, desk.system.sample_interval, 0.25, idx)
-        a = steering_matrix(paths, geom)
+        proj = dt_subspace(paths, *ula, 64, desk.system.sample_interval, 0.25, idx)
+        a = steering_matrix(paths, *ula)
         k = frequency_response(paths, 64, desk.system.sample_interval, 0.25, idx)
         beta = average_gain_from_responses(paths.amplitude, k)
-        bk = analytic_nmse(proj, a, k, paths.amplitude, 0.0, 1.0,
-                           noise_variance_for_snr(0.0, 1.0, beta))
+        bk = analytic_nmse(proj, a, k, paths.amplitude, 0.0,
+                           noise_variance_for_snr(0.0, beta))
         assert bk.subspace_floor < 1e-10
 
     def test_total_is_sum(self, rng):
         proj = self._projectors(3, 4, 8, 16, rng)
-        bk = analytic_nmse(proj, *_identity_paths(8, 16), -5.0, 1.0,
-                           noise_variance_for_snr(-5.0, 1.0, 1.0))
+        bk = analytic_nmse(proj, *_identity_paths(8, 16), -5.0,
+                           noise_variance_for_snr(-5.0, 1.0))
         assert bk.total == pytest.approx(bk.subspace_floor + bk.noise_term, rel=1e-12)
         assert bk.subspace_floor >= 0 and bk.noise_term >= 0
 
     def test_desk_floor_positive(self, desk_env):
         bk = analytic_nmse(desk_env.projectors, desk_env.steering, desk_env.freq_pilot,
-                           desk_env.paths.amplitude, 0.0, 1.0,
-                           noise_variance_for_snr(0.0, 1.0, desk_env.beta))
+                           desk_env.paths.amplitude, 0.0,
+                           noise_variance_for_snr(0.0, desk_env.beta))
         assert 0 < bk.subspace_floor < 1e-2
 
 
@@ -181,8 +180,8 @@ class TestCovarianceTraces:
         dense = _dense_traces(dense_projectors(env.projectors), cov)
         assert fast == pytest.approx(dense, rel=1e-12)
         bk = analytic_nmse(env.projectors, env.steering, env.freq_pilot,
-                           env.paths.amplitude, 0.0, 1.0,
-                           noise_variance_for_snr(0.0, 1.0, env.beta))
+                           env.paths.amplitude, 0.0,
+                           noise_variance_for_snr(0.0, env.beta))
         assert bk.subspace_floor == pytest.approx(
             (dense[0] - dense[1]) / dense[0], rel=1e-6, abs=1e-12)
 
@@ -191,7 +190,8 @@ class TestCovarianceTraces:
 
     def test_reference(self, dense_projectors):
         env = build_environment(desk_config(n_rx=64))
-        self._check(env, channel_covariance(env.paths, env.geometry,
+        self._check(env, channel_covariance(env.paths, env.bundle.system.n_rx,
+                                            env.bundle.scenario.array_spacing,
                                             env.bundle.system.n_subcarriers,
                                             env.bundle.system.sample_interval,
                                             env.bundle.scenario.pulse_rolloff,
@@ -228,9 +228,9 @@ class TestCovarianceTraces:
         assert fast == pytest.approx(covariance_traces(eye, *responses), rel=1e-12)
         assert fast == pytest.approx(
             _dense_traces(dense_projectors(pair, n_rx, n_p), desk_cov), rel=1e-12)
-        nv = noise_variance_for_snr(3.0, 1.0, desk_env.beta)
-        bk = analytic_nmse(pair, *responses, 3.0, 1.0, nv)
-        ref = analytic_nmse(eye, *responses, 3.0, 1.0, nv)
+        nv = noise_variance_for_snr(3.0, desk_env.beta)
+        bk = analytic_nmse(pair, *responses, 3.0, nv)
+        ref = analytic_nmse(eye, *responses, 3.0, nv)
         assert bk.noise_term == pytest.approx(ref.noise_term, rel=1e-12)
         assert bk.subspace_floor == pytest.approx(ref.subspace_floor, rel=1e-9,
                                                   abs=1e-12)
@@ -244,14 +244,14 @@ class TestCovarianceTraces:
 class TestGenieSpectralEfficiency:
     def test_single_antenna_unit_channel(self):
         h = np.ones((1, 4), dtype=complex)
-        se = genie_spectral_efficiency(_est(h), h, 1.0, 1.0)
+        se = genie_spectral_efficiency(_est(h), h, 1.0)
         assert se == pytest.approx(1.0)
 
     def test_perfect_estimate_full_mrc_gain(self, rng):
         h = rng.normal(size=(8, 16)) + 1j * rng.normal(size=(8, 16))
         nv = 0.5
-        se = genie_spectral_efficiency(_est(h), h, 2.0, nv)
-        snr_k = 2.0 * np.sum(np.abs(h) ** 2, axis=0) / nv
+        se = genie_spectral_efficiency(_est(h), h, nv)
+        snr_k = np.sum(np.abs(h) ** 2, axis=0) / nv
         assert se == pytest.approx(np.mean(np.log2(1 + snr_k)), rel=1e-12)
 
     def test_orthogonal_estimate_zero(self):
@@ -259,20 +259,20 @@ class TestGenieSpectralEfficiency:
         h[0] = 1.0
         hat = np.zeros((2, 3), dtype=complex)
         hat[1] = 1.0
-        assert genie_spectral_efficiency(_est(hat), h, 1.0, 1.0) == 0.0
+        assert genie_spectral_efficiency(_est(hat), h, 1.0) == 0.0
 
     def test_zero_estimate_column_is_skipped(self, rng):
         h = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
         hat = h.copy()
         hat[:, 2] = 0.0
-        se = genie_spectral_efficiency(_est(hat), h, 1.0, 1.0)
+        se = genie_spectral_efficiency(_est(hat), h, 1.0)
         assert np.isfinite(se) and se > 0
 
     def test_combiner_scale_invariance(self, rng):
         h = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
         hat = h + 0.1 * (rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape))
-        a = genie_spectral_efficiency(_est(hat), h, 1.0, 0.3)
-        b = genie_spectral_efficiency(_est(5.0 * hat), h, 1.0, 0.3)
+        a = genie_spectral_efficiency(_est(hat), h, 0.3)
+        b = genie_spectral_efficiency(_est(5.0 * hat), h, 0.3)
         assert a == pytest.approx(b, rel=1e-12)
 
     @given(snrs=st.lists(st.floats(min_value=-30, max_value=30), min_size=2,
@@ -282,7 +282,7 @@ class TestGenieSpectralEfficiency:
         r = np.random.default_rng(5)
         h = r.normal(size=(4, 8)) + 1j * r.normal(size=(4, 8))
         hat = h + 0.2 * (r.normal(size=h.shape) + 1j * r.normal(size=h.shape))
-        vals = [genie_spectral_efficiency(_est(hat), h, 1.0, 10 ** (-s / 10))
+        vals = [genie_spectral_efficiency(_est(hat), h, 10 ** (-s / 10))
                 for s in sorted(snrs)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -291,11 +291,11 @@ class TestPostCombiningSnr:
     def test_matches_manual_computation(self, rng):
         h = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
         hat = h + 0.1 * rng.normal(size=h.shape)
-        samples = post_combining_snr_samples(_est(hat), h, 1.5, 0.7)
+        samples = post_combining_snr_samples(_est(hat), h, 0.7)
         assert samples.shape == (5,)
         for k in range(5):
             s = hat[:, k] / np.linalg.norm(hat[:, k])
-            expected = 1.5 * np.abs(s.conj() @ h[:, k]) ** 2 / 0.7
+            expected = np.abs(s.conj() @ h[:, k]) ** 2 / 0.7
             assert samples[k] == pytest.approx(expected, rel=1e-12)
 
 
@@ -306,13 +306,13 @@ class TestCombiningStats:
     def test_every_sigma_matches_formed_estimate(self, rng):
         a, b, h = self._parts(rng)
         sigmas, nvs = np.array([0.0, 0.3, 2.0]), np.array([0.5, 1.0, 4.0])
-        snr = post_combining_snr(CombiningStats.of(a, b, h), sigmas, 1.5, nvs)
+        snr = post_combining_snr(CombiningStats.of(a, b, h), sigmas, nvs)
         assert snr.shape == (3, 3, 10)
         for i, (sigma, nv) in enumerate(zip(sigmas, nvs)):
             est = a + sigma * b
             num = np.abs(np.sum(est.conj() * h, axis=-2)) ** 2
             den = np.sum(np.abs(est) ** 2, axis=-2)
-            np.testing.assert_allclose(snr[i], 1.5 * num / den / nv, rtol=1e-12)
+            np.testing.assert_allclose(snr[i], num / den / nv, rtol=1e-12)
 
     def test_invariant_under_orthonormal_coordinates(self, rng):
         """For a and b in span(U), the sums of U^H a, U^H b, U^H h are those of
@@ -329,7 +329,7 @@ class TestCombiningStats:
         a, b, h = self._parts(rng)
         a[:, :, 4] = 0.0
         b[:, :, 4] = 0.0
-        snr = post_combining_snr(CombiningStats.of(a, b, h), [0.0, 1.0], 1.0, [1.0, 1.0])
+        snr = post_combining_snr(CombiningStats.of(a, b, h), [0.0, 1.0], [1.0, 1.0])
         assert np.all(snr[:, :, 4] == 0.0) and np.all(snr[:, :, :4] > 0)
 
     def test_rejects_bad_input(self, rng):
@@ -338,9 +338,7 @@ class TestCombiningStats:
             CombiningStats.of(a, b[..., :-1], h)
         stats = CombiningStats.of(a, b, h)
         with pytest.raises(ValueError):
-            post_combining_snr(stats, [1.0], 1.0, [0.0])
-        with pytest.raises(ValueError):
-            post_combining_snr(stats, [1.0], 0.0, [1.0])
+            post_combining_snr(stats, [1.0], [0.0])
 
 
 class TestEcdf:

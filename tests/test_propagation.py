@@ -1,4 +1,4 @@
-"""Path generation, array geometry, pulse shaping, and frequency responses."""
+"""Path generation, steering vectors, pulse shaping, and frequency responses."""
 from dataclasses import replace
 
 import numpy as np
@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chest import (ConfigError, direction_vector, dt_truncate, frequency_response,
-                   generate_paths, load_paths_csv, pulse_response, save_paths_csv,
-                   steering_matrix)
-from chest.propagation import ArrayGeometry, PathSet
+from chest import (ConfigError, dt_truncate, frequency_response, generate_paths,
+                   load_paths_csv, pulse_response, save_paths_csv, steering_matrix)
+from chest.propagation import PathSet
 
 
 def _paths(delays, amps, elev=None, azim=None):
@@ -100,61 +99,49 @@ class TestDtTruncate:
             dt_truncate(p, 2)
 
 
-class TestDirections:
-    def test_boresight(self):
-        np.testing.assert_allclose(direction_vector(0.0, 0.0), [1, 0, 0], atol=1e-15)
-
-    def test_zenith(self):
-        np.testing.assert_allclose(direction_vector(np.pi / 2, 0.3), [0, 0, 1], atol=1e-12)
-
-    def test_broadside(self):
-        np.testing.assert_allclose(direction_vector(0.0, np.pi / 2), [0, 1, 0], atol=1e-12)
-
-    @given(el=st.floats(min_value=-1.5, max_value=1.5),
-           az=st.floats(min_value=-3.1, max_value=3.1))
-    @settings(max_examples=60, deadline=None)
-    def test_unit_norm(self, el, az):
-        v = direction_vector(el, az)
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-
-
-def _steering(elevation, azimuth, geom):
+def _steering(elevation, azimuth, n_rx, spacing=0.5):
     """Steering vector of one arrival direction, through the path-set route."""
     path = _paths([0.0], [1.0], elev=[elevation], azim=[azimuth])
-    return steering_matrix(path, geom)[:, 0]
+    return steering_matrix(path, n_rx, spacing)[:, 0]
 
 
 class TestSteering:
     def test_endfire_alternation(self):
-        """Half-wavelength x-axis array seen from along the axis: phases step by pi."""
-        geom = ArrayGeometry.uniform_linear(4, wavelength=0.0107, spacing=0.5)
-        a = _steering(0.0, 0.0, geom)
+        """Half-spaced x-axis array seen from along the axis: phases step by pi."""
+        a = _steering(0.0, 0.0, 4)
         np.testing.assert_allclose(a, [1, -1, 1, -1], atol=1e-12)
 
     def test_orthogonal_direction_all_ones(self):
-        geom = ArrayGeometry.uniform_linear(6, wavelength=0.0107, spacing=0.5)
-        a = _steering(0.0, np.pi / 2, geom)
+        a = _steering(0.0, np.pi / 2, 6)
         np.testing.assert_allclose(a, np.ones(6), atol=1e-12)
+
+    def test_zenith_all_ones(self):
+        """An arrival from straight overhead reaches every element in phase,
+        whatever the azimuth."""
+        np.testing.assert_allclose(_steering(np.pi / 2, 0.3, 6), np.ones(6), atol=1e-12)
+
+    def test_phase_step_follows_spacing(self):
+        """Along the axis, phases step by 2 pi spacing: pi / 2 at spacing
+        0.25."""
+        np.testing.assert_allclose(_steering(0.0, 0.0, 4, spacing=0.25),
+                                   [1, 1j, -1, -1j], atol=1e-12)
 
     @given(el=st.floats(min_value=-1.4, max_value=1.4),
            az=st.floats(min_value=-3.0, max_value=3.0),
            n=st.integers(min_value=1, max_value=32))
     @settings(max_examples=60, deadline=None)
     def test_unit_modulus_and_norm(self, el, az, n):
-        geom = ArrayGeometry.uniform_linear(n, wavelength=0.0107)
-        a = _steering(el, az, geom)
+        a = _steering(el, az, n)
         np.testing.assert_allclose(np.abs(a), 1.0, atol=1e-12)
         assert np.linalg.norm(a) ** 2 == pytest.approx(n)
 
     def test_first_element_reference(self):
-        geom = ArrayGeometry.uniform_linear(8, wavelength=0.02)
-        a = _steering(0.4, -1.0, geom)
+        a = _steering(0.4, -1.0, 8)
         assert a[0] == pytest.approx(1.0)
 
     def test_duplicate_angles_rank_one(self):
-        geom = ArrayGeometry.uniform_linear(8, wavelength=0.0107)
         p = _paths([0.1e-6, 0.4e-6], [0.7, 0.7], elev=[0.3, 0.3], azim=[0.2, 0.2])
-        a = steering_matrix(p, geom)
+        a = steering_matrix(p, 8, 0.5)
         assert a.shape == (8, 2)
         assert np.linalg.matrix_rank(a) == 1
 

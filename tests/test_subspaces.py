@@ -6,7 +6,7 @@ from chest import (ProjectorPair, assemble_channel, bml_subspace, draw_fading,
                    dt_subspace, frequency_response, steering_matrix)
 from chest.config import desk_config
 from chest.experiments import _draw, _noise_variances, bml_ranks, build_environment
-from chest.propagation import ArrayGeometry, PathSet
+from chest.propagation import PathSet
 from chest.streams import WARM_FADING, WARM_NOISE
 from chest.subspaces import SnapshotGrams, _sample_covariances
 
@@ -22,19 +22,19 @@ def _paths(delays_us, elev, azim, power=None):
 @pytest.fixture
 def setup(desk):
     def _build(paths, n_rx=8, n_sc=64, n_p=32):
-        geom = ArrayGeometry.uniform_linear(n_rx, desk.system.wavelength)
+        ula = (n_rx, 0.5)
         idx = np.arange(0, n_sc, n_sc // n_p)
-        prior = dt_subspace(paths, geom, n_sc, desk.system.sample_interval, 0.25, idx)
-        return geom, idx, prior
+        prior = dt_subspace(paths, *ula, n_sc, desk.system.sample_interval, 0.25, idx)
+        return ula, idx, prior
     return _build
 
 
 class TestDtSubspace:
     def test_single_path_rank_one(self, desk, setup):
         p = _paths([0.1], [0.3], [0.4])
-        geom, idx, prior = setup(p)
+        ula, idx, prior = setup(p)
         assert prior.rank_spatial == 1 and prior.rank_temporal == 1
-        a = steering_matrix(p, geom)[:, 0]
+        a = steering_matrix(p, *ula)[:, 0]
         # basis equals the normalized steering vector up to a global phase
         inner = np.vdot(prior.basis_spatial[:, 0], a / np.linalg.norm(a))
         assert abs(inner) == pytest.approx(1.0, abs=1e-10)
@@ -50,9 +50,8 @@ class TestDtSubspace:
         p = _paths([0.02, 0.12, 0.22, 0.32, 0.42],
                    [-0.7, -0.3, 0.1, 0.45, 0.9],
                    [-1.1, -0.5, 0.2, 0.7, 1.3])
-        geom = ArrayGeometry.uniform_linear(64, desk.system.wavelength)
         idx = np.arange(0, 64, 2)
-        prior = dt_subspace(p, geom, 64, desk.system.sample_interval, 0.25, idx)
+        prior = dt_subspace(p, 64, 0.5, 64, desk.system.sample_interval, 0.25, idx)
         assert prior.rank_spatial == 5 and prior.rank_temporal == 5
 
     def test_orthonormal_bases(self, setup):
@@ -117,9 +116,9 @@ class TestMakeProjectors:
     def test_twin_channel_invariant(self, dense_projectors, rng, desk, setup):
         """A channel built from only the twin paths lies inside both subspaces."""
         p = _paths([0.05, 0.18, 0.33], [-0.5, 0.1, 0.6], [-1.0, 0.3, 1.1])
-        geom, idx, prior = setup(p)
+        ula, idx, prior = setup(p)
         p_s, p_t = dense_projectors(prior)
-        a = steering_matrix(p, geom)
+        a = steering_matrix(p, *ula)
         k = frequency_response(p, 64, desk.system.sample_interval, 0.25, pilot_indices=idx)
         h = assemble_channel(a, draw_fading(p.amplitude, rng), k)
         np.testing.assert_allclose(p_s @ h @ p_t, h, atol=1e-8)
@@ -149,9 +148,8 @@ class TestKroneckerTrace:
 class TestBmlSubspace:
     def _batch(self, rng, desk, n_batch, noise=0.0, n_rx=8, n_sc=64, n_p=32):
         p = _paths([0.05, 0.18, 0.33], [-0.5, 0.1, 0.6], [-1.0, 0.3, 1.1])
-        geom = ArrayGeometry.uniform_linear(n_rx, desk.system.wavelength)
         idx = np.arange(0, n_sc, n_sc // n_p)
-        a = steering_matrix(p, geom)
+        a = steering_matrix(p, n_rx, 0.5)
         k = frequency_response(p, n_sc, desk.system.sample_interval, 0.25,
                                pilot_indices=idx)
         batch = np.stack([
@@ -169,9 +167,8 @@ class TestBmlSubspace:
 
     def test_single_snapshot_rank_one(self, dense_projectors, rng, desk):
         p = _paths([0.1], [0.3], [0.4])
-        geom = ArrayGeometry.uniform_linear(6, desk.system.wavelength)
         idx = np.arange(0, 64, 2)
-        a = steering_matrix(p, geom)
+        a = steering_matrix(p, 6, 0.5)
         k = frequency_response(p, 64, desk.system.sample_interval, 0.25, pilot_indices=idx)
         h = assemble_channel(a, np.array([1.2 - 0.4j]), k)
         proj = bml_subspace(h[None], 1, 1)

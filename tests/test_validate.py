@@ -2,12 +2,13 @@
 own code that its projection checks report, and the memory its Monte Carlo
 checks take."""
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
-from chest import experiments
+from chest import desk_config, experiments, validate_config
 from chest.subspaces import ProjectorPair
-from chest.validate import (check_covariance_mc, check_error_decomposition,
+from chest.validate import (check_covariance_mc, check_denoiser, check_error_decomposition,
                             check_fading_moments, check_interpolation, run_validation)
 
 CHECK_NAMES = [
@@ -22,6 +23,43 @@ def test_every_check_passes_in_order(tiny):
     results = run_validation(tiny)
     assert [r.name for r in results] == CHECK_NAMES
     assert [r.name for r in results if not r.passed] == []
+
+
+def _with_tau_max(bundle, tau_max):
+    return validate_config(bundle.system, bundle.scenario,
+                           replace(bundle.estimator, tau_max=tau_max))
+
+
+@pytest.mark.parametrize("bundle", [
+    desk_config(n_pilots=1),
+    _with_tau_max(desk_config(), 1e-12),
+    _with_tau_max(desk_config(), 1.0),
+    _with_tau_max(desk_config(n_subcarriers=4, n_pilots=4), 1e-7),
+    desk_config(snr_grid_db=(0.0, 1000.0)),
+], ids=["one-pilot", "one-tap-window", "every-tap-window", "four-subcarriers",
+        "grid-at-1000-dB"])
+def test_every_check_passes_on_edge_configs(bundle):
+    """The denoiser check probes the window the config asks for, whatever
+    its width: one pilot, one tap, every tap, or a window of N_p - 1 taps.
+    The error split holds where the direct error is rounding: at 1000 dB,
+    H + sigma W' is H to the last bit."""
+    results = run_validation(bundle)
+    assert [r.name for r in results] == CHECK_NAMES
+    assert [r.detail for r in results if not r.passed] == []
+
+
+@pytest.mark.parametrize("taps", [1, -1], ids=["wider", "narrower"])
+def test_denoiser_fails_on_a_window_one_tap_off(tiny, monkeypatch, taps):
+    """The sweeps' delay window is checked against the one ``tau_max``
+    allows: one tap more keeps a tap that must go, one tap less drops one
+    that must stay."""
+    system = tiny.system
+    tap = system.sample_interval * system.n_subcarriers / system.n_pilots
+    denoise_subspace = experiments.denoise_subspace
+    monkeypatch.setattr(experiments, "denoise_subspace",
+                        lambda system, tau_max: denoise_subspace(system, tau_max + taps * tap))
+    result = check_denoiser(tiny)
+    assert not result.passed, result.detail
 
 
 def test_error_split_fails_without_the_noise_term(tiny, monkeypatch):
