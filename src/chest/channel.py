@@ -1,15 +1,17 @@
 """Channel synthesis: fading draws, space-frequency channel matrices, the
 structural pilot-grid covariance, and the received pilot block.
 
-Channel matrices are plain complex ndarrays of shape (..., n_rx, n_sc); a
-leading batch axis holds independent symbols/trials.
+Every function takes the paths' responses, the steering matrix A (n_rx, L)
+and the frequency response K (n_sc, L) or its pilot rows, with their mean
+amplitudes, never the path geometry.  Channel matrices are plain complex
+ndarrays of shape (..., n_rx, n_sc); a leading batch axis holds independent
+symbols/trials.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .config import PilotPattern
-from .propagation import PathSet, frequency_response, steering_matrix
 from .streams import complex_normal
 
 
@@ -37,19 +39,16 @@ def assemble_channel(steering: np.ndarray, fading: np.ndarray,
     return (steering * fading[..., None, :]) @ freq.T
 
 
-def channel_covariance(paths: PathSet, n_rx: int, spacing: float, n_subcarriers: int,
-                       sample_interval: float, rolloff: float,
-                       pilot_indices: np.ndarray) -> np.ndarray:
+def channel_covariance(steering: np.ndarray, freq_pilot: np.ndarray,
+                       amplitude: np.ndarray) -> np.ndarray:
     """Covariance of the vectorized pilot-grid channel.
 
     With vec stacking columns (pilot-major), R = Phi diag(alpha^2) Phi^H where
-    column l of Phi is kron(k_l, a_l).
+    column l of Phi is kron(k_l, a_l), a_l the steering vector (n_rx) and k_l
+    the pilot-grid response (n_pilots) of path l.
     """
-    a = steering_matrix(paths, n_rx, spacing)                             # (n_rx, L)
-    k = frequency_response(paths, n_subcarriers, sample_interval, rolloff,
-                           pilot_indices)                                 # (n_p, L)
-    phi = (k[:, None, :] * a[None, :, :]).reshape(-1, len(paths))
-    return (phi * (paths.amplitude ** 2)[None, :]) @ phi.conj().T
+    phi = (freq_pilot[:, None, :] * steering[None, :, :]).reshape(-1, steering.shape[1])
+    return (phi * np.asarray(amplitude, dtype=float) ** 2) @ phi.conj().T
 
 
 def apply_uplink(h_pilot: np.ndarray, pilots: PilotPattern, noise_variance: float,

@@ -87,7 +87,7 @@ class EstimatorConfig:
 
     tau_max: float = 0.5e-6        # CIR pruning window of the denoiser
     n_batch: int = 64              # warm-up snapshots per batch-ML block
-    bml_rank_spatial: int | str = "auto"   # "auto" tracks n_dt_paths
+    bml_rank_spatial: int | str = "auto"   # "auto": the twin's path count
     bml_rank_temporal: int | str = "auto"
     svd_rank_tolerance: float = 1e-8       # relative to largest singular value
 

@@ -179,7 +179,7 @@ class Environment:
     """Deterministic per-seed context shared by every trial."""
 
     bundle: ConfigBundle
-    paths: PathSet
+    amplitude: np.ndarray      # (L,) mean path amplitudes
     pilots: PilotPattern
     steering: np.ndarray       # (n_rx, L)
     freq_full: np.ndarray      # (N, L)
@@ -195,14 +195,18 @@ class Environment:
 def bml_ranks(env: Environment) -> tuple[int, int]:
     """Configured batch-ML ranks; 'auto' tracks the twin path count."""
     est = env.bundle.estimator
-    auto = env.bundle.scenario.n_dt_paths
+    auto = min(env.bundle.scenario.n_dt_paths, len(env.amplitude))
     r_s = auto if est.bml_rank_spatial == "auto" else est.bml_rank_spatial
     r_t = auto if est.bml_rank_temporal == "auto" else est.bml_rank_temporal
     return min(r_s, env.bundle.system.n_rx), min(r_t, len(env.pilots))
 
 
 def build_environment(bundle: ConfigBundle, paths: PathSet | None = None) -> Environment:
-    """Draw (or adopt) the path set and precompute responses and priors."""
+    """Draw (or adopt) the path set and precompute responses and priors.
+
+    This is where the path geometry becomes responses, and the last place it
+    is read: the twin pair spans the twin paths' columns of the steering and
+    pilot-grid responses, and the environment keeps the amplitudes alone."""
     sysc, scen, estc = bundle.system, bundle.scenario, bundle.estimator
     if paths is None:
         paths = generate_paths(scen, substream(sysc.seed, PATHS))
@@ -210,18 +214,17 @@ def build_environment(bundle: ConfigBundle, paths: PathSet | None = None) -> Env
         cp_duration = sysc.cp_length * sysc.sample_interval
         if np.any(paths.delay >= cp_duration):
             raise ConfigError("supplied path delays exceed the CP duration")
-    twin = dt_truncate(paths, min(scen.n_dt_paths, len(paths)))
     pilots = build_pilot_pattern(sysc.n_subcarriers, sysc.n_pilots,
                                  substream(sysc.seed, PILOTS))
     steering = steering_matrix(paths, sysc.n_rx, scen.array_spacing)
     freq_full = frequency_response(paths, sysc.n_subcarriers, sysc.sample_interval,
                                    scen.pulse_rolloff)
     freq_pilot = freq_full[pilots.indices]
-    projectors = dt_subspace(twin, sysc.n_rx, scen.array_spacing, sysc.n_subcarriers,
-                             sysc.sample_interval, scen.pulse_rolloff, pilots.indices,
+    twin = dt_truncate(paths, min(scen.n_dt_paths, len(paths)))
+    projectors = dt_subspace(steering[:, twin], freq_pilot[:, twin],
                              tol=estc.svd_rank_tolerance)
     beta = average_gain_from_responses(paths.amplitude, freq_pilot)
-    return Environment(bundle=bundle, paths=paths, pilots=pilots,
+    return Environment(bundle=bundle, amplitude=paths.amplitude, pilots=pilots,
                        steering=steering, freq_full=freq_full, freq_pilot=freq_pilot,
                        projectors=projectors, beta=beta)
 
@@ -231,7 +234,7 @@ def build_environment(bundle: ConfigBundle, paths: PathSet | None = None) -> Env
 def _draw(env: Environment, fading_keys, noise_keys) -> tuple[np.ndarray, np.ndarray]:
     """Fading and LS noise at unit noise variance, W' = W / x, one substream
     per ``(purpose, index...)`` key, the keys of each drawn in one batch."""
-    amplitude = env.paths.amplitude
+    amplitude = env.amplitude
     shape = (env.bundle.system.n_rx, len(env.pilots))
     fading = amplitude * complex_normals(env.seed, fading_keys, amplitude.shape)
     noise = complex_normals(env.seed, noise_keys, shape)
@@ -471,7 +474,9 @@ def _worker_chunk(task: tuple):
 def _map_chunks(envs: tuple[Environment, ...], tasks: list[tuple], workers: int):
     """Run ``(env index, kind, t0, t1, methods, noise variances, block size)``
     tasks and yield their results in task order.  One pool serves the whole
-    run, and the environments reach each worker once, through its initializer.
+    run, with no more workers than tasks, as a forking pool starts every
+    worker at its first task, and the environments reach each worker once,
+    through its initializer.
 
     The pool's ``map`` drops each future as its result is yielded, so a caller
     that folds the results as they come never holds them all, and cancels the
@@ -481,8 +486,8 @@ def _map_chunks(envs: tuple[Environment, ...], tasks: list[tuple], workers: int)
         for k, *task in tasks:
             yield _simulate_chunk(envs[k], *task)
         return
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                             initargs=(envs,)) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
+                             initializer=_init_worker, initargs=(envs,)) as pool:
         yield from pool.map(_worker_chunk, tasks)
 
 
@@ -539,7 +544,7 @@ def run_nmse_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
             analytic = None
             if method == "emdt":
                 analytic = analytic_nmse(env.projectors, env.steering,
-                                         env.freq_pilot, env.paths.amplitude,
+                                         env.freq_pilot, env.amplitude,
                                          snr_db, noise_variance)
             records.append(MetricsRecord(method=method, snr_db=snr_db,
                                          n_pilots=sysc.n_pilots,

@@ -5,8 +5,11 @@ direction (elevation, azimuth), a delay, and a mean amplitude.  The receive
 array, a uniform linear array on the x axis, maps directions to steering
 vectors; its element spacing is given in wavelengths, so the phases need no
 carrier frequency.  The pulse-shaped delay taps map delays to per-subcarrier
-frequency responses.  A truncated copy of the path set (the strongest few
-paths) plays the role of the twin's prior knowledge.
+frequency responses on the full grid.  The strongest few paths, by index,
+play the role of the twin's prior knowledge: their columns of the steering
+and frequency responses span its subspaces.  The sweeps turn a path set
+into responses once, in :func:`~chest.experiments.build_environment`; every
+later step works on the responses.
 """
 from __future__ import annotations
 
@@ -68,19 +71,16 @@ def generate_paths(scenario: ScenarioConfig, rng: np.random.Generator) -> PathSe
                    amplitude=np.sqrt(power))
 
 
-def dt_truncate(paths: PathSet, n_keep: int) -> PathSet:
-    """Keep the ``n_keep`` strongest paths (the twin's partial knowledge).
+def dt_truncate(paths: PathSet, n_keep: int) -> np.ndarray:
+    """Indices of the ``n_keep`` strongest paths (the twin's partial
+    knowledge), in ascending order.
 
     Ties in amplitude break toward the smaller delay, then the smaller index.
-    The survivors keep their original relative order; amplitudes are not
-    renormalized.
     """
     if not 1 <= n_keep <= len(paths):
         raise ValueError(f"n_keep must lie in [1, {len(paths)}], got {n_keep}")
     order = np.lexsort((np.arange(len(paths)), paths.delay, -paths.amplitude))
-    keep = np.sort(order[:n_keep])
-    return PathSet(elevation=paths.elevation[keep], azimuth=paths.azimuth[keep],
-                   delay=paths.delay[keep], amplitude=paths.amplitude[keep])
+    return np.sort(order[:n_keep])
 
 
 def steering_matrix(paths: PathSet, n_rx: int, spacing: float) -> np.ndarray:
@@ -115,13 +115,12 @@ def pulse_response(nu, delay_norm, rolloff: float) -> np.ndarray:
 
 
 def frequency_response(paths: PathSet, n_subcarriers: int, sample_interval: float,
-                       rolloff: float, pilot_indices: np.ndarray | None = None
-                       ) -> np.ndarray:
-    """Per-subcarrier response K = F G of the pulse-shaped delay taps.
+                       rolloff: float) -> np.ndarray:
+    """Per-subcarrier response K = F G of the pulse-shaped delay taps, (N, L).
 
     F is the unnormalized N-point DFT (negative exponent); column l of G holds
-    g(nu - delay_l / T_s) for nu = 0..N-1.  With ``pilot_indices`` the rows are
-    restricted to the pilot comb.
+    g(nu - delay_l / T_s) for nu = 0..N-1.  The pilot-grid response is the
+    rows ``K[pilots.indices]``.
     """
     if n_subcarriers < 1:
         raise ValueError("n_subcarriers must be >= 1")
@@ -129,13 +128,7 @@ def frequency_response(paths: PathSet, n_subcarriers: int, sample_interval: floa
         raise ValueError("sample_interval must be positive")
     nu = np.arange(n_subcarriers, dtype=float)[:, None]
     g = pulse_response(nu, paths.delay[None, :] / sample_interval, rolloff)
-    k = np.fft.fft(g, axis=0)
-    if pilot_indices is not None:
-        idx = np.asarray(pilot_indices)
-        if idx.size == 0 or np.any(idx < 0) or np.any(idx >= n_subcarriers):
-            raise ValueError("pilot_indices out of range")
-        k = k[idx]
-    return k
+    return np.fft.fft(g, axis=0)
 
 
 # --- PathSet CSV interchange ------------------------------------------------

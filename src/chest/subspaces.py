@@ -1,8 +1,10 @@
 """Subspace priors and low-rank projection.
 
-The twin prior takes the truncated path set, forms its steering matrix and
-pilot-grid frequency response, and extracts orthonormal bases by SVD.  The
-batch-ML alternative estimates the same bases from sample covariances of LS
+The twin prior takes the twin paths' columns of the channel's steering
+matrix and pilot-grid frequency response, and extracts orthonormal bases of
+their spans by SVD; how paths become responses is
+:func:`~chest.experiments.build_environment`'s concern alone.  The batch-ML
+alternative estimates the same bases from sample covariances of LS
 snapshots, and the delay-domain denoiser keeps every antenna and the leading
 DFT columns.  Each prior is a :class:`ProjectorPair` holding the two bases, a
 spatial U_s (n_rx x r_s) and a temporal U_t (n_pilots x r_t).  They stand for
@@ -30,7 +32,6 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .config import SystemConfig
-from .propagation import PathSet, frequency_response, steering_matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,16 +97,14 @@ def _span_basis(matrix: np.ndarray, tol: float) -> np.ndarray:
     return u[:, :int(np.sum(s > tol * s[0]))]
 
 
-def dt_subspace(twin_paths: PathSet, n_rx: int, spacing: float, n_subcarriers: int,
-                sample_interval: float, rolloff: float, pilot_indices: np.ndarray,
+def dt_subspace(steering: np.ndarray, freq_pilot: np.ndarray,
                 tol: float = 1e-8) -> ProjectorPair:
-    """Projector pair spanned by the twin's known paths on an ``n_rx``-element
-    array of ``spacing`` wavelengths (:func:`~chest.propagation.steering_matrix`)."""
-    a = steering_matrix(twin_paths, n_rx, spacing)
-    k = frequency_response(twin_paths, n_subcarriers, sample_interval, rolloff,
-                           pilot_indices)
-    return ProjectorPair(basis_spatial=_span_basis(a, tol),
-                         basis_temporal=_span_basis(k, tol))
+    """Projector pair spanned by the twin's known paths: the column spans of
+    their steering vectors, (n_rx, L), and pilot-grid frequency responses,
+    (n_pilots, L), each cut at singular values below ``tol`` times the
+    largest."""
+    return ProjectorPair(basis_spatial=_span_basis(steering, tol),
+                         basis_temporal=_span_basis(freq_pilot, tol))
 
 
 def denoise_subspace(system: SystemConfig, tau_max: float) -> ProjectorPair:

@@ -19,6 +19,10 @@ never form the Kronecker product of the two:
   the pilot columns.
 * vec-kronecker-identity: vec(P_s H P_t) = (P_t^T kron P_s) vec(H), vec
   pilot-major, on a fixed 4 x 8 twin pair, as the convention is size-free.
+
+That check, channel-synthesis-brute-force and covariance-monte-carlo take
+the responses of a few random paths on 4 antennas and 8 subcarriers, every
+subcarrier a pilot, from :func:`_small_responses`.
 """
 from __future__ import annotations
 
@@ -73,13 +77,17 @@ def _draw_trials(env, n_trials: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return fading, assemble_channel(env.steering, fading, env.freq_pilot), noise
 
 
-def _small_paths(rng: np.random.Generator, n: int, delay_spread: float) -> PathSet:
+def _small_responses(rng: np.random.Generator, n: int):
+    """Steering matrix (4, n), frequency response (8, n) and amplitudes of
+    ``n`` random paths with delays under 0.4 us, at T_s = 0.1 us."""
     power = rng.uniform(0.2, 1.0, n)
     power /= power.sum()
-    return PathSet(elevation=rng.uniform(-0.7, 0.7, n),
-                   azimuth=rng.uniform(-1.5, 1.5, n),
-                   delay=rng.uniform(0.0, delay_spread, n),
-                   amplitude=np.sqrt(power))
+    paths = PathSet(elevation=rng.uniform(-0.7, 0.7, n),
+                    azimuth=rng.uniform(-1.5, 1.5, n),
+                    delay=rng.uniform(0.0, 0.4e-6, n),
+                    amplitude=np.sqrt(power))
+    return (steering_matrix(paths, 4, SPACING), frequency_response(paths, 8, 1e-7, 0.25),
+            paths.amplitude)
 
 
 def check_projectors(bundle: ConfigBundle) -> CheckResult:
@@ -95,8 +103,8 @@ def check_projectors(bundle: ConfigBundle) -> CheckResult:
 def check_vec_kron(bundle: ConfigBundle) -> CheckResult:
     """vec(P_s H P_t) must equal (P_t^T kron P_s) vec(H) (4x8 twin pair)."""
     rng = substream(bundle.system.seed, 902)
-    paths = _small_paths(rng, 3, 0.4e-6)
-    p_s, p_t = _dense(dt_subspace(paths, 4, SPACING, 8, 1e-7, 0.25, np.arange(8)))
+    a, k, _ = _small_responses(rng, 3)
+    p_s, p_t = _dense(dt_subspace(a, k))
     h = complex_normal(rng, (4, 8))
     lhs = (p_s @ h @ p_t).T.reshape(-1)     # pilot-major vec
     rhs = np.kron(p_t.T, p_s) @ h.T.reshape(-1)
@@ -127,10 +135,8 @@ def check_q_trace(bundle: ConfigBundle) -> CheckResult:
 def check_assemble(bundle: ConfigBundle) -> CheckResult:
     """Vectorized channel synthesis equals the per-entry triple sum (4x8x3)."""
     rng = substream(bundle.system.seed, 903)
-    paths = _small_paths(rng, 3, 0.4e-6)
-    a = steering_matrix(paths, 4, SPACING)
-    k = frequency_response(paths, 8, 1e-7, 0.25)
-    c = draw_fading(paths.amplitude, rng)
+    a, k, amplitude = _small_responses(rng, 3)
+    c = draw_fading(amplitude, rng)
     h = assemble_channel(a, c, k)
     brute = np.zeros((4, 8), dtype=complex)
     for i in range(4):
@@ -145,15 +151,12 @@ def check_assemble(bundle: ConfigBundle) -> CheckResult:
 def check_covariance_mc(bundle: ConfigBundle) -> CheckResult:
     """Sample covariance over 1e5 fading draws matches the structural form."""
     rng = substream(bundle.system.seed, 904)
-    paths = _small_paths(rng, 6, 0.4e-6)
-    pilot_idx = np.arange(0, 8, 1)
-    cov = channel_covariance(paths, 4, SPACING, 8, 1e-7, 0.25, pilot_idx)
-    a = steering_matrix(paths, 4, SPACING)
-    k = frequency_response(paths, 8, 1e-7, 0.25, pilot_idx)
+    a, k, amplitude = _small_responses(rng, 6)
+    cov = channel_covariance(a, k, amplitude)
     n_draws, chunk = 100_000, 1_000
     acc = np.zeros_like(cov)
     for _ in range(n_draws // chunk):
-        c = paths.amplitude * complex_normal(rng, (chunk, len(paths)))
+        c = amplitude * complex_normal(rng, (chunk, amplitude.size))
         h = assemble_channel(a, c, k)
         v = h.transpose(0, 2, 1).reshape(chunk, -1)
         acc += v.T.conj() @ v
@@ -241,16 +244,13 @@ def check_noise_calibration(bundle: ConfigBundle) -> CheckResult:
     """Trace and rank forms of the projected-noise term agree; a full prior
     has zero floor; identity projectors reduce to the 1/SNR law."""
     env = build_environment(bundle)
-    sysc = bundle.system
-    responses = (env.steering, env.freq_pilot, env.paths.amplitude)
+    responses = (env.steering, env.freq_pilot, env.amplitude)
     nv_7, nv_0, nv_10 = _noise_variances(env, (7.0, 0.0, 10.0))
     try:
         analytic_nmse(env.projectors, *responses, 7.0, nv_7)
     except ValueError as exc:
         return CheckResult("noise-term-calibration", False, str(exc))
-    full_prior = dt_subspace(env.paths, sysc.n_rx, bundle.scenario.array_spacing,
-                             sysc.n_subcarriers, sysc.sample_interval,
-                             bundle.scenario.pulse_rolloff, env.pilots.indices)
+    full_prior = dt_subspace(env.steering, env.freq_pilot)
     full_floor = analytic_nmse(full_prior, *responses, 0.0, nv_0).subspace_floor
     ls_bk = analytic_nmse(ProjectorPair(None, None), *responses, 10.0, nv_10)
     ls_ok = (abs(ls_bk.noise_term - 0.1) < 1e-9 and ls_bk.subspace_floor < 1e-10)

@@ -27,12 +27,7 @@ def desk_env(desk):
 
 @pytest.fixture(scope="session")
 def desk_cov(desk_env):
-    return channel_covariance(desk_env.paths, desk_env.bundle.system.n_rx,
-                              desk_env.bundle.scenario.array_spacing,
-                              desk_env.bundle.system.n_subcarriers,
-                              desk_env.bundle.system.sample_interval,
-                              desk_env.bundle.scenario.pulse_rolloff,
-                              desk_env.pilots.indices)
+    return channel_covariance(desk_env.steering, desk_env.freq_pilot, desk_env.amplitude)
 
 
 @pytest.fixture(scope="session")

@@ -89,7 +89,7 @@ def test_c2_projected_noise_term(desk5, desk5_env, emdt_run, measured_floor, ann
     agree = True
     for snr_db in GRID5:
         bk = analytic_nmse(env.projectors, env.steering, env.freq_pilot,
-                           env.paths.amplitude, snr_db,
+                           env.amplitude, snr_db,
                            noise_variance_for_snr(snr_db, env.beta))
         simplified = r_s * r_t / (sysc.n_rx * sysc.n_pilots * 10 ** (snr_db / 10))
         agree = agree and np.isclose(bk.noise_term, simplified, rtol=1e-9)

@@ -134,9 +134,9 @@ class TestVecIdentity:
 
 class TestChannelCovariance:
     def _cov_small(self, rng):
-        desk, paths, ula, _, _ = _small_setup(rng)
+        desk, paths, ula, a, k = _small_setup(rng)
         idx = np.arange(0, 8, 2)
-        cov = channel_covariance(paths, *ula, 8, desk.system.sample_interval, 0.25, idx)
+        cov = channel_covariance(a, k[idx], paths.amplitude)
         return desk, paths, ula, idx, cov
 
     def test_hermitian(self, rng):
@@ -153,15 +153,15 @@ class TestChannelCovariance:
         paths = PathSet(elevation=np.array([0.2]), azimuth=np.array([-0.4]),
                         delay=np.array([0.0]), amplitude=np.array([1.0]))
         idx = np.arange(0, 16, 2)
-        cov = channel_covariance(paths, 4, 0.5, 16, desk.system.sample_interval, 0.0, idx)
+        k = frequency_response(paths, 16, desk.system.sample_interval, 0.0)
+        cov = channel_covariance(steering_matrix(paths, 4, 0.5), k[idx], paths.amplitude)
         assert np.linalg.matrix_rank(cov) == 1
         assert np.trace(cov).real == pytest.approx(8 * 4, rel=1e-12)
 
     def test_monte_carlo_match(self, rng):
         desk, paths, ula, idx, cov = self._cov_small(rng)
         a = steering_matrix(paths, *ula)
-        k = frequency_response(paths, 8, desk.system.sample_interval, 0.25,
-                               pilot_indices=idx)
+        k = frequency_response(paths, 8, desk.system.sample_interval, 0.25)[idx]
         gen = np.random.default_rng(123)
         acc = np.zeros_like(cov)
         n = 100_000
@@ -179,8 +179,7 @@ class TestChannelCovariance:
     def test_energy_matches_trace(self, rng):
         desk, paths, ula, idx, cov = self._cov_small(rng)
         a = steering_matrix(paths, *ula)
-        k = frequency_response(paths, 8, desk.system.sample_interval, 0.25,
-                               pilot_indices=idx)
+        k = frequency_response(paths, 8, desk.system.sample_interval, 0.25)[idx]
         gen = np.random.default_rng(321)
         total = 0.0
         n = 100_000
@@ -228,11 +227,10 @@ class TestSimulateUplink:
 def _gain(paths, n_subcarriers, sample_interval, rolloff, idx, ula=None):
     """beta from the path responses; with ``ula`` it is also checked against
     trace(R) / dim(R) of the dense covariance."""
-    k = frequency_response(paths, n_subcarriers, sample_interval, rolloff, idx)
+    k = frequency_response(paths, n_subcarriers, sample_interval, rolloff)[idx]
     beta = average_gain_from_responses(paths.amplitude, k)
     if ula is not None:
-        cov = channel_covariance(paths, *ula, n_subcarriers, sample_interval,
-                                 rolloff, idx)
+        cov = channel_covariance(steering_matrix(paths, *ula), k, paths.amplitude)
         assert beta == pytest.approx(np.trace(cov).real / cov.shape[0], rel=1e-12)
     return beta
 

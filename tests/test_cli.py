@@ -5,7 +5,9 @@ the experiment subcommands with a deliberately small configuration, and check
 in process that the parser follows the sweep table.
 """
 import argparse
+import ast
 import csv
+import importlib
 import json
 import re
 import shlex
@@ -343,6 +345,20 @@ class TestReadme:
             args = _build_parser().parse_args(argv)
             if args.config is not None:
                 load_config(ROOT / args.config)
+
+    def test_every_name_a_readme_python_block_imports_from_chest_exists(self):
+        """Every ``from chest... import`` line of the README's python blocks
+        names things the package or its module has."""
+        text = (ROOT / "README.md").read_text()
+        imports = [node for block in re.findall(r"```python\n(.*?)```", text, re.S)
+                   for node in ast.walk(ast.parse(block))
+                   if isinstance(node, ast.ImportFrom)
+                   and (node.module or "").split(".")[0] == "chest"]
+        assert len(imports) >= 2
+        missing = [f"{node.module}.{alias.name}" for node in imports
+                   for alias in node.names
+                   if not hasattr(importlib.import_module(node.module), alias.name)]
+        assert missing == []
 
 
 def test_importing_cli_leaves_validate_unloaded():

@@ -24,9 +24,11 @@ from chest.experiments import (SWEEPS, ExperimentPlan, bml_ranks,
                                _nmse_slice, _noise_variances, _se_slice,
                                _simulate_chunk)
 from chest.metrics import analytic_nmse, ecdf
-from chest.streams import (FADING, NOISE, WARM_FADING, WARM_NOISE, complex_normal,
-                           substream)
-from chest.subspaces import SnapshotGrams, bml_subspace, denoise_subspace
+from chest.propagation import (PathSet, dt_truncate, frequency_response, generate_paths,
+                               steering_matrix)
+from chest.streams import (FADING, NOISE, PATHS, WARM_FADING, WARM_NOISE,
+                           complex_normal, substream)
+from chest.subspaces import SnapshotGrams, bml_subspace, denoise_subspace, dt_subspace
 
 
 RUNS = {"nmse-sweep": run_nmse_sweep, "se-sweep": run_se_sweep, "ecdf": run_ecdf,
@@ -234,7 +236,7 @@ class TestProjectionFloor:
                         / np.concatenate([c["energy"] for c in chunks]).sum())
             pair = denoise_subspace(env.bundle.system, env.bundle.estimator.tau_max)
         analytic = analytic_nmse(pair, env.steering, env.freq_pilot,
-                                 env.paths.amplitude, 0.0,
+                                 env.amplitude, 0.0,
                                  noise_variance_for_snr(0.0, env.beta))
         assert measured == pytest.approx(analytic.subspace_floor, rel=0.15)
 
@@ -244,6 +246,44 @@ class TestProjectionFloor:
 
     def test_auto_bml_ranks_track_twin(self, tiny_env):
         assert bml_ranks(tiny_env) == (3, 3)
+
+    def test_auto_bml_ranks_track_a_supplied_set_smaller_than_the_twin(self, desk,
+                                                                       make_paths):
+        """Desk asks the twin for 5 paths; a supplied 3-path set gives it 3, and
+        batch-ML's 'auto' ranks follow: its pairs run at (3, 3) like the twin's."""
+        env = build_environment(desk, make_paths([0.05, 0.2, 0.35], [-0.5, 0.1, 0.6],
+                                                 [-1.0, 0.3, 1.1]))
+        twin = (env.projectors.rank_spatial, env.projectors.rank_temporal)
+        assert twin == bml_ranks(env) == (3, 3)
+        nv = _noise_variances(env, (0.0, 10.0))
+        for _, _, pair in _method_bases(env, ("bml",), np.asarray(nv), 0):
+            assert (pair.rank_spatial, pair.rank_temporal) == (3, 3)
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")) + [None],
+                         ids=lambda c: "3-path set" if c is None else c.name)
+def test_twin_pair_is_the_channels_own_columns(config, desk, make_paths):
+    """The environment's twin pair is, bit for bit, the pair of the twin
+    paths' own responses: their steering matrix and the pilot rows of their
+    full-grid frequency response, recomputed from the twin paths alone."""
+    if config is None:
+        bundle, supplied = desk, make_paths([0.05, 0.2, 0.35], powers=[0.5, 0.3, 0.2])
+        paths = supplied
+    else:
+        bundle, supplied = load_config(config), None
+        paths = generate_paths(bundle.scenario, substream(bundle.system.seed, PATHS))
+    env = build_environment(bundle, supplied)
+    sysc, scen = bundle.system, bundle.scenario
+    keep = dt_truncate(paths, min(scen.n_dt_paths, len(paths)))
+    twin = PathSet(elevation=paths.elevation[keep], azimuth=paths.azimuth[keep],
+                   delay=paths.delay[keep], amplitude=paths.amplitude[keep])
+    k = frequency_response(twin, sysc.n_subcarriers, sysc.sample_interval,
+                           scen.pulse_rolloff)
+    want = dt_subspace(steering_matrix(twin, sysc.n_rx, scen.array_spacing),
+                       k[env.pilots.indices], tol=bundle.estimator.svd_rank_tolerance)
+    np.testing.assert_array_equal(env.projectors.basis_spatial, want.basis_spatial)
+    np.testing.assert_array_equal(env.projectors.basis_temporal, want.basis_temporal)
+    np.testing.assert_array_equal(env.amplitude, paths.amplitude)
 
 
 def test_full_scale_environment_holds_low_rank_projectors():
@@ -366,6 +406,36 @@ class TestEcdfSampleBuffers:
             run_ecdf(plan)
         assert multiprocessing.active_children() == []
 
+    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
+        """A forking pool starts all of its workers at the first task, so a run
+        of two chunks asks for two workers, however many it is allowed.  The
+        pool is a stand-in that runs the tasks in this process."""
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                asked.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(experiments, "_worker_envs", ())
+        plan = ExperimentPlan(bundle=desk_config(n_trials=6), methods=("ls", "emdt"),
+                              snrs=(0.0,), block_size=3)
+        serial = run_nmse_sweep(plan)
+        pooled = run_nmse_sweep(replace(plan, workers=500))
+        assert asked == [2]
+        assert pooled == serial
+        assert multiprocessing.active_children() == []
+
     def test_closed_generator_leaves_no_pool(self):
         env = build_environment(desk_config(n_trials=12))
         nv = _noise_variances(env, (0.0,))
@@ -434,7 +504,7 @@ def _oracle_pair(env, method, noise_variance, block):
     if method == "bml":
         shape = (sysc.n_rx, len(env.pilots))
         warm = range(env.bundle.estimator.n_batch)
-        fading_w = np.stack([draw_fading(env.paths.amplitude,
+        fading_w = np.stack([draw_fading(env.amplitude,
                                          substream(env.seed, WARM_FADING, block, j))
                              for j in warm])
         noise_w = np.stack([complex_normal(substream(env.seed, WARM_NOISE, block, j),
@@ -452,7 +522,7 @@ def _oracle_estimates(env, noise_variance, t0, t1, methods, block_size, full):
     sysc = env.bundle.system
     shape = (sysc.n_rx, len(env.pilots))
     trials = range(t0, t1)
-    fading = np.stack([draw_fading(env.paths.amplitude, substream(env.seed, FADING, t))
+    fading = np.stack([draw_fading(env.amplitude, substream(env.seed, FADING, t))
                        for t in trials])
     noise = np.stack([complex_normal(substream(env.seed, NOISE, t), shape) for t in trials])
     truth_full = assemble_channel(env.steering, fading, env.freq_full) if full else None

@@ -1,7 +1,8 @@
 """Static checks on the source tree: no module or test file imports a name it
 never uses, no module rebinds a module-level name from a function but the pool worker's
 initializer, no module forms a dense Kronecker product or identity outside the two
-checks that need one, and the package exports only names it has, each once."""
+checks that need one or turns path geometry into responses outside the two places
+that own it, and the package exports only names it has, each once."""
 import ast
 from pathlib import Path
 
@@ -93,24 +94,42 @@ def test_detects_global_statements():
 
 
 DENSE = ("kron", "eye")
+RESPONSES = ("steering_matrix", "frequency_response")
+
+
+def _dense_name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+            and node.value.id == "np" and node.attr in DENSE:
+        return f"np.{node.attr}"
+    if isinstance(node, ast.Name) and node.id in RESPONSES:
+        return node.id
+    if isinstance(node, ast.Attribute) and node.attr in RESPONSES:
+        return node.attr
+    return None
 
 
 def dense_builders(source: str) -> list[str]:
-    """``np.kron`` and ``np.eye`` in ``source``, each with its innermost
-    enclosing function, or ``<module>``."""
+    """``np.kron`` and ``np.eye``, and every reference to ``steering_matrix``
+    or ``frequency_response``, in ``source``, each with its innermost enclosing
+    function, or ``<module>``."""
     tree = ast.parse(source)
     owner = _owners(tree)
-    return sorted(f"line {node.lineno}: {owner.get(node, '<module>')}: np.{node.attr}"
-                  for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and node.attr in DENSE
-                  and isinstance(node.value, ast.Name) and node.value.id == "np")
+    return sorted(f"line {node.lineno}: {owner.get(node, '<module>')}: {name}"
+                  for node in ast.walk(tree) if (name := _dense_name(node)))
 
 
 # The library forms no dense Kronecker product or identity: the vectorization
 # check holds a small pair against np.kron, and the orthonormality check
-# compares a basis's Gram matrix with the identity.
-DENSE_ALLOWED = {"validate.py": {("check_vec_kron", "np.kron")},
-                 "subspaces.py": {("_check_orthonormal", "np.eye")}}
+# compares a basis's Gram matrix with the identity.  Path geometry becomes
+# steering and frequency responses in two places: the sweeps' environment,
+# and the fixed small instances of chest validate.  Every other function takes
+# responses.
+DENSE_ALLOWED = {"validate.py": {("check_vec_kron", "np.kron"),
+                                 ("_small_responses", "steering_matrix"),
+                                 ("_small_responses", "frequency_response")},
+                 "subspaces.py": {("_check_orthonormal", "np.eye")},
+                 "experiments.py": {("build_environment", "steering_matrix"),
+                                    ("build_environment", "frequency_response")}}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
@@ -126,9 +145,11 @@ def test_detects_dense_builders():
               "def f():\n"
               "    return np.eye(3) + other.eye(2)\n"
               "def g():\n"
-              "    k = np.kron\n")
+              "    k = np.kron\n"
+              "    return steering_matrix(p, 4, 0.5), propagation.frequency_response\n")
     assert dense_builders(source) == ["line 2: <module>: np.kron", "line 4: f: np.eye",
-                                      "line 6: g: np.kron"]
+                                      "line 6: g: np.kron", "line 7: g: frequency_response",
+                                      "line 7: g: steering_matrix"]
 
 
 def test_every_export_resolves_once():

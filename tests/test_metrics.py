@@ -138,9 +138,9 @@ class TestAnalyticNmse:
                         amplitude=np.full(4, 0.5))
         ula = (8, 0.5)
         idx = np.arange(0, 64, 2)
-        proj = dt_subspace(paths, *ula, 64, desk.system.sample_interval, 0.25, idx)
         a = steering_matrix(paths, *ula)
-        k = frequency_response(paths, 64, desk.system.sample_interval, 0.25, idx)
+        k = frequency_response(paths, 64, desk.system.sample_interval, 0.25)[idx]
+        proj = dt_subspace(a, k)
         beta = average_gain_from_responses(paths.amplitude, k)
         bk = analytic_nmse(proj, a, k, paths.amplitude, 0.0,
                            noise_variance_for_snr(0.0, beta))
@@ -155,7 +155,7 @@ class TestAnalyticNmse:
 
     def test_desk_floor_positive(self, desk_env):
         bk = analytic_nmse(desk_env.projectors, desk_env.steering, desk_env.freq_pilot,
-                           desk_env.paths.amplitude, 0.0,
+                           desk_env.amplitude, 0.0,
                            noise_variance_for_snr(0.0, desk_env.beta))
         assert 0 < bk.subspace_floor < 1e-2
 
@@ -176,11 +176,11 @@ class TestCovarianceTraces:
 
     def _check(self, env, cov, dense_projectors):
         fast = covariance_traces(env.projectors, env.steering, env.freq_pilot,
-                                 env.paths.amplitude)
+                                 env.amplitude)
         dense = _dense_traces(dense_projectors(env.projectors), cov)
         assert fast == pytest.approx(dense, rel=1e-12)
         bk = analytic_nmse(env.projectors, env.steering, env.freq_pilot,
-                           env.paths.amplitude, 0.0,
+                           env.amplitude, 0.0,
                            noise_variance_for_snr(0.0, env.beta))
         assert bk.subspace_floor == pytest.approx(
             (dense[0] - dense[1]) / dense[0], rel=1e-6, abs=1e-12)
@@ -190,12 +190,7 @@ class TestCovarianceTraces:
 
     def test_reference(self, dense_projectors):
         env = build_environment(desk_config(n_rx=64))
-        self._check(env, channel_covariance(env.paths, env.bundle.system.n_rx,
-                                            env.bundle.scenario.array_spacing,
-                                            env.bundle.system.n_subcarriers,
-                                            env.bundle.system.sample_interval,
-                                            env.bundle.scenario.pulse_rolloff,
-                                            env.pilots.indices),
+        self._check(env, channel_covariance(env.steering, env.freq_pilot, env.amplitude),
                     dense_projectors)
 
     def test_non_unit_modulus_steering(self, desk_env, desk_cov, rng, dense_projectors):
@@ -206,7 +201,7 @@ class TestCovarianceTraces:
         scale = np.tile(gain, n_p)
         cov = scale[:, None] * desk_cov * scale[None, :]
         fast = covariance_traces(desk_env.projectors, steering, desk_env.freq_pilot,
-                                 desk_env.paths.amplitude)
+                                 desk_env.amplitude)
         assert fast == pytest.approx(
             _dense_traces(dense_projectors(desk_env.projectors), cov), rel=1e-12)
 
@@ -223,7 +218,7 @@ class TestCovarianceTraces:
                              twin.basis_temporal if temporal else None)
         eye = ProjectorPair(twin.basis_spatial if spatial else np.eye(n_rx, dtype=complex),
                             twin.basis_temporal if temporal else np.eye(n_p, dtype=complex))
-        responses = (desk_env.steering, desk_env.freq_pilot, desk_env.paths.amplitude)
+        responses = (desk_env.steering, desk_env.freq_pilot, desk_env.amplitude)
         fast = covariance_traces(pair, *responses)
         assert fast == pytest.approx(covariance_traces(eye, *responses), rel=1e-12)
         assert fast == pytest.approx(
@@ -238,7 +233,7 @@ class TestCovarianceTraces:
     def test_path_count_mismatch_rejected(self, desk_env):
         with pytest.raises(ValueError, match="path counts"):
             covariance_traces(desk_env.projectors, desk_env.steering,
-                              desk_env.freq_pilot[:, :-1], desk_env.paths.amplitude)
+                              desk_env.freq_pilot[:, :-1], desk_env.amplitude)
 
 
 class TestGenieSpectralEfficiency:

@@ -50,7 +50,7 @@ def test_draw_matches_per_key_substreams(desk_env):
     fading, noise = _draw(desk_env, [(FADING, t) for t in trials],
                           [(NOISE, t) for t in trials])
     shape = (desk_env.bundle.system.n_rx, len(desk_env.pilots))
-    expected_fading = np.stack([draw_fading(desk_env.paths.amplitude,
+    expected_fading = np.stack([draw_fading(desk_env.amplitude,
                                             substream(desk_env.seed, FADING, t))
                                 for t in trials])
     expected_noise = _per_key(desk_env.seed, [(NOISE, t) for t in trials], shape)

@@ -24,7 +24,8 @@ def setup(desk):
     def _build(paths, n_rx=8, n_sc=64, n_p=32):
         ula = (n_rx, 0.5)
         idx = np.arange(0, n_sc, n_sc // n_p)
-        prior = dt_subspace(paths, *ula, n_sc, desk.system.sample_interval, 0.25, idx)
+        k = frequency_response(paths, n_sc, desk.system.sample_interval, 0.25)
+        prior = dt_subspace(steering_matrix(paths, *ula), k[idx])
         return ula, idx, prior
     return _build
 
@@ -51,7 +52,8 @@ class TestDtSubspace:
                    [-0.7, -0.3, 0.1, 0.45, 0.9],
                    [-1.1, -0.5, 0.2, 0.7, 1.3])
         idx = np.arange(0, 64, 2)
-        prior = dt_subspace(p, 64, 0.5, 64, desk.system.sample_interval, 0.25, idx)
+        k = frequency_response(p, 64, desk.system.sample_interval, 0.25)
+        prior = dt_subspace(steering_matrix(p, 64, 0.5), k[idx])
         assert prior.rank_spatial == 5 and prior.rank_temporal == 5
 
     def test_orthonormal_bases(self, setup):
@@ -119,7 +121,7 @@ class TestMakeProjectors:
         ula, idx, prior = setup(p)
         p_s, p_t = dense_projectors(prior)
         a = steering_matrix(p, *ula)
-        k = frequency_response(p, 64, desk.system.sample_interval, 0.25, pilot_indices=idx)
+        k = frequency_response(p, 64, desk.system.sample_interval, 0.25)[idx]
         h = assemble_channel(a, draw_fading(p.amplitude, rng), k)
         np.testing.assert_allclose(p_s @ h @ p_t, h, atol=1e-8)
 
@@ -150,8 +152,7 @@ class TestBmlSubspace:
         p = _paths([0.05, 0.18, 0.33], [-0.5, 0.1, 0.6], [-1.0, 0.3, 1.1])
         idx = np.arange(0, n_sc, n_sc // n_p)
         a = steering_matrix(p, n_rx, 0.5)
-        k = frequency_response(p, n_sc, desk.system.sample_interval, 0.25,
-                               pilot_indices=idx)
+        k = frequency_response(p, n_sc, desk.system.sample_interval, 0.25)[idx]
         batch = np.stack([
             assemble_channel(a, draw_fading(p.amplitude, rng), k)
             + noise * (rng.normal(size=(n_rx, n_p)) + 1j * rng.normal(size=(n_rx, n_p)))
@@ -169,7 +170,7 @@ class TestBmlSubspace:
         p = _paths([0.1], [0.3], [0.4])
         idx = np.arange(0, 64, 2)
         a = steering_matrix(p, 6, 0.5)
-        k = frequency_response(p, 64, desk.system.sample_interval, 0.25, pilot_indices=idx)
+        k = frequency_response(p, 64, desk.system.sample_interval, 0.25)[idx]
         h = assemble_channel(a, np.array([1.2 - 0.4j]), k)
         proj = bml_subspace(h[None], 1, 1)
         u = a[:, 0] / np.linalg.norm(a[:, 0])
