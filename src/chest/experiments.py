@@ -71,18 +71,21 @@ arrays, so every output is the same bit for bit whatever the chunking, the
 slicing or the worker count, batch-ML aside, whose warm-up is that of the
 trial block.
 
-One process pool serves a whole run.  Every sweep goes through one driver,
-:func:`_sweep`, which builds one environment per pilot count (the configured
-one unless the kind sweeps pilot counts) and every chunk task, and folds the
-chunk results: they come back in chunk order, each as soon as it and those
-before it are in, and each is copied into rows [t0, t1) of one (n_trials,
-...) array per key and dropped.  The ECDF thus holds one copy of its samples,
-and each sample buffer is released once its table is sorted out of it.
+One process pool serves a whole run, and a run of one worker or one chunk
+starts none.  The pool machinery (``concurrent.futures.process``,
+``multiprocessing`` and what they import) loads when the first pool starts,
+so ``import chest`` and a one-worker sweep never load it.  Every sweep goes
+through one driver, :func:`_sweep`, which builds one environment per pilot
+count (the configured one unless the kind sweeps pilot counts) and every
+chunk task, and folds the chunk results: they come back in chunk order, each
+as soon as it and those before it are in, and each is copied into rows
+[t0, t1) of one (n_trials, ...) array per key and dropped.  The ECDF thus
+holds one copy of its samples, and each sample buffer is released once its
+table is sorted out of it.
 """
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import partial
@@ -153,7 +156,8 @@ def validate_plan(plan: ExperimentPlan, kind: str) -> ExperimentPlan:
     for c in counts:
         if not 1 <= c <= n or n % c != 0:
             raise ConfigError(f"pilot count {c} must divide n_subcarriers {n}")
-    return replace(plan, pilot_counts=tuple(sorted(set(int(c) for c in counts))))
+    _require_distinct("pilot counts", counts)
+    return replace(plan, pilot_counts=tuple(sorted(int(c) for c in counts)))
 
 
 def _require_distinct(name: str, values) -> None:
@@ -486,9 +490,19 @@ def _map_chunks(envs: tuple[Environment, ...], tasks: list[tuple], workers: int)
         for k, *task in tasks:
             yield _simulate_chunk(envs[k], *task)
         return
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
-                             initializer=_init_worker, initargs=(envs,)) as pool:
+    pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+    with pool_class(max_workers=min(workers, len(tasks)),
+                    initializer=_init_worker, initargs=(envs,)) as pool:
         yield from pool.map(_worker_chunk, tasks)
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported when first read (PEP 562).  A class
+    set on the module under that name replaces it in :func:`_map_chunks`."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor
 
 
 def _sweep(plan: ExperimentPlan, kind: str):

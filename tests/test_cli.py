@@ -203,12 +203,14 @@ class TestExitCodes:
         (("nmse-sweep", "--methods="), "methods [''] not valid"),
         (("ecdf", "--methods="), "methods [''] not valid"),
         (("pilot-sweep", "--pilots="), "expected comma-separated integers"),
+        (("pilot-sweep", "--pilots=4,4"), "pilot counts repeat"),
     ])
     def test_repeated_or_empty_lists_are_config_errors(self, tiny_json, tmp_path,
                                                        argv, message):
-        """A repeated method or SNR point would write its rows twice (an ECDF
-        would silently lose a table), and an empty --snr=, --methods= or
-        --pilots= list is no list, not a request for the defaults."""
+        """A repeated method, SNR point or pilot count would write its rows
+        twice (an ECDF would silently lose a table), and an empty --snr=,
+        --methods= or --pilots= list is no list, not a request for the
+        defaults."""
         proc = run_cli(*argv, "--config", str(tiny_json), "--out", str(tmp_path / "o"))
         assert proc.returncode == 1, proc.stderr
         assert message in proc.stderr
@@ -368,6 +370,40 @@ def test_importing_cli_leaves_validate_unloaded():
                          timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+# Imports chest, runs one-worker sweeps and then a pooled ECDF in one
+# interpreter, printing after each step whether the pool machinery is loaded.
+POOL_LOADING = """import sys
+import chest
+import chest.cli
+config, out = sys.argv[1:]
+POOL = ("multiprocessing", "concurrent.futures.process")
+def loaded(step):
+    print(step, *(m in sys.modules for m in POOL))
+loaded("import")
+for name, argv in [("nmse", ["nmse-sweep", "--trials", "2", "--workers", "1"]),
+                   ("ecdf-1", ["ecdf", "--trials", "60", "--workers", "1"]),
+                   ("ecdf-2", ["ecdf", "--trials", "60", "--workers", "2"])]:
+    code = chest.cli.main([*argv, "--config", config, "--out", f"{out}/{name}"])
+    assert code == 0, name
+    loaded(name)
+"""
+
+
+def test_pool_machinery_loads_only_when_a_pool_starts(tiny_json, tmp_path):
+    """`import chest` and one-worker sweeps never load ``multiprocessing`` or
+    ``concurrent.futures.process`` (about 2 MB resident); an ECDF of two chunks
+    on two workers loads them and writes the bytes of its one-worker run."""
+    res = subprocess.run([sys.executable, "-c", POOL_LOADING, str(tiny_json),
+                          str(tmp_path)], capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    steps = [line.split() for line in res.stdout.splitlines()
+             if not line.startswith("wrote ")]
+    assert steps == [["import", "False", "False"], ["nmse", "False", "False"],
+                     ["ecdf-1", "False", "False"], ["ecdf-2", "True", "True"]]
+    assert (tmp_path / "ecdf-2" / "ecdf.csv").read_bytes() == \
+        (tmp_path / "ecdf-1" / "ecdf.csv").read_bytes()
 
 
 # Runs its arguments and prints their exit code and wait4 ru_maxrss (kB), then

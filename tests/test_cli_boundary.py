@@ -141,7 +141,7 @@ def flag_sets(draw, command: str, config: dict, break_one: bool):
         counts = draw(st.lists(st.sampled_from([2 ** k for k in range(n.bit_length())]),
                                min_size=1, max_size=3, unique=True))
         valid["--pilots"] = _list(counts) if draw(st.booleans()) else None
-        broken["--pilots"] = ["3", "0", str(2 * n), "x"]
+        broken["--pilots"] = ["3", "0", str(2 * n), "x", _list(counts * 2)]
     name = None
     if break_one:
         name = draw(st.sampled_from(sorted(broken)))

@@ -118,9 +118,14 @@ class TestValidatePlan:
             validate_plan(ExperimentPlan(bundle=tiny, pilot_counts=(3,)), "pilot-sweep")
 
     def test_pilot_counts_sorted_unique(self, tiny):
-        plan = validate_plan(ExperimentPlan(bundle=tiny, pilot_counts=(8, 2, 8)),
+        """Pilot counts are swept in ascending order, and a repeated count is
+        rejected, as a repeated method or SNR point is, not silently dropped."""
+        plan = validate_plan(ExperimentPlan(bundle=tiny, pilot_counts=(8, 2)),
                              "pilot-sweep")
         assert plan.pilot_counts == (2, 8)
+        with pytest.raises(ConfigError, match="pilot counts repeat"):
+            validate_plan(ExperimentPlan(bundle=tiny, pilot_counts=(8, 2, 8)),
+                          "pilot-sweep")
 
     def test_bad_parallelism(self, tiny):
         with pytest.raises(ConfigError):

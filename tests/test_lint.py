@@ -2,7 +2,8 @@
 never uses, no module rebinds a module-level name from a function but the pool worker's
 initializer, no module forms a dense Kronecker product or identity outside the two
 checks that need one or turns path geometry into responses outside the two places
-that own it, and the package exports only names it has, each once."""
+that own it, no module imports the process-pool machinery outside a function, and
+the package exports only names it has, each once."""
 import ast
 from pathlib import Path
 
@@ -150,6 +151,52 @@ def test_detects_dense_builders():
     assert dense_builders(source) == ["line 2: <module>: np.kron", "line 4: f: np.eye",
                                       "line 6: g: np.kron", "line 7: g: frequency_response",
                                       "line 7: g: steering_matrix"]
+
+
+# The pool machinery costs about 2 MB resident and tens of ms at start-up, so
+# only the code that starts a pool imports it, inside a function.
+POOL_MODULES = ("concurrent.futures", "multiprocessing")
+
+
+def _imported(node: ast.AST) -> list[str]:
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+        return [f"{node.module}.{alias.name}" for alias in node.names]
+    return []
+
+
+def pool_imports(source: str) -> list[str]:
+    """Imports of ``concurrent.futures`` or ``multiprocessing``, or of a name
+    or submodule of either, outside every function of ``source``."""
+    tree = ast.parse(source)
+    owner = _owners(tree)
+    return sorted(f"line {node.lineno}: {name}" for node in ast.walk(tree)
+                  if node not in owner for name in _imported(node)
+                  if any(name == m or name.startswith(m + ".") for m in POOL_MODULES))
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "chest").glob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_module_level_pool_import(path):
+    assert pool_imports(path.read_text()) == []
+
+
+def test_detects_module_level_pool_imports():
+    source = ("import concurrent.futures\n"
+              "from concurrent import futures\n"
+              "from multiprocessing import Pool\n"
+              "from concurrent.futures import ProcessPoolExecutor as P\n"
+              "import concurrent, multiprocessing.pool\n"
+              "class A:\n"
+              "    import multiprocessing\n"
+              "def f():\n"
+              "    from concurrent.futures import ProcessPoolExecutor\n"
+              "from .multiprocessing import x\n")
+    assert pool_imports(source) == [
+        "line 1: concurrent.futures", "line 2: concurrent.futures",
+        "line 3: multiprocessing.Pool", "line 4: concurrent.futures.ProcessPoolExecutor",
+        "line 5: multiprocessing.pool", "line 7: multiprocessing"]
 
 
 def test_every_export_resolves_once():
