@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--methods", type=str, default=None,
                        help="comma-separated method subset")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker processes (results are identical for any value)")
+                       help="forked worker processes (results are identical for any value)")
 
     for kind, sweep in SWEEPS.items():
         p = sub.add_parser(kind, help=f"run the {kind} experiment")

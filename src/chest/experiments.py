@@ -71,21 +71,23 @@ arrays, so every output is the same bit for bit whatever the chunking, the
 slicing or the worker count, batch-ML aside, whose warm-up is that of the
 trial block.
 
-One process pool serves a whole run, and a run of one worker or one chunk
-starts none.  The pool machinery (``concurrent.futures.process``,
-``multiprocessing`` and what they import) loads when the first pool starts,
-so ``import chest`` and a one-worker sweep never load it.  Every sweep goes
-through one driver, :func:`_sweep`, which builds one environment per pilot
-count (the configured one unless the kind sweeps pilot counts) and every
-chunk task, and folds the chunk results: they come back in chunk order, each
-as soon as it and those before it are in, and each is copied into rows
-[t0, t1) of one (n_trials, ...) array per key and dropped.  The ECDF thus
-holds one copy of its samples, and each sample buffer is released once its
-table is sorted out of it.
+One set of forked worker processes serves a whole run, and a run of one
+worker or one chunk forks none.  Workers are plain ``os.fork`` children that
+inherit the run's environments and send each chunk result back through a
+pipe (:func:`_map_chunks`), so no run loads ``multiprocessing`` or
+``concurrent.futures``.  Every sweep goes through one driver, :func:`_sweep`,
+which builds one environment per pilot count (the configured one unless the
+kind sweeps pilot counts) and every chunk task, and folds the chunk results:
+they come back in chunk order, each as soon as it and those before it are
+in, and each is copied into rows [t0, t1) of one (n_trials, ...) array per
+key and dropped.  The ECDF thus holds one copy of its samples, and each
+sample buffer is released once its table is sorted out of it.
 """
 from __future__ import annotations
 
 import csv
+import os
+import pickle
 from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import partial
@@ -461,48 +463,71 @@ def _chunk_ranges(n_trials: int, block_size: int) -> list[tuple[int, int]]:
             for t0 in range(0, n_trials, block_size)]
 
 
-# Environments of the run, set in each pool worker by its initializer.
-_worker_envs: tuple[Environment, ...] = ()
-
-
-def _init_worker(envs: tuple[Environment, ...]) -> None:
-    global _worker_envs
-    _worker_envs = envs
-
-
-def _worker_chunk(task: tuple):
-    k, *args = task
-    return _simulate_chunk(_worker_envs[k], *args)
-
-
 def _map_chunks(envs: tuple[Environment, ...], tasks: list[tuple], workers: int):
     """Run ``(env index, kind, t0, t1, methods, noise variances, block size)``
-    tasks and yield their results in task order.  One pool serves the whole
-    run, with no more workers than tasks, as a forking pool starts every
-    worker at its first task, and the environments reach each worker once,
-    through its initializer.
+    tasks and yield their results in task order.
 
-    The pool's ``map`` drops each future as its result is yielded, so a caller
-    that folds the results as they come never holds them all, and cancels the
-    queued tasks when the generator fails or is closed.
+    With more than one worker and task, ``n = min(workers, len(tasks))``
+    children are forked, each with the run's environments and its own pipe:
+    child ``j`` runs tasks ``j, j + n, ...`` (:func:`_fork_worker`) and the
+    parent reads task ``i`` from pipe ``i % n``.  A child blocks on its full
+    pipe until the parent reads, so a caller that folds the results as they
+    come never holds more than one.  A chunk's exception is raised here, and
+    a child that ends before its results are in raises a ``RuntimeError``
+    naming its exit status.  However the generator ends, finished, failed or
+    closed, every child is killed and reaped.
     """
-    if workers <= 1 or len(tasks) <= 1:
-        for k, *task in tasks:
-            yield _simulate_chunk(envs[k], *task)
+    if (n := min(workers, len(tasks))) <= 1 or not hasattr(os, "fork"):
+        yield from (_simulate_chunk(envs[k], *task) for k, *task in tasks)
         return
-    pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
-    with pool_class(max_workers=min(workers, len(tasks)),
-                    initializer=_init_worker, initargs=(envs,)) as pool:
-        yield from pool.map(_worker_chunk, tasks)
+    children = []       # (pid, read end of its pipe), in fork order
+    try:
+        for j in range(n):
+            read_fd, write_fd = os.pipe()
+            if (pid := os.fork()) == 0:
+                _fork_worker(envs, tasks[j::n], open(write_fd, "wb"))
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        for i in range(len(tasks)):
+            pid, pipe = children[i % n]
+            try:
+                ok, result = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                children.pop(i % n)[1].close()
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise RuntimeError(f"sweep worker {pid} ended with exit status {status} "
+                                   "before its results were in") from None
+            if not ok:
+                raise result
+            yield result
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, 9)     # SIGKILL: the signal module's tables cost 34 kB
+            os.waitpid(pid, 0)
 
 
-def __getattr__(name: str):
-    """``ProcessPoolExecutor``, imported when first read (PEP 562).  A class
-    set on the module under that name replaces it in :func:`_map_chunks`."""
-    if name != "ProcessPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor
+def _fork_worker(envs: tuple[Environment, ...], tasks: list[tuple], out) -> None:
+    """A forked child's whole life: write the pickled ``(True, result)`` of
+    each task, or ``(False, exception)`` where it raised, to the pipe
+    ``out``, then leave through ``os._exit``, with status 1 if anything else
+    ended it.  An exception that cannot be pickled goes as a
+    ``RuntimeError`` carrying its text."""
+    try:
+        for k, *task in tasks:
+            try:
+                data = pickle.dumps((True, _simulate_chunk(envs[k], *task)),
+                                    pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:    # noqa: BLE001 - raised in the parent
+                try:
+                    data = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+                except Exception:       # noqa: BLE001 - unpicklable
+                    data = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+            out.write(data)
+            out.flush()
+        os._exit(0)
+    finally:
+        os._exit(1)
 
 
 def _sweep(plan: ExperimentPlan, kind: str):
@@ -603,7 +628,7 @@ def run_pilot_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
 
     Estimation quality is evaluated on the pilot subcarriers themselves; the
     spectral efficiency is scaled by the data fraction (1 - N_p/N).  Every
-    (pilot count, chunk) task goes to the same pool.
+    (pilot count, chunk) task goes to the same workers.
     """
     plan, _, per_count = _sweep(plan, "pilot-sweep")
     n_trials = plan.bundle.system.n_trials

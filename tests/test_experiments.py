@@ -2,7 +2,7 @@
 chunk/worker determinism, the one-pass pipeline against a per-SNR oracle, and
 CSV emission."""
 import csv
-import multiprocessing
+import os
 import pickle
 import tracemalloc
 from dataclasses import replace
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from chest.channel import apply_uplink, assemble_channel, draw_fading
-from chest import experiments
+from chest import cli, experiments
 from chest.config import (ConfigError, desk_config, load_config, noise_variance_for_snr,
                           validate_config)
 from chest.estimators import ls_estimate
@@ -294,8 +294,8 @@ def test_twin_pair_is_the_channels_own_columns(config, desk, make_paths):
 def test_full_scale_environment_holds_low_rank_projectors():
     """The largest environment of a pilot sweep on ``configs/full-scale.json``
     (64 antennas, 2048 pilots) keeps n x r bases, never a dense 2048-square
-    projector (64 MB), so the whole environment a pool worker receives stays
-    small."""
+    projector (64 MB), so the whole environment a forked worker inherits
+    stays small."""
     bundle = load_config(CONFIGS / "full-scale.json")
     n_sc = bundle.system.n_subcarriers
     assert n_sc == 2048
@@ -355,15 +355,47 @@ def _draw_failing_at_trial_6(env, fading_keys, noise_keys):
     return _draw(env, fading_keys, noise_keys)
 
 
+def _draw_with_fault_in_worker(fault):
+    """``_draw`` that calls ``fault`` when a forked worker draws trial 55, and
+    draws as usual otherwise; a run in this process never calls it."""
+    parent = os.getpid()
+
+    def draw(env, fading_keys, noise_keys):
+        if (FADING, 55) in fading_keys and os.getpid() != parent:
+            fault()
+        return _draw(env, fading_keys, noise_keys)
+    return draw
+
+
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children ``os.fork`` starts while the test runs."""
+    pids, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
 class TestEcdfSampleBuffers:
     """``run_ecdf`` folds each chunk's samples into one buffer per table as the
     results arrive: the tables are those of the concatenated chunk results,
-    the run holds about one copy of its samples, and no pool outlives it."""
+    the run holds about one copy of its samples, and no worker outlives it."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_tables_equal_concatenated_chunks(self, monkeypatch, workers):
         """Seven trials in chunks of three (the last chunk holds one), with
-        trial 4 silenced so that zero samples sort first.  Pool workers are
+        trial 4 silenced so that zero samples sort first.  Workers are
         forked and inherit the patch."""
         monkeypatch.setattr(experiments, "_draw", _draw_silencing_trial_4)
         bundle = desk_config(n_trials=7)
@@ -385,12 +417,14 @@ class TestEcdfSampleBuffers:
                 assert np.all(got.thresholds[:n_zero] == 0.0)
                 assert got.thresholds[n_zero] > 0.0
 
-    def test_run_holds_one_copy_of_its_samples(self):
-        """Desk ECDF at 2000 trials on one worker: the traced peak stays within
-        1.5 copies of its samples (10.24 MB).  Keeping every chunk result and a
-        sorted copy per table would hold two."""
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_holds_one_copy_of_its_samples(self, workers):
+        """Desk ECDF at 2000 trials: the traced peak stays within 1.5 copies
+        of its samples (10.24 MB), on one worker and on two, where this
+        process unpickles each chunk result from a worker's pipe.  Keeping
+        every chunk result and a sorted copy per table would hold two."""
         bundle = desk_config(n_trials=2000)
-        plan = validate_plan(ExperimentPlan(bundle=bundle), "ecdf")
+        plan = validate_plan(ExperimentPlan(bundle=bundle, workers=workers), "ecdf")
         one_copy = (len(plan.snrs) * len(plan.methods) * bundle.system.n_trials
                     * bundle.system.n_subcarriers * np.dtype(float).itemsize)
         assert one_copy == 10_240_000
@@ -403,45 +437,28 @@ class TestEcdfSampleBuffers:
         assert len(tables) == 10
         assert peak <= 1.5 * one_copy, f"traced peak {peak / 1e6:.2f} MB"
 
-    def test_failed_chunk_surfaces_and_leaves_no_pool(self, monkeypatch):
+    def test_failed_chunk_surfaces_and_leaves_no_pool(self, monkeypatch, forks):
         monkeypatch.setattr(experiments, "_draw", _draw_failing_at_trial_6)
         plan = ExperimentPlan(bundle=desk_config(n_trials=9), block_size=3,
                               workers=2)
         with pytest.raises(RuntimeError, match="injected chunk failure"):
             run_ecdf(plan)
-        assert multiprocessing.active_children() == []
+        assert len(forks) == 2
+        assert_no_child_left()
 
-    def test_pool_has_no_more_workers_than_tasks(self, monkeypatch):
-        """A forking pool starts all of its workers at the first task, so a run
-        of two chunks asks for two workers, however many it is allowed.  The
-        pool is a stand-in that runs the tasks in this process."""
-        asked = []
-
-        class InProcessPool:
-            def __init__(self, max_workers, initializer, initargs):
-                asked.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(experiments, "_worker_envs", ())
+    def test_pool_has_no_more_workers_than_tasks(self, forks):
+        """Every worker is forked before the first result is read, so a run
+        of two chunks forks two workers, however many it is allowed."""
         plan = ExperimentPlan(bundle=desk_config(n_trials=6), methods=("ls", "emdt"),
                               snrs=(0.0,), block_size=3)
         serial = run_nmse_sweep(plan)
+        assert forks == []
         pooled = run_nmse_sweep(replace(plan, workers=500))
-        assert asked == [2]
+        assert len(forks) == 2
         assert pooled == serial
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
-    def test_closed_generator_leaves_no_pool(self):
+    def test_closed_generator_leaves_no_pool(self, forks):
         env = build_environment(desk_config(n_trials=12))
         nv = _noise_variances(env, (0.0,))
         tasks = [(0, "ecdf", t0, t1, ("ls",), nv, 3)
@@ -449,8 +466,48 @@ class TestEcdfSampleBuffers:
         results = experiments._map_chunks((env,), tasks, 2)
         first = next(results)
         assert first[("snr", "ls", 0)].shape == (3, env.bundle.system.n_subcarriers)
+        assert len(forks) == 2
         results.close()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+
+
+class TestWorkerFailures:
+    """A fault in a forked worker (the patched ``_draw`` reaches it) surfaces
+    in the parent with the exit code of its kind, and no child outlives the
+    run.  Trial 55 is in the second of the two chunks of 60 trials."""
+
+    def run_cli(self, monkeypatch, capsys, tmp_path, fault) -> tuple[int, str]:
+        monkeypatch.setattr(experiments, "_draw", _draw_with_fault_in_worker(fault))
+        code = cli.main(["ecdf", "--methods", "ls", "--trials", "60", "--workers", "2",
+                         "--out", str(tmp_path)])
+        assert_no_child_left()
+        return code, capsys.readouterr().err
+
+    def test_dead_worker_is_a_runtime_failure(self, monkeypatch, capsys, tmp_path):
+        code, err = self.run_cli(monkeypatch, capsys, tmp_path, lambda: os._exit(3))
+        assert code == 2
+        assert "exit status 3" in err
+
+    def test_config_error_in_a_worker_exits_1(self, monkeypatch, capsys, tmp_path):
+        def fault():
+            raise ConfigError("injected worker config error")
+        code, err = self.run_cli(monkeypatch, capsys, tmp_path, fault)
+        assert code == 1
+        assert "injected worker config error" in err
+
+    def test_unpicklable_exception_arrives_as_runtime_error(self, monkeypatch):
+        class LocalError(Exception):    # a local class cannot be pickled
+            pass
+
+        def fault():
+            raise LocalError("injected unpicklable failure")
+        monkeypatch.setattr(experiments, "_draw", _draw_with_fault_in_worker(fault))
+        plan = ExperimentPlan(bundle=desk_config(n_trials=60), methods=("ls",), workers=2)
+        with pytest.raises(RuntimeError) as info:
+            run_ecdf(plan)
+        assert type(info.value) is RuntimeError
+        assert str(info.value) == "LocalError: injected unpicklable failure"
+        assert_no_child_left()
 
 
 @pytest.fixture(scope="module")
@@ -857,7 +914,7 @@ class TestSlices:
         never re-summed, so slicing trials changes no bit.  Slicing the warm-up
         does change the order the Grams are summed in (the next test holds
         them to the one-pass Grams), so both runs here learn batch-ML from the
-        one-pass Grams.  Pool workers are forked and inherit the patches."""
+        one-pass Grams.  Workers are forked and inherit the patches."""
         monkeypatch.setattr(experiments, "_warm_up_grams", _one_pass_grams)
         one_pass = _sweep_outputs(desk_small, workers)
         monkeypatch.setattr(experiments, "_SLICE_BYTES", 1)

@@ -1,9 +1,8 @@
 """Static checks on the source tree: no module or test file imports a name it
-never uses, no module rebinds a module-level name from a function but the pool worker's
-initializer, no module forms a dense Kronecker product or identity outside the two
-checks that need one or turns path geometry into responses outside the two places
-that own it, no module imports the process-pool machinery outside a function, and
-the package exports only names it has, each once."""
+never uses, no module rebinds a module-level name from a function, no module forms
+a dense Kronecker product or identity outside the two checks that need one or turns
+path geometry into responses outside the two places that own it, no module imports
+the process-pool machinery, and the package exports only names it has, each once."""
 import ast
 from pathlib import Path
 
@@ -69,15 +68,14 @@ def global_statements(source: str) -> list[str]:
                   for node in ast.walk(tree) if isinstance(node, ast.Global))
 
 
-# A pool worker receives the run's environments once, through its
-# initializer, which keeps them in a module-level name.
-GLOBALS_ALLOWED = {"experiments.py": {"_init_worker"}}
+# Forked workers inherit the run's environments, so no module keeps any.
+GLOBALS_ALLOWED: dict[str, set[str]] = {}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_hidden_module_state(path):
     """A ``global`` statement keeps process-wide state that a caller cannot
-    see or reset; only the pool worker's initializer may have one."""
+    see or reset; no module has one."""
     allowed = GLOBALS_ALLOWED.get(path.name, set())
     found = global_statements(path.read_text())
     assert [g for g in found if g.split(": ")[1] not in allowed] == []
@@ -153,8 +151,8 @@ def test_detects_dense_builders():
                                       "line 7: g: steering_matrix"]
 
 
-# The pool machinery costs about 2 MB resident and tens of ms at start-up, so
-# only the code that starts a pool imports it, inside a function.
+# The pool machinery costs about 2 MB resident and tens of ms at start-up, and
+# sweep workers are plain forks, so no module imports it, not even in a function.
 POOL_MODULES = ("concurrent.futures", "multiprocessing")
 
 
@@ -168,17 +166,16 @@ def _imported(node: ast.AST) -> list[str]:
 
 def pool_imports(source: str) -> list[str]:
     """Imports of ``concurrent.futures`` or ``multiprocessing``, or of a name
-    or submodule of either, outside every function of ``source``."""
-    tree = ast.parse(source)
-    owner = _owners(tree)
-    return sorted(f"line {node.lineno}: {name}" for node in ast.walk(tree)
-                  if node not in owner for name in _imported(node)
+    or submodule of either, anywhere in ``source``."""
+    return sorted(f"line {node.lineno}: {name}" for node in ast.walk(ast.parse(source))
+                  for name in _imported(node)
                   if any(name == m or name.startswith(m + ".") for m in POOL_MODULES))
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src" / "chest").glob("*.py")),
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_module_level_pool_import(path):
+    """No import of the pool machinery, at module level or in a function."""
     assert pool_imports(path.read_text()) == []
 
 
@@ -196,7 +193,8 @@ def test_detects_module_level_pool_imports():
     assert pool_imports(source) == [
         "line 1: concurrent.futures", "line 2: concurrent.futures",
         "line 3: multiprocessing.Pool", "line 4: concurrent.futures.ProcessPoolExecutor",
-        "line 5: multiprocessing.pool", "line 7: multiprocessing"]
+        "line 5: multiprocessing.pool", "line 7: multiprocessing",
+        "line 9: concurrent.futures.ProcessPoolExecutor"]
 
 
 def test_every_export_resolves_once():
