@@ -475,7 +475,8 @@ def _map_chunks(envs: tuple[Environment, ...], tasks: list[tuple], workers: int)
     come never holds more than one.  A chunk's exception is raised here, and
     a child that ends before its results are in raises a ``RuntimeError``
     naming its exit status.  However the generator ends, finished, failed or
-    closed, every child is killed and reaped.
+    closed, every child is killed and reaped, and a fork that fails closes
+    the pipe made for it.
     """
     if (n := min(workers, len(tasks))) <= 1 or not hasattr(os, "fork"):
         yield from (_simulate_chunk(envs[k], *task) for k, *task in tasks)
@@ -484,8 +485,15 @@ def _map_chunks(envs: tuple[Environment, ...], tasks: list[tuple], workers: int)
     try:
         for j in range(n):
             read_fd, write_fd = os.pipe()
-            if (pid := os.fork()) == 0:
-                _fork_worker(envs, tasks[j::n], open(write_fd, "wb"))
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _fork_worker(envs, tasks[j::n], write_fd,
+                             [read_fd] + [pipe.fileno() for _, pipe in children])
             os.close(write_fd)
             children.append((pid, open(read_fd, "rb")))
         for i in range(len(tasks)):
@@ -507,13 +515,20 @@ def _map_chunks(envs: tuple[Environment, ...], tasks: list[tuple], workers: int)
             os.waitpid(pid, 0)
 
 
-def _fork_worker(envs: tuple[Environment, ...], tasks: list[tuple], out) -> None:
-    """A forked child's whole life: write the pickled ``(True, result)`` of
-    each task, or ``(False, exception)`` where it raised, to the pipe
-    ``out``, then leave through ``os._exit``, with status 1 if anything else
-    ended it.  An exception that cannot be pickled goes as a
-    ``RuntimeError`` carrying its text."""
+def _fork_worker(envs: tuple[Environment, ...], tasks: list[tuple], write_fd: int,
+                 read_fds: list[int]) -> None:
+    """A forked child's whole life: close the read ends it inherited,
+    ``read_fds``, write the pickled ``(True, result)`` of each task, or
+    ``(False, exception)`` where it raised, to the pipe ``write_fd``, then
+    leave through ``os._exit``, with status 1 if anything else ended it.
+    With no read end left in any child, a write after the parent has died
+    fails, and the child exits, instead of blocking forever on a full pipe.
+    An exception that cannot be pickled goes as a ``RuntimeError`` carrying
+    its text."""
     try:
+        for fd in read_fds:
+            os.close(fd)
+        out = open(write_fd, "wb")
         for k, *task in tasks:
             try:
                 data = pickle.dumps((True, _simulate_chunk(envs[k], *task)),

@@ -2,8 +2,13 @@
 chunk/worker determinism, the one-pass pipeline against a per-SNR oracle, and
 CSV emission."""
 import csv
+import errno
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -34,6 +39,7 @@ from chest.subspaces import SnapshotGrams, bml_subspace, denoise_subspace, dt_su
 RUNS = {"nmse-sweep": run_nmse_sweep, "se-sweep": run_se_sweep, "ecdf": run_ecdf,
         "pilot-sweep": run_pilot_sweep}
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -508,6 +514,91 @@ class TestWorkerFailures:
         assert type(info.value) is RuntimeError
         assert str(info.value) == "LocalError: injected unpicklable failure"
         assert_no_child_left()
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_failed_fork_closes_its_pipe(self, monkeypatch, failing):
+        """Fork number ``failing`` raises: its OSError surfaces, the pipe made
+        for it is closed, and the child forked before it is reaped."""
+        fork, pids = os.fork, []
+
+        def fork_failing_once():
+            if len(pids) == failing:
+                raise OSError(errno.EAGAIN, "injected fork failure")
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+        monkeypatch.setattr(os, "fork", fork_failing_once)
+        plan = ExperimentPlan(bundle=desk_config(n_trials=6), methods=("ls",),
+                              snrs=(0.0,), block_size=3, workers=2)
+        fds = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError, match="injected fork failure"):
+            run_nmse_sweep(plan)
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        assert len(pids) == failing
+        assert_no_child_left()
+
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
+        """A fresh interpreter runs a desk ECDF on two workers, whose chunk
+        results (256 kB) overfill a pipe, and is SIGKILLed at its first
+        folded result.  Its workers, whose next write has no reader left,
+        end within 10 s; any that does not is killed here."""
+        pid_file, log = tmp_path / "pids", tmp_path / "stderr"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        with open(log, "wb") as err:
+            proc = subprocess.run([sys.executable, "-c", KILLED_PARENT, str(pid_file)],
+                                  env=env, stdout=subprocess.DEVNULL, stderr=err,
+                                  timeout=120)
+        pids = [int(p) for p in pid_file.read_text().split()]
+        try:
+            assert proc.returncode == -signal.SIGKILL, log.read_text()
+            assert len(pids) == 2
+            deadline = time.monotonic() + 10.0
+            while (alive := [p for p in pids if _running(p)]) and \
+                    time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert alive == [], f"workers {alive} outlived their killed parent"
+        finally:
+            for p in pids:
+                if _running(p):
+                    os.kill(p, signal.SIGKILL)
+
+
+# Run by a fresh interpreter: records the pids it forks in the file argv[1],
+# and SIGKILLs itself once the first chunk result is in.
+KILLED_PARENT = """
+import os, signal, sys
+from chest import experiments
+from chest.config import desk_config
+
+fork, map_chunks = os.fork, experiments._map_chunks
+
+def recording_fork():
+    pid = fork()
+    if pid:
+        with open(sys.argv[1], "a") as fh:
+            fh.write(f"{pid}\\n")
+    return pid
+
+def dying_map_chunks(*args):
+    for result in map_chunks(*args):
+        os.kill(os.getpid(), signal.SIGKILL)
+        yield result
+
+os.fork, experiments._map_chunks = recording_fork, dying_map_chunks
+experiments.run_ecdf(experiments.ExperimentPlan(bundle=desk_config(n_trials=1000),
+                                                workers=2))
+"""
+
+
+def _running(pid: int) -> bool:
+    """``pid`` names a process that has not ended: neither gone nor a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 @pytest.fixture(scope="module")
