@@ -3,9 +3,7 @@ and experiment CLI."""
 from .config import (ConfigBundle, ConfigError, EstimatorConfig, PilotPattern,
                      ScenarioConfig, SystemConfig, build_pilot_pattern, desk_config,
                      load_config, noise_variance_for_snr, validate_config)
-from .channel import (apply_uplink, assemble_channel, average_gain_from_responses,
-                      channel_covariance, draw_fading)
-from .estimators import ls_estimate
+from .channel import assemble_channel, average_gain_from_responses, channel_covariance
 from .experiments import (Environment, ExperimentPlan, build_environment, emit_csv,
                           emit_ecdf_csv, measure_projection_floor, run_ecdf,
                           run_nmse_sweep, run_pilot_sweep, run_se_sweep, validate_plan)
@@ -22,14 +20,12 @@ __all__ = [
     "ConfigBundle", "ConfigError", "Ecdf", "Environment",
     "EstimatorConfig", "ExperimentPlan", "MetricsRecord", "NmseBreakdown",
     "PathSet", "PilotPattern", "ProjectorPair", "ScenarioConfig", "SystemConfig",
-    "analytic_nmse", "apply_uplink", "assemble_channel",
-    "average_gain_from_responses", "bml_subspace", "build_environment",
-    "build_pilot_pattern", "channel_covariance", "complex_normal",
-    "denoise_subspace", "desk_config", "draw_fading",
-    "dt_subspace", "dt_truncate", "ecdf", "emit_csv", "emit_ecdf_csv",
-    "frequency_response", "generate_paths", "load_config", "load_paths_csv",
-    "ls_estimate", "measure_projection_floor", "noise_variance_for_snr",
-    "pulse_response", "run_ecdf", "run_nmse_sweep",
+    "analytic_nmse", "assemble_channel", "average_gain_from_responses",
+    "bml_subspace", "build_environment", "build_pilot_pattern", "channel_covariance",
+    "complex_normal", "denoise_subspace", "desk_config", "dt_subspace", "dt_truncate",
+    "ecdf", "emit_csv", "emit_ecdf_csv", "frequency_response", "generate_paths",
+    "load_config", "load_paths_csv", "measure_projection_floor",
+    "noise_variance_for_snr", "pulse_response", "run_ecdf", "run_nmse_sweep",
     "run_pilot_sweep", "run_se_sweep", "save_paths_csv", "steering_matrix",
     "substream", "validate_config", "validate_plan",
 ]

@@ -1,5 +1,5 @@
-"""Channel synthesis: fading draws, space-frequency channel matrices, the
-structural pilot-grid covariance, and the received pilot block.
+"""Channel synthesis: space-frequency channel matrices, the structural
+pilot-grid covariance, and the average channel gain.
 
 Every function takes the paths' responses, the steering matrix A (n_rx, L)
 and the frequency response K (n_sc, L) or its pilot rows, with their mean
@@ -10,18 +10,6 @@ symbols/trials.
 from __future__ import annotations
 
 import numpy as np
-
-from .config import PilotPattern
-from .streams import complex_normal
-
-
-def draw_fading(amplitude: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Per-path complex gains c_l = alpha_l (g1 + j g2)/sqrt(2), fresh per symbol.
-
-    Zero mean, E|c_l|^2 = alpha_l^2, uncorrelated across paths.
-    """
-    amplitude = np.asarray(amplitude, dtype=float)
-    return amplitude * complex_normal(rng, amplitude.shape)
 
 
 def assemble_channel(steering: np.ndarray, fading: np.ndarray,
@@ -49,15 +37,6 @@ def channel_covariance(steering: np.ndarray, freq_pilot: np.ndarray,
     """
     phi = (freq_pilot[:, None, :] * steering[None, :, :]).reshape(-1, steering.shape[1])
     return (phi * np.asarray(amplitude, dtype=float) ** 2) @ phi.conj().T
-
-
-def apply_uplink(h_pilot: np.ndarray, pilots: PilotPattern, noise_variance: float,
-                 unit_noise: np.ndarray) -> np.ndarray:
-    """The received pilot block Y = H diag(x) + W, with
-    W = sqrt(noise_variance) * unit_noise."""
-    if noise_variance < 0:
-        raise ValueError("noise_variance must be non-negative")
-    return h_pilot * pilots.symbols + np.sqrt(noise_variance) * unit_noise
 
 
 def average_gain_from_responses(amplitude: np.ndarray, freq_pilot: np.ndarray) -> float:

@@ -32,7 +32,8 @@ the CLI builds its subcommands from the table.
   time, a reference warm-up (64 x 32 per snapshot) 12 snapshots at a time,
   and a full-scale pilot grid (64 x 2048) one trial.
 * At noise variance sigma^2 the LS estimate is H + sigma * W', with
-  W' = W / x.  Every pilot-grid method projects it by its
+  W' = W / x: the received block H x + sigma W is never formed, and LS
+  never divides it.  Every pilot-grid method projects the LS estimate by its
   :class:`~chest.subspaces.ProjectorPair`: the twin's pair for ``emdt``, the
   delay window for ``denoise``, the pair learned from the warm-up for
   ``bml``, and for ``ls`` the pair of two identity sides.  An identity side is
@@ -50,10 +51,11 @@ the CLI builds its subcommands from the table.
   (:class:`~chest.metrics.CombiningStats`) taken in the spatial coordinates
   U_s^H H, or in the n_rx antenna coordinates for ``ls`` and ``denoise``.
   Full-grid interpolation is the right-multiplication by a real
-  (n_pilots, n_subcarriers) matrix M, so it is folded into the temporal basis
-  as V = U_t^T M: the estimate's coordinates on the full grid are core(H) V
-  and core(W') V (``ls`` takes H M and W' M), and no estimate is formed and
-  then interpolated.
+  (n_pilots, n_subcarriers) matrix M
+  (:func:`~chest.subspaces.interpolation_matrix`), so it is folded into the
+  temporal basis as V = U_t^T M: the estimate's coordinates on the full grid
+  are core(H) V and core(W') V (``ls`` takes H M and W' M), and no estimate
+  is formed and then interpolated.
 * Batch-ML learns its projectors from the warm-up snapshots H_w + sigma W'_w
   of the chunk's trial block, so it is re-decomposed at each SNR point.  The
   sample covariances of those snapshots are quadratic in sigma; their Gram
@@ -99,7 +101,6 @@ import numpy as np
 from .channel import assemble_channel, average_gain_from_responses
 from .config import (ConfigBundle, ConfigError, PilotPattern, build_pilot_pattern,
                      check_snr_points, noise_variance_for_snr)
-from .estimators import interpolation_matrix
 from .metrics import (CombiningStats, Ecdf, MetricsRecord, analytic_nmse, ecdf,
                       post_combining_snr)
 from .propagation import (PathSet, dt_truncate, frequency_response, generate_paths,
@@ -107,7 +108,7 @@ from .propagation import (PathSet, dt_truncate, frequency_response, generate_pat
 from .streams import (FADING, NOISE, PATHS, PILOTS, WARM_FADING, WARM_NOISE,
                       complex_normals, substream)
 from .subspaces import (ProjectorPair, SnapshotGrams, bml_subspace, denoise_subspace,
-                        dt_subspace)
+                        dt_subspace, interpolation_matrix)
 
 @dataclass(frozen=True)
 class ExperimentPlan:

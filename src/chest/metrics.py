@@ -183,11 +183,6 @@ class Ecdf:
 
     thresholds: np.ndarray   # sorted samples
 
-    def evaluate(self, q: float) -> float:
-        """P(X <= q)."""
-        return float(np.searchsorted(self.thresholds, q, side="right")
-                     / self.thresholds.size)
-
     def quantile(self, p: float) -> float:
         """Smallest threshold x with F(x) >= p."""
         if not 0 < p <= 1:

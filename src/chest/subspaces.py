@@ -22,6 +22,11 @@ side's rank is its basis width (``rank_spatial``, ``rank_temporal``), or, for
 the identity (rank None), the dimension of the array it meets.  A pair checks
 on construction that each basis it holds is orthonormal, so every pair,
 whatever built it, is checked once, where it is built.
+
+Every estimator the sweeps run is such a projection of the LS estimate, and
+full-grid interpolation is the right-product by the real
+:func:`interpolation_matrix` M, which a pair folds into its temporal basis
+as U_t^T M (:meth:`ProjectorPair.synthesis`).
 """
 from __future__ import annotations
 
@@ -31,7 +36,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .config import SystemConfig
+from .config import PilotPattern, SystemConfig
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +86,28 @@ class ProjectorPair:
         ``pair.project(pair.core(h))`` is the estimate P_s H P_t."""
         px = core if self.basis_spatial is None else self.basis_spatial @ core
         return px if self.basis_temporal is None else px @ self.basis_temporal.T
+
+
+def interpolation_matrix(pilots: PilotPattern, n_subcarriers: int) -> np.ndarray:
+    """Real (n_pilots, n_subcarriers) matrix M of linear interpolation onto
+    the full grid, so that ``h @ M`` interpolates every row of ``h``; the
+    ``grid`` of :meth:`ProjectorPair.synthesis`.
+
+    Column j weights the two pilots around subcarrier j; beyond the last
+    pilot it holds that pilot's value, and with a single pilot every column
+    is that pilot.
+    """
+    idx = pilots.indices
+    m = np.zeros((idx.size, n_subcarriers))
+    if idx.size == 1:
+        m[0] = 1.0
+        return m
+    grid = np.arange(n_subcarriers)
+    left = np.clip(np.searchsorted(idx, grid, side="right") - 1, 0, idx.size - 2)
+    weight = np.clip((grid - idx[left]) / (idx[left + 1] - idx[left]), 0.0, 1.0)
+    m[left, grid] = 1.0 - weight
+    m[left + 1, grid] = weight
+    return m
 
 
 def _check_orthonormal(basis: np.ndarray, name: str, tol: float = 1e-10) -> None:
@@ -135,22 +162,11 @@ class SampleCovariances(NamedTuple):
     temporal: np.ndarray    # (n_pilots, n_pilots)
 
 
-def bml_subspace(ls_batch: np.ndarray | SampleCovariances, rank_spatial: int,
+def bml_subspace(cov: SampleCovariances, rank_spatial: int,
                  rank_temporal: int) -> ProjectorPair:
-    """Projectors learned from a batch of LS snapshots.
-
-    ``ls_batch`` is (n_snapshots, n_rx, n_pilots), or its
-    :class:`SampleCovariances` when those are already known (see
-    :class:`SnapshotGrams`).  The bases are the leading eigenvectors of the
-    spatial and the temporal sample covariance.
-    """
-    if isinstance(ls_batch, SampleCovariances):
-        cov = ls_batch
-    else:
-        h = np.asarray(ls_batch)
-        if h.ndim != 3 or h.shape[0] < 1:
-            raise ValueError("ls_batch must be (n_snapshots, n_rx, n_pilots)")
-        cov = _sample_covariances(h)
+    """Projectors learned from the sample covariances ``cov`` of a batch of
+    LS snapshots (the sweeps take them from :class:`SnapshotGrams`): the
+    leading eigenvectors of the spatial and of the temporal covariance."""
     n_rx, n_p = cov.spatial.shape[0], cov.temporal.shape[0]
     if not 1 <= rank_spatial <= n_rx:
         raise ValueError(f"rank_spatial must lie in [1, {n_rx}]")
@@ -168,12 +184,6 @@ def _spatial_rows(h: np.ndarray) -> np.ndarray:
 def _temporal_rows(h: np.ndarray) -> np.ndarray:
     """Snapshots stacked, (n_snapshots * n_rx, n_pilots)."""
     return h.reshape(-1, h.shape[2])
-
-
-def _sample_covariances(h: np.ndarray) -> SampleCovariances:
-    """Both sample covariances, one matmul each."""
-    x, y = _spatial_rows(h), _temporal_rows(h)
-    return SampleCovariances(x @ x.conj().T / len(h), y.T @ y.conj() / len(h))
 
 
 def _grams(t: np.ndarray, n: np.ndarray):

@@ -33,16 +33,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import assemble_channel, channel_covariance, draw_fading
+from .channel import assemble_channel, channel_covariance
 from .config import ConfigBundle, desk_config
-from .estimators import interpolation_matrix
 from .experiments import (SWEEPS, ExperimentPlan, build_environment, emit_csv,
                           run_nmse_sweep, _draw, _energy, _method_bases,
                           _nmse_slice, _noise_variances)
 from .metrics import analytic_nmse
 from .propagation import PathSet, frequency_response, pulse_response, steering_matrix
 from .streams import FADING, NOISE, complex_normal, substream
-from .subspaces import ProjectorPair, dt_subspace
+from .subspaces import ProjectorPair, dt_subspace, interpolation_matrix
 
 PAIR_METHODS = ("emdt", "denoise", "bml")     # the sweeps' pairs besides LS
 CHECK_SNR = 10.0    # dB; the point at which a single-point check takes batch-ML
@@ -136,7 +135,7 @@ def check_assemble(bundle: ConfigBundle) -> CheckResult:
     """Vectorized channel synthesis equals the per-entry triple sum (4x8x3)."""
     rng = substream(bundle.system.seed, 903)
     a, k, amplitude = _small_responses(rng, 3)
-    c = draw_fading(amplitude, rng)
+    c = amplitude * complex_normal(rng, amplitude.shape)
     h = assemble_channel(a, c, k)
     brute = np.zeros((4, 8), dtype=complex)
     for i in range(4):
@@ -170,7 +169,7 @@ def check_fading_moments(bundle: ConfigBundle) -> CheckResult:
     """Fading is circular with per-path variance amplitude^2."""
     rng = substream(bundle.system.seed, 905)
     amp = np.array([1.0, 0.5, 0.1])
-    # 200 000 fading vectors, the bits of 200 000 draw_fading calls, in blocks
+    # 200 000 fading vectors, the bits of 200 000 one-vector draws, in blocks
     # whose sums of d, |d|^2 and d^2 are added up
     n_draws, chunk = 200_000, 10_000
     sums = np.zeros((3, amp.size), dtype=complex)

@@ -5,9 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chest import (build_environment, channel_covariance, desk_config,
+from chest import (build_environment, channel_covariance, complex_normal, desk_config,
                    validate_config)
 from chest.propagation import PathSet
+from chest.subspaces import SampleCovariances
 
 
 @pytest.fixture
@@ -97,3 +98,77 @@ def dense_projectors():
     """The dense form of a projector pair, an oracle for its low-rank
     products."""
     return _dense_projectors
+
+
+def _draw_fading(amplitude, rng):
+    """One symbol's per-path complex gains c_l = alpha_l (g1 + j g2)/sqrt(2):
+    zero mean, E|c_l|^2 = alpha_l^2, uncorrelated across paths."""
+    amplitude = np.asarray(amplitude, dtype=float)
+    return amplitude * complex_normal(rng, amplitude.shape)
+
+
+@pytest.fixture(scope="session")
+def draw_fading():
+    """Fading drawn one symbol at a time, an oracle for the sweeps' batched
+    draws: from a key's substream it gives the key's bits."""
+    return _draw_fading
+
+
+def _apply_uplink(h_pilot, pilots, noise_variance, unit_noise):
+    """The received pilot block Y = H diag(x) + W, with
+    W = sqrt(noise_variance) * unit_noise."""
+    if noise_variance < 0:
+        raise ValueError("noise_variance must be non-negative")
+    return h_pilot * pilots.symbols + np.sqrt(noise_variance) * unit_noise
+
+
+def _ls_estimate(y, pilots):
+    """Least squares per pilot subcarrier: divide out the known pilot symbols
+    of the received block ``y`` (..., n_rx, n_pilots)."""
+    if y.shape[-1] != len(pilots):
+        raise ValueError("received block width must match the pilot count")
+    return y / pilots.symbols
+
+
+@pytest.fixture(scope="session")
+def apply_uplink():
+    """The physical uplink Y = H x + W.  With ``ls_estimate`` it is the
+    oracle for the sweeps' LS estimate H + sigma W', which draw W' = W / x
+    and never form Y."""
+    return _apply_uplink
+
+
+@pytest.fixture(scope="session")
+def ls_estimate():
+    """LS of a received block, the other half of the uplink oracle."""
+    return _ls_estimate
+
+
+def _sample_covariances(h):
+    """Spatial R_s = mean_m H_m H_m^H and temporal R_t = mean_m H_m^T conj(H_m)
+    of a (n_snapshots, n_rx, n_pilots) batch, one matmul each."""
+    h = np.asarray(h)
+    if h.ndim != 3 or h.shape[0] < 1:
+        raise ValueError("snapshots must be (n_snapshots, n_rx, n_pilots)")
+    x = h.transpose(1, 0, 2).reshape(h.shape[1], -1)
+    y = h.reshape(-1, h.shape[2])
+    return SampleCovariances(x @ x.conj().T / len(h), y.T @ y.conj() / len(h))
+
+
+@pytest.fixture(scope="session")
+def sample_covariances():
+    """Sample covariances formed from the snapshots themselves, what
+    ``bml_subspace`` takes, an oracle for the sweeps' Gram sums."""
+    return _sample_covariances
+
+
+def _ecdf_at(table, q):
+    """P(X <= q) under the ECDF ``table``."""
+    return float(np.searchsorted(table.thresholds, q, side="right")
+                 / table.thresholds.size)
+
+
+@pytest.fixture(scope="session")
+def ecdf_at():
+    """An ECDF's cumulative fraction at a point."""
+    return _ecdf_at

@@ -5,10 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chest import (assemble_channel, average_gain_from_responses, build_pilot_pattern,
-                   channel_covariance, complex_normal, desk_config, draw_fading,
-                   frequency_response, generate_paths, pulse_response,
-                   steering_matrix)
-from chest.channel import apply_uplink
+                   channel_covariance, complex_normal, desk_config, frequency_response,
+                   generate_paths, pulse_response, steering_matrix)
 from chest.config import PilotPattern
 from chest.propagation import PathSet
 
@@ -33,11 +31,13 @@ def _small_setup(rng, n_rx=4, n_sc=8, n_paths=3, rolloff=0.25):
 
 
 class TestDrawFading:
-    def test_zero_amplitude_exact_zero(self, rng):
+    """The fading oracle the tests draw one symbol at a time."""
+
+    def test_zero_amplitude_exact_zero(self, rng, draw_fading):
         c = draw_fading(np.array([0.0, 1.0, 0.0]), rng)
         assert c[0] == 0 and c[2] == 0 and c[1] != 0
 
-    def test_second_moments(self):
+    def test_second_moments(self, draw_fading):
         rng = np.random.default_rng(7)
         alpha = np.array([0.5, 1.0, 2.0])
         n = 100_000
@@ -47,7 +47,7 @@ class TestDrawFading:
         se = alpha ** 2 / np.sqrt(n)
         np.testing.assert_array_less(np.abs(power - alpha ** 2), 3 * se)
 
-    def test_mean_and_cross_moments(self):
+    def test_mean_and_cross_moments(self, draw_fading):
         rng = np.random.default_rng(8)
         alpha = np.array([1.0, 1.0])
         n = 100_000
@@ -56,7 +56,7 @@ class TestDrawFading:
         cross = np.mean(draws[:, 0] * np.conj(draws[:, 1]))
         assert abs(cross) < 3 / np.sqrt(n)
 
-    def test_circularity(self):
+    def test_circularity(self, draw_fading):
         """Pseudo-variance E[c^2] of a circular complex Gaussian vanishes."""
         rng = np.random.default_rng(9)
         draws = np.stack([draw_fading(np.array([1.0]), rng) for _ in range(100_000)])
@@ -77,7 +77,7 @@ class TestAssembleChannel:
         h = assemble_channel(a, np.zeros(3, dtype=complex), k)
         assert not h.any()
 
-    def test_brute_force_small_instance(self, rng):
+    def test_brute_force_small_instance(self, rng, draw_fading):
         """Entry-wise triple sum with an explicit DFT must match the fast path."""
         desk, paths, ula, a, k = _small_setup(rng)
         c = draw_fading(paths.amplitude, rng)
@@ -108,7 +108,7 @@ class TestAssembleChannel:
         assert h.shape == lead + (4, 8)
         np.testing.assert_allclose(h, reference, rtol=1e-12, atol=1e-12)
 
-    def test_linear_in_fading(self, rng):
+    def test_linear_in_fading(self, rng, draw_fading):
         _, paths, _, a, k = _small_setup(rng)
         c1 = draw_fading(paths.amplitude, rng)
         c2 = draw_fading(paths.amplitude, rng)
@@ -191,31 +191,28 @@ class TestChannelCovariance:
         assert total / n == pytest.approx(np.trace(cov).real, rel=0.02)
 
 
-def _uplink(h, pat, noise_variance, rng):
-    """Received pilot block with a fresh unit-variance noise draw."""
-    return apply_uplink(h, pat, noise_variance, complex_normal(rng, h.shape))
-
-
 class TestSimulateUplink:
-    def test_noiseless(self, rng):
+    """The uplink oracle of the tests, Y = H x + W."""
+
+    def test_noiseless(self, rng, apply_uplink):
         pat = build_pilot_pattern(16, 8, rng)
         h = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
-        rx = _uplink(h, pat, 0.0, rng)
+        rx = apply_uplink(h, pat, 0.0, complex_normal(rng, h.shape))
         np.testing.assert_allclose(rx, h @ np.diag(pat.symbols), atol=1e-15)
 
-    def test_noise_variance(self, rng):
+    def test_noise_variance(self, rng, apply_uplink):
         pat = build_pilot_pattern(16, 8, rng)
         h = np.zeros((64, 8), dtype=complex)
-        rx = _uplink(h, pat, 0.25, rng)
+        rx = apply_uplink(h, pat, 0.25, complex_normal(rng, h.shape))
         assert np.mean(np.abs(rx) ** 2) == pytest.approx(0.25, rel=0.1)
 
-    def test_identity_pilots_additive(self, rng):
+    def test_identity_pilots_additive(self, rng, apply_uplink):
         pat = PilotPattern(indices=np.arange(8), symbols=np.ones(8, dtype=complex))
         h = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
-        rx = _uplink(h, pat, 0.0, rng)
+        rx = apply_uplink(h, pat, 0.0, complex_normal(rng, h.shape))
         np.testing.assert_allclose(rx, h, atol=1e-15)
 
-    def test_apply_uplink_consistency(self, rng):
+    def test_apply_uplink_consistency(self, rng, apply_uplink):
         pat = build_pilot_pattern(16, 8, rng)
         h = rng.normal(size=(2, 4, 8)) + 1j * rng.normal(size=(2, 4, 8))
         unit = rng.normal(size=(2, 4, 8)) + 1j * rng.normal(size=(2, 4, 8))

@@ -7,11 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chest import (apply_uplink, build_pilot_pattern, complex_normal,
-                   denoise_subspace, desk_config, ls_estimate)
+from chest import build_pilot_pattern, complex_normal, denoise_subspace, desk_config
 from chest.config import PilotPattern
-from chest.estimators import interpolation_matrix
-from chest.subspaces import ProjectorPair
+from chest.subspaces import ProjectorPair, interpolation_matrix
 
 
 def _vec(h):
@@ -25,28 +23,30 @@ def _random_projectors(rng, n_rx, n_p, r_s, r_t):
 
 
 class TestLsEstimate:
-    def test_noiseless_exact(self, rng):
+    """LS of the received block, the uplink oracle of the tests."""
+
+    def test_noiseless_exact(self, rng, apply_uplink, ls_estimate):
         pat = build_pilot_pattern(16, 8, rng)
         h = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
         rx = apply_uplink(h, pat, 0.0, complex_normal(rng, h.shape))
         est = ls_estimate(rx, pat)
         np.testing.assert_allclose(est, h, atol=1e-13)
 
-    def test_identity_pilots_pass_through(self, rng):
+    def test_identity_pilots_pass_through(self, rng, ls_estimate):
         pat = PilotPattern(indices=np.arange(8), symbols=np.ones(8, dtype=complex))
         y = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
         est = ls_estimate(y, pat)
         np.testing.assert_array_equal(est, y)
 
     @pytest.mark.parametrize("width", [1, 7])
-    def test_width_mismatch_rejected(self, rng, width):
+    def test_width_mismatch_rejected(self, rng, ls_estimate, width):
         """The received block must have one column per pilot; a single column
         would otherwise broadcast against the pilot symbols."""
         pat = build_pilot_pattern(16, 8, rng)
         with pytest.raises(ValueError):
             ls_estimate(np.zeros((4, width), dtype=complex), pat)
 
-    def test_white_error_law(self, rng):
+    def test_white_error_law(self, rng, apply_uplink, ls_estimate):
         """LS error is diag(x)^-1 W: per-entry variance noise/power, here
         with pilots of power 2."""
         unit = build_pilot_pattern(64, 32, rng)
@@ -123,7 +123,7 @@ class TestProjectEstimate:
         if not spatial and not temporal:
             assert core is h and pair.project(core) is h
 
-    def test_error_vector_identity(self, rng, dense_projectors):
+    def test_error_vector_identity(self, rng, dense_projectors, ls_estimate):
         """The estimation error splits as Qperp h - Q vec(scaled noise)."""
         n_rx, n_p = 6, 8
         proj = _random_projectors(rng, n_rx, n_p, 2, 3)
@@ -312,7 +312,7 @@ class TestInterpolationMatrix:
 class TestLinearity:
     @given(seed=st.integers(0, 2 ** 16))
     @settings(max_examples=20, deadline=None)
-    def test_estimators_linear_in_observation(self, seed):
+    def test_estimators_linear_in_observation(self, ls_estimate, seed):
         """All pilot-grid estimators commute with linear combinations of Y."""
         r = np.random.default_rng(seed)
         desk = desk_config()

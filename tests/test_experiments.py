@@ -12,15 +12,15 @@ import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
-from chest.channel import apply_uplink, assemble_channel, draw_fading
+from chest.channel import assemble_channel
 from chest import cli, experiments
 from chest.config import (ConfigError, desk_config, load_config, noise_variance_for_snr,
                           validate_config)
-from chest.estimators import ls_estimate
 from chest.experiments import (SWEEPS, ExperimentPlan, bml_ranks,
                                build_environment, emit_csv, emit_ecdf_csv,
                                measure_projection_floor, run_ecdf, run_nmse_sweep,
@@ -329,13 +329,13 @@ class TestSeSweep:
 
 
 class TestEcdf:
-    def test_table_layout(self, tiny):
+    def test_table_layout(self, tiny, ecdf_at):
         tables = run_ecdf(ExperimentPlan(bundle=tiny))
         assert len(tables) == 10  # 2 SNR points x 5 methods
         for (method, snr), table in tables.items():
             assert method in ("ideal", "ls", "denoise", "bml", "emdt")
             assert snr in (-10.0, 5.0)
-            assert table.evaluate(table.thresholds[-1]) == 1.0
+            assert ecdf_at(table, table.thresholds[-1]) == 1.0
             # 12 trials x 16 subcarriers of per-subcarrier samples
             assert table.thresholds.size == 192
 
@@ -516,18 +516,15 @@ class TestWorkerFailures:
         assert_no_child_left()
 
     @pytest.mark.parametrize("failing", [0, 1])
-    def test_failed_fork_closes_its_pipe(self, monkeypatch, failing):
+    def test_failed_fork_closes_its_pipe(self, monkeypatch, forks, failing):
         """Fork number ``failing`` raises: its OSError surfaces, the pipe made
         for it is closed, and the child forked before it is reaped."""
-        fork, pids = os.fork, []
+        fork = os.fork
 
         def fork_failing_once():
-            if len(pids) == failing:
+            if len(forks) == failing:
                 raise OSError(errno.EAGAIN, "injected fork failure")
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
+            return fork()
         monkeypatch.setattr(os, "fork", fork_failing_once)
         plan = ExperimentPlan(bundle=desk_config(n_trials=6), methods=("ls",),
                               snrs=(0.0,), block_size=3, workers=2)
@@ -535,7 +532,7 @@ class TestWorkerFailures:
         with pytest.raises(OSError, match="injected fork failure"):
             run_nmse_sweep(plan)
         assert sorted(os.listdir("/proc/self/fd")) == fds
-        assert len(pids) == failing
+        assert len(forks) == failing
         assert_no_child_left()
 
     def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
@@ -550,7 +547,7 @@ class TestWorkerFailures:
             proc = subprocess.run([sys.executable, "-c", KILLED_PARENT, str(pid_file)],
                                   env=env, stdout=subprocess.DEVNULL, stderr=err,
                                   timeout=120)
-        pids = [int(p) for p in pid_file.read_text().split()]
+        pids = [int(p) for p in pid_file.read_text().split()] if pid_file.exists() else []
         try:
             assert proc.returncode == -signal.SIGKILL, log.read_text()
             assert len(pids) == 2
@@ -645,56 +642,75 @@ def _genie_se(est_h, truth_h, noise_variance):
                                                            noise_variance))))
 
 
-def _oracle_pair(env, method, noise_variance, block):
+class Uplink(NamedTuple):
+    """The oracles of conftest that simulate trials the slow way."""
+
+    draw_fading: Callable
+    apply_uplink: Callable
+    ls_estimate: Callable
+    sample_covariances: Callable
+
+
+@pytest.fixture(scope="session")
+def uplink(draw_fading, apply_uplink, ls_estimate, sample_covariances):
+    return Uplink(draw_fading, apply_uplink, ls_estimate, sample_covariances)
+
+
+def _fixed_pair(env, method):
+    """The projector pair of a method that learns none: the delay window for
+    ``denoise``, the twin's for ``emdt``; None for ``ls``."""
+    if method == "denoise":
+        return denoise_subspace(env.bundle.system, env.bundle.estimator.tau_max)
+    return env.projectors if method == "emdt" else None
+
+
+def _oracle_pair(env, method, noise_variance, block, uplink):
     """The method's projector pair at one noise variance, the batch-ML one
     learned from its block's warm-up snapshots received at that noise level;
     None for ``ls``."""
-    sysc = env.bundle.system
-    if method == "denoise":
-        return denoise_subspace(sysc, env.bundle.estimator.tau_max)
-    if method == "emdt":
-        return env.projectors
-    if method == "bml":
-        shape = (sysc.n_rx, len(env.pilots))
-        warm = range(env.bundle.estimator.n_batch)
-        fading_w = np.stack([draw_fading(env.amplitude,
-                                         substream(env.seed, WARM_FADING, block, j))
-                             for j in warm])
-        noise_w = np.stack([complex_normal(substream(env.seed, WARM_NOISE, block, j),
-                                           shape) for j in warm])
-        rx_w = apply_uplink(assemble_channel(env.steering, fading_w, env.freq_pilot),
-                            env.pilots, noise_variance, noise_w)
-        return bml_subspace(ls_estimate(rx_w, env.pilots), *bml_ranks(env))
-    return None
+    if method != "bml":
+        return _fixed_pair(env, method)
+    shape = (env.bundle.system.n_rx, len(env.pilots))
+    warm = range(env.bundle.estimator.n_batch)
+    fading_w = np.stack([uplink.draw_fading(env.amplitude,
+                                            substream(env.seed, WARM_FADING, block, j))
+                         for j in warm])
+    noise_w = np.stack([complex_normal(substream(env.seed, WARM_NOISE, block, j), shape)
+                        for j in warm])
+    rx_w = uplink.apply_uplink(assemble_channel(env.steering, fading_w, env.freq_pilot),
+                               env.pilots, noise_variance, noise_w)
+    ls_w = uplink.ls_estimate(rx_w, env.pilots)
+    return bml_subspace(uplink.sample_covariances(ls_w), *bml_ranks(env))
 
 
-def _oracle_estimates(env, noise_variance, t0, t1, methods, block_size, full):
+def _oracle_estimates(env, noise_variance, t0, t1, methods, block_size, full, uplink):
     """Simulate trials [t0, t1) at one noise variance the slow way: receive
     H x + sigma W, divide out x, then estimate.  Returns (pilot-grid truth,
     full-grid truth or None, {method: pilot-grid estimate})."""
     sysc = env.bundle.system
     shape = (sysc.n_rx, len(env.pilots))
     trials = range(t0, t1)
-    fading = np.stack([draw_fading(env.amplitude, substream(env.seed, FADING, t))
+    fading = np.stack([uplink.draw_fading(env.amplitude, substream(env.seed, FADING, t))
                        for t in trials])
     noise = np.stack([complex_normal(substream(env.seed, NOISE, t), shape) for t in trials])
     truth_full = assemble_channel(env.steering, fading, env.freq_full) if full else None
     truth = (truth_full[..., env.pilots.indices] if full
              else assemble_channel(env.steering, fading, env.freq_pilot))
-    ls = ls_estimate(apply_uplink(truth, env.pilots, noise_variance, noise), env.pilots)
+    ls = uplink.ls_estimate(uplink.apply_uplink(truth, env.pilots, noise_variance, noise),
+                            env.pilots)
     estimates = {}
     for method in methods:
         if method != "ideal":
-            pair = _oracle_pair(env, method, noise_variance, t0 // block_size)
+            pair = _oracle_pair(env, method, noise_variance, t0 // block_size, uplink)
             estimates[method] = ls if pair is None else pair.project(pair.core(ls))
     return truth, truth_full, estimates
 
 
-def _oracle(plan, kind, interpolate=None):
+def _oracle(plan, kind, uplink, interpolate=None):
     """Per-SNR reference results of a plan validated as ``kind``: {(method,
     snr, n_pilots): nmse or se, or the sorted post-combining SNR samples for an
-    ECDF}.  SE and ECDF plans take the estimates onto the full grid by
-    ``interpolate``."""
+    ECDF}, simulated through the ``uplink`` oracles.  SE and ECDF plans take
+    the estimates onto the full grid by ``interpolate``."""
     base = plan.bundle
     counts = plan.pilot_counts or (base.system.n_pilots,)
     snrs = plan.snrs
@@ -709,7 +725,7 @@ def _oracle(plan, kind, interpolate=None):
             err, energy, acc = {}, 0.0, {}
             for t0, t1 in _chunk_ranges(system.n_trials, plan.block_size):
                 truth, truth_full, est = _oracle_estimates(
-                    env, nv, t0, t1, plan.methods, plan.block_size, full)
+                    env, nv, t0, t1, plan.methods, plan.block_size, full, uplink)
                 energy += np.sum(np.abs(truth) ** 2)
                 for method in plan.methods:
                     if full:
@@ -750,10 +766,10 @@ class TestOnePassMatchesPerSnrOracle:
     point on its own, with every method the sweep accepts and two chunks."""
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_nmse_sweep(self, desk_small, workers):
+    def test_nmse_sweep(self, desk_small, uplink, workers):
         plan = validate_plan(ExperimentPlan(bundle=desk_small, block_size=3,
                                             workers=workers), "nmse-sweep")
-        oracle = _oracle(plan, "nmse-sweep")
+        oracle = _oracle(plan, "nmse-sweep", uplink)
         records = run_nmse_sweep(plan)
         assert len(records) == len(oracle) == 12
         for r in records:
@@ -761,10 +777,10 @@ class TestOnePassMatchesPerSnrOracle:
                                                rel=1e-12)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_se_sweep(self, desk_small, gather_interpolate, workers):
+    def test_se_sweep(self, desk_small, uplink, gather_interpolate, workers):
         plan = validate_plan(ExperimentPlan(bundle=desk_small, block_size=3,
                                             workers=workers), "se-sweep")
-        oracle = _oracle(plan, "se-sweep", gather_interpolate)
+        oracle = _oracle(plan, "se-sweep", uplink, gather_interpolate)
         records = run_se_sweep(plan)
         assert len(records) == len(oracle) == 15
         for r in records:
@@ -772,11 +788,11 @@ class TestOnePassMatchesPerSnrOracle:
                 oracle[(r.method, r.snr_db, r.n_pilots)], rel=1e-12)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_ecdf(self, desk_small, gather_interpolate, workers):
+    def test_ecdf(self, desk_small, uplink, gather_interpolate, workers):
         plan = validate_plan(ExperimentPlan(bundle=desk_small,
                                             block_size=3, workers=workers,
                                             snrs=(-10.0, 5.0)), "ecdf")
-        oracle = _oracle(plan, "ecdf", gather_interpolate)
+        oracle = _oracle(plan, "ecdf", uplink, gather_interpolate)
         tables = run_ecdf(plan)
         assert len(tables) == len(oracle) == 10
         for (method, snr), table in tables.items():
@@ -784,12 +800,12 @@ class TestOnePassMatchesPerSnrOracle:
             np.testing.assert_allclose(table.thresholds, expected, rtol=1e-9)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_pilot_sweep(self, desk_small, workers):
+    def test_pilot_sweep(self, desk_small, uplink, workers):
         plan = validate_plan(ExperimentPlan(bundle=desk_small,
                                             block_size=3, workers=workers,
                                             pilot_counts=(2, 8, 32),
                                             snrs=(-15.0, 0.0)), "pilot-sweep")
-        oracle = _oracle(plan, "pilot-sweep")
+        oracle = _oracle(plan, "pilot-sweep", uplink)
         records = run_pilot_sweep(plan)
         assert len(records) == len(oracle) == 12
         for r in records:
@@ -845,7 +861,7 @@ def _formed(env, fading, noise, method, noise_variance, interpolate):
             [(assemble_channel(env.steering, fading_w, env.freq_pilot), noise_w)])
         pair = bml_subspace(grams.covariances(np.sqrt(noise_variance)), *bml_ranks(env))
     else:
-        pair = _oracle_pair(env, method, noise_variance, 0)
+        pair = _fixed_pair(env, method)
     est = ls if pair is None else pair.project(pair.core(ls))
     full = interpolate(est, env.pilots, env.bundle.system.n_subcarriers)
     return (np.sum(np.abs(est - truth) ** 2, axis=(-2, -1)),

@@ -2,7 +2,8 @@
 never uses, no module rebinds a module-level name from a function, no module forms
 a dense Kronecker product or identity outside the two checks that need one or turns
 path geometry into responses outside the two places that own it, no module imports
-the process-pool machinery, and the package exports only names it has, each once."""
+the process-pool machinery, the package defines nothing it never references, bar
+three names kept for a stated reason, and it exports only names it has, each once."""
 import ast
 from pathlib import Path
 
@@ -195,6 +196,77 @@ def test_detects_module_level_pool_imports():
         "line 3: multiprocessing.Pool", "line 4: concurrent.futures.ProcessPoolExecutor",
         "line 5: multiprocessing.pool", "line 7: multiprocessing",
         "line 9: concurrent.futures.ProcessPoolExecutor"]
+
+
+def _definitions(module: str, tree: ast.Module):
+    """``(qualified name, node)`` of the top-level functions and classes of
+    ``tree``, and of the methods of its classes bar dunders, which Python
+    calls itself."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{module}.{node.name}.{m.name}", m) for m in node.body
+                            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not (m.name.startswith("__") and m.name.endswith("__")))
+
+
+def unreferenced(sources: dict[str, str]) -> list[str]:
+    """The definitions (:func:`_definitions`) of the modules ``sources``, by
+    module name, whose name no ``ast.Name`` or ``ast.Attribute`` of any of them
+    reads outside the definition itself; an import does not count."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    refs: dict[str, list[ast.AST]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append(node)
+    found = []
+    for module, tree in trees.items():
+        for qualname, definition in _definitions(module, tree):
+            inside = set(ast.walk(definition))
+            if all(node in inside for node in refs.get(definition.name, [])):
+                found.append(qualname)
+    return sorted(found)
+
+
+# Definitions the package never references, each kept for its reason.
+UNREFERENCED_ALLOWED = {
+    "streams._SeedState.generate_state": "numpy calls it to seed PCG64 from the state",
+    "propagation.save_paths_csv": "the README documents it as a library entry point",
+    "experiments.measure_projection_floor": "the README documents it as a library "
+                                            "entry point",
+}
+
+
+def test_every_definition_is_referenced():
+    """A function, class or method that nothing in the package calls is a
+    test-only helper or dead code: it belongs in the tests or nowhere."""
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert unreferenced(sources) == sorted(UNREFERENCED_ALLOWED)
+
+
+def test_detects_unreferenced_definitions():
+    sources = {"a": ("def lone():\n"
+                     "    return lone()\n"
+                     "def called():\n"
+                     "    return 1\n"
+                     "class Box:\n"
+                     "    def __init__(self):\n"
+                     "        self.size = 0\n"
+                     "    def grow(self):\n"
+                     "        return self.shrink()\n"
+                     "    def shrink(self):\n"
+                     "        return 0\n"
+                     "    def spare(self):\n"
+                     "        return Box\n"),
+               "b": ("from a import called, lone\n"
+                     "def run(box):\n"
+                     "    box.grow()\n"
+                     "    return called()\n")}
+    assert unreferenced(sources) == ["a.Box", "a.Box.spare", "a.lone", "b.run"]
 
 
 def test_every_export_resolves_once():

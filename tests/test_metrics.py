@@ -337,20 +337,20 @@ class TestCombiningStats:
 
 
 class TestEcdf:
-    def test_counting(self):
+    def test_counting(self, ecdf_at):
         e = ecdf([1.0, 2.0, 3.0])
-        assert e.evaluate(2.0) == pytest.approx(2 / 3)
+        assert ecdf_at(e, 2.0) == pytest.approx(2 / 3)
 
-    def test_boundaries(self):
+    def test_boundaries(self, ecdf_at):
         e = ecdf([1.0, 2.0, 3.0])
-        assert e.evaluate(0.5) == 0.0
-        assert e.evaluate(3.0) == pytest.approx(1.0)
-        assert e.evaluate(99.0) == pytest.approx(1.0)
+        assert ecdf_at(e, 0.5) == 0.0
+        assert ecdf_at(e, 3.0) == pytest.approx(1.0)
+        assert ecdf_at(e, 99.0) == pytest.approx(1.0)
 
-    def test_right_continuous_steps(self):
+    def test_right_continuous_steps(self, ecdf_at):
         e = ecdf([1.0, 1.0, 2.0])
-        assert e.evaluate(1.0) == pytest.approx(2 / 3)
-        assert e.evaluate(1.0 - 1e-12) == 0.0
+        assert ecdf_at(e, 1.0) == pytest.approx(2 / 3)
+        assert ecdf_at(e, 1.0 - 1e-12) == 0.0
 
     def test_quantile(self):
         e = ecdf([1.0, 2.0, 3.0])
@@ -374,10 +374,10 @@ class TestEcdf:
 
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=60))
     @settings(max_examples=40, deadline=None)
-    def test_terminal_value_and_monotonicity(self, xs):
+    def test_terminal_value_and_monotonicity(self, ecdf_at, xs):
         e = ecdf(xs)
         assert e.thresholds.size == len(xs)
-        assert e.evaluate(e.thresholds[-1]) == 1.0
+        assert ecdf_at(e, e.thresholds[-1]) == 1.0
         assert np.all(np.diff(e.thresholds) >= 0)
 
 

@@ -4,7 +4,6 @@ byte, and out-of-range seeds and keys are refused."""
 import numpy as np
 import pytest
 
-from chest import draw_fading
 from chest.experiments import _draw
 from chest.streams import (FADING, NOISE, WARM_FADING, WARM_NOISE, _seed_states,
                            _SeedState, complex_normal, complex_normals, substream)
@@ -45,7 +44,7 @@ def test_complex_normals_match_per_key_stack(seed, shape, width):
     assert got.tobytes() == expected.tobytes()
 
 
-def test_draw_matches_per_key_substreams(desk_env):
+def test_draw_matches_per_key_substreams(desk_env, draw_fading):
     trials = range(40, 47)
     fading, noise = _draw(desk_env, [(FADING, t) for t in trials],
                           [(NOISE, t) for t in trials])

@@ -2,13 +2,13 @@
 import numpy as np
 import pytest
 
-from chest import (ProjectorPair, assemble_channel, bml_subspace, draw_fading,
-                   dt_subspace, frequency_response, steering_matrix)
+from chest import (ProjectorPair, assemble_channel, bml_subspace, dt_subspace,
+                   frequency_response, steering_matrix)
 from chest.config import desk_config
 from chest.experiments import _draw, _noise_variances, bml_ranks, build_environment
 from chest.propagation import PathSet
 from chest.streams import WARM_FADING, WARM_NOISE
-from chest.subspaces import SnapshotGrams, _sample_covariances
+from chest.subspaces import SnapshotGrams
 
 
 def _paths(delays_us, elev, azim, power=None):
@@ -115,7 +115,8 @@ class TestMakeProjectors:
         np.testing.assert_allclose(dense_projectors(rotated)[0],
                                    dense_projectors(prior)[0], atol=1e-10)
 
-    def test_twin_channel_invariant(self, dense_projectors, rng, desk, setup):
+    def test_twin_channel_invariant(self, dense_projectors, draw_fading, rng, desk,
+                                    setup):
         """A channel built from only the twin paths lies inside both subspaces."""
         p = _paths([0.05, 0.18, 0.33], [-0.5, 0.1, 0.6], [-1.0, 0.3, 1.1])
         ula, idx, prior = setup(p)
@@ -148,7 +149,10 @@ class TestKroneckerTrace:
 
 
 class TestBmlSubspace:
-    def _batch(self, rng, desk, n_batch, noise=0.0, n_rx=8, n_sc=64, n_p=32):
+    """Batch-ML pairs from the sample covariances of snapshot batches."""
+
+    def _batch(self, draw_fading, rng, desk, n_batch, noise=0.0, n_rx=8, n_sc=64,
+               n_p=32):
         p = _paths([0.05, 0.18, 0.33], [-0.5, 0.1, 0.6], [-1.0, 0.3, 1.1])
         idx = np.arange(0, n_sc, n_sc // n_p)
         a = steering_matrix(p, n_rx, 0.5)
@@ -160,36 +164,39 @@ class TestBmlSubspace:
         ])
         return batch
 
-    def test_noiseless_batch_preserved(self, dense_projectors, rng, desk):
-        batch = self._batch(rng, desk, n_batch=12)
-        p_s, p_t = dense_projectors(bml_subspace(batch, 3, 3))
+    def test_noiseless_batch_preserved(self, dense_projectors, draw_fading,
+                                       sample_covariances, rng, desk):
+        batch = self._batch(draw_fading, rng, desk, n_batch=12)
+        p_s, p_t = dense_projectors(bml_subspace(sample_covariances(batch), 3, 3))
         for h in batch:
             np.testing.assert_allclose(p_s @ h @ p_t, h, atol=1e-8)
 
-    def test_single_snapshot_rank_one(self, dense_projectors, rng, desk):
+    def test_single_snapshot_rank_one(self, dense_projectors, sample_covariances, rng,
+                                      desk):
         p = _paths([0.1], [0.3], [0.4])
         idx = np.arange(0, 64, 2)
         a = steering_matrix(p, 6, 0.5)
         k = frequency_response(p, 64, desk.system.sample_interval, 0.25)[idx]
         h = assemble_channel(a, np.array([1.2 - 0.4j]), k)
-        proj = bml_subspace(h[None], 1, 1)
+        proj = bml_subspace(sample_covariances(h[None]), 1, 1)
         u = a[:, 0] / np.linalg.norm(a[:, 0])
         np.testing.assert_allclose(dense_projectors(proj)[0], np.outer(u, u.conj()),
                                    atol=1e-10)
 
-    def test_pure_noise_energy_ratio(self, dense_projectors, rng):
+    def test_pure_noise_energy_ratio(self, dense_projectors, sample_covariances, rng):
         n_rx, n_p, r = 16, 32, 5
         batch = (rng.normal(size=(64, n_rx, n_p)) + 1j * rng.normal(size=(64, n_rx, n_p)))
-        p_s, p_t = dense_projectors(bml_subspace(batch, r, r))
+        p_s, p_t = dense_projectors(bml_subspace(sample_covariances(batch), r, r))
         probe = (rng.normal(size=(400, n_rx, n_p)) + 1j * rng.normal(size=(400, n_rx, n_p)))
         out = np.einsum("ij,tjk,kl->til", p_s, probe, p_t)
         ratio = np.sum(np.abs(out) ** 2) / np.sum(np.abs(probe) ** 2)
         assert ratio == pytest.approx(r * r / (n_rx * n_p), rel=0.15)
 
-    def test_sample_covariances_match_einsum_reference(self, rng, desk):
+    def test_sample_covariances_match_einsum_reference(self, draw_fading,
+                                                       sample_covariances, rng, desk):
         """Both one-matmul sample covariances equal the einsums they replaced."""
-        batch = self._batch(rng, desk, n_batch=16, noise=0.1)
-        cov_s, cov_t = _sample_covariances(batch)
+        batch = self._batch(draw_fading, rng, desk, n_batch=16, noise=0.1)
+        cov_s, cov_t = sample_covariances(batch)
         m = batch.shape[0]
         np.testing.assert_allclose(
             cov_s, np.einsum("mik,mjk->ij", batch, batch.conj()) / m,
@@ -198,16 +205,18 @@ class TestBmlSubspace:
             cov_t, np.einsum("mia,mib->ab", batch, batch.conj()) / m,
             rtol=1e-12, atol=1e-12)
 
-    def test_rank_exceeding_dimension_rejected(self, rng, desk):
-        batch = self._batch(rng, desk, n_batch=4)
+    def test_rank_exceeding_dimension_rejected(self, draw_fading, sample_covariances,
+                                               rng, desk):
+        cov = sample_covariances(self._batch(draw_fading, rng, desk, n_batch=4))
         with pytest.raises(ValueError):
-            bml_subspace(batch, 9, 3)
+            bml_subspace(cov, 9, 3)
         with pytest.raises(ValueError):
-            bml_subspace(batch, 3, 33)
+            bml_subspace(cov, 3, 33)
 
-    def test_projector_properties_from_noisy_batch(self, dense_projectors, rng, desk):
-        batch = self._batch(rng, desk, n_batch=32, noise=0.1)
-        proj = bml_subspace(batch, 3, 3)
+    def test_projector_properties_from_noisy_batch(self, dense_projectors, draw_fading,
+                                                   sample_covariances, rng, desk):
+        batch = self._batch(draw_fading, rng, desk, n_batch=32, noise=0.1)
+        proj = bml_subspace(sample_covariances(batch), 3, 3)
         for m in dense_projectors(proj):
             np.testing.assert_allclose(m @ m, m, atol=1e-10)
             np.testing.assert_allclose(m, m.conj().T, atol=1e-10)
@@ -217,7 +226,8 @@ class TestSnapshotGrams:
     """Batch-ML covariances from per-block Gram matrices, as the sweeps learn
     them, against rebuilding the warm-up snapshots at every noise level."""
 
-    def test_matches_direct_snapshots_on_reference_grid(self, dense_projectors):
+    def test_matches_direct_snapshots_on_reference_grid(self, dense_projectors,
+                                                        sample_covariances):
         env = build_environment(desk_config(n_rx=64))
         warm = range(env.bundle.estimator.n_batch)
         fading_w, noise_w = _draw(env, [(WARM_FADING, 0, j) for j in warm],
@@ -228,16 +238,16 @@ class TestSnapshotGrams:
         for sigma in (0.0, *sigmas):
             fast = dense_projectors(bml_subspace(grams.covariances(sigma),
                                                  *bml_ranks(env)))
-            direct = dense_projectors(bml_subspace(truth_w + sigma * noise_w,
-                                                   *bml_ranks(env)))
+            direct = dense_projectors(bml_subspace(
+                sample_covariances(truth_w + sigma * noise_w), *bml_ranks(env)))
             for f, d in zip(fast, direct):
                 np.testing.assert_allclose(f, d, rtol=0, atol=1e-10)
 
-    def test_covariances_match_sample_covariances(self, rng):
+    def test_covariances_match_sample_covariances(self, sample_covariances, rng):
         truth, noise = (rng.normal(size=(7, 5, 9)) + 1j * rng.normal(size=(7, 5, 9))
                         for _ in range(2))
         cov = SnapshotGrams.summed([(truth, noise)]).covariances(0.3)
-        ref = _sample_covariances(truth + 0.3 * noise)
+        ref = sample_covariances(truth + 0.3 * noise)
         np.testing.assert_allclose(cov.spatial, ref.spatial, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(cov.temporal, ref.temporal, rtol=1e-12, atol=1e-12)
 
