@@ -144,6 +144,9 @@ def validate_config(system: SystemConfig,
     _require(system.n_rx >= 1, "n_rx must be >= 1")
     _require(system.cp_length >= 0, "cp_length must be >= 0")
     _require(system.subcarrier_spacing > 0, "subcarrier_spacing must be positive")
+    _require(math.isfinite(system.bandwidth) and math.isfinite(system.sample_interval),
+             "subcarrier_spacing must give a finite bandwidth and sample interval, "
+             f"got {system.subcarrier_spacing!r}")
     _require(len(system.snr_grid_db) > 0, "snr_grid_db must be non-empty")
     check_snr_points("snr_grid_db entries", system.snr_grid_db)
     _require(len(set(system.snr_grid_db)) == len(system.snr_grid_db),
@@ -164,11 +167,14 @@ def validate_config(system: SystemConfig,
         _require(len(rng_) == 2 and all(math.isfinite(v) for v in rng_) and rng_[0] <= rng_[1],
                  f"{name} must be a finite (low, high) pair")
     _require(scenario.array_spacing > 0, "array_spacing must be positive")
+    _require(math.isfinite(2 * math.pi * scenario.array_spacing * system.n_rx),
+             "array_spacing must give finite steering phases 2 pi spacing n_rx, "
+             f"got {scenario.array_spacing!r}")
     _require(0.0 <= scenario.pulse_rolloff < 1.0,
              f"pulse_rolloff must lie in [0, 1), got {scenario.pulse_rolloff}")
     _require(math.isfinite(scenario.pdp_decay), "pdp_decay must be finite")
 
-    _require(estimator.tau_max > 0, "tau_max must be positive")
+    _require(0 < estimator.tau_max < math.inf, "tau_max must be positive and finite")
     _require(estimator.n_batch >= 1, "n_batch must be >= 1")
     for name, rank, cap in (("bml_rank_spatial", estimator.bml_rank_spatial, system.n_rx),
                             ("bml_rank_temporal", estimator.bml_rank_temporal, system.n_pilots)):

@@ -2,8 +2,9 @@
 collection, and deterministic CSV emission.
 
 Every sweep runs one simulate->reduce pipeline.  Trials are split into
-fixed-size contiguous chunks; each chunk is simulated once for the whole SNR
-grid, and the experiment's reducer turns it into per-trial errors, spectral
+contiguous chunks of ``_BLOCK_TRIALS`` (50), each one trial block that shares
+one batch-ML warm-up; each chunk is simulated once for the whole SNR grid,
+and the experiment's reducer turns it into per-trial errors, spectral
 efficiencies or post-combining SNR samples at every SNR point.
 
 Each sweep kind has one entry in :data:`SWEEPS`, a :class:`Sweep`: the
@@ -74,16 +75,17 @@ slicing or the worker count, batch-ML aside, whose warm-up is that of the
 trial block.
 
 One set of forked worker processes serves a whole run, and a run of one
-worker or one chunk forks none.  Workers are plain ``os.fork`` children that
-inherit the run's environments and send each chunk result back through a
-pipe (:func:`_map_chunks`), so no run loads ``multiprocessing`` or
-``concurrent.futures``.  Every sweep goes through one driver, :func:`_sweep`,
-which builds one environment per pilot count (the configured one unless the
-kind sweeps pilot counts) and every chunk task, and folds the chunk results:
-they come back in chunk order, each as soon as it and those before it are
-in, and each is copied into rows [t0, t1) of one (n_trials, ...) array per
-key and dropped.  The ECDF thus holds one copy of its samples, and each
-sample buffer is released once its table is sorted out of it.
+worker or one chunk forks none.  :func:`_map_chunks` is an ordered map that
+knows nothing of sweeps: plain ``os.fork`` children run the callable they
+inherited and send each result back through a pipe, so no run loads
+``multiprocessing`` or ``concurrent.futures``.  Every sweep goes through one
+driver, :func:`_sweep`, which builds one environment per pilot count (the
+configured one unless the kind sweeps pilot counts) and every ``(k, t0, t1)``
+chunk task, and folds the chunk results: they come back in chunk order, and
+each is copied into rows [t0, t1) of one (n_trials, ...) array per key and
+dropped.  The ECDF thus holds one copy of its samples, and each sample buffer
+is released once its table is sorted out of it.  One builder,
+:func:`_records`, makes every record of the NMSE, SE and pilot sweeps.
 """
 from __future__ import annotations
 
@@ -119,7 +121,6 @@ class ExperimentPlan:
     methods: tuple[str, ...] = ()
     snrs: tuple[float, ...] = ()            # SNR points in dB; default: the kind's
     pilot_counts: tuple[int, ...] = ()      # pilot-sweep only
-    block_size: int = 50
     workers: int = 1
     environment: PathSet | None = None      # externally supplied path set
 
@@ -135,8 +136,6 @@ def validate_plan(plan: ExperimentPlan, kind: str) -> ExperimentPlan:
     if kind not in SWEEPS:
         raise ConfigError(f"unknown experiment kind {kind!r}; choose from {tuple(SWEEPS)}")
     sweep = SWEEPS[kind]
-    if plan.block_size < 1:
-        raise ConfigError("block_size must be >= 1")
     if plan.workers < 1:
         raise ConfigError("workers must be >= 1")
     methods = plan.methods or sweep.methods
@@ -436,21 +435,26 @@ SWEEPS: dict[str, Sweep] = {
 }
 
 
+# Trials in one chunk, and in one trial block, which shares one batch-ML
+# warm-up.
+_BLOCK_TRIALS = 50
+
+
 def _simulate_chunk(env: Environment, kind: str, t0: int, t1: int,
-                    methods: tuple[str, ...], noise_variances, block_size: int) -> dict:
+                    methods: tuple[str, ...], noise_variances) -> dict:
     """Draw trials [t0, t1) once and reduce them at every noise variance to
     the sweep ``kind``'s per-trial results, each array's row ``t - t0`` that
     of trial ``t``.
 
     Each method's bases are taken once for the chunk; its batch-ML warm-up is
-    the one of trial block ``t0 // block_size``.  The trials are drawn and
+    the one of trial block ``t0 // _BLOCK_TRIALS``.  The trials are drawn and
     reduced a slice at a time (:func:`_slices`, on the full grid's width for
     SE and ECDF), so the chunk never holds more than one slice's H and W';
     the slices' rows are laid end to end.
     """
     sweep = SWEEPS[kind]
     noise_variances = np.asarray(noise_variances, dtype=float)
-    bases = _method_bases(env, methods, noise_variances, t0 // block_size)
+    bases = _method_bases(env, methods, noise_variances, t0 // _BLOCK_TRIALS)
     width = env.bundle.system.n_subcarriers if sweep.full_grid else None
     parts = [sweep.per_slice(env, *_draw(env, [(FADING, t) for t in trials],
                                          [(NOISE, t) for t in trials]),
@@ -459,28 +463,27 @@ def _simulate_chunk(env: Environment, kind: str, t0: int, t1: int,
     return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
 
-def _chunk_ranges(n_trials: int, block_size: int) -> list[tuple[int, int]]:
-    return [(t0, min(t0 + block_size, n_trials))
-            for t0 in range(0, n_trials, block_size)]
+def _chunk_ranges(n_trials: int) -> list[tuple[int, int]]:
+    return [(t0, min(t0 + _BLOCK_TRIALS, n_trials))
+            for t0 in range(0, n_trials, _BLOCK_TRIALS)]
 
 
-def _map_chunks(envs: tuple[Environment, ...], tasks: list[tuple], workers: int):
-    """Run ``(env index, kind, t0, t1, methods, noise variances, block size)``
-    tasks and yield their results in task order.
+def _map_chunks(run: Callable, tasks: list, workers: int):
+    """Yield ``run(task)`` for each task, in task order.
 
     With more than one worker and task, ``n = min(workers, len(tasks))``
-    children are forked, each with the run's environments and its own pipe:
+    children are forked, each with everything ``run`` holds and its own pipe:
     child ``j`` runs tasks ``j, j + n, ...`` (:func:`_fork_worker`) and the
     parent reads task ``i`` from pipe ``i % n``.  A child blocks on its full
     pipe until the parent reads, so a caller that folds the results as they
-    come never holds more than one.  A chunk's exception is raised here, and
+    come never holds more than one.  A task's exception is raised here, and
     a child that ends before its results are in raises a ``RuntimeError``
     naming its exit status.  However the generator ends, finished, failed or
     closed, every child is killed and reaped, and a fork that fails closes
     the pipe made for it.
     """
     if (n := min(workers, len(tasks))) <= 1 or not hasattr(os, "fork"):
-        yield from (_simulate_chunk(envs[k], *task) for k, *task in tasks)
+        yield from map(run, tasks)
         return
     children = []       # (pid, read end of its pipe), in fork order
     try:
@@ -493,7 +496,7 @@ def _map_chunks(envs: tuple[Environment, ...], tasks: list[tuple], workers: int)
                 os.close(write_fd)
                 raise
             if pid == 0:
-                _fork_worker(envs, tasks[j::n], write_fd,
+                _fork_worker(run, tasks[j::n], write_fd,
                              [read_fd] + [pipe.fileno() for _, pipe in children])
             os.close(write_fd)
             children.append((pid, open(read_fd, "rb")))
@@ -516,10 +519,9 @@ def _map_chunks(envs: tuple[Environment, ...], tasks: list[tuple], workers: int)
             os.waitpid(pid, 0)
 
 
-def _fork_worker(envs: tuple[Environment, ...], tasks: list[tuple], write_fd: int,
-                 read_fds: list[int]) -> None:
+def _fork_worker(run: Callable, tasks: list, write_fd: int, read_fds: list[int]) -> None:
     """A forked child's whole life: close the read ends it inherited,
-    ``read_fds``, write the pickled ``(True, result)`` of each task, or
+    ``read_fds``, write the pickled ``(True, run(task))`` of each task, or
     ``(False, exception)`` where it raised, to the pipe ``write_fd``, then
     leave through ``os._exit``, with status 1 if anything else ended it.
     With no read end left in any child, a write after the parent has died
@@ -530,10 +532,9 @@ def _fork_worker(envs: tuple[Environment, ...], tasks: list[tuple], write_fd: in
         for fd in read_fds:
             os.close(fd)
         out = open(write_fd, "wb")
-        for k, *task in tasks:
+        for task in tasks:
             try:
-                data = pickle.dumps((True, _simulate_chunk(envs[k], *task)),
-                                    pickle.HIGHEST_PROTOCOL)
+                data = pickle.dumps((True, run(task)), pickle.HIGHEST_PROTOCOL)
             except Exception as exc:    # noqa: BLE001 - raised in the parent
                 try:
                     data = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
@@ -550,10 +551,13 @@ def _sweep(plan: ExperimentPlan, kind: str):
     """The plan validated as ``kind``, its environments, one per pilot count
     (the configured count unless the kind sweeps pilot counts), and each
     one's per-trial results at the plan's SNR points: one (n_trials, ...)
-    array per key of the kind's results.  The arrays are allocated at the
-    environment's first chunk, and every chunk's rows are copied into them as
-    the chunk arrives (:func:`_map_chunks`), so the run holds one copy of its
-    per-trial results and one chunk result at a time."""
+    array per key of the kind's results.
+
+    A task is ``(k, t0, t1)``: trials [t0, t1) of environment ``k``.  The
+    arrays are allocated at the environment's first chunk, and every chunk's
+    rows are copied into them as the chunk arrives (:func:`_map_chunks`), so
+    the run holds one copy of its per-trial results and one chunk result at a
+    time."""
     plan = validate_plan(plan, kind)
     base = plan.bundle
     n_trials = base.system.n_trials
@@ -561,15 +565,15 @@ def _sweep(plan: ExperimentPlan, kind: str):
     counts = plan.pilot_counts or (base.system.n_pilots,)
     envs = tuple(build_environment(replace(base, system=replace(base.system, n_pilots=n)),
                                    plan.environment) for n in counts)
-    chunks = _chunk_ranges(n_trials, plan.block_size)
-    tasks = []
-    for k, env in enumerate(envs):
-        variances = _noise_variances(env, plan.snrs)
-        tasks += [(k, kind, t0, t1, plan.methods, variances, plan.block_size)
-                  for t0, t1 in chunks]
+    variances = [_noise_variances(env, plan.snrs) for env in envs]
+
+    def run(task):
+        k, t0, t1 = task
+        return _simulate_chunk(envs[k], kind, t0, t1, plan.methods, variances[k])
+    tasks = [(k, t0, t1) for k in range(len(envs)) for t0, t1 in _chunk_ranges(n_trials)]
     trials = tuple({} for _ in envs)
-    with closing(_map_chunks(envs, tasks, plan.workers)) as results:
-        for (k, _, t0, t1, *_), result in zip(tasks, results):
+    with closing(_map_chunks(run, tasks, plan.workers)) as results:
+        for (k, t0, t1), result in zip(tasks, results):
             for key, rows in result.items():
                 if key not in trials[k]:
                     trials[k][key] = np.empty((n_trials,) + rows.shape[1:])
@@ -588,42 +592,45 @@ def _noise_variances(env: Environment, snrs) -> list[float]:
 
 # --- Sweeps -------------------------------------------------------------------
 
+def _records(plan: ExperimentPlan,
+             kind: str) -> tuple[tuple[Environment, ...], list[MetricsRecord]]:
+    """The environments of a ``kind`` sweep and one record per (pilot count,
+    SNR point, method), in that order: the pooled NMSE where the sweep took
+    errors, the mean per-trial rate where it took rates."""
+    plan, envs, per_count = _sweep(plan, kind)
+    records = []
+    for env, trials in zip(envs, per_count):
+        sysc = env.bundle.system
+        for i, snr_db in enumerate(plan.snrs):
+            for method in plan.methods:
+                rate = trials.get(("rate", method, i))
+                records.append(MetricsRecord(
+                    method=method, snr_db=snr_db, n_pilots=sysc.n_pilots,
+                    trials=sysc.n_trials,
+                    nmse_emp=_nmse(trials, method, i) if "energy" in trials else None,
+                    spectral_efficiency=None if rate is None else float(rate.mean())))
+    return envs, records
+
+
 def run_nmse_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
     """Empirical NMSE per (method, SNR); analytic breakdown for the twin prior."""
-    plan, (env,), (trials,) = _sweep(plan, "nmse-sweep")
-    sysc = env.bundle.system
-    records = []
-    for i, (snr_db, noise_variance) in enumerate(zip(plan.snrs,
-                                                     _noise_variances(env, plan.snrs))):
-        for method in plan.methods:
-            analytic = None
-            if method == "emdt":
-                analytic = analytic_nmse(env.projectors, env.steering,
-                                         env.freq_pilot, env.amplitude,
-                                         snr_db, noise_variance)
-            records.append(MetricsRecord(method=method, snr_db=snr_db,
-                                         n_pilots=sysc.n_pilots,
-                                         trials=sysc.n_trials,
-                                         nmse_emp=_nmse(trials, method, i),
-                                         nmse_analytic=analytic))
-    return records
+    (env,), records = _records(plan, "nmse-sweep")
+    return [replace(r, nmse_analytic=analytic_nmse(
+                env.projectors, env.steering, env.freq_pilot, env.amplitude, r.snr_db,
+                noise_variance_for_snr(r.snr_db, env.beta)))
+            if r.method == "emdt" else r for r in records]
 
 
 def measure_projection_floor(env: Environment, n_trials: int) -> float:
     """Noiseless twin-projection NMSE over the same fading streams the noisy
     sweeps use; this is the measured subspace floor."""
-    trials = _simulate_chunk(env, "nmse-sweep", 0, n_trials, ("emdt",), (0.0,), n_trials)
+    trials = _simulate_chunk(env, "nmse-sweep", 0, n_trials, ("emdt",), (0.0,))
     return _nmse(trials, "emdt", 0)
 
 
 def run_se_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
     """Genie-aided spectral efficiency per (method, SNR) on the full grid."""
-    plan, _, (trials,) = _sweep(plan, "se-sweep")
-    sysc = plan.bundle.system
-    return [MetricsRecord(method=method, snr_db=snr_db,
-                          n_pilots=sysc.n_pilots, trials=sysc.n_trials,
-                          spectral_efficiency=float(trials[("rate", method, i)].mean()))
-            for i, snr_db in enumerate(plan.snrs) for method in plan.methods]
+    return _records(plan, "se-sweep")[1]
 
 
 def run_ecdf(plan: ExperimentPlan) -> dict[tuple[str, float], Ecdf]:
@@ -646,19 +653,9 @@ def run_pilot_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
     spectral efficiency is scaled by the data fraction (1 - N_p/N).  Every
     (pilot count, chunk) task goes to the same workers.
     """
-    plan, _, per_count = _sweep(plan, "pilot-sweep")
-    n_trials = plan.bundle.system.n_trials
-    records = []
-    for n_p, trials in zip(plan.pilot_counts, per_count):
-        overhead = 1.0 - n_p / plan.bundle.system.n_subcarriers
-        for i, snr_db in enumerate(plan.snrs):
-            for method in plan.methods:
-                se = float(trials[("rate", method, i)].mean())
-                records.append(MetricsRecord(
-                    method=method, snr_db=snr_db, n_pilots=n_p,
-                    trials=n_trials, nmse_emp=_nmse(trials, method, i),
-                    spectral_efficiency=se * overhead))
-    return records
+    n = plan.bundle.system.n_subcarriers
+    return [replace(r, spectral_efficiency=r.spectral_efficiency * (1.0 - r.n_pilots / n))
+            for r in _records(plan, "pilot-sweep")[1]]
 
 
 # --- CSV emission -------------------------------------------------------------

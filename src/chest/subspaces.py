@@ -148,7 +148,8 @@ def denoise_subspace(system: SystemConfig, tau_max: float) -> ProjectorPair:
         raise ValueError("tau_max must be positive")
     n_p = system.n_pilots
     spacing = system.sample_interval * system.n_subcarriers / n_p
-    k_tau = min(n_p, math.ceil(tau_max / spacing))
+    # a wider window keeps every tap; one narrower than a float can count, tap 0
+    k_tau = max(1, math.ceil(min(n_p, tau_max / spacing)))
     phase = np.outer(np.arange(n_p), np.arange(k_tau)) % n_p
     return ProjectorPair(basis_spatial=None,
                          basis_temporal=np.exp(-2j * np.pi / n_p * phase) / math.sqrt(n_p))

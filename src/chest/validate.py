@@ -204,7 +204,7 @@ def check_denoiser(bundle: ConfigBundle) -> CheckResult:
     # the window the config asks for: k_tau taps at spacing T_s N / N_p
     sysc, n_p = bundle.system, len(env.pilots)
     tap = sysc.sample_interval * sysc.n_subcarriers / n_p
-    k_tau = min(n_p, math.ceil(bundle.estimator.tau_max / tap))
+    k_tau = max(1, math.ceil(min(n_p, bundle.estimator.tau_max / tap)))
 
     def response(taps):
         """Pure delay taps on every antenna, and their projection."""
@@ -224,13 +224,14 @@ def check_denoiser(bundle: ConfigBundle) -> CheckResult:
 
 
 def check_csv_determinism(bundle: ConfigBundle) -> CheckResult:
-    """Identical seeds give byte-identical CSV, for 1 worker and for 2."""
-    small = replace(bundle, system=replace(bundle.system, n_trials=8))
+    """Identical seeds give byte-identical CSV, for 1 worker and for 2, on
+    60 trials: two chunks, so that two workers each run one."""
+    small = replace(bundle, system=replace(bundle.system, n_trials=60))
     outputs = []
     with tempfile.TemporaryDirectory() as tmp:
         for i, workers in enumerate((1, 1, 2)):
             plan = ExperimentPlan(bundle=small, methods=("ls", "emdt"),
-                                  snrs=(0.0, 10.0), block_size=4, workers=workers)
+                                  snrs=(0.0, 10.0), workers=workers)
             path = Path(tmp) / f"run{i}.csv"
             emit_csv(run_nmse_sweep(plan), path)
             outputs.append(path.read_bytes())

@@ -152,9 +152,9 @@ def test_c5_floor_ordering_and_batch_size(announce):
         est = replace(bundle.estimator, n_batch=n_batch)
         env = build_environment(validate_config(bundle.system, bundle.scenario, est))
         errors = np.empty(n_trials)
-        for t0, t1 in _chunk_ranges(n_trials, 50):
+        for t0, t1 in _chunk_ranges(n_trials):
             errors[t0:t1] = _simulate_chunk(env, "nmse-sweep", t0, t1, ("bml",),
-                                            (nv,), 50)[("error", "bml", 0)]
+                                            (nv,))[("error", "bml", 0)]
         per_trial[n_batch] = errors
     diff = per_trial[64] - per_trial[256]
     z = diff.mean() / (diff.std(ddof=1) / np.sqrt(n_trials))

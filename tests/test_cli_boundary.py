@@ -27,7 +27,7 @@ from chest.experiments import SWEEPS
 OUTPUTS = {"nmse-sweep": ("nmse.csv", "nmse.svg"), "se-sweep": ("se.csv", "se.svg"),
            "ecdf": ("ecdf.csv", "ecdf.svg"),
            "pilot-sweep": ("pilot.csv", "pilot_nmse.svg", "pilot_se.svg")}
-NAN = float("nan")
+NAN, INF = float("nan"), float("inf")
 
 
 class Case(NamedTuple):
@@ -82,9 +82,19 @@ def valid_configs(draw) -> dict:
     }
 
 
+# Values that pass a plain sign check but overflow downstream: the sample
+# interval 1 / (N * spacing) or the bandwidth, the steering phase
+# 2 pi spacing n, or the delay window's tap count.
+OVERFLOWING_FIELDS = [
+    *[("system", "subcarrier_spacing", v) for v in (INF, 1e308, 5e-324)],
+    *[("scenario", "array_spacing", v) for v in (INF, 1e308)],
+    ("estimator", "tau_max", INF),
+]
+
 # One broken field each: (section, key, value); each value fails the check
 # of its own field before any other.
 BROKEN_FIELDS = [
+    *OVERFLOWING_FIELDS,
     *[("system", "n_subcarriers", v) for v in (48, 1, "64", 64.5)],
     *[("system", "cp_length", v) for v in (-1, 2.5)],
     *[("system", "n_rx", v) for v in (0, True, None)],
@@ -245,3 +255,28 @@ def test_validate_boundary(case):
 ])
 def test_snr_beyond_1000_db(case):
     _run(case)
+
+
+@pytest.mark.parametrize("command", ["nmse-sweep", "validate"])
+@pytest.mark.parametrize("section,key,value", OVERFLOWING_FIELDS,
+                         ids=lambda v: v if isinstance(v, str) else repr(v))
+def test_overflowing_field_exits_1_naming_it(command, section, key, value):
+    """Each value exited 2 (an OverflowError, an SVD that did not converge),
+    named another field, or ran on an infinite sample interval."""
+    flags = ("--trials=1",) if command != "validate" else ()
+    _run(Case(command, _tiny(**{section: {key: value}}), flags, key))
+
+
+@pytest.mark.parametrize("command", ["nmse-sweep", "validate"])
+@pytest.mark.parametrize("config", [
+    pytest.param(_tiny(estimator={"tau_max": 1e308}), id="tau-max-1e308"),
+    pytest.param(_tiny(system={"subcarrier_spacing": 1e-300},
+                       estimator={"tau_max": 1e-30}), id="tau-max-below-a-float-of-taps"),
+])
+def test_delay_window_at_the_float_edges_runs(command, config):
+    """A finite window wider than the grid keeps every tap, and a positive
+    one too narrow to count in floats keeps tap 0: 1e308 s overflowed
+    counting the taps (exit 2), and 1e-30 s at 1.25e299 s per tap counted none,
+    which failed two ``validate`` checks."""
+    flags = ("--trials=1",) if command != "validate" else ()
+    _run(Case(command, config, flags, None))

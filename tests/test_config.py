@@ -13,6 +13,8 @@ from chest import (ConfigError, ExperimentPlan, build_pilot_pattern, desk_config
                    validate_plan)
 from chest import cli
 from chest.config import _SECTIONS
+from chest.subspaces import denoise_subspace
+from chest.validate import check_denoiser
 from chest.experiments import SWEEPS
 
 
@@ -83,6 +85,35 @@ class TestValidateConfig:
         est = replace(desk.estimator, tau_max=0.0)
         with pytest.raises(ConfigError, match="tau_max"):
             validate_config(desk.system, desk.scenario, est)
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("system", "subcarrier_spacing", "Infinity"),   # bandwidth inf, T_s 0
+        ("system", "subcarrier_spacing", "1e308"),      # N * spacing overflows
+        ("system", "subcarrier_spacing", "5e-324"),     # T_s = 1 / (N * spacing) is inf
+        ("scenario", "array_spacing", "Infinity"),
+        ("scenario", "array_spacing", "1e308"),         # 2 pi spacing n overflows
+        ("estimator", "tau_max", "Infinity"),
+    ])
+    def test_value_that_overflows_names_its_field(self, section, key, value, tmp_path):
+        """The JSON text is written as is: ``Infinity`` is what Python's json
+        reads as an infinite float."""
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"{section}": {{"{key}": {value}}}}}')
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+
+    def test_tau_max_wider_than_the_grid_keeps_every_tap(self, desk):
+        """A finite window too wide to count its taps in floats keeps all of
+        them, in the sweeps' window and in the denoiser check alike."""
+        wide, one = (validate_config(desk.system, desk.scenario,
+                                     replace(desk.estimator, tau_max=t))
+                     for t in (1e308, 1.0))
+        got = denoise_subspace(wide.system, wide.estimator.tau_max)
+        want = denoise_subspace(one.system, one.estimator.tau_max)
+        assert got.rank_temporal == desk.system.n_pilots
+        np.testing.assert_array_equal(got.basis_temporal, want.basis_temporal)
+        assert check_denoiser(wide) == check_denoiser(one)
+        assert check_denoiser(wide).passed
 
 
 class TestPilotPattern:

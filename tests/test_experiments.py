@@ -135,8 +135,6 @@ class TestValidatePlan:
 
     def test_bad_parallelism(self, tiny):
         with pytest.raises(ConfigError):
-            validate_plan(ExperimentPlan(bundle=tiny, block_size=0), "ecdf")
-        with pytest.raises(ConfigError):
             validate_plan(ExperimentPlan(bundle=tiny, workers=0), "ecdf")
 
 
@@ -241,8 +239,8 @@ class TestProjectionFloor:
             desk = desk_config(n_trials=400)
             env = build_environment(validate_config(
                 desk.system, replace(desk.scenario, delay_spread=0.2e-6), desk.estimator))
-            chunks = [_simulate_chunk(env, "nmse-sweep", t0, t1, ("denoise",),
-                                      (0.0,), 50) for t0, t1 in _chunk_ranges(400, 50)]
+            chunks = [_simulate_chunk(env, "nmse-sweep", t0, t1, ("denoise",), (0.0,))
+                      for t0, t1 in _chunk_ranges(400)]
             measured = (np.concatenate([c[("error", "denoise", 0)] for c in chunks]).sum()
                         / np.concatenate([c["energy"] for c in chunks]).sum())
             pair = denoise_subspace(env.bundle.system, env.bundle.estimator.tau_max)
@@ -393,25 +391,32 @@ def forks(monkeypatch):
     return pids
 
 
+@pytest.fixture
+def blocks_of_3(monkeypatch):
+    """Chunks and batch-ML trial blocks of three trials; forked workers
+    inherit the patch."""
+    monkeypatch.setattr(experiments, "_BLOCK_TRIALS", 3)
+
+
 class TestEcdfSampleBuffers:
     """``run_ecdf`` folds each chunk's samples into one buffer per table as the
     results arrive: the tables are those of the concatenated chunk results,
     the run holds about one copy of its samples, and no worker outlives it."""
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_tables_equal_concatenated_chunks(self, monkeypatch, workers):
+    def test_tables_equal_concatenated_chunks(self, monkeypatch, blocks_of_3, workers):
         """Seven trials in chunks of three (the last chunk holds one), with
         trial 4 silenced so that zero samples sort first.  Workers are
         forked and inherit the patch."""
         monkeypatch.setattr(experiments, "_draw", _draw_silencing_trial_4)
         bundle = desk_config(n_trials=7)
-        plan = validate_plan(ExperimentPlan(bundle=bundle, block_size=3,
-                                            workers=workers, snrs=(-10.0, 5.0)), "ecdf")
+        plan = validate_plan(ExperimentPlan(bundle=bundle, workers=workers,
+                                            snrs=(-10.0, 5.0)), "ecdf")
         env = build_environment(bundle)
         nv = _noise_variances(env, plan.snrs)
-        assert _chunk_ranges(7, 3) == [(0, 3), (3, 6), (6, 7)]
-        partials = [_simulate_chunk(env, "ecdf", t0, t1, plan.methods, nv, 3)
-                    for t0, t1 in _chunk_ranges(7, 3)]
+        assert _chunk_ranges(7) == [(0, 3), (3, 6), (6, 7)]
+        partials = [_simulate_chunk(env, "ecdf", t0, t1, plan.methods, nv)
+                    for t0, t1 in _chunk_ranges(7)]
         tables = run_ecdf(plan)
         assert list(tables) == [(m, s) for s in plan.snrs for m in plan.methods]
         n_zero = bundle.system.n_subcarriers
@@ -443,20 +448,19 @@ class TestEcdfSampleBuffers:
         assert len(tables) == 10
         assert peak <= 1.5 * one_copy, f"traced peak {peak / 1e6:.2f} MB"
 
-    def test_failed_chunk_surfaces_and_leaves_no_pool(self, monkeypatch, forks):
+    def test_failed_chunk_surfaces_and_leaves_no_pool(self, monkeypatch, blocks_of_3, forks):
         monkeypatch.setattr(experiments, "_draw", _draw_failing_at_trial_6)
-        plan = ExperimentPlan(bundle=desk_config(n_trials=9), block_size=3,
-                              workers=2)
+        plan = ExperimentPlan(bundle=desk_config(n_trials=9), workers=2)
         with pytest.raises(RuntimeError, match="injected chunk failure"):
             run_ecdf(plan)
         assert len(forks) == 2
         assert_no_child_left()
 
-    def test_pool_has_no_more_workers_than_tasks(self, forks):
+    def test_pool_has_no_more_workers_than_tasks(self, blocks_of_3, forks):
         """Every worker is forked before the first result is read, so a run
         of two chunks forks two workers, however many it is allowed."""
         plan = ExperimentPlan(bundle=desk_config(n_trials=6), methods=("ls", "emdt"),
-                              snrs=(0.0,), block_size=3)
+                              snrs=(0.0,))
         serial = run_nmse_sweep(plan)
         assert forks == []
         pooled = run_nmse_sweep(replace(plan, workers=500))
@@ -464,17 +468,35 @@ class TestEcdfSampleBuffers:
         assert pooled == serial
         assert_no_child_left()
 
-    def test_closed_generator_leaves_no_pool(self, forks):
+    def test_closed_generator_leaves_no_pool(self, blocks_of_3, forks):
         env = build_environment(desk_config(n_trials=12))
         nv = _noise_variances(env, (0.0,))
-        tasks = [(0, "ecdf", t0, t1, ("ls",), nv, 3)
-                 for t0, t1 in _chunk_ranges(12, 3)]
-        results = experiments._map_chunks((env,), tasks, 2)
+        results = experiments._map_chunks(
+            lambda chunk: _simulate_chunk(env, "ecdf", *chunk, ("ls",), nv),
+            _chunk_ranges(12), 2)
         first = next(results)
         assert first[("snr", "ls", 0)].shape == (3, env.bundle.system.n_subcarriers)
         assert len(forks) == 2
         results.close()
         assert_no_child_left()
+
+
+def _sized_result(task: int) -> tuple[int, str]:
+    """Task ``t``'s result: ``t`` and 20 000 t characters, so that tasks 4
+    to 6 each overfill a 64 KiB pipe."""
+    return task, str(task) * (20_000 * task)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_fork_map_is_an_ordered_map(forks, workers):
+    """``_map_chunks`` runs any callable on any tasks and yields what
+    ``map`` does, in the same order, on one worker and on forked ones."""
+    tasks = list(range(7))
+    got = list(experiments._map_chunks(_sized_result, tasks, workers))
+    assert got == list(map(_sized_result, tasks))
+    assert max(len(text) for _, text in got) > 64 * 1024
+    assert len(forks) == (0 if workers == 1 else workers)
+    assert_no_child_left()
 
 
 class TestWorkerFailures:
@@ -516,7 +538,7 @@ class TestWorkerFailures:
         assert_no_child_left()
 
     @pytest.mark.parametrize("failing", [0, 1])
-    def test_failed_fork_closes_its_pipe(self, monkeypatch, forks, failing):
+    def test_failed_fork_closes_its_pipe(self, monkeypatch, blocks_of_3, forks, failing):
         """Fork number ``failing`` raises: its OSError surfaces, the pipe made
         for it is closed, and the child forked before it is reaped."""
         fork = os.fork
@@ -527,7 +549,7 @@ class TestWorkerFailures:
             return fork()
         monkeypatch.setattr(os, "fork", fork_failing_once)
         plan = ExperimentPlan(bundle=desk_config(n_trials=6), methods=("ls",),
-                              snrs=(0.0,), block_size=3, workers=2)
+                              snrs=(0.0,), workers=2)
         fds = sorted(os.listdir("/proc/self/fd"))
         with pytest.raises(OSError, match="injected fork failure"):
             run_nmse_sweep(plan)
@@ -578,8 +600,8 @@ def recording_fork():
             fh.write(f"{pid}\\n")
     return pid
 
-def dying_map_chunks(*args):
-    for result in map_chunks(*args):
+def dying_map_chunks(run, tasks, workers):
+    for result in map_chunks(run, tasks, workers):
         os.kill(os.getpid(), signal.SIGKILL)
         yield result
 
@@ -683,7 +705,7 @@ def _oracle_pair(env, method, noise_variance, block, uplink):
     return bml_subspace(uplink.sample_covariances(ls_w), *bml_ranks(env))
 
 
-def _oracle_estimates(env, noise_variance, t0, t1, methods, block_size, full, uplink):
+def _oracle_estimates(env, noise_variance, t0, t1, methods, full, uplink):
     """Simulate trials [t0, t1) at one noise variance the slow way: receive
     H x + sigma W, divide out x, then estimate.  Returns (pilot-grid truth,
     full-grid truth or None, {method: pilot-grid estimate})."""
@@ -701,7 +723,8 @@ def _oracle_estimates(env, noise_variance, t0, t1, methods, block_size, full, up
     estimates = {}
     for method in methods:
         if method != "ideal":
-            pair = _oracle_pair(env, method, noise_variance, t0 // block_size, uplink)
+            pair = _oracle_pair(env, method, noise_variance,
+                                t0 // experiments._BLOCK_TRIALS, uplink)
             estimates[method] = ls if pair is None else pair.project(pair.core(ls))
     return truth, truth_full, estimates
 
@@ -723,9 +746,9 @@ def _oracle(plan, kind, uplink, interpolate=None):
         for snr in snrs:
             nv = noise_variance_for_snr(snr, env.beta)
             err, energy, acc = {}, 0.0, {}
-            for t0, t1 in _chunk_ranges(system.n_trials, plan.block_size):
+            for t0, t1 in _chunk_ranges(system.n_trials):
                 truth, truth_full, est = _oracle_estimates(
-                    env, nv, t0, t1, plan.methods, plan.block_size, full, uplink)
+                    env, nv, t0, t1, plan.methods, full, uplink)
                 energy += np.sum(np.abs(truth) ** 2)
                 for method in plan.methods:
                     if full:
@@ -757,18 +780,19 @@ def _oracle(plan, kind, uplink, interpolate=None):
 @pytest.fixture(scope="module")
 def desk_small():
     """Desk geometry (16 antennas, 32 pilots, batch-ML warm-up of 64), six
-    trials in two chunks of three."""
+    trials, which ``blocks_of_3`` puts in two chunks of three."""
     return desk_config(n_trials=6, snr_grid_db=(-10.0, 5.0, 20.0))
 
 
+@pytest.mark.usefixtures("blocks_of_3")
 class TestOnePassMatchesPerSnrOracle:
     """The one-pass split P(H) + sigma * P(W') against simulating every SNR
     point on its own, with every method the sweep accepts and two chunks."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_nmse_sweep(self, desk_small, uplink, workers):
-        plan = validate_plan(ExperimentPlan(bundle=desk_small, block_size=3,
-                                            workers=workers), "nmse-sweep")
+        plan = validate_plan(ExperimentPlan(bundle=desk_small, workers=workers),
+                             "nmse-sweep")
         oracle = _oracle(plan, "nmse-sweep", uplink)
         records = run_nmse_sweep(plan)
         assert len(records) == len(oracle) == 12
@@ -778,8 +802,8 @@ class TestOnePassMatchesPerSnrOracle:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_se_sweep(self, desk_small, uplink, gather_interpolate, workers):
-        plan = validate_plan(ExperimentPlan(bundle=desk_small, block_size=3,
-                                            workers=workers), "se-sweep")
+        plan = validate_plan(ExperimentPlan(bundle=desk_small, workers=workers),
+                             "se-sweep")
         oracle = _oracle(plan, "se-sweep", uplink, gather_interpolate)
         records = run_se_sweep(plan)
         assert len(records) == len(oracle) == 15
@@ -789,8 +813,7 @@ class TestOnePassMatchesPerSnrOracle:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_ecdf(self, desk_small, uplink, gather_interpolate, workers):
-        plan = validate_plan(ExperimentPlan(bundle=desk_small,
-                                            block_size=3, workers=workers,
+        plan = validate_plan(ExperimentPlan(bundle=desk_small, workers=workers,
                                             snrs=(-10.0, 5.0)), "ecdf")
         oracle = _oracle(plan, "ecdf", uplink, gather_interpolate)
         tables = run_ecdf(plan)
@@ -801,8 +824,7 @@ class TestOnePassMatchesPerSnrOracle:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pilot_sweep(self, desk_small, uplink, workers):
-        plan = validate_plan(ExperimentPlan(bundle=desk_small,
-                                            block_size=3, workers=workers,
+        plan = validate_plan(ExperimentPlan(bundle=desk_small, workers=workers,
                                             pilot_counts=(2, 8, 32),
                                             snrs=(-15.0, 0.0)), "pilot-sweep")
         oracle = _oracle(plan, "pilot-sweep", uplink)
@@ -949,14 +971,15 @@ class TestDeterminism:
         b = run_nmse_sweep(ExperimentPlan(bundle=other, methods=("ls",)))
         assert a[0].nmse_emp != b[0].nmse_emp
 
-    def test_worker_count_does_not_change_csv(self, tiny, tmp_path):
-        base = ExperimentPlan(bundle=tiny, block_size=5)
+    def test_worker_count_does_not_change_csv(self, tiny, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "_BLOCK_TRIALS", 5)
+        base = ExperimentPlan(bundle=tiny)
         emit_csv(run_nmse_sweep(base), tmp_path / "w1.csv")
         emit_csv(run_nmse_sweep(replace(base, workers=2)), tmp_path / "w2.csv")
         assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
 
     @pytest.mark.parametrize("kind", SWEEPS)
-    def test_block_size_changes_no_output(self, kind):
+    def test_block_size_changes_no_output(self, kind, monkeypatch):
         """Chunk boundaries never change which random numbers a trial sees,
         and nothing is summed before every trial is in, so every sweep's
         output is the same bit for bit at any block size.  (Batch-ML is
@@ -965,8 +988,9 @@ class TestDeterminism:
         methods = validate_plan(ExperimentPlan(bundle=bundle), kind).methods
         extra = {"pilot_counts": (2, 8, 32)} if kind == "pilot-sweep" else {}
 
-        def output(block_size):
-            plan = ExperimentPlan(bundle=bundle, block_size=block_size,
+        def output(block_trials):
+            monkeypatch.setattr(experiments, "_BLOCK_TRIALS", block_trials)
+            plan = ExperimentPlan(bundle=bundle,
                                   methods=tuple(m for m in methods if m != "bml"), **extra)
             if kind == "ecdf":
                 return {key: table.thresholds.tolist()
@@ -978,7 +1002,7 @@ class TestDeterminism:
         """Pooled-ratio NMSE is stable under doubling the trial count."""
         env = build_environment(tiny400)
         nv = noise_variance_for_snr(0.0, env.beta)
-        result = _simulate_chunk(env, "nmse-sweep", 0, 400, ("ls",), (nv,), 400)
+        result = _simulate_chunk(env, "nmse-sweep", 0, 400, ("ls",), (nv,))
         err, gain = result[("error", "ls", 0)], result["energy"]
         r200 = err[:200].sum() / gain[:200].sum()
         r400 = err.sum() / gain.sum()
@@ -1003,7 +1027,7 @@ def _sweep_outputs(bundle, workers):
     """Every sweep's output on ``bundle`` with all its methods, batch-ML
     included, in comparable form."""
     def plan(**extra):
-        return ExperimentPlan(bundle=bundle, block_size=3, workers=workers, **extra)
+        return ExperimentPlan(bundle=bundle, workers=workers, **extra)
     tables = run_ecdf(plan(snrs=(-10.0, 5.0)))
     return (run_nmse_sweep(plan()), run_se_sweep(plan()),
             run_pilot_sweep(plan(pilot_counts=(2, 8, 32), snrs=(-15.0, 0.0))),
@@ -1015,7 +1039,8 @@ class TestSlices:
     batch-ML warm-up is summed over slices of snapshots."""
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_one_trial_slices_match_one_pass(self, desk_small, monkeypatch, workers):
+    def test_one_trial_slices_match_one_pass(self, desk_small, blocks_of_3, monkeypatch,
+                                             workers):
         """With a budget of one trial and one snapshot every sweep's output
         equals the one-pass run's bit for bit.  Per-trial results are joined,
         never re-summed, so slicing trials changes no bit.  Slicing the warm-up
@@ -1060,7 +1085,7 @@ class TestSlices:
         nv = _noise_variances(env, SWEEPS["pilot-sweep"].snrs)
         methods = SWEEPS["pilot-sweep"].methods
         peaks = {n: _traced_peak(lambda: _simulate_chunk(
-            env, kind, 0, n, methods, nv, 50)) for n in (8, 50)}
+            env, kind, 0, n, methods, nv)) for n in (8, 50)}
         assert peaks[50] <= 1.1 * peaks[8]
 
 

@@ -25,10 +25,13 @@ CONFIGS = ROOT / "configs"
 # Each run's CLI arguments, without --out; "validate" is hashed by its stdout.
 RUNS = {
     "nmse-desk": ["nmse-sweep", "--trials", "100"],
+    "nmse-desk-workers-2": ["nmse-sweep", "--trials", "100", "--workers", "2"],
     "se-desk": ["se-sweep", "--trials", "100"],
     "ecdf-desk": ["ecdf", "--trials", "100"],
     "ecdf-desk-workers-2": ["ecdf", "--trials", "100", "--workers", "2"],
     "pilot": ["pilot-sweep", "--config", str(CONFIGS / "pilot.json"), "--trials", "20"],
+    "pilot-workers-2": ["pilot-sweep", "--config", str(CONFIGS / "pilot.json"),
+                        "--trials", "20", "--workers", "2"],
     "pilot-full-scale": ["pilot-sweep", "--config", str(CONFIGS / "full-scale.json"),
                          "--pilots", "2048", "--trials", "4"],
     "validate": ["validate"],
