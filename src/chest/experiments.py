@@ -24,9 +24,11 @@ the CLI builds its subcommands from the table.
   once, then draws and reduces its trials a slice at a time, and a slice
   holds as many trials as fit ``_SLICE_BYTES`` (1.25 MiB) in their H and W',
   two complex (n_rx, n_pilots) arrays per trial, or (n_rx, n_subcarriers)
-  for SE and ECDF, which reduce on the full grid, one trial at least.  The
-  batch-ML warm-up is drawn in slices of snapshots under the
-  same budget, less its Gram matrices, and its Grams are summed over them.
+  for SE and ECDF, which reduce on the full grid, one trial at least.  An
+  NMSE slice adds one method's cores of H and W', a residual PH - H and a
+  real temporary, squared in place.  The batch-ML warm-up is drawn in slices
+  of snapshots under the same budget, less its Gram matrices, and its Grams
+  are summed over them.
   The slice sizes follow from the array sizes alone: desk-sized NMSE and
   pilot chunks (50 trials of 16 x 32) and warm-ups (64 snapshots) take one
   pass, desk SE and ECDF chunks (16 x 64 on the full grid) 40 trials at a
@@ -104,7 +106,7 @@ from .channel import assemble_channel, average_gain_from_responses
 from .config import (ConfigBundle, ConfigError, PilotPattern, build_pilot_pattern,
                      check_snr_points, noise_variance_for_snr)
 from .metrics import (CombiningStats, Ecdf, MetricsRecord, analytic_nmse, ecdf,
-                      post_combining_snr)
+                      post_combining_snr, _energy)
 from .propagation import (PathSet, dt_truncate, frequency_response, generate_paths,
                           steering_matrix)
 from .streams import (FADING, NOISE, PATHS, PILOTS, WARM_FADING, WARM_NOISE,
@@ -281,10 +283,6 @@ def _warm_up_grams(env: Environment, block: int) -> SnapshotGrams:
     warm = range(env.bundle.estimator.n_batch)
     return SnapshotGrams.summed(batch(snapshots)
                                 for snapshots in _slices(warm, env, gram_bytes))
-
-
-def _energy(x: np.ndarray) -> np.ndarray:
-    return np.sum(np.abs(x) ** 2, axis=(-2, -1))
 
 
 def _method_bases(env: Environment, methods: tuple[str, ...],

@@ -145,13 +145,20 @@ class CombiningStats(NamedTuple):
         if a.shape != h.shape or (b is not None and b.shape != h.shape):
             raise ValueError("estimate/truth shapes disagree")
         ah = np.einsum("...ik,...ik->...k", a.conj(), h)
-        aa = np.sum(np.abs(a) ** 2, axis=-2)
+        aa = _energy(a, axis=-2)
         if b is None:
             zero = np.zeros_like(aa)
             return cls(ah, zero, aa, zero, zero)
+        ab = a.real * b.real
+        ab += a.imag * b.imag
         return cls(ah, np.einsum("...ik,...ik->...k", b.conj(), h), aa,
-                   np.sum(a.real * b.real + a.imag * b.imag, axis=-2),
-                   np.sum(np.abs(b) ** 2, axis=-2))
+                   np.sum(ab, axis=-2), _energy(b, axis=-2))
+
+
+def _energy(x: np.ndarray, axis=(-2, -1)) -> np.ndarray:
+    """Sum of |x|^2 over ``axis``, squared in place: one real temporary."""
+    e = np.abs(x)
+    return np.sum(np.square(e, out=e), axis=axis)
 
 
 def post_combining_snr(stats: CombiningStats, sigmas, noise_variances) -> np.ndarray:

@@ -253,4 +253,5 @@ class SnapshotGrams:
 
 def _top_eigvecs(cov: np.ndarray, rank: int) -> np.ndarray:
     w, v = np.linalg.eigh(cov)
-    return v[:, ::-1][:, :rank]
+    # a copy: a view of the kept columns would keep all n x n of v alive
+    return v[:, ::-1][:, :rank].copy()

@@ -36,9 +36,9 @@ import numpy as np
 from .channel import assemble_channel, channel_covariance
 from .config import ConfigBundle, desk_config
 from .experiments import (SWEEPS, ExperimentPlan, build_environment, emit_csv,
-                          run_nmse_sweep, _draw, _energy, _method_bases,
-                          _nmse_slice, _noise_variances)
-from .metrics import analytic_nmse
+                          run_nmse_sweep, _draw, _method_bases, _nmse_slice,
+                          _noise_variances)
+from .metrics import analytic_nmse, _energy
 from .propagation import PathSet, frequency_response, pulse_response, steering_matrix
 from .streams import FADING, NOISE, complex_normal, substream
 from .subspaces import ProjectorPair, dt_subspace, interpolation_matrix

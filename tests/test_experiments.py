@@ -1073,6 +1073,30 @@ class TestSlices:
         peak = _traced_peak(lambda: experiments._warm_up_grams(env, 0))
         assert peak < np.prod(shape) * np.dtype(complex).itemsize
 
+    def test_reference_nmse_chunk_working_set(self):
+        """A 20-trial reference NMSE chunk, one slice, with all four methods at
+        11 SNR points, peaks (traced) within 1.1 x what the slice must hold, in
+        units of one complex (20, n_rx, n_pilots) array A: H and W' (2 A), one
+        residual PH - H (A), one real |.|^2 temporary (A / 2) and the delay
+        window's cores of H and W' (2 A k_tau / n_pilots).  At the reference
+        k_tau = 8 of 32 pilots that is 4 A, twice the slice's H + W' bytes,
+        and the bound is 2.2 x."""
+        env = build_environment(load_config(CONFIGS / "reference.json"))
+        nv = _noise_variances(env, env.bundle.system.snr_grid_db)
+        methods = SWEEPS["nmse-sweep"].methods
+        assert len(nv) == 11 and methods == ("ls", "denoise", "bml", "emdt")
+        assert experiments._slices(range(20), env) == [range(20)]
+        n_p = len(env.pilots)
+        k_tau = denoise_subspace(env.bundle.system, env.bundle.estimator.tau_max) \
+            .rank_temporal
+        a = 20 * env.bundle.system.n_rx * n_p * np.dtype(complex).itemsize
+        holds = (3.5 + 2 * k_tau / n_p) * a
+        assert holds == 2 * (2 * a)
+        # first-call allocations untraced
+        _simulate_chunk(env, "nmse-sweep", 0, 20, methods, nv)
+        peak = _traced_peak(lambda: _simulate_chunk(env, "nmse-sweep", 0, 20, methods, nv))
+        assert peak <= 1.1 * holds
+
     @pytest.mark.parametrize("kind", ["nmse-sweep", "pilot-sweep"])
     def test_full_scale_chunk_peak_does_not_grow_with_trials(self, kind):
         """At the full-scale pilot grid (64 antennas, 2048 pilots) a 50-trial

@@ -32,6 +32,8 @@ RUNS = {
     "pilot": ["pilot-sweep", "--config", str(CONFIGS / "pilot.json"), "--trials", "20"],
     "pilot-workers-2": ["pilot-sweep", "--config", str(CONFIGS / "pilot.json"),
                         "--trials", "20", "--workers", "2"],
+    "nmse-reference": ["nmse-sweep", "--config", str(CONFIGS / "reference.json"),
+                       "--trials", "20"],
     "pilot-full-scale": ["pilot-sweep", "--config", str(CONFIGS / "full-scale.json"),
                          "--pilots", "2048", "--trials", "4"],
     "validate": ["validate"],

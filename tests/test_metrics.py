@@ -1,4 +1,6 @@
 """NMSE accounting, genie-aided spectral efficiency, and ECDFs."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from chest.subspaces import ProjectorPair
 from chest.channel import average_gain_from_responses
 from chest.experiments import build_environment
 from chest.metrics import (CombiningStats, MetricsRecord, covariance_traces,
-                           post_combining_snr)
+                           post_combining_snr, _energy)
 
 
 def _est(h):
@@ -326,6 +328,22 @@ class TestCombiningStats:
         b[:, :, 4] = 0.0
         snr = post_combining_snr(CombiningStats.of(a, b, h), [0.0, 1.0], [1.0, 1.0])
         assert np.all(snr[:, :, 4] == 0.0) and np.all(snr[:, :, :4] > 0)
+
+    def test_energy_squares_in_place(self, rng):
+        """|x|^2 is summed from one real temporary: on a desk SE slice in
+        batch-ML coordinates, (40, 5, 64), too small for numpy to reuse a
+        temporary by itself, the traced peak stays under 1.25 real copies."""
+        x = self._parts(rng, (40, 5, 64))[0]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            energy = _energy(x, axis=-2)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(energy, np.sum(np.abs(x) ** 2, axis=-2))
+        real_copy = x.nbytes // 2
+        assert peak <= 1.25 * real_copy
 
     def test_rejects_bad_input(self, rng):
         a, b, h = self._parts(rng)

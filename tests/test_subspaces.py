@@ -1,11 +1,15 @@
 """Twin subspace priors, projector algebra, and the batch-ML subspace baseline."""
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from chest import (ProjectorPair, assemble_channel, bml_subspace, dt_subspace,
                    frequency_response, steering_matrix)
-from chest.config import desk_config
-from chest.experiments import _draw, _noise_variances, bml_ranks, build_environment
+from chest.config import desk_config, load_config
+from chest.experiments import (_draw, _method_bases, _noise_variances, bml_ranks,
+                               build_environment)
 from chest.propagation import PathSet
 from chest.streams import WARM_FADING, WARM_NOISE
 from chest.subspaces import SnapshotGrams
@@ -220,6 +224,38 @@ class TestBmlSubspace:
         for m in dense_projectors(proj):
             np.testing.assert_allclose(m @ m, m, atol=1e-10)
             np.testing.assert_allclose(m, m.conj().T, atol=1e-10)
+
+
+    def test_bases_own_their_memory(self, sample_covariances, rng):
+        """Each basis is a copy of its kept eigenvector columns, not a view
+        that keeps the whole eigenvector matrix alive."""
+        batch = rng.normal(size=(8, 16, 32)) + 1j * rng.normal(size=(8, 16, 32))
+        pair = bml_subspace(sample_covariances(batch), 3, 4)
+        for basis in (pair.basis_spatial, pair.basis_temporal):
+            assert basis.flags.owndata
+
+    def test_sweep_pairs_hold_only_their_kept_columns(self):
+        """The reference config's batch-ML pairs, one per SNR point, hold
+        within 1.25 x the bytes of their kept columns (traced), not the
+        n x n eigenvector matrices they were cut from."""
+        env = build_environment(load_config(
+            Path(__file__).resolve().parents[1] / "configs" / "reference.json"))
+        nv = np.asarray(_noise_variances(env, env.bundle.system.snr_grid_db))
+        _method_bases(env, ("bml",), nv, 0)    # first-call allocations untraced
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            bases = _method_bases(env, ("bml",), nv, 0)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert len(bases) == nv.size == 11
+        r_s, r_t = bml_ranks(env)
+        n_rx, n_p = env.bundle.system.n_rx, len(env.pilots)
+        kept = 11 * (n_rx * r_s + n_p * r_t) * np.dtype(complex).itemsize
+        assert kept == sum(b.basis_spatial.nbytes + b.basis_temporal.nbytes
+                           for _, _, b in bases)
+        assert held <= 1.25 * kept
 
 
 class TestSnapshotGrams:
