@@ -22,18 +22,21 @@ the CLI builds its subcommands from the table.
   worker count or the SNR point; noise is scaled, never redrawn.
 * Slices bound a chunk's working set.  A chunk takes each method's bases
   once, then draws and reduces its trials a slice at a time, and a slice
-  holds as many trials as fit ``_SLICE_BYTES`` (1.25 MiB) in their H and W',
-  two complex (n_rx, n_pilots) arrays per trial, or (n_rx, n_subcarriers)
-  for SE and ECDF, which reduce on the full grid, one trial at least.  An
-  NMSE slice adds one method's cores of H and W', a residual PH - H and a
-  real temporary, squared in place.  The batch-ML warm-up is drawn in slices
-  of snapshots under the same budget, less its Gram matrices, and its Grams
-  are summed over them.
-  The slice sizes follow from the array sizes alone: desk-sized NMSE and
-  pilot chunks (50 trials of 16 x 32) and warm-ups (64 snapshots) take one
-  pass, desk SE and ECDF chunks (16 x 64 on the full grid) 40 trials at a
-  time, a reference warm-up (64 x 32 per snapshot) 12 snapshots at a time,
-  and a full-scale pilot grid (64 x 2048) one trial.
+  holds as many trials as fit ``_SLICE_BYTES`` (1.25 MiB) in every array the
+  kind's reducer holds per trial, one trial at least.  ``Sweep.holds``
+  counts them in complex (n_rx, n_pilots) arrays, or (n_rx, n_subcarriers)
+  for SE and ECDF, which reduce on the full grid: an NMSE slice holds H, W',
+  a residual PH - H and a real temporary (3.5), an SE or ECDF slice 6 (see
+  :data:`SWEEPS`).  The batch-ML warm-up is drawn in slices of snapshots,
+  each holding its H and W', under the same budget less its Gram matrices,
+  and its Grams are summed over them.  A chunk's trials are cut into the
+  fewest slices that fit, of near-equal sizes.
+  The slice sizes follow from the array sizes alone: 50-trial desk NMSE and
+  pilot chunks (16 x 32) take two slices of 25 and desk warm-ups (64
+  snapshots) one pass, desk SE and ECDF chunks (16 x 64 on the full grid)
+  12 or 13 trials at a time, reference NMSE chunks (64 x 32) 10 trials and
+  their warm-ups 12 snapshots at a time, and a full-scale pilot grid
+  (64 x 2048) one trial.
 * At noise variance sigma^2 the LS estimate is H + sigma * W', with
   W' = W / x: the received block H x + sigma W is never formed, and LS
   never divides it.  Every pilot-grid method projects the LS estimate by its
@@ -250,24 +253,34 @@ def _draw(env: Environment, fading_keys, noise_keys) -> tuple[np.ndarray, np.nda
     return fading, noise
 
 
-# Bytes one slice of trials or of batch-ML warm-up snapshots may take; the
-# slice sizes this gives are listed in the module docstring.  Desk-sized
-# pilot-grid chunks fit one slice, as splitting them would only cost time; a
-# reference warm-up never holds as much as one whole warm-up array, and a
-# whole 50-trial desk SE or ECDF chunk would peak near 5 MB.
+# Bytes one slice of trials or of batch-ML warm-up snapshots may hold; the
+# slice sizes this gives are listed in the module docstring.  A reference
+# warm-up never holds as much as one whole warm-up array, and a whole
+# 50-trial desk SE or ECDF chunk would peak near 5 MB.
 _SLICE_BYTES = 5 << 18    # 1.25 MiB
 
 
-def _slices(items: range, env: Environment, kept: int = 0,
-            width: int | None = None) -> list[range]:
+def _slices(items: range, env: Environment, kept: int = 0, width: int | None = None,
+            holds: float = 2, even: bool = False) -> list[range]:
     """``items``, trials or warm-up snapshots, cut into consecutive slices
-    whose arrays, two complex (n_rx, width) arrays per item, fit
-    ``_SLICE_BYTES`` less the ``kept`` bytes; a slice holds one item at least.
-    ``width`` is the pilot count unless the reducer works on a wider grid."""
+    whose arrays, ``holds`` complex (n_rx, width) arrays per item (a warm-up
+    snapshot's H and W' by default), fit ``_SLICE_BYTES`` less the ``kept``
+    bytes; a slice holds one item at least.  ``width`` is the pilot count
+    unless the reducer works on a wider grid.
+
+    The slices are full but for the last, or, with ``even``, as many slices
+    of sizes within one of each other, so that the largest, which sets the
+    peak and the cache misses, is as small as the count allows.  Trials may
+    be cut evenly, as their rows are laid end to end; the warm-up keeps full
+    slices, as its partition sets the order its Grams are summed in."""
     width = len(env.pilots) if width is None else width
-    item_bytes = 2 * np.dtype(complex).itemsize * env.bundle.system.n_rx * width
-    step = max(1, (_SLICE_BYTES - kept) // item_bytes)
-    return [items[i:i + step] for i in range(0, len(items), step)]
+    item_bytes = holds * np.dtype(complex).itemsize * env.bundle.system.n_rx * width
+    step = max(1, int((_SLICE_BYTES - kept) // item_bytes))
+    if not even:
+        return [items[i:i + step] for i in range(0, len(items), step)]
+    count = -(-len(items) // step)
+    bounds = [len(items) * k // count for k in range(count + 1)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _warm_up_grams(env: Environment, block: int) -> SnapshotGrams:
@@ -350,8 +363,10 @@ def _combining_snrs(bases: ProjectorPair, core_h: np.ndarray, core_w: np.ndarray
     estimate is formed unless the method keeps every antenna.
     """
     rows = bases.synthesis(grid)
-    a, b = (c if rows is None else c @ rows for c in (core_h, core_w))
-    stats = CombiningStats.of(a, b, bases.coords(truth))
+    # c @ rows is fresh and conjugated in place; without rows the cores are
+    # the caller's, copied one at a time
+    stats = CombiningStats.of(*(c if rows is None else c @ rows for c in (core_h, core_w)),
+                              bases.coords(truth), overwrite=rows is not None)
     return post_combining_snr(stats, sigmas, noise_variances)
 
 
@@ -383,10 +398,12 @@ def _nmse_slice(env: Environment, fading: np.ndarray, noise: np.ndarray,
 
 
 def _ecdf_slice(env: Environment, fading: np.ndarray, noise: np.ndarray,
-                bases: list, noise_variances: np.ndarray) -> dict:
+                bases: list, noise_variances: np.ndarray, rates: bool = False) -> dict:
     """Each method's post-combining SNR samples on the full grid at SNR point
-    ``i``, ``("snr", method, i)``, (n_trials, n_subcarriers); ``ideal``
-    combines on the channel itself."""
+    ``i``, ``("snr", method, i)``, (n_trials, n_subcarriers); with ``rates``,
+    each method's samples are reduced to its per-trial spectral efficiency,
+    ``("rate", method, i)``, before the next method runs.  ``ideal`` combines
+    on the channel itself."""
     truth_full = assemble_channel(env.steering, fading, env.freq_full)
     truth = truth_full[..., env.pilots.indices]
     grid = interpolation_matrix(env.pilots, env.bundle.system.n_subcarriers)
@@ -399,16 +416,9 @@ def _ecdf_slice(env: Environment, fading: np.ndarray, noise: np.ndarray,
         else:
             snr = _combining_snrs(b, b.core(truth), b.core(noise), truth_full, grid,
                                   sigmas[snrs], noise_variances[snrs])
-        out.update(zip([("snr", method, i) for i in range(len(sigmas))[snrs]], snr))
+        name, values = ("rate", _rate(snr)) if rates else ("snr", snr)
+        out.update(zip([(name, method, i) for i in range(len(sigmas))[snrs]], values))
     return out
-
-
-def _se_slice(env: Environment, fading: np.ndarray, noise: np.ndarray,
-              bases: list, noise_variances: np.ndarray) -> dict:
-    """Each method's per-trial spectral efficiency on the full grid at SNR
-    point ``i``, ``("rate", method, i)``."""
-    return {("rate", method, i): _rate(snr) for (_, method, i), snr
-            in _ecdf_slice(env, fading, noise, bases, noise_variances).items()}
 
 
 class Sweep(NamedTuple):
@@ -418,18 +428,25 @@ class Sweep(NamedTuple):
     methods: tuple[str, ...]     # every method it allows, and its default
     snrs: tuple[float, ...]      # default SNR points; empty: the config's snr_grid_db
     per_slice: Callable          # one slice of trials -> per-trial results by key
+    holds: float                 # complex (n_rx, width) arrays per_slice holds per trial
     full_grid: bool = False      # per_slice works on the full subcarrier grid
     sweeps_pilots: bool = False  # one environment per swept pilot count
 
 
+# ``holds`` per kind.  ``_nmse_slice`` holds H, W', one residual PH - H and
+# one real |.|^2 temporary: 3.5.  Its rates hold less: their sums borrow H
+# and W' and conjugate one copy at a time.  ``_ecdf_slice``, counted at full
+# width, holds the full-grid H, its pilot columns and W' (3), the full-grid
+# coordinates a and b, which the sums conjugate in place (2), and one real
+# temporary (0.5), rounded up to 6 for the SNR samples it keeps.
 SWEEPS: dict[str, Sweep] = {
-    "nmse-sweep": Sweep(("ls", "denoise", "bml", "emdt"), (), _nmse_slice),
-    "se-sweep": Sweep(("ideal", "ls", "denoise", "bml", "emdt"), (), _se_slice,
-                      full_grid=True),
+    "nmse-sweep": Sweep(("ls", "denoise", "bml", "emdt"), (), _nmse_slice, 3.5),
+    "se-sweep": Sweep(("ideal", "ls", "denoise", "bml", "emdt"), (),
+                      partial(_ecdf_slice, rates=True), 6, full_grid=True),
     "ecdf": Sweep(("ideal", "ls", "denoise", "bml", "emdt"), (-10.0, 5.0), _ecdf_slice,
-                  full_grid=True),
+                  6, full_grid=True),
     "pilot-sweep": Sweep(("ls", "emdt"), (-15.0, 0.0, 15.0),
-                         partial(_nmse_slice, rates=True), sweeps_pilots=True),
+                         partial(_nmse_slice, rates=True), 3.5, sweeps_pilots=True),
 }
 
 
@@ -446,19 +463,31 @@ def _simulate_chunk(env: Environment, kind: str, t0: int, t1: int,
 
     Each method's bases are taken once for the chunk; its batch-ML warm-up is
     the one of trial block ``t0 // _BLOCK_TRIALS``.  The trials are drawn and
-    reduced a slice at a time (:func:`_slices`, on the full grid's width for
-    SE and ECDF), so the chunk never holds more than one slice's H and W';
-    the slices' rows are laid end to end.
+    reduced a slice at a time (:func:`_slices`, by what the kind's reducer
+    holds, on the full grid's width for SE and ECDF), so the chunk holds one
+    slice's arrays at a time; the slices' rows are laid end to end.
     """
     sweep = SWEEPS[kind]
     noise_variances = np.asarray(noise_variances, dtype=float)
     bases = _method_bases(env, methods, noise_variances, t0 // _BLOCK_TRIALS)
     width = env.bundle.system.n_subcarriers if sweep.full_grid else None
-    parts = [sweep.per_slice(env, *_draw(env, [(FADING, t) for t in trials],
-                                         [(NOISE, t) for t in trials]),
-                             bases, noise_variances)
-             for trials in _slices(range(t0, t1), env, width=width)]
-    return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+    out = {}
+    for trials in _slices(range(t0, t1), env, width=width, holds=sweep.holds, even=True):
+        _lay_rows(out, sweep.per_slice(env, *_draw(env, [(FADING, t) for t in trials],
+                                                   [(NOISE, t) for t in trials]),
+                                       bases, noise_variances),
+                  slice(trials.start - t0, trials.stop - t0), t1 - t0)
+    return out
+
+
+def _lay_rows(into: dict, result: dict, rows: slice, n: int) -> None:
+    """Copy each per-trial array of ``result`` into rows ``rows`` of the
+    (n, ...) array of its key in ``into``, allocated at the key's first
+    result."""
+    for key, part in result.items():
+        if key not in into:
+            into[key] = np.empty((n,) + part.shape[1:])
+        into[key][rows] = part
 
 
 def _chunk_ranges(n_trials: int) -> list[tuple[int, int]]:
@@ -572,10 +601,7 @@ def _sweep(plan: ExperimentPlan, kind: str):
     trials = tuple({} for _ in envs)
     with closing(_map_chunks(run, tasks, plan.workers)) as results:
         for (k, t0, t1), result in zip(tasks, results):
-            for key, rows in result.items():
-                if key not in trials[k]:
-                    trials[k][key] = np.empty((n_trials,) + rows.shape[1:])
-                trials[k][key][t0:t1] = rows
+            _lay_rows(trials[k], result, slice(t0, t1), n_trials)
     return plan, envs, trials
 
 

@@ -139,20 +139,36 @@ class CombiningStats(NamedTuple):
     bb: np.ndarray   # ||b||^2
 
     @classmethod
-    def of(cls, a: np.ndarray, b: np.ndarray | None, h: np.ndarray) -> "CombiningStats":
+    def of(cls, a: np.ndarray, b: np.ndarray | None, h: np.ndarray,
+           overwrite: bool = False) -> "CombiningStats":
         """Sums over the column axis (-2) of (..., dim, n_sc) arrays given in
-        one orthonormal coordinate system; ``b`` None is a noiseless estimate."""
+        one orthonormal coordinate system; ``b`` None is a noiseless estimate.
+
+        Each inner product conjugates its estimate into a copy, one copy at a
+        time.  With ``overwrite`` the caller hands over ``a`` and ``b``,
+        which share no memory with ``h``: they are conjugated in place, and
+        ``Re a^H b`` is taken in their buffers, which it leaves spent.  Both
+        ways give the same bits, as conjugating both factors of ``a.real *
+        b.real + a.imag * b.imag`` changes no product."""
         if a.shape != h.shape or (b is not None and b.shape != h.shape):
             raise ValueError("estimate/truth shapes disagree")
-        ah = np.einsum("...ik,...ik->...k", a.conj(), h)
+        ah = _inner(a, h, overwrite)
         aa = _energy(a, axis=-2)
         if b is None:
             zero = np.zeros_like(aa)
             return cls(ah, zero, aa, zero, zero)
-        ab = a.real * b.real
-        ab += a.imag * b.imag
-        return cls(ah, np.einsum("...ik,...ik->...k", b.conj(), h), aa,
-                   np.sum(ab, axis=-2), _energy(b, axis=-2))
+        bh = _inner(b, h, overwrite)
+        bb = _energy(b, axis=-2)
+        ab = np.multiply(a.real, b.real, out=a.real if overwrite else None)
+        ab += np.multiply(a.imag, b.imag, out=a.imag if overwrite else None)
+        return cls(ah, bh, aa, np.sum(ab, axis=-2), bb)
+
+
+def _inner(x: np.ndarray, h: np.ndarray, in_place: bool) -> np.ndarray:
+    """x^H h over the column axis (-2), with ``x`` conjugated in place or
+    into a copy."""
+    x = np.conjugate(x, out=x) if in_place else x.conj()
+    return np.einsum("...ik,...ik->...k", x, h)
 
 
 def _energy(x: np.ndarray, axis=(-2, -1)) -> np.ndarray:

@@ -26,7 +26,7 @@ from chest.experiments import (SWEEPS, ExperimentPlan, bml_ranks,
                                measure_projection_floor, run_ecdf, run_nmse_sweep,
                                run_pilot_sweep, run_se_sweep, validate_plan,
                                _chunk_ranges, _draw, _ecdf_slice, _method_bases,
-                               _nmse_slice, _noise_variances, _se_slice,
+                               _nmse_slice, _noise_variances,
                                _simulate_chunk)
 from chest.metrics import analytic_nmse, ecdf
 from chest.propagation import (PathSet, dt_truncate, frequency_response, generate_paths,
@@ -906,7 +906,7 @@ class TestStatisticsMatchFormedEstimates:
         nmse = _nmse_slice(env, fading, noise, pilot_bases, nv)
         pilot = _nmse_slice(env, fading, noise, pilot_bases, nv, rates=True)
         samples = _ecdf_slice(env, fading, noise, full_bases, nv)
-        rates = _se_slice(env, fading, noise, full_bases, nv)
+        rates = _ecdf_slice(env, fading, noise, full_bases, nv, rates=True)
         for i, noise_variance in enumerate(nv):
             for method in SWEEPS["se-sweep"].methods:
                 error, pilot_snr, full = _formed(env, fading, noise, method,
@@ -1073,29 +1073,86 @@ class TestSlices:
         peak = _traced_peak(lambda: experiments._warm_up_grams(env, 0))
         assert peak < np.prod(shape) * np.dtype(complex).itemsize
 
-    def test_reference_nmse_chunk_working_set(self):
-        """A 20-trial reference NMSE chunk, one slice, with all four methods at
-        11 SNR points, peaks (traced) within 1.1 x what the slice must hold, in
-        units of one complex (20, n_rx, n_pilots) array A: H and W' (2 A), one
-        residual PH - H (A), one real |.|^2 temporary (A / 2) and the delay
-        window's cores of H and W' (2 A k_tau / n_pilots).  At the reference
-        k_tau = 8 of 32 pilots that is 4 A, twice the slice's H + W' bytes,
-        and the bound is 2.2 x."""
+    def test_reference_warm_up_keeps_full_slices(self, monkeypatch):
+        """The reference warm-up's 64 snapshots are drawn 12 at a time and 4
+        last, whatever trials are cut into: the partition sets the order the
+        Grams are summed in, and so the batch-ML bits."""
+        env = build_environment(desk_config(n_rx=64))
+        sizes = _count_draws(monkeypatch)
+        experiments._warm_up_grams(env, 0)
+        assert sizes == [12] * 5 + [4]
+
+    def test_reference_nmse_chunk_working_set(self, monkeypatch):
+        """A 20-trial reference NMSE chunk with all four methods at 11 SNR
+        points is reduced 10 trials at a time, and peaks (traced) within 1.1 x
+        what it must hold: its methods' bases, kept for the chunk, and one
+        slice's arrays, in units of one complex (10, n_rx, n_pilots) array A:
+        H and W' (2 A), one residual PH - H (A), one real |.|^2 temporary
+        (A / 2) and the delay window's cores of H and W' (2 A k_tau /
+        n_pilots), 4 A at the reference k_tau = 8 of 32 pilots.  The batch-ML
+        warm-up, which the test above bounds on its own, is taken before
+        tracing."""
         env = build_environment(load_config(CONFIGS / "reference.json"))
         nv = _noise_variances(env, env.bundle.system.snr_grid_db)
         methods = SWEEPS["nmse-sweep"].methods
         assert len(nv) == 11 and methods == ("ls", "denoise", "bml", "emdt")
-        assert experiments._slices(range(20), env) == [range(20)]
+        grams = experiments._warm_up_grams(env, 0)
+        monkeypatch.setattr(experiments, "_warm_up_grams", lambda env, block: grams)
+        sizes = _count_draws(monkeypatch)
         n_p = len(env.pilots)
         k_tau = denoise_subspace(env.bundle.system, env.bundle.estimator.tau_max) \
             .rank_temporal
-        a = 20 * env.bundle.system.n_rx * n_p * np.dtype(complex).itemsize
+        a = 10 * env.bundle.system.n_rx * n_p * np.dtype(complex).itemsize
         holds = (3.5 + 2 * k_tau / n_p) * a
-        assert holds == 2 * (2 * a)
+        assert holds == 4 * a
+        bases = sum(u.nbytes for _, _, pair in _method_bases(env, methods, np.asarray(nv), 0)
+                    for u in (pair.basis_spatial, pair.basis_temporal) if u is not None)
         # first-call allocations untraced
         _simulate_chunk(env, "nmse-sweep", 0, 20, methods, nv)
+        assert sizes == [10, 10]
         peak = _traced_peak(lambda: _simulate_chunk(env, "nmse-sweep", 0, 20, methods, nv))
-        assert peak <= 1.1 * holds
+        assert peak <= 1.1 * (holds + bases)
+
+    def test_full_grid_slice_conjugates_in_place(self):
+        """A desk full-grid ``ls`` slice of 13 trials, the largest a desk SE
+        or ECDF chunk is cut into, peaks (traced) within 1.1 x what it must
+        hold, in units of one complex (13, n_rx, n_subcarriers) array F: H on
+        the full grid (F), its pilot columns and W' (F / 2 each at 32 of 64
+        pilots), the full-grid coordinates a and b (2 F) and one real |.|^2
+        temporary (F / 2), 4.5 F.  The sums conjugate a and b in place;
+        conjugate copies would add F / 2."""
+        env = build_environment(load_config(CONFIGS / "desk.json"))
+        sweep, n_sc = SWEEPS["ecdf"], env.bundle.system.n_subcarriers
+        assert len(env.pilots) == n_sc // 2
+        slices = experiments._slices(range(50), env, width=n_sc, holds=sweep.holds, even=True)
+        assert max(map(len, slices)) == 13
+        nv = np.asarray(_noise_variances(env, sweep.snrs))
+        bases = _method_bases(env, ("ls",), nv, 0)
+        fading, noise = _draw(env, [(FADING, t) for t in range(13)],
+                              [(NOISE, t) for t in range(13)])
+        f = 13 * env.bundle.system.n_rx * n_sc * np.dtype(complex).itemsize
+
+        def run():      # W' is drawn inside the slice, so its copy is traced
+            return _ecdf_slice(env, fading, noise.copy(), bases, nv)
+        run()   # first-call allocations untraced
+        assert _traced_peak(run) <= 1.1 * 4.5 * f
+
+    @pytest.mark.parametrize("config, kind, n_trials", [
+        ("desk", "nmse-sweep", 50), ("desk", "se-sweep", 50), ("desk", "ecdf", 50),
+        ("desk", "pilot-sweep", 50), ("reference", "nmse-sweep", 20)])
+    def test_chunk_peak_within_slice_budget(self, config, kind, n_trials):
+        """A chunk with its kind's default methods and SNR points peaks
+        (traced, batch-ML warm-up included) within 1.4 x ``_SLICE_BYTES``:
+        its trial slices are sized by every array the kind's reducer holds
+        per trial (``Sweep.holds``), not by H and W' alone."""
+        env = build_environment(load_config(CONFIGS / f"{config}.json"))
+        plan = validate_plan(ExperimentPlan(bundle=env.bundle), kind)
+        nv = _noise_variances(env, plan.snrs)
+
+        def run():
+            return _simulate_chunk(env, kind, 0, n_trials, plan.methods, nv)
+        run()   # first-call allocations untraced
+        assert _traced_peak(run) <= 1.4 * experiments._SLICE_BYTES
 
     @pytest.mark.parametrize("kind", ["nmse-sweep", "pilot-sweep"])
     def test_full_scale_chunk_peak_does_not_grow_with_trials(self, kind):
@@ -1111,6 +1168,18 @@ class TestSlices:
         peaks = {n: _traced_peak(lambda: _simulate_chunk(
             env, kind, 0, n, methods, nv)) for n in (8, 50)}
         assert peaks[50] <= 1.1 * peaks[8]
+
+
+def _count_draws(monkeypatch) -> list[int]:
+    """The number of keys of each ``experiments._draw`` call from now on."""
+    sizes = []
+    draw = experiments._draw
+
+    def counting_draw(env, fading_keys, noise_keys):
+        sizes.append(len(fading_keys))
+        return draw(env, fading_keys, noise_keys)
+    monkeypatch.setattr(experiments, "_draw", counting_draw)
+    return sizes
 
 
 def _traced_peak(fn) -> int:

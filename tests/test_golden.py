@@ -27,12 +27,15 @@ RUNS = {
     "nmse-desk": ["nmse-sweep", "--trials", "100"],
     "nmse-desk-workers-2": ["nmse-sweep", "--trials", "100", "--workers", "2"],
     "se-desk": ["se-sweep", "--trials", "100"],
+    "se-desk-workers-2": ["se-sweep", "--trials", "100", "--workers", "2"],
     "ecdf-desk": ["ecdf", "--trials", "100"],
     "ecdf-desk-workers-2": ["ecdf", "--trials", "100", "--workers", "2"],
     "pilot": ["pilot-sweep", "--config", str(CONFIGS / "pilot.json"), "--trials", "20"],
     "pilot-workers-2": ["pilot-sweep", "--config", str(CONFIGS / "pilot.json"),
                         "--trials", "20", "--workers", "2"],
     "nmse-reference": ["nmse-sweep", "--config", str(CONFIGS / "reference.json"),
+                       "--trials", "20"],
+    "ecdf-reference": ["ecdf", "--config", str(CONFIGS / "reference.json"),
                        "--trials", "20"],
     "pilot-full-scale": ["pilot-sweep", "--config", str(CONFIGS / "full-scale.json"),
                          "--pilots", "2048", "--trials", "4"],

@@ -16,6 +16,17 @@ from chest.metrics import (CombiningStats, MetricsRecord, covariance_traces,
                            post_combining_snr, _energy)
 
 
+def _traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
 def _est(h):
     return np.asarray(h, dtype=complex)
 
@@ -344,6 +355,30 @@ class TestCombiningStats:
         np.testing.assert_array_equal(energy, np.sum(np.abs(x) ** 2, axis=-2))
         real_copy = x.nbytes // 2
         assert peak <= 1.25 * real_copy
+
+    def test_overwrite_matches_copies_bit_for_bit(self, rng):
+        """Conjugating owned estimates in place gives the copying path's bits;
+        the copying path leaves its estimates as they were."""
+        a, b, h = self._parts(rng, (40, 16, 64))
+        kept = a.copy(), b.copy()
+        copied = CombiningStats.of(a, b, h)
+        owned = CombiningStats.of(a.copy(), b.copy(), h, overwrite=True)
+        for x, y in zip(copied, owned):
+            np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(a, kept[0])
+        np.testing.assert_array_equal(b, kept[1])
+
+    def test_overwrite_holds_no_conjugate_copy(self, rng):
+        """On a desk full-grid ls slice, (40, 16, 64), the copying path's
+        traced peak holds a whole conjugate copy of one estimate; with
+        ``overwrite`` it holds one real |.|^2 temporary, half an estimate's
+        bytes, and the sums themselves."""
+        a, b, h = self._parts(rng, (40, 16, 64))
+        a2, b2 = a.copy(), b.copy()
+        copied = _traced_peak(lambda: CombiningStats.of(a, b, h))
+        owned = _traced_peak(lambda: CombiningStats.of(a2, b2, h, overwrite=True))
+        assert copied >= a.nbytes
+        assert owned <= 0.75 * a.nbytes
 
     def test_rejects_bad_input(self, rng):
         a, b, h = self._parts(rng)
