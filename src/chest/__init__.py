@@ -7,7 +7,7 @@ from .channel import assemble_channel, average_gain_from_responses, channel_cova
 from .experiments import (Environment, ExperimentPlan, build_environment, emit_csv,
                           emit_ecdf_csv, measure_projection_floor, run_ecdf,
                           run_nmse_sweep, run_pilot_sweep, run_se_sweep, validate_plan)
-from .metrics import Ecdf, MetricsRecord, NmseBreakdown, analytic_nmse, ecdf
+from .metrics import MetricsRecord, NmseBreakdown, analytic_nmse, ecdf
 from .propagation import (PathSet, dt_truncate, frequency_response, generate_paths,
                           load_paths_csv, pulse_response, save_paths_csv,
                           steering_matrix)
@@ -17,7 +17,7 @@ from .subspaces import ProjectorPair, bml_subspace, denoise_subspace, dt_subspac
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigBundle", "ConfigError", "Ecdf", "Environment",
+    "ConfigBundle", "ConfigError", "Environment",
     "EstimatorConfig", "ExperimentPlan", "MetricsRecord", "NmseBreakdown",
     "PathSet", "PilotPattern", "ProjectorPair", "ScenarioConfig", "SystemConfig",
     "analytic_nmse", "assemble_channel", "average_gain_from_responses",

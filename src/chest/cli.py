@@ -16,6 +16,7 @@ import numpy as np
 from .config import ConfigBundle, ConfigError, desk_config, load_config, validate_config
 from .experiments import (SWEEPS, ExperimentPlan, emit_csv, emit_ecdf_csv, run_ecdf,
                           run_nmse_sweep, run_pilot_sweep, run_se_sweep, validate_plan)
+from .metrics import quantile
 from .propagation import load_paths_csv
 from .svgplot import LineSeries, render_line_chart
 
@@ -134,10 +135,8 @@ def _run_ecdf(plan: ExperimentPlan, out: Path) -> None:
     series = []
     probs = np.linspace(0.005, 1.0, 200)
     for (method, snr_db) in sorted(tables):
-        table = tables[(method, snr_db)]
-        q = np.array([table.quantile(p) for p in probs])
         with np.errstate(divide="ignore"):
-            q_db = 10 * np.log10(q)
+            q_db = 10 * np.log10(quantile(tables[(method, snr_db)], probs))
         series.append(LineSeries(label=f"{method} @ {snr_db:g} dB", x=q_db, y=probs))
     render_line_chart(series, out / "ecdf.svg",
                       title="Post-combining SNR distribution",

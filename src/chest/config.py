@@ -198,6 +198,7 @@ def check_snr_points(name: str, snrs) -> None:
 def build_pilot_pattern(n_subcarriers: int, n_pilots: int,
                         rng: np.random.Generator) -> PilotPattern:
     """Uniform pilot comb {0, N/N_p, 2N/N_p, ...} with random 4-phase symbols."""
+    _require(n_pilots >= 1, f"n_pilots must be >= 1, got {n_pilots}")
     _require(n_subcarriers % n_pilots == 0,
              f"n_pilots must divide n_subcarriers ({n_pilots} does not divide {n_subcarriers})")
     step = n_subcarriers // n_pilots

@@ -4,15 +4,17 @@ collection, and deterministic CSV emission.
 Every sweep runs one simulate->reduce pipeline.  Trials are split into
 contiguous chunks of ``_BLOCK_TRIALS`` (50), each one trial block that shares
 one batch-ML warm-up; each chunk is simulated once for the whole SNR grid,
-and the experiment's reducer turns it into per-trial errors, spectral
-efficiencies or post-combining SNR samples at every SNR point.
+and one reducer, :func:`_reduce_slice`, turns it into per-trial errors,
+spectral efficiencies or post-combining SNR samples at every SNR point.
 
-Each sweep kind has one entry in :data:`SWEEPS`, a :class:`Sweep`: the
-methods it allows (all of them by default), its default SNR points (none:
-the config's ``snr_grid_db``), its per-slice reducer, whether that reducer
-works on the full subcarrier grid, and whether the kind sweeps pilot counts.
-A plan carries no kind: each ``run_*`` validates and runs it as its own, and
-the CLI builds its subcommands from the table.
+Each sweep kind has one entry in :data:`SWEEPS`, a :class:`Sweep` of plain
+data: the methods it allows (all of them by default), its default SNR points
+(none: the config's ``snr_grid_db``), the per-trial outputs it keeps
+(``"error"``, ``"rate"``, ``"snr"``), what a slice holds per trial, whether
+its rates and samples are taken on the full subcarrier grid, and whether the
+kind sweeps pilot counts.  The reducer picks its work from the outputs, not
+from the kind.  A plan carries no kind: each ``run_*`` validates and runs it
+as its own, and the CLI builds its subcommands from the table.
 
 * Randomness comes from per-purpose substreams keyed by (seed, purpose,
   trial), or (seed, purpose, block, snapshot) for the batch-ML warm-up, and
@@ -23,14 +25,15 @@ the CLI builds its subcommands from the table.
 * Slices bound a chunk's working set.  A chunk takes each method's bases
   once, then draws and reduces its trials a slice at a time, and a slice
   holds as many trials as fit ``_SLICE_BYTES`` (1.25 MiB) in every array the
-  kind's reducer holds per trial, one trial at least.  ``Sweep.holds``
-  counts them in complex (n_rx, n_pilots) arrays, or (n_rx, n_subcarriers)
-  for SE and ECDF, which reduce on the full grid: an NMSE slice holds H, W',
-  a residual PH - H and a real temporary (3.5), an SE or ECDF slice 6 (see
-  :data:`SWEEPS`).  The batch-ML warm-up is drawn in slices of snapshots,
-  each holding its H and W', under the same budget less its Gram matrices,
-  and its Grams are summed over them.  A chunk's trials are cut into the
-  fewest slices that fit, of near-equal sizes.
+  reducer holds per trial for the kind's outputs, one trial at least.
+  ``Sweep.holds`` counts them in complex (n_rx, n_pilots) arrays, or (n_rx,
+  n_subcarriers) for SE and ECDF, which reduce on the full grid: an NMSE or
+  pilot-sweep slice holds H, W', a residual PH - H and a real temporary
+  (3.5), an SE or ECDF slice 6 (see :data:`SWEEPS`).  The batch-ML warm-up
+  is drawn in slices of snapshots, each holding its H and W', under the same
+  budget less its Gram matrices, and its Grams are summed over them.  A
+  chunk's trials are cut into the fewest slices that fit, of near-equal
+  sizes.
   The slice sizes follow from the array sizes alone: 50-trial desk NMSE and
   pilot chunks (16 x 32) take two slices of 25 and desk warm-ups (64
   snapshots) one pass, desk SE and ECDF chunks (16 x 64 on the full grid)
@@ -69,11 +72,12 @@ the CLI builds its subcommands from the table.
   and only the two small ``eigh`` calls and its coordinates repeat per SNR
   point and slice.
 
-Every reducer returns per-trial results, one array per key with the trial on
-axis 0: ``("error", method, i)`` and ``"energy"`` for NMSE, ``("rate",
-method, i)``, the trial's mean log2(1 + SNR) over the pilot or full grid, for
-SE, and ``("snr", method, i)``, (n_trials, n_subcarriers), for the ECDF, at
-SNR point ``i``.  Nothing is summed before every trial is in: a chunk lays its
+The reducer returns per-trial results, one array per key with the trial on
+axis 0, for the outputs the kind keeps and no others: ``("error", method,
+i)`` and ``"energy"`` for ``"error"``, ``("rate", method, i)``, the trial's
+mean log2(1 + SNR) over the pilot or full grid, for ``"rate"``, and
+``("snr", method, i)``, (n_trials, n_subcarriers), for ``"snr"``, at SNR
+point ``i``.  Nothing is summed before every trial is in: a chunk lays its
 slices' rows end to end, and the sweep's sums run over whole per-trial
 arrays, so every output is the same bit for bit whatever the chunking, the
 slicing or the worker count, batch-ML aside, whose warm-up is that of the
@@ -99,7 +103,6 @@ import os
 import pickle
 from contextlib import closing
 from dataclasses import dataclass, replace
-from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -108,7 +111,7 @@ import numpy as np
 from .channel import assemble_channel, average_gain_from_responses
 from .config import (ConfigBundle, ConfigError, PilotPattern, build_pilot_pattern,
                      check_snr_points, noise_variance_for_snr)
-from .metrics import (CombiningStats, Ecdf, MetricsRecord, analytic_nmse, ecdf,
+from .metrics import (CombiningStats, MetricsRecord, analytic_nmse, ecdf,
                       post_combining_snr, _energy)
 from .propagation import (PathSet, dt_truncate, frequency_response, generate_paths,
                           steering_matrix)
@@ -376,77 +379,79 @@ def _rate(snrs: np.ndarray) -> np.ndarray:
     return np.mean(np.log2(1.0 + snrs), axis=-1)
 
 
-def _nmse_slice(env: Environment, fading: np.ndarray, noise: np.ndarray,
-                bases: list, noise_variances: np.ndarray, rates: bool = False) -> dict:
-    """Each method's per-trial squared error at SNR point ``i``,
-    ``("error", method, i)``, and the per-trial channel energy, ``"energy"``;
-    with ``rates``, also each method's per-trial spectral efficiency on the
-    pilot grid, ``("rate", method, i)``."""
-    truth = assemble_channel(env.steering, fading, env.freq_pilot)
-    sigmas = np.sqrt(noise_variances)
-    out = {"energy": _energy(truth)}
-    for method, snrs, b in bases:
-        points = range(len(sigmas))[snrs]
-        core_h, core_w = b.core(truth), b.core(noise)
-        errors = _error_energy(b, truth, core_h, core_w, sigmas[snrs])
-        out.update(zip([("error", method, i) for i in points], errors))
-        if rates:
-            snr = _combining_snrs(b, core_h, core_w, truth, None, sigmas[snrs],
-                                  noise_variances[snrs])
-            out.update(zip([("rate", method, i) for i in points], _rate(snr)))
-    return out
+def _reduce_slice(env: Environment, fading: np.ndarray, noise: np.ndarray,
+                  bases: list, noise_variances: np.ndarray, outputs: frozenset[str],
+                  full_grid: bool) -> dict:
+    """One slice's per-trial results, by key, for each of ``outputs`` at SNR
+    point ``i``: each method's squared error, ``("error", method, i)``, with
+    the per-trial channel energy, ``"energy"``; its spectral efficiency,
+    ``("rate", method, i)``; or its post-combining SNR samples, ``("snr",
+    method, i)``, (n_trials, n_sc).
 
-
-def _ecdf_slice(env: Environment, fading: np.ndarray, noise: np.ndarray,
-                bases: list, noise_variances: np.ndarray, rates: bool = False) -> dict:
-    """Each method's post-combining SNR samples on the full grid at SNR point
-    ``i``, ``("snr", method, i)``, (n_trials, n_subcarriers); with ``rates``,
-    each method's samples are reduced to its per-trial spectral efficiency,
-    ``("rate", method, i)``, before the next method runs.  ``ideal`` combines
-    on the channel itself."""
-    truth_full = assemble_channel(env.steering, fading, env.freq_full)
-    truth = truth_full[..., env.pilots.indices]
-    grid = interpolation_matrix(env.pilots, env.bundle.system.n_subcarriers)
+    Errors are taken on the pilot grid, rates and samples on the pilot grid
+    or, with ``full_grid``, on the full grid, where H is assembled whole and
+    the pilot-grid H is its pilot columns.  Where rates are kept without the
+    samples, each method's samples are reduced before the next method runs.
+    ``ideal`` has no error; it combines on the channel itself."""
+    if full_grid:
+        truth_full = assemble_channel(env.steering, fading, env.freq_full)
+        truth = truth_full[..., env.pilots.indices]
+        grid = interpolation_matrix(env.pilots, env.bundle.system.n_subcarriers)
+    else:
+        truth = truth_full = assemble_channel(env.steering, fading, env.freq_pilot)
+        grid = None
     sigmas = np.sqrt(noise_variances)
-    out = {}
+    out = {"energy": _energy(truth)} if "error" in outputs else {}
+
+    def keep(name, method, snrs, values):
+        out.update(zip([(name, method, i) for i in range(len(sigmas))[snrs]], values))
     for method, snrs, b in bases:
+        if b is not None:
+            core_h, core_w = b.core(truth), b.core(noise)
+        if "error" in outputs:
+            keep("error", method, snrs, _error_energy(b, truth, core_h, core_w, sigmas[snrs]))
+        if not outputs & {"rate", "snr"}:
+            continue
         if b is None:
             stats = CombiningStats.of(truth_full, None, truth_full)
             snr = post_combining_snr(stats, sigmas[snrs], noise_variances[snrs])
         else:
-            snr = _combining_snrs(b, b.core(truth), b.core(noise), truth_full, grid,
-                                  sigmas[snrs], noise_variances[snrs])
-        name, values = ("rate", _rate(snr)) if rates else ("snr", snr)
-        out.update(zip([(name, method, i) for i in range(len(sigmas))[snrs]], values))
+            snr = _combining_snrs(b, core_h, core_w, truth_full, grid, sigmas[snrs],
+                                  noise_variances[snrs])
+        if "rate" in outputs:
+            keep("rate", method, snrs, _rate(snr))
+        if "snr" in outputs:
+            keep("snr", method, snrs, snr)
     return out
 
 
 class Sweep(NamedTuple):
     """Everything that sets one sweep kind apart; :data:`SWEEPS` holds one
-    per kind."""
+    per kind, as plain data."""
 
     methods: tuple[str, ...]     # every method it allows, and its default
     snrs: tuple[float, ...]      # default SNR points; empty: the config's snr_grid_db
-    per_slice: Callable          # one slice of trials -> per-trial results by key
-    holds: float                 # complex (n_rx, width) arrays per_slice holds per trial
-    full_grid: bool = False      # per_slice works on the full subcarrier grid
+    outputs: frozenset[str]      # per-trial results it keeps: "error", "rate", "snr"
+    holds: float                 # complex (n_rx, width) arrays a slice holds per trial
+    full_grid: bool = False      # rates and samples on the full subcarrier grid
     sweeps_pilots: bool = False  # one environment per swept pilot count
 
 
-# ``holds`` per kind.  ``_nmse_slice`` holds H, W', one residual PH - H and
-# one real |.|^2 temporary: 3.5.  Its rates hold less: their sums borrow H
-# and W' and conjugate one copy at a time.  ``_ecdf_slice``, counted at full
-# width, holds the full-grid H, its pilot columns and W' (3), the full-grid
-# coordinates a and b, which the sums conjugate in place (2), and one real
-# temporary (0.5), rounded up to 6 for the SNR samples it keeps.
+# ``holds`` per kind.  On the pilot grid, errors hold H, W', one residual
+# PH - H and one real |.|^2 temporary: 3.5.  Pilot-grid rates hold less:
+# their sums borrow H and W' and conjugate one copy at a time.  On the full
+# grid, counted at full width, a slice holds the full-grid H, its pilot
+# columns and W' (3), the full-grid coordinates a and b, which the sums
+# conjugate in place (2), and one real temporary (0.5), rounded up to 6 for
+# the SNR samples it keeps.
 SWEEPS: dict[str, Sweep] = {
-    "nmse-sweep": Sweep(("ls", "denoise", "bml", "emdt"), (), _nmse_slice, 3.5),
-    "se-sweep": Sweep(("ideal", "ls", "denoise", "bml", "emdt"), (),
-                      partial(_ecdf_slice, rates=True), 6, full_grid=True),
-    "ecdf": Sweep(("ideal", "ls", "denoise", "bml", "emdt"), (-10.0, 5.0), _ecdf_slice,
-                  6, full_grid=True),
-    "pilot-sweep": Sweep(("ls", "emdt"), (-15.0, 0.0, 15.0),
-                         partial(_nmse_slice, rates=True), 3.5, sweeps_pilots=True),
+    "nmse-sweep": Sweep(("ls", "denoise", "bml", "emdt"), (), frozenset({"error"}), 3.5),
+    "se-sweep": Sweep(("ideal", "ls", "denoise", "bml", "emdt"), (), frozenset({"rate"}),
+                      6, full_grid=True),
+    "ecdf": Sweep(("ideal", "ls", "denoise", "bml", "emdt"), (-10.0, 5.0),
+                  frozenset({"snr"}), 6, full_grid=True),
+    "pilot-sweep": Sweep(("ls", "emdt"), (-15.0, 0.0, 15.0), frozenset({"error", "rate"}),
+                         3.5, sweeps_pilots=True),
 }
 
 
@@ -463,7 +468,7 @@ def _simulate_chunk(env: Environment, kind: str, t0: int, t1: int,
 
     Each method's bases are taken once for the chunk; its batch-ML warm-up is
     the one of trial block ``t0 // _BLOCK_TRIALS``.  The trials are drawn and
-    reduced a slice at a time (:func:`_slices`, by what the kind's reducer
+    reduced a slice at a time (:func:`_slices`, by what the kind's slice
     holds, on the full grid's width for SE and ECDF), so the chunk holds one
     slice's arrays at a time; the slices' rows are laid end to end.
     """
@@ -473,9 +478,9 @@ def _simulate_chunk(env: Environment, kind: str, t0: int, t1: int,
     width = env.bundle.system.n_subcarriers if sweep.full_grid else None
     out = {}
     for trials in _slices(range(t0, t1), env, width=width, holds=sweep.holds, even=True):
-        _lay_rows(out, sweep.per_slice(env, *_draw(env, [(FADING, t) for t in trials],
-                                                   [(NOISE, t) for t in trials]),
-                                       bases, noise_variances),
+        _lay_rows(out, _reduce_slice(env, *_draw(env, [(FADING, t) for t in trials],
+                                                 [(NOISE, t) for t in trials]),
+                                     bases, noise_variances, sweep.outputs, sweep.full_grid),
                   slice(trials.start - t0, trials.stop - t0), t1 - t0)
     return out
 
@@ -647,7 +652,9 @@ def run_nmse_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
 
 def measure_projection_floor(env: Environment, n_trials: int) -> float:
     """Noiseless twin-projection NMSE over the same fading streams the noisy
-    sweeps use; this is the measured subspace floor."""
+    sweeps use, trials [0, n_trials); this is the measured subspace floor."""
+    if n_trials < 1:
+        raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
     trials = _simulate_chunk(env, "nmse-sweep", 0, n_trials, ("emdt",), (0.0,))
     return _nmse(trials, "emdt", 0)
 
@@ -657,8 +664,9 @@ def run_se_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
     return _records(plan, "se-sweep")[1]
 
 
-def run_ecdf(plan: ExperimentPlan) -> dict[tuple[str, float], Ecdf]:
-    """ECDF of per-subcarrier post-combining SNR at the requested SNR points.
+def run_ecdf(plan: ExperimentPlan) -> dict[tuple[str, float], np.ndarray]:
+    """ECDF of per-subcarrier post-combining SNR at the requested SNR points:
+    one sorted sample table (:func:`~chest.metrics.ecdf`) per (method, SNR).
 
     Each (method, SNR point) has one (n_trials, n_subcarriers) sample buffer,
     filled chunk by chunk as the results arrive (:func:`_sweep`) and released
@@ -717,7 +725,7 @@ def emit_csv(records: list[MetricsRecord], path: str | Path) -> None:
 _ECDF_ROWS_PER_WRITE = 1024
 
 
-def emit_ecdf_csv(tables: dict[tuple[str, float], Ecdf], path: str | Path) -> None:
+def emit_ecdf_csv(tables: dict[tuple[str, float], np.ndarray], path: str | Path) -> None:
     """One row per sample: method, snr_db, sample SNR in dB, cumulative fraction.
 
     The k-th smallest of a table's n samples has cumulative fraction k / n.
@@ -742,9 +750,9 @@ def emit_ecdf_csv(tables: dict[tuple[str, float], Ecdf], path: str | Path) -> No
         with open(path, "w", newline="") as fh:
             fh.write("method,snr_db,sample_snr_db,cum_frac\r\n")
             for (method, snr_db) in sorted(tables):
-                thresholds = tables[(method, snr_db)].thresholds
-                if thresholds.size != size:
-                    size = thresholds.size
+                table = tables[(method, snr_db)]
+                if table.size != size:
+                    size = table.size
                     fractions = (np.arange(k + 1, min(k + rows, size) + 1) / size
                                  for k in range(0, size, rows))
                     frac_blocks = ["," + "\r\n,".join([f"{f:.9g}" for f in block.tolist()])
@@ -752,7 +760,7 @@ def emit_ecdf_csv(tables: dict[tuple[str, float], Ecdf], path: str | Path) -> No
                 cell = f"{method},{_fmt(snr_db)},".replace("%", "%%") + "%.9g"
                 for k, frac_block in zip(range(0, size, rows), frac_blocks):
                     with np.errstate(divide="ignore"):
-                        block_db = 10.0 * np.log10(thresholds[k:k + rows])
+                        block_db = 10.0 * np.log10(table[k:k + rows])
                     template = cell + frac_block.replace("\r\n", "\r\n" + cell) + "\r\n"
                     fh.write(template % tuple(block_db.tolist()))
     except OSError as exc:

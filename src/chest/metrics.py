@@ -1,5 +1,5 @@
 """Estimation quality metrics: analytic NMSE, post-combining SNR from
-per-column statistics, and ECDF utilities.
+per-column statistics, and ECDF tables and their quantiles.
 
 The analytic NMSE splits into a subspace floor (energy outside the projector
 pair) and a noise term (noise passed by the projectors), evaluated path by
@@ -199,26 +199,22 @@ def post_combining_snr(stats: CombiningStats, sigmas, noise_variances) -> np.nda
     return gain / nv
 
 
-@dataclass(frozen=True, eq=False)
-class Ecdf:
-    """Right-continuous empirical CDF over a sample set: the k-th smallest of
+def ecdf(samples) -> np.ndarray:
+    """Empirical CDF table of ``samples``: the samples flattened and sorted
+    into a new array.  The CDF is right-continuous, and the k-th smallest of
     n samples sits at cumulative fraction k / n."""
-
-    thresholds: np.ndarray   # sorted samples
-
-    def quantile(self, p: float) -> float:
-        """Smallest threshold x with F(x) >= p."""
-        if not 0 < p <= 1:
-            raise ValueError("p must lie in (0, 1]")
-        k = max(int(np.ceil(p * self.thresholds.size)) - 1, 0)
-        return float(self.thresholds[k])
-
-
-def ecdf(samples) -> Ecdf:
-    """ECDF of ``samples``, flattened and sorted into a new array."""
     arr = np.sort(np.asarray(samples, dtype=float).ravel())
     if arr.size == 0:
         raise ValueError("ecdf needs at least one sample")
     if not np.all(np.isfinite(arr)):
         raise ValueError("ecdf samples must be finite")
-    return Ecdf(thresholds=arr)
+    return arr
+
+
+def quantile(table: np.ndarray, p):
+    """Smallest sample x of the sorted ``table`` with F(x) >= p, for each p
+    in (0, 1]; ``p`` may be a number or an array."""
+    p = np.asarray(p, dtype=float)
+    if not np.all((p > 0) & (p <= 1)):
+        raise ValueError("p must lie in (0, 1]")
+    return table[np.maximum(np.ceil(p * table.size).astype(int) - 1, 0)]

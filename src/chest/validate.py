@@ -12,8 +12,9 @@ never form the Kronecker product of the two:
   batch-ML pairs (from block 0's warm-up Grams) is a projector.
 * projected-noise-trace: Tr{Q} = Tr{Q Q^H} = r_s r_t for Q = P_t^T kron P_s
   of the same pairs, from per-side traces: tr(A kron B) = tr(A) tr(B).
-* error-orthogonal-split: the per-trial errors ``_nmse_slice`` splits as
-  ||PH - H||^2 + sigma^2 ||core(W')||^2 equal ||P_s (H + sigma W') P_t - H||^2
+* error-orthogonal-split: the per-trial errors the sweeps' one reducer,
+  ``experiments._reduce_slice``, takes for the ``"error"`` output, split as
+  ||PH - H||^2 + sigma^2 ||core(W')||^2, equal ||P_s (H + sigma W') P_t - H||^2
   for every NMSE method and SNR point.
 * interpolation-pilot-exact: M and each pair's synthesis rows U_t^T M keep
   the pilot columns.
@@ -36,8 +37,8 @@ import numpy as np
 from .channel import assemble_channel, channel_covariance
 from .config import ConfigBundle, desk_config
 from .experiments import (SWEEPS, ExperimentPlan, build_environment, emit_csv,
-                          run_nmse_sweep, _draw, _method_bases, _nmse_slice,
-                          _noise_variances)
+                          run_nmse_sweep, _draw, _method_bases, _noise_variances,
+                          _reduce_slice)
 from .metrics import analytic_nmse, _energy
 from .propagation import PathSet, frequency_response, pulse_response, steering_matrix
 from .streams import FADING, NOISE, complex_normal, substream
@@ -278,7 +279,8 @@ def check_error_decomposition(bundle: ConfigBundle) -> CheckResult:
     env, variances, bases = _chunk_bases(bundle, SWEEPS["nmse-sweep"].methods,
                                          bundle.system.snr_grid_db)
     fading, truth, noise = _draw_trials(env, 16)
-    split = _nmse_slice(env, fading, noise, bases, variances)
+    split = _reduce_slice(env, fading, noise, bases, variances, frozenset({"error"}),
+                          full_grid=False)
     worst = 0.0
     for method, points, pair in bases:
         p_s, p_t = _dense(pair)

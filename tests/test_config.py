@@ -138,6 +138,11 @@ class TestPilotPattern:
         with pytest.raises(ConfigError):
             build_pilot_pattern(64, 24, rng)
 
+    @pytest.mark.parametrize("n_pilots", [0, -4])
+    def test_pilot_count_below_one_rejected(self, rng, n_pilots):
+        with pytest.raises(ConfigError, match="n_pilots must be >= 1"):
+            build_pilot_pattern(64, n_pilots, rng)
+
     @given(log_n=st.integers(min_value=1, max_value=8), data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_uniform_spacing(self, log_n, data):

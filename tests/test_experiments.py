@@ -25,9 +25,8 @@ from chest.experiments import (SWEEPS, ExperimentPlan, bml_ranks,
                                build_environment, emit_csv, emit_ecdf_csv,
                                measure_projection_floor, run_ecdf, run_nmse_sweep,
                                run_pilot_sweep, run_se_sweep, validate_plan,
-                               _chunk_ranges, _draw, _ecdf_slice, _method_bases,
-                               _nmse_slice, _noise_variances,
-                               _simulate_chunk)
+                               _chunk_ranges, _draw, _method_bases, _noise_variances,
+                               _reduce_slice, _simulate_chunk)
 from chest.metrics import analytic_nmse, ecdf
 from chest.propagation import (PathSet, dt_truncate, frequency_response, generate_paths,
                                steering_matrix)
@@ -147,7 +146,7 @@ def test_runs_validate_a_validated_plan_again(tiny, kind):
     if kind == "ecdf":
         assert list(given) == list(validated)
         for key, table in given.items():
-            np.testing.assert_array_equal(table.thresholds, validated[key].thresholds)
+            np.testing.assert_array_equal(table, validated[key])
     else:
         assert given == validated
 
@@ -253,6 +252,11 @@ class TestProjectionFloor:
         assert measure_projection_floor(tiny_env, 12) == \
             measure_projection_floor(tiny_env, 12)
 
+    @pytest.mark.parametrize("n_trials", [0, -3])
+    def test_rejects_no_trials(self, tiny_env, n_trials):
+        with pytest.raises(ConfigError, match="n_trials"):
+            measure_projection_floor(tiny_env, n_trials)
+
     def test_auto_bml_ranks_track_twin(self, tiny_env):
         assert bml_ranks(tiny_env) == (3, 3)
 
@@ -333,9 +337,9 @@ class TestEcdf:
         for (method, snr), table in tables.items():
             assert method in ("ideal", "ls", "denoise", "bml", "emdt")
             assert snr in (-10.0, 5.0)
-            assert ecdf_at(table, table.thresholds[-1]) == 1.0
+            assert ecdf_at(table, table[-1]) == 1.0
             # 12 trials x 16 subcarriers of per-subcarrier samples
-            assert table.thresholds.size == 192
+            assert table.size == 192
 
     def test_custom_snr_points(self, tiny):
         tables = run_ecdf(ExperimentPlan(bundle=tiny, methods=("ideal",), snrs=(3.0,)))
@@ -424,9 +428,9 @@ class TestEcdfSampleBuffers:
             for method in plan.methods:
                 want = ecdf(np.concatenate([p[("snr", method, i)] for p in partials]))
                 got = tables[(method, snr_db)]
-                np.testing.assert_array_equal(got.thresholds, want.thresholds)
-                assert np.all(got.thresholds[:n_zero] == 0.0)
-                assert got.thresholds[n_zero] > 0.0
+                np.testing.assert_array_equal(got, want)
+                assert np.all(got[:n_zero] == 0.0)
+                assert got[n_zero] > 0.0
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_run_holds_one_copy_of_its_samples(self, workers):
@@ -820,7 +824,7 @@ class TestOnePassMatchesPerSnrOracle:
         assert len(tables) == len(oracle) == 10
         for (method, snr), table in tables.items():
             expected = oracle[(method, snr, desk_small.system.n_pilots)]
-            np.testing.assert_allclose(table.thresholds, expected, rtol=1e-9)
+            np.testing.assert_allclose(table, expected, rtol=1e-9)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pilot_sweep(self, desk_small, uplink, workers):
@@ -891,6 +895,33 @@ def _formed(env, fading, noise, method, noise_variance, interpolate):
             _post_combining_snr(full, truth_full, noise_variance))
 
 
+# The per-trial results each run_* reads, by output: _records reads errors
+# with the channel energy and rates, run_ecdf the SNR samples.
+READ_KEYS = {"nmse-sweep": ("error",), "pilot-sweep": ("error", "rate"),
+             "se-sweep": ("rate",), "ecdf": ("snr",)}
+
+
+@pytest.mark.parametrize("kind", SWEEPS)
+def test_reduce_slice_returns_the_keys_its_run_reads(kind):
+    """One desk slice reduced for a kind's outputs holds exactly the arrays
+    its run_* reads, one row per trial, so no other per-trial array is built
+    or shipped through the fork pipe."""
+    env = build_environment(desk_config())
+    sweep = SWEEPS[kind]
+    methods = sweep.methods
+    snrs = sweep.snrs or (-10.0, 10.0)
+    nv = np.asarray(_noise_variances(env, snrs))
+    fading, noise = _chunk_inputs(env, 3)
+    result = _reduce_slice(env, fading, noise, _method_bases(env, methods, nv, 0), nv,
+                           sweep.outputs, sweep.full_grid)
+    want = {(name, m, i) for name in READ_KEYS[kind] for m in methods
+            for i in range(len(snrs))}
+    assert set(result) == want | ({"energy"} if "error" in READ_KEYS[kind] else set())
+    n_sc = env.bundle.system.n_subcarriers
+    for key, values in result.items():
+        assert values.shape == ((3, n_sc) if key[0] == "snr" else (3,))
+
+
 class TestStatisticsMatchFormedEstimates:
     """The reducers take errors from the orthogonal split and SNRs from
     per-column sums in subspace coordinates, with interpolation folded into
@@ -903,10 +934,11 @@ class TestStatisticsMatchFormedEstimates:
         nv = np.array(_noise_variances(env, STATS_SNRS))
         pilot_bases = _method_bases(env, SWEEPS["nmse-sweep"].methods, nv, 0)
         full_bases = _method_bases(env, SWEEPS["se-sweep"].methods, nv, 0)
-        nmse = _nmse_slice(env, fading, noise, pilot_bases, nv)
-        pilot = _nmse_slice(env, fading, noise, pilot_bases, nv, rates=True)
-        samples = _ecdf_slice(env, fading, noise, full_bases, nv)
-        rates = _ecdf_slice(env, fading, noise, full_bases, nv, rates=True)
+        nmse, pilot, rates, samples = (
+            _reduce_slice(env, fading, noise, bases, nv, SWEEPS[kind].outputs,
+                          SWEEPS[kind].full_grid)
+            for kind, bases in (("nmse-sweep", pilot_bases), ("pilot-sweep", pilot_bases),
+                                ("se-sweep", full_bases), ("ecdf", full_bases)))
         for i, noise_variance in enumerate(nv):
             for method in SWEEPS["se-sweep"].methods:
                 error, pilot_snr, full = _formed(env, fading, noise, method,
@@ -932,7 +964,8 @@ class TestStatisticsMatchFormedEstimates:
         fading, noise = _chunk_inputs(env, 2)
         nv = np.array(_noise_variances(env, (0.0,)))
         methods = SWEEPS["ecdf"].methods
-        samples = _ecdf_slice(env, fading, noise, _method_bases(env, methods, nv, 0), nv)
+        samples = _reduce_slice(env, fading, noise, _method_bases(env, methods, nv, 0), nv,
+                                frozenset({"snr"}), full_grid=True)
         emit_ecdf_csv({(m, 0.0): ecdf(samples[("snr", m, 0)]) for m in methods},
                       tmp_path / "ecdf.csv")
         with open(tmp_path / "ecdf.csv", newline="") as fh:
@@ -949,7 +982,8 @@ class TestStatisticsMatchFormedEstimates:
         env = stats_env
         fading, noise = _chunk_inputs(env, 4)
         nv = np.array([0.0])
-        result = _nmse_slice(env, fading, noise, _method_bases(env, ("emdt",), nv, 0), nv)
+        result = _reduce_slice(env, fading, noise, _method_bases(env, ("emdt",), nv, 0), nv,
+                               frozenset({"error"}), full_grid=False)
         error, energy = result[("error", "emdt", 0)], result["energy"]
         truth = assemble_channel(env.steering, fading, env.freq_pilot)
         pair = env.projectors
@@ -993,7 +1027,7 @@ class TestDeterminism:
             plan = ExperimentPlan(bundle=bundle,
                                   methods=tuple(m for m in methods if m != "bml"), **extra)
             if kind == "ecdf":
-                return {key: table.thresholds.tolist()
+                return {key: table.tolist()
                         for key, table in run_ecdf(plan).items()}
             return RUNS[kind](plan)
         assert output(3) == output(12)
@@ -1031,7 +1065,7 @@ def _sweep_outputs(bundle, workers):
     tables = run_ecdf(plan(snrs=(-10.0, 5.0)))
     return (run_nmse_sweep(plan()), run_se_sweep(plan()),
             run_pilot_sweep(plan(pilot_counts=(2, 8, 32), snrs=(-15.0, 0.0))),
-            {key: table.thresholds.tolist() for key, table in tables.items()})
+            {key: table.tolist() for key, table in tables.items()})
 
 
 class TestSlices:
@@ -1133,7 +1167,8 @@ class TestSlices:
         f = 13 * env.bundle.system.n_rx * n_sc * np.dtype(complex).itemsize
 
         def run():      # W' is drawn inside the slice, so its copy is traced
-            return _ecdf_slice(env, fading, noise.copy(), bases, nv)
+            return _reduce_slice(env, fading, noise.copy(), bases, nv, sweep.outputs,
+                                 sweep.full_grid)
         run()   # first-call allocations untraced
         assert _traced_peak(run) <= 1.1 * 4.5 * f
 
@@ -1254,7 +1289,7 @@ def _csv_writer_reference(tables, path):
         for (method, snr_db) in sorted(tables):
             table = tables[(method, snr_db)]
             with np.errstate(divide="ignore"):
-                q_db = 10.0 * np.log10(table.thresholds)
+                q_db = 10.0 * np.log10(table)
             fractions = np.arange(1, q_db.size + 1) / q_db.size
             for q, f in zip(q_db, fractions):
                 writer.writerow([method, fmt(snr_db), fmt(q), fmt(f)])
@@ -1273,7 +1308,7 @@ def test_ecdf_csv_matches_csv_writer_bytes(rng, tmp_path):
               ("denoise", 0.0): ecdf([0.0, 0.0, 1e-300, 2.5, 1e12]),
               ("emdt", -10.0): ecdf(long),
               ("ideal", 0.5): ecdf([3.0])}
-    assert [tables[key].thresholds.size for key in sorted(tables)] == [9001, 9001, 5,
+    assert [tables[key].size for key in sorted(tables)] == [9001, 9001, 5,
                                                                         9001, 1]
     assert -(-long.size // experiments._ECDF_ROWS_PER_WRITE) == 9
     emit_ecdf_csv(tables, tmp_path / "fast.csv")

@@ -3,13 +3,16 @@ never uses, no module rebinds a module-level name from a function, no module for
 a dense Kronecker product or identity outside the two checks that need one or turns
 path geometry into responses outside the two places that own it, no module imports
 the process-pool machinery, the package defines nothing it never references, bar
-three names kept for a stated reason, and it exports only names it has, each once."""
+three names kept for a stated reason, it exports only names it has, each once, and
+the sweep table holds plain data, no reducer."""
 import ast
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 import chest
+from chest.experiments import SWEEPS
 
 ROOT = Path(__file__).resolve().parents[1]
 # Package __init__ modules import names to re-export them, so they are exempt.
@@ -273,3 +276,25 @@ def test_every_export_resolves_once():
     names = chest.__all__
     assert len(set(names)) == len(names), "a name is exported twice"
     assert [n for n in names if not hasattr(chest, n)] == []
+
+
+def plain_data(value) -> bool:
+    """Whether ``value`` is a string, a number or a bool, or a tuple or
+    frozenset of plain data: nothing that can be called."""
+    if isinstance(value, (tuple, frozenset)):
+        return all(plain_data(v) for v in value)
+    return isinstance(value, (str, int, float, bool))
+
+
+@pytest.mark.parametrize("kind", SWEEPS)
+def test_sweep_entries_are_plain_data(kind):
+    """Each sweep kind names the outputs it keeps and the one reducer picks
+    its work from them, so no entry holds a reducer or any other callable."""
+    entry = SWEEPS[kind]
+    assert [f for f in entry._fields if not plain_data(getattr(entry, f))] == []
+
+
+def test_detects_non_plain_data():
+    assert plain_data(("ls", (1, 2.5), frozenset({"rate"}), True))
+    assert not any(plain_data(v) for v in (len, partial(len), ("ls", len),
+                                           frozenset({len}), lambda: 0, None, [1]))

@@ -13,7 +13,7 @@ from chest.subspaces import ProjectorPair
 from chest.channel import average_gain_from_responses
 from chest.experiments import build_environment
 from chest.metrics import (CombiningStats, MetricsRecord, covariance_traces,
-                           post_combining_snr, _energy)
+                           post_combining_snr, quantile, _energy)
 
 
 def _traced_peak(fn) -> int:
@@ -407,8 +407,22 @@ class TestEcdf:
 
     def test_quantile(self):
         e = ecdf([1.0, 2.0, 3.0])
-        assert e.quantile(0.5) == 2.0
-        assert e.quantile(0.99) == 3.0
+        assert quantile(e, 0.5) == 2.0
+        assert quantile(e, 0.99) == 3.0
+
+    def test_quantile_vectorised_over_p(self):
+        """One call over an array of probabilities gives what a call per
+        probability gives."""
+        e = ecdf(np.arange(7.0)[::-1])
+        probs = np.linspace(0.005, 1.0, 200)
+        np.testing.assert_array_equal(quantile(e, probs),
+                                      [quantile(e, p) for p in probs])
+        np.testing.assert_array_equal(quantile(e, [1e-9, 1 / 7, 0.5, 1.0]), [0, 0, 3, 6])
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.5, np.nan])
+    def test_quantile_rejects_p_outside_unit_interval(self, bad):
+        with pytest.raises(ValueError, match="p must lie"):
+            quantile(ecdf([1.0, 2.0]), [0.5, bad])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -422,16 +436,16 @@ class TestEcdf:
     def test_sorts_a_copy(self):
         samples = np.array([[3.0, 1.0], [2.0, 0.0]])
         e = ecdf(samples)
-        np.testing.assert_array_equal(e.thresholds, [0.0, 1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(e, [0.0, 1.0, 2.0, 3.0])
         np.testing.assert_array_equal(samples, [[3.0, 1.0], [2.0, 0.0]])
 
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=60))
     @settings(max_examples=40, deadline=None)
     def test_terminal_value_and_monotonicity(self, ecdf_at, xs):
         e = ecdf(xs)
-        assert e.thresholds.size == len(xs)
-        assert ecdf_at(e, e.thresholds[-1]) == 1.0
-        assert np.all(np.diff(e.thresholds) >= 0)
+        assert e.size == len(xs)
+        assert ecdf_at(e, e[-1]) == 1.0
+        assert np.all(np.diff(e) >= 0)
 
 
 class TestMetricsRecord:
