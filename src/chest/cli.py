@@ -191,9 +191,11 @@ def main(argv: list[str] | None = None) -> int:
             return _run_validate(args)
         bundle = _load_bundle(args)
         plan = _make_plan(args, bundle)
-        out = args.out
-        out.mkdir(parents=True, exist_ok=True)
-        WRITERS[args.command](plan, out)
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out: cannot create directory {args.out}: {exc.strerror}")
+        WRITERS[args.command](plan, args.out)
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

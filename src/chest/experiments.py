@@ -366,10 +366,8 @@ def _combining_snrs(bases: ProjectorPair, core_h: np.ndarray, core_w: np.ndarray
     estimate is formed unless the method keeps every antenna.
     """
     rows = bases.synthesis(grid)
-    # c @ rows is fresh and conjugated in place; without rows the cores are
-    # the caller's, copied one at a time
     stats = CombiningStats.of(*(c if rows is None else c @ rows for c in (core_h, core_w)),
-                              bases.coords(truth), overwrite=rows is not None)
+                              bases.coords(truth))
     return post_combining_snr(stats, sigmas, noise_variances)
 
 
@@ -439,11 +437,12 @@ class Sweep(NamedTuple):
 
 # ``holds`` per kind.  On the pilot grid, errors hold H, W', one residual
 # PH - H and one real |.|^2 temporary: 3.5.  Pilot-grid rates hold less:
-# their sums borrow H and W' and conjugate one copy at a time.  On the full
-# grid, counted at full width, a slice holds the full-grid H, its pilot
-# columns and W' (3), the full-grid coordinates a and b, which the sums
-# conjugate in place (2), and one real temporary (0.5), rounded up to 6 for
-# the SNR samples it keeps.
+# their sums read H and W', or a pair's r_s-row coordinates of them, where
+# they lie.  On the full grid, counted at full width, a slice holds the
+# full-grid H, its pilot columns and W' (3) and the full-grid coordinates a
+# and b (2), which the sums read where they lie, rounded up to 6 for the sums
+# and the SNR samples it keeps.  A chunk also holds its own per-trial
+# results, which grow with its trials and lie outside the slice budget.
 SWEEPS: dict[str, Sweep] = {
     "nmse-sweep": Sweep(("ls", "denoise", "bml", "emdt"), (), frozenset({"error"}), 3.5),
     "se-sweep": Sweep(("ideal", "ls", "denoise", "bml", "emdt"), (), frozenset({"rate"}),

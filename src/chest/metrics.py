@@ -8,7 +8,9 @@ path from the channel's steering and frequency responses.
 The post-combining SNR of a linear estimate a + sigma b needs only five sums
 per subcarrier, :class:`CombiningStats`, so one set of sums serves every
 noise level sigma, and the sums may be taken in any orthonormal coordinates
-that hold a and b (the sweeps take them in a projector's subspace).
+that hold a and b (the sweeps take them in a projector's subspace).  Each
+sum is one ``np.vecdot`` over the column axis, which conjugates as it
+multiplies, so the sums read their inputs and never copy or write them.
 """
 from __future__ import annotations
 
@@ -139,42 +141,31 @@ class CombiningStats(NamedTuple):
     bb: np.ndarray   # ||b||^2
 
     @classmethod
-    def of(cls, a: np.ndarray, b: np.ndarray | None, h: np.ndarray,
-           overwrite: bool = False) -> "CombiningStats":
+    def of(cls, a: np.ndarray, b: np.ndarray | None, h: np.ndarray) -> "CombiningStats":
         """Sums over the column axis (-2) of (..., dim, n_sc) arrays given in
         one orthonormal coordinate system; ``b`` None is a noiseless estimate.
 
-        Each inner product conjugates its estimate into a copy, one copy at a
-        time.  With ``overwrite`` the caller hands over ``a`` and ``b``,
-        which share no memory with ``h``: they are conjugated in place, and
-        ``Re a^H b`` is taken in their buffers, which it leaves spent.  Both
-        ways give the same bits, as conjugating both factors of ``a.real *
-        b.real + a.imag * b.imag`` changes no product."""
+        Each sum is one ``np.vecdot``, which conjugates its first factor as it
+        multiplies: no input is copied or written, and nothing is held but
+        the sums themselves."""
         if a.shape != h.shape or (b is not None and b.shape != h.shape):
             raise ValueError("estimate/truth shapes disagree")
-        ah = _inner(a, h, overwrite)
-        aa = _energy(a, axis=-2)
+        ah = np.vecdot(a, h, axis=-2)
+        aa = np.vecdot(a, a, axis=-2).real
         if b is None:
             zero = np.zeros_like(aa)
             return cls(ah, zero, aa, zero, zero)
-        bh = _inner(b, h, overwrite)
-        bb = _energy(b, axis=-2)
-        ab = np.multiply(a.real, b.real, out=a.real if overwrite else None)
-        ab += np.multiply(a.imag, b.imag, out=a.imag if overwrite else None)
-        return cls(ah, bh, aa, np.sum(ab, axis=-2), bb)
+        bh = np.vecdot(b, h, axis=-2)
+        ab = np.vecdot(a, b, axis=-2).real
+        bb = np.vecdot(b, b, axis=-2).real
+        return cls(ah, bh, aa, ab, bb)
 
 
-def _inner(x: np.ndarray, h: np.ndarray, in_place: bool) -> np.ndarray:
-    """x^H h over the column axis (-2), with ``x`` conjugated in place or
-    into a copy."""
-    x = np.conjugate(x, out=x) if in_place else x.conj()
-    return np.einsum("...ik,...ik->...k", x, h)
-
-
-def _energy(x: np.ndarray, axis=(-2, -1)) -> np.ndarray:
-    """Sum of |x|^2 over ``axis``, squared in place: one real temporary."""
+def _energy(x: np.ndarray) -> np.ndarray:
+    """Sum of |x|^2 over the last two axes, squared in place: one real
+    temporary."""
     e = np.abs(x)
-    return np.sum(np.square(e, out=e), axis=axis)
+    return np.sum(np.square(e, out=e), axis=(-2, -1))
 
 
 def post_combining_snr(stats: CombiningStats, sigmas, noise_variances) -> np.ndarray:

@@ -233,13 +233,19 @@ class TestExitCodes:
         assert "snr_grid_db repeats" in proc.stderr
         assert not (tmp_path / "o").exists()
 
-    def test_blocked_output_directory_is_runtime_error(self, tiny_json, tmp_path):
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "path-under-file"])
+    def test_blocked_output_directory_is_config_error(self, tiny_json, tmp_path, under):
+        """An ``--out`` that exists as a regular file, or lies under one,
+        cannot be made a directory: a configuration error naming ``--out``,
+        raised before the sweep runs."""
         blocker = tmp_path / "occupied"
         blocker.write_text("not a directory")
-        proc = run_cli("nmse-sweep", "--config", str(tiny_json),
-                       "--out", str(blocker))
-        assert proc.returncode == 2
-        assert "runtime" in proc.stderr.lower()
+        out = blocker / "o" if under else blocker
+        proc = run_cli("nmse-sweep", "--config", str(tiny_json), "--out", str(out))
+        assert proc.returncode == 1, proc.stderr
+        assert f"error: --out: cannot create directory {out}" in proc.stderr
+        assert "runtime" not in proc.stderr.lower() and proc.stdout == ""
+        assert blocker.read_text() == "not a directory"
 
     def test_missing_subcommand_is_usage_error(self):
         proc = run_cli()

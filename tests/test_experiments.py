@@ -1152,9 +1152,9 @@ class TestSlices:
         or ECDF chunk is cut into, peaks (traced) within 1.1 x what it must
         hold, in units of one complex (13, n_rx, n_subcarriers) array F: H on
         the full grid (F), its pilot columns and W' (F / 2 each at 32 of 64
-        pilots), the full-grid coordinates a and b (2 F) and one real |.|^2
-        temporary (F / 2), 4.5 F.  The sums conjugate a and b in place;
-        conjugate copies would add F / 2."""
+        pilots) and the full-grid coordinates a and b (2 F), 4 F, and F / 2
+        for the sums and the SNR samples, 4.5 F.  The sums read a and b where
+        they lie (``np.vecdot``); a conjugate copy of either would add F."""
         env = build_environment(load_config(CONFIGS / "desk.json"))
         sweep, n_sc = SWEEPS["ecdf"], env.bundle.system.n_subcarriers
         assert len(env.pilots) == n_sc // 2
@@ -1188,6 +1188,22 @@ class TestSlices:
             return _simulate_chunk(env, kind, 0, n_trials, plan.methods, nv)
         run()   # first-call allocations untraced
         assert _traced_peak(run) <= 1.4 * experiments._SLICE_BYTES
+
+    def test_chunk_peak_within_slice_budget_and_its_results(self):
+        """A chunk also holds its own per-trial results, outside the slice
+        budget.  A 50-trial ``ecdf`` chunk on ``configs/pilot.json`` keeps
+        5 methods x 2 SNR points x 256 subcarriers of samples per trial,
+        0.78 x ``_SLICE_BYTES`` in all, and peaks (traced) within 1.4 x
+        ``_SLICE_BYTES`` and those results' bytes."""
+        env = build_environment(load_config(CONFIGS / "pilot.json"))
+        plan = validate_plan(ExperimentPlan(bundle=env.bundle), "ecdf")
+        nv = _noise_variances(env, plan.snrs)
+
+        def run():
+            return _simulate_chunk(env, "ecdf", 0, 50, plan.methods, nv)
+        results = sum(v.nbytes for v in run().values())   # first-call allocations untraced
+        assert results == 50 * 5 * 2 * 256 * np.dtype(float).itemsize
+        assert _traced_peak(run) <= 1.4 * experiments._SLICE_BYTES + results
 
     @pytest.mark.parametrize("kind", ["nmse-sweep", "pilot-sweep"])
     def test_full_scale_chunk_peak_does_not_grow_with_trials(self, kind):

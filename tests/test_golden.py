@@ -37,6 +37,10 @@ RUNS = {
                        "--trials", "20"],
     "ecdf-reference": ["ecdf", "--config", str(CONFIGS / "reference.json"),
                        "--trials", "20"],
+    "se-reference": ["se-sweep", "--config", str(CONFIGS / "reference.json"),
+                     "--trials", "20"],
+    "pilot-one-workers-2": ["pilot-sweep", "--pilots", "1,2,4", "--trials", "20",
+                            "--workers", "2"],
     "pilot-full-scale": ["pilot-sweep", "--config", str(CONFIGS / "full-scale.json"),
                          "--pilots", "2048", "--trials", "4"],
     "validate": ["validate"],

@@ -2,9 +2,10 @@
 never uses, no module rebinds a module-level name from a function, no module forms
 a dense Kronecker product or identity outside the two checks that need one or turns
 path geometry into responses outside the two places that own it, no module imports
-the process-pool machinery, the package defines nothing it never references, bar
-three names kept for a stated reason, it exports only names it has, each once, and
-the sweep table holds plain data, no reducer."""
+the process-pool machinery, no function writes ``out=`` into an array it was
+handed, the package defines nothing it never references, bar three names kept for
+a stated reason, it exports only names it has, each once, and the sweep table
+holds plain data, no reducer."""
 import ast
 from functools import partial
 from pathlib import Path
@@ -199,6 +200,65 @@ def test_detects_module_level_pool_imports():
         "line 3: multiprocessing.Pool", "line 4: concurrent.futures.ProcessPoolExecutor",
         "line 5: multiprocessing.pool", "line 7: multiprocessing",
         "line 9: concurrent.futures.ProcessPoolExecutor"]
+
+
+def _is_parameter_view(node: ast.AST, params: set[str]) -> bool:
+    """Whether ``node`` is one of ``params``, an attribute or subscript of one
+    (``x.real``, ``x[...]``), or a conditional or tuple that holds one."""
+    if isinstance(node, ast.Name):
+        return node.id in params
+    if isinstance(node, (ast.Attribute, ast.Subscript)):
+        return _is_parameter_view(node.value, params)
+    if isinstance(node, ast.IfExp):
+        return any(_is_parameter_view(n, params) for n in (node.body, node.orelse))
+    if isinstance(node, ast.Tuple):
+        return any(_is_parameter_view(n, params) for n in node.elts)
+    return False
+
+
+def parameter_writes(source: str) -> list[str]:
+    """Calls in ``source`` that pass ``out=`` a parameter of their innermost
+    enclosing function or a view of one, each with that function's name."""
+    found = []
+
+    def visit(node: ast.AST, func: str, params: set[str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [p for p in (a.vararg, a.kwarg) if p]}
+            func = getattr(node, "name", "<lambda>")
+        if isinstance(node, ast.Call):
+            found.extend((node.lineno, func) for kw in node.keywords
+                         if kw.arg == "out" and _is_parameter_view(kw.value, params))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func, params)
+    visit(ast.parse(source), "<module>", set())
+    return [f"line {line}: {func}" for line, func in sorted(found)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_writes_into_parameters(path):
+    """No function writes its results into an array it was handed: a caller
+    never has to hand over an array, or know which of its arrays a call
+    spends."""
+    assert parameter_writes(path.read_text()) == []
+
+
+def test_detects_writes_into_parameters():
+    source = ("def f(x, y, *rest, z=None, **kw):\n"
+              "    e = np.abs(x)\n"
+              "    np.square(e, out=e)\n"
+              "    np.conjugate(x, out=x)\n"
+              "    np.multiply(x.real, y.real, out=x.real if z else None)\n"
+              "    np.add(x, y, out=y[..., 0])\n"
+              "    np.add(x, y, out=(rest[0].imag,))\n"
+              "    def g(w):\n"
+              "        np.negative(w, out=w)\n"
+              "        np.negative(x, out=x)\n"
+              "    np.sqrt(e, out=kw['buf'])\n"
+              "np.exp(v, out=v)\n")
+    assert parameter_writes(source) == ["line 4: f", "line 5: f", "line 6: f", "line 7: f",
+                                        "line 9: g", "line 11: f"]
 
 
 def _definitions(module: str, tree: ast.Module):
