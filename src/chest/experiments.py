@@ -10,11 +10,11 @@ spectral efficiencies or post-combining SNR samples at every SNR point.
 Each sweep kind has one entry in :data:`SWEEPS`, a :class:`Sweep` of plain
 data: the methods it allows (all of them by default), its default SNR points
 (none: the config's ``snr_grid_db``), the per-trial outputs it keeps
-(``"error"``, ``"rate"``, ``"snr"``), what a slice holds per trial, whether
-its rates and samples are taken on the full subcarrier grid, and whether the
-kind sweeps pilot counts.  The reducer picks its work from the outputs, not
-from the kind.  A plan carries no kind: each ``run_*`` validates and runs it
-as its own, and the CLI builds its subcommands from the table.
+(``"error"``, ``"rate"``, ``"snr"``), whether its rates and samples are
+taken on the full subcarrier grid, and whether the kind sweeps pilot counts.
+The reducer picks its work from the outputs, not from the kind.  A plan
+carries no kind: each ``run_*`` validates and runs it as its own, and the CLI
+builds its subcommands from the table.
 
 * Randomness comes from per-purpose substreams keyed by (seed, purpose,
   trial), or (seed, purpose, block, snapshot) for the batch-ML warm-up, and
@@ -25,21 +25,13 @@ as its own, and the CLI builds its subcommands from the table.
 * Slices bound a chunk's working set.  A chunk takes each method's bases
   once, then draws and reduces its trials a slice at a time, and a slice
   holds as many trials as fit ``_SLICE_BYTES`` (1.25 MiB) in every array the
-  reducer holds per trial for the kind's outputs, one trial at least.
-  ``Sweep.holds`` counts them in complex (n_rx, n_pilots) arrays, or (n_rx,
-  n_subcarriers) for SE and ECDF, which reduce on the full grid: an NMSE or
-  pilot-sweep slice holds H, W', a residual PH - H and a real temporary
-  (3.5), an SE or ECDF slice 6 (see :data:`SWEEPS`).  The batch-ML warm-up
-  is drawn in slices of snapshots, each holding its H and W', under the same
-  budget less its Gram matrices, and its Grams are summed over them.  A
-  chunk's trials are cut into the fewest slices that fit, of near-equal
-  sizes.
-  The slice sizes follow from the array sizes alone: 50-trial desk NMSE and
-  pilot chunks (16 x 32) take two slices of 25 and desk warm-ups (64
-  snapshots) one pass, desk SE and ECDF chunks (16 x 64 on the full grid)
-  12 or 13 trials at a time, reference NMSE chunks (64 x 32) 10 trials and
-  their warm-ups 12 snapshots at a time, and a full-scale pilot grid
-  (64 x 2048) one trial.
+  reducer holds per trial on its grid, one trial at least
+  (:func:`_simulate_chunk` counts them).  The batch-ML warm-up is drawn in
+  slices of snapshots, each holding its H and W', under the same budget less
+  its Gram matrices, and its Grams are summed over them.  A chunk's trials
+  are cut into the fewest slices that fit, of near-equal sizes.  The sizes
+  follow from the array sizes alone; ``TestSlices.test_partitions`` in
+  ``tests/test_experiments.py`` lists them for every committed config.
 * At noise variance sigma^2 the LS estimate is H + sigma * W', with
   W' = W / x: the received block H x + sigma W is never formed, and LS
   never divides it.  Every pilot-grid method projects the LS estimate by its
@@ -257,28 +249,23 @@ def _draw(env: Environment, fading_keys, noise_keys) -> tuple[np.ndarray, np.nda
 
 
 # Bytes one slice of trials or of batch-ML warm-up snapshots may hold; the
-# slice sizes this gives are listed in the module docstring.  A reference
+# module docstring names the test that lists the slice sizes.  A reference
 # warm-up never holds as much as one whole warm-up array, and a whole
 # 50-trial desk SE or ECDF chunk would peak near 5 MB.
 _SLICE_BYTES = 5 << 18    # 1.25 MiB
 
 
-def _slices(items: range, env: Environment, kept: int = 0, width: int | None = None,
-            holds: float = 2, even: bool = False) -> list[range]:
+def _slices(items: range, item_bytes: int, kept: int = 0, even: bool = False) -> list[range]:
     """``items``, trials or warm-up snapshots, cut into consecutive slices
-    whose arrays, ``holds`` complex (n_rx, width) arrays per item (a warm-up
-    snapshot's H and W' by default), fit ``_SLICE_BYTES`` less the ``kept``
-    bytes; a slice holds one item at least.  ``width`` is the pilot count
-    unless the reducer works on a wider grid.
+    whose arrays, ``item_bytes`` per item, fit ``_SLICE_BYTES`` less the
+    ``kept`` bytes; a slice holds one item at least.
 
     The slices are full but for the last, or, with ``even``, as many slices
     of sizes within one of each other, so that the largest, which sets the
     peak and the cache misses, is as small as the count allows.  Trials may
     be cut evenly, as their rows are laid end to end; the warm-up keeps full
     slices, as its partition sets the order its Grams are summed in."""
-    width = len(env.pilots) if width is None else width
-    item_bytes = holds * np.dtype(complex).itemsize * env.bundle.system.n_rx * width
-    step = max(1, int((_SLICE_BYTES - kept) // item_bytes))
+    step = max(1, (_SLICE_BYTES - kept) // item_bytes)
     if not even:
         return [items[i:i + step] for i in range(0, len(items), step)]
     count = -(-len(items) // step)
@@ -296,9 +283,10 @@ def _warm_up_grams(env: Environment, block: int) -> SnapshotGrams:
         return assemble_channel(env.steering, fading, env.freq_pilot), noise
     n_rx, n_p = env.bundle.system.n_rx, len(env.pilots)
     gram_bytes = 2 * 3 * np.dtype(complex).itemsize * (n_rx * n_rx + n_p * n_p)
+    snapshot_bytes = 2 * np.dtype(complex).itemsize * n_rx * n_p    # its H and W'
     warm = range(env.bundle.estimator.n_batch)
     return SnapshotGrams.summed(batch(snapshots)
-                                for snapshots in _slices(warm, env, gram_bytes))
+                                for snapshots in _slices(warm, snapshot_bytes, gram_bytes))
 
 
 def _method_bases(env: Environment, methods: tuple[str, ...],
@@ -430,27 +418,18 @@ class Sweep(NamedTuple):
     methods: tuple[str, ...]     # every method it allows, and its default
     snrs: tuple[float, ...]      # default SNR points; empty: the config's snr_grid_db
     outputs: frozenset[str]      # per-trial results it keeps: "error", "rate", "snr"
-    holds: float                 # complex (n_rx, width) arrays a slice holds per trial
     full_grid: bool = False      # rates and samples on the full subcarrier grid
     sweeps_pilots: bool = False  # one environment per swept pilot count
 
 
-# ``holds`` per kind.  On the pilot grid, errors hold H, W', one residual
-# PH - H and one real |.|^2 temporary: 3.5.  Pilot-grid rates hold less:
-# their sums read H and W', or a pair's r_s-row coordinates of them, where
-# they lie.  On the full grid, counted at full width, a slice holds the
-# full-grid H, its pilot columns and W' (3) and the full-grid coordinates a
-# and b (2), which the sums read where they lie, rounded up to 6 for the sums
-# and the SNR samples it keeps.  A chunk also holds its own per-trial
-# results, which grow with its trials and lie outside the slice budget.
 SWEEPS: dict[str, Sweep] = {
-    "nmse-sweep": Sweep(("ls", "denoise", "bml", "emdt"), (), frozenset({"error"}), 3.5),
+    "nmse-sweep": Sweep(("ls", "denoise", "bml", "emdt"), (), frozenset({"error"})),
     "se-sweep": Sweep(("ideal", "ls", "denoise", "bml", "emdt"), (), frozenset({"rate"}),
-                      6, full_grid=True),
+                      full_grid=True),
     "ecdf": Sweep(("ideal", "ls", "denoise", "bml", "emdt"), (-10.0, 5.0),
-                  frozenset({"snr"}), 6, full_grid=True),
+                  frozenset({"snr"}), full_grid=True),
     "pilot-sweep": Sweep(("ls", "emdt"), (-15.0, 0.0, 15.0), frozenset({"error", "rate"}),
-                         3.5, sweeps_pilots=True),
+                         sweeps_pilots=True),
 }
 
 
@@ -467,16 +446,27 @@ def _simulate_chunk(env: Environment, kind: str, t0: int, t1: int,
 
     Each method's bases are taken once for the chunk; its batch-ML warm-up is
     the one of trial block ``t0 // _BLOCK_TRIALS``.  The trials are drawn and
-    reduced a slice at a time (:func:`_slices`, by what the kind's slice
-    holds, on the full grid's width for SE and ECDF), so the chunk holds one
-    slice's arrays at a time; the slices' rows are laid end to end.
+    reduced a slice at a time (:func:`_slices`, by what its reducer holds
+    per trial on its grid), so the chunk holds one slice's arrays at a time;
+    the slices' rows are laid end to end.
     """
     sweep = SWEEPS[kind]
     noise_variances = np.asarray(noise_variances, dtype=float)
     bases = _method_bases(env, methods, noise_variances, t0 // _BLOCK_TRIALS)
-    width = env.bundle.system.n_subcarriers if sweep.full_grid else None
+    # Per trial, in complex (n_rx, width) arrays.  On the pilot grid, errors
+    # hold H, W', one residual PH - H and one real |.|^2 temporary: 3.5.
+    # Pilot-grid rates hold less: their sums read H and W', or a pair's
+    # r_s-row coordinates of them, where they lie.  On the full grid, counted
+    # at full width, a slice holds the full-grid H, its pilot columns and W'
+    # (3) and the full-grid coordinates a and b (2), which the sums read where
+    # they lie, rounded up to 6 for the sums and the SNR samples it keeps.
+    # The chunk's own per-trial results grow with its trials and lie outside
+    # the slice budget.
+    column_bytes = np.dtype(complex).itemsize * env.bundle.system.n_rx
+    trial_bytes = (6 * column_bytes * env.bundle.system.n_subcarriers if sweep.full_grid
+                   else 7 * column_bytes * len(env.pilots) // 2)
     out = {}
-    for trials in _slices(range(t0, t1), env, width=width, holds=sweep.holds, even=True):
+    for trials in _slices(range(t0, t1), trial_bytes, even=True):
         _lay_rows(out, _reduce_slice(env, *_draw(env, [(FADING, t) for t in trials],
                                                  [(NOISE, t) for t in trials]),
                                      bases, noise_variances, sweep.outputs, sweep.full_grid),

@@ -16,6 +16,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chest.channel import assemble_channel
 from chest import cli, experiments
@@ -1068,9 +1070,50 @@ def _sweep_outputs(bundle, workers):
             {key: table.tolist() for key, table in tables.items()})
 
 
+_THIRDS = [2] + [3] * 16     # 50 trials in 17 near-equal slices
+
+# Every partition the configs get: each kind's 50-trial chunk, cut at its
+# reducer's bytes per trial, and the batch-ML warm-up's 64 snapshots.
+PARTITIONS = {
+    "desk": {"nmse-sweep": [25, 25], "pilot-sweep": [25, 25],
+             "se-sweep": [12, 13, 12, 13], "ecdf": [12, 13, 12, 13], "warm-up": [64]},
+    "reference": {"nmse-sweep": [10] * 5, "pilot-sweep": [10] * 5, "se-sweep": _THIRDS,
+                  "ecdf": _THIRDS, "warm-up": [12] * 5 + [4]},
+    "pilot": {"nmse-sweep": [25, 25], "pilot-sweep": [25, 25], "se-sweep": _THIRDS,
+              "ecdf": _THIRDS, "warm-up": [64]},
+    "full-scale": {"nmse-sweep": [10] * 5, "pilot-sweep": [10] * 5, "se-sweep": [1] * 50,
+                   "ecdf": [1] * 50, "warm-up": [12] * 5 + [4]},
+}
+
+
 class TestSlices:
     """Chunks are drawn and reduced in slices that fit a byte budget; the
     batch-ML warm-up is summed over slices of snapshots."""
+
+    @pytest.mark.parametrize("config", PARTITIONS)
+    def test_partitions(self, config, monkeypatch):
+        """The slice sizes every kind's 50-trial chunk and the batch-ML
+        warm-up are cut into on each committed config.  Trial slices set the
+        peak; the warm-up's set the order its Grams are summed in, and so
+        the batch-ML bits.  The chunk's slices are recorded where
+        ``_simulate_chunk`` cuts them, and none is reduced."""
+        env = build_environment(load_config(CONFIGS / f"{config}.json"))
+        cuts = []
+        slices = experiments._slices
+
+        def recording_slices(*args, **kwargs):
+            cuts.append([len(s) for s in slices(*args, **kwargs)])
+            return []
+        got = {}
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "_slices", recording_slices)
+            for kind in SWEEPS:
+                _simulate_chunk(env, kind, 0, 50, ("ls",), [1.0])
+                got[kind] = cuts.pop()
+        sizes = _count_draws(monkeypatch)
+        experiments._warm_up_grams(env, 0)
+        got["warm-up"] = sizes
+        assert got == PARTITIONS[config]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_trial_slices_match_one_pass(self, desk_small, blocks_of_3, monkeypatch,
@@ -1084,9 +1127,28 @@ class TestSlices:
         monkeypatch.setattr(experiments, "_warm_up_grams", _one_pass_grams)
         one_pass = _sweep_outputs(desk_small, workers)
         monkeypatch.setattr(experiments, "_SLICE_BYTES", 1)
-        assert experiments._slices(range(3), build_environment(desk_small)) == \
-            [range(0, 1), range(1, 2), range(2, 3)]
+        assert experiments._slices(range(3), 1) == [range(0, 1), range(1, 2), range(2, 3)]
         assert _sweep_outputs(desk_small, workers) == one_pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(start=st.integers(0, 1000), n=st.integers(1, 300),
+           item_bytes=st.integers(1, 4 * experiments._SLICE_BYTES),
+           kept=st.integers(0, 2 * experiments._SLICE_BYTES))
+    def test_slices_cover_and_fit(self, start, n, item_bytes, kept):
+        """Slices are non-empty and consecutive and cover the items; each fits
+        the budget less ``kept`` unless it holds one item; even slices differ
+        in size by at most one and are as many as the full slices.  Items are
+        never empty: a config has one trial and one warm-up snapshot at least."""
+        items = range(start, start + n)
+        budget = experiments._SLICE_BYTES - kept
+        full = experiments._slices(items, item_bytes, kept)
+        even = experiments._slices(items, item_bytes, kept, even=True)
+        for slices in (full, even):
+            assert all(len(s) > 0 for s in slices)
+            assert [t for s in slices for t in s] == list(items)
+            assert all(len(s) == 1 or len(s) * item_bytes <= budget for s in slices)
+        assert len(even) == len(full)
+        assert max(map(len, even)) - min(map(len, even)) <= 1
 
     def test_sliced_warm_up_grams_match_one_pass(self, monkeypatch):
         env = build_environment(desk_config(n_rx=64))
@@ -1147,7 +1209,7 @@ class TestSlices:
         peak = _traced_peak(lambda: _simulate_chunk(env, "nmse-sweep", 0, 20, methods, nv))
         assert peak <= 1.1 * (holds + bases)
 
-    def test_full_grid_slice_conjugates_in_place(self):
+    def test_full_grid_slice_working_set(self, monkeypatch):
         """A desk full-grid ``ls`` slice of 13 trials, the largest a desk SE
         or ECDF chunk is cut into, peaks (traced) within 1.1 x what it must
         hold, in units of one complex (13, n_rx, n_subcarriers) array F: H on
@@ -1158,9 +1220,10 @@ class TestSlices:
         env = build_environment(load_config(CONFIGS / "desk.json"))
         sweep, n_sc = SWEEPS["ecdf"], env.bundle.system.n_subcarriers
         assert len(env.pilots) == n_sc // 2
-        slices = experiments._slices(range(50), env, width=n_sc, holds=sweep.holds, even=True)
-        assert max(map(len, slices)) == 13
         nv = np.asarray(_noise_variances(env, sweep.snrs))
+        sizes = _count_draws(monkeypatch)
+        _simulate_chunk(env, "ecdf", 0, 50, ("ls",), nv)
+        assert max(sizes) == 13
         bases = _method_bases(env, ("ls",), nv, 0)
         fading, noise = _draw(env, [(FADING, t) for t in range(13)],
                               [(NOISE, t) for t in range(13)])
@@ -1179,7 +1242,8 @@ class TestSlices:
         """A chunk with its kind's default methods and SNR points peaks
         (traced, batch-ML warm-up included) within 1.4 x ``_SLICE_BYTES``:
         its trial slices are sized by every array the kind's reducer holds
-        per trial (``Sweep.holds``), not by H and W' alone."""
+        per trial on its grid (``_simulate_chunk`` counts them), not by H and
+        W' alone."""
         env = build_environment(load_config(CONFIGS / f"{config}.json"))
         plan = validate_plan(ExperimentPlan(bundle=env.bundle), kind)
         nv = _noise_variances(env, plan.snrs)
