@@ -62,7 +62,9 @@ builds its subcommands from the table.
   sample covariances of those snapshots are quadratic in sigma; their Gram
   matrices are taken once per chunk (:class:`~chest.subspaces.SnapshotGrams`)
   and only the two small ``eigh`` calls and its coordinates repeat per SNR
-  point and slice.
+  point and slice.  So each method's entry (:func:`_method_bases`) names the
+  ``range`` of SNR points its pair serves: the whole grid, or for batch-ML
+  one point per pair.
 
 The reducer returns per-trial results, one array per key with the trial on
 axis 0, for the outputs the kind keeps and no others: ``("error", method,
@@ -258,7 +260,8 @@ _SLICE_BYTES = 5 << 18    # 1.25 MiB
 def _slices(items: range, item_bytes: int, kept: int = 0, even: bool = False) -> list[range]:
     """``items``, trials or warm-up snapshots, cut into consecutive slices
     whose arrays, ``item_bytes`` per item, fit ``_SLICE_BYTES`` less the
-    ``kept`` bytes; a slice holds one item at least.
+    ``kept`` bytes; a slice holds one item at least, and no items make no
+    slices.
 
     The slices are full but for the last, or, with ``even``, as many slices
     of sizes within one of each other, so that the largest, which sets the
@@ -266,7 +269,7 @@ def _slices(items: range, item_bytes: int, kept: int = 0, even: bool = False) ->
     be cut evenly, as their rows are laid end to end; the warm-up keeps full
     slices, as its partition sets the order its Grams are summed in."""
     step = max(1, (_SLICE_BYTES - kept) // item_bytes)
-    if not even:
+    if not even or not items:
         return [items[i:i + step] for i in range(0, len(items), step)]
     count = -(-len(items) // step)
     bounds = [len(items) * k // count for k in range(count + 1)]
@@ -291,33 +294,35 @@ def _warm_up_grams(env: Environment, block: int) -> SnapshotGrams:
 
 def _method_bases(env: Environment, methods: tuple[str, ...],
                   noise_variances: np.ndarray, block: int) -> list:
-    """``(method, snrs, bases)`` for every method, taken once per chunk.
+    """``(method, points, bases)`` for every method, taken once per chunk.
 
-    The method's estimate at SNR point ``i`` in ``snrs`` is
-    ``P(H) + sigma_i * P(W')``, with P the projection by ``bases``.  ``ls``,
-    the twin pair and the delay window hold for the whole grid; the window is
-    built here, as a full-scale window basis is too large to keep in every
-    environment.  Batch-ML has one pair per SNR point: it comes from the
-    block's warm-up snapshots ``H_w + sigma * W'_w``, whose sample covariances
-    follow from Gram matrices taken once per block.  ``ideal`` has no bases
-    (None): it combines on the channel itself.
+    ``points`` is the ``range`` of SNR points the entry serves; the method's
+    estimate at point ``i`` in it is ``P(H) + sigma_i * P(W')``, with P the
+    projection by ``bases``.  ``ls``, the twin pair and the delay window hold
+    for the whole grid, ``range(len(noise_variances))``; the window is built
+    here, as a full-scale window basis is too large to keep in every
+    environment.  Batch-ML has one pair per SNR point, ``range(i, i + 1)``:
+    it comes from the block's warm-up snapshots ``H_w + sigma * W'_w``, whose
+    sample covariances follow from Gram matrices taken once per block.
+    ``ideal`` has no bases (None): it combines on the channel itself.
     """
+    points = range(len(noise_variances))
     out = []
     for method in methods:
         if method == "ideal":
-            out.append((method, slice(None), None))
+            out.append((method, points, None))
         elif method == "ls":
-            out.append((method, slice(None), ProjectorPair(None, None)))
+            out.append((method, points, ProjectorPair(None, None)))
         elif method == "emdt":
-            out.append((method, slice(None), env.projectors))
+            out.append((method, points, env.projectors))
         elif method == "denoise":
-            out.append((method, slice(None),
+            out.append((method, points,
                         denoise_subspace(env.bundle.system, env.bundle.estimator.tau_max)))
         elif method == "bml":
             grams = _warm_up_grams(env, block)
             r_s, r_t = bml_ranks(env)
             for i, sigma in enumerate(np.sqrt(noise_variances)):
-                out.append((method, slice(i, i + 1),
+                out.append((method, range(i, i + 1),
                             bml_subspace(grams.covariances(sigma), r_s, r_t)))
         else:
             raise ConfigError(f"unknown method {method!r}")
@@ -342,43 +347,26 @@ def _error_energy(bases: ProjectorPair, truth: np.ndarray, core_h: np.ndarray,
     return _energy(residual) + s * s * _energy(core_w)
 
 
-def _combining_snrs(bases: ProjectorPair, core_h: np.ndarray, core_w: np.ndarray,
-                    truth: np.ndarray, grid: np.ndarray | None, sigmas: np.ndarray,
-                    noise_variances: np.ndarray) -> np.ndarray:
-    """Post-combining SNRs, (len(sigmas), n_trials, n_sc), of the estimates
-    ``P(H) + sigma P(W')`` taken onto the grid of ``truth``: the full grid
-    through the interpolation matrix ``grid``, or the pilot grid (None).
-
-    Every sum lives in the spatial coordinates of the method's basis, and
-    interpolation is folded into the temporal side, so no (n_rx, n_sc)
-    estimate is formed unless the method keeps every antenna.
-    """
-    rows = bases.synthesis(grid)
-    stats = CombiningStats.of(*(c if rows is None else c @ rows for c in (core_h, core_w)),
-                              bases.coords(truth))
-    return post_combining_snr(stats, sigmas, noise_variances)
-
-
-def _rate(snrs: np.ndarray) -> np.ndarray:
-    """Per-trial spectral efficiency: the mean ``log2(1 + SNR)`` over the
-    subcarriers on the last axis."""
-    return np.mean(np.log2(1.0 + snrs), axis=-1)
-
-
 def _reduce_slice(env: Environment, fading: np.ndarray, noise: np.ndarray,
                   bases: list, noise_variances: np.ndarray, outputs: frozenset[str],
                   full_grid: bool) -> dict:
     """One slice's per-trial results, by key, for each of ``outputs`` at SNR
     point ``i``: each method's squared error, ``("error", method, i)``, with
-    the per-trial channel energy, ``"energy"``; its spectral efficiency,
-    ``("rate", method, i)``; or its post-combining SNR samples, ``("snr",
-    method, i)``, (n_trials, n_sc).
+    the per-trial channel energy, ``"energy"``; its spectral efficiency, the
+    mean ``log2(1 + SNR)`` over the subcarriers, ``("rate", method, i)``; or
+    its post-combining SNR samples, ``("snr", method, i)``, (n_trials, n_sc).
 
-    Errors are taken on the pilot grid, rates and samples on the pilot grid
-    or, with ``full_grid``, on the full grid, where H is assembled whole and
-    the pilot-grid H is its pilot columns.  Where rates are kept without the
-    samples, each method's samples are reduced before the next method runs.
-    ``ideal`` has no error; it combines on the channel itself."""
+    One pass over the ``_method_bases`` entries: each takes the cores of H
+    and W' once and serves its SNR points.  Errors are taken on the pilot
+    grid, rates and samples on the pilot grid or, with ``full_grid``, on the
+    full grid, where H is assembled whole and the pilot-grid H is its pilot
+    columns.  The combining sums of the estimates ``P(H) + sigma P(W')`` live
+    in the spatial coordinates of the method's basis, and interpolation is
+    folded into the temporal side (``synthesis``), so no (n_rx, n_sc)
+    estimate is formed unless the method keeps every antenna.  Where rates
+    are kept without the samples, each method's samples are reduced before
+    the next method runs.  ``ideal`` has no error; it combines on the channel
+    itself."""
     if full_grid:
         truth_full = assemble_channel(env.steering, fading, env.freq_full)
         truth = truth_full[..., env.pilots.indices]
@@ -388,26 +376,26 @@ def _reduce_slice(env: Environment, fading: np.ndarray, noise: np.ndarray,
         grid = None
     sigmas = np.sqrt(noise_variances)
     out = {"energy": _energy(truth)} if "error" in outputs else {}
-
-    def keep(name, method, snrs, values):
-        out.update(zip([(name, method, i) for i in range(len(sigmas))[snrs]], values))
-    for method, snrs, b in bases:
+    for method, points, b in bases:
+        got = {}
         if b is not None:
             core_h, core_w = b.core(truth), b.core(noise)
         if "error" in outputs:
-            keep("error", method, snrs, _error_energy(b, truth, core_h, core_w, sigmas[snrs]))
-        if not outputs & {"rate", "snr"}:
-            continue
-        if b is None:
-            stats = CombiningStats.of(truth_full, None, truth_full)
-            snr = post_combining_snr(stats, sigmas[snrs], noise_variances[snrs])
-        else:
-            snr = _combining_snrs(b, core_h, core_w, truth_full, grid, sigmas[snrs],
-                                  noise_variances[snrs])
-        if "rate" in outputs:
-            keep("rate", method, snrs, _rate(snr))
-        if "snr" in outputs:
-            keep("snr", method, snrs, snr)
+            got["error"] = _error_energy(b, truth, core_h, core_w, sigmas[points])
+        if outputs & {"rate", "snr"}:
+            if b is None:
+                stats = CombiningStats.of(truth_full, None, truth_full)
+            else:
+                rows = b.synthesis(grid)
+                stats = CombiningStats.of(*(c if rows is None else c @ rows
+                                            for c in (core_h, core_w)), b.coords(truth_full))
+            snr = post_combining_snr(stats, sigmas[points], noise_variances[points])
+            if "rate" in outputs:
+                got["rate"] = np.mean(np.log2(1.0 + snr), axis=-1)
+            if "snr" in outputs:
+                got["snr"] = snr
+        for name, values in got.items():
+            out.update(zip([(name, method, i) for i in points], values))
     return out
 
 

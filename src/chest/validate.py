@@ -15,7 +15,7 @@ never form the Kronecker product of the two:
 * error-orthogonal-split: the per-trial errors the sweeps' one reducer,
   ``experiments._reduce_slice``, takes for the ``"error"`` output, split as
   ||PH - H||^2 + sigma^2 ||core(W')||^2, equal ||P_s (H + sigma W') P_t - H||^2
-  for every NMSE method and SNR point.
+  for every NMSE method's pair at each SNR point in its entry's range.
 * interpolation-pilot-exact: M and each pair's synthesis rows U_t^T M keep
   the pilot columns.
 * vec-kronecker-identity: vec(P_s H P_t) = (P_t^T kron P_s) vec(H), vec
@@ -284,7 +284,7 @@ def check_error_decomposition(bundle: ConfigBundle) -> CheckResult:
     worst = 0.0
     for method, points, pair in bases:
         p_s, p_t = _dense(pair)
-        for i in range(len(variances))[points]:
+        for i in points:
             est = truth + math.sqrt(variances[i]) * noise
             est = est if p_s is None else p_s @ est
             est = est if p_t is None else est @ p_t

@@ -897,6 +897,24 @@ def _formed(env, fading, noise, method, noise_variance, interpolate):
             _post_combining_snr(full, truth_full, noise_variance))
 
 
+@pytest.mark.parametrize("n_points", [1, 11])
+@pytest.mark.parametrize("method", SWEEPS["ecdf"].methods)
+def test_method_entries_cover_every_point_once(desk_env, method, n_points):
+    """A method's ``_method_bases`` entries name consecutive ``range``s of SNR
+    points that cover them all exactly once: one entry per point for
+    ``bml``, one for the whole grid for every other method.
+    ``_reduce_slice`` writes one key per point of an entry, so a gap or an
+    overlap would drop a result or write one twice."""
+    nv = np.asarray(_noise_variances(desk_env, np.linspace(-20.0, 30.0, n_points)))
+    entries = _method_bases(desk_env, (method,), nv, 0)
+    points = [p for _, p, _ in entries]
+    assert {m for m, _, _ in entries} == {method}
+    assert all(type(p) is range and p.step == 1 for p in points)
+    assert [p.stop for p in points[:-1]] == [p.start for p in points[1:]]
+    assert [i for p in points for i in p] == list(range(n_points))
+    assert len(entries) == (n_points if method == "bml" else 1)
+
+
 # The per-trial results each run_* reads, by output: _records reads errors
 # with the channel energy and rates, run_ecdf the SNR samples.
 READ_KEYS = {"nmse-sweep": ("error",), "pilot-sweep": ("error", "rate"),
@@ -1131,14 +1149,14 @@ class TestSlices:
         assert _sweep_outputs(desk_small, workers) == one_pass
 
     @settings(max_examples=200, deadline=None)
-    @given(start=st.integers(0, 1000), n=st.integers(1, 300),
+    @given(start=st.integers(0, 1000), n=st.integers(0, 300),
            item_bytes=st.integers(1, 4 * experiments._SLICE_BYTES),
            kept=st.integers(0, 2 * experiments._SLICE_BYTES))
     def test_slices_cover_and_fit(self, start, n, item_bytes, kept):
         """Slices are non-empty and consecutive and cover the items; each fits
         the budget less ``kept`` unless it holds one item; even slices differ
-        in size by at most one and are as many as the full slices.  Items are
-        never empty: a config has one trial and one warm-up snapshot at least."""
+        in size by at most one and are as many as the full slices.  No items
+        make no slices, full or even."""
         items = range(start, start + n)
         budget = experiments._SLICE_BYTES - kept
         full = experiments._slices(items, item_bytes, kept)
@@ -1148,7 +1166,10 @@ class TestSlices:
             assert [t for s in slices for t in s] == list(items)
             assert all(len(s) == 1 or len(s) * item_bytes <= budget for s in slices)
         assert len(even) == len(full)
-        assert max(map(len, even)) - min(map(len, even)) <= 1
+        if not items:
+            assert full == even == []
+        else:
+            assert max(map(len, even)) - min(map(len, even)) <= 1
 
     def test_sliced_warm_up_grams_match_one_pass(self, monkeypatch):
         env = build_environment(desk_config(n_rx=64))
@@ -1168,15 +1189,6 @@ class TestSlices:
         shape = (env.bundle.estimator.n_batch, env.bundle.system.n_rx, len(env.pilots))
         peak = _traced_peak(lambda: experiments._warm_up_grams(env, 0))
         assert peak < np.prod(shape) * np.dtype(complex).itemsize
-
-    def test_reference_warm_up_keeps_full_slices(self, monkeypatch):
-        """The reference warm-up's 64 snapshots are drawn 12 at a time and 4
-        last, whatever trials are cut into: the partition sets the order the
-        Grams are summed in, and so the batch-ML bits."""
-        env = build_environment(desk_config(n_rx=64))
-        sizes = _count_draws(monkeypatch)
-        experiments._warm_up_grams(env, 0)
-        assert sizes == [12] * 5 + [4]
 
     def test_reference_nmse_chunk_working_set(self, monkeypatch):
         """A 20-trial reference NMSE chunk with all four methods at 11 SNR

@@ -30,6 +30,7 @@ RUNS = {
     "se-desk-workers-2": ["se-sweep", "--trials", "100", "--workers", "2"],
     "ecdf-desk": ["ecdf", "--trials", "100"],
     "ecdf-desk-workers-2": ["ecdf", "--trials", "100", "--workers", "2"],
+    "ecdf-one-point": ["ecdf", "--trials", "20", "--snr=0"],
     "pilot": ["pilot-sweep", "--config", str(CONFIGS / "pilot.json"), "--trials", "20"],
     "pilot-workers-2": ["pilot-sweep", "--config", str(CONFIGS / "pilot.json"),
                         "--trials", "20", "--workers", "2"],
