@@ -82,13 +82,16 @@ worker or one chunk forks none.  :func:`_map_chunks` is an ordered map that
 knows nothing of sweeps: plain ``os.fork`` children run the callable they
 inherited and send each result back through a pipe, so no run loads
 ``multiprocessing`` or ``concurrent.futures``.  Every sweep goes through one
-driver, :func:`_sweep`, which builds one environment per pilot count (the
-configured one unless the kind sweeps pilot counts) and every ``(k, t0, t1)``
-chunk task, and folds the chunk results: they come back in chunk order, and
-each is copied into rows [t0, t1) of one (n_trials, ...) array per key and
-dropped.  The ECDF thus holds one copy of its samples, and each sample buffer
-is released once its table is sorted out of it.  One builder,
-:func:`_records`, makes every record of the NMSE, SE and pilot sweeps.
+driver, :func:`_sweep`, which makes every ``(k, t0, t1)`` chunk task, one per
+pilot count ``k`` (the configured one unless the kind sweeps pilot counts) and
+chunk, and folds the chunk results: they come back in chunk order, and each is
+copied into rows [t0, t1) of one (n_trials, ...) array per key and dropped.  The ECDF thus holds one copy of its samples, and each sample buffer
+is released once its table is sorted out of it.  Environments are built where
+they are used: a process builds the environment of count ``k`` at its first
+task of ``k`` and keeps it, so forked workers build their own and the parent
+of a pooled run builds none, bar the one :func:`run_nmse_sweep` reads for its
+closed form after the sweep.  One builder, :func:`_records`, makes every
+record of the NMSE, SE and pilot sweeps.
 """
 from __future__ import annotations
 
@@ -150,6 +153,9 @@ def validate_plan(plan: ExperimentPlan, kind: str) -> ExperimentPlan:
                  plan.snrs or sweep.snrs or plan.bundle.system.snr_grid_db)
     check_snr_points(f"{kind} SNR points", snrs)
     _require_distinct(f"{kind} SNR points", snrs)
+    if plan.environment is not None:
+        # workers build the environments, so a set beyond the CP must fail here
+        _require_within_cp(plan.bundle.system, plan.environment)
     plan = replace(plan, methods=tuple(methods), snrs=snrs)
     if not sweep.sweeps_pilots:
         if plan.pilot_counts:
@@ -171,6 +177,11 @@ def _require_distinct(name: str, values) -> None:
         raise ConfigError(f"{name} repeat an entry: {list(values)}")
 
 
+def _require_within_cp(sysc, paths: PathSet) -> None:
+    if np.any(paths.delay >= sysc.cp_length * sysc.sample_interval):
+        raise ConfigError("supplied path delays exceed the CP duration")
+
+
 def _default_pilot_counts(n_subcarriers: int) -> tuple[int, ...]:
     counts = []
     c = 2
@@ -184,7 +195,9 @@ def _default_pilot_counts(n_subcarriers: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class Environment:
-    """Deterministic per-seed context shared by every trial."""
+    """Deterministic per-seed context shared by every trial of one pilot
+    count.  A sweep builds it in each process that runs the count's chunks
+    (:func:`_sweep`), never in the parent of a pooled run ahead of the fork."""
 
     bundle: ConfigBundle
     amplitude: np.ndarray      # (L,) mean path amplitudes
@@ -219,9 +232,7 @@ def build_environment(bundle: ConfigBundle, paths: PathSet | None = None) -> Env
     if paths is None:
         paths = generate_paths(scen, substream(sysc.seed, PATHS))
     else:
-        cp_duration = sysc.cp_length * sysc.sample_interval
-        if np.any(paths.delay >= cp_duration):
-            raise ConfigError("supplied path delays exceed the CP duration")
+        _require_within_cp(sysc, paths)
     pilots = build_pilot_pattern(sysc.n_subcarriers, sysc.n_pilots,
                                  substream(sysc.seed, PILOTS))
     steering = steering_matrix(paths, sysc.n_rx, scen.array_spacing)
@@ -557,34 +568,44 @@ def _fork_worker(run: Callable, tasks: list, write_fd: int, read_fds: list[int])
 
 
 def _sweep(plan: ExperimentPlan, kind: str):
-    """The plan validated as ``kind``, its environments, one per pilot count
-    (the configured count unless the kind sweeps pilot counts), and each
-    one's per-trial results at the plan's SNR points: one (n_trials, ...)
-    array per key of the kind's results.
+    """The plan validated as ``kind``, its environment builder, and the
+    per-trial results of each pilot count (the configured count unless the
+    kind sweeps pilot counts), by count, at the plan's SNR points: one
+    (n_trials, ...) array per key of the kind's results.
 
-    A task is ``(k, t0, t1)``: trials [t0, t1) of environment ``k``.  The
-    arrays are allocated at the environment's first chunk, and every chunk's
-    rows are copied into them as the chunk arrives (:func:`_map_chunks`), so
-    the run holds one copy of its per-trial results and one chunk result at a
-    time."""
+    A task is ``(k, t0, t1)``: trials [t0, t1) at pilot count ``k``.  The
+    builder, ``environment(k)``, builds that count's environment the first
+    time its process asks for it and keeps it for that process, so each forked
+    worker builds those of its own tasks, a one-worker run builds each count
+    once, just before its first chunk, and the parent of a pooled run builds
+    none unless a caller asks it for one afterwards.  The arrays are allocated
+    at a count's first chunk, and every chunk's rows are copied into them as
+    the chunk arrives (:func:`_map_chunks`), so the run holds one copy of its
+    per-trial results and one chunk result at a time."""
     plan = validate_plan(plan, kind)
     base = plan.bundle
     n_trials = base.system.n_trials
     # validate_plan checked the counts; bml rank caps do not apply to them
     counts = plan.pilot_counts or (base.system.n_pilots,)
-    envs = tuple(build_environment(replace(base, system=replace(base.system, n_pilots=n)),
-                                   plan.environment) for n in counts)
-    variances = [_noise_variances(env, plan.snrs) for env in envs]
+    built = {}
+
+    def environment(k: int) -> Environment:
+        if k not in built:
+            bundle = replace(base, system=replace(base.system, n_pilots=k))
+            built[k] = build_environment(bundle, plan.environment)
+        return built[k]
 
     def run(task):
         k, t0, t1 = task
-        return _simulate_chunk(envs[k], kind, t0, t1, plan.methods, variances[k])
-    tasks = [(k, t0, t1) for k in range(len(envs)) for t0, t1 in _chunk_ranges(n_trials)]
-    trials = tuple({} for _ in envs)
+        env = environment(k)
+        return _simulate_chunk(env, kind, t0, t1, plan.methods,
+                               _noise_variances(env, plan.snrs))
+    tasks = [(k, t0, t1) for k in counts for t0, t1 in _chunk_ranges(n_trials)]
+    trials = {k: {} for k in counts}
     with closing(_map_chunks(run, tasks, plan.workers)) as results:
         for (k, t0, t1), result in zip(tasks, results):
             _lay_rows(trials[k], result, slice(t0, t1), n_trials)
-    return plan, envs, trials
+    return plan, environment, trials
 
 
 def _nmse(trials: dict, method: str, i: int) -> float:
@@ -598,29 +619,33 @@ def _noise_variances(env: Environment, snrs) -> list[float]:
 
 # --- Sweeps -------------------------------------------------------------------
 
-def _records(plan: ExperimentPlan,
-             kind: str) -> tuple[tuple[Environment, ...], list[MetricsRecord]]:
-    """The environments of a ``kind`` sweep and one record per (pilot count,
-    SNR point, method), in that order: the pooled NMSE where the sweep took
-    errors, the mean per-trial rate where it took rates."""
-    plan, envs, per_count = _sweep(plan, kind)
+def _records(plan: ExperimentPlan, kind: str) -> tuple[Callable, list[MetricsRecord]]:
+    """The environment builder of a ``kind`` sweep (:func:`_sweep`) and one
+    record per (pilot count, SNR point, method), in that order: the pooled
+    NMSE where the sweep took errors, the mean per-trial rate where it took
+    rates.  Each record's pilot count is the sweep's key, not an
+    environment's, so the parent of a pooled sweep builds none."""
+    plan, environment, per_count = _sweep(plan, kind)
     records = []
-    for env, trials in zip(envs, per_count):
-        sysc = env.bundle.system
+    for n_pilots, trials in per_count.items():
         for i, snr_db in enumerate(plan.snrs):
             for method in plan.methods:
                 rate = trials.get(("rate", method, i))
                 records.append(MetricsRecord(
-                    method=method, snr_db=snr_db, n_pilots=sysc.n_pilots,
-                    trials=sysc.n_trials,
+                    method=method, snr_db=snr_db, n_pilots=n_pilots,
+                    trials=plan.bundle.system.n_trials,
                     nmse_emp=_nmse(trials, method, i) if "energy" in trials else None,
                     spectral_efficiency=None if rate is None else float(rate.mean())))
-    return envs, records
+    return environment, records
 
 
 def run_nmse_sweep(plan: ExperimentPlan) -> list[MetricsRecord]:
-    """Empirical NMSE per (method, SNR); analytic breakdown for the twin prior."""
-    (env,), records = _records(plan, "nmse-sweep")
+    """Empirical NMSE per (method, SNR); analytic breakdown for the twin prior.
+
+    The breakdown needs the environment in this process: a one-worker run
+    reuses the sweep's, and the parent of a pooled run builds it here."""
+    environment, records = _records(plan, "nmse-sweep")
+    env = environment(plan.bundle.system.n_pilots)
     return [replace(r, nmse_analytic=analytic_nmse(
                 env.projectors, env.steering, env.freq_pilot, env.amplitude, r.snr_db,
                 noise_variance_for_snr(r.snr_db, env.beta)))
@@ -650,7 +675,8 @@ def run_ecdf(plan: ExperimentPlan) -> dict[tuple[str, float], np.ndarray]:
     as soon as its table is sorted, so the run holds about one copy of its
     samples.
     """
-    plan, _, (samples,) = _sweep(plan, "ecdf")
+    plan, _, per_count = _sweep(plan, "ecdf")
+    (samples,) = per_count.values()
     return {(method, snr_db): ecdf(samples.pop(("snr", method, i)))
             for i, snr_db in enumerate(plan.snrs) for method in plan.methods}
 

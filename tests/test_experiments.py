@@ -31,7 +31,7 @@ from chest.experiments import (SWEEPS, ExperimentPlan, bml_ranks,
                                _reduce_slice, _simulate_chunk)
 from chest.metrics import analytic_nmse, ecdf
 from chest.propagation import (PathSet, dt_truncate, frequency_response, generate_paths,
-                               steering_matrix)
+                               save_paths_csv, steering_matrix)
 from chest.streams import (FADING, NOISE, PATHS, WARM_FADING, WARM_NOISE,
                            complex_normal, substream)
 from chest.subspaces import SnapshotGrams, bml_subspace, denoise_subspace, dt_subspace
@@ -304,8 +304,8 @@ def test_twin_pair_is_the_channels_own_columns(config, desk, make_paths):
 def test_full_scale_environment_holds_low_rank_projectors():
     """The largest environment of a pilot sweep on ``configs/full-scale.json``
     (64 antennas, 2048 pilots) keeps n x r bases, never a dense 2048-square
-    projector (64 MB), so the whole environment a forked worker inherits
-    stays small."""
+    projector (64 MB), so the whole environment that each process running the
+    count's chunks builds and keeps stays small."""
     bundle = load_config(CONFIGS / "full-scale.json")
     n_sc = bundle.system.n_subcarriers
     assert n_sc == 2048
@@ -588,6 +588,94 @@ class TestWorkerFailures:
             for p in pids:
                 if _running(p):
                     os.kill(p, signal.SIGKILL)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The ``(pid, n_pilots)`` of each environment the sweeps build in this
+    process while the test runs; a forked worker keeps its records to
+    itself."""
+    built, build = [], experiments.build_environment
+
+    def recording_build(bundle, paths=None):
+        built.append((os.getpid(), bundle.system.n_pilots))
+        return build(bundle, paths)
+    monkeypatch.setattr(experiments, "build_environment", recording_build)
+    return built
+
+
+def _small_plan(kind: str, **fields) -> ExperimentPlan:
+    """Six desk trials, two chunks under ``blocks_of_3``, at one SNR point;
+    a pilot sweep runs three pilot counts."""
+    extra = {"pilot_counts": (2, 8, 32)} if kind == "pilot-sweep" else {}
+    return ExperimentPlan(bundle=desk_config(n_trials=6), methods=("ls", "emdt"),
+                          snrs=(0.0,), **extra, **fields)
+
+
+def _output(kind: str, plan: ExperimentPlan):
+    """A run's output in a form ``==`` compares exactly."""
+    if kind == "ecdf":
+        return {key: table.tolist() for key, table in run_ecdf(plan).items()}
+    return RUNS[kind](plan)
+
+
+@pytest.mark.usefixtures("blocks_of_3")
+class TestEnvironmentBuilds:
+    """Each process builds the environments of the tasks it runs, once: the
+    parent of a pooled sweep builds none, bar the one the NMSE sweep's closed
+    form reads, and a one-worker run builds each pilot count once."""
+
+    @pytest.mark.parametrize("kind", ["ecdf", "se-sweep", "pilot-sweep"])
+    def test_pooled_parent_builds_none(self, kind, builds, forks):
+        _output(kind, _small_plan(kind, workers=2))
+        assert len(forks) == 2
+        assert builds == []
+        assert_no_child_left()
+
+    def test_pooled_nmse_parent_builds_one(self, builds, forks):
+        plan = _small_plan("nmse-sweep", workers=2)
+        run_nmse_sweep(plan)
+        assert len(forks) == 2
+        assert builds == [(os.getpid(), plan.bundle.system.n_pilots)]
+
+    @pytest.mark.parametrize("kind", SWEEPS)
+    def test_one_worker_builds_each_count_once(self, kind, builds, forks):
+        plan = validate_plan(_small_plan(kind), kind)
+        _output(kind, plan)
+        assert forks == []
+        counts = plan.pilot_counts or (plan.bundle.system.n_pilots,)
+        assert builds == [(os.getpid(), n) for n in counts]
+
+    @pytest.mark.parametrize("kind", ["ecdf", "pilot-sweep"])
+    def test_supplied_paths_give_the_same_output_on_any_worker_count(self, kind,
+                                                                     make_paths):
+        """Every worker builds its environments from the supplied set, and
+        the output is that of one worker, which is not that of the drawn
+        paths."""
+        plan = _small_plan(kind, environment=make_paths([0.05, 0.2, 0.35],
+                                                        powers=[0.5, 0.3, 0.2]))
+        serial = _output(kind, plan)
+        assert _output(kind, replace(plan, workers=2)) == serial
+        assert _output(kind, replace(plan, environment=None)) != serial
+
+    def test_supplied_paths_beyond_the_cp_fail_before_forking(self, make_paths, forks,
+                                                              capsys, tmp_path):
+        """A supplied delay at the CP duration or beyond is a configuration
+        error of the plan, raised before any worker is forked."""
+        desk = desk_config().system
+        late = make_paths([0.1, desk.cp_length * desk.sample_interval * 2e6])
+        plan = _small_plan("ecdf", environment=late, workers=2)
+        with pytest.raises(ConfigError, match="CP"):
+            validate_plan(plan, "ecdf")
+        with pytest.raises(ConfigError, match="CP"):
+            run_ecdf(plan)
+        save_paths_csv(late, tmp_path / "late.csv")
+        code = cli.main(["ecdf", "--methods", "ls", "--trials", "6", "--workers", "2",
+                         "--paths", str(tmp_path / "late.csv"),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "CP" in capsys.readouterr().err
+        assert forks == []
 
 
 # Run by a fresh interpreter: records the pids it forks in the file argv[1],

@@ -1,7 +1,8 @@
 """Static checks on the source tree: no module or test file imports a name it
 never uses, no module rebinds a module-level name from a function, no module forms
 a dense Kronecker product or identity outside the two checks that need one or turns
-path geometry into responses outside the two places that own it, no module imports
+path geometry into responses outside the two places that own it, no sweep builds an
+environment outside the per-process builder that owns it, no module imports
 the process-pool machinery, no function writes ``out=`` into an array it was
 handed, the package defines nothing it never references, bar three names kept for
 a stated reason, it exports only names it has, each once, and the sweep table
@@ -73,7 +74,8 @@ def global_statements(source: str) -> list[str]:
                   for node in ast.walk(tree) if isinstance(node, ast.Global))
 
 
-# Forked workers inherit the run's environments, so no module keeps any.
+# A sweep keeps the environments a process builds in its own closure, so no
+# module keeps any.
 GLOBALS_ALLOWED: dict[str, set[str]] = {}
 
 
@@ -98,7 +100,7 @@ def test_detects_global_statements():
 
 
 DENSE = ("kron", "eye")
-RESPONSES = ("steering_matrix", "frequency_response")
+RESPONSES = ("steering_matrix", "frequency_response", "build_environment")
 
 
 def _dense_name(node: ast.AST) -> str | None:
@@ -113,9 +115,9 @@ def _dense_name(node: ast.AST) -> str | None:
 
 
 def dense_builders(source: str) -> list[str]:
-    """``np.kron`` and ``np.eye``, and every reference to ``steering_matrix``
-    or ``frequency_response``, in ``source``, each with its innermost enclosing
-    function, or ``<module>``."""
+    """``np.kron`` and ``np.eye``, and every reference to ``steering_matrix``,
+    ``frequency_response`` or ``build_environment``, in ``source``, each with
+    its innermost enclosing function, or ``<module>``."""
     tree = ast.parse(source)
     owner = _owners(tree)
     return sorted(f"line {node.lineno}: {owner.get(node, '<module>')}: {name}"
@@ -127,13 +129,21 @@ def dense_builders(source: str) -> list[str]:
 # compares a basis's Gram matrix with the identity.  Path geometry becomes
 # steering and frequency responses in two places: the sweeps' environment,
 # and the fixed small instances of chest validate.  Every other function takes
-# responses.
+# responses.  A sweep builds its environments only in the per-process builder
+# of _sweep, ``environment``, where each forked worker builds those of its own
+# tasks.  A build anywhere else in a sweep would run in the parent of a pooled
+# run, whose peak would then hold the linear-algebra and FFT code pages the
+# build touches (3.2 MB on the desk config) for an environment it never reads.
+# chest validate builds the environments its checks take directly.
 DENSE_ALLOWED = {"validate.py": {("check_vec_kron", "np.kron"),
                                  ("_small_responses", "steering_matrix"),
-                                 ("_small_responses", "frequency_response")},
+                                 ("_small_responses", "frequency_response"),
+                                 ("_chunk_bases", "build_environment"),
+                                 ("check_noise_calibration", "build_environment")},
                  "subspaces.py": {("_check_orthonormal", "np.eye")},
                  "experiments.py": {("build_environment", "steering_matrix"),
-                                    ("build_environment", "frequency_response")}}
+                                    ("build_environment", "frequency_response"),
+                                    ("environment", "build_environment")}}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
@@ -150,10 +160,13 @@ def test_detects_dense_builders():
               "    return np.eye(3) + other.eye(2)\n"
               "def g():\n"
               "    k = np.kron\n"
-              "    return steering_matrix(p, 4, 0.5), propagation.frequency_response\n")
+              "    return steering_matrix(p, 4, 0.5), propagation.frequency_response\n"
+              "def h(bundle):\n"
+              "    return experiments.build_environment(bundle)\n")
     assert dense_builders(source) == ["line 2: <module>: np.kron", "line 4: f: np.eye",
                                       "line 6: g: np.kron", "line 7: g: frequency_response",
-                                      "line 7: g: steering_matrix"]
+                                      "line 7: g: steering_matrix",
+                                      "line 9: h: build_environment"]
 
 
 # The pool machinery costs about 2 MB resident and tens of ms at start-up, and
