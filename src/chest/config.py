@@ -8,6 +8,20 @@ A JSON config file mirrors the three sections::
 Unknown sections or keys are rejected so a typo cannot silently fall back to a
 default.  ``validate_config`` checks every invariant and returns an immutable
 bundle of the three sections.
+
+The rules of the two sweep axes, and of the delays they run on, are stated
+once here, each as one function that every boundary applying it calls with
+its own field's name, so a value is accepted or refused alike wherever it
+enters:
+
+* :func:`check_pilot_count`: a pilot count is >= 1 and divides N, so lies in
+  [1, N] (``n_pilots``, :func:`build_pilot_pattern`, a plan's pilot counts);
+* :func:`check_snr_points`: an SNR list is non-empty, finite, within
+  +-``SNR_LIMIT_DB`` and repeats no point (``snr_grid_db``, a plan's SNR
+  points); its repeat check, :func:`check_distinct`, also serves a plan's
+  methods and pilot counts;
+* :func:`check_within_cp`: delays stay below the CP duration
+  (``delay_spread``, a supplied path set).
 """
 from __future__ import annotations
 
@@ -137,20 +151,14 @@ def validate_config(system: SystemConfig,
     n = system.n_subcarriers
     _require(n >= 2 and (n & (n - 1)) == 0,
              f"n_subcarriers must be a power of two >= 2, got {n}")
-    _require(1 <= system.n_pilots <= n,
-             f"n_pilots must lie in [1, {n}], got {system.n_pilots}")
-    _require(n % system.n_pilots == 0,
-             f"n_pilots must divide n_subcarriers ({system.n_pilots} does not divide {n})")
+    check_pilot_count("n_pilots", system.n_pilots, n)
     _require(system.n_rx >= 1, "n_rx must be >= 1")
     _require(system.cp_length >= 0, "cp_length must be >= 0")
     _require(system.subcarrier_spacing > 0, "subcarrier_spacing must be positive")
     _require(math.isfinite(system.bandwidth) and math.isfinite(system.sample_interval),
              "subcarrier_spacing must give a finite bandwidth and sample interval, "
              f"got {system.subcarrier_spacing!r}")
-    _require(len(system.snr_grid_db) > 0, "snr_grid_db must be non-empty")
     check_snr_points("snr_grid_db entries", system.snr_grid_db)
-    _require(len(set(system.snr_grid_db)) == len(system.snr_grid_db),
-             f"snr_grid_db repeats an entry: {list(system.snr_grid_db)}")
     _require(system.n_trials >= 1, "n_trials must be >= 1")
     _require(0 <= system.seed < 2 ** 63, "seed must be a non-negative 64-bit integer")
 
@@ -158,10 +166,7 @@ def validate_config(system: SystemConfig,
     _require(1 <= scenario.n_dt_paths <= scenario.n_paths,
              f"n_dt_paths must lie in [1, n_paths], got {scenario.n_dt_paths}")
     _require(scenario.delay_spread > 0, "delay_spread must be positive")
-    cp_duration = system.cp_length * system.sample_interval
-    _require(scenario.delay_spread < cp_duration,
-             f"delay_spread {scenario.delay_spread:.3e} s must stay below the CP duration "
-             f"{cp_duration:.3e} s (no inter-symbol interference)")
+    check_within_cp("delay_spread", scenario.delay_spread, system)
     for name, rng_ in (("azimuth_range", scenario.azimuth_range),
                        ("elevation_range", scenario.elevation_range)):
         _require(len(rng_) == 2 and all(math.isfinite(v) for v in rng_) and rng_[0] <= rng_[1],
@@ -187,20 +192,49 @@ def validate_config(system: SystemConfig,
     return ConfigBundle(system=system, scenario=scenario, estimator=estimator)
 
 
+def check_pilot_count(name: str, count: int, n_subcarriers: int) -> None:
+    """The pilot-count rule: ConfigError naming ``name`` unless ``count`` is
+    at least 1 and divides ``n_subcarriers``, which puts it in [1, N]."""
+    _require(count >= 1 and n_subcarriers % count == 0,
+             f"{name} must be >= 1 and divide n_subcarriers ({n_subcarriers}), "
+             f"got {count!r}")
+
+
 def check_snr_points(name: str, snrs) -> None:
-    """ConfigError naming the first SNR point that is not finite or lies
-    beyond +-SNR_LIMIT_DB."""
+    """The SNR-list rule: ConfigError naming ``name`` if the list is empty,
+    at its first point that is not finite or lies beyond +-SNR_LIMIT_DB, or
+    if a point repeats."""
+    _require(len(snrs) > 0, f"{name} must be non-empty")
     for s in snrs:
         _require(math.isfinite(s) and abs(s) <= SNR_LIMIT_DB,
                  f"{name} must be finite and within +-{SNR_LIMIT_DB:g} dB, got {s!r}")
+    check_distinct(name, snrs)
+
+
+def check_distinct(name: str, values) -> None:
+    """ConfigError naming ``name`` if ``values`` repeat an entry.  Each SNR
+    point, method or pilot count is one row group of a sweep's output, so a
+    repeat would write its rows twice, or, for ECDF tables keyed by SNR, drop
+    a table."""
+    _require(len(set(values)) == len(values), f"{name} repeat an entry: {list(values)}")
+
+
+def check_within_cp(name: str, delays, system: SystemConfig) -> None:
+    """The CP rule: ConfigError naming ``name`` unless every delay stays
+    strictly below the CP duration, so no symbol spills into the next."""
+    cp_duration = system.cp_length * system.sample_interval
+    _require(np.all(np.asarray(delays) < cp_duration),
+             f"{name} must stay below the CP duration {cp_duration:.3e} s "
+             f"(no inter-symbol interference), got {np.max(delays):.3e} s")
 
 
 def build_pilot_pattern(n_subcarriers: int, n_pilots: int,
                         rng: np.random.Generator) -> PilotPattern:
-    """Uniform pilot comb {0, N/N_p, 2N/N_p, ...} with random 4-phase symbols."""
-    _require(n_pilots >= 1, f"n_pilots must be >= 1, got {n_pilots}")
-    _require(n_subcarriers % n_pilots == 0,
-             f"n_pilots must divide n_subcarriers ({n_pilots} does not divide {n_subcarriers})")
+    """Uniform pilot comb {0, N/N_p, 2N/N_p, ...} with random 4-phase symbols.
+
+    ``n_pilots`` obeys the pilot-count rule (:func:`check_pilot_count`), as
+    a config's ``n_pilots`` and a plan's pilot counts do."""
+    check_pilot_count("n_pilots", n_pilots, n_subcarriers)
     step = n_subcarriers // n_pilots
     indices = np.arange(0, n_subcarriers, step)
     symbols = _PILOT_CONSTELLATION[rng.integers(0, 4, n_pilots)]

@@ -85,8 +85,9 @@ inherited and send each result back through a pipe, so no run loads
 driver, :func:`_sweep`, which makes every ``(k, t0, t1)`` chunk task, one per
 pilot count ``k`` (the configured one unless the kind sweeps pilot counts) and
 chunk, and folds the chunk results: they come back in chunk order, and each is
-copied into rows [t0, t1) of one (n_trials, ...) array per key and dropped.  The ECDF thus holds one copy of its samples, and each sample buffer
-is released once its table is sorted out of it.  Environments are built where
+copied into rows [t0, t1) of one (n_trials, ...) array per key and dropped.
+The ECDF thus holds one copy of its samples, and each sample buffer is
+released once its table is sorted out of it.  Environments are built where
 they are used: a process builds the environment of count ``k`` at its first
 task of ``k`` and keeps it, so forked workers build their own and the parent
 of a pooled run builds none, bar the one :func:`run_nmse_sweep` reads for its
@@ -107,7 +108,8 @@ import numpy as np
 
 from .channel import assemble_channel, average_gain_from_responses
 from .config import (ConfigBundle, ConfigError, PilotPattern, build_pilot_pattern,
-                     check_snr_points, noise_variance_for_snr)
+                     check_distinct, check_pilot_count, check_snr_points, check_within_cp,
+                     noise_variance_for_snr)
 from .metrics import (CombiningStats, MetricsRecord, analytic_nmse, ecdf,
                       post_combining_snr, _energy)
 from .propagation import (PathSet, dt_truncate, frequency_response, generate_paths,
@@ -135,8 +137,14 @@ def validate_plan(plan: ExperimentPlan, kind: str) -> ExperimentPlan:
     of ``kind`` and reject inconsistent plans.
 
     The SNR points default to the entry's, or to the config's
-    ``snr_grid_db`` where it has none.  Validating a validated plan returns
-    it unchanged.
+    ``snr_grid_db`` where it has none, and obey the config's SNR-list rule
+    (:func:`~chest.config.check_snr_points`); the methods repeat none
+    (:func:`~chest.config.check_distinct`).  A pilot sweep's counts default to
+    the powers of two from 2 to N, each obeys the pilot-count rule
+    (:func:`~chest.config.check_pilot_count`) and none repeats.  A supplied
+    path set obeys the CP rule (:func:`~chest.config.check_within_cp`) here,
+    before any worker that would build on it is forked.  Validating a
+    validated plan returns it unchanged.
     """
     if kind not in SWEEPS:
         raise ConfigError(f"unknown experiment kind {kind!r}; choose from {tuple(SWEEPS)}")
@@ -148,47 +156,24 @@ def validate_plan(plan: ExperimentPlan, kind: str) -> ExperimentPlan:
     if bad:
         raise ConfigError(f"methods {sorted(bad)} not valid for {kind} "
                           f"(allowed: {sweep.methods})")
-    _require_distinct("methods", methods)
+    check_distinct("methods", methods)
     snrs = tuple(float(s) for s in
                  plan.snrs or sweep.snrs or plan.bundle.system.snr_grid_db)
     check_snr_points(f"{kind} SNR points", snrs)
-    _require_distinct(f"{kind} SNR points", snrs)
     if plan.environment is not None:
-        # workers build the environments, so a set beyond the CP must fail here
-        _require_within_cp(plan.bundle.system, plan.environment)
+        check_within_cp("supplied path delays", plan.environment.delay, plan.bundle.system)
     plan = replace(plan, methods=tuple(methods), snrs=snrs)
     if not sweep.sweeps_pilots:
         if plan.pilot_counts:
             raise ConfigError(f"pilot counts apply to pilot-sweep only, not {kind}")
         return plan
     n = plan.bundle.system.n_subcarriers
-    counts = plan.pilot_counts or _default_pilot_counts(n)
+    # validate_config made N a power of two >= 2
+    counts = plan.pilot_counts or tuple(2 ** j for j in range(1, n.bit_length()))
     for c in counts:
-        if not 1 <= c <= n or n % c != 0:
-            raise ConfigError(f"pilot count {c} must divide n_subcarriers {n}")
-    _require_distinct("pilot counts", counts)
+        check_pilot_count("pilot count", c, n)
+    check_distinct("pilot counts", counts)
     return replace(plan, pilot_counts=tuple(sorted(int(c) for c in counts)))
-
-
-def _require_distinct(name: str, values) -> None:
-    """Each value is one row group of the output, so a repeat would write its
-    rows twice, or, for ECDF tables keyed by SNR, drop a table."""
-    if len(set(values)) != len(values):
-        raise ConfigError(f"{name} repeat an entry: {list(values)}")
-
-
-def _require_within_cp(sysc, paths: PathSet) -> None:
-    if np.any(paths.delay >= sysc.cp_length * sysc.sample_interval):
-        raise ConfigError("supplied path delays exceed the CP duration")
-
-
-def _default_pilot_counts(n_subcarriers: int) -> tuple[int, ...]:
-    counts = []
-    c = 2
-    while c <= n_subcarriers:
-        counts.append(c)
-        c *= 2
-    return tuple(counts)
 
 
 # --- Environment (everything fixed across trials) --------------------------
@@ -227,12 +212,15 @@ def build_environment(bundle: ConfigBundle, paths: PathSet | None = None) -> Env
 
     This is where the path geometry becomes responses, and the last place it
     is read: the twin pair spans the twin paths' columns of the steering and
-    pilot-grid responses, and the environment keeps the amplitudes alone."""
+    pilot-grid responses, and the environment keeps the amplitudes alone.  A
+    supplied path set obeys the CP rule (:func:`~chest.config.check_within_cp`),
+    as the config's ``delay_spread`` does, and the pilot comb
+    (:func:`~chest.config.build_pilot_pattern`) the pilot-count rule."""
     sysc, scen, estc = bundle.system, bundle.scenario, bundle.estimator
     if paths is None:
         paths = generate_paths(scen, substream(sysc.seed, PATHS))
     else:
-        _require_within_cp(sysc, paths)
+        check_within_cp("supplied path delays", paths.delay, sysc)
     pilots = build_pilot_pattern(sysc.n_subcarriers, sysc.n_pilots,
                                  substream(sysc.seed, PILOTS))
     steering = steering_matrix(paths, sysc.n_rx, scen.array_spacing)

@@ -230,7 +230,7 @@ class TestExitCodes:
                                                          snr_grid_db=[0.0, 5.0, 0.0]))))
         proc = run_cli("nmse-sweep", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert proc.returncode == 1, proc.stderr
-        assert "snr_grid_db repeats" in proc.stderr
+        assert "snr_grid_db entries repeat" in proc.stderr
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("under", [False, True], ids=["file", "path-under-file"])

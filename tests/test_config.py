@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chest import (ConfigError, ExperimentPlan, build_pilot_pattern, desk_config,
-                   load_config, noise_variance_for_snr, validate_config,
-                   validate_plan)
+from chest import (ConfigError, EstimatorConfig, ExperimentPlan, ScenarioConfig,
+                   SystemConfig, build_pilot_pattern, desk_config, load_config,
+                   noise_variance_for_snr, validate_config, validate_plan)
 from chest import cli
 from chest.config import _SECTIONS
 from chest.subspaces import denoise_subspace
@@ -154,6 +154,68 @@ class TestPilotPattern:
         if n_p > 1:
             gaps = np.diff(pat.indices)
             assert gaps.min() == gaps.max() == n // n_p
+
+
+# Every grid size validate_config accepts up to the full-scale 2048.
+POWERS_OF_TWO = [2 ** j for j in range(1, 12)]
+
+
+def _bundle(n: int, **system_overrides):
+    """A valid config on ``n`` subcarriers with one pilot; a CP of n / 2
+    samples keeps the default 0.9 us delay spread inside it at every n."""
+    system = {"n_subcarriers": n, "cp_length": n // 2, "n_rx": 2, "n_pilots": 1,
+              **system_overrides}
+    return validate_config(SystemConfig(**system), ScenarioConfig(), EstimatorConfig())
+
+
+def _accepts(call) -> bool:
+    """Whether ``call()`` returns, not raising ConfigError."""
+    try:
+        call()
+    except ConfigError:
+        return False
+    return True
+
+
+class TestSharedRules:
+    """Each sweep-axis rule is one function in ``chest.config``, so every
+    boundary that applies it accepts exactly the same inputs."""
+
+    @pytest.mark.parametrize("n", POWERS_OF_TWO)
+    def test_pilot_count_boundaries_agree(self, n):
+        """Every count in [-2, 2n + 1] is accepted by the config's
+        ``n_pilots``, the pilot comb and a pilot sweep's counts alike, and
+        exactly when it is >= 1 and divides n."""
+        plan = ExperimentPlan(bundle=_bundle(n))
+        rng = np.random.default_rng(0)
+        for count in range(-2, 2 * n + 2):
+            verdicts = [
+                _accepts(lambda: _bundle(n, n_pilots=count)),
+                _accepts(lambda: build_pilot_pattern(n, count, rng)),
+                _accepts(lambda: validate_plan(replace(plan, pilot_counts=(count,)),
+                                               "pilot-sweep"))]
+            assert verdicts == [count >= 1 and n % count == 0] * 3, count
+
+    @given(snrs=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 0, 5.0, -1000.0, 1000.0,
+                                                    1000.5, -1000.5]),
+                                   st.floats(), st.integers(-3000, 3000)),
+                         min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_snr_list_boundaries_agree(self, snrs):
+        """A config's ``snr_grid_db`` and every kind's plan SNR points accept
+        the same non-empty lists: finite, within +-1000 dB, no repeat (an
+        empty plan list asks for the kind's default, so it is not drawn)."""
+        plan = ExperimentPlan(bundle=desk_config(), snrs=tuple(snrs))
+        verdicts = [_accepts(lambda: desk_config(snr_grid_db=tuple(snrs)))]
+        verdicts += [_accepts(lambda: validate_plan(plan, kind)) for kind in SWEEPS]
+        assert len(set(verdicts)) == 1, verdicts
+
+    @pytest.mark.parametrize("n", POWERS_OF_TWO)
+    def test_default_pilot_counts(self, n):
+        """A pilot sweep without counts runs every power of two from 2 to n,
+        n = 2 included."""
+        plan = validate_plan(ExperimentPlan(bundle=_bundle(n)), "pilot-sweep")
+        assert plan.pilot_counts == tuple(POWERS_OF_TWO[:POWERS_OF_TWO.index(n) + 1])
 
 
 class TestNoiseVariance:

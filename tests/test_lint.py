@@ -5,8 +5,9 @@ path geometry into responses outside the two places that own it, no sweep builds
 environment outside the per-process builder that owns it, no module imports
 the process-pool machinery, no function writes ``out=`` into an array it was
 handed, the package defines nothing it never references, bar three names kept for
-a stated reason, it exports only names it has, each once, and the sweep table
-holds plain data, no reducer."""
+a stated reason, it exports only names it has, each once, the sweep table
+holds plain data, no reducer, and no line of the package or its tests runs past
+99 characters."""
 import ast
 from functools import partial
 from pathlib import Path
@@ -371,3 +372,24 @@ def test_detects_non_plain_data():
     assert plain_data(("ls", (1, 2.5), frozenset({"rate"}), True))
     assert not any(plain_data(v) for v in (len, partial(len), ("ls", len),
                                            frozenset({len}), lambda: 0, None, [1]))
+
+
+# Longest line, in characters, of any file in src/chest/ or tests/.
+MAX_LINE = 99
+
+
+def long_lines(source: str) -> list[str]:
+    """The lines of ``source`` longer than ``MAX_LINE``, with their lengths."""
+    return [f"line {i}: {len(line)} characters"
+            for i, line in enumerate(source.splitlines(), 1) if len(line) > MAX_LINE]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "chest").glob("*.py")) + TESTS,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_long_lines(path):
+    assert long_lines(path.read_text()) == []
+
+
+def test_detects_long_lines():
+    source = "a = 1\n" + "#" * MAX_LINE + "\n" + "b" * (MAX_LINE + 1) + "\n"
+    assert long_lines(source) == [f"line 3: {MAX_LINE + 1} characters"]
